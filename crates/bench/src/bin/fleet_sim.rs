@@ -578,7 +578,7 @@ fn run_scaling(cli: &Cli) {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
     write_report_out(cli, &summary.scenario, summary.workers, &summary.aggregate);
-    emit(cli, &scenario, workers, wall, json);
+    emit(cli, &scenario, summary.workers, wall, json);
 }
 
 /// Writes the deterministic document (no `timing`, `scaling` or
@@ -638,12 +638,17 @@ fn main() {
         (configs, started.elapsed().as_secs_f64())
     });
     let started = Instant::now();
-    let aggregate = if cli.linear {
-        simulate_linear_in(&scenario, workers, &store).aggregate
+    // `threads` is what the runner actually spawned, which may be fewer
+    // than the `workers` asked for.
+    let (aggregate, threads) = if cli.linear {
+        let r = simulate_linear_in(&scenario, workers, &store);
+        (r.aggregate, r.workers)
     } else if cli.summary {
-        simulate_summary_in(&scenario, workers, &store).aggregate
+        let s = simulate_summary_in(&scenario, workers, &store);
+        (s.aggregate, s.workers)
     } else {
-        simulate_in(&scenario, workers, &store).aggregate
+        let r = simulate_in(&scenario, workers, &store);
+        (r.aggregate, r.workers)
     };
     let wall = started.elapsed().as_secs_f64();
     let store_json = prewarm.map(|(configs, secs)| {
@@ -667,13 +672,13 @@ fn main() {
     };
     let json = render_document_with(
         &scenario,
-        workers,
+        threads,
         &aggregate,
         Some(wall),
         None,
         store_json,
         extras,
     );
-    write_report_out(&cli, &scenario, workers, &aggregate);
-    emit(&cli, &scenario, workers, wall, json);
+    write_report_out(&cli, &scenario, threads, &aggregate);
+    emit(&cli, &scenario, threads, wall, json);
 }

@@ -19,13 +19,23 @@
 //!   is what lets one booted runtime serve a whole group through
 //!   [`AmuletOs::reset`].
 //!
-//! - **Block sharding.**  Devices are partitioned into fixed
-//!   [`BLOCK_SIZE`] index blocks; workers claim blocks from a shared
-//!   atomic counter and results are merged **in block order** on the
-//!   calling thread.  The block grid never depends on the worker count,
-//!   and every per-device result is a pure function of the scenario, so
-//!   any worker count produces byte-identical reports — the guarantee CI
-//!   asserts at 10⁴ devices, 1 vs 8 workers.
+//! - **Fold grid and claim grid.**  Devices are partitioned into fixed
+//!   [`BLOCK_SIZE`] index blocks — the *fold grid*.  Each block is folded
+//!   (per-device vector or [`crate::stats::BlockSummary`]) as a whole and
+//!   the folded values merge **in block order** on the calling thread.
+//!   The fold grid never depends on the worker count: the summaries sum
+//!   energy and time as per-block f64 partials, so moving a block edge
+//!   would re-associate those sums and change the report bytes.  Workers
+//!   instead claim *slices* — the claim grid — from a shared atomic
+//!   counter: each block splits into contiguous slices sized to the
+//!   worker count ([`claim_slices`]), so a fleet smaller than one block
+//!   still spreads over every worker.  A slice's results land in its
+//!   block's slot, and whichever worker finishes a block's last slice
+//!   concatenates the slices in order and folds the block.  Every
+//!   per-device result is a pure function of the scenario, so which
+//!   worker ran a slice cannot show, and any worker count produces
+//!   byte-identical reports — the guarantee CI asserts at 10⁴ devices,
+//!   1 vs 8 workers.
 //!
 //! - **Silent-device outcome cache.**  A mostly-idle fleet is dominated
 //!   by devices whose campaign trace is empty
@@ -54,11 +64,54 @@ use amulet_os::os::{AmuletOs, OsOptions};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Devices per scheduling block.  Fixed — never derived from the worker
-/// count — so the block grid, and therefore every block-local decision,
-/// is identical no matter how many workers claim blocks.
+/// Devices per fold block.  Fixed — never derived from the worker count —
+/// so the fold grid, and with it the association of every per-block f64
+/// partial, is identical no matter how many workers run the fleet.
 pub(crate) const BLOCK_SIZE: usize = 1024;
+
+/// Claim slices the calendar aims to give each worker.  More slices than
+/// workers bound the tail: when one worker draws a slow slice, the others
+/// still have slices left to claim.
+const SLICES_PER_WORKER: usize = 4;
+
+/// One claimable unit of work: devices `lo..hi`, part `part` of block
+/// `block`.
+struct Slice {
+    block: usize,
+    part: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// The claim grid of a `devices`-device fleet on `workers` threads, listed
+/// block-major in device order: each block is cut into
+/// `ceil(SLICES_PER_WORKER · workers / blocks)` non-empty contiguous
+/// slices (at most one per device), and into exactly one when one worker
+/// runs everything or the blocks alone already give every worker
+/// [`SLICES_PER_WORKER`] claims.
+fn claim_slices(devices: usize, workers: usize) -> Vec<Slice> {
+    let blocks = devices.div_ceil(BLOCK_SIZE);
+    let per_block = if workers <= 1 {
+        1
+    } else {
+        (SLICES_PER_WORKER * workers).div_ceil(blocks.max(1))
+    };
+    let mut slices = Vec::new();
+    for block in 0..blocks {
+        let start = block * BLOCK_SIZE;
+        let len = BLOCK_SIZE.min(devices - start);
+        let parts = per_block.min(len);
+        slices.extend((0..parts).map(|part| Slice {
+            block,
+            part,
+            lo: start + len * part / parts,
+            hi: start + len * (part + 1) / parts,
+        }));
+    }
+    slices
+}
 
 /// A device waiting on the block's wake calendar.
 struct Pending {
@@ -69,7 +122,7 @@ struct Pending {
     first_wake_ms: u64,
 }
 
-/// Per-worker state that persists across the blocks a worker claims.
+/// Per-worker state that persists across the slices a worker claims.
 struct Worker<'a> {
     scenario: &'a FleetScenario,
     store: &'a FirmwareStore,
@@ -199,40 +252,64 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// Runs the scenario's device blocks across `workers` scoped threads and
-/// folds each finished block through `fold` on the worker that ran it;
-/// the folded values are returned **in block order** regardless of which
-/// worker claimed which block.  `fold` receives `(block_index, results)`
-/// with the results sorted by device index.
+/// Runs the scenario across `workers` scoped threads claiming slices of
+/// the claim grid, and folds each block through `fold` on the worker that
+/// finished the block's last slice; the folded values are returned **in
+/// block order** regardless of which worker ran which slice.  `fold`
+/// receives `(block_index, results)` with the whole block's results
+/// sorted by device index.  Also returns the number of threads spawned.
 pub(crate) fn collect_blocks_in<R, F>(
     scenario: &FleetScenario,
     workers: usize,
     store: &FirmwareStore,
     fold: F,
-) -> Vec<R>
+) -> (Vec<R>, usize)
 where
     R: Send,
     F: Fn(usize, Vec<DeviceResult>) -> R + Sync,
 {
+    let slices = claim_slices(scenario.devices, workers);
     let blocks = scenario.devices.div_ceil(BLOCK_SIZE);
-    let workers = workers.max(1).min(blocks.max(1));
+    // Each block's slot holds its finished slices until the last one
+    // lands; claims run block-major, so only blocks in flight hold any.
+    let mut slots: Vec<Mutex<Vec<Option<Vec<DeviceResult>>>>> =
+        (0..blocks).map(|_| Mutex::new(Vec::new())).collect();
+    for s in &slices {
+        slots[s.block]
+            .get_mut()
+            .expect("no thread has run yet")
+            .push(None);
+    }
+    let threads = workers.max(1).min(slices.len().max(1));
+    // The counter only hands out claims; results travel through the slot
+    // mutexes, so `Relaxed` publishes nothing it must order.
     let next = AtomicUsize::new(0);
     let mut tagged: Vec<(usize, R)> = Vec::with_capacity(blocks);
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for _ in 0..workers {
-            let (store, next, fold) = (store, &next, &fold);
+        for _ in 0..threads {
+            let (store, next, fold, slices, slots) = (store, &next, &fold, &slices, &slots);
             handles.push(scope.spawn(move || {
                 let mut worker = Worker::new(scenario, store);
                 let mut out = Vec::new();
-                loop {
-                    let block = next.fetch_add(1, Ordering::Relaxed);
-                    if block >= blocks {
-                        break;
+                while let Some(s) = slices.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let results = worker.run_block(s.lo, s.hi);
+                    let finished = {
+                        let mut parts = slots[s.block].lock().expect("a fleet worker panicked");
+                        parts[s.part] = Some(results);
+                        parts
+                            .iter()
+                            .all(Option::is_some)
+                            .then(|| std::mem::take(&mut *parts))
+                    };
+                    if let Some(parts) = finished {
+                        let mut parts = parts.into_iter().flatten();
+                        let mut block = parts.next().expect("a block has at least one slice");
+                        for part in parts {
+                            block.extend(part);
+                        }
+                        out.push((s.block, fold(s.block, block)));
                     }
-                    let lo = block * BLOCK_SIZE;
-                    let hi = ((block + 1) * BLOCK_SIZE).min(scenario.devices);
-                    out.push((block, fold(block, worker.run_block(lo, hi))));
                 }
                 out
             }));
@@ -242,23 +319,23 @@ where
         }
     });
     tagged.sort_by_key(|&(block, _)| block);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    (tagged.into_iter().map(|(_, r)| r).collect(), threads)
 }
 
 /// Materialises every device's result in device order — the
 /// discrete-event replacement for the linear walk's device vector — from
-/// a caller-held [`FirmwareStore`].
+/// a caller-held [`FirmwareStore`].  Also returns the threads spawned.
 pub(crate) fn simulate_devices_in(
     scenario: &FleetScenario,
     workers: usize,
     store: &FirmwareStore,
-) -> Vec<DeviceResult> {
-    let blocks = collect_blocks_in(scenario, workers, store, |_, results| results);
+) -> (Vec<DeviceResult>, usize) {
+    let (blocks, threads) = collect_blocks_in(scenario, workers, store, |_, results| results);
     let mut devices = Vec::with_capacity(scenario.devices);
     for block in blocks {
         devices.extend(block);
     }
-    devices
+    (devices, threads)
 }
 
 #[cfg(test)]
@@ -334,6 +411,47 @@ mod tests {
             checked > 0,
             "the fleet must contain a silent device of a refused config"
         );
+    }
+
+    #[test]
+    fn claim_slices_tile_every_block_in_order() {
+        for devices in [1, 250, 1023, 1024, 1025, 5000, 50_000] {
+            for workers in [1, 2, 3, 8] {
+                let slices = claim_slices(devices, workers);
+                let blocks = devices.div_ceil(BLOCK_SIZE);
+                let mut next = 0;
+                for (i, s) in slices.iter().enumerate() {
+                    let block_lo = s.block * BLOCK_SIZE;
+                    let block_hi = (block_lo + BLOCK_SIZE).min(devices);
+                    assert_eq!(s.lo, next, "{devices}/{workers}: gap or overlap at {i}");
+                    assert!(s.lo < s.hi, "{devices}/{workers}: empty slice {i}");
+                    assert!(
+                        block_lo <= s.lo && s.hi <= block_hi,
+                        "{devices}/{workers}: slice {i} leaves block {}",
+                        s.block
+                    );
+                    let first_of_block = s.lo == block_lo;
+                    assert_eq!(
+                        s.part == 0,
+                        first_of_block,
+                        "{devices}/{workers}: part order"
+                    );
+                    if !first_of_block {
+                        assert_eq!(slices[i - 1].block, s.block);
+                        assert_eq!(slices[i - 1].part + 1, s.part);
+                    }
+                    next = s.hi;
+                }
+                assert_eq!(next, devices, "{devices}/{workers}: every index covered");
+                assert!(
+                    slices.len() >= workers.min(devices),
+                    "{devices}/{workers}: every worker can claim a slice"
+                );
+                if workers == 1 || blocks >= SLICES_PER_WORKER * workers {
+                    assert_eq!(slices.len(), blocks, "{devices}/{workers}: whole blocks");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,11 +29,15 @@
 //! pure function of the scenario, regardless of worker count or machine.
 //!
 //! Stepped scenarios run on the **discrete-event wake calendar**
-//! (`calendar` module): devices are sharded into fixed blocks that
-//! workers claim from a shared counter, each block's devices wake in
+//! (`calendar` module): devices are sharded into fixed 1024-device blocks
+//! (the fold grid — fixed because each block's f64 partial sums must
+//! associate identically for any worker count), workers claim contiguous
+//! slices of those blocks from a shared counter (so even a fleet smaller
+//! than one block runs on every worker), each slice's devices wake in
 //! next-event order, silent devices are served from a provably-sound
-//! per-config outcome cache, and results merge in block order — which is
-//! how 10⁵–10⁶-device campaigns stay tractable.  [`simulate_linear`]
+//! per-config outcome cache, and each block is folded once its last slice
+//! lands, merging in block order — which is how 10⁵–10⁶-device campaigns
+//! stay tractable.  [`simulate_linear`]
 //! keeps the original linear walk as the property-tested oracle, and
 //! [`simulate_summary`] runs whole campaigns without materialising
 //! per-device results (streaming aggregation, bounded memory).

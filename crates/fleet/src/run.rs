@@ -542,11 +542,11 @@ pub fn simulate_in(scenario: &FleetScenario, workers: usize, store: &FirmwareSto
     match scenario.time_mode {
         TimeMode::ArrivalOrder => simulate_linear_in(scenario, workers, store),
         TimeMode::Stepped => {
-            let devices = crate::calendar::simulate_devices_in(scenario, workers, store);
+            let (devices, threads) = crate::calendar::simulate_devices_in(scenario, workers, store);
             let aggregate = aggregate(&devices);
             FleetReport {
                 scenario: scenario.clone(),
-                workers: workers.max(1).min(scenario.devices.max(1)),
+                workers: threads,
                 devices,
                 aggregate,
             }
@@ -590,12 +590,13 @@ pub fn simulate_summary_in(
     workers: usize,
     store: &FirmwareStore,
 ) -> FleetSummary {
-    let blocks = crate::calendar::collect_blocks_in(scenario, workers, store, |_, devices| {
-        crate::stats::BlockSummary::from_devices(&devices)
-    });
+    let (blocks, threads) =
+        crate::calendar::collect_blocks_in(scenario, workers, store, |_, devices| {
+            crate::stats::BlockSummary::from_devices(&devices)
+        });
     FleetSummary {
         scenario: scenario.clone(),
-        workers: workers.max(1).min(scenario.devices.max(1)),
+        workers: threads,
         aggregate: crate::stats::reduce_blocks(&blocks),
     }
 }

@@ -32,6 +32,43 @@ fn calendar_matches_linear_oracle_on_all_five_platforms() {
     assert_eq!(des.aggregate, linear.aggregate);
 }
 
+/// A fleet smaller than one block is sliced across every worker: each
+/// worker keeps its own silent-outcome cache and probes it, yet any worker
+/// count must reproduce the linear oracle bit for bit.
+#[test]
+fn sub_block_fleet_sliced_across_workers_matches_linear_oracle() {
+    let sc = FleetScenario::scaling(96);
+    let silent = (0..sc.devices)
+        .filter(|&i| sc.device_config(i).silent_cacheable())
+        .count();
+    assert!(
+        silent > 32,
+        "silent devices for every worker's cache: {silent}"
+    );
+    let linear = simulate_linear(&sc, 1);
+    for workers in [1, 2, 3, 7] {
+        let des = simulate(&sc, workers);
+        assert_eq!(des.workers, workers, "every worker gets a slice");
+        assert_eq!(des.devices, linear.devices, "{workers} workers");
+        assert_eq!(des.aggregate, linear.aggregate, "{workers} workers");
+    }
+}
+
+/// Three blocks, the last one partial: slices of several blocks are in
+/// flight at once and each block folds on whichever worker finishes it,
+/// yet the streamed aggregate is the same for every worker count.
+#[test]
+fn multi_block_summary_is_worker_count_free() {
+    let sc = FleetScenario::scaling(2600);
+    let serial = simulate_summary(&sc, 1);
+    assert_eq!(serial.workers, 1);
+    for workers in [2, 3, 8] {
+        let parallel = simulate_summary(&sc, workers);
+        assert_eq!(parallel.workers, workers, "every worker gets a slice");
+        assert_eq!(parallel.aggregate, serial.aggregate, "{workers} workers");
+    }
+}
+
 /// Truncation semantics: a per-event leg never defers deliveries past the
 /// horizon, so only batched legs may report truncated events, and those
 /// events are excluded from the latency population.
