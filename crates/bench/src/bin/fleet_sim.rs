@@ -11,7 +11,7 @@
 //!
 //! Flag form (mixable with positionals; flags win):
 //! `--devices N --workers N --events N --seed N --mode arrival-order|stepped
-//!  --silent-permille N --preset scaling --summary --linear --no-write`
+//!  --silent-permille N --preset scaling --summary --no-write`
 //!
 //! * `--preset scaling` starts from [`FleetScenario::scaling`] — the
 //!   mostly-silent, windowed campaign the scaling study runs — before
@@ -25,18 +25,23 @@
 //! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
 //!   images evicted first); requires `--store`.  Contradictory flag
 //!   combinations (`--store --no-store`, `--paranoid --no-store`,
-//!   `--linear --summary`, ...) are rejected up front with exit code 2.
+//!   `--scaling --scaling-point`, ...) are rejected up front with exit
+//!   code 2, and so is any unknown flag.
 //! * `--summary` streams block aggregation (`simulate_summary`) instead
 //!   of materialising per-device results: bounded memory at 10⁵–10⁶
-//!   devices, byte-identical document.
-//! * `--linear` forces the pre-calendar linear walk (the oracle) — for
-//!   baseline measurements.
-//! * `--scaling` runs the whole scaling campaign: a linear baseline at
-//!   10³ plus calendar points at {10³, 10⁴, 10⁵}, each in a child
-//!   process so peak RSS is measured per point, then writes the report
-//!   for the largest point with a `"scaling"` section attached — plus a
-//!   `"firmware_store"` section timing a cold vs warm store prewarm of
-//!   the top point's distinct configurations.
+//!   devices.  The document matches the materialised run's byte for byte
+//!   only under the condition `simulate_summary` documents: the fleet
+//!   fits one 1024-device block and each leg's latency samples fit the
+//!   2048-sample sketch.  Beyond it, delivery-latency mean, p50 and p99
+//!   are deterministic sample estimates — the default stepped fleet
+//!   (1000 devices × 120 events) is already past the sketch.  Either way
+//!   the document is the same for every worker count.
+//! * `--scaling` runs the whole scaling campaign: calendar points at
+//!   {10³, 10⁴, 10⁵}, each in a child process so peak RSS is measured
+//!   per point, then writes the report for the largest point with a
+//!   `"scaling"` section attached — plus a `"firmware_store"` section
+//!   timing a cold vs warm store prewarm of the top point's distinct
+//!   configurations.
 //! * `--store DIR` persists built firmwares in a content-addressable
 //!   store under `DIR`: the run prewarms every distinct configuration
 //!   through the store (timed separately from the campaign) and the
@@ -52,29 +57,23 @@
 //!   aborts the run) and attaches a `verifier` section with the fleet's
 //!   verdict counters.  `--elide-checks` deploys images rewritten through
 //!   check elision — outcome-identical, fewer retired instructions.
-//!   `--elide-checks` conflicts with `--linear`: the linear oracle is the
-//!   unelided reference baseline, so eliding it would benchmark the
-//!   optimisation against itself (exit 2).  `--fuse` deploys images with
-//!   the superinstruction pass applied — byte-identical on disk (fusion
-//!   is derived state, re-applied after decode), identical outcomes,
-//!   faster dispatch.  It conflicts with `--linear` for the same reason
-//!   `--elide-checks` does (exit 2).
+//!   `--fuse` deploys images with the superinstruction pass applied —
+//!   byte-identical on disk (fusion is derived state, re-applied after
+//!   decode), identical outcomes, faster dispatch.
 
 use amulet_bench::fleet_sim::{
     containment_json, ota_wave_json, render_document, render_document_with, store_stats_json,
     verify_summary_json,
 };
 use amulet_bench::json::Json;
-use amulet_fleet::{
-    simulate_in, simulate_linear_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode,
-};
+use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode};
 use std::path::PathBuf;
 use std::time::Instant;
 
 const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [seed] [mode] \
      [--devices N] [--workers N] [--events N] [--seed N] [--mode arrival-order|stepped] \
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
-     [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] [--linear] \
+     [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
      [--report-out FILE] [--verify] [--elide-checks] [--fuse]";
 
@@ -96,7 +95,6 @@ struct Cli {
     preset_scaling: bool,
     preset_storm: bool,
     summary: bool,
-    linear: bool,
     no_write: bool,
     scaling: bool,
     scaling_point: bool,
@@ -166,7 +164,6 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
                 other => fail(&format!("unknown preset {other:?}")),
             },
             "--summary" => cli.summary = true,
-            "--linear" => cli.linear = true,
             "--no-write" => cli.no_write = true,
             "--scaling" => cli.scaling = true,
             "--scaling-point" => cli.scaling_point = true,
@@ -219,26 +216,11 @@ fn validate(cli: &Cli) {
     if cli.store_cap_bytes.is_some() && cli.store.is_none() {
         fail("--store-cap-bytes bounds an on-disk store and needs --store DIR");
     }
-    if cli.linear && cli.summary {
-        fail("--linear and --summary conflict: the linear oracle materialises per-device results");
-    }
     if cli.preset_scaling && cli.preset_storm {
         fail("--preset given twice with different presets");
     }
     if cli.scaling && cli.scaling_point {
         fail("--scaling and --scaling-point conflict");
-    }
-    if cli.elide_checks && cli.linear {
-        fail(
-            "--elide-checks and --linear conflict: the linear oracle is the unelided \
-             reference baseline",
-        );
-    }
-    if cli.fuse && cli.linear {
-        fail(
-            "--fuse and --linear conflict: the linear oracle is the unfused \
-             reference baseline",
-        );
     }
 }
 
@@ -342,13 +324,9 @@ fn run_point(cli: &Cli) -> ! {
     let (scenario, workers) = scenario_from(cli);
     let store = FirmwareStore::for_scenario(&scenario);
     let started = Instant::now();
-    let events = if cli.linear {
-        let report = simulate_linear_in(&scenario, workers, &store);
-        report.aggregate.per_event.events_delivered + report.aggregate.batched.events_delivered
-    } else {
-        let summary = simulate_summary_in(&scenario, workers, &store);
-        summary.aggregate.per_event.events_delivered + summary.aggregate.batched.events_delivered
-    };
+    let summary = simulate_summary_in(&scenario, workers, &store);
+    let events =
+        summary.aggregate.per_event.events_delivered + summary.aggregate.batched.events_delivered;
     let wall = started.elapsed().as_secs_f64();
     println!("devices={}", scenario.devices);
     println!("wall_seconds={wall}");
@@ -456,17 +434,12 @@ fn store_bench(scenario: &FleetScenario, dir: &std::path::Path) -> Json {
         .field("warm_start_speedup", cold_wall / warm_wall.max(1e-9))
 }
 
-/// The scaling campaign: linear baselines at 10³, calendar points at
-/// {10³, 10⁴, 10⁵}, each in its own child process, composed into the
-/// `"scaling"` section of the largest point's report.
+/// The scaling campaign: calendar points at {10³, 10⁴, 10⁵}, each in its
+/// own child process, composed into the `"scaling"` section of the
+/// largest point's report.
 fn run_scaling(cli: &Cli) {
     let workers = scenario_from(cli).1;
     let top = cli.devices.unwrap_or(100_000);
-
-    eprintln!("scaling: linear stepped baseline, dense default scenario, 1000 devices...");
-    let linear_dense = spawn_point(&["--linear", "--mode", "stepped"], 1000, workers);
-    eprintln!("scaling: linear stepped baseline, scaling preset, 1000 devices...");
-    let linear_preset = spawn_point(&["--linear", "--preset", "scaling"], 1000, workers);
 
     let mut calendar_points = Vec::new();
     let mut n = 1000usize;
@@ -476,41 +449,14 @@ fn run_scaling(cli: &Cli) {
         n *= 10;
     }
     let top_point = calendar_points.last().expect("at least one calendar point");
-    let scale = top_point.devices as f64 / 1000.0;
-    // The linear walk is O(devices): its 10³ wall-clock scales by
-    // devices/10³ at the top point.  The headline compares the calendar's
-    // top-point throughput against the *pre-calendar* 10³ baseline (the
-    // dense default scenario PR 4 shipped), which is what this PR set out
-    // to beat; the same-preset comparison is reported alongside so the
-    // workload change and the scheduler change are separable.
-    let headline_speedup =
-        top_point.devices_per_second() / linear_dense.devices_per_second().max(1e-9);
-    let same_preset_speedup =
-        top_point.devices_per_second() / linear_preset.devices_per_second().max(1e-9);
     let scaling = Json::obj()
         .field("preset", "scaling-campaign")
         .field("workers", workers)
         .field(
-            "linear_baseline",
-            Json::obj()
-                .field("dense_1e3", linear_dense.json())
-                .field("preset_1e3", linear_preset.json())
-                .field(
-                    "extrapolated_dense_wall_seconds_at_top",
-                    linear_dense.wall_seconds * scale,
-                )
-                .field(
-                    "extrapolated_preset_wall_seconds_at_top",
-                    linear_preset.wall_seconds * scale,
-                ),
-        )
-        .field(
             "calendar",
             calendar_points.iter().map(Point::json).collect::<Vec<_>>(),
         )
-        .field("top_devices", top_point.devices)
-        .field("speedup_vs_extrapolated_linear_at_top", headline_speedup)
-        .field("speedup_vs_same_preset_linear_at_top", same_preset_speedup);
+        .field("top_devices", top_point.devices);
 
     // The firmware-store cold/warm bench over the top point's distinct
     // configurations — the committed `firmware_store` section.
@@ -640,10 +586,7 @@ fn main() {
     let started = Instant::now();
     // `threads` is what the runner actually spawned, which may be fewer
     // than the `workers` asked for.
-    let (aggregate, threads) = if cli.linear {
-        let r = simulate_linear_in(&scenario, workers, &store);
-        (r.aggregate, r.workers)
-    } else if cli.summary {
+    let (aggregate, threads) = if cli.summary {
         let s = simulate_summary_in(&scenario, workers, &store);
         (s.aggregate, s.workers)
     } else {

@@ -511,12 +511,12 @@ mod tests {
             report.workers,
             &report.aggregate,
             Some(1.0),
-            Some(Json::obj().field("speedup_vs_extrapolated_linear_at_1e5", 50.0)),
+            Some(Json::obj().field("top_devices", 100_000usize)),
             None,
         );
         assert!(text.contains("\"scaling\""));
         assert!(text.contains("\"events_per_second\""));
-        assert!(text.contains("speedup_vs_extrapolated_linear_at_1e5"));
+        assert!(text.contains("\"top_devices\": 100000"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The discrete-event fleet core: a wake calendar over device blocks.
 //!
-//! PR 4's stepped mode proved fleet devices sleep ~99.99 % of virtual
-//! time, yet the linear walk still paid O(devices) per unit of virtual
-//! time.  This module restructures the stepped runner around the classic
-//! discrete-event shape — work happens only where events are:
+//! Fleet devices sleep ~99.99 % of virtual time, so a walk that replays
+//! every device front to back pays O(devices) per unit of virtual time.
+//! This module is the fleet's one runner, for both time modes, built
+//! around the classic discrete-event shape — work happens only where
+//! events are:
 //!
 //! - **Wake calendar.**  Within a block, devices are grouped by firmware
 //!   configuration and each group enters a priority queue keyed by the
@@ -56,11 +57,10 @@
 //!   from the cross-run on-disk cache, or by a fresh AFT build — and
 //!   runtimes share the image by reference.
 
-use crate::run::{device_trace, simulate_device, DeviceResult};
+use crate::run::{boot_runtime, device_trace, simulate_device, DeviceResult};
 use crate::scenario::{ConfigContext, DeviceConfig, FleetScenario};
 use crate::store::FirmwareStore;
-use amulet_os::events::DeliveryPolicy;
-use amulet_os::os::{AmuletOs, OsOptions};
+use amulet_os::os::AmuletOs;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -152,16 +152,7 @@ impl<'a> Worker<'a> {
     fn runtime_for(&mut self, key: &str, cfg: &DeviceConfig) -> &mut AmuletOs {
         let hit = matches!(&self.runtime, Some((k, _)) if k == key);
         if !hit {
-            let firmware = self.store.get_or_build(key, cfg);
-            let os = AmuletOs::with_options_shared(
-                firmware,
-                OsOptions {
-                    sensor_seed: cfg.sensor_seed,
-                    delivery: DeliveryPolicy::PerEvent,
-                    ..OsOptions::default()
-                },
-            );
-            self.runtime = Some((key.to_string(), os));
+            self.runtime = Some((key.to_string(), boot_runtime(self.store, key, cfg)));
         }
         &mut self.runtime.as_mut().expect("runtime just installed").1
     }
@@ -322,9 +313,8 @@ where
     (tagged.into_iter().map(|(_, r)| r).collect(), threads)
 }
 
-/// Materialises every device's result in device order — the
-/// discrete-event replacement for the linear walk's device vector — from
-/// a caller-held [`FirmwareStore`].  Also returns the threads spawned.
+/// Materialises every device's result in device order from a caller-held
+/// [`FirmwareStore`].  Also returns the threads spawned.
 pub(crate) fn simulate_devices_in(
     scenario: &FleetScenario,
     workers: usize,
@@ -390,15 +380,7 @@ mod tests {
             if !cfg.silent || !refused.contains(&key) {
                 continue;
             }
-            let firmware = store.get_or_build(&key, &cfg);
-            let mut os = AmuletOs::with_options_shared(
-                firmware,
-                OsOptions {
-                    sensor_seed: cfg.sensor_seed,
-                    delivery: DeliveryPolicy::PerEvent,
-                    ..OsOptions::default()
-                },
-            );
+            let mut os = boot_runtime(&store, &key, &cfg);
             let oracle = simulate_device(&scenario, &cfg, &mut os, &[]);
             assert!(
                 oracle.sensor_draws > 0,

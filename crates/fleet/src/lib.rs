@@ -28,17 +28,19 @@
 //! Determinism is a hard guarantee: the report (aggregates included) is a
 //! pure function of the scenario, regardless of worker count or machine.
 //!
-//! Stepped scenarios run on the **discrete-event wake calendar**
-//! (`calendar` module): devices are sharded into fixed 1024-device blocks
-//! (the fold grid — fixed because each block's f64 partial sums must
-//! associate identically for any worker count), workers claim contiguous
-//! slices of those blocks from a shared counter (so even a fleet smaller
-//! than one block runs on every worker), each slice's devices wake in
-//! next-event order, silent devices are served from a provably-sound
-//! per-config outcome cache, and each block is folded once its last slice
-//! lands, merging in block order — which is how 10⁵–10⁶-device campaigns
-//! stay tractable.  [`simulate_linear`]
-//! keeps the original linear walk as the property-tested oracle, and
+//! Every run, in either time mode, goes through the **discrete-event
+//! wake calendar** (`calendar` module); an arrival-order report is the
+//! stepped replay rendered without its clock fields.  Devices are sharded
+//! into fixed 1024-device blocks (the fold grid — fixed because each
+//! block's f64 partial sums must associate identically for any worker
+//! count), workers claim contiguous slices of those blocks from a shared
+//! counter (so even a fleet smaller than one block runs on every worker),
+//! each slice's devices wake in next-event order, silent devices are
+//! served from a provably-sound per-config outcome cache, and each block
+//! is folded once its last slice lands, merging in block order — which is
+//! how 10⁵–10⁶-device campaigns stay tractable.  [`replay_device`]
+//! replays one device on a fresh runtime with nothing shared — the
+//! property-tested oracle the calendar must match bit for bit — and
 //! [`simulate_summary`] runs whole campaigns without materialising
 //! per-device results (streaming aggregation, bounded memory).
 //!
@@ -71,9 +73,9 @@ pub mod store;
 
 pub use faults::{FaultProbe, OtaOutcome, Verdict};
 pub use run::{
-    simulate, simulate_in, simulate_linear, simulate_linear_in, simulate_summary,
-    simulate_summary_in, verify_fleet, verify_fleet_reports, DeviceResult, FleetReport,
-    FleetSummary, FleetVerifySummary, PolicyOutcome,
+    replay_device, simulate, simulate_in, simulate_summary, simulate_summary_in, verify_fleet,
+    verify_fleet_reports, DeviceResult, FleetReport, FleetSummary, FleetVerifySummary,
+    PolicyOutcome,
 };
 pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{

@@ -1,7 +1,12 @@
-//! The fleet runner: builds firmware once per distinct configuration,
-//! fans the devices out across `std::thread::scope` workers, and reduces
-//! the per-device results in device order so the report is identical for
-//! every worker count.
+//! The fleet runner's entry points and its one per-device replay.
+//!
+//! Every run goes through the discrete-event wake calendar (the
+//! `calendar` module), which hands each device to one replay: both
+//! delivery legs under the virtual clock.  An arrival-order scenario is a
+//! rendering of that same replay with the clock fields left out.  On top
+//! sit the reductions — the materialised [`FleetReport`], the streaming
+//! [`FleetSummary`] — and [`replay_device`], which replays one device on
+//! a fresh runtime with nothing shared.
 
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
@@ -13,15 +18,14 @@ use amulet_core::method::IsolationMethod;
 use amulet_mcu::firmware::Firmware;
 use amulet_os::events::{DeliveryPolicy, Event, EventKind};
 use amulet_os::os::{AmuletOs, OsOptions};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What one device did under one delivery policy.
 ///
 /// The time fields (`virtual_seconds`, `active_seconds`, `idle_joules`,
-/// `battery_weeks`) are populated only under [`TimeMode::Stepped`]; an
-/// arrival-order run has no clock, so they stay zero there and the report
-/// renderer omits them.
+/// `battery_weeks`, `truncated_events`) are populated only under
+/// [`TimeMode::Stepped`]; an arrival-order report has no clock, so they
+/// stay zero there and the report renderer omits them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PolicyOutcome {
     /// Total cycles the device consumed (boot + trace).
@@ -134,22 +138,6 @@ fn kind_for(handler: &str) -> EventKind {
     }
 }
 
-/// Replays a trace in arrival order: every arrival is posted and the
-/// scheduler pumped, so a batched policy sees exactly the queue build-up a
-/// live device would; a final flush delivers the stragglers.
-fn run_trace(os: &mut AmuletOs, trace: &[amulet_apps::TraceEvent]) {
-    for e in trace {
-        os.post_event(Event::new(
-            e.app_index,
-            e.handler.as_str(),
-            e.payload,
-            kind_for(&e.handler),
-        ));
-        os.pump();
-    }
-    os.flush();
-}
-
 /// What a time-stepped replay measured on top of the run itself.
 struct SteppedRun {
     /// Virtual wall-clock span of the run in seconds: boot + every
@@ -165,17 +153,18 @@ struct SteppedRun {
 
 /// Replays a trace under a virtual clock.
 ///
-/// The delivered schedule is **identical** to [`run_trace`] — the same
-/// posts, the same pumps, in the same order, so every cycle count matches
-/// the arrival-order replay exactly.  Stepping adds accounting: the clock
-/// starts after boot (boot runs busy from t = 0), jumps forward to each
-/// event's `at_ms` when the device finished its work earlier (an LPM idle
-/// gap), stays put when the event arrived while the device was still busy
-/// (the event waits), and advances by executed-cycle time across every
-/// pump.  Each dispatched trace event's [`amulet_os::os::DeliveryRecord`]
-/// is joined against the clock to yield its delivery latency — including
-/// latency added by the batching policy deferring delivery until a batch
-/// forms.
+/// Every arrival is posted and the scheduler pumped, so a batched policy
+/// sees exactly the queue build-up a live device would; a final flush
+/// delivers the stragglers.  The clock only observes that schedule — it
+/// never reorders a post or a pump — which is why an arrival-order report
+/// can be read off the same replay.  The clock starts after boot (boot
+/// runs busy from t = 0), jumps forward to each event's `at_ms` when the
+/// device finished its work earlier (an LPM idle gap), stays put when the
+/// event arrived while the device was still busy (the event waits), and
+/// advances by executed-cycle time across every pump.  Each dispatched
+/// trace event's [`amulet_os::os::DeliveryRecord`] is joined against the
+/// clock to yield its delivery latency — including latency added by the
+/// batching policy deferring delivery until a batch forms.
 fn run_trace_stepped(
     os: &mut AmuletOs,
     trace: &[amulet_apps::TraceEvent],
@@ -233,9 +222,16 @@ fn run_trace_stepped(
     }
 }
 
-/// Reduces one finished run into a [`PolicyOutcome`]; `stepped` (when the
-/// run carried a virtual clock) fills in the idle/duty/lifetime fields.
-fn collect(os: &AmuletOs, energy: &EnergyModel, stepped: Option<&SteppedRun>) -> PolicyOutcome {
+/// Reduces one finished leg into its [`PolicyOutcome`] and latency
+/// samples.  With `timed` the run's virtual clock fills in the
+/// idle/duty/lifetime fields; without it (an arrival-order report) those
+/// fields stay zero and the latencies and truncation count are dropped.
+fn collect(
+    os: &AmuletOs,
+    energy: &EnergyModel,
+    run: SteppedRun,
+    timed: bool,
+) -> (PolicyOutcome, Vec<f64>) {
     let mut out = PolicyOutcome {
         total_cycles: os.total_cycles(),
         switch_cycles: 0,
@@ -264,17 +260,18 @@ fn collect(os: &AmuletOs, energy: &EnergyModel, stepped: Option<&SteppedRun>) ->
         out.batch_boundaries += s.batch_boundaries;
     }
     out.energy_joules = energy.cycles_to_joules(out.total_cycles);
-    if let Some(run) = stepped {
-        out.truncated_events = run.truncated_events;
-        out.virtual_seconds = run.virtual_seconds;
-        out.active_seconds = energy.cycles_to_seconds(out.total_cycles);
-        out.idle_joules = energy.idle_joules(run.virtual_seconds - out.active_seconds);
-        if run.virtual_seconds > 0.0 {
-            let power_w = (out.energy_joules + out.idle_joules) / run.virtual_seconds;
-            out.battery_weeks = BatteryModel::amulet().lifetime_weeks_at_power(power_w);
-        }
+    if !timed {
+        return (out, Vec::new());
     }
-    out
+    out.truncated_events = run.truncated_events;
+    out.virtual_seconds = run.virtual_seconds;
+    out.active_seconds = energy.cycles_to_seconds(out.total_cycles);
+    out.idle_joules = energy.idle_joules(run.virtual_seconds - out.active_seconds);
+    if run.virtual_seconds > 0.0 {
+        let power_w = (out.energy_joules + out.idle_joules) / run.virtual_seconds;
+        out.battery_weeks = BatteryModel::amulet().lifetime_weeks_at_power(power_w);
+    }
+    (out, run.latencies_ms)
 }
 
 /// Generates device `cfg`'s event-arrival trace — empty for silent
@@ -313,8 +310,8 @@ pub(crate) struct SimulatedDevice {
 /// access-attribute tables, the API tables) is allocated and built once
 /// per configuration instead of once per device.  `reset` guarantees a
 /// replayed run is bit-identical to a fresh runtime's, so results do not
-/// depend on which devices shared a runtime (the worker-count determinism
-/// test pins this down end to end).
+/// depend on which devices shared a runtime (the oracle tests pin this
+/// against [`replay_device`], which boots a fresh runtime per device).
 pub(crate) fn simulate_device(
     scenario: &FleetScenario,
     cfg: &DeviceConfig,
@@ -325,12 +322,13 @@ pub(crate) fn simulate_device(
     if let Some(na) = scenario.lpm_current_override_na {
         energy.lpm_current_a = na as f64 / 1e9;
     }
-    // One leg under one delivery policy: arrival-order runs replay the
-    // trace untimed; stepped runs replay the identical schedule under the
-    // virtual clock and harvest latencies on the side.  Alongside the
-    // outcome, each leg reports how many sensor-model reads it performed —
-    // `AmuletOs::reset` zeroes the counter, and every sensor-backed
-    // syscall (including `amulet_get_time`) advances it.
+    // One leg under one delivery policy, always replayed under the
+    // virtual clock; an arrival-order scenario keeps only the untimed
+    // fields.  Alongside the outcome, each leg reports how many
+    // sensor-model reads it performed — `AmuletOs::reset` zeroes the
+    // counter, and every sensor-backed syscall (including
+    // `amulet_get_time`) advances it.
+    let timed = scenario.time_mode == TimeMode::Stepped;
     let mut sensor_draws = 0u64;
     let mut probe_verdicts: Vec<crate::faults::Verdict> = Vec::new();
     let mut leg = |os: &mut AmuletOs, policy: DeliveryPolicy| -> (PolicyOutcome, Vec<f64>) {
@@ -347,19 +345,9 @@ pub(crate) fn simulate_device(
             let (outcome, _) = os.call_handler(cfg.apps.len() - 1, "attack", payload);
             probe_verdicts.push(crate::faults::classify(outcome));
         }
-        let out = match scenario.time_mode {
-            TimeMode::ArrivalOrder => {
-                run_trace(os, trace);
-                (collect(os, &energy, None), Vec::new())
-            }
-            TimeMode::Stepped => {
-                let run = run_trace_stepped(os, trace, &energy);
-                let outcome = collect(os, &energy, Some(&run));
-                (outcome, run.latencies_ms)
-            }
-        };
+        let run = run_trace_stepped(os, trace, &energy);
         sensor_draws += os.services.sensors.ticks;
-        out
+        collect(os, &energy, run, timed)
     };
 
     os.set_sensor_seed(cfg.sensor_seed);
@@ -460,11 +448,10 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
 }
 
 /// Fans `items` out across up to `workers` scoped threads in contiguous
-/// chunks and concatenates each chunk's results in chunk order — the one
-/// parallel-map shape both the firmware builds and the device simulation
-/// use.  `f` must be a pure function of its chunk for the result to be
-/// independent of the worker count (both call sites are; the worker-count
-/// determinism test pins this down end to end).
+/// chunks and concatenates each chunk's results in chunk order — how
+/// [`verify_fleet_reports`] spreads its AFT builds.  `f` must be a pure
+/// function of its chunk for the result to be independent of the worker
+/// count.
 fn par_map_chunks<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -487,36 +474,35 @@ where
     out
 }
 
-/// Materialises every distinct firmware image the fleet needs, exactly
-/// once, through the given [`FirmwareStore`] (memory, cross-run disk
-/// cache, or a fresh AFT build), fanning the work out across `workers`
-/// scoped threads.
-///
-/// Distinct configurations are collected in config order, partitioned into
-/// contiguous chunks, materialised in parallel, and merged back in config
-/// order — each image is a pure function of its configuration, so the
-/// resulting cache is identical for every worker count and every store
-/// state.
-fn build_firmware_cache(
-    configs: &[DeviceConfig],
-    workers: usize,
+/// A runtime booted from device `cfg`'s firmware image, drawn through
+/// `store` under `key` (the config's [`DeviceConfig::firmware_key`]).
+pub(crate) fn boot_runtime(store: &FirmwareStore, key: &str, cfg: &DeviceConfig) -> AmuletOs {
+    AmuletOs::with_options_shared(
+        store.get_or_build(key, cfg),
+        OsOptions {
+            sensor_seed: cfg.sensor_seed,
+            delivery: DeliveryPolicy::PerEvent,
+            ..OsOptions::default()
+        },
+    )
+}
+
+/// Replays device `index` of `scenario` on its own: a fresh runtime
+/// booted from the device's image, the device's trace, both delivery
+/// legs.  No runtime is reused and no silent outcome is shared, so this
+/// is the plain "(scenario, index)" contract every fleet run must agree
+/// with — the calendar's runtime reuse and silent cache are optimisations
+/// over mapping this function across the fleet, and the test suite holds
+/// them to it bit for bit.
+pub fn replay_device(
+    scenario: &FleetScenario,
+    index: usize,
     store: &FirmwareStore,
-) -> BTreeMap<String, Arc<Firmware>> {
-    let mut distinct: Vec<(String, &DeviceConfig)> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for cfg in configs {
-        let key = cfg.firmware_key();
-        if seen.insert(key.clone()) {
-            distinct.push((key, cfg));
-        }
-    }
-    par_map_chunks(&distinct, workers, |part| {
-        part.iter()
-            .map(|(key, cfg)| (key.clone(), store.get_or_build(key, cfg)))
-            .collect()
-    })
-    .into_iter()
-    .collect()
+) -> DeviceResult {
+    let cfg = scenario.device_config(index);
+    let mut os = boot_runtime(store, &cfg.firmware_key(), &cfg);
+    let trace = device_trace(scenario, &cfg);
+    simulate_device(scenario, &cfg, &mut os, &trace).result
 }
 
 /// Runs the whole scenario on `workers` threads.
@@ -524,12 +510,10 @@ fn build_firmware_cache(
 /// Determinism guarantee: every field of the returned [`FleetReport`]
 /// except `workers` is a pure function of the scenario.
 ///
-/// [`TimeMode::ArrivalOrder`] scenarios run the linear walk
-/// ([`simulate_linear`]); [`TimeMode::Stepped`] scenarios run the
-/// discrete-event wake calendar, which produces
-/// bit-identical `DeviceResult`s (the equivalence property test pins
-/// this) while skipping the devices that are asleep — the fleet's
-/// dominant state.
+/// Both time modes run the discrete-event wake calendar, which skips the
+/// devices that are asleep — the fleet's dominant state — and produces
+/// the same `DeviceResult`s, bit for bit, as mapping [`replay_device`]
+/// over every index (the oracle property tests pin this).
 pub fn simulate(scenario: &FleetScenario, workers: usize) -> FleetReport {
     let store = FirmwareStore::for_scenario(scenario);
     simulate_in(scenario, workers, &store)
@@ -539,18 +523,13 @@ pub fn simulate(scenario: &FleetScenario, workers: usize) -> FleetReport {
 /// results (the store is a pure cache), with the store's hit/build
 /// statistics left readable by the caller afterwards.
 pub fn simulate_in(scenario: &FleetScenario, workers: usize, store: &FirmwareStore) -> FleetReport {
-    match scenario.time_mode {
-        TimeMode::ArrivalOrder => simulate_linear_in(scenario, workers, store),
-        TimeMode::Stepped => {
-            let (devices, threads) = crate::calendar::simulate_devices_in(scenario, workers, store);
-            let aggregate = aggregate(&devices);
-            FleetReport {
-                scenario: scenario.clone(),
-                workers: threads,
-                devices,
-                aggregate,
-            }
-        }
+    let (devices, threads) = crate::calendar::simulate_devices_in(scenario, workers, store);
+    let aggregate = aggregate(&devices);
+    FleetReport {
+        scenario: scenario.clone(),
+        workers: threads,
+        devices,
+        aggregate,
     }
 }
 
@@ -598,73 +577,6 @@ pub fn simulate_summary_in(
         scenario: scenario.clone(),
         workers: threads,
         aggregate: crate::stats::reduce_blocks(&blocks),
-    }
-}
-
-/// The original linear walk: every device's trace is replayed
-/// front-to-back, devices are partitioned into contiguous index ranges,
-/// and both the result vector and the aggregate reduction are assembled
-/// in device order on the calling thread.  Kept (and exported) as the
-/// reference oracle the discrete-event runner is property-tested against,
-/// and as the baseline the scaling bench extrapolates from.
-pub fn simulate_linear(scenario: &FleetScenario, workers: usize) -> FleetReport {
-    let store = FirmwareStore::for_scenario(scenario);
-    simulate_linear_in(scenario, workers, &store)
-}
-
-/// [`simulate_linear`] against a caller-held [`FirmwareStore`] (see
-/// [`simulate_in`]).
-pub fn simulate_linear_in(
-    scenario: &FleetScenario,
-    workers: usize,
-    store: &FirmwareStore,
-) -> FleetReport {
-    let configs: Vec<DeviceConfig> = (0..scenario.devices)
-        .map(|i| scenario.device_config(i))
-        .collect();
-    let cache = build_firmware_cache(&configs, workers, store);
-
-    let workers = workers.max(1).min(configs.len().max(1));
-    let mut devices = par_map_chunks(&configs, workers, |part| {
-        // Process the worker's devices grouped by firmware configuration
-        // so one booted runtime (device memory, decoded instruction store,
-        // attribute tables) is reused — via `AmuletOs::reset` — across
-        // every device of a group.  Per-device results are independent of
-        // the grouping (reset restores power-on state exactly), and the
-        // caller re-sorts by device index, so the report is unchanged.
-        let mut grouped: Vec<(String, &DeviceConfig)> =
-            part.iter().map(|cfg| (cfg.firmware_key(), cfg)).collect();
-        grouped.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.index.cmp(&b.1.index)));
-        let mut results = Vec::with_capacity(part.len());
-        let mut sim: Option<(String, AmuletOs)> = None;
-        for (key, cfg) in grouped {
-            let os = match &mut sim {
-                Some((k, os)) if *k == key => os,
-                _ => {
-                    let fresh = AmuletOs::with_options_shared(
-                        Arc::clone(&cache[&key]),
-                        OsOptions {
-                            sensor_seed: cfg.sensor_seed,
-                            delivery: DeliveryPolicy::PerEvent,
-                            ..OsOptions::default()
-                        },
-                    );
-                    &mut sim.insert((key, fresh)).1
-                }
-            };
-            let trace = device_trace(scenario, cfg);
-            results.push(simulate_device(scenario, cfg, os, &trace).result);
-        }
-        results
-    });
-    devices.sort_by_key(|d| d.index);
-
-    let aggregate = aggregate(&devices);
-    FleetReport {
-        scenario: scenario.clone(),
-        workers,
-        devices,
-        aggregate,
     }
 }
 

@@ -6,6 +6,8 @@
 //! msp430fr5994's MPU has no jurisdiction over the peripheral window or
 //! the interrupt vectors — the escape paths the storm report documents.
 
+mod support;
+
 use amulet_aft::aft::Aft;
 use amulet_apps::adversarial::FaultKind;
 use amulet_core::method::IsolationMethod;
@@ -323,14 +325,14 @@ fn static_verifier_cross_validates_the_dynamic_matrix() {
 }
 
 #[test]
-fn storm_devices_match_the_linear_oracle() {
-    // The discrete-event calendar and the linear walk must agree on every
-    // armed device, probes and OTA outcomes included.
+fn storm_devices_match_the_oracle() {
+    // The discrete-event calendar and the one-device-at-a-time oracle must
+    // agree on every armed device, probes and OTA outcomes included.
     let scenario = FleetScenario::storm(80);
     let calendar = amulet_fleet::simulate(&scenario, 4);
-    let linear = amulet_fleet::simulate_linear(&scenario, 4);
-    assert_eq!(calendar.devices, linear.devices);
-    assert_eq!(calendar.aggregate, linear.aggregate);
+    let expected = support::oracle(&scenario);
+    assert_eq!(calendar.devices, expected.devices);
+    assert_eq!(calendar.aggregate, expected.aggregate);
     assert!(calendar.devices.iter().any(|d| d.fault.is_some()));
     assert!(calendar.devices.iter().any(|d| d.ota.is_some()));
 }

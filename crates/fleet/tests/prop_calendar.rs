@@ -1,11 +1,15 @@
 //! Property tests for the discrete-event fleet core: the wake-calendar
-//! runner must be **bit-identical** to the original linear stepped walk —
-//! the oracle pattern that made the attribute cache and the NAPOT solver
-//! safe — and the streaming block aggregation must reproduce the exact
-//! reduction at small N, delivery-latency percentiles included.
+//! runner must be **bit-identical** to the one-device-at-a-time oracle
+//! (`support::oracle`, a fresh runtime per device) — the oracle pattern
+//! that made the attribute cache and the NAPOT solver safe — and the
+//! streaming block aggregation must reproduce the exact reduction at
+//! small N, delivery-latency percentiles included.
 
-use amulet_fleet::{simulate, simulate_linear, simulate_summary, FleetScenario, TimeMode};
+mod support;
+
+use amulet_fleet::{simulate, simulate_summary, FleetScenario, TimeMode};
 use proptest::prelude::*;
+use support::oracle;
 
 fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
     FleetScenario {
@@ -18,25 +22,25 @@ fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
 }
 
 /// All five platform profiles at 64 devices under the default seed — the
-/// deterministic anchor case the issue calls out (≤64 devices, every
-/// profile), checked bit for bit against the linear oracle.
+/// deterministic anchor case (≤64 devices, every profile), checked bit
+/// for bit against the oracle.
 #[test]
-fn calendar_matches_linear_oracle_on_all_five_platforms() {
+fn calendar_matches_the_oracle_on_all_five_platforms() {
     let sc = stepped(FleetScenario::default().seed, 64, 20);
     let des = simulate(&sc, 4);
-    let linear = simulate_linear(&sc, 4);
+    let expected = oracle(&sc);
     let platforms: std::collections::BTreeSet<_> =
         des.devices.iter().map(|d| d.platform.clone()).collect();
     assert_eq!(platforms.len(), 5, "64 devices span all five profiles");
-    assert_eq!(des.devices, linear.devices);
-    assert_eq!(des.aggregate, linear.aggregate);
+    assert_eq!(des.devices, expected.devices);
+    assert_eq!(des.aggregate, expected.aggregate);
 }
 
 /// A fleet smaller than one block is sliced across every worker: each
 /// worker keeps its own silent-outcome cache and probes it, yet any worker
-/// count must reproduce the linear oracle bit for bit.
+/// count must reproduce the oracle bit for bit.
 #[test]
-fn sub_block_fleet_sliced_across_workers_matches_linear_oracle() {
+fn sub_block_fleet_sliced_across_workers_matches_the_oracle() {
     let sc = FleetScenario::scaling(96);
     let silent = (0..sc.devices)
         .filter(|&i| sc.device_config(i).silent_cacheable())
@@ -45,12 +49,12 @@ fn sub_block_fleet_sliced_across_workers_matches_linear_oracle() {
         silent > 32,
         "silent devices for every worker's cache: {silent}"
     );
-    let linear = simulate_linear(&sc, 1);
+    let expected = oracle(&sc);
     for workers in [1, 2, 3, 7] {
         let des = simulate(&sc, workers);
         assert_eq!(des.workers, workers, "every worker gets a slice");
-        assert_eq!(des.devices, linear.devices, "{workers} workers");
-        assert_eq!(des.aggregate, linear.aggregate, "{workers} workers");
+        assert_eq!(des.devices, expected.devices, "{workers} workers");
+        assert_eq!(des.aggregate, expected.aggregate, "{workers} workers");
     }
 }
 
@@ -108,27 +112,33 @@ proptest! {
     // keeps the suite fast while still roaming the seed space.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole oracle: for any seed, size and knob setting — silent
-    /// devices and catalogue windows included — the discrete-event
-    /// stepped runner produces the same `DeviceResult`s, bit for bit, as
-    /// the linear stepped walk.
+    /// The core oracle: for any seed, size, time mode and knob setting —
+    /// silent devices and catalogue windows included — the discrete-event
+    /// runner produces the same `DeviceResult`s, bit for bit, as replaying
+    /// every device on its own.
     #[test]
-    fn calendar_is_bit_identical_to_the_linear_walk(
+    fn calendar_is_bit_identical_to_the_oracle(
         seed in 0u64..1_000_000,
         devices in 3usize..32,
         events in 4usize..16,
         silent_permille in prop_oneof![Just(0u16), Just(500u16), Just(800u16)],
         windowed in any::<bool>(),
+        arrival_order in any::<bool>(),
     ) {
         let sc = FleetScenario {
             silent_permille,
             catalog_window: windowed.then_some((2, 4)),
+            time_mode: if arrival_order {
+                TimeMode::ArrivalOrder
+            } else {
+                TimeMode::Stepped
+            },
             ..stepped(seed, devices, events)
         };
         let des = simulate(&sc, 3);
-        let linear = simulate_linear(&sc, 3);
-        prop_assert_eq!(des.devices, linear.devices);
-        prop_assert_eq!(des.aggregate, linear.aggregate);
+        let expected = oracle(&sc);
+        prop_assert_eq!(des.devices, expected.devices);
+        prop_assert_eq!(des.aggregate, expected.aggregate);
     }
 
     /// The streaming reduction: block summaries folded on the workers

@@ -1,8 +1,9 @@
-//! Property tests for the time-mode equivalence guarantee: the stepped
-//! replay delivers the *identical schedule* as arrival-order delivery, so
-//! with idling made free (LPM current overridden to zero) every cycle and
-//! energy number must match the arrival-order run exactly — for any
-//! scenario seed, fleet size and batching parameters.
+//! Property tests for the time-mode equivalence guarantee: an
+//! arrival-order report is the stepped replay rendered without its clock,
+//! so it carries no clock field, and with idling made free (LPM current
+//! overridden to zero) every cycle and energy number must match the
+//! arrival-order run exactly — for any scenario seed, fleet size and
+//! batching parameters.
 
 use amulet_fleet::{simulate, FleetScenario, TimeMode};
 use proptest::prelude::*;
@@ -39,6 +40,19 @@ proptest! {
             2,
         );
         for (a, s) in arrival.devices.iter().zip(&stepped.devices) {
+            // Arrival order is the same replay rendered without its clock:
+            // no clock field and no latency sample may leak through.  The
+            // rendered document omits these fields, so only this check
+            // would notice.
+            prop_assert!(a.per_event_latencies_ms.is_empty(), "device {}", a.index);
+            prop_assert!(a.batched_latencies_ms.is_empty(), "device {}", a.index);
+            for ao in [&a.per_event, &a.batched] {
+                prop_assert_eq!(ao.virtual_seconds, 0.0, "device {}", a.index);
+                prop_assert_eq!(ao.active_seconds, 0.0, "device {}", a.index);
+                prop_assert_eq!(ao.idle_joules, 0.0, "device {}", a.index);
+                prop_assert_eq!(ao.battery_weeks, 0.0, "device {}", a.index);
+                prop_assert_eq!(ao.truncated_events, 0, "device {}", a.index);
+            }
             for (ao, so) in [(&a.per_event, &s.per_event), (&a.batched, &s.batched)] {
                 prop_assert_eq!(ao.total_cycles, so.total_cycles, "device {}", a.index);
                 prop_assert_eq!(ao.switch_cycles, so.switch_cycles, "device {}", a.index);
