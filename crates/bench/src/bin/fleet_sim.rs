@@ -22,6 +22,9 @@
 //! * `--fault-permille N`, `--ota-permille N`, `--ota-corrupt-permille N`,
 //!   `--ota-max-retries N` and `--step-budget N` set the campaign knobs
 //!   individually on any scenario.
+//! * Every numeric flag is parsed at its field's own type: a value that
+//!   does not fit is rejected with exit code 2, never wrapped.  So is a
+//!   per-mille value above 1000 and an empty fleet (`--devices 0`).
 //! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
 //!   images evicted first); requires `--store`.  Contradictory flag
 //!   combinations (`--store --no-store`, `--paranoid --no-store`,
@@ -57,9 +60,6 @@
 //!   aborts the run) and attaches a `verifier` section with the fleet's
 //!   verdict counters.  `--elide-checks` deploys images rewritten through
 //!   check elision — outcome-identical, fewer retired instructions.
-//!   `--fuse` deploys images with the superinstruction pass applied —
-//!   byte-identical on disk (fusion is derived state, re-applied after
-//!   decode), identical outcomes, faster dispatch.
 
 use amulet_bench::fleet_sim::{
     containment_json, ota_wave_json, render_document, render_document_with, store_stats_json,
@@ -75,7 +75,7 @@ const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [s
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
      [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
-     [--report-out FILE] [--verify] [--elide-checks] [--fuse]";
+     [--report-out FILE] [--verify] [--elide-checks]";
 
 /// Everything the command line can ask for, before it is resolved into a
 /// scenario.
@@ -105,7 +105,6 @@ struct Cli {
     report_out: Option<PathBuf>,
     verify: bool,
     elide_checks: bool,
-    fuse: bool,
 }
 
 fn fail(msg: &str) -> ! {
@@ -121,44 +120,49 @@ fn parse_mode(s: &str) -> TimeMode {
     }
 }
 
+/// The value following `flag`.
+fn value(flag: &str, it: &mut dyn Iterator<Item = String>) -> String {
+    it.next()
+        .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+}
+
+/// The value following `flag`, parsed at the flag's own type: a value
+/// that does not fit is rejected, never wrapped.
+fn num<T: std::str::FromStr>(flag: &str, it: &mut dyn Iterator<Item = String>) -> T {
+    let s = value(flag, it);
+    s.parse()
+        .unwrap_or_else(|_| fail(&format!("{flag}: not a number in range: {s:?}")))
+}
+
+/// The per-mille value following `flag`: 0 to 1000.
+fn permille(flag: &str, it: &mut dyn Iterator<Item = String>) -> u16 {
+    let p: u16 = num(flag, it);
+    if p > 1000 {
+        fail(&format!("{flag} is per mille (0 to 1000), got {p}"));
+    }
+    p
+}
+
 fn parse(args: impl Iterator<Item = String>) -> Cli {
     let mut cli = Cli::default();
     let mut positional = 0usize;
     let mut it = args;
-    let value = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next()
-            .unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-    };
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--devices" => cli.devices = Some(parse_num(&value("--devices", &mut it))),
-            "--workers" => cli.workers = Some(parse_num(&value("--workers", &mut it))),
-            "--events" => cli.events = Some(parse_num(&value("--events", &mut it))),
-            "--seed" => cli.seed = Some(parse_num(&value("--seed", &mut it)) as u64),
-            "--mode" => cli.mode = Some(parse_mode(&value("--mode", &mut it))),
-            "--silent-permille" => {
-                cli.silent_permille = Some(parse_num(&value("--silent-permille", &mut it)) as u16)
-            }
-            "--fault-permille" => {
-                cli.fault_permille = Some(parse_num(&value("--fault-permille", &mut it)) as u16)
-            }
-            "--ota-permille" => {
-                cli.ota_permille = Some(parse_num(&value("--ota-permille", &mut it)) as u16)
-            }
-            "--ota-corrupt-permille" => {
-                cli.ota_corrupt_permille =
-                    Some(parse_num(&value("--ota-corrupt-permille", &mut it)) as u16)
-            }
-            "--ota-max-retries" => {
-                cli.ota_max_retries = Some(parse_num(&value("--ota-max-retries", &mut it)) as u32)
-            }
-            "--step-budget" => {
-                cli.step_budget = Some(parse_num(&value("--step-budget", &mut it)) as u64)
-            }
-            "--store-cap-bytes" => {
-                cli.store_cap_bytes = Some(parse_num(&value("--store-cap-bytes", &mut it)) as u64)
-            }
-            "--preset" => match value("--preset", &mut it).as_str() {
+        let flag = a.as_str();
+        match flag {
+            "--devices" => cli.devices = Some(num(flag, &mut it)),
+            "--workers" => cli.workers = Some(num(flag, &mut it)),
+            "--events" => cli.events = Some(num(flag, &mut it)),
+            "--seed" => cli.seed = Some(num(flag, &mut it)),
+            "--mode" => cli.mode = Some(parse_mode(&value(flag, &mut it))),
+            "--silent-permille" => cli.silent_permille = Some(permille(flag, &mut it)),
+            "--fault-permille" => cli.fault_permille = Some(permille(flag, &mut it)),
+            "--ota-permille" => cli.ota_permille = Some(permille(flag, &mut it)),
+            "--ota-corrupt-permille" => cli.ota_corrupt_permille = Some(permille(flag, &mut it)),
+            "--ota-max-retries" => cli.ota_max_retries = Some(num(flag, &mut it)),
+            "--step-budget" => cli.step_budget = Some(num(flag, &mut it)),
+            "--store-cap-bytes" => cli.store_cap_bytes = Some(num(flag, &mut it)),
+            "--preset" => match value(flag, &mut it).as_str() {
                 "scaling" => cli.preset_scaling = true,
                 "storm" => cli.preset_storm = true,
                 other => fail(&format!("unknown preset {other:?}")),
@@ -167,13 +171,12 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
             "--no-write" => cli.no_write = true,
             "--scaling" => cli.scaling = true,
             "--scaling-point" => cli.scaling_point = true,
-            "--store" => cli.store = Some(PathBuf::from(value("--store", &mut it))),
+            "--store" => cli.store = Some(PathBuf::from(value(flag, &mut it))),
             "--no-store" => cli.no_store = true,
             "--paranoid" => cli.paranoid = true,
-            "--report-out" => cli.report_out = Some(PathBuf::from(value("--report-out", &mut it))),
+            "--report-out" => cli.report_out = Some(PathBuf::from(value(flag, &mut it))),
             "--verify" => cli.verify = true,
             "--elide-checks" => cli.elide_checks = true,
-            "--fuse" => cli.fuse = true,
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
             word => {
                 // Positional compatibility: devices, workers, events, seed,
@@ -196,14 +199,13 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
     cli
 }
 
-fn parse_num(s: &str) -> usize {
-    s.parse()
-        .unwrap_or_else(|_| fail(&format!("not a number: {s:?}")))
-}
-
-/// Rejects contradictory flag combinations up front (exit 2 with usage)
-/// instead of letting one flag silently win over another.
+/// Rejects an empty fleet, which has no population to report on, and
+/// contradictory flag combinations up front (exit 2 with usage) instead
+/// of letting one flag silently win over another.
 fn validate(cli: &Cli) {
+    if cli.devices == Some(0) {
+        fail("a fleet needs at least one device");
+    }
     if cli.store.is_some() && cli.no_store {
         fail("--store and --no-store conflict");
     }
@@ -269,7 +271,6 @@ fn scenario_from(cli: &Cli) -> (FleetScenario, usize) {
     scenario.store_cap_bytes = cli.store_cap_bytes;
     scenario.verify = cli.verify;
     scenario.elide_checks = cli.elide_checks;
-    scenario.fuse = cli.fuse;
     let workers = cli.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -11,7 +11,7 @@
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
 use crate::store::FirmwareStore;
-use amulet_aft::aft::Aft;
+use amulet_aft::aft::{Aft, BuildOutput};
 use amulet_arp::arp::Arp;
 use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
@@ -412,23 +412,26 @@ pub(crate) fn simulate_device(
     }
 }
 
+/// Compiles device `cfg`'s apps through the AFT for its method and
+/// platform — the one build both [`build_firmware`] and
+/// [`verify_fleet_reports`] start from.
+fn aft_build(key: &str, cfg: &DeviceConfig) -> BuildOutput {
+    let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
+    for app in &cfg.apps {
+        aft = aft.add_app(app.app_source());
+    }
+    aft.build()
+        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"))
+}
+
 /// Builds one device configuration's firmware image, applying the
 /// scenario's static-verification knobs: with [`DeviceConfig::verify`]
 /// the amulet-verify gate must certify the build free of proven-escape
 /// accesses before the image may enter the fleet, and with
 /// [`DeviceConfig::elide`] the image is rewritten through check elision
-/// (redundant software checks replaced by cycle-neutral fillers).  With
-/// [`DeviceConfig::fuse`] the finished image (elided or not) gets the
-/// superinstruction fusion pass — derived dispatch state only, so the
-/// encoded image and its store key are unchanged.
+/// (redundant software checks replaced by cycle-neutral fillers).
 pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
-    let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
-    for app in &cfg.apps {
-        aft = aft.add_app(app.app_source());
-    }
-    let out = aft
-        .build()
-        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"));
+    let out = aft_build(key, cfg);
     if cfg.verify {
         let report = amulet_verify::verify_build(&out);
         assert!(
@@ -436,15 +439,11 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
             "fleet verify gate refused firmware {key}:\n{report}"
         );
     }
-    let mut firmware = if cfg.elide {
+    Arc::new(if cfg.elide {
         amulet_verify::elide_checks(&out).firmware
     } else {
         out.firmware
-    };
-    if cfg.fuse {
-        firmware.fuse();
-    }
-    Arc::new(firmware)
+    })
 }
 
 /// Fans `items` out across up to `workers` scoped threads in contiguous
@@ -685,14 +684,8 @@ pub fn verify_fleet_reports(
     par_map_chunks(&distinct, workers, |part| {
         part.iter()
             .map(|(key, cfg)| {
-                let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
-                for app in &cfg.apps {
-                    aft = aft.add_app(app.app_source());
-                }
-                let out = aft
-                    .build()
-                    .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"));
-                (key.clone(), amulet_verify::verify_build(&out))
+                let report = amulet_verify::verify_build(&aft_build(key, cfg));
+                (key.clone(), report)
             })
             .collect()
     })

@@ -135,12 +135,9 @@ pub struct FleetScenario {
     /// cycle/energy numbers while retiring fewer instructions.
     /// Draw-free, like [`FleetScenario::verify`].
     pub elide_checks: bool,
-    /// Run the superinstruction fusion pass over every deployed image
-    /// (after elision when both are armed).  Fusion is derived dispatch
-    /// state: images encode to identical bytes and keep their store keys,
-    /// and fleets report byte-identical outcomes — the knob only changes
-    /// how fast the interpreter retires the check-heavy hot paths.
-    /// Draw-free, like [`FleetScenario::verify`].
+    /// Has no effect: nothing in the workspace reads it.  It survives only
+    /// because the `perfbench` replay still reads it, and will be removed
+    /// with the next change to that benchmark.  Always `false`.
     pub fuse: bool,
 }
 
@@ -210,11 +207,6 @@ pub struct DeviceConfig {
     /// Whether the firmware image is rewritten through check elision
     /// (copied from [`FleetScenario::elide_checks`]).
     pub elide: bool,
-    /// Whether the built image gets the superinstruction fusion pass
-    /// (copied from [`FleetScenario::fuse`]).  Unlike elision this is
-    /// derived state — fused images encode to the same bytes, so
-    /// [`DeviceConfig::firmware_key`] carries no marker for it.
-    pub fuse: bool,
 }
 
 impl DeviceConfig {
@@ -377,7 +369,6 @@ impl FleetScenario {
             // for bit identically with or without them.
             verify: self.verify,
             elide: self.elide_checks,
-            fuse: self.fuse,
         }
     }
 

@@ -255,7 +255,7 @@ impl FirmwareStore {
             }
         };
         match decode_firmware(&bytes) {
-            Ok((embedded_key, mut firmware)) if embedded_key == store_key => {
+            Ok((embedded_key, firmware)) if embedded_key == store_key => {
                 if self.paranoid {
                     // Verify byte-identity against a fresh build before
                     // trusting the decoded image.  The fresh build is
@@ -277,12 +277,6 @@ impl FirmwareStore {
                     .bytes_read
                     .fetch_add(bytes.len() as u64, Ordering::Relaxed);
                 touch(&path);
-                // Fusion is derived dispatch state the wire format never
-                // carries: re-derive it after every decode, exactly as
-                // `build_firmware` does after a fresh build.
-                if cfg.fuse {
-                    firmware.fuse();
-                }
                 Arc::new(firmware)
             }
             // Wrong key (file-name hash collision) or any decode error

@@ -654,35 +654,6 @@ impl Bus {
         self.attr_enabled && !self.ext_mpu.enabled && addr < 0x1_0000
     }
 
-    /// Fast execute-permission probe for the fused dispatch path: `true`
-    /// when the attribute table is authoritative for every address
-    /// `base + offset` (even, cached, no extended MPU) and grants execute
-    /// at each one.  `false` means "take the exact per-instruction path",
-    /// not "fault" — cache-off buses, external MPUs and slow regions all
-    /// land there.  Counts nothing: the caller batches the
-    /// [`BusStats::exec_checks`] accounting for exactly the components it
-    /// retires.  The table is resolved once for the whole span.
-    #[inline(always)]
-    pub(crate) fn exec_allowed_fast<const N: usize>(
-        &mut self,
-        base: Addr,
-        offsets: [u32; N],
-    ) -> bool {
-        if !self.attr_fast_path(base) {
-            return false;
-        }
-        let epoch = self.mpu.config_writes + self.region_mpu.config_writes + self.pmp.config_writes;
-        if self.attr_epoch != epoch || self.attr_active.is_none() {
-            self.resolve_attr_table(epoch);
-        }
-        let Some(t) = &self.attr_active else {
-            return false;
-        };
-        offsets
-            .iter()
-            .all(|&o| t.attrs[((base + o) & 0xFFFF) as usize] & ATTR_X != 0)
-    }
-
     /// Installs an MPU configuration by performing the same memory-mapped
     /// register writes the OS's context-switch code issues on hardware:
     /// boundaries/access-bits/control for the segmented part, or

@@ -23,7 +23,7 @@
 //! a prebuilt image cheaply and the fleet simulator reuse decoded firmware
 //! across thousands of devices.
 
-use crate::isa::{AluOp, CheckBranch, Instr, Reg, SuperOp};
+use crate::isa::Instr;
 use amulet_core::addr::Addr;
 use std::fmt;
 
@@ -113,7 +113,7 @@ impl Slot {
 /// instruction and slot `addr >> 1` is a perfect index.  Odd addresses
 /// never hold instructions ([`InstrStore::get`] returns `None` without
 /// touching the table).
-#[derive(Clone, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct InstrStore {
     /// `slots[addr >> 1]` holds the instruction decoded at `addr`.
     /// `None` (no allocation) until the first insert; the fixed array size
@@ -121,29 +121,7 @@ pub struct InstrStore {
     slots: Option<Box<[Slot; SLOT_COUNT]>>,
     /// Number of occupied slots.
     count: usize,
-    /// The superinstruction overlay built by [`InstrStore::fuse`]:
-    /// `fused[addr >> 1]` is `1 + index` into `super_ops` when `addr` is
-    /// the *head* of a fused sequence, `0` otherwise.  Interior component
-    /// slots keep their entries in `slots`, so a branch into the middle of
-    /// a sequence executes the tail unfused.  Derived state: never
-    /// serialized, never compared (see the manual [`PartialEq`]), and
-    /// invalidated by [`InstrStore::insert`].
-    fused: Option<Box<[u16; SLOT_COUNT]>>,
-    /// The fused sequences the overlay indexes into.
-    super_ops: Vec<SuperOp>,
 }
-
-/// Fusion is derived, reconstructible state: two stores are equal when
-/// they hold the same instructions, whether or not either has been fused.
-/// This is what keeps a decoded-then-fused image equal to the image it was
-/// encoded from and lets fused/unfused firmware compare `Eq`.
-impl PartialEq for InstrStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.count == other.count && self.slots == other.slots
-    }
-}
-
-impl Eq for InstrStore {}
 
 impl InstrStore {
     /// Creates an empty store.  No memory is allocated until the first
@@ -152,8 +130,6 @@ impl InstrStore {
         InstrStore {
             slots: None,
             count: 0,
-            fused: None,
-            super_ops: Vec::new(),
         }
     }
 
@@ -194,10 +170,6 @@ impl InstrStore {
         if prev.is_none() {
             self.count += 1;
         }
-        // The fusion overlay is derived from the slots; any mutation
-        // invalidates it (re-derive with `fuse` once the store settles).
-        self.fused = None;
-        self.super_ops.clear();
         prev
     }
 
@@ -206,80 +178,6 @@ impl InstrStore {
     #[inline(always)]
     pub(crate) fn table(&self) -> Option<&[Slot; SLOT_COUNT]> {
         self.slots.as_deref()
-    }
-
-    /// The fusion overlay and superop table, resolved once per execute
-    /// block — `None` until [`InstrStore::fuse`] found something to fuse.
-    #[inline(always)]
-    pub(crate) fn fused(&self) -> Option<(&[u16; SLOT_COUNT], &[SuperOp])> {
-        self.fused
-            .as_deref()
-            .map(|t| (t, self.super_ops.as_slice()))
-    }
-
-    /// Whether [`InstrStore::fuse`] has built a (non-empty) overlay.
-    pub fn is_fused(&self) -> bool {
-        self.fused.is_some()
-    }
-
-    /// The fused sequence headed at `addr`, if any (diagnostics and
-    /// tests; the executor uses the resolved overlay directly).
-    pub fn super_op_at(&self, addr: Addr) -> Option<&SuperOp> {
-        if !addr.is_multiple_of(2) || (addr as usize) >= ADDR_SPACE_BYTES {
-            return None;
-        }
-        let index = self.fused.as_ref()?[(addr >> 1) as usize];
-        (index != 0).then(|| &self.super_ops[(index - 1) as usize])
-    }
-
-    /// Builds the superinstruction overlay: a single greedy peephole walk
-    /// in address order, matching the longest fusable pattern at each
-    /// instruction and skipping the consumed components.  Sequences never
-    /// overlap; component slots stay in place (branches into a sequence
-    /// interior execute the tail unfused); no safety scan is needed
-    /// because fusion — unlike elision — removes nothing.
-    ///
-    /// Candidate patterns are the stereotyped shapes the AFT compiler
-    /// emits, justified by the `hotpath` pair-frequency profile: the
-    /// lower/upper double bound check, the single bound check, the
-    /// add-then-check loop tail, the `Push FP; Mov FP ← SP` prologue, the
-    /// `Mov SP ← FP; Pop FP` epilogue head, and adjacent [`Instr::Elided`]
-    /// placeholder pairs left by check elision.
-    ///
-    /// Idempotent and cheap to re-run; [`InstrStore::insert`] invalidates
-    /// the overlay, so fuse once the store has settled.
-    pub fn fuse(&mut self) -> FuseReport {
-        let items: Vec<(Addr, Instr)> = self.iter().map(|(a, i)| (a, *i)).collect();
-        let mut report = FuseReport::default();
-        let mut ops: Vec<SuperOp> = Vec::new();
-        let mut heads: Vec<(Addr, u16)> = Vec::new();
-        let mut i = 0;
-        while i < items.len() {
-            match match_super(&items[i..]) {
-                Some((op, len)) => {
-                    report.count(&op);
-                    ops.push(op);
-                    heads.push((items[i].0, ops.len() as u16));
-                    i += len;
-                }
-                None => i += 1,
-            }
-        }
-        if ops.is_empty() {
-            self.fused = None;
-            self.super_ops = Vec::new();
-            return report;
-        }
-        let mut overlay: Box<[u16; SLOT_COUNT]> = vec![0u16; SLOT_COUNT]
-            .into_boxed_slice()
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("overlay has the fixed size"));
-        for (addr, index) in heads {
-            overlay[(addr >> 1) as usize] = index;
-        }
-        self.fused = Some(overlay);
-        self.super_ops = ops;
-        report
     }
 
     /// The occupied slot at `addr`, if any — the one lookup behind
@@ -352,130 +250,6 @@ impl InstrStore {
         let slots = self.slots.as_ref()?;
         let i = slots.iter().rposition(|s| s.meta != InstrMeta::EMPTY)?;
         Some(((i as Addr) << 1, &slots[i].instr))
-    }
-}
-
-/// What one [`InstrStore::fuse`] pass matched, by pattern.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FuseReport {
-    /// Fused sequences built (overlay heads).
-    pub sequences: usize,
-    /// Component instructions covered by those sequences.
-    pub fused_instructions: usize,
-    /// Single bound checks ([`SuperOp::Check`]).
-    pub checks: usize,
-    /// Lower+upper double bound checks ([`SuperOp::Check2`]).
-    pub double_checks: usize,
-    /// Add-then-check loop tails ([`SuperOp::AddCheck`]).
-    pub add_checks: usize,
-    /// Call prologues ([`SuperOp::PushMov`]).
-    pub prologues: usize,
-    /// Epilogue heads ([`SuperOp::MovPop`]).
-    pub epilogues: usize,
-    /// Adjacent elided-placeholder pairs ([`SuperOp::ElidedPair`]).
-    pub elided_pairs: usize,
-}
-
-impl FuseReport {
-    fn count(&mut self, op: &SuperOp) {
-        self.sequences += 1;
-        self.fused_instructions += op.components() as usize;
-        match op {
-            SuperOp::Check(_) => self.checks += 1,
-            SuperOp::Check2(..) => self.double_checks += 1,
-            SuperOp::AddCheck { .. } => self.add_checks += 1,
-            SuperOp::PushMov { .. } => self.prologues += 1,
-            SuperOp::MovPop { .. } => self.epilogues += 1,
-            SuperOp::ElidedPair { .. } => self.elided_pairs += 1,
-        }
-    }
-}
-
-/// The `CmpImm` + `Jcc` pair at the head of `items`, when the two are
-/// exactly adjacent and the compared register is not `PC` (the fused
-/// executor defers `set_pc` to sequence end, so components must not read
-/// `PC` as a general register).
-fn check_pair(items: &[(Addr, Instr)]) -> Option<CheckBranch> {
-    match (items.first()?, items.get(1)?) {
-        (&(a0, Instr::CmpImm { a, imm }), &(a1, Instr::Jcc { cond, target }))
-            if a0 + 4 == a1 && a != Reg::PC =>
-        {
-            Some(CheckBranch {
-                a,
-                imm,
-                cond,
-                target,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// The longest fusable pattern at the head of `items`, with the number of
-/// component instructions it consumes.  Every component must be exactly
-/// adjacent to its predecessor (no gaps — the executor derives component
-/// addresses from the head), and no component may name `PC` as an operand
-/// (the executor updates `PC` once per sequence, not per component).
-fn match_super(items: &[(Addr, Instr)]) -> Option<(SuperOp, usize)> {
-    let &(addr, head) = items.first()?;
-    match head {
-        Instr::CmpImm { .. } => {
-            let first = check_pair(items)?;
-            if items.len() >= 4 && items[1].0 + 4 == items[2].0 {
-                if let Some(second) = check_pair(&items[2..]) {
-                    return Some((SuperOp::Check2(first, second), 4));
-                }
-            }
-            Some((SuperOp::Check(first), 2))
-        }
-        Instr::AluImm {
-            op: AluOp::Add,
-            dst,
-            imm,
-        } if dst != Reg::PC => {
-            if items.len() >= 3 && addr + 4 == items[1].0 {
-                let check = check_pair(&items[1..])?;
-                return Some((SuperOp::AddCheck { dst, imm, check }, 3));
-            }
-            None
-        }
-        Instr::Push { src } if src != Reg::PC => match items.get(1) {
-            Some(&(a1, Instr::Mov { dst, src: msrc }))
-                if addr + 2 == a1 && dst != Reg::PC && msrc != Reg::PC =>
-            {
-                Some((
-                    SuperOp::PushMov {
-                        push: src,
-                        dst,
-                        src: msrc,
-                    },
-                    2,
-                ))
-            }
-            _ => None,
-        },
-        Instr::Mov { dst, src } if dst != Reg::PC && src != Reg::PC => match items.get(1) {
-            Some(&(a1, Instr::Pop { dst: pop })) if addr + 2 == a1 && pop != Reg::PC => {
-                Some((SuperOp::MovPop { dst, src, pop }, 2))
-            }
-            _ => None,
-        },
-        Instr::Elided {
-            words: w1,
-            cycles: c1,
-        } => match items.get(1) {
-            Some(&(
-                a1,
-                Instr::Elided {
-                    words: w2,
-                    cycles: c2,
-                },
-            )) if addr + 2 * u32::from(w1) == a1 => {
-                Some((SuperOp::ElidedPair { w1, c1, w2, c2 }, 2))
-            }
-            _ => None,
-        },
-        _ => None,
     }
 }
 
@@ -594,173 +368,6 @@ mod tests {
         assert_eq!(addrs, vec![0x4402, 0x4404]);
         assert_eq!(s.range(0x4408..0x5000).count(), 0);
         assert_eq!(s.range(0x4404..0x4404).count(), 0);
-    }
-
-    use crate::isa::Cond;
-
-    /// Assembles `instrs` densely from `base` and returns the store.
-    fn asm(base: Addr, instrs: &[Instr]) -> InstrStore {
-        let mut s = InstrStore::new();
-        let mut cursor = base;
-        for i in instrs {
-            s.insert(cursor, *i);
-            cursor += i.size_bytes();
-        }
-        s
-    }
-
-    fn cmp(a: Reg, imm: u16) -> Instr {
-        Instr::CmpImm { a, imm }
-    }
-
-    fn jcc(cond: Cond, target: u16) -> Instr {
-        Instr::Jcc { cond, target }
-    }
-
-    #[test]
-    fn fuse_matches_every_aft_shape_once() {
-        let mut s = asm(
-            0x4400,
-            &[
-                // Double bound check (16 bytes).
-                cmp(Reg::R14, 0x1C00),
-                jcc(Cond::Lo, 0x4500),
-                cmp(Reg::R14, 0x2000),
-                jcc(Cond::Hs, 0x4500),
-                // Add-then-check loop tail (12 bytes).
-                Instr::AluImm {
-                    op: AluOp::Add,
-                    dst: Reg::R4,
-                    imm: 2,
-                },
-                cmp(Reg::R4, 100),
-                jcc(Cond::Lo, 0x4400),
-                // Call prologue + epilogue head (8 bytes).
-                Instr::Push { src: Reg::FP },
-                Instr::Mov {
-                    dst: Reg::FP,
-                    src: Reg::SP,
-                },
-                Instr::Mov {
-                    dst: Reg::SP,
-                    src: Reg::FP,
-                },
-                Instr::Pop { dst: Reg::FP },
-                // Fully-elided double check (16 bytes).
-                Instr::Elided {
-                    words: 4,
-                    cycles: 4,
-                },
-                Instr::Elided {
-                    words: 4,
-                    cycles: 4,
-                },
-                // Unfusable tail, then a single check.
-                Instr::Ret,
-                cmp(Reg::R5, 7),
-                jcc(Cond::Eq, 0x4400),
-                Instr::Halt,
-            ],
-        );
-        let report = s.fuse();
-        assert!(s.is_fused());
-        assert_eq!(report.sequences, 6);
-        assert_eq!(report.fused_instructions, 4 + 3 + 2 + 2 + 2 + 2);
-        assert_eq!(report.checks, 1);
-        assert_eq!(report.double_checks, 1);
-        assert_eq!(report.add_checks, 1);
-        assert_eq!(report.prologues, 1);
-        assert_eq!(report.epilogues, 1);
-        assert_eq!(report.elided_pairs, 1);
-        // Heads resolve; interiors do not (a branch into a sequence
-        // interior executes the tail unfused).
-        assert!(matches!(s.super_op_at(0x4400), Some(SuperOp::Check2(..))));
-        assert!(s.super_op_at(0x4404).is_none());
-        assert!(matches!(
-            s.super_op_at(0x4410),
-            Some(SuperOp::AddCheck { .. })
-        ));
-        assert!(matches!(
-            s.super_op_at(0x441C),
-            Some(SuperOp::PushMov { .. })
-        ));
-        assert!(matches!(
-            s.super_op_at(0x4420),
-            Some(SuperOp::MovPop { .. })
-        ));
-        assert!(matches!(
-            s.super_op_at(0x4424),
-            Some(SuperOp::ElidedPair { .. })
-        ));
-        assert!(s.super_op_at(0x4434).is_none(), "Ret does not fuse");
-        assert!(matches!(s.super_op_at(0x4436), Some(SuperOp::Check(_))));
-    }
-
-    #[test]
-    fn fuse_requires_exact_adjacency() {
-        // A gap between the CmpImm and its Jcc (e.g. across functions)
-        // must not fuse: the executor derives component addresses from
-        // the head.
-        let mut s = InstrStore::new();
-        s.insert(0x4400, cmp(Reg::R4, 1));
-        s.insert(0x4406, jcc(Cond::Lo, 0x4500)); // 0x4404 expected
-        let report = s.fuse();
-        assert!(!s.is_fused());
-        assert_eq!(report, FuseReport::default());
-    }
-
-    #[test]
-    fn fuse_refuses_pc_operands() {
-        let mut s = asm(
-            0x4400,
-            &[
-                cmp(Reg::PC, 0x4400),
-                jcc(Cond::Eq, 0x4500),
-                Instr::Push { src: Reg::PC },
-                Instr::Mov {
-                    dst: Reg::FP,
-                    src: Reg::SP,
-                },
-                Instr::Mov {
-                    dst: Reg::SP,
-                    src: Reg::PC,
-                },
-                Instr::Pop { dst: Reg::FP },
-            ],
-        );
-        s.fuse();
-        assert!(
-            !s.is_fused(),
-            "components naming PC must all execute unfused"
-        );
-    }
-
-    #[test]
-    fn fuse_is_idempotent_and_insert_invalidates() {
-        let mut s = asm(0x4400, &[cmp(Reg::R4, 1), jcc(Cond::Lo, 0x4500)]);
-        let first = s.fuse();
-        let second = s.fuse();
-        assert_eq!(first, second);
-        assert!(s.is_fused());
-        // Any mutation invalidates the derived overlay.
-        s.insert(0x4408, Instr::Halt);
-        assert!(!s.is_fused());
-        assert!(s.super_op_at(0x4400).is_none());
-        // Re-deriving restores it.
-        s.fuse();
-        assert!(matches!(s.super_op_at(0x4400), Some(SuperOp::Check(_))));
-    }
-
-    #[test]
-    fn fusion_overlay_does_not_affect_store_equality() {
-        let unfused = asm(0x4400, &[cmp(Reg::R4, 1), jcc(Cond::Lo, 0x4500)]);
-        let mut fused = unfused.clone();
-        fused.fuse();
-        assert!(fused.is_fused());
-        assert_eq!(
-            unfused, fused,
-            "fusion is derived state; stores with identical slots are equal"
-        );
     }
 
     #[test]

@@ -440,154 +440,6 @@ impl Instr {
     }
 }
 
-/// One `CmpImm` + `Jcc` bound check, the two-instruction shape the AFT
-/// compiler emits for every software pointer/bounds/return check.  Used as
-/// a component of [`SuperOp`] fused sequences.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CheckBranch {
-    /// Register the `CmpImm` compares.
-    pub a: Reg,
-    /// Immediate (linker-patched bound) it compares against.
-    pub imm: u16,
-    /// Branch condition of the `Jcc`.
-    pub cond: Cond,
-    /// Branch target of the `Jcc` (the fault stub, for compiler checks).
-    pub target: u16,
-}
-
-/// A fused superinstruction: a short, hot multi-instruction sequence the
-/// AFT compiler emits verbatim, packed into one dispatch.
-///
-/// Fusion is *derived* state layered over the [`crate::code::InstrStore`]:
-/// the component instructions keep their slots (so branches into the
-/// interior of a sequence still land on real instructions and execute
-/// unfused), the v1 wire format never sees a `SuperOp`, and the executor
-/// ([`crate::cpu::Cpu::run_block`]) preserves per-instruction timer-tick,
-/// counter and fault semantics exactly — a fault or taken branch
-/// mid-sequence stops after the components that actually retired.
-///
-/// The combined metadata (summed size/cycles, component count) does not
-/// fit [`crate::code::InstrMeta`]'s packed fields (4-bit size), so each
-/// variant precomputes its totals through [`SuperOp::size_bytes`],
-/// [`SuperOp::base_cycles`] and [`SuperOp::components`] instead.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SuperOp {
-    /// One bound check: `CmpImm; Jcc` (2 instructions).
-    Check(CheckBranch),
-    /// Two adjacent bound checks — the AFT's lower+upper data-pointer and
-    /// function-pointer double pair (4 instructions).
-    Check2(CheckBranch, CheckBranch),
-    /// Loop/bookkeeping tail: `AluImm Add dst, #imm` followed by a bound
-    /// check (3 instructions).
-    AddCheck {
-        /// Destination (and left operand) of the `Add`.
-        dst: Reg,
-        /// Immediate added.
-        imm: u16,
-        /// The trailing `CmpImm` + `Jcc` pair.
-        check: CheckBranch,
-    },
-    /// Call prologue: `Push push; Mov dst ← src` (2 instructions; the AFT
-    /// emits `Push FP; Mov FP ← SP`).
-    PushMov {
-        /// Register pushed.
-        push: Reg,
-        /// Destination of the `Mov`.
-        dst: Reg,
-        /// Source of the `Mov`.
-        src: Reg,
-    },
-    /// Epilogue head: `Mov dst ← src; Pop pop` (2 instructions; the AFT
-    /// emits `Mov SP ← FP; Pop FP`).
-    MovPop {
-        /// Destination of the `Mov`.
-        dst: Reg,
-        /// Source of the `Mov`.
-        src: Reg,
-        /// Destination of the `Pop`.
-        pop: Reg,
-    },
-    /// Two adjacent [`Instr::Elided`] placeholders — a fully-elided double
-    /// bound check — collapsed into one no-op dispatch (2 instructions).
-    /// This is how fusion composes with PR 9 check elision.
-    ElidedPair {
-        /// Encoded words of the first placeholder.
-        w1: u8,
-        /// Fall-through cycles of the first placeholder.
-        c1: u8,
-        /// Encoded words of the second placeholder.
-        w2: u8,
-        /// Fall-through cycles of the second placeholder.
-        c2: u8,
-    },
-}
-
-impl SuperOp {
-    /// Number of component instructions the sequence covers.  The executor
-    /// only enters a fused sequence when at least this much step budget
-    /// remains; otherwise the head executes unfused, so any partition of a
-    /// run into blocks retires the identical instruction sequence.
-    pub fn components(&self) -> u64 {
-        match self {
-            SuperOp::Check(_) | SuperOp::PushMov { .. } | SuperOp::MovPop { .. } => 2,
-            SuperOp::ElidedPair { .. } => 2,
-            SuperOp::AddCheck { .. } => 3,
-            SuperOp::Check2(..) => 4,
-        }
-    }
-
-    /// Summed encoded size of the components, in bytes.
-    pub fn size_bytes(&self) -> u32 {
-        match self {
-            SuperOp::Check(_) => 8,
-            SuperOp::Check2(..) => 16,
-            SuperOp::AddCheck { .. } => 12,
-            SuperOp::PushMov { .. } | SuperOp::MovPop { .. } => 4,
-            SuperOp::ElidedPair { w1, w2, .. } => 2 * (u32::from(*w1) + u32::from(*w2)),
-        }
-    }
-
-    /// Summed fall-through base cycle cost of the components (`Jcc` costs
-    /// the same taken or not, so this is also the taken-branch total).
-    pub fn base_cycles(&self) -> u64 {
-        match self {
-            SuperOp::Check(_) => 4,
-            SuperOp::Check2(..) => 8,
-            SuperOp::AddCheck { .. } => 6,
-            SuperOp::PushMov { .. } => 4,
-            SuperOp::MovPop { .. } => 3,
-            SuperOp::ElidedPair { c1, c2, .. } => u64::from(*c1) + u64::from(*c2),
-        }
-    }
-}
-
-impl fmt::Display for SuperOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SuperOp::Check(c) => write!(f, "fused.check {}, j{} {:#06x}", c.a, c.cond, c.target),
-            SuperOp::Check2(lo, hi) => write!(
-                f,
-                "fused.check2 {}/j{}, {}/j{}",
-                lo.a, lo.cond, hi.a, hi.cond
-            ),
-            SuperOp::AddCheck { dst, imm, check } => write!(
-                f,
-                "fused.addcheck {dst}+=#{imm:#x}, j{} {:#06x}",
-                check.cond, check.target
-            ),
-            SuperOp::PushMov { push, dst, src } => {
-                write!(f, "fused.pushmov push {push}; mov {src}, {dst}")
-            }
-            SuperOp::MovPop { dst, src, pop } => {
-                write!(f, "fused.movpop mov {src}, {dst}; pop {pop}")
-            }
-            SuperOp::ElidedPair { w1, c1, w2, c2 } => {
-                write!(f, "fused.elided {w1}w/{c1}c+{w2}w/{c2}c")
-            }
-        }
-    }
-}
-
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -756,86 +608,6 @@ mod tests {
         assert_eq!(e.base_cycles(), 4);
         assert!(!e.touches_data_memory());
         assert_eq!(e.to_string(), "elided 4w/4c");
-    }
-
-    #[test]
-    fn superop_totals_match_their_components() {
-        let check = CheckBranch {
-            a: Reg::R14,
-            imm: 0x4400,
-            cond: Cond::Lo,
-            target: 0x4000,
-        };
-        let cmp = Instr::CmpImm {
-            a: Reg::R14,
-            imm: 0x4400,
-        };
-        let jcc = Instr::Jcc {
-            cond: Cond::Lo,
-            target: 0x4000,
-        };
-        let pair_bytes = cmp.size_bytes() + jcc.size_bytes();
-        let pair_cycles = cmp.base_cycles() + jcc.base_cycles();
-
-        let one = SuperOp::Check(check);
-        assert_eq!(one.components(), 2);
-        assert_eq!(one.size_bytes(), pair_bytes);
-        assert_eq!(one.base_cycles(), pair_cycles);
-
-        let two = SuperOp::Check2(check, check);
-        assert_eq!(two.components(), 4);
-        assert_eq!(two.size_bytes(), 2 * pair_bytes);
-        assert_eq!(two.base_cycles(), 2 * pair_cycles);
-
-        let add = Instr::AluImm {
-            op: AluOp::Add,
-            dst: Reg::FP,
-            imm: 1,
-        };
-        let addcheck = SuperOp::AddCheck {
-            dst: Reg::FP,
-            imm: 1,
-            check,
-        };
-        assert_eq!(addcheck.components(), 3);
-        assert_eq!(addcheck.size_bytes(), add.size_bytes() + pair_bytes);
-        assert_eq!(addcheck.base_cycles(), add.base_cycles() + pair_cycles);
-
-        let prologue = SuperOp::PushMov {
-            push: Reg::FP,
-            dst: Reg::FP,
-            src: Reg::SP,
-        };
-        assert_eq!(prologue.components(), 2);
-        assert_eq!(prologue.size_bytes(), 4);
-        assert_eq!(
-            prologue.base_cycles(),
-            Instr::Push { src: Reg::FP }.base_cycles()
-                + Instr::Mov {
-                    dst: Reg::FP,
-                    src: Reg::SP
-                }
-                .base_cycles()
-        );
-
-        let epilogue = SuperOp::MovPop {
-            dst: Reg::SP,
-            src: Reg::FP,
-            pop: Reg::FP,
-        };
-        assert_eq!(epilogue.components(), 2);
-        assert_eq!(epilogue.base_cycles(), 1 + 2);
-
-        let elided = SuperOp::ElidedPair {
-            w1: 4,
-            c1: 4,
-            w2: 4,
-            c2: 4,
-        };
-        assert_eq!(elided.components(), 2);
-        assert_eq!(elided.size_bytes(), 16);
-        assert_eq!(elided.base_cycles(), 8);
-        assert_eq!(elided.to_string(), "fused.elided 4w/4c+4w/4c");
     }
 
     #[test]

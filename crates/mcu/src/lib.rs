@@ -48,11 +48,11 @@ pub mod serial;
 pub mod timer;
 
 pub use bus::{Bus, BusFault, BusFaultCause, BusStats, Region};
-pub use code::{FuseReport, InstrMeta, InstrStore};
+pub use code::{InstrMeta, InstrStore};
 pub use cpu::{Cpu, CpuStats, FaultInfo, StepEvent, HANDLER_RETURN};
 pub use device::{Device, RunExit, StopReason};
 pub use firmware::{AppBinary, DataSegment, Firmware, FirmwareBuilder, FirmwareError, OsBinary};
-pub use isa::{AluOp, CheckBranch, Cond, Instr, Reg, SuperOp, UnaryOp, Width};
+pub use isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 pub use mpu::{ExtendedMpu, Mpu, MpuDecision, MpuSegment, RegionMpu, RegionSlot};
 pub use serial::{decode_firmware, encode_firmware, verify_envelope, FORMAT_VERSION, MAGIC};
 pub use timer::{Timer, TIMER_PRECISION_CYCLES};

@@ -1,19 +1,20 @@
-//! Equivalence properties for superinstruction fusion and block dispatch.
+//! Block-partition invariance for `Cpu::run_block`.
 //!
-//! Fusion is a pure dispatch optimisation: for arbitrary programs —
-//! including the fusable shapes the AFT compiler emits (double bounds
-//! checks, add-then-check strides, frame prologues/epilogues, adjacent
-//! elision placeholders) interleaved with arbitrary straight-line code,
-//! wild branches and memory traffic — a fused [`InstrStore`] must retire
-//! the **identical** trace as the unfused store on every platform: same
-//! [`StepEvent`] sequence, same [`CpuStats`], same cycles, same register
-//! file and flags, same [`BusStats`] (execute checks included), same
-//! timer ticks, same memory image.
+//! The fleet simulator runs firmware in step-budgeted blocks whose sizes
+//! depend on the OS's delivery loop, so slicing a run into blocks of any
+//! sizes (1, 7, generated, or one maximal block) must not change what
+//! retires: same [`StepEvent`] sequence, same [`CpuStats`], same cycles,
+//! same register file and flags, same [`BusStats`] (execute checks
+//! included), same timer ticks, same memory image — on every platform
+//! profile.
 //!
-//! Independently, `Cpu::run_block` must be partition-invariant: slicing
-//! a run into blocks of any sizes (1, 7, mixed, or one maximal block)
-//! must not change what retires, even though small blocks gate the fused
-//! fast path off at budget boundaries and large ones engage it.
+//! Programs are the shapes the AFT compiler emits (double bounds checks,
+//! add-then-check strides, frame prologues/epilogues, adjacent elision
+//! placeholders) interleaved with arbitrary straight-line code, wild
+//! branches, memory traffic and syscalls.
+//!
+//! [`CpuStats`]: amulet_mcu::CpuStats
+//! [`BusStats`]: amulet_mcu::BusStats
 
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -67,8 +68,8 @@ const UNARY_OPS: [UnaryOp; 5] = [
 ];
 
 /// General-purpose-biased register: mostly `R4`–`R15`, occasionally the
-/// architectural `PC`/`SP`/`SR` — sequences naming those must never fuse,
-/// and the oracle checks the exclusion rather than trusting it.
+/// architectural `PC`/`SP`/`SR`, whose writes redirect control flow or
+/// rewrite the flags mid-block.
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     prop_oneof![
         (4u8..16).prop_map(Reg),
@@ -88,10 +89,10 @@ fn cond_strategy() -> impl Strategy<Value = Cond> {
     (0usize..CONDS.len()).prop_map(|i| CONDS[i])
 }
 
-/// One generator chunk: either a fusable multi-instruction shape (as the
-/// AFT emits and `InstrStore::fuse` matches) or a single arbitrary
-/// instruction.  Chunks are concatenated and laid out contiguously, so
-/// fusable shapes land adjacent exactly as compiled code would.
+/// One generator chunk: either a multi-instruction shape the AFT emits or
+/// a single arbitrary instruction.  Chunks are concatenated and laid out
+/// contiguously, so the shapes land adjacent exactly as compiled code
+/// would.
 fn chunk_strategy() -> impl Strategy<Value = Vec<P>> {
     let target = 0usize..256;
     prop_oneof![
@@ -318,9 +319,8 @@ fn run(platform: PlatformSpec, code: &InstrStore, cap: u64, blocks: &[u64]) -> F
 const STEP_CAP: u64 = 3_000;
 
 /// The five platform profiles the repo models.  The advanced-MPU ablation
-/// disables the attribute fast path, so there the fused probe must
-/// decline every sequence and fall back — the property covers both the
-/// engaged and the permanently-declined regimes.
+/// disables the attribute fast path, so the property covers execute checks
+/// both through the attribute table and through the exact slow path.
 fn platforms() -> [PlatformSpec; 5] {
     [
         PlatformSpec::msp430fr5969(),
@@ -333,39 +333,42 @@ fn platforms() -> [PlatformSpec; 5] {
 
 /// Describes the first differing fingerprint field, compactly — the raw
 /// tuples contain a 64 KiB memory image each.
-fn diff(u: &Fingerprint, f: &Fingerprint) -> Option<String> {
-    if u == f {
+fn diff(a: &Fingerprint, b: &Fingerprint) -> Option<String> {
+    if a == b {
         return None;
     }
-    Some(if u.0 != f.0 {
-        format!("events {:?} vs {:?}", u.0, f.0)
-    } else if u.1 != f.1 {
-        format!("cpu stats {:?} vs {:?}", u.1, f.1)
-    } else if u.2 != f.2 {
-        format!("cycles {} vs {}", u.2, f.2)
-    } else if u.3 != f.3 {
-        format!("regs {:?} vs {:?}", u.3, f.3)
-    } else if u.4 != f.4 {
-        format!("flags {:#06x} vs {:#06x}", u.4, f.4)
-    } else if u.5 != f.5 {
-        format!("bus stats {:?} vs {:?}", u.5, f.5)
-    } else if u.6 != f.6 {
-        format!("timer {} vs {}", u.6, f.6)
+    Some(if a.0 != b.0 {
+        format!("events {:?} vs {:?}", a.0, b.0)
+    } else if a.1 != b.1 {
+        format!("cpu stats {:?} vs {:?}", a.1, b.1)
+    } else if a.2 != b.2 {
+        format!("cycles {} vs {}", a.2, b.2)
+    } else if a.3 != b.3 {
+        format!("regs {:?} vs {:?}", a.3, b.3)
+    } else if a.4 != b.4 {
+        format!("flags {:#06x} vs {:#06x}", a.4, b.4)
+    } else if a.5 != b.5 {
+        format!("bus stats {:?} vs {:?}", a.5, b.5)
+    } else if a.6 != b.6 {
+        format!("timer {} vs {}", a.6, b.6)
     } else {
-        let at = u.7.iter().zip(&f.7).position(|(a, b)| a != b).unwrap();
-        format!("memory at {at:#06x}: {} vs {}", u.7[at], f.7[at])
+        let at = a.7.iter().zip(&b.7).position(|(x, y)| x != y).unwrap();
+        format!("memory at {at:#06x}: {} vs {}", a.7[at], b.7[at])
     })
 }
 
-fn fused_matches_unfused(program: &[P]) -> Result<(), String> {
+/// Runs `program` once as a single maximal block and once sliced into
+/// `blocks` (cycled) on every platform, reporting the first divergence.
+fn partition_invariant(program: &[P], blocks: &[u64]) -> Result<(), String> {
     let code = assemble(program);
-    let mut fused = code.clone();
-    fused.fuse();
     for platform in platforms() {
-        let u = run(platform.clone(), &code, STEP_CAP, &[u64::MAX]);
-        let f = run(platform.clone(), &fused, STEP_CAP, &[u64::MAX]);
-        if let Some(d) = diff(&u, &f) {
-            return Err(format!("fused run diverged on {}: {}", platform.name, d));
+        let whole = run(platform.clone(), &code, STEP_CAP, &[u64::MAX]);
+        let sliced = run(platform.clone(), &code, STEP_CAP, blocks);
+        if let Some(d) = diff(&whole, &sliced) {
+            return Err(format!(
+                "partitioned run diverged on {}: {}",
+                platform.name, d
+            ));
         }
     }
     Ok(())
@@ -374,49 +377,27 @@ fn fused_matches_unfused(program: &[P]) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Tentpole oracle: fusing an arbitrary program changes nothing
-    /// observable on any platform — events, counters, registers, flags,
-    /// bus statistics, timer and memory are bit-identical.
+    /// Slicing the same run into blocks of generated sizes — interleaved
+    /// with the degenerate 1 and the awkward 7 — retires the identical
+    /// trace as one maximal block on every platform.
     #[test]
-    fn fusion_is_invisible_on_every_platform(program in program_strategy()) {
-        let res = fused_matches_unfused(&program);
-        prop_assert!(res.is_ok(), "{}", res.unwrap_err());
-    }
-
-    /// Block-partition invariance (fused store): slicing the same run
-    /// into blocks of generated sizes — interleaved with the degenerate
-    /// 1 and the awkward 7 — retires the identical trace as one maximal
-    /// block, even though budget gating flips the fused path on and off
-    /// at every boundary.
-    #[test]
-    fn run_block_is_partition_invariant(
+    fn run_block_is_partition_invariant_on_every_platform(
         program in program_strategy(),
         sizes in vec(1u64..24, 1..8),
     ) {
-        let code = assemble(&program);
-        let mut fused = code.clone();
-        fused.fuse();
         let mut blocks = vec![1, 7];
         blocks.extend(sizes);
-        for store in [&code, &fused] {
-            let whole = run(PlatformSpec::msp430fr5969(), store, STEP_CAP, &[u64::MAX]);
-            let sliced = run(PlatformSpec::msp430fr5969(), store, STEP_CAP, &blocks);
-            let d = diff(&whole, &sliced);
-            prop_assert!(
-                d.is_none(),
-                "partitioned run diverged (fused: {}): {}",
-                store.is_fused(),
-                d.unwrap()
-            );
-        }
+        let res = partition_invariant(&program, &blocks);
+        prop_assert!(res.is_ok(), "{}", res.unwrap_err());
     }
 }
 
-/// The generator must actually produce fusable programs — otherwise the
-/// oracle above tests nothing.  A deterministic fusable image fuses into
-/// at least one sequence of every shape, and executes identically.
+/// A deterministic program made of every AFT shape runs to `Halt` without
+/// faulting on every platform, retiring every instruction, and is
+/// partition-invariant — so the generator's shapes are exercised on a
+/// path that reaches the end, not only on programs that fault early.
 #[test]
-fn generator_shapes_are_fusable_and_sound() {
+fn aft_shapes_run_to_halt_and_are_partition_invariant() {
     let program = vec![
         P::I(Instr::MovImm {
             dst: Reg::R14,
@@ -465,20 +446,16 @@ fn generator_shapes_are_fusable_and_sound() {
             cycles: 4,
         }),
     ];
-    let code = assemble(&program);
-    let mut fused = code.clone();
-    let report = fused.fuse();
-    assert!(report.double_checks >= 1, "{report:?}");
-    assert!(report.prologues >= 1, "{report:?}");
-    assert!(report.epilogues >= 1, "{report:?}");
-    assert!(report.add_checks >= 1, "{report:?}");
-    assert!(report.elided_pairs >= 1, "{report:?}");
-    fused_matches_unfused(&program).unwrap();
-    // And the fused fast path genuinely engages on the default platform:
-    // fewer per-instruction dispatches is unobservable, but a fused run
-    // must still retire every instruction.
-    let (events, stats, ..) = run(PlatformSpec::msp430fr5969(), &fused, STEP_CAP, &[u64::MAX]);
-    assert_eq!(events.last(), Some(&StepEvent::Halted));
-    assert_eq!(stats.faults, 0);
-    assert!(stats.instructions >= program.len() as u64);
+    for platform in platforms() {
+        let (events, stats, ..) = run(platform.clone(), &assemble(&program), STEP_CAP, &[u64::MAX]);
+        assert_eq!(events.last(), Some(&StepEvent::Halted), "{}", platform.name);
+        assert_eq!(stats.faults, 0, "{}", platform.name);
+        assert_eq!(
+            stats.instructions,
+            program.len() as u64 + 1,
+            "{}",
+            platform.name
+        );
+    }
+    partition_invariant(&program, &[1, 2, 3, 7]).unwrap();
 }
