@@ -8,8 +8,10 @@
 //! [elision_rounds]`
 //! (defaults: 20 M instructions, 1000 devices, 120 events, 1 worker — the
 //! same shape as the recorded pre-optimisation baseline — and 2000
-//! elision rounds).  An argument that is not a non-negative integer, or
-//! a sixth argument, is rejected with exit code 2.
+//! elision rounds).  An argument that is not a non-negative integer, a
+//! zero count of instructions, fleet devices, fleet workers or elision
+//! rounds (nothing would be measured), or a sixth argument, is rejected
+//! with exit code 2.  Zero fleet events is valid: devices still boot.
 
 use amulet_bench::hotpath;
 
@@ -32,11 +34,27 @@ fn main() {
                 .unwrap_or_else(|_| fail(&format!("not a number: {s:?}")))
         })
     };
-    let instructions = arg(0, 20_000_000);
-    let fleet_devices = arg(1, hotpath::BASELINE_FLEET_SCENARIO.0 as u64) as usize;
+    // A count that sizes a measured population: zero would print a rate
+    // for nothing.
+    let count = |i: usize, name: &str, d: u64| -> u64 {
+        match arg(i, d) {
+            0 => fail(&format!("{name} must be at least 1")),
+            n => n,
+        }
+    };
+    let instructions = count(0, "instructions", 20_000_000);
+    let fleet_devices = count(
+        1,
+        "fleet_devices",
+        hotpath::BASELINE_FLEET_SCENARIO.0 as u64,
+    ) as usize;
     let fleet_events = arg(2, hotpath::BASELINE_FLEET_SCENARIO.1 as u64) as usize;
-    let fleet_workers = arg(3, hotpath::BASELINE_FLEET_SCENARIO.2 as u64) as usize;
-    let elision_rounds = arg(4, 2000) as usize;
+    let fleet_workers = count(
+        3,
+        "fleet_workers",
+        hotpath::BASELINE_FLEET_SCENARIO.2 as u64,
+    ) as usize;
+    let elision_rounds = count(4, "elision_rounds", 2000) as usize;
 
     assert!(
         hotpath::verify_equivalence(100_000),

@@ -50,3 +50,23 @@ fn hotpath_rejects_unparsable_and_surplus_arguments() {
         );
     }
 }
+
+/// A zero count of instructions, fleet devices, fleet workers or elision
+/// rounds leaves nothing to measure, so `hotpath` would print a rate for
+/// an empty population.  (Zero fleet events stays valid: devices boot.)
+#[test]
+fn hotpath_rejects_zero_counts() {
+    for args in [
+        &["0", "10", "10", "1", "1"][..],
+        &["1000", "0", "10", "1", "1"],
+        &["1000", "10", "10", "0", "1"],
+        &["1000", "10", "10", "1", "0"],
+        &["0"],
+    ] {
+        assert_eq!(
+            exit_code(env!("CARGO_BIN_EXE_hotpath"), args),
+            Some(2),
+            "hotpath {args:?}"
+        );
+    }
+}

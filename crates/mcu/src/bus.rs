@@ -27,12 +27,22 @@
 //! on every context switch, tables are **memoised per configuration**:
 //! each table is keyed by a fingerprint of the MPU backend state, so a
 //! switch back to an already-seen configuration re-points the bus at the
-//! existing table instead of rebuilding.  Validity is tracked with the MPU
-//! backends' `config_writes` counters as a cheap epoch: any register
-//! write, [`Bus::install_mpu_config`] or [`Bus::reset`] moves the epoch
-//! and forces a (memoised) re-resolve on the next access.  The memo
-//! itself survives [`Bus::reset`], which is what lets the fleet simulator
-//! reuse attribute tables across `Device::reset` runs.
+//! existing table instead of rebuilding.
+//!
+//! The table is resolved when the configuration **changes**, not when it
+//! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`],
+//! [`Bus::set_attr_cache_enabled`] and every MPU register store that
+//! reaches the peripheral dispatch re-point the bus before they return.
+//! Changes the bus cannot see happen between execute blocks: a direct
+//! backend call (`bus.mpu.write_register`, `bus.region_mpu.apply_config`)
+//! or a flip of `ext_mpu.enabled`.  They are caught by one sync step —
+//! compare the backends' `config_writes` counters with the epoch of the
+//! last resolve — that every public access method and every
+//! [`crate::cpu::Cpu::run_block`] entry runs.  Inside a block the CPU
+//! calls crate-private entry points that trust the synced table, so each
+//! fetch and data access is one indexed byte load.  The memo survives
+//! [`Bus::reset`], which is what lets the fleet simulator reuse attribute
+//! tables across `Device::reset` runs.
 
 use crate::mpu::{ExtendedMpu, Mpu, MpuRegisterError, PmpEntry, PmpMpu, RegionMpu, RegionSlot};
 use crate::timer::Timer;
@@ -169,6 +179,14 @@ struct AttrTable {
     attrs: Box<[u8; 0x1_0000]>,
 }
 
+/// A zeroed 64 KiB page (memory image or attribute table).
+fn zeroed_page() -> Box<[u8; 0x1_0000]> {
+    vec![0u8; 0x1_0000]
+        .into_boxed_slice()
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("the page has the fixed size"))
+}
+
 /// Fills `range ∩ [0, 64 KiB)` of the attribute table with `value`.
 fn paint(attrs: &mut [u8], range: AddrRange, value: u8) {
     let start = (range.start as usize).min(attrs.len());
@@ -203,7 +221,9 @@ pub struct Bus {
     /// platforms).  Configure it through [`Mpu::write_register`] or
     /// [`Bus::install_mpu_config`] — direct field assignment bypasses the
     /// `config_writes` epoch and leaves the access-attribute cache stale
-    /// (debug builds assert against this on every access).
+    /// (debug builds assert against this on every access).  A direct
+    /// `write_register` call is seen at the next public access or
+    /// execute-block entry.
     pub mpu: Mpu,
     /// The Tock/Cortex-M-style region MPU (the active backend on
     /// aligned-region platforms).  Same configuration rule as [`Bus::mpu`]:
@@ -220,21 +240,26 @@ pub struct Bus {
     pub timer: Timer,
     /// Access counters.
     pub stats: BusStats,
-    /// The attribute table for the installed MPU configuration (`None`
-    /// when unresolved).  Held directly — not behind an index — so the hot
-    /// path is one pointer chase.
-    attr_active: Option<AttrTable>,
+    /// The attribute table for the installed MPU configuration, always
+    /// resolved.  Held directly — not behind an index or an `Option` — so
+    /// the hot path is one pointer chase.
+    attr_active: AttrTable,
     /// Memoised tables for other configurations this bus has seen;
     /// fingerprints are unique across `attr_spare` ∪ `attr_active`.
     attr_spare: Vec<AttrTable>,
-    /// `mpu.config_writes + region_mpu.config_writes` at the last resolve;
-    /// both counters are monotone, so any MPU register traffic moves the
-    /// sum and forces a re-resolve on the next access.
+    /// The backends' summed `config_writes` at the last resolve.  The
+    /// counters only grow between resets, so a direct backend register
+    /// write moves the sum; the sync step compares it.
     attr_epoch: u64,
     /// Whether the fast path consults the attribute cache at all (the
-    /// equivalence property test and the hot-path bench turn it off to
+    /// equivalence property tests and the hot-path bench turn it off to
     /// exercise/measure the direct cascade).
     attr_enabled: bool,
+    /// Every attribute byte is ANDed with this mask: all ones when the
+    /// cache is on and the extended-MPU ablation (whose state the table
+    /// does not track) is off, zero otherwise — a zero attribute proves
+    /// nothing, so every access takes the oracle path.
+    attr_mask: u8,
 }
 
 impl fmt::Debug for Bus {
@@ -254,12 +279,10 @@ impl Bus {
     pub fn new(platform: PlatformSpec) -> Self {
         let (mpu, region_mpu, pmp) = Self::mpu_backends(&platform);
         let backend = Self::backend_kind(&platform);
+        let attr_active = Self::paint_attr_table(&platform, backend, &mpu, &region_mpu, &pmp);
         Bus {
             platform,
-            mem: vec![0u8; 0x1_0000]
-                .into_boxed_slice()
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("memory array has the fixed size")),
+            mem: zeroed_page(),
             mpu,
             region_mpu,
             pmp,
@@ -267,10 +290,11 @@ impl Bus {
             ext_mpu: ExtendedMpu::default(),
             timer: Timer::new(),
             stats: BusStats::default(),
-            attr_active: None,
+            attr_active,
             attr_spare: Vec::new(),
             attr_epoch: 0,
             attr_enabled: true,
+            attr_mask: u8::MAX,
         }
     }
 
@@ -322,10 +346,10 @@ impl Bus {
     /// truth shared by the slow-path oracle ([`Bus::full_platform_policed`])
     /// and the attribute-table painter, so the fast path and the oracle
     /// cannot drift.
-    fn backend_polices_full_platform(&self) -> bool {
-        match self.backend {
+    fn backend_polices_full_platform(backend: MpuBackendKind, region_mpu: &RegionMpu) -> bool {
+        match backend {
             MpuBackendKind::Segmented => false,
-            MpuBackendKind::Region => self.region_mpu.covers_full_platform(),
+            MpuBackendKind::Region => region_mpu.covers_full_platform(),
             MpuBackendKind::Pmp => true,
         }
     }
@@ -335,7 +359,7 @@ impl Bus {
     /// ablation is active (which keeps the historical unpoliced
     /// behaviour outside FRAM/InfoMem/SRAM).
     fn full_platform_policed(&self) -> bool {
-        !self.ext_mpu.enabled && self.backend_polices_full_platform()
+        !self.ext_mpu.enabled && Self::backend_polices_full_platform(self.backend, &self.region_mpu)
     }
 
     /// Creates a bus for the MSP430FR5969.
@@ -350,8 +374,9 @@ impl Bus {
     ///
     /// The memoised attribute tables are deliberately **kept**: their
     /// contents are a pure function of MPU state and the (unchanged)
-    /// platform, so the next run re-resolves against the existing memo
-    /// instead of rebuilding a table per context switch.
+    /// platform, so the reset re-points the bus at the memoised table for
+    /// the power-on configuration instead of rebuilding one per context
+    /// switch of the next run.
     pub fn reset(&mut self) {
         self.mem.fill(0);
         let (mpu, region_mpu, pmp) = Self::mpu_backends(&self.platform);
@@ -361,19 +386,17 @@ impl Bus {
         self.ext_mpu = ExtendedMpu::default();
         self.timer = Timer::new();
         self.stats = BusStats::default();
-        if let Some(active) = self.attr_active.take() {
-            self.attr_spare.push(active);
-        }
-        self.attr_epoch = 0;
+        self.resolve_attr_table();
     }
 
     /// Turns the access-attribute cache on or off.  With the cache off,
     /// every access runs the original region-cascade + MPU-backend path;
     /// behaviour and [`BusStats`] must be identical either way (the
-    /// equivalence is property-tested), so this exists only for that test
-    /// and for the hot-path bench's before/after comparison.
+    /// equivalence is property-tested), so this exists only for those
+    /// tests and for the hot-path bench's before/after comparison.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
         self.attr_enabled = enabled;
+        self.resolve_attr_table();
     }
 
     /// The platform this bus models.
@@ -407,51 +430,78 @@ impl Bus {
     }
 
     /// Fingerprint of everything the attribute table depends on.
-    fn mpu_fingerprint(&self) -> MpuFingerprint {
+    fn mpu_fingerprint(mpu: &Mpu, region_mpu: &RegionMpu, pmp: &PmpMpu) -> MpuFingerprint {
         MpuFingerprint {
-            seg_enabled: self.mpu.enabled,
-            boundary1: self.mpu.boundary1,
-            boundary2: self.mpu.boundary2,
-            seg_perms: [
-                self.mpu.seg_info,
-                self.mpu.seg1,
-                self.mpu.seg2,
-                self.mpu.seg3,
-            ],
-            region_enabled: self.region_mpu.enabled,
-            region_slots: self.region_mpu.slots.clone(),
-            pmp_user_mode: self.pmp.user_mode,
-            pmp_entries: self.pmp.entries.clone(),
+            seg_enabled: mpu.enabled,
+            boundary1: mpu.boundary1,
+            boundary2: mpu.boundary2,
+            seg_perms: [mpu.seg_info, mpu.seg1, mpu.seg2, mpu.seg3],
+            region_enabled: region_mpu.enabled,
+            region_slots: region_mpu.slots.clone(),
+            pmp_user_mode: pmp.user_mode,
+            pmp_entries: pmp.entries.clone(),
         }
     }
 
-    /// The attribute byte for `addr` under the installed MPU configuration,
-    /// re-resolving the memoised table when MPU register traffic moved the
-    /// epoch.  Hot path: two counter compares and one table index.
-    #[inline(always)]
-    fn attr(&mut self, addr: Addr) -> u8 {
-        let epoch = self.mpu.config_writes + self.region_mpu.config_writes + self.pmp.config_writes;
-        if self.attr_epoch != epoch || self.attr_active.is_none() {
-            self.resolve_attr_table(epoch);
+    /// The backends' summed register-write counters: moves whenever any
+    /// backend is reprogrammed.
+    fn mpu_epoch(&self) -> u64 {
+        self.mpu.config_writes + self.region_mpu.config_writes + self.pmp.config_writes
+    }
+
+    /// The attribute mask the current cache switch and extended-MPU state
+    /// call for.
+    fn wanted_attr_mask(&self) -> u8 {
+        if self.attr_enabled && !self.ext_mpu.enabled {
+            u8::MAX
+        } else {
+            0
         }
-        // The epoch only moves on register *writes*: mutating the pub MPU
-        // backend fields directly (bypassing `write_register` /
-        // `install_mpu_config`) would leave a stale table.  No in-tree code
-        // does; debug builds verify the invariant on every access.
+    }
+
+    /// Re-resolves the attribute table and mask if anything the bus does
+    /// not observe directly changed since the last resolve: a backend
+    /// reprogrammed through its own `write_register`/`apply_config`, or
+    /// `ext_mpu.enabled` flipped.  Every public access method runs it, and
+    /// so does every [`crate::cpu::Cpu::run_block`] entry.
+    #[inline(always)]
+    pub(crate) fn sync_attr_table(&mut self) {
+        if self.attr_epoch != self.mpu_epoch() || self.attr_mask != self.wanted_attr_mask() {
+            self.resolve_attr_table();
+        }
+    }
+
+    /// The attribute byte for `addr` (masked to 16 bits) under the
+    /// installed MPU configuration, ANDed with the cache mask.  Hot path:
+    /// one indexed byte load.  Callers run [`Bus::sync_attr_table`] first
+    /// (or are inside an execute block, which did).
+    #[inline(always)]
+    fn attr(&self, addr: Addr) -> u8 {
+        // Mutating the pub MPU backend fields directly (bypassing
+        // `write_register` / `install_mpu_config`) would leave a stale
+        // table, and so would an access that skipped the sync step.  No
+        // in-tree code does either; debug builds verify both on every
+        // access.
         #[cfg(debug_assertions)]
-        if let Some(t) = &self.attr_active {
+        {
             debug_assert!(
-                Self::fingerprint_matches(&t.key, &self.mpu, &self.region_mpu, &self.pmp),
+                Self::fingerprint_matches(
+                    &self.attr_active.key,
+                    &self.mpu,
+                    &self.region_mpu,
+                    &self.pmp
+                ),
                 "MPU state was mutated without a register write; the \
                  attribute cache is stale (configure the MPU through \
                  write_register/install_mpu_config)"
             );
+            debug_assert_eq!(
+                self.attr_mask,
+                self.wanted_attr_mask(),
+                "attribute mask is stale: the access skipped the sync step"
+            );
         }
-        match &self.attr_active {
-            Some(t) => t.attrs[(addr & 0xFFFF) as usize],
-            // `resolve_attr_table` always installs a table.
-            None => 0,
-        }
+        self.attr_active.attrs[(addr & 0xFFFF) as usize] & self.attr_mask
     }
 
     /// Whether a memoised table's key matches the *installed* MPU state
@@ -472,18 +522,20 @@ impl Bus {
             && key.pmp_entries == pmp.entries
     }
 
-    /// Points `attr_current` at the table matching the installed MPU
-    /// configuration, building (and memoising) it on first sight.
+    /// Points `attr_active` at the table matching the installed MPU
+    /// configuration, building (and memoising) it on first sight, and
+    /// recomputes the epoch and the cache mask.
     #[cold]
-    fn resolve_attr_table(&mut self, epoch: u64) {
-        // Retire the previously active table into the memo, then pull (or
-        // build) the one matching the installed configuration.  The active
-        // table was either taken from the memo or freshly built, so
-        // fingerprints stay unique across the memo and the active slot.
-        if let Some(active) = self.attr_active.take() {
-            self.attr_spare.push(active);
-        }
+    fn resolve_attr_table(&mut self) {
+        self.attr_epoch = self.mpu_epoch();
+        self.attr_mask = self.wanted_attr_mask();
         let (mpu, region_mpu, pmp) = (&self.mpu, &self.region_mpu, &self.pmp);
+        if Self::fingerprint_matches(&self.attr_active.key, mpu, region_mpu, pmp) {
+            return;
+        }
+        // Pull (or build) the matching table, then retire the active one
+        // into the memo.  The active table was either taken from the memo
+        // or freshly built, so fingerprints stay unique.
         let table = match self
             .attr_spare
             .iter()
@@ -494,18 +546,18 @@ impl Bus {
                 if self.attr_spare.len() >= MAX_ATTR_TABLES {
                     self.attr_spare.clear();
                 }
-                AttrTable {
-                    key: self.mpu_fingerprint(),
-                    attrs: self.build_attr_table(),
-                }
+                Self::paint_attr_table(&self.platform, self.backend, mpu, region_mpu, pmp)
             }
         };
-        self.attr_active = Some(table);
-        self.attr_epoch = epoch;
+        let retired = std::mem::replace(&mut self.attr_active, table);
+        self.attr_spare.push(retired);
     }
 
-    /// Builds the 64 KiB attribute table for the installed MPU
-    /// configuration by interval painting (no per-address backend calls).
+    /// Builds the 64 KiB attribute table for an MPU configuration by
+    /// interval painting (no per-address backend calls).  A pure function
+    /// of the platform (which also fixes each backend's jurisdiction) and
+    /// the backend state the fingerprint keys it by, which is what makes
+    /// the memo sound.
     ///
     /// Ranges are painted in reverse priority order of [`Bus::region`]'s
     /// decode cascade, so where ranges overlap the highest-priority
@@ -514,19 +566,21 @@ impl Bus {
     /// FR5994 profile's stops at SRAM; the Cortex-M33-class and PMP
     /// backends also police peripheral space) instead of hardcoding any
     /// particular range set.
-    fn build_attr_table(&self) -> Box<[u8; 0x1_0000]> {
-        let p = &self.platform;
+    fn paint_attr_table(
+        p: &PlatformSpec,
+        backend: MpuBackendKind,
+        mpu: &Mpu,
+        region_mpu: &RegionMpu,
+        pmp: &PmpMpu,
+    ) -> AttrTable {
         // Base: unmapped — nothing is a plain permitted access.
-        let mut attrs: Box<[u8; 0x1_0000]> = vec![0u8; 0x1_0000]
-            .into_boxed_slice()
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("attribute table has the fixed size"));
+        let mut attrs = zeroed_page();
         paint(
             &mut attrs[..],
             p.interrupt_vectors,
             ATTR_R | ATTR_W | ATTR_X,
         );
-        match self.backend {
+        match backend {
             MpuBackendKind::Region | MpuBackendKind::Pmp => {
                 // Region-like backend: deny-by-default over its own
                 // jurisdiction when enforcing, permissive when not.  The
@@ -536,11 +590,11 @@ impl Bus {
                     bool,
                     Vec<AddrRange>,
                     Vec<(AddrRange, Perm)>,
-                ) = match self.backend {
+                ) = match backend {
                     MpuBackendKind::Region => (
-                        self.region_mpu.enabled,
-                        self.region_mpu.jurisdiction().collect(),
-                        self.region_mpu
+                        region_mpu.enabled,
+                        region_mpu.jurisdiction().collect(),
+                        region_mpu
                             .slots
                             .iter()
                             .filter(|s| s.enabled)
@@ -548,10 +602,9 @@ impl Bus {
                             .collect(),
                     ),
                     MpuBackendKind::Pmp => (
-                        self.pmp.user_mode,
-                        self.pmp.jurisdiction().collect(),
-                        self.pmp
-                            .entries
+                        pmp.user_mode,
+                        pmp.jurisdiction().collect(),
+                        pmp.entries
                             .iter()
                             .filter(|e| e.enabled)
                             .map(|e| (e.range(), e.perm))
@@ -590,26 +643,22 @@ impl Bus {
                 // (always permitted); FRAM splits into three segments at
                 // the two boundaries; InfoMem is the pinned segment.
                 paint(&mut attrs[..], p.sram, ATTR_R | ATTR_W | ATTR_X);
-                if self.mpu.enabled {
+                if mpu.enabled {
                     let f = p.fram;
-                    let c1 = self.mpu.boundary1.clamp(f.start, f.end);
-                    let c2 = self.mpu.boundary2.clamp(f.start, f.end).max(c1);
+                    let c1 = mpu.boundary1.clamp(f.start, f.end);
+                    let c2 = mpu.boundary2.clamp(f.start, f.end).max(c1);
                     paint(
                         &mut attrs[..],
                         AddrRange::new(f.start, c1),
-                        perm_attr(self.mpu.seg1),
+                        perm_attr(mpu.seg1),
                     );
-                    paint(
-                        &mut attrs[..],
-                        AddrRange::new(c1, c2),
-                        perm_attr(self.mpu.seg2),
-                    );
+                    paint(&mut attrs[..], AddrRange::new(c1, c2), perm_attr(mpu.seg2));
                     paint(
                         &mut attrs[..],
                         AddrRange::new(c2, f.end),
-                        perm_attr(self.mpu.seg3),
+                        perm_attr(mpu.seg3),
                     );
-                    paint(&mut attrs[..], p.info_mem, perm_attr(self.mpu.seg_info));
+                    paint(&mut attrs[..], p.info_mem, perm_attr(mpu.seg_info));
                 } else {
                     paint(&mut attrs[..], p.fram, ATTR_R | ATTR_W | ATTR_X);
                     paint(&mut attrs[..], p.info_mem, ATTR_R | ATTR_W | ATTR_X);
@@ -636,22 +685,17 @@ impl Bus {
                 *a &= keep;
             }
         };
-        if self.backend_polices_full_platform() {
+        if Self::backend_polices_full_platform(backend, region_mpu) {
             mask(&mut attrs, p.bootstrap_loader, ATTR_R | ATTR_X);
             mask(&mut attrs, p.peripherals, ATTR_X);
         } else {
             paint(&mut attrs[..], p.bootstrap_loader, ATTR_R | ATTR_X);
             paint(&mut attrs[..], p.peripherals, ATTR_X);
         }
-        attrs
-    }
-
-    /// Whether the fast path may consult the attribute table for `addr`:
-    /// the cache is on, the extended-MPU ablation (whose state the table
-    /// does not track) is off, and the address is inside the table.
-    #[inline(always)]
-    fn attr_fast_path(&self, addr: Addr) -> bool {
-        self.attr_enabled && !self.ext_mpu.enabled && addr < 0x1_0000
+        AttrTable {
+            key: Self::mpu_fingerprint(mpu, region_mpu, pmp),
+            attrs,
+        }
     }
 
     /// Installs an MPU configuration by performing the same memory-mapped
@@ -659,7 +703,7 @@ impl Bus {
     /// boundaries/access-bits/control for the segmented part, or
     /// select/base/limit per region plus control for the region part.
     pub fn install_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
-        match config {
+        let installed = match config {
             MpuConfig::Segmented(regs) => {
                 // Trusted switch path: program the register file directly
                 // (this runs twice per delivered event — the full
@@ -672,15 +716,15 @@ impl Bus {
                     (crate::mpu::MPUSAM, regs.mpusam),
                     (crate::mpu::MPUCTL0, regs.mpuctl0),
                 ];
-                for (addr, value) in writes {
+                writes.into_iter().try_for_each(|(addr, value)| {
                     self.stats.writes += 1;
                     self.stats.peripheral_writes += 1;
                     self.mpu.write_register(addr, value).map_err(|e| BusFault {
                         addr,
                         access: AccessKind::Write,
                         cause: BusFaultCause::MpuRegisterProtocol(e),
-                    })?;
-                }
+                    })
+                })
             }
             MpuConfig::Region(regs) => {
                 // Privileged path: the register block rejects CPU-side
@@ -690,6 +734,7 @@ impl Bus {
                 self.region_mpu.apply_config(regs);
                 self.stats.writes += regs.write_count() as u64;
                 self.stats.peripheral_writes += regs.write_count() as u64;
+                Ok(())
             }
             MpuConfig::Pmp(regs) => {
                 // Privileged (CSR-style) path, same rule as the region
@@ -698,9 +743,13 @@ impl Bus {
                 self.pmp.apply_config(regs);
                 self.stats.writes += regs.write_count() as u64;
                 self.stats.peripheral_writes += regs.write_count() as u64;
+                Ok(())
             }
-        }
-        Ok(())
+        };
+        // Re-point the attribute table now, even when a register write
+        // failed part-way: the writes before it have landed.
+        self.resolve_attr_table();
+        installed
     }
 
     fn check_protection(&mut self, addr: Addr, access: AccessKind) -> Result<(), BusFault> {
@@ -734,8 +783,23 @@ impl Bus {
 
     /// Reads `size` bytes (1 or 2) at `addr` as a little-endian value,
     /// enforcing region and MPU rules.
-    #[inline(always)]
     pub fn read(&mut self, addr: Addr, size: u32) -> Result<u16, BusFault> {
+        self.sync_attr_table();
+        self.read_checked(addr, size, addr <= 0xFFFF)
+    }
+
+    /// The execute loop's data read: [`Bus::read`] without the sync step
+    /// (the block entry synced, and only this bus's own paths change the
+    /// MPU state mid-block).
+    #[inline(always)]
+    pub(crate) fn load(&mut self, addr: u16, size: u32) -> Result<u16, BusFault> {
+        self.read_checked(Addr::from(addr), size, true)
+    }
+
+    /// The read path behind [`Bus::read`] and [`Bus::load`]; `in_table`
+    /// says whether `addr` lies inside the 64 KiB attribute table.
+    #[inline(always)]
+    fn read_checked(&mut self, addr: Addr, size: u32, in_table: bool) -> Result<u16, BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -745,7 +809,7 @@ impl Bus {
             });
         }
         self.stats.reads += 1;
-        if self.attr_fast_path(addr) && self.attr(addr) & ATTR_R != 0 {
+        if in_table && self.attr(addr) & ATTR_R != 0 {
             return Ok(self.read_raw(addr, size));
         }
         self.read_slow(addr, size)
@@ -784,8 +848,27 @@ impl Bus {
 
     /// Writes `size` bytes (1 or 2) at `addr`, enforcing region and MPU
     /// rules.
-    #[inline(always)]
     pub fn write(&mut self, addr: Addr, size: u32, value: u16) -> Result<(), BusFault> {
+        self.sync_attr_table();
+        self.write_checked(addr, size, value, addr <= 0xFFFF)
+    }
+
+    /// The execute loop's data write: [`Bus::write`] without the sync
+    /// step.  A store that reprograms the MPU re-resolves the table itself.
+    #[inline(always)]
+    pub(crate) fn store(&mut self, addr: u16, size: u32, value: u16) -> Result<(), BusFault> {
+        self.write_checked(Addr::from(addr), size, value, true)
+    }
+
+    /// The write path behind [`Bus::write`] and [`Bus::store`].
+    #[inline(always)]
+    fn write_checked(
+        &mut self,
+        addr: Addr,
+        size: u32,
+        value: u16,
+        in_table: bool,
+    ) -> Result<(), BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -795,7 +878,7 @@ impl Bus {
             });
         }
         self.stats.writes += 1;
-        if self.attr_fast_path(addr) {
+        if in_table {
             let a = self.attr(addr);
             if a & ATTR_W != 0 {
                 if a & ATTR_FRAM_WRITE != 0 {
@@ -863,9 +946,27 @@ impl Bus {
     ///
     /// Instructions are word-aligned, so a fetch at an odd program counter
     /// is rejected as [`BusFaultCause::Misaligned`] — the same word-access
-    /// rule [`Bus::read`] and [`Bus::write`] enforce.
-    #[inline(always)]
+    /// rule [`Bus::read`] and [`Bus::write`] enforce — and is not counted
+    /// in [`BusStats::exec_checks`].
     pub fn check_execute(&mut self, addr: Addr) -> Result<(), BusFault> {
+        self.sync_attr_table();
+        self.stats.exec_checks += u64::from(addr.is_multiple_of(2));
+        self.execute_checked(addr, addr <= 0xFFFF)
+    }
+
+    /// The execute loop's fetch check: [`Bus::check_execute`] without the
+    /// sync step and without counting — the loop counts execute checks in
+    /// a block-local and flushes them into [`BusStats::exec_checks`] at
+    /// block exit.
+    #[inline(always)]
+    pub(crate) fn check_fetch(&mut self, pc: u16) -> Result<(), BusFault> {
+        self.execute_checked(Addr::from(pc), true)
+    }
+
+    /// The fetch-permission path behind [`Bus::check_execute`] and
+    /// [`Bus::check_fetch`].
+    #[inline(always)]
+    fn execute_checked(&mut self, addr: Addr, in_table: bool) -> Result<(), BusFault> {
         if !addr.is_multiple_of(2) {
             return Err(BusFault {
                 addr,
@@ -873,8 +974,7 @@ impl Bus {
                 cause: BusFaultCause::Misaligned,
             });
         }
-        self.stats.exec_checks += 1;
-        if self.attr_fast_path(addr) && self.attr(addr) & ATTR_X != 0 {
+        if in_table && self.attr(addr) & ATTR_X != 0 {
             return Ok(());
         }
         self.check_execute_slow(addr)
@@ -923,7 +1023,11 @@ impl Bus {
 
     fn write_peripheral(&mut self, addr: Addr, value: u16) -> Result<(), BusFault> {
         if Mpu::owns_register(addr) {
-            self.mpu.write_register(addr, value).map_err(|e| BusFault {
+            let written = self.mpu.write_register(addr, value);
+            // The store may have moved a boundary, the access bits or the
+            // enable: re-point the attribute table before the next fetch.
+            self.resolve_attr_table();
+            written.map_err(|e| BusFault {
                 addr,
                 access: AccessKind::Write,
                 cause: BusFaultCause::MpuRegisterProtocol(e),

@@ -18,6 +18,11 @@ use std::fmt;
 /// handler; a `ret` that pops it ends the handler instead of jumping.
 pub const HANDLER_RETURN: Addr = 0xFFFE;
 
+/// Register-file index mask: [`Reg::COUNT`] is 16, so masking a register
+/// index replaces the bounds check on every operand access.
+const REG_MASK: usize = Reg::COUNT - 1;
+const _: () = assert!(Reg::COUNT.is_power_of_two());
+
 /// Details of a fault raised during execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultInfo {
@@ -130,7 +135,7 @@ impl Cpu {
         if r == Reg::SR {
             self.status_word()
         } else {
-            self.regs[r.index()]
+            self.regs[r.index() & REG_MASK]
         }
     }
 
@@ -140,7 +145,7 @@ impl Cpu {
         if r == Reg::SR {
             self.set_status_word(value);
         } else {
-            self.regs[r.index()] = value;
+            self.regs[r.index() & REG_MASK] = value;
         }
     }
 
@@ -244,33 +249,43 @@ impl Cpu {
     }
 
     // Data-access counting happens once per retired instruction (via
-    // `touches_data_memory`), not here, so call/return stack traffic does not
-    // inflate the ARP's "memory access" count.
-    fn read_mem(&mut self, bus: &mut Bus, addr: Addr, width: Width) -> Result<u16, BusFault> {
-        bus.read(addr, width.bytes())
-    }
-
-    fn write_mem(
-        &mut self,
-        bus: &mut Bus,
-        addr: Addr,
-        width: Width,
-        value: u16,
-    ) -> Result<(), BusFault> {
-        bus.write(addr, width.bytes(), value)
-    }
-
+    // `touches_data_memory`), not in the push/pop helpers, so call/return
+    // stack traffic does not inflate the ARP's "memory access" count.
+    // Both helpers use the bus's execute-loop entry points, which trust the
+    // attribute table `run_block` synced at entry.
     fn push(&mut self, bus: &mut Bus, value: u16) -> Result<(), BusFault> {
-        let sp = self.sp().wrapping_sub(2) & 0xFFFF;
-        self.set_sp(sp);
-        self.write_mem(bus, sp, Width::Word, value)
+        let sp = self.regs[Reg::SP.index()].wrapping_sub(2);
+        self.regs[Reg::SP.index()] = sp;
+        bus.store(sp, Width::Word.bytes(), value)
     }
 
     fn pop(&mut self, bus: &mut Bus) -> Result<u16, BusFault> {
-        let sp = self.sp();
-        let v = self.read_mem(bus, sp, Width::Word)?;
-        self.set_sp((sp + 2) & 0xFFFF);
+        let sp = self.regs[Reg::SP.index()];
+        let v = bus.load(sp, Width::Word.bytes())?;
+        self.regs[Reg::SP.index()] = sp.wrapping_add(2);
         Ok(v)
+    }
+
+    /// The permission check every fetch pays.  An odd PC faults as
+    /// misaligned before it counts as an execute check, exactly as
+    /// [`Bus::check_execute`] counts.
+    #[inline(always)]
+    fn fetch_fault(&mut self, bus: &mut Bus, pc: u16, exec_checks: &mut u64) -> Option<StepEvent> {
+        *exec_checks += u64::from(pc & 1 == 0);
+        match bus.check_fetch(pc) {
+            Ok(()) => None,
+            Err(fault) => Some(self.bus_fault_to_event(Addr::from(pc), fault)),
+        }
+    }
+
+    /// The fault for a permitted fetch from a slot holding no instruction.
+    fn illegal_fetch(&mut self, pc: u16) -> StepEvent {
+        self.stats.faults += 1;
+        StepEvent::Fault(FaultInfo {
+            class: FaultClass::IllegalInstruction,
+            pc: Addr::from(pc),
+            addr: None,
+        })
     }
 
     /// Executes one instruction fetched from `code`, performing all memory
@@ -287,23 +302,42 @@ impl Cpu {
     /// Executes up to `max_steps` instructions as one block — the hot loop
     /// behind [`crate::device::Device::run`].
     ///
-    /// Per-step work is minimal by construction: the instruction table is
-    /// resolved once for the whole block, each fetch is a single masked
-    /// index (permission-checked through [`Bus::check_execute`] first),
-    /// and the retired-instruction, cycle and data-access counters
-    /// accumulate in locals, flushed once at block exit, instead of
-    /// read-modify-writing `self` per step.  The benchmark timer advances
-    /// with every executed instruction (its memory-mapped counter stays
-    /// exact even for firmware that reads it mid-block).  Returns `None`
-    /// when the step budget ran out, otherwise the stopping event, along
-    /// with the number of steps consumed.
+    /// Each step pays only for the instruction it runs.  Everything that
+    /// can be resolved once per block is resolved at entry: the bus syncs
+    /// its access-attribute table with the installed MPU configuration
+    /// (catching direct backend writes and extended-MPU flips made since
+    /// the last block; MPU register stores inside the block re-resolve it
+    /// themselves), and the instruction table is unwrapped — an empty
+    /// store faults on its first fetch before the loop.  Each fetch is
+    /// then one attribute-byte load for the permission check plus one
+    /// masked slot index, and every data access one attribute-byte load.
+    /// The retired-instruction, cycle, data-access and execute-check
+    /// counters accumulate in locals, flushed once at block exit.  The
+    /// benchmark timer still advances with every executed instruction (its
+    /// memory-mapped counter stays exact even for firmware that reads it
+    /// mid-block).  Returns `None` when the step budget ran out, otherwise
+    /// the stopping event, along with the number of steps consumed.
     pub fn run_block(
         &mut self,
         bus: &mut Bus,
         code: &InstrStore,
         max_steps: u64,
     ) -> (Option<StepEvent>, u64) {
-        let table = code.table();
+        bus.sync_attr_table();
+        let mut exec_checks: u64 = 0;
+        let Some(table) = code.table() else {
+            // No instruction anywhere: the first fetch is permission-checked
+            // like any other, then faults on the empty slot.
+            if max_steps == 0 {
+                return (None, 0);
+            }
+            let pc = self.regs[Reg::PC.index()];
+            let ev = self
+                .fetch_fault(bus, pc, &mut exec_checks)
+                .unwrap_or_else(|| self.illegal_fetch(pc));
+            bus.stats.exec_checks += exec_checks;
+            return (Some(ev), 1);
+        };
         let mut steps: u64 = 0;
         let mut instructions: u64 = 0;
         let mut cycles: u64 = 0;
@@ -313,21 +347,16 @@ impl Cpu {
                 break None;
             }
             steps += 1;
-            let pc = self.pc();
-            if let Err(fault) = bus.check_execute(pc) {
-                break Some(self.bus_fault_to_event(pc, fault));
+            let pc = self.regs[Reg::PC.index()];
+            if let Some(fault) = self.fetch_fault(bus, pc, &mut exec_checks) {
+                break Some(fault);
             }
-            // `check_execute` rejected odd PCs and the PC register is
+            // The fetch check rejected odd PCs and the PC register is
             // 16-bit, so the masked slot index is exact.
-            let slot = table.map(|t| &t[((pc >> 1) as usize) & (code::SLOT_COUNT - 1)]);
-            let Some(slot) = slot.filter(|s| !s.is_empty()) else {
-                self.stats.faults += 1;
-                break Some(StepEvent::Fault(FaultInfo {
-                    class: FaultClass::IllegalInstruction,
-                    pc,
-                    addr: None,
-                }));
-            };
+            let slot = &table[usize::from(pc >> 1) & (code::SLOT_COUNT - 1)];
+            if slot.is_empty() {
+                break Some(self.illegal_fetch(pc));
+            }
             let (instr, meta) = (slot.instr(), slot.meta());
             instructions += 1;
             cycles += meta.base_cycles();
@@ -337,6 +366,7 @@ impl Cpu {
             // dispatch reproduces per-step ticking exactly: an instruction
             // reading the memory-mapped counter sees all ticks through the
             // *previous* instruction.
+            let pc = Addr::from(pc);
             match self.dispatch(bus, instr, pc, pc + meta.size_bytes()) {
                 Flow::Next(new_pc) => {
                     self.set_pc(new_pc);
@@ -351,6 +381,7 @@ impl Cpu {
         self.stats.instructions += instructions;
         self.cycles += cycles;
         self.stats.data_accesses += data_accesses;
+        bus.stats.exec_checks += exec_checks;
         (stop, steps)
     }
 
@@ -382,8 +413,8 @@ impl Cpu {
                 offset,
                 width,
             } => {
-                let addr = (self.reg(base) as i32 + offset as i32) as u16 as Addr;
-                let v = try_mem!(self.read_mem(bus, addr, width));
+                let addr = self.reg(base).wrapping_add_signed(offset);
+                let v = try_mem!(bus.load(addr, width.bytes()));
                 self.set_reg(dst, v);
             }
             Instr::Store {
@@ -392,17 +423,17 @@ impl Cpu {
                 offset,
                 width,
             } => {
-                let addr = (self.reg(base) as i32 + offset as i32) as u16 as Addr;
+                let addr = self.reg(base).wrapping_add_signed(offset);
                 let v = self.reg(src);
-                try_mem!(self.write_mem(bus, addr, width, v));
+                try_mem!(bus.store(addr, width.bytes(), v));
             }
             Instr::LoadAbs { dst, addr, width } => {
-                let v = try_mem!(self.read_mem(bus, addr as Addr, width));
+                let v = try_mem!(bus.load(addr, width.bytes()));
                 self.set_reg(dst, v);
             }
             Instr::StoreAbs { src, addr, width } => {
                 let v = self.reg(src);
-                try_mem!(self.write_mem(bus, addr as Addr, width, v));
+                try_mem!(bus.store(addr, width.bytes(), v));
             }
             Instr::Push { src } => {
                 let v = self.reg(src);
@@ -874,5 +905,97 @@ mod tests {
             Instr::Halt,
         ]);
         assert_eq!(cpu.reg(Reg::R4), 0);
+    }
+
+    /// What the edge-case tests pin about one `run_block` call.
+    type BlockOutcome = (Option<StepEvent>, u64, u64, u64, u64);
+
+    /// Runs one block from `pc` and reports the stop event, the steps
+    /// consumed, `CpuStats.faults` and `BusStats.{exec_checks, denied}`.
+    fn run_one_block(bus: &mut Bus, code: &InstrStore, pc: Addr, budget: u64) -> BlockOutcome {
+        let mut cpu = Cpu::new();
+        cpu.set_pc(pc);
+        cpu.set_sp(0x2400);
+        let (ev, steps) = cpu.run_block(bus, code, budget);
+        (
+            ev,
+            steps,
+            cpu.stats.faults,
+            bus.stats.exec_checks,
+            bus.stats.denied,
+        )
+    }
+
+    fn illegal_at(pc: Addr, addr: Option<Addr>) -> Option<StepEvent> {
+        Some(StepEvent::Fault(FaultInfo {
+            class: FaultClass::IllegalInstruction,
+            pc,
+            addr,
+        }))
+    }
+
+    #[test]
+    fn empty_store_faults_on_the_first_fetch_only() {
+        let code = InstrStore::new();
+        for (budget, expected) in [
+            (0, (None, 0, 0, 0, 0)),
+            (1, (illegal_at(0x4400, None), 1, 1, 1, 0)),
+            (100, (illegal_at(0x4400, None), 1, 1, 1, 0)),
+        ] {
+            for cache in [true, false] {
+                let mut bus = Bus::msp430fr5969();
+                bus.set_attr_cache_enabled(cache);
+                assert_eq!(
+                    run_one_block(&mut bus, &code, 0x4400, budget),
+                    expected,
+                    "budget {budget}, cache {cache}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn odd_pc_faults_as_misaligned_without_counting_a_check() {
+        let code = asm(0x4400, &[Instr::Nop, Instr::Halt]);
+        for store in [&code, &InstrStore::new()] {
+            for cache in [true, false] {
+                let mut bus = Bus::msp430fr5969();
+                bus.set_attr_cache_enabled(cache);
+                assert_eq!(
+                    run_one_block(&mut bus, store, 0x4401, 100),
+                    (illegal_at(0x4401, Some(0x4401)), 1, 1, 0, 0),
+                    "cache {cache}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fetch_from_an_execute_denied_fram_segment_is_an_mpu_fault() {
+        // Segment 3 (0x8000 up) grants nothing; segment 1 is execute-only.
+        let code = asm(0x9000, &[Instr::Nop, Instr::Halt]);
+        for cache in [true, false] {
+            let mut bus = Bus::msp430fr5969();
+            bus.set_attr_cache_enabled(cache);
+            bus.write(crate::mpu::MPUSEGB1, 2, 0x600).unwrap();
+            bus.write(crate::mpu::MPUSEGB2, 2, 0x800).unwrap();
+            bus.write(crate::mpu::MPUSAM, 2, 0x0034).unwrap();
+            bus.write(crate::mpu::MPUCTL0, 2, 0xA501).unwrap();
+            assert_eq!(
+                run_one_block(&mut bus, &code, 0x9000, 100),
+                (
+                    Some(StepEvent::Fault(FaultInfo {
+                        class: FaultClass::MpuViolation,
+                        pc: 0x9000,
+                        addr: Some(0x9000),
+                    })),
+                    1,
+                    1,
+                    1,
+                    1
+                ),
+                "cache {cache}"
+            );
+        }
     }
 }
