@@ -30,10 +30,10 @@
 //!   combinations (`--store --no-store`, `--paranoid --no-store`,
 //!   `--scaling --scaling-point`, ...) are rejected up front with exit
 //!   code 2, and so is any unknown flag.
-//! * `--summary` streams block aggregation (`simulate_summary`) instead
+//! * `--summary` streams block aggregation (`simulate_summary_in`) instead
 //!   of materialising per-device results: bounded memory at 10⁵–10⁶
 //!   devices.  The document matches the materialised run's byte for byte
-//!   only under the condition `simulate_summary` documents: the fleet
+//!   only under the condition `simulate_summary_in` documents: the fleet
 //!   fits one 1024-device block and each leg's latency samples fit the
 //!   2048-sample sketch.  Beyond it, delivery-latency mean, p50 and p99
 //!   are deterministic sample estimates — the default stepped fleet
@@ -49,6 +49,8 @@
 //!   store under `DIR`: the run prewarms every distinct configuration
 //!   through the store (timed separately from the campaign) and the
 //!   report gains a `firmware_store` section with the store counters.
+//!   `DIR` is created if missing; one the process cannot create or
+//!   write to is rejected with exit code 2 before anything runs.
 //!   `--no-store` forces the in-memory store; `--paranoid` re-builds and
 //!   byte-compares every image loaded from disk (CI runs this).
 //! * `--report-out FILE` additionally writes the *deterministic* document
@@ -67,7 +69,7 @@ use amulet_bench::fleet_sim::{
 };
 use amulet_bench::json::Json;
 use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [seed] [mode] \
@@ -110,6 +112,19 @@ struct Cli {
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
     std::process::exit(2);
+}
+
+/// Creates the store directory `dir` if missing and proves this process
+/// can write there, so an unusable store fails up front (exit 2 with the
+/// OS error) instead of silently persisting nothing.
+fn require_store_dir(dir: &Path) {
+    let probe = dir.join(format!(".fleet_sim-probe-{}", std::process::id()));
+    let usable = std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&probe, b""))
+        .and_then(|()| std::fs::remove_file(&probe));
+    if let Err(e) = usable {
+        fail(&format!("store directory {}: {e}", dir.display()));
+    }
 }
 
 fn parse_mode(s: &str) -> TimeMode {
@@ -199,9 +214,10 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
     cli
 }
 
-/// Rejects an empty fleet, which has no population to report on, and
-/// contradictory flag combinations up front (exit 2 with usage) instead
-/// of letting one flag silently win over another.
+/// Rejects an empty fleet, which has no population to report on,
+/// contradictory flag combinations and an unusable `--store` directory up
+/// front (exit 2 with usage) instead of letting one flag silently win
+/// over another.
 fn validate(cli: &Cli) {
     if cli.devices == Some(0) {
         fail("a fleet needs at least one device");
@@ -223,6 +239,9 @@ fn validate(cli: &Cli) {
     }
     if cli.scaling && cli.scaling_point {
         fail("--scaling and --scaling-point conflict");
+    }
+    if let Some(dir) = &cli.store {
+        require_store_dir(dir);
     }
 }
 
@@ -465,6 +484,7 @@ fn run_scaling(cli: &Cli) {
         (Some(dir), false) => dir.clone(),
         _ => std::env::temp_dir().join(format!("amulet-fleet-store-bench-{}", std::process::id())),
     };
+    require_store_dir(&store_dir);
     eprintln!(
         "scaling: firmware store cold/warm bench, {} devices...",
         top_point.devices
@@ -479,7 +499,8 @@ fn run_scaling(cli: &Cli) {
     eprintln!("scaling: fault storm, {STORM_DEVICES} devices...");
     let storm_scenario = FleetScenario::storm(STORM_DEVICES);
     let storm_started = Instant::now();
-    let storm = amulet_fleet::simulate_summary(&storm_scenario, workers);
+    let storm_store = FirmwareStore::for_scenario(&storm_scenario);
+    let storm = simulate_summary_in(&storm_scenario, workers, &storm_store);
     let storm_wall = storm_started.elapsed().as_secs_f64();
     let extras = vec![
         (

@@ -255,7 +255,7 @@ pub fn render_document_with(
         .field("scenario", scenario)
         .field("aggregate", aggregate);
     if let Some(secs) = wall_seconds {
-        // Events/second is the discrete-event headline: a mostly-silent
+        // Events/second is the scaling headline: a mostly-silent
         // 10⁵-device fleet does far less work per device than a dense one,
         // and devices/second alone would hide that.
         let events = agg.per_event.events_delivered + agg.batched.events_delivered;
@@ -347,7 +347,15 @@ pub fn store_stats_json(stats: &amulet_fleet::FirmwareStoreStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amulet_fleet::simulate;
+    use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore};
+
+    fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
+        simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+    }
+
+    fn run_summary(scenario: &FleetScenario, workers: usize) -> FleetSummary {
+        simulate_summary_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+    }
 
     fn tiny() -> FleetScenario {
         FleetScenario {
@@ -359,7 +367,7 @@ mod tests {
 
     #[test]
     fn json_contains_the_headline_fields_and_balances() {
-        let report = simulate(&tiny(), 2);
+        let report = run(&tiny(), 2);
         let text = render_json(&report, Some(0.5));
         for needle in [
             "\"bench\": \"fleet_sim\"",
@@ -382,14 +390,14 @@ mod tests {
         // The fleet-determinism acceptance criterion, end to end: the
         // rendered aggregate document (timing omitted) must match byte for
         // byte between a serial and a parallel run of the same seed.
-        let serial = render_json(&simulate(&tiny(), 1), None);
-        let parallel = render_json(&simulate(&tiny(), 8), None);
+        let serial = render_json(&run(&tiny(), 1), None);
+        let parallel = render_json(&run(&tiny(), 8), None);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn batching_saves_switch_cycles_in_the_rendered_report() {
-        let report = simulate(&tiny(), 4);
+        let report = run(&tiny(), 4);
         assert!(report.aggregate.batched.switch_cycles < report.aggregate.per_event.switch_cycles);
         let text = render_json(&report, None);
         assert!(!text.contains("\"timing\""), "timing only when measured");
@@ -397,7 +405,7 @@ mod tests {
 
     #[test]
     fn arrival_order_reports_contain_no_stepped_fields() {
-        let text = render_json(&simulate(&tiny(), 2), None);
+        let text = render_json(&run(&tiny(), 2), None);
         for absent in [
             "time_mode",
             "idle_joules",
@@ -433,7 +441,7 @@ mod tests {
             elide_checks: true,
             ..tiny()
         };
-        let report = simulate(&scenario, 2);
+        let report = run(&scenario, 2);
         let summary = amulet_fleet::verify_fleet(&scenario, 2);
         let text = render_document_with(
             &report.scenario,
@@ -460,7 +468,7 @@ mod tests {
     #[test]
     fn storm_reports_render_the_containment_matrix_and_ota_wave() {
         let scenario = FleetScenario::storm(600);
-        let text = render_summary_json(&amulet_fleet::simulate_summary(&scenario, 1), None);
+        let text = render_summary_json(&run_summary(&scenario, 1), None);
         for needle in [
             "\"fault_permille\": 400",
             "\"step_budget\": 20000",
@@ -479,7 +487,7 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         assert_eq!(text.matches('{').count(), text.matches('}').count());
-        let parallel = render_summary_json(&amulet_fleet::simulate_summary(&scenario, 8), None);
+        let parallel = render_summary_json(&run_summary(&scenario, 8), None);
         assert_eq!(text, parallel, "storm reports are worker-count-free");
     }
 
@@ -491,8 +499,8 @@ mod tests {
             catalog_window: Some((2, 4)),
             ..tiny()
         };
-        let report = render_json(&simulate(&scenario, 2), None);
-        let summary = render_summary_json(&amulet_fleet::simulate_summary(&scenario, 2), None);
+        let report = render_json(&run(&scenario, 2), None);
+        let summary = render_summary_json(&run_summary(&scenario, 2), None);
         assert_eq!(report, summary);
         for needle in [
             "\"silent_permille\": 400",
@@ -505,7 +513,7 @@ mod tests {
 
     #[test]
     fn scaling_section_renders_when_provided() {
-        let report = simulate(&tiny(), 1);
+        let report = run(&tiny(), 1);
         let text = render_document(
             &report.scenario,
             report.workers,
@@ -521,7 +529,7 @@ mod tests {
 
     #[test]
     fn firmware_store_section_renders_only_when_measured() {
-        let report = simulate(&tiny(), 1);
+        let report = run(&tiny(), 1);
         let stats = amulet_fleet::FirmwareStoreStats {
             hits: 30,
             misses: 2,
@@ -575,7 +583,7 @@ mod tests {
             time_mode: amulet_fleet::TimeMode::Stepped,
             ..tiny()
         };
-        let text = render_json(&simulate(&scenario, 2), None);
+        let text = render_json(&run(&scenario, 2), None);
         for needle in [
             "\"time_mode\": \"stepped\"",
             "\"idle_joules\"",
@@ -589,7 +597,7 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         assert_eq!(text.matches('{').count(), text.matches('}').count());
-        let parallel = render_json(&simulate(&scenario, 8), None);
+        let parallel = render_json(&run(&scenario, 8), None);
         assert_eq!(text, parallel, "stepped reports are worker-count-free");
     }
 }

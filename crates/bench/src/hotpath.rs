@@ -22,7 +22,7 @@ use amulet_aft::aft::Aft;
 use amulet_core::energy::EnergyModel;
 use amulet_core::method::IsolationMethod;
 use amulet_core::perm::AccessKind;
-use amulet_fleet::{simulate, FleetScenario};
+use amulet_fleet::{simulate_in, FirmwareStore, FleetScenario};
 use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::StepEvent;
 use amulet_mcu::device::{Device, StopReason};
@@ -357,7 +357,7 @@ pub fn run_fleet(devices: usize, events_per_device: usize, workers: usize) -> Fl
         ..FleetScenario::default()
     };
     let started = Instant::now();
-    let report = simulate(&scenario, workers);
+    let report = simulate_in(&scenario, workers, &FirmwareStore::for_scenario(&scenario));
     let wall = started.elapsed().as_secs_f64();
     assert_eq!(report.devices.len(), devices);
     FleetThroughput {

@@ -27,6 +27,11 @@ fn fleet_sim_rejects_out_of_range_values() {
         &["--devices", "-1"],
         &["--devices", "0"],
         &["0"],
+        // A store directory the process cannot create or write to would
+        // otherwise cache nothing and still exit 0.
+        &["8", "--summary", "--no-write", "--store", "/dev/null"],
+        &["8", "--summary", "--no-write", "--store", "/proc/nope"],
+        &["--scaling", "--store", "/dev/null", "--no-write"],
     ] {
         assert_eq!(
             exit_code(env!("CARGO_BIN_EXE_fleet_sim"), args),

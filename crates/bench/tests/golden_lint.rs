@@ -25,6 +25,13 @@ fn lint_document_matches_the_golden_fixture() {
         summary.passes_gate(),
         "the benign scaling catalogue must pass the verify gate"
     );
+    // The per-image reports are claimed across workers from a shared
+    // counter, yet the document keeps the derivation order: any worker
+    // count must render the same bytes.
+    for workers in [1, 3, 8] {
+        let (other, _) = lint_document(&scenario, workers);
+        assert!(other == doc, "{workers} workers diverged from 4 workers");
+    }
 
     let path = fixture_path();
     if std::env::var_os("BLESS_GOLDEN").is_some() {

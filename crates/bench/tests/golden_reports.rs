@@ -14,7 +14,7 @@
 
 use amulet_bench::fleet_sim::render_document;
 use amulet_core::serial::fnv1a64;
-use amulet_fleet::{simulate, FleetScenario, TimeMode};
+use amulet_fleet::{simulate_in, FirmwareStore, FleetScenario, TimeMode};
 
 fn default_fleet(time_mode: TimeMode) -> FleetScenario {
     FleetScenario {
@@ -27,7 +27,7 @@ fn default_fleet(time_mode: TimeMode) -> FleetScenario {
 
 fn check(label: &str, scenario: &FleetScenario, pinned: u64) {
     for workers in [1, 3] {
-        let report = simulate(scenario, workers);
+        let report = simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario));
         let doc = render_document(
             &report.scenario,
             report.workers,

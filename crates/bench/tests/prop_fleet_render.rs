@@ -5,8 +5,12 @@
 //! any byte they could leak into an arrival-order report is a regression.
 
 use amulet_bench::fleet_sim::render_json;
-use amulet_fleet::{simulate, FleetScenario, TimeMode};
+use amulet_fleet::{simulate_in, FirmwareStore, FleetReport, FleetScenario, TimeMode};
 use proptest::prelude::*;
+
+fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
+    simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+}
 
 proptest! {
     // Each case runs a few small fleets end to end; keep the count low.
@@ -24,11 +28,11 @@ proptest! {
             events_per_device: 10,
             ..FleetScenario::default()
         };
-        let plain = render_json(&simulate(&base, 2), None);
+        let plain = render_json(&run(&base, 2), None);
         // The LPM override is a stepped-only knob: arrival-order rendering
         // must not change by a single byte when it is set.
         let with_knob = render_json(
-            &simulate(
+            &run(
                 &FleetScenario {
                     lpm_current_override_na: Some(lpm_na),
                     ..base.clone()
@@ -52,7 +56,7 @@ proptest! {
         // The identical scenario in stepped mode renders a superset: the
         // shared prefix of fields carries the same scenario numbers.
         let stepped = render_json(
-            &simulate(
+            &run(
                 &FleetScenario {
                     time_mode: TimeMode::Stepped,
                     ..base

@@ -28,31 +28,27 @@
 //! Determinism is a hard guarantee: the report (aggregates included) is a
 //! pure function of the scenario, regardless of worker count or machine.
 //!
-//! Every run, in either time mode, goes through the **discrete-event
-//! wake calendar** (`calendar` module); an arrival-order report is the
-//! stepped replay rendered without its clock fields.  Devices are sharded
-//! into fixed 1024-device blocks (the fold grid — fixed because each
-//! block's f64 partial sums must associate identically for any worker
-//! count), workers claim contiguous slices of those blocks from a shared
-//! counter (so even a fleet smaller than one block runs on every worker),
-//! each slice's devices wake in next-event order, silent devices are
-//! served from a provably-sound per-config outcome cache, and each block
-//! is folded once its last slice lands, merging in block order — which is
-//! how 10⁵–10⁶-device campaigns stay tractable.  [`replay_device`]
-//! replays one device on a fresh runtime with nothing shared — the
-//! property-tested oracle the calendar must match bit for bit — and
-//! [`simulate_summary`] runs whole campaigns without materialising
-//! per-device results (streaming aggregation, bounded memory).
+//! Every run, in either time mode, goes through one runner, the **config
+//! partition** (`partition` module; DESIGN.md §4): fixed 1024-device fold
+//! blocks, worker-claimed slices, devices grouped by firmware key on one
+//! reused runtime per group, and a provably-sound silent-device cache —
+//! which is how 10⁵–10⁶-device campaigns stay tractable.  An
+//! arrival-order report is the stepped replay rendered without its clock
+//! fields.  [`replay_device`] replays one device on a fresh runtime with
+//! nothing shared — the property-tested oracle the runner must match bit
+//! for bit.  [`simulate_in`] materialises every device's result and
+//! [`simulate_summary_in`] streams block summaries in bounded memory;
+//! both draw firmware through a caller-held [`FirmwareStore`].
 //!
 //! ```
-//! use amulet_fleet::{simulate, FleetScenario};
+//! use amulet_fleet::{simulate_in, FirmwareStore, FleetScenario};
 //!
 //! let scenario = FleetScenario {
 //!     devices: 6,
 //!     events_per_device: 20,
 //!     ..FleetScenario::default()
 //! };
-//! let report = simulate(&scenario, 2);
+//! let report = simulate_in(&scenario, 2, &FirmwareStore::for_scenario(&scenario));
 //! assert_eq!(report.aggregate.devices, 6);
 //! // Batching never does *more* switch work than per-event delivery.
 //! assert!(
@@ -64,8 +60,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 pub mod faults;
+mod partition;
 pub mod run;
 pub mod scenario;
 pub mod stats;
@@ -73,9 +69,8 @@ pub mod store;
 
 pub use faults::{FaultProbe, OtaOutcome, Verdict};
 pub use run::{
-    replay_device, simulate, simulate_in, simulate_summary, simulate_summary_in, verify_fleet,
-    verify_fleet_reports, DeviceResult, FleetReport, FleetSummary, FleetVerifySummary,
-    PolicyOutcome,
+    replay_device, simulate_in, simulate_summary_in, verify_fleet, verify_fleet_reports,
+    DeviceResult, FleetReport, FleetSummary, FleetVerifySummary, PolicyOutcome,
 };
 pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{

@@ -1,8 +1,8 @@
 //! The fleet runner's entry points and its one per-device replay.
 //!
-//! Every run goes through the discrete-event wake calendar (the
-//! `calendar` module), which hands each device to one replay: both
-//! delivery legs under the virtual clock.  An arrival-order scenario is a
+//! Every run goes through the config partition (the `partition`
+//! module), which hands each device to one replay: both delivery legs
+//! under the virtual clock.  An arrival-order scenario is a
 //! rendering of that same replay with the clock fields left out.  On top
 //! sit the reductions — the materialised [`FleetReport`], the streaming
 //! [`FleetSummary`] — and [`replay_device`], which replays one device on
@@ -286,7 +286,7 @@ pub(crate) fn device_trace(
     }
 }
 
-/// A [`DeviceResult`] plus the evidence the discrete-event runner's
+/// A [`DeviceResult`] plus the evidence the runner's silent-device
 /// outcome cache needs: how many sensor-model reads the two legs
 /// performed in total.  The sensor seed can only influence a run through
 /// a read (every sensor-backed syscall advances the model), so
@@ -446,33 +446,6 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
     })
 }
 
-/// Fans `items` out across up to `workers` scoped threads in contiguous
-/// chunks and concatenates each chunk's results in chunk order — how
-/// [`verify_fleet_reports`] spreads its AFT builds.  `f` must be a pure
-/// function of its chunk for the result to be independent of the worker
-/// count.
-fn par_map_chunks<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let workers = workers.max(1).min(items.len().max(1));
-    let chunk = items.len().div_ceil(workers).max(1);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in items.chunks(chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || f(part)));
-        }
-        for h in handles {
-            out.extend(h.join().expect("fleet worker panicked"));
-        }
-    });
-    out
-}
-
 /// A runtime booted from device `cfg`'s firmware image, drawn through
 /// `store` under `key` (the config's [`DeviceConfig::firmware_key`]).
 pub(crate) fn boot_runtime(store: &FirmwareStore, key: &str, cfg: &DeviceConfig) -> AmuletOs {
@@ -490,9 +463,9 @@ pub(crate) fn boot_runtime(store: &FirmwareStore, key: &str, cfg: &DeviceConfig)
 /// booted from the device's image, the device's trace, both delivery
 /// legs.  No runtime is reused and no silent outcome is shared, so this
 /// is the plain "(scenario, index)" contract every fleet run must agree
-/// with — the calendar's runtime reuse and silent cache are optimisations
-/// over mapping this function across the fleet, and the test suite holds
-/// them to it bit for bit.
+/// with — the partition's runtime reuse and silent cache are
+/// optimisations over mapping this function across the fleet, and the
+/// test suite holds them to it bit for bit.
 pub fn replay_device(
     scenario: &FleetScenario,
     index: usize,
@@ -504,25 +477,18 @@ pub fn replay_device(
     simulate_device(scenario, &cfg, &mut os, &trace).result
 }
 
-/// Runs the whole scenario on `workers` threads.
+/// Runs the whole scenario on `workers` threads, drawing firmware
+/// images through `store` (a pure cache: its hit/build statistics stay
+/// readable by the caller afterwards).
 ///
 /// Determinism guarantee: every field of the returned [`FleetReport`]
-/// except `workers` is a pure function of the scenario.
-///
-/// Both time modes run the discrete-event wake calendar, which skips the
-/// devices that are asleep — the fleet's dominant state — and produces
-/// the same `DeviceResult`s, bit for bit, as mapping [`replay_device`]
-/// over every index (the oracle property tests pin this).
-pub fn simulate(scenario: &FleetScenario, workers: usize) -> FleetReport {
-    let store = FirmwareStore::for_scenario(scenario);
-    simulate_in(scenario, workers, &store)
-}
-
-/// [`simulate`] against a caller-held [`FirmwareStore`] — identical
-/// results (the store is a pure cache), with the store's hit/build
-/// statistics left readable by the caller afterwards.
+/// except `workers` is a pure function of the scenario — the same
+/// `DeviceResult`s, bit for bit, as mapping [`replay_device`] over every
+/// index (the oracle property tests pin this).
 pub fn simulate_in(scenario: &FleetScenario, workers: usize, store: &FirmwareStore) -> FleetReport {
-    let (devices, threads) = crate::calendar::simulate_devices_in(scenario, workers, store);
+    let (blocks, threads) =
+        crate::partition::collect_blocks_in(scenario, workers, store, |results| results);
+    let devices: Vec<DeviceResult> = blocks.into_iter().flatten().collect();
     let aggregate = aggregate(&devices);
     FleetReport {
         scenario: scenario.clone(),
@@ -547,29 +513,23 @@ pub struct FleetSummary {
     pub aggregate: FleetAggregate,
 }
 
-/// Runs the whole scenario on `workers` threads through the
-/// discrete-event calendar and streaming aggregation, materialising block
-/// summaries instead of per-device results.  Works in both time modes.
+/// Runs the whole scenario on `workers` threads through streaming
+/// aggregation, materialising block summaries instead of per-device
+/// results, and drawing firmware through `store` (see [`simulate_in`]).
+/// Works in both time modes.
 ///
-/// For fleets that fit one scheduling block (and whose latency-sample
-/// count fits the sketch) the aggregate is identical to
-/// [`simulate`]'s; beyond that, delivery-latency mean/p50/p99 become
-/// deterministic uniform-sample estimates (see
-/// [`crate::stats::BlockSummary`]) while every other field stays exact.
-pub fn simulate_summary(scenario: &FleetScenario, workers: usize) -> FleetSummary {
-    let store = FirmwareStore::for_scenario(scenario);
-    simulate_summary_in(scenario, workers, &store)
-}
-
-/// [`simulate_summary`] against a caller-held [`FirmwareStore`] (see
-/// [`simulate_in`]).
+/// For fleets that fit one fold block (and whose latency-sample count
+/// fits the sketch) the aggregate is identical to [`simulate_in`]'s;
+/// beyond that, delivery-latency mean/p50/p99 become deterministic
+/// uniform-sample estimates (see [`crate::stats::BlockSummary`]) while
+/// every other field stays exact.
 pub fn simulate_summary_in(
     scenario: &FleetScenario,
     workers: usize,
     store: &FirmwareStore,
 ) -> FleetSummary {
     let (blocks, threads) =
-        crate::calendar::collect_blocks_in(scenario, workers, store, |_, devices| {
+        crate::partition::collect_blocks_in(scenario, workers, store, |devices| {
             crate::stats::BlockSummary::from_devices(&devices)
         });
     FleetSummary {
@@ -648,7 +608,7 @@ impl FleetVerifySummary {
 }
 
 /// Statically verifies every distinct firmware image `scenario` would
-/// deploy, fanning the builds out across `workers` threads, and reduces
+/// deploy, claiming the builds across `workers` threads, and reduces
 /// the per-image [`VerifyReport`]s into one [`FleetVerifySummary`] in
 /// derivation order.
 ///
@@ -681,19 +641,28 @@ pub fn verify_fleet_reports(
             distinct.push((key, cfg));
         }
     }
-    par_map_chunks(&distinct, workers, |part| {
-        part.iter()
-            .map(|(key, cfg)| {
-                let report = amulet_verify::verify_build(&aft_build(key, cfg));
-                (key.clone(), report)
-            })
-            .collect()
-    })
+    let (reports, _) = crate::partition::claim_loop(
+        distinct.len(),
+        workers,
+        || (),
+        |_, claim| {
+            let (key, cfg) = &distinct[claim];
+            Some((
+                key.clone(),
+                amulet_verify::verify_build(&aft_build(key, cfg)),
+            ))
+        },
+    );
+    reports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
+        simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+    }
 
     fn small() -> FleetScenario {
         FleetScenario {
@@ -705,7 +674,7 @@ mod tests {
 
     #[test]
     fn a_small_fleet_simulates_and_aggregates() {
-        let report = simulate(&small(), 4);
+        let report = run(&small(), 4);
         assert_eq!(report.devices.len(), 24);
         assert_eq!(report.aggregate.devices, 24);
         for d in &report.devices {
@@ -720,7 +689,7 @@ mod tests {
 
     #[test]
     fn batching_saves_switch_cycles_fleet_wide() {
-        let report = simulate(&small(), 2);
+        let report = run(&small(), 2);
         let per_event = report.aggregate.per_event.switch_cycles;
         let batched = report.aggregate.batched.switch_cycles;
         assert!(
@@ -734,8 +703,8 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_report() {
-        let a = simulate(&small(), 1);
-        let b = simulate(&small(), 8);
+        let a = run(&small(), 1);
+        let b = run(&small(), 8);
         assert_eq!(a.devices, b.devices);
         assert_eq!(a.aggregate, b.aggregate);
     }
@@ -749,7 +718,7 @@ mod tests {
 
     #[test]
     fn stepped_mode_measures_time_idle_energy_and_latency() {
-        let report = simulate(&small_stepped(), 4);
+        let report = run(&small_stepped(), 4);
         for d in &report.devices {
             for o in [&d.per_event, &d.batched] {
                 assert!(o.virtual_seconds > 0.0, "device {}", d.index);
@@ -797,8 +766,8 @@ mod tests {
 
     #[test]
     fn stepped_mode_is_deterministic_across_worker_counts() {
-        let a = simulate(&small_stepped(), 1);
-        let b = simulate(&small_stepped(), 8);
+        let a = run(&small_stepped(), 1);
+        let b = run(&small_stepped(), 8);
         assert_eq!(a.devices, b.devices);
         assert_eq!(a.aggregate, b.aggregate);
     }
@@ -808,8 +777,8 @@ mod tests {
         // The stepped replay delivers the identical schedule; with idling
         // made free it must reproduce the arrival-order energy and cycle
         // numbers exactly, field for field.
-        let arrival = simulate(&small(), 2);
-        let stepped = simulate(
+        let arrival = run(&small(), 2);
+        let stepped = run(
             &FleetScenario {
                 lpm_current_override_na: Some(0),
                 ..small_stepped()

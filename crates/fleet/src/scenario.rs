@@ -71,7 +71,7 @@ pub struct FleetScenario {
     /// (no sensor wore, no subscription fired): a realistic fleet is
     /// mostly idle.  Silent devices still boot, arm their timers and
     /// subscriptions, and pay the final batch flush — they are simulated,
-    /// not skipped — but the discrete-event runner can serve them from a
+    /// not skipped — but the fleet runner can serve them from a
     /// per-config outcome cache when the run provably never samples the
     /// device's seeded sensors.  `0` (the default) reproduces every
     /// historical report byte for byte.
@@ -227,7 +227,7 @@ impl DeviceConfig {
         )
     }
 
-    /// Whether the discrete-event runner may serve this device from the
+    /// Whether the fleet runner may serve this device from the
     /// per-config silent-outcome cache.  The cache is keyed by firmware
     /// key, and two armed devices sharing an image can still differ in
     /// fault kind (every wild write is one app) or OTA seed — so faulted
@@ -398,12 +398,12 @@ impl FleetScenario {
     }
 
     /// The large-N scaling-campaign preset used by the tracked scaling
-    /// bench and the CI discrete-event smoke: a mostly-silent stepped
+    /// bench and the CI 10⁴-device smoke: a mostly-silent stepped
     /// fleet (80 % of devices never see an event) drawn from the
     /// subscription-only window of the catalogue — FallDetection, HR,
     /// HRLog, Pedometer — whose `main` handlers only subscribe, so a
     /// silent device's whole run provably never touches the seeded
-    /// sensors and the discrete-event runner may reuse one simulated
+    /// sensors and the fleet runner may reuse one simulated
     /// outcome per firmware config.
     pub fn scaling(devices: usize) -> Self {
         FleetScenario {

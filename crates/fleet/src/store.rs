@@ -1,8 +1,8 @@
 //! The content-addressable firmware store: a cross-run cache of built
 //! firmware images.
 //!
-//! PR 6's wake calendar made the discrete-event core fast enough that
-//! AFT firmware builds (compile + link + MPU planning) dominate a
+//! Once the fleet runner skips most per-device set-up (runtime reuse,
+//! the silent cache), AFT firmware builds (compile + link + MPU planning) dominate a
 //! campaign's cold start — and they were redone on every process start.
 //! This store persists each distinct image once, keyed by a stable
 //! content address derived from everything that determines the build:
@@ -21,8 +21,8 @@
 //! that fails any of these checks is treated as a miss and rebuilt over;
 //! corruption can cost time, never correctness.
 //!
-//! In memory the store is exactly the process-wide map the calendar
-//! already used: one `Arc<Firmware>` per distinct key, shared by every
+//! In memory the store is exactly the process-wide map the runner
+//! draws from: one `Arc<Firmware>` per distinct key, shared by every
 //! runtime booted for that configuration, with builds performed outside
 //! the lock (a racing duplicate build produces an identical image and is
 //! dropped).  A FIFO eviction bound keeps pathological many-config runs
@@ -151,27 +151,9 @@ impl FirmwareStore {
         store
     }
 
-    /// An on-disk store rooted at `dir`, with the policy label taken from
-    /// `scenario`.
-    pub fn on_disk(dir: &Path, scenario: &FleetScenario) -> Self {
-        let mut store = FirmwareStore::for_scenario(scenario);
-        store.dir = Some(dir.to_path_buf());
-        store
-    }
-
     /// Whether this store persists images to disk.
     pub fn is_persistent(&self) -> bool {
         self.dir.is_some()
-    }
-
-    /// Enables or disables paranoid verification.
-    pub fn set_paranoid(&mut self, paranoid: bool) {
-        self.paranoid = paranoid;
-    }
-
-    /// Sets (or clears) the on-disk byte cap.
-    pub fn set_cap_bytes(&mut self, cap_bytes: Option<u64>) {
-        self.cap_bytes = cap_bytes;
     }
 
     /// The full store key of a firmware configuration key: the firmware
@@ -708,7 +690,7 @@ mod tests {
         // by one byte, the single eviction removes configs[1] — now the
         // least recently used — and leaves the touched configs[0] alone.
         let mut capped = FirmwareStore::for_scenario(&s);
-        capped.set_cap_bytes(Some(size + fourth_len - 1));
+        capped.cap_bytes = Some(size + fourth_len - 1);
         capped.get_or_build(&first3[0].0, &first3[0].1);
         assert_eq!(capped.stats().disk_hits, 1);
         capped.get_or_build(&fourth.0, &fourth.1);
@@ -726,7 +708,7 @@ mod tests {
         // A cap smaller than a single image keeps only the newest file.
         std::fs::remove_file(path_of(&cold, &first3[1].0)).unwrap();
         let mut tiny_cap = FirmwareStore::for_scenario(&s);
-        tiny_cap.set_cap_bytes(Some(1));
+        tiny_cap.cap_bytes = Some(1);
         tiny_cap.get_or_build(&first3[1].0, &first3[1].1);
         let survivors = std::fs::read_dir(&dir)
             .unwrap()

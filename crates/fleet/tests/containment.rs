@@ -13,9 +13,13 @@ use amulet_apps::adversarial::FaultKind;
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::builtin_platforms;
 use amulet_fleet::faults::{attack_payload, classify};
-use amulet_fleet::{simulate_summary, FleetScenario, Verdict};
+use amulet_fleet::{simulate_summary_in, FirmwareStore, FleetScenario, FleetSummary, Verdict};
 use amulet_os::os::{AmuletOs, OsOptions};
 use amulet_os::policy::RestartPolicy;
+
+fn run_summary(scenario: &FleetScenario, workers: usize) -> FleetSummary {
+    simulate_summary_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+}
 
 /// Boots one device carrying a normal neighbour plus `kind`'s adversarial
 /// app and delivers the controlled probe, exactly as the fleet runner
@@ -167,8 +171,8 @@ fn no_isolation_lets_wild_writes_escape() {
 #[test]
 fn storm_report_contains_faults_and_never_bricks_a_device() {
     let scenario = FleetScenario::storm(1000);
-    let a = simulate_summary(&scenario, 1);
-    let b = simulate_summary(&scenario, 8);
+    let a = run_summary(&scenario, 1);
+    let b = run_summary(&scenario, 8);
     assert_eq!(a.aggregate, b.aggregate, "worker count changes nothing");
 
     let agg = &a.aggregate;
@@ -244,8 +248,8 @@ fn check_elision_changes_no_storm_outcome() {
         elide_checks: true,
         ..base.clone()
     };
-    let a = simulate_summary(&base, 4);
-    let b = simulate_summary(&elided, 4);
+    let a = run_summary(&base, 4);
+    let b = run_summary(&elided, 4);
     assert_eq!(a.aggregate, b.aggregate, "elision must be outcome-neutral");
     assert!(
         !a.aggregate.containment.is_empty(),
@@ -289,13 +293,13 @@ fn static_verifier_cross_validates_the_dynamic_matrix() {
 
 #[test]
 fn storm_devices_match_the_oracle() {
-    // The discrete-event calendar and the one-device-at-a-time oracle must
+    // The fleet runner and the one-device-at-a-time oracle must
     // agree on every armed device, probes and OTA outcomes included.
     let scenario = FleetScenario::storm(80);
-    let calendar = amulet_fleet::simulate(&scenario, 4);
+    let fleet = amulet_fleet::simulate_in(&scenario, 4, &FirmwareStore::for_scenario(&scenario));
     let expected = support::oracle(&scenario);
-    assert_eq!(calendar.devices, expected.devices);
-    assert_eq!(calendar.aggregate, expected.aggregate);
-    assert!(calendar.devices.iter().any(|d| d.fault.is_some()));
-    assert!(calendar.devices.iter().any(|d| d.ota.is_some()));
+    assert_eq!(fleet.devices, expected.devices);
+    assert_eq!(fleet.aggregate, expected.aggregate);
+    assert!(fleet.devices.iter().any(|d| d.fault.is_some()));
+    assert!(fleet.devices.iter().any(|d| d.ota.is_some()));
 }

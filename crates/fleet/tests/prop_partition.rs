@@ -1,5 +1,5 @@
-//! Property tests for the discrete-event fleet core: the wake-calendar
-//! runner must be **bit-identical** to the one-device-at-a-time oracle
+//! Property tests for the fleet runner: the config partition must be
+//! **bit-identical** to the one-device-at-a-time oracle
 //! (`support::oracle`, a fresh runtime per device) — the oracle pattern
 //! that made the attribute cache and the NAPOT solver safe — and the
 //! streaming block aggregation must reproduce the exact reduction at
@@ -7,9 +7,20 @@
 
 mod support;
 
-use amulet_fleet::{simulate, simulate_summary, FleetScenario, TimeMode};
+use amulet_fleet::{
+    simulate_in, simulate_summary_in, FirmwareStore, FleetReport, FleetScenario, FleetSummary,
+    TimeMode,
+};
 use proptest::prelude::*;
 use support::oracle;
+
+fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
+    simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+}
+
+fn run_summary(scenario: &FleetScenario, workers: usize) -> FleetSummary {
+    simulate_summary_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+}
 
 fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
     FleetScenario {
@@ -25,15 +36,15 @@ fn stepped(seed: u64, devices: usize, events: usize) -> FleetScenario {
 /// deterministic anchor case (≤64 devices, every profile), checked bit
 /// for bit against the oracle.
 #[test]
-fn calendar_matches_the_oracle_on_all_five_platforms() {
+fn runner_matches_the_oracle_on_all_five_platforms() {
     let sc = stepped(FleetScenario::default().seed, 64, 20);
-    let des = simulate(&sc, 4);
+    let fleet = run(&sc, 4);
     let expected = oracle(&sc);
     let platforms: std::collections::BTreeSet<_> =
-        des.devices.iter().map(|d| d.platform.clone()).collect();
+        fleet.devices.iter().map(|d| d.platform.clone()).collect();
     assert_eq!(platforms.len(), 5, "64 devices span all five profiles");
-    assert_eq!(des.devices, expected.devices);
-    assert_eq!(des.aggregate, expected.aggregate);
+    assert_eq!(fleet.devices, expected.devices);
+    assert_eq!(fleet.aggregate, expected.aggregate);
 }
 
 /// A fleet smaller than one block is sliced across every worker: each
@@ -51,10 +62,10 @@ fn sub_block_fleet_sliced_across_workers_matches_the_oracle() {
     );
     let expected = oracle(&sc);
     for workers in [1, 2, 3, 7] {
-        let des = simulate(&sc, workers);
-        assert_eq!(des.workers, workers, "every worker gets a slice");
-        assert_eq!(des.devices, expected.devices, "{workers} workers");
-        assert_eq!(des.aggregate, expected.aggregate, "{workers} workers");
+        let fleet = run(&sc, workers);
+        assert_eq!(fleet.workers, workers, "every worker gets a slice");
+        assert_eq!(fleet.devices, expected.devices, "{workers} workers");
+        assert_eq!(fleet.aggregate, expected.aggregate, "{workers} workers");
     }
 }
 
@@ -64,13 +75,44 @@ fn sub_block_fleet_sliced_across_workers_matches_the_oracle() {
 #[test]
 fn multi_block_summary_is_worker_count_free() {
     let sc = FleetScenario::scaling(2600);
-    let serial = simulate_summary(&sc, 1);
+    let serial = run_summary(&sc, 1);
     assert_eq!(serial.workers, 1);
     for workers in [2, 3, 8] {
-        let parallel = simulate_summary(&sc, workers);
+        let parallel = run_summary(&sc, workers);
         assert_eq!(parallel.workers, workers, "every worker gets a slice");
         assert_eq!(parallel.aggregate, serial.aggregate, "{workers} workers");
     }
+}
+
+/// Grouping by firmware key is what amortises runtime boots: each boot
+/// draws its image from the store once, so a one-worker run over two fold
+/// blocks looks up at most one image per distinct key per block — far
+/// fewer than one per device.
+#[test]
+fn grouping_boots_once_per_config_per_block() {
+    let sc = FleetScenario::scaling(2048);
+    let store = FirmwareStore::for_scenario(&sc);
+    simulate_in(&sc, 1, &store);
+    let stats = store.stats();
+    let lookups = stats.hits + stats.misses;
+    let keys_per_block: u64 = (0..sc.devices)
+        .step_by(1024)
+        .map(|lo| {
+            (lo..sc.devices.min(lo + 1024))
+                .map(|i| sc.device_config(i).firmware_key())
+                .collect::<std::collections::BTreeSet<_>>()
+                .len() as u64
+        })
+        .sum();
+    assert!(
+        lookups <= keys_per_block,
+        "{lookups} store lookups for {keys_per_block} per-block configs"
+    );
+    assert!(
+        lookups * 4 <= sc.devices as u64,
+        "{lookups} store lookups for {} devices",
+        sc.devices
+    );
 }
 
 /// Truncation semantics: a per-event leg never defers deliveries past the
@@ -78,7 +120,7 @@ fn multi_block_summary_is_worker_count_free() {
 /// events are excluded from the latency population.
 #[test]
 fn truncated_events_only_appear_on_the_batched_leg() {
-    let report = simulate(&stepped(0xF1EE7, 48, 16), 2);
+    let report = run(&stepped(0xF1EE7, 48, 16), 2);
     let mut batched_truncations = 0;
     for d in &report.devices {
         assert_eq!(
@@ -113,11 +155,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The core oracle: for any seed, size, time mode and knob setting —
-    /// silent devices and catalogue windows included — the discrete-event
+    /// silent devices and catalogue windows included — the partition
     /// runner produces the same `DeviceResult`s, bit for bit, as replaying
     /// every device on its own.
     #[test]
-    fn calendar_is_bit_identical_to_the_oracle(
+    fn runner_is_bit_identical_to_the_oracle(
         seed in 0u64..1_000_000,
         devices in 3usize..32,
         events in 4usize..16,
@@ -135,10 +177,10 @@ proptest! {
             },
             ..stepped(seed, devices, events)
         };
-        let des = simulate(&sc, 3);
+        let fleet = run(&sc, 3);
         let expected = oracle(&sc);
-        prop_assert_eq!(des.devices, expected.devices);
-        prop_assert_eq!(des.aggregate, expected.aggregate);
+        prop_assert_eq!(fleet.devices, expected.devices);
+        prop_assert_eq!(fleet.aggregate, expected.aggregate);
     }
 
     /// The streaming reduction: block summaries folded on the workers
@@ -161,8 +203,8 @@ proptest! {
             silent_permille: 250,
             ..stepped(seed, devices, 12)
         };
-        let exact = simulate(&sc, 2);
-        let summary = simulate_summary(&sc, workers);
+        let exact = run(&sc, 2);
+        let summary = run_summary(&sc, workers);
         prop_assert_eq!(summary.aggregate, exact.aggregate);
         prop_assert_eq!(summary.scenario, sc);
     }

@@ -5,8 +5,12 @@
 //! arrival-order run exactly — for any scenario seed, fleet size and
 //! batching parameters.
 
-use amulet_fleet::{simulate, FleetScenario, TimeMode};
+use amulet_fleet::{simulate_in, FirmwareStore, FleetReport, FleetScenario, TimeMode};
 use proptest::prelude::*;
+
+fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
+    simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+}
 
 fn scenario(seed: u64, devices: usize, events: usize, max_batch: usize) -> FleetScenario {
     FleetScenario {
@@ -30,8 +34,8 @@ proptest! {
         events in 8usize..24,
         max_batch in 2usize..10,
     ) {
-        let arrival = simulate(&scenario(seed, devices, events, max_batch), 2);
-        let stepped = simulate(
+        let arrival = run(&scenario(seed, devices, events, max_batch), 2);
+        let stepped = run(
             &FleetScenario {
                 time_mode: TimeMode::Stepped,
                 lpm_current_override_na: Some(0),
@@ -96,8 +100,8 @@ proptest! {
             time_mode: TimeMode::Stepped,
             ..scenario(seed, devices, 12, 4)
         };
-        let serial = simulate(&sc, 1);
-        let parallel = simulate(&sc, 8);
+        let serial = run(&sc, 1);
+        let parallel = run(&sc, 8);
         prop_assert_eq!(serial.devices, parallel.devices);
         prop_assert_eq!(serial.aggregate, parallel.aggregate);
     }

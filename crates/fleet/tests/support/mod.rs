@@ -4,7 +4,7 @@
 //! correct fleet run maps [`replay_device`] over every index — a fresh
 //! runtime per device, no runtime reuse, no silent-outcome cache, one
 //! thread — and reduces the results with the same `stats::aggregate` the
-//! runner uses.  The calendar must reproduce this bit for bit.
+//! runner uses.  The runner must reproduce this bit for bit.
 
 use amulet_fleet::stats::aggregate;
 use amulet_fleet::{replay_device, FirmwareStore, FleetReport, FleetScenario};
