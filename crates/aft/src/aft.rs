@@ -88,7 +88,7 @@ pub struct AppReport {
     /// Compiler-inserted checks by kind.
     pub inserted_checks: BTreeMap<String, u32>,
     /// Every inserted check sequence at its final absolute address (the
-    /// static verifier's elision input).
+    /// static verifier's redundancy input).
     pub check_sites: Vec<amulet_core::checks::CheckSite>,
 }
 

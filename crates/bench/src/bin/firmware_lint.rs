@@ -12,7 +12,8 @@
 //!
 //! Exit codes: 0 when every image passes the verify gate (no reachable
 //! access proven to escape its isolation plan), 1 when any image fails
-//! the gate, 2 on a usage error.  CI runs the benign scaling catalogue
+//! the gate, 2 on a usage error (an empty fleet, `--devices 0`, is one:
+//! it would pass the gate on nothing).  CI runs the benign scaling catalogue
 //! and requires exit 0; the document itself is pinned by a golden
 //! fixture (`BLESS_GOLDEN=1` re-blesses it after a reviewed verifier
 //! change).
@@ -55,6 +56,10 @@ fn main() {
         }
     }
     let n = devices.unwrap_or(1000);
+    if n == 0 {
+        // Zero images would pass the gate on nothing.
+        fail("--devices must be at least 1");
+    }
     let mut scenario = match preset.as_str() {
         "scaling" => FleetScenario::scaling(n),
         "storm" => FleetScenario::storm(n),

@@ -126,12 +126,9 @@ pub fn render_document_with(
             .field("ota_corrupt_permille", u64::from(s.ota_corrupt_permille))
             .field("ota_max_retries", u64::from(s.ota_max_retries));
     }
-    // Static-verification knobs, same armed-only rule.
+    // Static-verification knob, same armed-only rule.
     if s.verify {
         scenario = scenario.field("verify", Json::Bool(true));
-    }
-    if s.elide_checks {
-        scenario = scenario.field("elide_checks", Json::Bool(true));
     }
 
     let policy = |p: &amulet_fleet::PolicyAggregate| {
@@ -438,7 +435,6 @@ mod tests {
     fn verifier_knobs_and_section_render_only_when_armed() {
         let scenario = FleetScenario {
             verify: true,
-            elide_checks: true,
             ..tiny()
         };
         let report = run(&scenario, 2);
@@ -454,7 +450,6 @@ mod tests {
         );
         for needle in [
             "\"verify\": true",
-            "\"elide_checks\": true",
             "\"verifier\"",
             "\"passes_gate\": true",
             "\"proven_escape\": 0",

@@ -15,9 +15,6 @@
 //!   built-in platform profile, as JSON;
 //! * [`fleet_sim`] — the fleet-scale study: ≥ 1000 seeded devices in
 //!   parallel, with the per-event vs batched delivery comparison, as JSON;
-//! * [`hotpath`] — the simulator's own throughput (instructions/second with
-//!   the bus attribute cache on vs off, fleet devices/second vs the
-//!   recorded pre-optimisation baseline), as JSON;
 //! * [`lint`] — the `firmware_lint` static-verification document: every
 //!   distinct image of a fleet scenario run through `amulet-verify`, as a
 //!   deterministic text report CI pins with a golden fixture.
@@ -25,17 +22,19 @@
 //! Each module exposes a pure function returning structured rows plus a
 //! `render` helper; the `table1`, `fig2`, `fig3`, `ablation_stacks`,
 //! `ablation_advanced_mpu`, `platform_compare` and `fleet_sim` binaries
-//! print them, and the Criterion benches wrap the same entry points.  JSON
-//! output goes through the shared [`json`] writer.
+//! print them, and the Criterion benches wrap the same entry points.  The
+//! paper-figure binaries share one command-line parser, [`cli`].  JSON
+//! output goes through the shared [`json`] writer.  The simulator's own
+//! throughput is measured by the separate `perfbench` harness, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod cli;
 pub mod fig2;
 pub mod fig3;
 pub mod fleet_sim;
-pub mod hotpath;
 pub mod json;
 pub mod lint;
 pub mod platform_compare;

@@ -54,9 +54,13 @@ pub fn paper_values(method: IsolationMethod) -> (u64, u64) {
 ///
 /// `rounds` controls how long each measured run is (the paper uses 200
 /// iterations; the differencing below makes the result insensitive to the
-/// exact value beyond a handful of rounds).
+/// exact value beyond a handful of rounds).  It must be at least 2: a
+/// cost is the difference of a `rounds`-round and a 1-round run.
 pub fn measure(rounds: u16) -> Vec<Table1Row> {
-    let rounds = rounds.max(2);
+    assert!(
+        rounds >= 2,
+        "Table 1 differences a long run against a 1-round run"
+    );
     let synthetic = amulet_apps::synthetic();
     let mut rows = Vec::new();
     for method in IsolationMethod::ALL {

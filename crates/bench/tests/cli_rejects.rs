@@ -32,6 +32,8 @@ fn fleet_sim_rejects_out_of_range_values() {
         &["8", "--summary", "--no-write", "--store", "/dev/null"],
         &["8", "--summary", "--no-write", "--store", "/proc/nope"],
         &["--scaling", "--store", "/dev/null", "--no-write"],
+        // Check elision is gone: its flag is now an unknown flag.
+        &["--elide-checks"],
     ] {
         assert_eq!(
             exit_code(env!("CARGO_BIN_EXE_fleet_sim"), args),
@@ -41,37 +43,42 @@ fn fleet_sim_rejects_out_of_range_values() {
     }
 }
 
+/// An empty fleet would pass the verify gate on nothing, and CI reads
+/// exit 0 as "zero proven escapes".
 #[test]
-fn hotpath_rejects_unparsable_and_surplus_arguments() {
-    for args in [
-        &["1000", "8", "10", "1", "2", "150"][..],
-        &["1000", "eight"],
-        &["-5"],
-    ] {
+fn firmware_lint_rejects_an_empty_fleet() {
+    for args in [&["--devices", "0"][..], &["--devices", "-1"]] {
         assert_eq!(
-            exit_code(env!("CARGO_BIN_EXE_hotpath"), args),
+            exit_code(env!("CARGO_BIN_EXE_firmware_lint"), args),
             Some(2),
-            "hotpath {args:?}"
+            "firmware_lint {args:?}"
         );
     }
 }
 
-/// A zero count of instructions, fleet devices, fleet workers or elision
-/// rounds leaves nothing to measure, so `hotpath` would print a rate for
-/// an empty population.  (Zero fleet events stays valid: devices boot.)
+/// The paper-figure binaries take one optional count (none for `fig2`
+/// and `platform_compare`): an unparsable, out-of-range or zero count
+/// (below 2 for `table1`) or a surplus argument would otherwise print a
+/// figure measured from a count nobody asked for, or from zero runs.
 #[test]
-fn hotpath_rejects_zero_counts() {
-    for args in [
-        &["0", "10", "10", "1", "1"][..],
-        &["1000", "0", "10", "1", "1"],
-        &["1000", "10", "10", "0", "1"],
-        &["1000", "10", "10", "1", "0"],
-        &["0"],
-    ] {
-        assert_eq!(
-            exit_code(env!("CARGO_BIN_EXE_hotpath"), args),
-            Some(2),
-            "hotpath {args:?}"
-        );
+fn paper_figure_bins_reject_bad_counts_and_surplus_arguments() {
+    let cases: [(&str, &[&str]); 14] = [
+        (env!("CARGO_BIN_EXE_table1"), &["abc"]),
+        (env!("CARGO_BIN_EXE_table1"), &["70000"]),
+        (env!("CARGO_BIN_EXE_table1"), &["1"]),
+        (env!("CARGO_BIN_EXE_table1"), &["0"]),
+        (env!("CARGO_BIN_EXE_table1"), &["50", "50"]),
+        (env!("CARGO_BIN_EXE_fig3"), &["0"]),
+        (env!("CARGO_BIN_EXE_fig3"), &["-5"]),
+        (env!("CARGO_BIN_EXE_ablation_stacks"), &["0"]),
+        (env!("CARGO_BIN_EXE_ablation_stacks"), &["4294967296"]),
+        (env!("CARGO_BIN_EXE_ablation_advanced_mpu"), &["70000"]),
+        (env!("CARGO_BIN_EXE_ablation_advanced_mpu"), &["0"]),
+        (env!("CARGO_BIN_EXE_ablation_advanced_mpu"), &["5", "x"]),
+        (env!("CARGO_BIN_EXE_fig2"), &["x"]),
+        (env!("CARGO_BIN_EXE_platform_compare"), &["x"]),
+    ];
+    for (bin, args) in cases {
+        assert_eq!(exit_code(bin, args), Some(2), "{bin} {args:?}");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The lint document is a pure function of the scenario, so this test can
 //! pin it byte for byte: any change to the verifier's verdicts on the
-//! committed catalogue — a new finding, a lost elision, a verdict flip —
-//! shows up as a fixture diff that must be reviewed and re-blessed
-//! deliberately, never silently.
+//! committed catalogue — a new finding, a lost redundant check, a
+//! verdict flip — shows up as a fixture diff that must be reviewed and
+//! re-blessed deliberately, never silently.
 //!
 //! To re-bless after an intentional verifier change:
 //! `BLESS_GOLDEN=1 cargo test -p amulet-bench --test golden_lint`

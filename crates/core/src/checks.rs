@@ -91,16 +91,13 @@ impl CheckKind {
 }
 
 impl CheckKind {
-    /// Whether the static verifier may elide this check when the guarded
-    /// access is proven in-bounds.
+    /// Whether the static verifier reports this check as redundant (a
+    /// lint finding) when the guarded access is proven in-bounds.
     ///
     /// Only the four *bound* checks qualify: each is a self-contained
     /// `CmpImm` + `Jcc` pair whose compare immediate **is** the linked
-    /// bound, whose flags are dead past the branch (the compiler always
-    /// re-materialises a compare before every branch), and whose
-    /// fall-through cost is flat — so the pair can be replaced by a
-    /// same-size, same-cycles placeholder without disturbing anything.
-    /// The return-address check is excluded because its cycle cost is
+    /// bound, so the verifier can read the bound straight off the image.
+    /// The return-address check is excluded because its shape is
     /// path-dependent (cheap sentinel exit vs full two-sided compare), and
     /// the array-bounds check because its bound lives in a runtime array
     /// descriptor, not in the instruction stream.
@@ -113,27 +110,14 @@ impl CheckKind {
                 | CheckKind::FunctionPointerUpper
         )
     }
-
-    /// Encoded size, in 16-bit code words, of an elidable check's
-    /// `CmpImm` + `Jcc` pair (two 2-word instructions).
-    pub fn elidable_pair_words(&self) -> Option<u32> {
-        self.is_elidable().then_some(4)
-    }
-
-    /// Fall-through cycle cost of an elidable check's `CmpImm` (2) +
-    /// not-taken `Jcc` (2) pair — what the placeholder must keep charging
-    /// for the elided image to stay cycle-identical.
-    pub fn elidable_pair_cycles(&self) -> Option<u64> {
-        self.is_elidable().then_some(4)
-    }
 }
 
 /// One compiler-inserted check sequence, located in the linked image.
 ///
 /// The AFT records a `CheckSite` for every check it emits; the linker
 /// rebases the address.  The static verifier consumes these to decide,
-/// per site, whether the guarded branch can ever be taken — and the
-/// elision pass rewrites provably-redundant sites into placeholders.
+/// per site, whether the guarded branch can ever be taken, and report
+/// the provably-redundant sites as lint findings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CheckSite {
     /// Which check this site implements.
@@ -464,11 +448,8 @@ mod tests {
                 !matches!(k, CheckKind::ArrayBounds | CheckKind::ReturnAddress),
                 "{k}"
             );
-            assert_eq!(k.elidable_pair_words().is_some(), elidable);
             if elidable {
-                // Two 2-word instructions, each 2 cycles on fall-through.
-                assert_eq!(k.elidable_pair_words(), Some(4));
-                assert_eq!(k.elidable_pair_cycles(), Some(4));
+                // A `CmpImm` + `Jcc` pair the verifier can read the bound off.
                 assert_eq!(k.instruction_count(), 2);
             }
         }

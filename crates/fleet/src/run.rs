@@ -424,12 +424,10 @@ fn aft_build(key: &str, cfg: &DeviceConfig) -> BuildOutput {
         .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"))
 }
 
-/// Builds one device configuration's firmware image, applying the
-/// scenario's static-verification knobs: with [`DeviceConfig::verify`]
-/// the amulet-verify gate must certify the build free of proven-escape
-/// accesses before the image may enter the fleet, and with
-/// [`DeviceConfig::elide`] the image is rewritten through check elision
-/// (redundant software checks replaced by cycle-neutral fillers).
+/// Builds one device configuration's firmware image.  With
+/// [`DeviceConfig::verify`] the amulet-verify gate must certify the
+/// build free of proven-escape accesses before the image may enter the
+/// fleet.
 pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
     let out = aft_build(key, cfg);
     if cfg.verify {
@@ -439,11 +437,7 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
             "fleet verify gate refused firmware {key}:\n{report}"
         );
     }
-    Arc::new(if cfg.elide {
-        amulet_verify::elide_checks(&out).firmware
-    } else {
-        out.firmware
-    })
+    Arc::new(out.firmware)
 }
 
 /// A runtime booted from device `cfg`'s firmware image, drawn through
@@ -558,9 +552,9 @@ pub struct FleetVerifySummary {
     pub proven_escape: usize,
     /// Reachable memory accesses the abstract domain cannot decide.
     pub unknown: usize,
-    /// Software bound checks certified redundant (elidable).
+    /// Software bound checks certified redundant (lint findings).
     pub elidable_sites: usize,
-    /// Software bound checks considered for elision.
+    /// Software bound checks the redundancy lint considered.
     pub elidable_candidates: usize,
     /// Firmware keys whose report failed [`VerifyReport::passes_gate`],
     /// in derivation order.
@@ -610,11 +604,8 @@ impl FleetVerifySummary {
 /// Statically verifies every distinct firmware image `scenario` would
 /// deploy, claiming the builds across `workers` threads, and reduces
 /// the per-image [`VerifyReport`]s into one [`FleetVerifySummary`] in
-/// derivation order.
-///
-/// Verification always runs on the *unelided* build — elision is itself
-/// justified by this analysis, so the gate must judge the image the
-/// compiler emitted, not the image the verifier rewrote.
+/// derivation order.  The gate judges exactly the image the compiler
+/// emitted, which is the image the fleet deploys.
 ///
 /// [`VerifyReport`]: amulet_verify::VerifyReport
 pub fn verify_fleet(scenario: &FleetScenario, workers: usize) -> FleetVerifySummary {

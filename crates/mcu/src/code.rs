@@ -44,7 +44,7 @@ impl InstrMeta {
 
     /// Computes the metadata for an instruction.
     fn of(instr: &Instr) -> InstrMeta {
-        let size = instr.size_bytes() as u16; // 2 or 4; up to 8 for elided pairs
+        let size = instr.size_bytes() as u16; // 2 or 4
         let cycles = instr.base_cycles() as u16; // ≤ 17 today
         let touches = instr.touches_data_memory() as u16;
         debug_assert!(

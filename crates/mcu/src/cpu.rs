@@ -527,11 +527,6 @@ impl Cpu {
                 return Flow::Stop(StepEvent::Halted);
             }
             Instr::Nop => {}
-            // A verifier-elided check sequence: the branch it replaced was
-            // proven never-taken, so execution simply falls through.  Size
-            // and cycle cost are carried by the instruction metadata, which
-            // `run_block` has already charged by the time we get here.
-            Instr::Elided { .. } => {}
         }
 
         Flow::Next(new_pc)

@@ -344,19 +344,6 @@ pub enum Instr {
     Halt,
     /// Do nothing for one cycle.
     Nop,
-    /// Placeholder left where the static verifier removed a
-    /// provably-redundant check sequence (a `CmpImm`+`Jcc` pair whose branch
-    /// can never be taken).  It occupies the pair's encoded `words` so every
-    /// surrounding address stays put, and charges the pair's fall-through
-    /// `cycles` so the elided image is cycle-for-cycle identical to the
-    /// unelided one — the saving is host work (one dispatch instead of two),
-    /// not simulated time.
-    Elided {
-        /// Encoded size of the replaced sequence in 16-bit words.
-        words: u8,
-        /// Fall-through cycle cost of the replaced sequence.
-        cycles: u8,
-    },
 }
 
 impl Instr {
@@ -388,7 +375,6 @@ impl Instr {
             | Instr::Jmp { .. }
             | Instr::Jcc { .. }
             | Instr::Call { .. } => 2,
-            Instr::Elided { words, .. } => u32::from(*words),
         }
     }
 
@@ -421,7 +407,6 @@ impl Instr {
             Instr::Syscall { .. } => 2,
             Instr::Fault { .. } => 2,
             Instr::Halt => 1,
-            Instr::Elided { cycles, .. } => u64::from(*cycles),
         }
     }
 
@@ -488,9 +473,6 @@ impl fmt::Display for Instr {
             Instr::Fault { code } => write!(f, "fault #{code}"),
             Instr::Halt => write!(f, "halt"),
             Instr::Nop => write!(f, "nop"),
-            Instr::Elided { words, cycles } => {
-                write!(f, "elided {words}w/{cycles}c")
-            }
         }
     }
 }
@@ -592,22 +574,6 @@ mod tests {
         .touches_data_memory());
         assert!(!Instr::Jmp { target: 0 }.touches_data_memory());
         assert!(!Instr::Syscall { num: 1 }.touches_data_memory());
-    }
-
-    #[test]
-    fn elided_placeholder_preserves_layout_and_cycles() {
-        // An elided bound check replaces `cmp #imm, rN` (2 words, 2 cycles)
-        // + `jcc` (2 words, 2 cycles fall-through): the placeholder must
-        // report exactly the pair's size and cost, and must not count as a
-        // data-memory access.
-        let e = Instr::Elided {
-            words: 4,
-            cycles: 4,
-        };
-        assert_eq!(e.size_words(), 4);
-        assert_eq!(e.base_cycles(), 4);
-        assert!(!e.touches_data_memory());
-        assert_eq!(e.to_string(), "elided 4w/4c");
     }
 
     #[test]

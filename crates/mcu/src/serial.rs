@@ -284,11 +284,6 @@ impl Codec for Instr {
             }
             Instr::Halt => w.u8(21),
             Instr::Nop => w.u8(22),
-            Instr::Elided { words, cycles } => {
-                w.u8(23);
-                w.u8(*words);
-                w.u8(*cycles);
-            }
         }
     }
 
@@ -377,10 +372,6 @@ impl Codec for Instr {
             },
             21 => Instr::Halt,
             22 => Instr::Nop,
-            23 => Instr::Elided {
-                words: r.u8("elided words")?,
-                cycles: r.u8("elided cycles")?,
-            },
             tag => {
                 return Err(DecodeError::BadTag {
                     what: "instruction opcode",

@@ -9,9 +9,9 @@
 //! profile.
 //!
 //! Programs are the shapes the AFT compiler emits (double bounds checks,
-//! add-then-check strides, frame prologues/epilogues, adjacent elision
-//! placeholders) interleaved with arbitrary straight-line code, wild
-//! branches, memory traffic and syscalls.
+//! add-then-check strides, frame prologues/epilogues) interleaved with
+//! arbitrary straight-line code, wild branches, memory traffic and
+//! syscalls.
 //!
 //! [`CpuStats`]: amulet_mcu::CpuStats
 //! [`BusStats`]: amulet_mcu::BusStats
@@ -144,17 +144,6 @@ fn chunk_strategy() -> impl Strategy<Value = Vec<P>> {
         (reg_strategy(), reg_strategy(), reg_strategy()).prop_map(|(dst, src, pop)| vec![
             P::I(Instr::Mov { dst, src }),
             P::I(Instr::Pop { dst: pop }),
-        ]),
-        // Adjacent elision placeholders (what `elide_checks` leaves behind).
-        (1u8..4, 0u8..8, 1u8..4, 0u8..8).prop_map(|(w1, c1, w2, c2)| vec![
-            P::I(Instr::Elided {
-                words: w1,
-                cycles: c1
-            }),
-            P::I(Instr::Elided {
-                words: w2,
-                cycles: c2
-            }),
         ]),
         // A single arbitrary instruction.
         single_strategy().prop_map(|p| vec![p]),
@@ -436,15 +425,6 @@ fn aft_shapes_run_to_halt_and_are_partition_invariant() {
             imm: 0x4000,
         }),
         P::Jcc(Cond::Hs, 250),
-        // Elided pair.
-        P::I(Instr::Elided {
-            words: 4,
-            cycles: 4,
-        }),
-        P::I(Instr::Elided {
-            words: 4,
-            cycles: 4,
-        }),
     ];
     for platform in platforms() {
         let (events, stats, ..) = run(platform.clone(), &assemble(&program), STEP_CAP, &[u64::MAX]);

@@ -23,8 +23,9 @@
 use std::collections::BTreeMap;
 
 use amulet_core::layout::OsImageSpec;
+use amulet_core::serial::Reader;
 use amulet_core::{
-    builtin_platforms, fnv1a64, Addr, AppImageSpec, DecodeError, IsolationMethod, MemoryMap,
+    builtin_platforms, fnv1a64, Addr, AppImageSpec, Codec, DecodeError, IsolationMethod, MemoryMap,
     MemoryMapPlanner, MpuPlan,
 };
 use amulet_mcu::{
@@ -322,6 +323,27 @@ fn envelope_guards_report_typed_errors() {
         decode_firmware(&[]),
         Err(DecodeError::UnexpectedEof { .. })
     ));
+}
+
+/// An opcode byte that names no instruction is refused with a typed error.
+/// Tag 23 once encoded the check-elision placeholder, which is gone; it
+/// must decode exactly like any other unknown opcode.
+#[test]
+fn unknown_instruction_opcodes_are_refused() {
+    for tag in [23u8, 0xFF] {
+        let bytes = [tag, 4, 4];
+        let got = <Instr as Codec>::decode(&mut Reader::new(&bytes));
+        assert!(
+            matches!(
+                got,
+                Err(DecodeError::BadTag {
+                    what: "instruction opcode",
+                    tag: t,
+                }) if t == tag
+            ),
+            "opcode {tag}: {got:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@
 //!    proven-safe, proven-escape or unknown;
 //! 3. **redundancy** — a compiler-inserted bound check whose compared
 //!    register provably lies on the passing side of the
-//!    (linker-patched) bound immediate can never branch, so the
-//!    elision pass may drop it.
+//!    (linker-patched) bound immediate can never branch, and is
+//!    reported as a redundant-check lint finding.
 //!
 //! # The abstract domain
 //!
@@ -520,7 +520,7 @@ fn access_target(instr: &Instr, state: &State) -> Option<(Interval, bool, u32)> 
 /// the passing side of the patched bound.
 fn site_is_redundant(firmware: &Firmware, site: &CheckSite, states: &BTreeMap<u32, State>) -> bool {
     let Some(state) = states.get(&site.addr) else {
-        return false; // unreachable sites are dead code, not elision wins
+        return false; // unreachable sites are dead code, not redundant checks
     };
     let Some(&Instr::CmpImm { a, imm }) = firmware.code.get(site.addr) else {
         return false;
@@ -943,7 +943,7 @@ fn transfer(instr: Instr, s: &mut State, peripherals: &AddrRange) {
                 s.havoc_bytes(peripherals.start, peripherals.end - 1);
             }
         }
-        Instr::Nop | Instr::Elided { .. } => {}
+        Instr::Nop => {}
         // Control transfers are handled by the walker.
         Instr::Jmp { .. }
         | Instr::Jcc { .. }

@@ -20,22 +20,19 @@
 //!   [`Unknown`](AccessVerdict::Unknown).  The analysis is sound, never
 //!   complete: handler arguments are unknown at entry, so any
 //!   payload-controlled access stays (at best) unknown.
-//! * **Check elision** ([`elide`]) rewrites the image, replacing
-//!   compiler-inserted bound checks whose branch provably never fires
-//!   with cycle-neutral [`Elided`](amulet_mcu::isa::Instr::Elided)
-//!   placeholders.  Simulated time, energy and fault behaviour are
-//!   bit-identical; retired instructions (and host wall-clock) drop.
+//! * **Redundancy lint** ([`AppVerification::elidable_sites`]) reports
+//!   the compiler-inserted bound checks whose branch provably never
+//!   fires.  The image is never rewritten: every check the AFT inserts
+//!   ships and is counted, as the paper specifies.
 //!
 //! [`Firmware`]: amulet_mcu::firmware::Firmware
 
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod elide;
 pub mod interval;
 pub mod report;
 
 pub use analysis::{verify_build, verify_firmware, verify_firmware_with_sites};
-pub use elide::{elide_checks, elide_with_report, ElisionOutcome};
 pub use interval::Interval;
 pub use report::{AccessClass, AccessVerdict, AppVerification, Finding, VerifyReport};

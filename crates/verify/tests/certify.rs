@@ -16,23 +16,18 @@
 //!   non-proven-safe (the verdict the dynamic `Escaped`/`CaughtByMpu`
 //!   cells correspond to), and under the software-check methods the
 //!   checks that dynamically catch it (`CaughtBySoftware`) must never
-//!   be elided.  (Under Software Only the *checked* store itself may
-//!   legitimately prove safe — the guarding checks clamp the pointer on
-//!   the fall-through path, which is exactly why they must survive.)
+//!   be certified redundant.  (Under Software Only the *checked* store
+//!   itself may legitimately prove safe — the guarding checks clamp the
+//!   pointer on the fall-through path, which is exactly why they are
+//!   needed.)
 
 use amulet_aft::aft::{Aft, AppSource, BuildOutput};
 use amulet_apps::adversarial::FaultKind;
 use amulet_apps::catalog;
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::builtin_platforms;
-use amulet_mcu::firmware::Firmware;
-use amulet_os::events::{Event, EventKind};
-use amulet_os::os::{AmuletOs, OsOptions};
-use amulet_verify::{elide_checks, verify_build, verify_firmware, AccessVerdict, Finding};
-use proptest::collection::vec;
-use proptest::prelude::*;
+use amulet_verify::{verify_build, AccessVerdict, Finding};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 const METHODS: [IsolationMethod; 4] = [
     IsolationMethod::NoIsolation,
@@ -83,44 +78,38 @@ fn benign_catalogue_certifies_containment_everywhere() {
 }
 
 /// Software Only is the check-heavy profile: the verifier certifies a
-/// real fraction of the compiler's bound checks as redundant, and the
-/// elided image re-verifies to the same containment verdicts.
+/// real fraction of the compiler's bound checks as redundant (the lint
+/// finding), and the build still passes the gate.
 #[test]
 fn software_only_catalogue_elides_redundant_checks() {
     let platform = builtin_platforms().remove(2); // msp430fr5994
     let out = build_catalogue(IsolationMethod::SoftwareOnly, &platform);
-    let outcome = elide_checks(&out);
-    assert!(outcome.candidates > 0, "no elidable-kind checks emitted");
+    let report = verify_build(&out);
+    let candidates: usize = report.apps.iter().map(|a| a.elidable_candidates).sum();
+    assert!(candidates > 0, "no elidable-kind checks emitted");
     assert!(
-        outcome.elided > 0,
-        "verifier certified nothing on the benign catalogue ({} candidates)",
-        outcome.candidates
+        report.elidable_sites() > 0,
+        "verifier certified nothing on the benign catalogue ({candidates} candidates)"
     );
-    assert!(outcome.elided <= outcome.candidates);
-    assert_eq!(outcome.skipped_targeted, 0);
-    // The rewritten image still validates and still certifies: same
-    // gate verdict, no new escapes, and the surviving (un-elided)
-    // checks are exactly the non-certified ones.
-    outcome.firmware.validate().expect("elided image validates");
-    let re = verify_firmware(&outcome.firmware);
-    assert!(re.passes_gate(), "elided image fails the gate:\n{re}");
-    assert_eq!(re.proven_escape(), 0);
+    assert!(report.elidable_sites() <= candidates);
+    assert!(report.passes_gate(), "gate refused:\n{report}");
+    assert_eq!(report.proven_escape(), 0);
 }
 
-/// No Isolation emits no software checks at all, so elision is the
-/// identity there.  (MPU is *not* in this set: on MSP430 the
-/// three-segment MPU cannot police every boundary, so its builds carry
-/// a residual software check list with genuine elision candidates.)
+/// No Isolation emits no software checks at all, so the redundancy lint
+/// has nothing to consider there.  (MPU is *not* in this set: on MSP430
+/// the three-segment MPU cannot police every boundary, so its builds
+/// carry a residual software check list with genuine candidates.)
 #[test]
 fn elision_is_identity_without_software_checks() {
     let out = Aft::new(IsolationMethod::NoIsolation)
         .add_app(catalog()[0].app_source())
         .build()
         .unwrap();
-    let outcome = elide_checks(&out);
-    assert_eq!(outcome.candidates, 0);
-    assert_eq!(outcome.elided, 0);
-    assert_eq!(outcome.skipped_targeted, 0);
+    let report = verify_build(&out);
+    let candidates: usize = report.apps.iter().map(|a| a.elidable_candidates).sum();
+    assert_eq!(candidates, 0);
+    assert_eq!(report.elidable_sites(), 0);
 }
 
 /// The interval domain models remainders (DESIGN §9): `x % N` for a
@@ -243,9 +232,9 @@ fn adversarial_variants_are_never_certified_clean() {
                 // Guard survival: whenever the build emits checks for
                 // this app, the ones policing the payload-controlled
                 // access can never certify (its pointer is statically
-                // unknown), so *some* candidate must survive elision.
+                // unknown), so *some* candidate must stay unproven.
                 // Constant-index checks of the same app (ArrayOob's
-                // `a[0]` read-back) may legitimately elide — the pin is
+                // `a[0]` read-back) may legitimately prove redundant — the pin is
                 // "strictly fewer than all", not "none".
                 if adapted != FaultKind::RunawayLoop && app.elidable_candidates > 0 {
                     assert!(
@@ -257,164 +246,5 @@ fn adversarial_variants_are_never_certified_clean() {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Elided-vs-unelided behaviour equivalence: the unelided interpreter is
-// the oracle.  Elision is cycle-neutral by construction, so *everything*
-// the OS accounts — outcomes, logs, faults, app states, per-app cycle
-// stats, total cycles (hence energy, which is a pure function of
-// cycles) — must be identical; only retired instructions may drop.
-// ---------------------------------------------------------------------
-
-/// Faults (a wild write into OS memory) when the payload is large, so
-/// event sequences exercise fault paths in the elided image too.
-const CRASHY: &str = r#"
-    int c = 0;
-    void main(void) { }
-    int go(int x) {
-        int *p;
-        if (x > 900) {
-            p = 0x4400;
-            *p = 1;
-        }
-        c = c + 1;
-        amulet_log_value(c);
-        return c;
-    }
-"#;
-
-fn equivalence_fixture() -> &'static (Firmware, Firmware, usize) {
-    static FIXTURE: OnceLock<(Firmware, Firmware, usize)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let apps = catalog();
-        let out = Aft::new(IsolationMethod::SoftwareOnly)
-            .add_app(apps[0].app_source()) // BatteryMeter: elidable loop checks
-            .add_app(apps[2].app_source()) // FallDetection: elidable loop checks
-            .add_app(AppSource::new("Crashy", CRASHY, &["main", "go"]))
-            .build()
-            .unwrap();
-        let outcome = elide_checks(&out);
-        assert!(outcome.elided > 0, "fixture must actually elide something");
-        (out.firmware, outcome.firmware, outcome.elided)
-    })
-}
-
-fn handler_for(app: usize, choice: usize) -> &'static str {
-    match (app, choice) {
-        (_, 2) => "nope", // missing handler → Skipped
-        (0, _) => "on_timer",
-        (1, _) => "on_accel",
-        _ => "go",
-    }
-}
-
-/// Everything the OS observes about a run (instruction counts excluded
-/// on purpose — those are the one thing elision changes).
-#[derive(PartialEq, Debug)]
-struct RunTrace {
-    log: Vec<(usize, i16)>,
-    faults: Vec<(usize, String)>,
-    app_states: Vec<String>,
-    app_stats: Vec<(u64, u64, u64, u64, u64, u64)>,
-    total_cycles: u64,
-}
-
-fn drive(firmware: &Firmware, events: &[(usize, usize, u16)]) -> (RunTrace, u64) {
-    let mut os = AmuletOs::with_options(
-        firmware.clone(),
-        OsOptions {
-            step_budget: 50_000,
-            ..OsOptions::default()
-        },
-    );
-    os.boot();
-    for &(app, choice, payload) in events {
-        os.post_event(Event::new(
-            app % 3,
-            handler_for(app % 3, choice),
-            payload,
-            EventKind::User,
-        ));
-        os.pump();
-    }
-    os.flush();
-    let trace = RunTrace {
-        log: os
-            .services
-            .log
-            .iter()
-            .map(|l| (l.app_index, l.value))
-            .collect(),
-        faults: os
-            .faults
-            .records
-            .iter()
-            .map(|r| (r.app_index, format!("{:?}/{:?}", r.class, r.action)))
-            .collect(),
-        app_states: (0..os.app_count())
-            .map(|i| format!("{:?}", os.app_state(i)))
-            .collect(),
-        app_stats: os
-            .stats
-            .iter()
-            .map(|s| {
-                (
-                    s.events_delivered,
-                    s.syscalls,
-                    s.faults,
-                    s.app_cycles,
-                    s.service_cycles,
-                    s.switch_cycles,
-                )
-            })
-            .collect(),
-        total_cycles: os.total_cycles(),
-    };
-    (trace, os.cpu_stats().instructions)
-}
-
-/// Deterministic witness: a workload that runs every app (including a
-/// fault) behaves identically on the elided image while retiring
-/// strictly fewer instructions.
-#[test]
-fn elided_image_is_cycle_identical_and_retires_fewer_instructions() {
-    let (unelided, elided, _) = equivalence_fixture();
-    let events: Vec<(usize, usize, u16)> = vec![
-        (0, 0, 40),
-        (1, 0, 120),
-        (2, 0, 10),
-        (0, 1, 77),
-        (2, 0, 950), // Crashy faults here
-        (1, 1, 30),
-        (0, 2, 5), // missing handler
-        (0, 0, 61),
-    ];
-    let (base, base_instrs) = drive(unelided, &events);
-    let (fast, fast_instrs) = drive(elided, &events);
-    assert!(!base.faults.is_empty(), "workload must exercise a fault");
-    assert_eq!(base, fast);
-    assert!(
-        fast_instrs < base_instrs,
-        "elided image must retire fewer instructions ({fast_instrs} vs {base_instrs})"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Property: for arbitrary event/fault sequences the elided image is
-    /// indistinguishable from the unelided oracle in every OS-visible
-    /// quantity, and never retires more instructions.
-    #[test]
-    fn elided_interpreter_agrees_with_unelided_oracle(
-        events in vec((0usize..3, 0usize..3, 0u16..1000), 1..40),
-    ) {
-        let (unelided, elided, _) = equivalence_fixture();
-        let (base, base_instrs) = drive(unelided, &events);
-        let (fast, fast_instrs) = drive(elided, &events);
-        prop_assert_eq!(base, fast);
-        prop_assert!(fast_instrs <= base_instrs);
     }
 }
