@@ -15,11 +15,16 @@
 //!    placeholders with each app's real `C_i`/`D_i`/`T_i`, and produce the
 //!    firmware image plus the MPU register values the OS will install at
 //!    every context switch ([`crate::link`]).
+//!
+//! Phases 1–2 ([`compile`]) depend only on one app, the API, the method
+//! and the check policy; phases 3–4 are the only per-image work.
+//! [`Aft::build_with`] takes a [`UnitMemo`] so a caller that builds many
+//! images from few distinct apps compiles each app once.
 
 use crate::api::ApiSpec;
-use crate::codegen::generate;
+use crate::codegen::{generate, AppCode};
 use crate::error::{AftResult, CompileError};
-use crate::link::{link, AppUnit, LinkOutput};
+use crate::link::{link_units, LinkOutput, LinkUnit};
 use crate::parser::parse;
 use crate::sema::analyze;
 use amulet_core::checks::CheckPolicy;
@@ -27,8 +32,10 @@ use amulet_core::layout::{MemoryMap, OsImageSpec, PlatformSpec};
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::Platform;
 use amulet_mcu::firmware::Firmware;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// One application's source code, as submitted to the toolchain.
 #[derive(Clone, Debug)]
@@ -197,73 +204,62 @@ impl Aft {
         &self.platform
     }
 
-    /// Runs all four phases and produces the firmware image.
+    /// Runs all four phases and produces the firmware image.  Equivalent
+    /// to [`Aft::build_with`] over a fresh [`UnitMemo`].
     pub fn build(&self) -> AftResult<BuildOutput> {
-        let mut units = Vec::with_capacity(self.apps.len());
-        let mut reports = Vec::with_capacity(self.apps.len());
+        self.build_with(&UnitMemo::default())
+    }
 
-        for app in &self.apps {
-            // Phase 1: parse + analyse.
-            let program = parse(&app.source).map_err(|error| CompileError::Parse {
-                app: app.name.clone(),
-                error,
-            })?;
-            let analysis = analyze(&app.name, &program, &self.api, self.method)?;
-
-            // The Feature Limited front end additionally rejects recursion:
-            // without pointers the only stack hazard is unbounded call depth,
-            // and the AFT cannot size the (shared) stack for it.
-            if self.method == IsolationMethod::FeatureLimited && analysis.uses_recursion {
-                return Err(CompileError::UnsupportedFeature {
-                    app: app.name.clone(),
-                    feature: "recursion".into(),
-                    loc: crate::token::Loc { line: 0, col: 0 },
-                });
-            }
-
-            // Phase 2: instrumented code generation, with the check policy
-            // the method requires on this platform's MPU.
-            let policy = CheckPolicy::for_method_on(self.method, &self.platform.mpu);
-            let code = generate(
-                &app.name,
-                &program,
-                &analysis,
-                &self.api,
-                self.method,
-                policy,
-            )?;
-
-            units.push(AppUnit {
+    /// Runs all four phases, taking each app's phases 1–2 from `memo`
+    /// (compiling and recording it on a miss).  Only phases 3–4 run per
+    /// image, so a store that builds many images from few distinct apps
+    /// compiles each app once.
+    pub fn build_with(&self, memo: &UnitMemo) -> AftResult<BuildOutput> {
+        let policy = CheckPolicy::for_method_on(self.method, &self.platform.mpu);
+        let codes = self
+            .apps
+            .iter()
+            .map(|app| memo.get_or_compile(app, &self.api, self.method, policy))
+            .collect::<AftResult<Vec<_>>>()?;
+        let units: Vec<LinkUnit<'_>> = self
+            .apps
+            .iter()
+            .zip(&codes)
+            .map(|(app, code)| LinkUnit {
                 code,
-                handlers: app.handlers.clone(),
+                handlers: &app.handlers,
                 stack_override: app.stack_override,
-            });
-        }
+            })
+            .collect();
 
         // Phases 3 + 4: sections, layout, patching, emission.
         let LinkOutput {
             firmware,
             memory_map,
             apps: link_infos,
-        } = link(self.method, &self.platform, &self.os_spec, &units)?;
+        } = link_units(self.method, &self.platform, &self.os_spec, &units)?;
 
-        for (unit, info) in units.iter().zip(&link_infos) {
-            let a = &unit.code.analysis;
-            reports.push(AppReport {
-                name: info.name.clone(),
-                code_bytes: info.code_bytes,
-                data_bytes: info.data_bytes,
-                stack_bytes: info.stack_bytes,
-                pointer_derefs: a.total_pointer_derefs,
-                array_accesses: a.total_array_accesses,
-                api_calls: a.total_api_calls,
-                uses_pointers: a.uses_pointers,
-                uses_recursion: a.uses_recursion,
-                max_stack_estimate: a.max_stack_bytes,
-                inserted_checks: info.inserted_checks.clone(),
-                check_sites: info.check_sites.clone(),
-            });
-        }
+        let reports = codes
+            .iter()
+            .zip(link_infos)
+            .map(|(code, info)| {
+                let a = &code.analysis;
+                AppReport {
+                    name: info.name,
+                    code_bytes: info.code_bytes,
+                    data_bytes: info.data_bytes,
+                    stack_bytes: info.stack_bytes,
+                    pointer_derefs: a.total_pointer_derefs,
+                    array_accesses: a.total_array_accesses,
+                    api_calls: a.total_api_calls,
+                    uses_pointers: a.uses_pointers,
+                    uses_recursion: a.uses_recursion,
+                    max_stack_estimate: a.max_stack_bytes,
+                    inserted_checks: info.inserted_checks,
+                    check_sites: info.check_sites,
+                }
+            })
+            .collect();
 
         Ok(BuildOutput {
             firmware,
@@ -273,6 +269,119 @@ impl Aft {
                 apps: reports,
             },
         })
+    }
+}
+
+/// Phases 1 and 2 for one application: parse, analyse, reject what the
+/// method cannot isolate, and generate instrumented code with placeholder
+/// bounds.  The result depends only on the app's name and source, `api`,
+/// `method` and `policy` — never on the platform layout or the other
+/// apps, which only [`link`](crate::link::link) sees.
+pub fn compile(
+    app: &AppSource,
+    api: &ApiSpec,
+    method: IsolationMethod,
+    policy: CheckPolicy,
+) -> AftResult<AppCode> {
+    // Phase 1: parse + analyse.
+    let program = parse(&app.source).map_err(|error| CompileError::Parse {
+        app: app.name.clone(),
+        error,
+    })?;
+    let analysis = analyze(&app.name, &program, api, method)?;
+
+    // The Feature Limited front end additionally rejects recursion:
+    // without pointers the only stack hazard is unbounded call depth,
+    // and the AFT cannot size the (shared) stack for it.
+    if method == IsolationMethod::FeatureLimited && analysis.uses_recursion {
+        return Err(CompileError::UnsupportedFeature {
+            app: app.name.clone(),
+            feature: "recursion".into(),
+            loc: crate::token::Loc { line: 0, col: 0 },
+        });
+    }
+
+    // Phase 2: instrumented code generation, with the check policy the
+    // method requires on the target's MPU.
+    generate(&app.name, &program, &analysis, api, method, policy)
+}
+
+/// What a compiled unit is a function of, compared by content.  The API
+/// is not part of it: [`Aft`] always compiles against
+/// [`ApiSpec::amulet`], so one memo serves one API.
+#[derive(PartialEq, Eq, Hash)]
+struct UnitKey {
+    name: String,
+    source: String,
+    method: IsolationMethod,
+    policy: CheckPolicy,
+}
+
+/// A memo of compiled units (phases 1–2), shared by every build that
+/// passes it to [`Aft::build_with`].
+///
+/// Entries are keyed by content — app name, source text, method and
+/// [`CheckPolicy`] — so two [`AppSource`]s with equal text share one
+/// entry however they were made.  The memo is valid for
+/// [`ApiSpec::amulet`] only, the one API an [`Aft`] compiles against.
+/// Compilation runs outside the lock: two threads that race on one key
+/// both compile, and the loser's identical code is dropped.  Errors are
+/// never recorded, so a failing app fails again on every build.
+///
+/// A memo lives as long as its owner (one per fleet firmware store); it is
+/// never global and never persisted.
+#[derive(Default)]
+pub struct UnitMemo {
+    units: Mutex<HashMap<UnitKey, Arc<AppCode>>>,
+    compiles: AtomicU64,
+}
+
+impl UnitMemo {
+    /// Number of compilations run through this memo (misses, including
+    /// the duplicate of a lost race).
+    pub fn compiles(&self) -> u64 {
+        self.compiles.load(Ordering::Relaxed)
+    }
+
+    /// Number of distinct units recorded.
+    pub fn len(&self) -> usize {
+        self.units.lock().expect("unit memo poisoned").len()
+    }
+
+    /// Whether no unit is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn get_or_compile(
+        &self,
+        app: &AppSource,
+        api: &ApiSpec,
+        method: IsolationMethod,
+        policy: CheckPolicy,
+    ) -> AftResult<Arc<AppCode>> {
+        let key = UnitKey {
+            name: app.name.clone(),
+            source: app.source.clone(),
+            method,
+            policy,
+        };
+        if let Some(code) = self.units.lock().expect("unit memo poisoned").get(&key) {
+            return Ok(Arc::clone(code));
+        }
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        let code = Arc::new(compile(app, api, method, policy)?);
+        let mut units = self.units.lock().expect("unit memo poisoned");
+        Ok(Arc::clone(units.entry(key).or_insert(code)))
+    }
+}
+
+impl fmt::Debug for UnitMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("UnitMemo")
+            .field("units", &self.len())
+            .field("compiles", &self.compiles())
+            .finish()
     }
 }
 
@@ -371,6 +480,77 @@ mod tests {
             .add_app(AppSource::new("Rec", src, &["main"]))
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn unit_memo_keys_units_by_content() {
+        let memo = UnitMemo::default();
+        let app = || AppSource::new("Pedometer", PEDOMETER_LIKE, &["main", "on_accel"]);
+        let fresh = Aft::new(IsolationMethod::Mpu)
+            .add_app(app())
+            .build()
+            .unwrap();
+        for _ in 0..2 {
+            let out = Aft::new(IsolationMethod::Mpu)
+                .add_app(app())
+                .build_with(&memo)
+                .unwrap();
+            assert_eq!(out.firmware, fresh.firmware);
+            assert_eq!(out.report, fresh.report);
+        }
+        assert_eq!(
+            (memo.compiles(), memo.len()),
+            (1, 1),
+            "the second build hits"
+        );
+
+        // A different method, or an edited source under the same name, is
+        // a different unit.
+        Aft::new(IsolationMethod::SoftwareOnly)
+            .add_app(app())
+            .build_with(&memo)
+            .unwrap();
+        let edited = PEDOMETER_LIKE.replace("120", "121");
+        Aft::new(IsolationMethod::Mpu)
+            .add_app(AppSource::new("Pedometer", edited, &["main", "on_accel"]))
+            .build_with(&memo)
+            .unwrap();
+        assert_eq!((memo.compiles(), memo.len()), (3, 3));
+    }
+
+    #[test]
+    fn unit_memo_never_records_a_failed_compile() {
+        let memo = UnitMemo::default();
+        let recursive =
+            "int f(int n) { if (n < 1) return 0; return f(n - 1); } void main(void) { f(3); }";
+        let cases = [
+            Aft::new(IsolationMethod::Mpu).add_app(AppSource::new(
+                "Broken",
+                "int main( {",
+                &["main"],
+            )),
+            Aft::new(IsolationMethod::FeatureLimited).add_app(AppSource::new(
+                "Rec",
+                recursive,
+                &["main"],
+            )),
+        ];
+        for aft in &cases {
+            let first = aft.build_with(&memo).unwrap_err();
+            let second = aft.build_with(&memo).unwrap_err();
+            assert_eq!(first, second);
+            assert_eq!(first, aft.build().unwrap_err());
+        }
+        assert!(matches!(
+            cases[0].build_with(&memo),
+            Err(CompileError::Parse { .. })
+        ));
+        assert!(matches!(
+            cases[1].build_with(&memo),
+            Err(CompileError::UnsupportedFeature { .. })
+        ));
+        assert!(memo.is_empty(), "no failure is recorded");
+        assert_eq!(memo.compiles(), 6, "every attempt compiles again");
     }
 
     #[test]

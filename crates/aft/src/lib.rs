@@ -48,6 +48,6 @@ pub mod sema;
 pub mod token;
 pub mod types;
 
-pub use aft::{Aft, AppSource, BuildOutput, BuildReport};
+pub use aft::{Aft, AppSource, BuildOutput, BuildReport, UnitMemo};
 pub use api::{sysno, ApiSpec};
 pub use error::{AftResult, CompileError};

@@ -74,12 +74,39 @@ pub struct LinkOutput {
     pub apps: Vec<AppLinkInfo>,
 }
 
+/// What the link phase reads of one application: an [`AppUnit`] by
+/// reference, so [`crate::aft::Aft::build_with`] can link memoised code
+/// without copying it.
+pub(crate) struct LinkUnit<'a> {
+    pub(crate) code: &'a AppCode,
+    pub(crate) handlers: &'a [String],
+    pub(crate) stack_override: Option<u32>,
+}
+
 /// Links compiled applications into a firmware image for the given method.
 pub fn link(
     method: IsolationMethod,
     platform: &PlatformSpec,
     os_spec: &OsImageSpec,
     apps: &[AppUnit],
+) -> AftResult<LinkOutput> {
+    let units: Vec<LinkUnit<'_>> = apps
+        .iter()
+        .map(|u| LinkUnit {
+            code: &u.code,
+            handlers: &u.handlers,
+            stack_override: u.stack_override,
+        })
+        .collect();
+    link_units(method, platform, os_spec, &units)
+}
+
+/// [`link`] over borrowed units.
+pub(crate) fn link_units(
+    method: IsolationMethod,
+    platform: &PlatformSpec,
+    os_spec: &OsImageSpec,
+    apps: &[LinkUnit<'_>],
 ) -> AftResult<LinkOutput> {
     // Phase 3/4a: measure each app and plan the memory map.
     let mut image_specs = Vec::with_capacity(apps.len());
@@ -154,7 +181,7 @@ pub fn link(
 
         // Handlers must exist.
         let mut handlers = BTreeMap::new();
-        for h in &unit.handlers {
+        for h in unit.handlers {
             let Some(&addr) = table.get(h) else {
                 return Err(CompileError::Internal {
                     message: format!("app `{app_name}` declares unknown handler `{h}`"),

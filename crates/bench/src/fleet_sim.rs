@@ -339,6 +339,7 @@ pub fn store_stats_json(stats: &amulet_fleet::FirmwareStoreStats) -> Json {
         .field("evictions", stats.evictions)
         .field("disk_evictions", stats.disk_evictions)
         .field("verify_failures", stats.verify_failures)
+        .field("unit_compiles", stats.unit_compiles)
 }
 
 #[cfg(test)]
@@ -532,6 +533,7 @@ mod tests {
             builds: 1,
             bytes_read: 512,
             bytes_written: 512,
+            unit_compiles: 3,
             ..Default::default()
         };
         let text = render_document(
@@ -555,6 +557,7 @@ mod tests {
             "\"bytes_written\": 512",
             "\"evictions\": 0",
             "\"verify_failures\": 0",
+            "\"unit_compiles\": 3",
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }

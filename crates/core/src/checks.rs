@@ -158,7 +158,7 @@ impl fmt::Display for CheckKind {
 /// This is the single source of truth consulted by the AFT passes and by the
 /// analytic overhead model, so the simulation and the extrapolation cannot
 /// drift apart.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CheckPolicy {
     /// The isolation method this policy belongs to.
     pub method: IsolationMethod,

@@ -11,7 +11,7 @@
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
 use crate::store::FirmwareStore;
-use amulet_aft::aft::{Aft, BuildOutput};
+use amulet_aft::aft::{Aft, BuildOutput, UnitMemo};
 use amulet_arp::arp::Arp;
 use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
@@ -413,23 +413,23 @@ pub(crate) fn simulate_device(
 }
 
 /// Compiles device `cfg`'s apps through the AFT for its method and
-/// platform — the one build both [`build_firmware`] and
-/// [`verify_fleet_reports`] start from.
-fn aft_build(key: &str, cfg: &DeviceConfig) -> BuildOutput {
+/// platform, each distinct app once per `memo` — the one build both
+/// [`build_firmware`] and [`verify_fleet_reports`] start from.
+fn aft_build(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> BuildOutput {
     let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
     for app in &cfg.apps {
         aft = aft.add_app(app.app_source());
     }
-    aft.build()
+    aft.build_with(memo)
         .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"))
 }
 
-/// Builds one device configuration's firmware image.  With
-/// [`DeviceConfig::verify`] the amulet-verify gate must certify the
-/// build free of proven-escape accesses before the image may enter the
-/// fleet.
-pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
-    let out = aft_build(key, cfg);
+/// Builds one device configuration's firmware image, compiling its apps
+/// through `memo`.  With [`DeviceConfig::verify`] the amulet-verify gate
+/// must certify the build free of proven-escape accesses before the image
+/// may enter the fleet.
+pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> Arc<Firmware> {
+    let out = aft_build(key, cfg, memo);
     if cfg.verify {
         let report = amulet_verify::verify_build(&out);
         assert!(
@@ -632,6 +632,7 @@ pub fn verify_fleet_reports(
             distinct.push((key, cfg));
         }
     }
+    let memo = UnitMemo::default();
     let (reports, _) = crate::partition::claim_loop(
         distinct.len(),
         workers,
@@ -640,7 +641,7 @@ pub fn verify_fleet_reports(
             let (key, cfg) = &distinct[claim];
             Some((
                 key.clone(),
-                amulet_verify::verify_build(&aft_build(key, cfg)),
+                amulet_verify::verify_build(&aft_build(key, cfg, &memo)),
             ))
         },
     );

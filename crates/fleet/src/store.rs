@@ -21,17 +21,23 @@
 //! that fails any of these checks is treated as a miss and rebuilt over;
 //! corruption can cost time, never correctness.
 //!
-//! In memory the store is exactly the process-wide map the runner
-//! draws from: one `Arc<Firmware>` per distinct key, shared by every
-//! runtime booted for that configuration, with builds performed outside
-//! the lock (a racing duplicate build produces an identical image and is
-//! dropped).  A FIFO eviction bound keeps pathological many-config runs
-//! from holding every image alive at once.
+//! In memory the store is exactly the map the runner draws from, one
+//! `Mutex`-guarded map per store: one `Arc<Firmware>` per distinct key,
+//! shared by every runtime booted for that configuration, with builds
+//! performed outside the lock (a racing duplicate build produces an
+//! identical image and is dropped).  A FIFO eviction bound keeps
+//! pathological many-config runs from holding every image alive at once.
+//!
+//! Every build goes through the store's [`UnitMemo`]: each distinct app
+//! unit (name, source, method, check policy) is compiled once per store
+//! and only linked per image.  The memo lives and dies with the store, so
+//! a fresh store compiles everything again.
 //!
 //! **Paranoid mode** ([`FleetScenario::paranoid`], `fleet_sim
-//! --paranoid`, run by CI) rebuilds every disk hit from source and
-//! compares the encodings byte for byte before reuse; a mismatch is
-//! counted, the fresh build wins, and the stale file is rewritten.
+//! --paranoid`, run by CI) rebuilds every disk hit from source (through
+//! this store's memo) and compares the encodings byte for byte before
+//! reuse; a mismatch is counted, the fresh build wins, and the stale file
+//! is rewritten.
 //!
 //! **Disk cap** ([`FleetScenario::store_cap_bytes`], `fleet_sim
 //! --store-cap-bytes`): when set, every persist re-checks the
@@ -43,6 +49,7 @@
 
 use crate::run::build_firmware;
 use crate::scenario::{ConfigContext, DeviceConfig, FleetScenario};
+use amulet_aft::UnitMemo;
 use amulet_core::serial::fnv1a64;
 use amulet_mcu::firmware::Firmware;
 use amulet_mcu::serial::{decode_firmware, encode_firmware};
@@ -82,6 +89,9 @@ pub struct FirmwareStoreStats {
     /// file rewritten).  Nonzero means the store directory was corrupted
     /// in a hash-preserving way or written by a different build.
     pub verify_failures: u64,
+    /// AFT unit compilations (phases 1–2 of one app) the store's builds
+    /// ran; every other unit came from the store's memo.
+    pub unit_compiles: u64,
 }
 
 #[derive(Default, Debug)]
@@ -122,6 +132,8 @@ pub struct FirmwareStore {
     cap_bytes: Option<u64>,
     /// Builds and disk I/O happen outside the `images` lock.
     images: Mutex<ImageMap>,
+    /// Every build of this store compiles each distinct app unit once.
+    memo: UnitMemo,
     counters: Counters,
 }
 
@@ -135,6 +147,7 @@ impl FirmwareStore {
             capacity: DEFAULT_CAPACITY,
             cap_bytes: None,
             images: Mutex::new((HashMap::new(), VecDeque::new())),
+            memo: UnitMemo::default(),
             counters: Counters::default(),
         }
     }
@@ -184,6 +197,7 @@ impl FirmwareStore {
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             disk_evictions: self.counters.disk_evictions.load(Ordering::Relaxed),
             verify_failures: self.counters.verify_failures.load(Ordering::Relaxed),
+            unit_compiles: self.memo.compiles(),
         }
     }
 
@@ -274,7 +288,7 @@ impl FirmwareStore {
 
     fn build_fresh(&self, key: &str, cfg: &DeviceConfig) -> Arc<Firmware> {
         self.counters.builds.fetch_add(1, Ordering::Relaxed);
-        build_firmware(key, cfg)
+        build_firmware(key, cfg, &self.memo)
     }
 
     /// Writes an image atomically (temp file + rename) so a crashed or
@@ -545,7 +559,7 @@ mod tests {
             .map(|i| s.device_config(i))
             .find(|c| c.firmware_key() != key)
             .expect("a second distinct config");
-        let other = build_firmware(&other_cfg.firmware_key(), &other_cfg);
+        let other = build_firmware(&other_cfg.firmware_key(), &other_cfg, &UnitMemo::default());
         let store_key = paranoid.store_key(&key);
         std::fs::write(&file, encode_firmware(&store_key, &other)).unwrap();
 
@@ -555,7 +569,7 @@ mod tests {
         });
         let got = paranoid.get_or_build(&key, &cfg);
         assert_eq!(paranoid.stats().verify_failures, 1);
-        let fresh = build_firmware(&key, &cfg);
+        let fresh = build_firmware(&key, &cfg, &UnitMemo::default());
         assert_eq!(*got, *fresh, "the fresh build wins");
         assert_eq!(
             std::fs::read(&file).unwrap(),

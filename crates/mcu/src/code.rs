@@ -17,6 +17,10 @@
 //! fetched the instruction instead of re-deriving them from three `match`
 //! expressions per step.
 //!
+//! The store also tracks its occupied span (the lowest and one past the
+//! highest occupied slot), so iteration, encoding and validation walk only
+//! the few KiB an image occupies instead of the whole 256 KiB table.
+//!
 //! The table is allocated lazily (an empty store owns no memory) and
 //! clones with one `memcpy`, which is what lets
 //! [`Device::load_firmware`](crate::device::Device::load_firmware) install
@@ -113,6 +117,12 @@ impl Slot {
 /// instruction and slot `addr >> 1` is a perfect index.  Odd addresses
 /// never hold instructions ([`InstrStore::get`] returns `None` without
 /// touching the table).
+///
+/// Scans ([`InstrStore::iter`], [`InstrStore::range`],
+/// [`InstrStore::first`], [`InstrStore::last`]) visit only the occupied
+/// span, the slots from the lowest to the highest instruction.  A store
+/// has no removal, so the span is a pure function of its contents and the
+/// derived `Eq` stays content equality.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct InstrStore {
     /// `slots[addr >> 1]` holds the instruction decoded at `addr`.
@@ -121,6 +131,10 @@ pub struct InstrStore {
     slots: Option<Box<[Slot; SLOT_COUNT]>>,
     /// Number of occupied slots.
     count: usize,
+    /// The occupied span `lo..hi` in slot indices: the lowest occupied
+    /// slot and one past the highest (`0..0` when empty).
+    lo: usize,
+    hi: usize,
 }
 
 impl InstrStore {
@@ -130,6 +144,8 @@ impl InstrStore {
         InstrStore {
             slots: None,
             count: 0,
+            lo: 0,
+            hi: 0,
         }
     }
 
@@ -161,13 +177,19 @@ impl InstrStore {
                 .try_into()
                 .unwrap_or_else(|_| unreachable!("slot table has the fixed size"))
         });
-        let slot = &mut slots[(addr >> 1) as usize];
+        let index = (addr >> 1) as usize;
+        let slot = &mut slots[index];
         let prev = (slot.meta != InstrMeta::EMPTY).then_some(slot.instr);
         *slot = Slot {
             meta: InstrMeta::of(&instr),
             instr,
         };
         if prev.is_none() {
+            (self.lo, self.hi) = if self.count == 0 {
+                (index, index + 1)
+            } else {
+                (self.lo.min(index), self.hi.max(index + 1))
+            };
             self.count += 1;
         }
         prev
@@ -212,11 +234,17 @@ impl InstrStore {
 
     /// Iterates `(address, instruction)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &Instr)> {
+        self.scan(self.lo, self.hi)
+    }
+
+    /// The occupied slots among slot indices `start..end` (a window of
+    /// the span), as `(address, instruction)` pairs in address order.
+    fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, &Instr)> {
         self.slots
             .iter()
-            .flat_map(|slots| slots.iter().enumerate())
+            .flat_map(move |slots| slots[start..end].iter().enumerate())
             .filter(|(_, slot)| slot.meta != InstrMeta::EMPTY)
-            .map(|(i, slot)| ((i as Addr) << 1, &slot.instr))
+            .map(move |(i, slot)| (((start + i) as Addr) << 1, &slot.instr))
     }
 
     /// Iterates `(address, instruction)` pairs with addresses inside
@@ -225,19 +253,9 @@ impl InstrStore {
     ///
     /// [`BTreeMap::range`]: std::collections::BTreeMap::range
     pub fn range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, &Instr)> {
-        let (start, end) = match &self.slots {
-            Some(_) => {
-                let start = ((range.start + 1) >> 1) as usize;
-                let end = (range.end.div_ceil(2) as usize).min(SLOT_COUNT);
-                (start.min(end), end)
-            }
-            None => (0, 0),
-        };
-        self.slots
-            .iter()
-            .flat_map(move |slots| slots[start..end].iter().enumerate())
-            .filter(|(_, slot)| slot.meta != InstrMeta::EMPTY)
-            .map(move |(i, slot)| (((start + i) as Addr) << 1, &slot.instr))
+        let end = (range.end.div_ceil(2) as usize).min(self.hi);
+        let start = (range.start.div_ceil(2) as usize).max(self.lo).min(end);
+        self.scan(start, end)
     }
 
     /// The lowest-addressed instruction, if any.
@@ -247,9 +265,7 @@ impl InstrStore {
 
     /// The highest-addressed instruction, if any.
     pub fn last(&self) -> Option<(Addr, &Instr)> {
-        let slots = self.slots.as_ref()?;
-        let i = slots.iter().rposition(|s| s.meta != InstrMeta::EMPTY)?;
-        Some(((i as Addr) << 1, &slots[i].instr))
+        self.scan(self.hi.saturating_sub(1), self.hi).next()
     }
 }
 
