@@ -252,8 +252,8 @@ pub struct Bus {
     /// write moves the sum; the sync step compares it.
     attr_epoch: u64,
     /// Whether the fast path consults the attribute cache at all (the
-    /// equivalence property tests and the hot-path bench turn it off to
-    /// exercise/measure the direct cascade).
+    /// equivalence property tests turn it off to exercise the direct
+    /// cascade).
     attr_enabled: bool,
     /// Every attribute byte is ANDed with this mask: all ones when the
     /// cache is on and the extended-MPU ablation (whose state the table
@@ -393,7 +393,7 @@ impl Bus {
     /// every access runs the original region-cascade + MPU-backend path;
     /// behaviour and [`BusStats`] must be identical either way (the
     /// equivalence is property-tested), so this exists only for those
-    /// tests and for the hot-path bench's before/after comparison.
+    /// tests.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
         self.attr_enabled = enabled;
         self.resolve_attr_table();

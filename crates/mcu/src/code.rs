@@ -7,9 +7,9 @@
 //! replaces it with a flat word-indexed table: the 64 KiB address space
 //! holds at most 32 K instruction words (every [`Instr`] occupies a whole
 //! number of 2-byte words, so instructions start only at even addresses),
-//! and slot `addr >> 1` holds the instruction decoded at `addr`.  Fetch is
-//! a single masked index into a fixed-size table — O(1), cache-friendly,
-//! no allocation, and no bounds check survives to the generated code.
+//! and word `addr >> 1` indexes the instruction decoded at `addr`.  Fetch
+//! is one subtraction and one bounds-checked index into a slot vector —
+//! O(1), cache-friendly, no allocation.
 //!
 //! Each slot also carries an [`InstrMeta`]: the instruction's encoded
 //! size, base cycle cost and whether it touches data memory, precomputed
@@ -17,15 +17,23 @@
 //! fetched the instruction instead of re-deriving them from three `match`
 //! expressions per step.
 //!
-//! The store also tracks its occupied span (the lowest and one past the
-//! highest occupied slot), so iteration, encoding and validation walk only
-//! the few KiB an image occupies instead of the whole 256 KiB table.
+//! The table covers only the store's occupied span: one contiguous slot
+//! vector from the lowest to the highest instruction, plus the span's
+//! first slot index.  An image for these MCUs holds a few KiB of code, so
+//! a store owns a few thousand slots, not one per word of the 64 KiB
+//! address space: a fleet keeping thousands of images live pays for the
+//! code they hold, not 256 KiB each.  Holes inside the span (gaps between
+//! applications' code regions) stay empty slots.  Iteration, encoding and
+//! validation walk the same vector, and an address outside the span holds
+//! no instruction, exactly like a hole.
 //!
-//! The table is allocated lazily (an empty store owns no memory) and
-//! clones with one `memcpy`, which is what lets
-//! [`Device::load_firmware`](crate::device::Device::load_firmware) install
-//! a prebuilt image cheaply and the fleet simulator reuse decoded firmware
-//! across thousands of devices.
+//! An empty store owns no memory.  [`FirmwareBuilder::build`] and the
+//! decoder leave the vector's capacity equal to its span, so an image the
+//! fleet keeps live (shared by `Arc` with every device that loads it, see
+//! [`Device::load_firmware`](crate::device::Device::load_firmware))
+//! carries no growth slack.
+//!
+//! [`FirmwareBuilder::build`]: crate::firmware::FirmwareBuilder::build
 
 use crate::isa::Instr;
 use amulet_core::addr::Addr;
@@ -114,27 +122,25 @@ impl Slot {
 ///
 /// Addresses are word-aligned: the ISA guarantees every instruction is a
 /// whole number of 16-bit words, so only even addresses can hold an
-/// instruction and slot `addr >> 1` is a perfect index.  Odd addresses
+/// instruction and word `addr >> 1` is a perfect index.  Odd addresses
 /// never hold instructions ([`InstrStore::get`] returns `None` without
 /// touching the table).
 ///
-/// Scans ([`InstrStore::iter`], [`InstrStore::range`],
-/// [`InstrStore::first`], [`InstrStore::last`]) visit only the occupied
-/// span, the slots from the lowest to the highest instruction.  A store
-/// has no removal, so the span is a pure function of its contents and the
+/// The slot vector covers exactly the occupied span, the words from the
+/// lowest to the highest instruction.  A store has no removal, so the span
+/// (and with it the vector) is a pure function of its contents and the
 /// derived `Eq` stays content equality.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct InstrStore {
-    /// `slots[addr >> 1]` holds the instruction decoded at `addr`.
-    /// `None` (no allocation) until the first insert; the fixed array size
-    /// lets the masked hot-path index compile without a bounds check.
-    slots: Option<Box<[Slot; SLOT_COUNT]>>,
+    /// `slots[i]` holds the instruction decoded at word `lo + i`, i.e. at
+    /// address `(lo + i) << 1`; the vector spans `lo..lo + slots.len()`,
+    /// from the lowest occupied word to one past the highest (empty, with
+    /// no allocation, until the first insert).
+    slots: Vec<Slot>,
+    /// Word index of `slots[0]` (`0` when empty).
+    lo: usize,
     /// Number of occupied slots.
     count: usize,
-    /// The occupied span `lo..hi` in slot indices: the lowest occupied
-    /// slot and one past the highest (`0..0` when empty).
-    lo: usize,
-    hi: usize,
 }
 
 impl InstrStore {
@@ -142,10 +148,9 @@ impl InstrStore {
     /// [`InstrStore::insert`].
     pub fn new() -> Self {
         InstrStore {
-            slots: None,
-            count: 0,
+            slots: Vec::new(),
             lo: 0,
-            hi: 0,
+            count: 0,
         }
     }
 
@@ -159,8 +164,14 @@ impl InstrStore {
         self.count == 0
     }
 
+    /// One past the highest occupied word index (`0` when empty).
+    fn hi(&self) -> usize {
+        self.lo + self.slots.len()
+    }
+
     /// Inserts an instruction at `addr`, returning the instruction the
-    /// slot previously held (if any).
+    /// slot previously held (if any).  An address outside the span grows
+    /// it at that end; the words between stay empty.
     ///
     /// # Panics
     ///
@@ -171,48 +182,61 @@ impl InstrStore {
             addr.is_multiple_of(2) && (addr as usize) < ADDR_SPACE_BYTES,
             "instruction address {addr:#06x} is misaligned or out of range"
         );
-        let slots = self.slots.get_or_insert_with(|| {
-            vec![Slot::EMPTY; SLOT_COUNT]
-                .into_boxed_slice()
-                .try_into()
-                .unwrap_or_else(|_| unreachable!("slot table has the fixed size"))
-        });
         let index = (addr >> 1) as usize;
-        let slot = &mut slots[index];
-        let prev = (slot.meta != InstrMeta::EMPTY).then_some(slot.instr);
+        if self.slots.is_empty() {
+            self.lo = index;
+            self.slots.push(Slot::EMPTY);
+        } else if index < self.lo {
+            let below = self.lo - index;
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Slot::EMPTY, below));
+            self.lo = index;
+        } else if index >= self.hi() {
+            self.slots.resize(index - self.lo + 1, Slot::EMPTY);
+        }
+        let slot = &mut self.slots[index - self.lo];
+        let prev = (!slot.is_empty()).then_some(slot.instr);
         *slot = Slot {
             meta: InstrMeta::of(&instr),
             instr,
         };
-        if prev.is_none() {
-            (self.lo, self.hi) = if self.count == 0 {
-                (index, index + 1)
-            } else {
-                (self.lo.min(index), self.hi.max(index + 1))
-            };
-            self.count += 1;
-        }
+        self.count += usize::from(prev.is_none());
         prev
     }
 
-    /// The raw slot table, resolved once per execute block so the per-step
-    /// fetch is a single masked index (see [`crate::cpu::Cpu::run_block`]).
+    /// Releases the slot vector's growth slack, so the store owns exactly
+    /// its span.  [`FirmwareBuilder::build`] and the decoder call it once
+    /// the last instruction is in.
+    ///
+    /// [`FirmwareBuilder::build`]: crate::firmware::FirmwareBuilder::build
+    pub(crate) fn shrink_to_span(&mut self) {
+        self.slots.shrink_to_fit();
+    }
+
+    /// The slot vector's allocated capacity, in slots.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// The span's first word index and its slots, resolved once per
+    /// execute block (see [`crate::cpu::Cpu::run_block`]).
     #[inline(always)]
-    pub(crate) fn table(&self) -> Option<&[Slot; SLOT_COUNT]> {
-        self.slots.as_deref()
+    pub(crate) fn span(&self) -> (usize, &[Slot]) {
+        (self.lo, &self.slots)
     }
 
     /// The occupied slot at `addr`, if any — the one lookup behind
-    /// [`InstrStore::fetch`] and [`InstrStore::get`].  O(1): one masked
-    /// index, no bounds check; odd or out-of-range addresses hold no
+    /// [`InstrStore::fetch`] and [`InstrStore::get`].  O(1): odd
+    /// addresses, addresses outside the span and holes inside it hold no
     /// instruction.
     #[inline(always)]
     fn slot(&self, addr: Addr) -> Option<&Slot> {
-        if !addr.is_multiple_of(2) || (addr as usize) >= ADDR_SPACE_BYTES {
+        if !addr.is_multiple_of(2) {
             return None;
         }
-        let slot = &self.slots.as_ref()?[((addr >> 1) as usize) & (SLOT_COUNT - 1)];
-        (!slot.is_empty()).then_some(slot)
+        let index = ((addr >> 1) as usize).wrapping_sub(self.lo);
+        self.slots.get(index).filter(|slot| !slot.is_empty())
     }
 
     /// The instruction at `addr` together with its precomputed metadata.
@@ -234,16 +258,16 @@ impl InstrStore {
 
     /// Iterates `(address, instruction)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &Instr)> {
-        self.scan(self.lo, self.hi)
+        self.scan(self.lo, self.hi())
     }
 
-    /// The occupied slots among slot indices `start..end` (a window of
+    /// The occupied slots among word indices `start..end` (a window of
     /// the span), as `(address, instruction)` pairs in address order.
     fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, &Instr)> {
-        self.slots
+        self.slots[start - self.lo..end - self.lo]
             .iter()
-            .flat_map(move |slots| slots[start..end].iter().enumerate())
-            .filter(|(_, slot)| slot.meta != InstrMeta::EMPTY)
+            .enumerate()
+            .filter(|(_, slot)| !slot.is_empty())
             .map(move |(i, slot)| (((start + i) as Addr) << 1, &slot.instr))
     }
 
@@ -253,8 +277,8 @@ impl InstrStore {
     ///
     /// [`BTreeMap::range`]: std::collections::BTreeMap::range
     pub fn range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, &Instr)> {
-        let end = (range.end.div_ceil(2) as usize).min(self.hi);
-        let start = (range.start.div_ceil(2) as usize).max(self.lo).min(end);
+        let end = (range.end.div_ceil(2) as usize).clamp(self.lo, self.hi());
+        let start = (range.start.div_ceil(2) as usize).clamp(self.lo, end);
         self.scan(start, end)
     }
 
@@ -265,7 +289,7 @@ impl InstrStore {
 
     /// The highest-addressed instruction, if any.
     pub fn last(&self) -> Option<(Addr, &Instr)> {
-        self.scan(self.hi.saturating_sub(1), self.hi).next()
+        self.scan(self.hi().saturating_sub(1), self.hi()).next()
     }
 }
 
@@ -384,6 +408,74 @@ mod tests {
         assert_eq!(addrs, vec![0x4402, 0x4404]);
         assert_eq!(s.range(0x4408..0x5000).count(), 0);
         assert_eq!(s.range(0x4404..0x4404).count(), 0);
+    }
+
+    /// The word span `lo..hi` of a store's contents, from its first and
+    /// last instruction.
+    fn span_words(s: &InstrStore) -> usize {
+        match (s.first(), s.last()) {
+            (Some((first, _)), Some((last, _))) => (last as usize >> 1) + 1 - (first as usize >> 1),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn slot_vector_is_exactly_the_span_in_any_insert_order() {
+        // SplitMix64-driven word indices: each round grows the span above
+        // and below, replaces and fills holes, checking after every insert.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for round in 0..64 {
+            let mut s = InstrStore::new();
+            let centre = (next() % SLOT_COUNT as u64) as Addr;
+            for _ in 0..(round % 16) + 1 {
+                // Mostly near the centre (replacements, holes, small
+                // growth either way), sometimes anywhere in the space.
+                let word = match next() % 4 {
+                    0 => (next() % SLOT_COUNT as u64) as Addr,
+                    _ => (centre + (next() % 64) as Addr).saturating_sub(32),
+                }
+                .min(SLOT_COUNT as Addr - 1);
+                s.insert(word << 1, Instr::Nop);
+                assert_eq!(s.slots.len(), s.hi() - s.lo);
+                assert_eq!(s.slots.len(), span_words(&s));
+                assert_eq!(s.lo, s.first().unwrap().0 as usize >> 1);
+                assert_eq!(
+                    s.slots.iter().filter(|slot| !slot.is_empty()).count(),
+                    s.len()
+                );
+            }
+        }
+        // Growing below the span keeps the slots in place.
+        let mut s = InstrStore::new();
+        s.insert(0x4410, Instr::Ret);
+        s.insert(0x4400, Instr::Nop);
+        s.insert(0x0000, Instr::Halt);
+        assert_eq!(s.slots.len(), 0x4410 / 2 + 1);
+        assert_eq!(s.get(0x4410), Some(&Instr::Ret));
+        assert_eq!(s.get(0x4400), Some(&Instr::Nop));
+        assert_eq!(s.get(0x0000), Some(&Instr::Halt));
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn addresses_outside_the_span_hold_no_instructions() {
+        let s = [(0x4400u32, Instr::Nop), (0x4408, Instr::Ret)]
+            .into_iter()
+            .collect::<InstrStore>();
+        for addr in [0x0000, 0x43FE, 0x4402, 0x4406, 0x440A, 0xFFFE] {
+            assert!(s.get(addr).is_none(), "{addr:#06x}");
+            assert!(s.fetch(addr).is_none(), "{addr:#06x}");
+        }
+        assert_eq!(s.range(0..0x4400).count(), 0);
+        assert_eq!(s.range(0x440A..0x1_0000).count(), 0);
+        assert_eq!(s.range(0..2).count(), 0);
     }
 
     #[test]

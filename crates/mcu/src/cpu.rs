@@ -7,7 +7,6 @@
 //! explicit halt, handing control back to the embedding code (`amulet-os`).
 
 use crate::bus::{Bus, BusFault, BusFaultCause};
-use crate::code;
 use crate::code::InstrStore;
 use crate::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 use amulet_core::addr::Addr;
@@ -266,19 +265,9 @@ impl Cpu {
         Ok(v)
     }
 
-    /// The permission check every fetch pays.  An odd PC faults as
-    /// misaligned before it counts as an execute check, exactly as
-    /// [`Bus::check_execute`] counts.
-    #[inline(always)]
-    fn fetch_fault(&mut self, bus: &mut Bus, pc: u16, exec_checks: &mut u64) -> Option<StepEvent> {
-        *exec_checks += u64::from(pc & 1 == 0);
-        match bus.check_fetch(pc) {
-            Ok(()) => None,
-            Err(fault) => Some(self.bus_fault_to_event(Addr::from(pc), fault)),
-        }
-    }
-
-    /// The fault for a permitted fetch from a slot holding no instruction.
+    /// The fault for a permitted fetch from a word holding no
+    /// instruction: outside the store's span or a hole inside it.
+    #[cold]
     fn illegal_fetch(&mut self, pc: u16) -> StepEvent {
         self.stats.faults += 1;
         StepEvent::Fault(FaultInfo {
@@ -307,12 +296,16 @@ impl Cpu {
     /// its access-attribute table with the installed MPU configuration
     /// (catching direct backend writes and extended-MPU flips made since
     /// the last block; MPU register stores inside the block re-resolve it
-    /// themselves), and the instruction table is unwrapped — an empty
-    /// store faults on its first fetch before the loop.  Each fetch is
-    /// then one attribute-byte load for the permission check plus one
-    /// masked slot index, and every data access one attribute-byte load.
-    /// The retired-instruction, cycle, data-access and execute-check
-    /// counters accumulate in locals, flushed once at block exit.  The
+    /// themselves), and the store's span is unwrapped into its first word
+    /// and slot slice.  Each fetch is then one attribute-byte load for the
+    /// permission check plus one indexed slot load: a PC outside the span
+    /// and an empty slot inside it take the same illegal-instruction
+    /// branch (so an empty store faults on its first fetch), and every
+    /// data access is one attribute-byte load.  The cycle and data-access
+    /// counters accumulate in locals; retired instructions and execute
+    /// checks are derived from the steps taken, since only the step that
+    /// stops a block on its fetch retires nothing (and only an odd PC
+    /// counts no check).  All are flushed once at block exit.  The
     /// benchmark timer still advances with every executed instruction (its
     /// memory-mapped counter stays exact even for firmware that reads it
     /// mid-block).  Returns `None` when the step budget ran out, otherwise
@@ -324,41 +317,35 @@ impl Cpu {
         max_steps: u64,
     ) -> (Option<StepEvent>, u64) {
         bus.sync_attr_table();
-        let mut exec_checks: u64 = 0;
-        let Some(table) = code.table() else {
-            // No instruction anywhere: the first fetch is permission-checked
-            // like any other, then faults on the empty slot.
-            if max_steps == 0 {
-                return (None, 0);
-            }
-            let pc = self.regs[Reg::PC.index()];
-            let ev = self
-                .fetch_fault(bus, pc, &mut exec_checks)
-                .unwrap_or_else(|| self.illegal_fetch(pc));
-            bus.stats.exec_checks += exec_checks;
-            return (Some(ev), 1);
-        };
+        let (lo, slots) = code.span();
         let mut steps: u64 = 0;
-        let mut instructions: u64 = 0;
         let mut cycles: u64 = 0;
         let mut data_accesses: u64 = 0;
+        // Set by the step whose fetch stopped the block: it retired no
+        // instruction, and an odd PC counted no execute check either.
+        let mut unretired: u64 = 0;
+        let mut unchecked: u64 = 0;
         let stop = loop {
             if steps >= max_steps {
                 break None;
             }
             steps += 1;
             let pc = self.regs[Reg::PC.index()];
-            if let Some(fault) = self.fetch_fault(bus, pc, &mut exec_checks) {
-                break Some(fault);
+            if let Err(fault) = bus.check_fetch(pc) {
+                unretired = 1;
+                unchecked = u64::from(pc & 1);
+                break Some(self.bus_fault_to_event(Addr::from(pc), fault));
             }
-            // The fetch check rejected odd PCs and the PC register is
-            // 16-bit, so the masked slot index is exact.
-            let slot = &table[usize::from(pc >> 1) & (code::SLOT_COUNT - 1)];
-            if slot.is_empty() {
-                break Some(self.illegal_fetch(pc));
-            }
+            // The fetch check rejected odd PCs, so `pc >> 1` is the word
+            // index; below the span it wraps past any slice length.
+            let slot = match slots.get(usize::from(pc >> 1).wrapping_sub(lo)) {
+                Some(slot) if !slot.is_empty() => slot,
+                _ => {
+                    unretired = 1;
+                    break Some(self.illegal_fetch(pc));
+                }
+            };
             let (instr, meta) = (slot.instr(), slot.meta());
-            instructions += 1;
             cycles += meta.base_cycles();
             data_accesses += meta.touches_data_memory() as u64;
             // Every cycle an instruction consumes is its `base_cycles`
@@ -378,10 +365,10 @@ impl Cpu {
                 }
             }
         };
-        self.stats.instructions += instructions;
+        self.stats.instructions += steps - unretired;
         self.cycles += cycles;
         self.stats.data_accesses += data_accesses;
-        bus.stats.exec_checks += exec_checks;
+        bus.stats.exec_checks += steps - unchecked;
         (stop, steps)
     }
 
@@ -961,6 +948,73 @@ mod tests {
                     (illegal_at(0x4401, Some(0x4401)), 1, 1, 0, 0),
                     "cache {cache}"
                 );
+            }
+        }
+    }
+
+    /// What a fetch-stopped block leaves behind: the stop event, steps,
+    /// retired instructions, faults, execute checks, cycles and timer
+    /// ticks.
+    type FetchStop = (Option<StepEvent>, u64, u64, u64, u64, u64, u64);
+
+    /// Runs `transfer` (a jump or call) at 0x4500 in a store spanning
+    /// 0x4500..0x4522 with a hole at 0x4504..0x4520, in one block.  The
+    /// span sits inside FRAM, so the words around it pass the fetch check.
+    fn transfer_outcome(transfer: Instr, cache: bool) -> FetchStop {
+        let mut code = asm(0x4500, &[transfer]);
+        code.insert(0x4520, Instr::Halt);
+        let mut bus = Bus::msp430fr5969();
+        bus.set_attr_cache_enabled(cache);
+        bus.timer.start();
+        let mut cpu = Cpu::new();
+        cpu.set_pc(0x4500);
+        cpu.set_sp(0x2400);
+        let (ev, steps) = cpu.run_block(&mut bus, &code, 100);
+        (
+            ev,
+            steps,
+            cpu.stats.instructions,
+            cpu.stats.faults,
+            bus.stats.exec_checks,
+            cpu.cycles,
+            bus.timer.raw_cycles(),
+        )
+    }
+
+    #[test]
+    fn fetches_outside_the_span_fault_exactly_like_an_interior_hole() {
+        let (lo, hi, hole) = (0x4500u16, 0x4522u16, 0x4510u16);
+        for cache in [true, false] {
+            for target in [lo - 2, hi, 0x0000, 0xFFFE, hole] {
+                for transfer in [Instr::Jmp { target }, Instr::Call { target }] {
+                    let cycles = transfer.base_cycles();
+                    assert_eq!(
+                        transfer_outcome(transfer, cache),
+                        (
+                            illegal_at(Addr::from(target), None),
+                            2,
+                            1,
+                            1,
+                            2,
+                            cycles,
+                            cycles
+                        ),
+                        "{transfer}, cache {cache}"
+                    );
+                }
+            }
+            // An odd PC faults as misaligned before any check is counted,
+            // inside the span or out of it.
+            for target in [lo - 1, hole + 1, hi + 1, 0xFFFF] {
+                for transfer in [Instr::Jmp { target }, Instr::Call { target }] {
+                    let cycles = transfer.base_cycles();
+                    let pc = Addr::from(target);
+                    assert_eq!(
+                        transfer_outcome(transfer, cache),
+                        (illegal_at(pc, Some(pc)), 2, 1, 1, 1, cycles, cycles),
+                        "{transfer}, cache {cache}"
+                    );
+                }
             }
         }
     }

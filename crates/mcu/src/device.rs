@@ -45,7 +45,8 @@ pub struct Device {
     pub cpu: Cpu,
     /// Memory bus (memory, MPU, timer).
     pub bus: Bus,
-    /// Decoded instruction store (flat word-indexed table, O(1) fetch).
+    /// Decoded instruction store (word-indexed table over the occupied
+    /// span, O(1) fetch).
     /// Shared: loading firmware installs a reference to the image's store
     /// rather than copying the slot table.
     pub code: Arc<InstrStore>,

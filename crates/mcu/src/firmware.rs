@@ -79,11 +79,11 @@ pub struct Firmware {
     pub method: IsolationMethod,
     /// The memory map the AFT's final phase produced.
     pub memory_map: MemoryMap,
-    /// Decoded instruction store: a flat word-indexed table with O(1)
-    /// fetch (see [`InstrStore`]).  Shared behind an [`Arc`] so cloning a
-    /// firmware image — and loading it onto many simulated devices — never
-    /// copies the (multi-hundred-KiB) slot table; the store is immutable
-    /// once built.
+    /// Decoded instruction store: a word-indexed table over the image's
+    /// occupied span with O(1) fetch (see [`InstrStore`]).  Shared behind
+    /// an [`Arc`] so cloning a firmware image — and loading it onto many
+    /// simulated devices — never copies the slot table; the store is
+    /// immutable once built.
     pub code: Arc<InstrStore>,
     /// Initialised data segments.
     pub data: Vec<DataSegment>,
@@ -302,8 +302,10 @@ impl FirmwareBuilder {
         self.apps.push(app);
     }
 
-    /// Finishes the image (validating it).
-    pub fn build(self) -> Result<Firmware, FirmwareError> {
+    /// Finishes the image (validating it).  The instruction store gives
+    /// back its growth slack, so the image owns exactly its span.
+    pub fn build(mut self) -> Result<Firmware, FirmwareError> {
+        self.code.shrink_to_span();
         let fw = Firmware {
             method: self.method,
             memory_map: self.memory_map,
@@ -380,6 +382,27 @@ mod tests {
         assert_eq!(fw.instruction_count(), 3);
         assert_eq!(fw.code_size_bytes(), 8);
         assert_eq!(fw.code_span().unwrap(), AddrRange::new(start, start + 8));
+    }
+
+    #[test]
+    fn built_and_decoded_images_own_exactly_their_span() {
+        use amulet_core::serial::Codec;
+        let map = map();
+        let mut b = FirmwareBuilder::new(IsolationMethod::Mpu, map.clone(), os_binary(&map));
+        let start = map.apps[0].code.start;
+        // Emitted out of order with a hole, so the span grows both ways.
+        b.emit(start + 0x40, &[Instr::Nop; 100]);
+        b.emit(start, &[Instr::Ret; 3]);
+        let fw = b.build().unwrap();
+        let words = |fw: &Firmware| (fw.code_span().unwrap().len() / 2) as usize;
+        assert_eq!(words(&fw), (0x40 + 200) / 2);
+        assert_eq!(fw.code.capacity(), words(&fw));
+
+        let decoded = Firmware::from_bytes(&fw.to_bytes()).unwrap();
+        assert_eq!(decoded.code, fw.code);
+        assert_eq!(decoded.code.capacity(), words(&decoded));
+        let store = InstrStore::from_bytes(&fw.code.to_bytes()).unwrap();
+        assert_eq!(store.capacity(), words(&fw));
     }
 
     #[test]

@@ -398,7 +398,9 @@ impl Codec for InstrStore {
     /// [`InstrStore::insert`] alignment assertion, checked here first so
     /// corrupt input errors instead of panicking) and strictly
     /// increasing (canonical order, no duplicates).  A `u16` address is
-    /// inside the 64 KiB space by construction.
+    /// inside the 64 KiB space by construction.  Like a built image, the
+    /// decoded store gives back its growth slack and owns exactly its
+    /// span.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let len = r.seq_len("instruction count", 3)?;
         if len > crate::code::SLOT_COUNT {
@@ -427,6 +429,7 @@ impl Codec for InstrStore {
             prev = Some(addr);
             store.insert(Addr::from(addr), instr);
         }
+        store.shrink_to_span();
         Ok(store)
     }
 }

@@ -1,10 +1,12 @@
-//! The instruction store scans only its occupied span.  These properties
-//! check every span-bounded scan against an oracle that visits all 32 Ki
-//! slots through the O(1) point lookup, which never consults the span:
-//! random inserts (slot 0, the top slot `0xFFFE`, replacements and
-//! out-of-order addresses) must give the same `iter`, `range`, `first`,
-//! `last`, `len` and `Codec` encoding, and equal contents must compare
-//! equal however they were inserted.
+//! The instruction store holds only its occupied span.  These properties
+//! check it against a `BTreeMap` model of the inserts: random inserts
+//! (slot 0, the top slot `0xFFFE`, replacements and out-of-order
+//! addresses, so the span grows at both ends) must give the model's
+//! answer from the point lookups `get`, `fetch` and `contains` at every
+//! even and odd address of the 64 KiB space (inside the span, in its
+//! holes and outside it), and the same `iter`, `range`, `first`, `last`,
+//! `len` and `Codec` encoding (whose decoding gives back an equal store);
+//! equal contents must compare equal however they were inserted.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +16,7 @@ use amulet_mcu::{Instr, InstrStore, Reg};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Slot indices: the two edges of the table, anywhere, and a narrow
+/// Word indices: the two edges of the address space, anywhere, and a narrow
 /// cluster that makes replacements common.
 fn slot_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![Just(0u32), Just(0x7FFFu32), 0u32..0x8000, 0x2200u32..0x2210]
@@ -33,14 +35,6 @@ fn build(pairs: &[(u32, Instr)]) -> InstrStore {
     pairs.iter().map(|&(slot, i)| (slot << 1, i)).collect()
 }
 
-/// Every occupied slot of the whole table, found by point lookups.
-fn full_table(store: &InstrStore) -> Vec<(Addr, Instr)> {
-    (0..0x1_0000u32)
-        .step_by(2)
-        .filter_map(|addr| store.get(addr).map(|i| (addr, *i)))
-        .collect()
-}
-
 fn collect<'a>(it: impl Iterator<Item = (Addr, &'a Instr)>) -> Vec<(Addr, Instr)> {
     it.map(|(a, i)| (a, *i)).collect()
 }
@@ -49,15 +43,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn span_bounded_scans_match_a_full_table_scan(
+    fn lookups_and_scans_match_a_btreemap_model(
         pairs in vec((slot_strategy(), instr_strategy()), 0..40),
         bounds in vec((0u32..0x1_0003, 0u32..0x1_0003), 6),
     ) {
         let store = build(&pairs);
-        let oracle = full_table(&store);
         let model: BTreeMap<Addr, Instr> =
             pairs.iter().map(|&(slot, i)| (slot << 1, i)).collect();
-        prop_assert_eq!(&oracle, &model.clone().into_iter().collect::<Vec<_>>());
+        for addr in 0..0x1_0000u32 {
+            let expected = model.get(&addr);
+            prop_assert_eq!(store.get(addr), expected, "get {:#06x}", addr);
+            prop_assert_eq!(store.contains(addr), expected.is_some());
+            prop_assert_eq!(
+                store
+                    .fetch(addr)
+                    .map(|(i, m)| (i, m.size_bytes(), m.base_cycles(), m.touches_data_memory())),
+                expected.map(|i| (*i, i.size_bytes(), i.base_cycles(), i.touches_data_memory())),
+                "fetch {:#06x}",
+                addr
+            );
+        }
+        let oracle: Vec<(Addr, Instr)> = model.into_iter().collect();
 
         prop_assert_eq!(collect(store.iter()), oracle.clone());
         prop_assert_eq!(store.len(), oracle.len());
@@ -89,7 +95,9 @@ proptest! {
             w.u16(*addr as u16);
             instr.encode(&mut w);
         }
-        prop_assert_eq!(store.to_bytes(), w.into_bytes());
+        let bytes = w.into_bytes();
+        prop_assert_eq!(store.to_bytes(), bytes.clone());
+        prop_assert_eq!(InstrStore::from_bytes(&bytes).unwrap(), store);
     }
 
     #[test]
