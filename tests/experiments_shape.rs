@@ -1,14 +1,33 @@
 //! Integration tests asserting the *shape* of every experiment in the
 //! paper's evaluation section — who wins, by roughly what factor, and where
 //! the crossovers fall — as reproduced by the benchmark harness.
+//!
+//! Each test also pins the FNV-1a64 digest of the figure's rendered text,
+//! so a refactor of the models underneath keeps every printed byte.  A digest
+//! may only change with a deliberate change to a model or a renderer; the
+//! failure message prints the new value to record.
 
 use amulet_iso::core::method::IsolationMethod;
+use amulet_iso::core::serial::fnv1a64;
+
+fn assert_pinned(label: &str, text: &str, pinned: u64) {
+    let digest = fnv1a64(text.as_bytes());
+    assert_eq!(
+        digest, pinned,
+        "{label}: rendered digest {digest:#018x}, pinned {pinned:#018x}"
+    );
+}
 
 /// Table 1 shape: per-operation costs keep the paper's orderings, and the
 /// MPU method needs half as many pointer checks as Software Only.
 #[test]
 fn table1_shape() {
     let rows = amulet_bench::table1::measure(20);
+    assert_pinned(
+        "table1",
+        &amulet_bench::table1::render(&rows),
+        0x3ffe_e8fc_ec81_a1fa,
+    );
     let get = |m| rows.iter().find(|r| r.method == m).unwrap();
     let none = get(IsolationMethod::NoIsolation);
     let fl = get(IsolationMethod::FeatureLimited);
@@ -40,6 +59,12 @@ fn table1_shape() {
 #[test]
 fn figure2_shape() {
     let rows = amulet_bench::fig2::compute();
+    let text = format!(
+        "{}\n{}\n",
+        amulet_bench::fig2::render(&rows),
+        amulet_bench::fig2::arp_view()
+    );
+    assert_pinned("fig2", &text, 0x562f_cc0e_b706_2f06);
     assert_eq!(rows.len(), 27, "nine apps × three isolating methods");
     for r in &rows {
         assert!(
@@ -79,6 +104,11 @@ fn figure2_shape() {
 #[test]
 fn figure3_shape() {
     let rows = amulet_bench::fig3::measure(20);
+    assert_pinned(
+        "fig3",
+        &amulet_bench::fig3::render(&rows),
+        0xa430_c53c_a39c_6228,
+    );
     for workload in ["Activity Case 1", "Activity Case 2", "Quicksort"] {
         let get = |m| {
             rows.iter()
@@ -114,11 +144,33 @@ fn figure3_shape() {
 #[test]
 fn ablation_shapes() {
     let stacks = amulet_bench::ablation::stack_ablation(30);
+    assert_pinned(
+        "stack ablation",
+        &amulet_bench::ablation::render_stack_ablation(&stacks),
+        0x2702_6ea5_fbfc_a8a7,
+    );
     assert!(stacks[2].cycles_per_event > stacks[0].cycles_per_event);
     assert!(stacks[2].cycles_per_event > 2.0 * stacks[1].cycles_per_event);
 
     let adv = amulet_bench::ablation::advanced_mpu_ablation(5);
+    assert_pinned(
+        "advanced-MPU ablation",
+        &amulet_bench::ablation::render_advanced_mpu(&adv),
+        0x87bb_1a5e_88ad_7cef,
+    );
     let quick = adv.iter().find(|r| r.workload == "Quicksort").unwrap();
     assert!(quick.advanced_mpu_slowdown_percent < quick.mpu_slowdown_percent);
     assert!(quick.check_share_percent > 50.0);
+}
+
+/// The platform comparison document is pinned byte for byte: it is the one
+/// report that runs every model on every built-in platform.
+#[test]
+fn platform_compare_document_is_pinned() {
+    use amulet_bench::platform_compare::{compare, render_json};
+    assert_pinned(
+        "platform_compare",
+        &render_json(&compare()),
+        0xe973_3a12_6428_86fc,
+    );
 }
