@@ -149,20 +149,20 @@ pub struct BuildOutput {
 pub struct Aft {
     method: IsolationMethod,
     platform: PlatformSpec,
-    os_spec: OsImageSpec,
     api: ApiSpec,
     apps: Vec<AppSource>,
 }
 
 impl Aft {
-    /// Creates a toolchain targeting the MSP430FR5969 with the default OS
-    /// image size.
+    /// Creates a toolchain targeting the MSP430FR5969: a call into
+    /// [`Aft::for_platform`].
     pub fn new(method: IsolationMethod) -> Self {
         Self::for_platform(method, &amulet_core::platform::Msp430Fr5969)
     }
 
     /// Creates a toolchain targeting any [`Platform`] (a profile type such
-    /// as [`amulet_core::platform::Msp430Fr5994`], or a `PlatformSpec`).
+    /// as [`amulet_core::platform::Msp430Fr5994`], or a `PlatformSpec`)
+    /// with the default OS image size.
     /// The inserted-check policy follows the platform's MPU model: hardware
     /// that can bound apps from below needs no data-pointer lower-bound
     /// checks.
@@ -170,22 +170,9 @@ impl Aft {
         Aft {
             method,
             platform: platform.spec(),
-            os_spec: OsImageSpec::default(),
             api: ApiSpec::amulet(),
             apps: Vec::new(),
         }
-    }
-
-    /// Overrides the target platform (used by the advanced-MPU ablation).
-    pub fn with_platform(mut self, platform: PlatformSpec) -> Self {
-        self.platform = platform;
-        self
-    }
-
-    /// Overrides the OS image sizes.
-    pub fn with_os_spec(mut self, os_spec: OsImageSpec) -> Self {
-        self.os_spec = os_spec;
-        self
     }
 
     /// Adds an application to the build.
@@ -237,7 +224,7 @@ impl Aft {
             firmware,
             memory_map,
             apps: link_infos,
-        } = link_units(self.method, &self.platform, &self.os_spec, &units)?;
+        } = link_units(self.method, &self.platform, &OsImageSpec::default(), &units)?;
 
         let reports = codes
             .iter()

@@ -92,11 +92,6 @@ impl FunctionCode {
     pub fn size_bytes(&self) -> u32 {
         self.instrs.iter().map(|i| i.size_bytes()).sum()
     }
-
-    /// Byte offset of the instruction at `index` from the function start.
-    pub fn offset_of(&self, index: usize) -> u32 {
-        self.instrs[..index].iter().map(|i| i.size_bytes()).sum()
-    }
 }
 
 /// The compiled (but not yet linked) form of one application.
@@ -1462,6 +1457,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::sema::analyze;
+    use amulet_core::layout::PlatformSpec;
 
     fn compile(src: &str, method: IsolationMethod) -> AppCode {
         let program = parse(src).unwrap();
@@ -1473,7 +1469,7 @@ mod tests {
             &analysis,
             &api,
             method,
-            CheckPolicy::for_method(method),
+            CheckPolicy::for_method_on(method, &PlatformSpec::msp430fr5969().mpu),
         )
         .unwrap()
     }

@@ -297,7 +297,10 @@ mod tests {
         let program = parse(src).unwrap();
         let api = ApiSpec::amulet();
         let analysis = analyze(name, &program, &api, method).unwrap();
-        let policy = amulet_core::checks::CheckPolicy::for_method(method);
+        let policy = amulet_core::checks::CheckPolicy::for_method_on(
+            method,
+            &PlatformSpec::msp430fr5969().mpu,
+        );
         let code = generate(name, &program, &analysis, &api, method, policy).unwrap();
         AppUnit {
             code,

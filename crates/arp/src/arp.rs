@@ -3,6 +3,7 @@
 
 use crate::profile::AppProfile;
 use amulet_core::energy::{BatteryModel, EnergyModel};
+use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use amulet_core::overhead::{OverheadBreakdown, OverheadModel};
 use std::fmt;
@@ -36,25 +37,11 @@ pub struct Arp {
     pub battery: BatteryModel,
 }
 
-impl Default for Arp {
-    fn default() -> Self {
-        Arp {
-            energy: EnergyModel::msp430fr5969(),
-            battery: BatteryModel::amulet(),
-        }
-    }
-}
-
 impl Arp {
-    /// Creates a profiler with explicit models.
-    pub fn new(energy: EnergyModel, battery: BatteryModel) -> Self {
-        Arp { energy, battery }
-    }
-
     /// Creates a profiler whose energy model matches the given platform
     /// (the battery is a property of the wearable, not the MCU, so the
     /// Amulet battery model is kept).
-    pub fn for_platform(platform: &amulet_core::layout::PlatformSpec) -> Self {
+    pub fn for_platform(platform: &PlatformSpec) -> Self {
         Arp {
             energy: EnergyModel::for_platform(platform),
             battery: BatteryModel::amulet(),
@@ -66,7 +53,7 @@ impl Arp {
     /// platform's check policy and switch-cost model.
     pub fn estimate_on(
         &self,
-        platform: &amulet_core::layout::PlatformSpec,
+        platform: &PlatformSpec,
         profile: &AppProfile,
         method: IsolationMethod,
     ) -> OverheadEstimate {
@@ -86,40 +73,26 @@ impl Arp {
         }
     }
 
-    /// Estimates the weekly isolation overhead of one app under one method.
-    pub fn estimate(&self, profile: &AppProfile, method: IsolationMethod) -> OverheadEstimate {
-        let model = OverheadModel::for_method(method);
-        let counts = profile.weekly_counts();
-        let breakdown = model.overhead(counts);
-        let cycles = breakdown.total();
-        let joules = self.energy.cycles_to_joules(cycles);
-        OverheadEstimate {
-            app: profile.name.clone(),
-            method,
-            breakdown,
-            cycles_per_week: cycles,
-            billions_of_cycles_per_week: cycles as f64 / 1e9,
-            joules_per_week: joules,
-            battery_impact_percent: self.battery.impact_percent(joules),
-        }
-    }
-
-    /// Estimates every app under every isolating method (the full Figure 2
-    /// data set).
-    pub fn figure2(&self, profiles: &[AppProfile]) -> Vec<OverheadEstimate> {
+    /// Estimates every app under every isolating method on a platform (the
+    /// full Figure 2 data set).
+    pub fn figure2(
+        &self,
+        platform: &PlatformSpec,
+        profiles: &[AppProfile],
+    ) -> Vec<OverheadEstimate> {
         let mut rows = Vec::new();
         for p in profiles {
             for method in IsolationMethod::ISOLATING {
-                rows.push(self.estimate(p, method));
+                rows.push(self.estimate_on(platform, p, method));
             }
         }
         rows
     }
 
     /// Renders the Figure 2 data as an ARP-view style text table.
-    pub fn render_figure2(&self, profiles: &[AppProfile]) -> ArpView {
+    pub fn render_figure2(&self, platform: &PlatformSpec, profiles: &[AppProfile]) -> ArpView {
         ArpView {
-            rows: self.figure2(profiles),
+            rows: self.figure2(platform, profiles),
         }
     }
 }
@@ -174,6 +147,14 @@ mod tests {
     use super::*;
     use crate::profile::HandlerProfile;
 
+    fn fr5969() -> PlatformSpec {
+        PlatformSpec::msp430fr5969()
+    }
+
+    fn arp() -> Arp {
+        Arp::for_platform(&fr5969())
+    }
+
     fn pedometer_like() -> AppProfile {
         // 20 Hz accelerometer batches, ~40 guarded accesses per batch, one
         // API call per batch.
@@ -191,24 +172,24 @@ mod tests {
 
     #[test]
     fn no_isolation_has_zero_overhead() {
-        let arp = Arp::default();
-        let e = arp.estimate(&pedometer_like(), IsolationMethod::NoIsolation);
+        let arp = arp();
+        let e = arp.estimate_on(&fr5969(), &pedometer_like(), IsolationMethod::NoIsolation);
         assert_eq!(e.cycles_per_week, 0);
         assert_eq!(e.battery_impact_percent, 0.0);
     }
 
     #[test]
     fn figure2_has_one_row_per_app_and_method() {
-        let arp = Arp::default();
-        let rows = arp.figure2(&[pedometer_like(), chatty_logger()]);
+        let arp = arp();
+        let rows = arp.figure2(&fr5969(), &[pedometer_like(), chatty_logger()]);
         assert_eq!(rows.len(), 2 * IsolationMethod::ISOLATING.len());
     }
 
     #[test]
     fn battery_impact_stays_below_half_a_percent() {
         // The paper's headline claim, for profiles at realistic rates.
-        let arp = Arp::default();
-        let view = arp.render_figure2(&[pedometer_like(), chatty_logger()]);
+        let arp = arp();
+        let view = arp.render_figure2(&fr5969(), &[pedometer_like(), chatty_logger()]);
         assert!(
             view.max_battery_impact_percent() < 0.5,
             "{}",
@@ -219,28 +200,32 @@ mod tests {
 
     #[test]
     fn compute_heavy_apps_prefer_mpu_os_heavy_apps_prefer_software_only() {
-        let arp = Arp::default();
+        let arp = arp();
         let ped = pedometer_like();
-        let mpu = arp.estimate(&ped, IsolationMethod::Mpu).cycles_per_week;
+        let mpu = arp
+            .estimate_on(&fr5969(), &ped, IsolationMethod::Mpu)
+            .cycles_per_week;
         let sw = arp
-            .estimate(&ped, IsolationMethod::SoftwareOnly)
+            .estimate_on(&fr5969(), &ped, IsolationMethod::SoftwareOnly)
             .cycles_per_week;
         assert!(mpu < sw, "memory-heavy: MPU {mpu} < SW {sw}");
 
         let log = chatty_logger();
-        let mpu = arp.estimate(&log, IsolationMethod::Mpu).cycles_per_week;
+        let mpu = arp
+            .estimate_on(&fr5969(), &log, IsolationMethod::Mpu)
+            .cycles_per_week;
         let sw = arp
-            .estimate(&log, IsolationMethod::SoftwareOnly)
+            .estimate_on(&fr5969(), &log, IsolationMethod::SoftwareOnly)
             .cycles_per_week;
         assert!(sw < mpu, "switch-heavy: SW {sw} < MPU {mpu}");
     }
 
     #[test]
     fn feature_limited_pays_for_every_array_access() {
-        let arp = Arp::default();
+        let arp = arp();
         let ped = pedometer_like();
-        let fl = arp.estimate(&ped, IsolationMethod::FeatureLimited);
-        let mpu = arp.estimate(&ped, IsolationMethod::Mpu);
+        let fl = arp.estimate_on(&fr5969(), &ped, IsolationMethod::FeatureLimited);
+        let mpu = arp.estimate_on(&fr5969(), &ped, IsolationMethod::Mpu);
         assert!(fl.breakdown.memory_access_cycles > mpu.breakdown.memory_access_cycles);
         // Feature Limited shares the stack and skips MPU reconfiguration, so
         // its switch overhead is zero.
@@ -249,8 +234,8 @@ mod tests {
 
     #[test]
     fn report_renders_every_app_and_method() {
-        let arp = Arp::default();
-        let view = arp.render_figure2(&[pedometer_like(), chatty_logger()]);
+        let arp = arp();
+        let view = arp.render_figure2(&fr5969(), &[pedometer_like(), chatty_logger()]);
         let text = view.to_string();
         assert!(text.contains("Pedometer"));
         assert!(text.contains("HRLog"));

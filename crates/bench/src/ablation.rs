@@ -11,7 +11,9 @@
 //!   (which remains).
 
 use amulet_aft::aft::{Aft, AppSource};
+use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
+use amulet_core::overhead::OverheadModel;
 use amulet_os::os::{AmuletOs, DeliveryOutcome, OsOptions};
 use std::fmt::Write as _;
 
@@ -119,6 +121,13 @@ pub struct AdvancedMpuRow {
 /// Computes the advanced-MPU ablation from the Figure 3 measurements.
 pub fn advanced_mpu_ablation(iterations: u16) -> Vec<AdvancedMpuRow> {
     let rows = crate::fig3::measure(iterations);
+    // The switch-reconfiguration share of the overhead: switches per run ×
+    // the per-switch premium.  These workloads make no API calls, so the
+    // only switches are the per-iteration event deliveries; estimate their
+    // share from the FR5969's analytic switch plan.
+    let switch_premium =
+        OverheadModel::for_platform(IsolationMethod::Mpu, &PlatformSpec::msp430fr5969())
+            .per_context_switch;
     let mut out = Vec::new();
     let workload_names: Vec<String> = {
         let mut names: Vec<String> = rows.iter().map(|r| r.workload.clone()).collect();
@@ -134,15 +143,6 @@ pub fn advanced_mpu_ablation(iterations: u16) -> Vec<AdvancedMpuRow> {
         let base = get(IsolationMethod::NoIsolation).cycles as f64;
         let mpu = get(IsolationMethod::Mpu).cycles as f64;
         let overhead = (mpu - base).max(0.0);
-        // The switch-reconfiguration share of the overhead: switches per run
-        // × the per-switch premium.  These workloads make no API calls, so
-        // the only switches are the per-iteration event deliveries; estimate
-        // their share by re-deriving it from the analytic plan.
-        let switch_premium =
-            amulet_core::switch::ContextSwitchPlan::round_trip_cycles(IsolationMethod::Mpu)
-                - amulet_core::switch::ContextSwitchPlan::round_trip_cycles(
-                    IsolationMethod::NoIsolation,
-                );
         let switch_cycles = (iterations as u64 * switch_premium) as f64;
         let check_cycles = (overhead - switch_cycles).max(0.0);
         let mpu_slowdown = overhead / base * 100.0;

@@ -24,7 +24,9 @@
 //!   individually on any scenario.
 //! * Every numeric flag is parsed at its field's own type: a value that
 //!   does not fit is rejected with exit code 2, never wrapped.  So is a
-//!   per-mille value above 1000 and an empty fleet (`--devices 0`).
+//!   per-mille value above 1000, an empty fleet (`--devices 0`) and a
+//!   worker count above 1024 (flag or positional): each worker is an OS
+//!   thread, and tens of thousands of them exhaust the host.
 //! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
 //!   images evicted first); requires `--store`.  Contradictory flag
 //!   combinations (`--store --no-store`, `--paranoid --no-store`,
@@ -77,6 +79,9 @@ const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [s
      [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
      [--no-write] [--scaling] [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
      [--report-out FILE] [--verify]";
+
+/// The largest worker count accepted, by flag or by position.
+const MAX_WORKERS: usize = 1024;
 
 /// Everything the command line can ask for, before it is resolved into a
 /// scenario.
@@ -211,13 +216,16 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
     cli
 }
 
-/// Rejects an empty fleet, which has no population to report on,
-/// contradictory flag combinations and an unusable `--store` directory up
-/// front (exit 2 with usage) instead of letting one flag silently win
-/// over another.
+/// Rejects an empty fleet, which has no population to report on, more
+/// workers than [`MAX_WORKERS`], contradictory flag combinations and an
+/// unusable `--store` directory up front (exit 2 with usage) instead of
+/// letting one flag silently win over another.
 fn validate(cli: &Cli) {
     if cli.devices == Some(0) {
         fail("a fleet needs at least one device");
+    }
+    if let Some(w) = cli.workers.filter(|&w| w > MAX_WORKERS) {
+        fail(&format!("at most {MAX_WORKERS} workers, got {w}"));
     }
     if cli.store.is_some() && cli.no_store {
         fail("--store and --no-store conflict");

@@ -2,6 +2,7 @@
 //! lifetime impact for the nine Amulet applications.
 
 use amulet_arp::arp::{Arp, ArpView};
+use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use std::fmt::Write as _;
 
@@ -18,15 +19,16 @@ pub struct Fig2Row {
     pub battery_impact_percent: f64,
 }
 
-/// Computes the Figure 2 data set from the application catalogue's ARP
-/// profiles.
+/// Computes the Figure 2 data set on the MSP430FR5969 from the application
+/// catalogue's ARP profiles.
 pub fn compute() -> Vec<Fig2Row> {
-    let arp = Arp::default();
+    let fr5969 = PlatformSpec::msp430fr5969();
     let profiles: Vec<_> = amulet_apps::catalog()
         .into_iter()
         .map(|a| a.profile)
         .collect();
-    arp.figure2(&profiles)
+    Arp::for_platform(&fr5969)
+        .figure2(&fr5969, &profiles)
         .into_iter()
         .map(|e| Fig2Row {
             app: e.app,
@@ -39,12 +41,12 @@ pub fn compute() -> Vec<Fig2Row> {
 
 /// The underlying ARP-view (for the richer report, including joules).
 pub fn arp_view() -> ArpView {
-    let arp = Arp::default();
+    let fr5969 = PlatformSpec::msp430fr5969();
     let profiles: Vec<_> = amulet_apps::catalog()
         .into_iter()
         .map(|a| a.profile)
         .collect();
-    arp.render_figure2(&profiles)
+    Arp::for_platform(&fr5969).render_figure2(&fr5969, &profiles)
 }
 
 /// Renders Figure 2 as a text table grouped by application.

@@ -44,12 +44,6 @@ use amulet_aft::aft::Aft;
 use amulet_core::method::IsolationMethod;
 use amulet_os::os::AmuletOs;
 
-/// Builds a single benchmark app for `method` and boots an OS around it
-/// (on the paper's MSP430FR5969).
-pub fn boot_benchmark(app: &amulet_apps::BenchmarkApp, method: IsolationMethod) -> AmuletOs {
-    boot_benchmark_on(&amulet_core::platform::Msp430Fr5969, app, method)
-}
-
 /// Builds a single benchmark app for `method` on any platform and boots an
 /// OS around it.
 pub fn boot_benchmark_on(

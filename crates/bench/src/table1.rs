@@ -8,7 +8,8 @@
 //! per-operation costs derived from the check policy and switch plan, plus
 //! the numbers printed in the paper for comparison.
 
-use crate::boot_benchmark;
+use crate::boot_benchmark_on;
+use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use amulet_core::overhead::OverheadModel;
 use amulet_os::os::DeliveryOutcome;
@@ -50,7 +51,7 @@ pub fn paper_values(method: IsolationMethod) -> (u64, u64) {
     }
 }
 
-/// Measures Table 1 on the simulator.
+/// Measures Table 1 on the simulated MSP430FR5969.
 ///
 /// `rounds` controls how long each measured run is (the paper uses 200
 /// iterations; the differencing below makes the result insensitive to the
@@ -62,9 +63,10 @@ pub fn measure(rounds: u16) -> Vec<Table1Row> {
         "Table 1 differences a long run against a 1-round run"
     );
     let synthetic = amulet_apps::synthetic();
+    let fr5969 = PlatformSpec::msp430fr5969();
     let mut rows = Vec::new();
     for method in IsolationMethod::ALL {
-        let mut os = boot_benchmark(&synthetic, method);
+        let mut os = boot_benchmark_on(&fr5969, &synthetic, method);
 
         // Memory access cost: difference a long and a short run of the
         // memory-access handler so the per-invocation overhead cancels.
@@ -78,7 +80,7 @@ pub fn measure(rounds: u16) -> Vec<Table1Row> {
         let switch_per_op =
             (long - short) as f64 / ((rounds as u64 - 1) * SWITCHES_PER_ROUND) as f64;
 
-        let model = OverheadModel::for_method(method);
+        let model = OverheadModel::for_platform(method, &fr5969);
         let (paper_mem, paper_switch) = paper_values(method);
         rows.push(Table1Row {
             method,
@@ -134,7 +136,7 @@ mod tests {
     #[test]
     fn analytic_values_match_the_paper_exactly() {
         for method in IsolationMethod::ALL {
-            let model = OverheadModel::for_method(method);
+            let model = OverheadModel::for_platform(method, &PlatformSpec::msp430fr5969());
             let (mem, switch) = paper_values(method);
             assert_eq!(model.absolute_memory_access_cycles(), mem, "{method}");
             assert_eq!(model.absolute_context_switch_cycles(), switch, "{method}");

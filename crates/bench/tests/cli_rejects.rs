@@ -27,6 +27,9 @@ fn fleet_sim_rejects_out_of_range_values() {
         &["--devices", "-1"],
         &["--devices", "0"],
         &["0"],
+        // Tens of thousands of worker threads exhaust the host.
+        &["--workers", "40000"],
+        &["1000", "40000"],
         // A store directory the process cannot create or write to would
         // otherwise cache nothing and still exit 0.
         &["8", "--summary", "--no-write", "--store", "/dev/null"],

@@ -4,7 +4,7 @@
 //! against a constant, followed by a conditional branch (jump) to the
 //! fault-handling code".  This module describes *which* checks each isolation
 //! method requires and what each costs in instructions and cycles, so that
-//! both the compiler passes (`amulet-aft::passes`) and the analytic overhead
+//! both the compiler (`amulet-aft::codegen`) and the analytic overhead
 //! model ([`crate::overhead`]) agree on the policy.
 
 use crate::fault::FaultClass;
@@ -185,7 +185,7 @@ impl CheckPolicy {
     /// hardware**, derived from the backend's
     /// [`crate::platform::RegionConstraints`].
     ///
-    /// The paper's policy (see [`CheckPolicy::for_method`]) assumes the
+    /// The paper's §3 policy (the base table below) assumes the
     /// FR5969's segmented MPU, which cannot bound the running app from
     /// below and polices neither SRAM nor peripherals — hence the
     /// compiler-inserted lower-bound checks under the MPU method.  A region
@@ -220,9 +220,9 @@ impl CheckPolicy {
         policy
     }
 
-    /// The check policy for a given isolation method, exactly as described in
-    /// §3 of the paper.
-    pub fn for_method(method: IsolationMethod) -> Self {
+    /// The base table behind [`CheckPolicy::for_method_on`]: the policy for
+    /// a given isolation method, exactly as described in §3 of the paper.
+    fn for_method(method: IsolationMethod) -> Self {
         match method {
             IsolationMethod::NoIsolation => CheckPolicy {
                 method,
@@ -368,10 +368,15 @@ impl CheckPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::PlatformSpec;
+
+    fn on_fr5969(method: IsolationMethod) -> CheckPolicy {
+        CheckPolicy::for_method_on(method, &PlatformSpec::msp430fr5969().mpu)
+    }
 
     #[test]
     fn no_isolation_inserts_nothing() {
-        let p = CheckPolicy::for_method(IsolationMethod::NoIsolation);
+        let p = on_fr5969(IsolationMethod::NoIsolation);
         assert!(p.data_pointer_checks().is_empty());
         assert!(p.function_pointer_checks().is_empty());
         assert!(p.array_checks().is_empty());
@@ -381,8 +386,8 @@ mod tests {
 
     #[test]
     fn mpu_method_needs_half_the_pointer_checks_of_software_only() {
-        let mpu = CheckPolicy::for_method(IsolationMethod::Mpu);
-        let sw = CheckPolicy::for_method(IsolationMethod::SoftwareOnly);
+        let mpu = on_fr5969(IsolationMethod::Mpu);
+        let sw = on_fr5969(IsolationMethod::SoftwareOnly);
         assert_eq!(mpu.checks_per_pointer_deref(), 1);
         assert_eq!(sw.checks_per_pointer_deref(), 2);
         assert_eq!(
@@ -393,7 +398,7 @@ mod tests {
 
     #[test]
     fn feature_limited_guards_arrays_only() {
-        let p = CheckPolicy::for_method(IsolationMethod::FeatureLimited);
+        let p = on_fr5969(IsolationMethod::FeatureLimited);
         assert!(p.array_bounds);
         assert!(!p.data_pointer_lower && !p.data_pointer_upper);
         assert!(!p.function_pointer_lower && !p.function_pointer_upper);
@@ -402,13 +407,10 @@ mod tests {
     #[test]
     fn table1_memory_access_overhead_ordering() {
         // Table 1: 23 (none) < 29 (MPU) < 32 (SW only) < 41 (feature limited).
-        let none =
-            CheckPolicy::for_method(IsolationMethod::NoIsolation).memory_access_overhead_cycles();
-        let mpu = CheckPolicy::for_method(IsolationMethod::Mpu).memory_access_overhead_cycles();
-        let sw =
-            CheckPolicy::for_method(IsolationMethod::SoftwareOnly).memory_access_overhead_cycles();
-        let fl = CheckPolicy::for_method(IsolationMethod::FeatureLimited)
-            .memory_access_overhead_cycles();
+        let none = on_fr5969(IsolationMethod::NoIsolation).memory_access_overhead_cycles();
+        let mpu = on_fr5969(IsolationMethod::Mpu).memory_access_overhead_cycles();
+        let sw = on_fr5969(IsolationMethod::SoftwareOnly).memory_access_overhead_cycles();
+        let fl = on_fr5969(IsolationMethod::FeatureLimited).memory_access_overhead_cycles();
         assert!(none < mpu, "{none} < {mpu}");
         assert!(mpu < sw, "{mpu} < {sw}");
         assert!(sw < fl, "{sw} < {fl}");
@@ -458,7 +460,7 @@ mod tests {
     #[test]
     fn summary_mentions_method_name() {
         for m in IsolationMethod::ALL {
-            assert!(CheckPolicy::for_method(m).summary().contains(m.label()));
+            assert!(on_fr5969(m).summary().contains(m.label()));
         }
     }
 }

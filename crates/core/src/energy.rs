@@ -9,9 +9,10 @@
 //! impact %         = overhead energy / weekly energy budget × 100
 //! ```
 //!
-//! The constants default to the MSP430FR5969 running at 16 MHz from a 3 V
-//! supply (≈100 µA/MHz active current per the datasheet) and an Amulet-like
-//! 100 mAh battery with a one-week baseline lifetime.  The absolute figures
+//! The electrical constants come from the platform's spec
+//! ([`EnergyModel::for_platform`]); the paper's MSP430FR5969 runs at 16 MHz
+//! from a 3 V supply (≈100 µA/MHz active current per the datasheet), with an
+//! Amulet-like 100 mAh battery and a one-week baseline lifetime.  The absolute figures
 //! depend on these constants, but the paper's headline claim — every
 //! application stays **below 0.5 % battery impact** under either isolation
 //! method — is robust to any reasonable choice, and the benches print both
@@ -24,6 +25,8 @@
 //! charges `active energy = cycles × joules/cycle` while handlers run and
 //! `idle energy = LPM power × gap seconds` across inter-event gaps, which
 //! is what turns per-event overhead cycles into a battery-lifetime number.
+
+use crate::layout::PlatformSpec;
 
 /// CPU frequency and active/sleep power model of the MCU.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,21 +43,10 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// MSP430FR5969 at 16 MHz: ≈100 µA/MHz active, ≈0.7 µA in LPM3, from a
-    /// 3 V supply.
-    pub fn msp430fr5969() -> Self {
-        EnergyModel {
-            frequency_hz: 16_000_000.0,
-            active_current_a: 1.6e-3,
-            lpm_current_a: 0.7e-6,
-            supply_voltage_v: 3.0,
-        }
-    }
-
     /// The energy model for a platform, derived from the electrical
     /// parameters its spec carries — every profile, including future ones,
     /// gets its own numbers rather than a silent FR5969 fallback.
-    pub fn for_platform(platform: &crate::layout::PlatformSpec) -> Self {
+    pub fn for_platform(platform: &PlatformSpec) -> Self {
         EnergyModel {
             frequency_hz: platform.energy.frequency_hz as f64,
             active_current_a: platform.energy.active_current_ua as f64 / 1e6,
@@ -91,12 +83,6 @@ impl EnergyModel {
     /// Converts a cycle count to energy in joules.
     pub fn cycles_to_joules(&self, cycles: u64) -> f64 {
         cycles as f64 * self.joules_per_cycle()
-    }
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self::msp430fr5969()
     }
 }
 
@@ -181,13 +167,17 @@ impl Default for BatteryModel {
 mod tests {
     use super::*;
 
+    fn fr5969() -> EnergyModel {
+        EnergyModel::for_platform(&PlatformSpec::msp430fr5969())
+    }
+
     fn close(a: f64, b: f64, rel: f64) -> bool {
         (a - b).abs() <= rel * b.abs().max(1e-12)
     }
 
     #[test]
     fn msp430_power_is_a_few_milliwatts() {
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         assert!(
             close(e.active_power_w(), 4.8e-3, 1e-9),
             "{}",
@@ -198,7 +188,7 @@ mod tests {
 
     #[test]
     fn cycles_convert_to_time_and_energy() {
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         assert!(close(e.cycles_to_seconds(16_000_000), 1.0, 1e-12));
         assert!(close(
             e.cycles_to_joules(16_000_000),
@@ -220,7 +210,7 @@ mod tests {
         // The largest per-app overhead in Figure 2 is on the order of a few
         // billion cycles per week; that must land below the paper's 0.5 %
         // battery-impact bound under the default models.
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         let b = BatteryModel::amulet();
         for cycles in [0_u64, 100_000_000, 1_000_000_000, 3_000_000_000] {
             let impact = b.impact_percent_from_cycles(&e, cycles);
@@ -230,7 +220,7 @@ mod tests {
 
     #[test]
     fn impact_is_monotone_in_cycles() {
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         let b = BatteryModel::amulet();
         let mut prev = -1.0;
         for cycles in [0_u64, 1_000, 1_000_000, 1_000_000_000, 10_000_000_000] {
@@ -242,7 +232,7 @@ mod tests {
 
     #[test]
     fn lpm_power_is_orders_of_magnitude_below_active() {
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         assert!(close(e.lpm_power_w(), 2.1e-6, 1e-9), "{}", e.lpm_power_w());
         assert!(e.lpm_power_w() < e.active_power_w() / 1000.0);
         // A week of LPM3 idling costs ~1.27 J — about 0.1 % of the battery.
@@ -265,7 +255,7 @@ mod tests {
         assert!(b.lifetime_weeks_at_power(0.0).is_infinite());
         // A pure-LPM3 device (2.1 µW) projects to a multi-year lifetime:
         // 1080 J / 2.1 µW ≈ 850 weeks.
-        let e = EnergyModel::msp430fr5969();
+        let e = fr5969();
         let weeks = b.lifetime_weeks_at_power(e.lpm_power_w());
         assert!(weeks > 500.0 && weeks < 1500.0, "{weeks}");
     }

@@ -72,15 +72,6 @@ impl FaultClass {
             FaultClass::MpuViolation | FaultClass::IllegalInstruction
         )
     }
-
-    /// Whether this fault indicates an attempted isolation violation (as
-    /// opposed to a plain programming error such as an illegal instruction).
-    pub fn is_isolation_violation(&self) -> bool {
-        !matches!(
-            self,
-            FaultClass::IllegalInstruction | FaultClass::WatchdogBudget
-        )
-    }
 }
 
 impl fmt::Display for FaultClass {

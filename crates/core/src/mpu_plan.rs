@@ -226,9 +226,9 @@ impl MpuConfig {
 }
 
 impl MpuPlan {
-    /// Builds the Figure-1 configuration for application `app_index` of the
-    /// given memory map.
-    pub fn for_app(map: &MemoryMap, app_index: usize) -> CoreResult<Self> {
+    /// The segmented arm of [`MpuPlan::for_app_on`]: the Figure-1
+    /// configuration for application `app_index` of the given memory map.
+    fn for_app(map: &MemoryMap, app_index: usize) -> CoreResult<Self> {
         let app = map
             .apps
             .get(app_index)
@@ -285,13 +285,14 @@ impl MpuPlan {
         })
     }
 
-    /// Builds the configuration used while the OS itself runs.
+    /// The segmented arm of [`MpuPlan::for_os_on`]: the configuration used
+    /// while the OS itself runs.
     ///
     /// The boundary between OS code and OS data is rounded *down* to the MPU
     /// granularity so that every byte of OS data is writable; the tail of the
     /// OS code region that falls into the read-write segment is harmless
     /// because the OS is trusted.
-    pub fn for_os(map: &MemoryMap) -> CoreResult<Self> {
+    fn for_os(map: &MemoryMap) -> CoreResult<Self> {
         let fram = map.platform.fram;
         let g = map.platform.mpu_boundary_granularity();
         let b1 = align_down(map.os_code.end, g).max(fram.start);
@@ -675,7 +676,7 @@ mod tests {
     #[test]
     fn app_plan_matches_figure1() {
         let map = map();
-        let plan = MpuPlan::for_app(&map, 1).unwrap();
+        let plan = MpuPlan::for_app_on(&map, 1).unwrap();
         let app = &map.apps[1];
 
         // Segment 1 covers everything below the app's data and is X-only.
@@ -697,7 +698,7 @@ mod tests {
     #[test]
     fn app_cannot_touch_higher_app_but_mpu_ignores_lower_memory_writes() {
         let map = map();
-        let plan = MpuPlan::for_app(&map, 0).unwrap();
+        let plan = MpuPlan::for_app_on(&map, 0).unwrap();
         // Above the app: fully blocked.
         assert!(plan.blocks(map.apps[1].data.start));
         // Below the app's data (OS data): execute-only, so a *write* is
@@ -714,7 +715,7 @@ mod tests {
     #[test]
     fn os_plan_lets_the_os_reach_app_memory() {
         let map = map();
-        let plan = MpuPlan::for_os(&map).unwrap();
+        let plan = MpuPlan::for_os_on(&map).unwrap();
         assert_eq!(plan.segments[3].perm, Perm::RW);
         assert!(plan
             .permission_at(map.apps[2].data.start)
@@ -731,7 +732,7 @@ mod tests {
     fn boundaries_are_the_apps_d_and_t() {
         let map = map();
         for (i, app) in map.apps.iter().enumerate() {
-            let plan = MpuPlan::for_app(&map, i).unwrap();
+            let plan = MpuPlan::for_app_on(&map, i).unwrap();
             assert_eq!(plan.boundary1, app.data_lower_bound());
             assert_eq!(plan.boundary2, app.upper_bound());
         }
@@ -740,7 +741,7 @@ mod tests {
     #[test]
     fn register_encoding_roundtrips_boundaries() {
         let map = map();
-        let plan = MpuPlan::for_app(&map, 2).unwrap();
+        let plan = MpuPlan::for_app_on(&map, 2).unwrap();
         let regs = plan.register_values();
         assert_eq!((regs.mpusegb1 as u32) << 4, plan.boundary1);
         assert_eq!((regs.mpusegb2 as u32) << 4, plan.boundary2);
@@ -757,7 +758,7 @@ mod tests {
     #[test]
     fn unknown_app_index_is_an_error() {
         let map = map();
-        assert!(MpuPlan::for_app(&map, 99).is_err());
+        assert!(MpuPlan::for_app_on(&map, 99).is_err());
     }
 
     #[test]
@@ -872,7 +873,7 @@ mod tests {
     #[test]
     fn display_lists_all_segments() {
         let map = map();
-        let s = MpuPlan::for_app(&map, 0).unwrap().to_string();
+        let s = MpuPlan::for_app_on(&map, 0).unwrap().to_string();
         assert!(s.contains("MPU0"));
         assert!(s.contains("MPU3"));
         assert!(s.contains("App1"));

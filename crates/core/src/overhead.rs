@@ -9,6 +9,7 @@
 //! event-rate bookkeeping and reporting on top.
 
 use crate::checks::CheckPolicy;
+use crate::layout::PlatformSpec;
 use crate::method::IsolationMethod;
 use crate::switch::ContextSwitchPlan;
 use std::fmt;
@@ -100,27 +101,13 @@ pub struct OverheadModel {
 }
 
 impl OverheadModel {
-    /// Builds the model for a method from the check policy and switch plan,
-    /// so the analytic numbers always agree with what the compiler inserts
-    /// and what the OS executes.
-    pub fn for_method(method: IsolationMethod) -> Self {
-        let per_memory_access = CheckPolicy::for_method(method).memory_access_overhead_cycles();
-        let per_context_switch = ContextSwitchPlan::round_trip_cycles(method)
-            - ContextSwitchPlan::round_trip_cycles(IsolationMethod::NoIsolation);
-        OverheadModel {
-            method,
-            per_memory_access,
-            per_context_switch,
-        }
-    }
-
-    /// Builds the model for a method **on a specific platform**: the check
-    /// policy is derived from the platform's MPU capability model and the
-    /// context-switch cost from its cost table.  For the MSP430FR5969 this
-    /// is identical to [`OverheadModel::for_method`].
-    pub fn for_platform(method: IsolationMethod, platform: &crate::layout::PlatformSpec) -> Self {
-        let per_memory_access = crate::checks::CheckPolicy::for_method_on(method, &platform.mpu)
-            .memory_access_overhead_cycles();
+    /// Builds the model for a method on a platform from the check policy
+    /// (derived from the platform's MPU capability model) and the switch
+    /// plan (costed by its cost table), so the analytic numbers always agree
+    /// with what the compiler inserts and what the OS executes.
+    pub fn for_platform(method: IsolationMethod, platform: &PlatformSpec) -> Self {
+        let per_memory_access =
+            CheckPolicy::for_method_on(method, &platform.mpu).memory_access_overhead_cycles();
         let per_context_switch = ContextSwitchPlan::round_trip_cycles_for(platform, method)
             - ContextSwitchPlan::round_trip_cycles_for(platform, IsolationMethod::NoIsolation);
         OverheadModel {
@@ -128,22 +115,6 @@ impl OverheadModel {
             per_memory_access,
             per_context_switch,
         }
-    }
-
-    /// Models for all four methods in Table-1 order.
-    pub fn all() -> Vec<OverheadModel> {
-        IsolationMethod::ALL
-            .iter()
-            .map(|m| Self::for_method(*m))
-            .collect()
-    }
-
-    /// Models for all four methods on a specific platform, in Table-1 order.
-    pub fn all_for(platform: &crate::layout::PlatformSpec) -> Vec<OverheadModel> {
-        IsolationMethod::ALL
-            .iter()
-            .map(|m| Self::for_platform(*m, platform))
-            .collect()
     }
 
     /// Absolute cost of one memory access under this method (baseline plus
@@ -184,9 +155,14 @@ impl OverheadModel {
     }
 
     /// Percentage slowdown relative to the No Isolation baseline for the same
-    /// operation counts.
+    /// operation counts.  That baseline carries no overhead on any platform.
     pub fn slowdown_percent(&self, counts: OpCounts) -> f64 {
-        let base = OverheadModel::for_method(IsolationMethod::NoIsolation).total_cycles(counts);
+        let baseline = OverheadModel {
+            method: IsolationMethod::NoIsolation,
+            per_memory_access: 0,
+            per_context_switch: 0,
+        };
+        let base = baseline.total_cycles(counts);
         if base == 0 {
             return 0.0;
         }
@@ -199,10 +175,15 @@ impl OverheadModel {
 mod tests {
     use super::*;
 
+    fn on_fr5969(method: IsolationMethod) -> OverheadModel {
+        OverheadModel::for_platform(method, &PlatformSpec::msp430fr5969())
+    }
+
     #[test]
     fn table1_absolute_costs_are_reproduced_by_the_model() {
-        let rows: Vec<(IsolationMethod, u64, u64)> = OverheadModel::all()
+        let rows: Vec<(IsolationMethod, u64, u64)> = IsolationMethod::ALL
             .into_iter()
+            .map(on_fr5969)
             .map(|m| {
                 (
                     m.method,
@@ -224,7 +205,7 @@ mod tests {
 
     #[test]
     fn overhead_scales_linearly_with_counts() {
-        let model = OverheadModel::for_method(IsolationMethod::Mpu);
+        let model = on_fr5969(IsolationMethod::Mpu);
         let once = model.overhead(OpCounts::new(10, 3));
         let tenfold = model.overhead(OpCounts::new(100, 30));
         assert_eq!(tenfold.total(), once.total() * 10);
@@ -235,8 +216,8 @@ mod tests {
         // The paper's §4.2 observation: MPU is best for computationally heavy
         // (memory-access dominated) apps, Software Only is better for apps
         // that make frequent API calls.
-        let mpu = OverheadModel::for_method(IsolationMethod::Mpu);
-        let sw = OverheadModel::for_method(IsolationMethod::SoftwareOnly);
+        let mpu = on_fr5969(IsolationMethod::Mpu);
+        let sw = on_fr5969(IsolationMethod::SoftwareOnly);
 
         let memory_heavy = OpCounts::new(100_000, 10);
         assert!(mpu.overhead(memory_heavy).total() < sw.overhead(memory_heavy).total());
@@ -247,7 +228,7 @@ mod tests {
 
     #[test]
     fn no_isolation_has_zero_overhead_and_zero_slowdown() {
-        let model = OverheadModel::for_method(IsolationMethod::NoIsolation);
+        let model = on_fr5969(IsolationMethod::NoIsolation);
         let counts = OpCounts::new(1_000_000, 1_000);
         assert_eq!(model.overhead(counts).total(), 0);
         assert_eq!(model.slowdown_percent(counts), 0.0);
@@ -257,7 +238,7 @@ mod tests {
     fn slowdown_is_positive_for_isolating_methods() {
         let counts = OpCounts::new(50_000, 500);
         for m in IsolationMethod::ISOLATING {
-            let s = OverheadModel::for_method(m).slowdown_percent(counts);
+            let s = on_fr5969(m).slowdown_percent(counts);
             assert!(s > 0.0, "{m} slowdown {s}");
             assert!(s < 100.0, "{m} slowdown {s} implausibly large");
         }
@@ -266,10 +247,7 @@ mod tests {
     #[test]
     fn zero_counts_give_zero_slowdown() {
         for m in IsolationMethod::ALL {
-            assert_eq!(
-                OverheadModel::for_method(m).slowdown_percent(OpCounts::default()),
-                0.0
-            );
+            assert_eq!(on_fr5969(m).slowdown_percent(OpCounts::default()), 0.0);
         }
     }
 
@@ -287,7 +265,7 @@ mod tests {
 
     #[test]
     fn breakdown_display_mentions_both_components() {
-        let model = OverheadModel::for_method(IsolationMethod::Mpu);
+        let model = on_fr5969(IsolationMethod::Mpu);
         let s = model.overhead(OpCounts::new(7, 3)).to_string();
         assert!(s.contains("memory-access"));
         assert!(s.contains("context-switch"));

@@ -877,14 +877,14 @@ mod tests {
     }
 
     #[test]
-    fn platform_specs_round_trip() {
+    fn platform_specs_survive_encode_and_decode() {
         for p in builtin_platforms() {
             roundtrip(&p);
         }
     }
 
     #[test]
-    fn memory_maps_and_plans_round_trip() {
+    fn memory_maps_and_plans_survive_encode_and_decode() {
         for p in builtin_platforms() {
             let map = MemoryMapPlanner::new(p)
                 .unwrap()
@@ -909,7 +909,7 @@ mod tests {
     }
 
     #[test]
-    fn simple_values_round_trip() {
+    fn simple_values_survive_encode_and_decode() {
         roundtrip(&AddrRange::new(0x4400, 0x5000));
         roundtrip(&AddrRange::new(0, 0));
         for bits in 0u16..8 {

@@ -110,24 +110,31 @@ pub struct ContextSwitchPlan {
     /// Number of application-supplied pointer arguments that must be
     /// validated on entry to the OS (0 for the synthetic benchmark).
     pub pointer_args: u32,
-    /// Cycles charged for the [`SwitchStep::ConfigureMpu`] step.  Installing
-    /// an MPU configuration costs a platform-dependent number of register
-    /// writes (4 on the FR5969's segmented MPU, more on a region MPU); the
-    /// default is the FR5969's 22 cycles, which reproduces Table 1.
+    /// Cycles charged for the [`SwitchStep::ConfigureMpu`] step: the
+    /// platform's cost of installing the OS configuration (entering the OS)
+    /// or the app's (returning to it), which depends on how many MPU
+    /// registers the platform's MPU model writes.
     pub mpu_config_cycles: u64,
 }
 
 impl ContextSwitchPlan {
-    /// Builds the plan for one directed transition.
+    /// Builds the plan for one directed transition on a platform: the step
+    /// sequence is method-defined, the MPU-reconfiguration cost comes from
+    /// the platform's MPU model and cost table.
     ///
     /// `pointer_args` is the number of pointer arguments the call passes to
     /// the OS; the OS must bounds-check each of them before dereferencing
     /// (only relevant for methods that allow pointers at all).
-    pub fn new(method: IsolationMethod, direction: SwitchDirection, pointer_args: u32) -> Self {
+    pub fn new_for(
+        platform: &PlatformSpec,
+        method: IsolationMethod,
+        direction: SwitchDirection,
+        pointer_args: u32,
+    ) -> Self {
         use SwitchDirection::*;
         use SwitchStep::*;
         let mut steps = Vec::new();
-        match direction {
+        let mpu_config_cycles = match direction {
             AppToOs => {
                 steps.push(TrapEntry);
                 steps.push(SaveCallerState);
@@ -144,6 +151,7 @@ impl ContextSwitchPlan {
                         steps.push(ValidatePointerArg);
                     }
                 }
+                platform.costs.mpu_config_cycles_for_os(&platform.mpu)
             }
             OsToApp => {
                 if method.uses_mpu() {
@@ -154,35 +162,16 @@ impl ContextSwitchPlan {
                 }
                 steps.push(RestoreCallerState);
                 steps.push(ReturnToCaller);
+                platform.costs.mpu_config_cycles_for_app(&platform.mpu)
             }
-        }
+        };
         ContextSwitchPlan {
             method,
             direction,
             steps,
             pointer_args,
-            mpu_config_cycles: SwitchStep::ConfigureMpu.cycle_cost(),
+            mpu_config_cycles,
         }
-    }
-
-    /// Builds the plan for one directed transition on a specific platform:
-    /// the step sequence is method-defined, but the MPU-reconfiguration
-    /// cost comes from the platform's MPU model and cost table.  For the
-    /// MSP430FR5969 this is identical to [`ContextSwitchPlan::new`].
-    pub fn new_for(
-        platform: &PlatformSpec,
-        method: IsolationMethod,
-        direction: SwitchDirection,
-        pointer_args: u32,
-    ) -> Self {
-        let mut plan = Self::new(method, direction, pointer_args);
-        plan.mpu_config_cycles = match direction {
-            // Entering the OS installs the OS configuration; returning to
-            // the app installs the app's.
-            SwitchDirection::AppToOs => platform.costs.mpu_config_cycles_for_os(&platform.mpu),
-            SwitchDirection::OsToApp => platform.costs.mpu_config_cycles_for_app(&platform.mpu),
-        };
-        plan
     }
 
     /// Total cycle cost of this directed transition.
@@ -196,23 +185,8 @@ impl ContextSwitchPlan {
             .sum()
     }
 
-    /// Builds both halves of a full API-call round trip (app → OS → app),
-    /// which is the "Context Switch" operation measured in Table 1.
-    pub fn round_trip(method: IsolationMethod, pointer_args: u32) -> (Self, Self) {
-        (
-            Self::new(method, SwitchDirection::AppToOs, pointer_args),
-            Self::new(method, SwitchDirection::OsToApp, pointer_args),
-        )
-    }
-
-    /// Total cycles of a full round trip with no pointer arguments — the
-    /// quantity reported in Table 1's "Context Switch" row.
-    pub fn round_trip_cycles(method: IsolationMethod) -> u64 {
-        let (enter, leave) = Self::round_trip(method, 0);
-        enter.cycles() + leave.cycles()
-    }
-
-    /// Builds both halves of a round trip on a specific platform.
+    /// Builds both halves of a full API-call round trip (app → OS → app)
+    /// on a platform.
     pub fn round_trip_for(
         platform: &PlatformSpec,
         method: IsolationMethod,
@@ -224,7 +198,8 @@ impl ContextSwitchPlan {
         )
     }
 
-    /// Round-trip cycles with no pointer arguments on a specific platform.
+    /// Cycles of a full round trip with no pointer arguments on a platform —
+    /// the quantity reported in Table 1's "Context Switch" row.
     pub fn round_trip_cycles_for(platform: &PlatformSpec, method: IsolationMethod) -> u64 {
         let (enter, leave) = Self::round_trip_for(platform, method, 0);
         enter.cycles() + leave.cycles()
@@ -275,30 +250,42 @@ impl fmt::Display for ContextSwitchPlan {
 mod tests {
     use super::*;
 
+    fn fr5969() -> PlatformSpec {
+        PlatformSpec::msp430fr5969()
+    }
+
+    fn both_halves(method: IsolationMethod) -> (ContextSwitchPlan, ContextSwitchPlan) {
+        ContextSwitchPlan::round_trip_for(&fr5969(), method, 0)
+    }
+
+    fn plan(method: IsolationMethod, pointer_args: u32) -> ContextSwitchPlan {
+        ContextSwitchPlan::new_for(&fr5969(), method, SwitchDirection::AppToOs, pointer_args)
+    }
+
     #[test]
     fn table1_context_switch_costs() {
         // Table 1: No Isolation 90, Feature Limited 90, MPU 142, SW Only 98.
         assert_eq!(
-            ContextSwitchPlan::round_trip_cycles(IsolationMethod::NoIsolation),
+            ContextSwitchPlan::round_trip_cycles_for(&fr5969(), IsolationMethod::NoIsolation),
             90
         );
         assert_eq!(
-            ContextSwitchPlan::round_trip_cycles(IsolationMethod::FeatureLimited),
+            ContextSwitchPlan::round_trip_cycles_for(&fr5969(), IsolationMethod::FeatureLimited),
             90
         );
         assert_eq!(
-            ContextSwitchPlan::round_trip_cycles(IsolationMethod::Mpu),
+            ContextSwitchPlan::round_trip_cycles_for(&fr5969(), IsolationMethod::Mpu),
             142
         );
         assert_eq!(
-            ContextSwitchPlan::round_trip_cycles(IsolationMethod::SoftwareOnly),
+            ContextSwitchPlan::round_trip_cycles_for(&fr5969(), IsolationMethod::SoftwareOnly),
             98
         );
     }
 
     #[test]
     fn mpu_switch_reconfigures_in_both_directions() {
-        let (enter, leave) = ContextSwitchPlan::round_trip(IsolationMethod::Mpu, 0);
+        let (enter, leave) = both_halves(IsolationMethod::Mpu);
         assert!(enter.steps.contains(&SwitchStep::ConfigureMpu));
         assert!(leave.steps.contains(&SwitchStep::ConfigureMpu));
         assert!(enter.steps.contains(&SwitchStep::SwitchStackToOs));
@@ -307,7 +294,7 @@ mod tests {
 
     #[test]
     fn software_only_switches_stacks_but_not_mpu() {
-        let (enter, leave) = ContextSwitchPlan::round_trip(IsolationMethod::SoftwareOnly, 0);
+        let (enter, leave) = both_halves(IsolationMethod::SoftwareOnly);
         assert!(!enter.steps.contains(&SwitchStep::ConfigureMpu));
         assert!(!leave.steps.contains(&SwitchStep::ConfigureMpu));
         assert!(enter.steps.contains(&SwitchStep::SwitchStackToOs));
@@ -320,7 +307,7 @@ mod tests {
             IsolationMethod::NoIsolation,
             IsolationMethod::FeatureLimited,
         ] {
-            let (enter, leave) = ContextSwitchPlan::round_trip(m, 0);
+            let (enter, leave) = both_halves(m);
             assert!(!enter.steps.contains(&SwitchStep::SwitchStackToOs));
             assert!(!leave.steps.contains(&SwitchStep::SwitchStackToApp));
             assert!(!enter.steps.contains(&SwitchStep::ConfigureMpu));
@@ -329,15 +316,14 @@ mod tests {
 
     #[test]
     fn pointer_arguments_add_validation_only_for_pointer_methods() {
-        let with_args = ContextSwitchPlan::new(IsolationMethod::Mpu, SwitchDirection::AppToOs, 2);
-        let without = ContextSwitchPlan::new(IsolationMethod::Mpu, SwitchDirection::AppToOs, 0);
+        let with_args = plan(IsolationMethod::Mpu, 2);
+        let without = plan(IsolationMethod::Mpu, 0);
         assert_eq!(
             with_args.cycles(),
             without.cycles() + 2 * SwitchStep::ValidatePointerArg.cycle_cost()
         );
         // Feature Limited apps cannot pass pointers at all.
-        let fl =
-            ContextSwitchPlan::new(IsolationMethod::FeatureLimited, SwitchDirection::AppToOs, 2);
+        let fl = plan(IsolationMethod::FeatureLimited, 2);
         assert!(!fl.steps.contains(&SwitchStep::ValidatePointerArg));
     }
 
@@ -350,18 +336,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_boundary_is_cheaper_than_every_round_trip() {
+    fn batched_boundary_is_cheaper_than_every_full_switch() {
         let boundary = ContextSwitchPlan::batched_boundary_cycles();
         assert_eq!(boundary, 10 + 16 + 12 + 8);
         for m in IsolationMethod::ALL {
-            assert!(boundary < ContextSwitchPlan::round_trip_cycles(m), "{m}");
+            assert!(
+                boundary < ContextSwitchPlan::round_trip_cycles_for(&fr5969(), m),
+                "{m}"
+            );
         }
     }
 
     #[test]
     fn display_lists_steps() {
-        let plan = ContextSwitchPlan::new(IsolationMethod::Mpu, SwitchDirection::AppToOs, 1);
-        let s = plan.to_string();
+        let s = plan(IsolationMethod::Mpu, 1).to_string();
         assert!(s.contains("reprogram MPU"));
         assert!(s.contains("validate pointer argument"));
     }

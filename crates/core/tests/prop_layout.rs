@@ -2,7 +2,7 @@
 //! buildable set of applications, regions never overlap, every MPU boundary
 //! is expressible, and the Figure-1 permission structure holds.
 
-use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec};
+use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec, PlatformSpec};
 use amulet_core::method::IsolationMethod;
 use amulet_core::mpu_plan::MpuPlan;
 use amulet_core::overhead::{OpCounts, OverheadModel};
@@ -56,7 +56,7 @@ proptest! {
         let planner = MemoryMapPlanner::msp430fr5969();
         let Ok(map) = planner.plan(&OsImageSpec::default(), &apps) else { return Ok(()) };
         for (i, app) in map.apps.iter().enumerate() {
-            let plan = MpuPlan::for_app(&map, i).unwrap();
+            let plan = MpuPlan::for_app_on(&map, i).unwrap();
             // Own data/stack: read-write.
             prop_assert_eq!(plan.permission_at(app.data_lower_bound()), Some(Perm::RW));
             prop_assert_eq!(plan.permission_at(app.upper_bound() - 1), Some(Perm::RW));
@@ -197,7 +197,7 @@ proptest! {
         sw_b in 0u64..100_000,
     ) {
         for method in IsolationMethod::ALL {
-            let model = OverheadModel::for_method(method);
+            let model = OverheadModel::for_platform(method, &PlatformSpec::msp430fr5969());
             let small = OpCounts::new(mem_a.min(mem_b), sw_a.min(sw_b));
             let large = OpCounts::new(mem_a.max(mem_b), sw_a.max(sw_b));
             prop_assert!(model.overhead(small).total() <= model.overhead(large).total());

@@ -19,9 +19,9 @@
 //! The hot paths of [`Bus::read`], [`Bus::write`] and
 //! [`Bus::check_execute`] become a single table index; anything the table
 //! cannot prove harmless (peripheral dispatch, denied or unmapped
-//! accesses, the extended-MPU ablation) falls back to the original cascade,
-//! which stays the semantic oracle — it alone produces faults, latches
-//! violation flags and counts denials.
+//! accesses) falls back to the original cascade, which stays the semantic
+//! oracle — it alone produces faults, latches violation flags and counts
+//! denials.
 //!
 //! Because the OS alternates between the OS and per-app MPU configurations
 //! on every context switch, tables are **memoised per configuration**:
@@ -30,21 +30,20 @@
 //! existing table instead of rebuilding.
 //!
 //! The table is resolved when the configuration **changes**, not when it
-//! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`],
-//! [`Bus::set_attr_cache_enabled`] and every MPU register store that
-//! reaches the peripheral dispatch re-point the bus before they return.
-//! Changes the bus cannot see happen between execute blocks: a direct
-//! backend call (`bus.mpu.write_register`, `bus.region_mpu.apply_config`)
-//! or a flip of `ext_mpu.enabled`.  They are caught by one sync step —
-//! compare the backends' `config_writes` counters with the epoch of the
-//! last resolve — that every public access method and every
-//! [`crate::cpu::Cpu::run_block`] entry runs.  Inside a block the CPU
-//! calls crate-private entry points that trust the synced table, so each
-//! fetch and data access is one indexed byte load.  The memo survives
+//! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`]
+//! and every MPU register store that reaches the peripheral dispatch
+//! re-point the bus before they return.  The one change the bus cannot
+//! see happens between execute blocks: a direct backend call
+//! (`bus.mpu.write_register`, `bus.region_mpu.apply_config`).  It is
+//! caught by one sync step — compare the backends' `config_writes`
+//! counters with the epoch of the last resolve — that every public access
+//! method and every [`crate::cpu::Cpu::run_block`] entry runs.  Inside a
+//! block the CPU calls crate-private entry points that trust the synced
+//! table, so each fetch and data access is one indexed byte load.  The memo survives
 //! [`Bus::reset`], which is what lets the fleet simulator reuse attribute
 //! tables across `Device::reset` runs.
 
-use crate::mpu::{ExtendedMpu, Mpu, MpuRegisterError, PmpEntry, PmpMpu, RegionMpu, RegionSlot};
+use crate::mpu::{Mpu, MpuRegisterError, PmpEntry, PmpMpu, RegionMpu, RegionSlot};
 use crate::timer::Timer;
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -76,8 +75,6 @@ pub enum Region {
 pub enum BusFaultCause {
     /// The MPU denied the access.
     MpuViolation,
-    /// The extended ("advanced") MPU denied the access.
-    ExtendedMpuViolation,
     /// The address decodes to a hole in the memory map.
     Unmapped,
     /// A write targeted read-only memory (bootstrap loader).
@@ -124,7 +121,7 @@ pub struct BusStats {
     pub fram_writes: u64,
     /// Peripheral-register writes (MPU/timer configuration traffic).
     pub peripheral_writes: u64,
-    /// Accesses denied by the MPU or extended MPU.
+    /// Accesses denied by the MPU.
     pub denied: u64,
 }
 
@@ -234,8 +231,6 @@ pub struct Bus {
     pub pmp: PmpMpu,
     /// Which backend the platform's MPU model selects.
     backend: MpuBackendKind,
-    /// The hypothetical advanced MPU used by the §5 ablation.
-    pub ext_mpu: ExtendedMpu,
     /// The benchmark timer.
     pub timer: Timer,
     /// Access counters.
@@ -251,14 +246,10 @@ pub struct Bus {
     /// counters only grow between resets, so a direct backend register
     /// write moves the sum; the sync step compares it.
     attr_epoch: u64,
-    /// Whether the fast path consults the attribute cache at all (the
-    /// equivalence property tests turn it off to exercise the direct
-    /// cascade).
-    attr_enabled: bool,
     /// Every attribute byte is ANDed with this mask: all ones when the
-    /// cache is on and the extended-MPU ablation (whose state the table
-    /// does not track) is off, zero otherwise — a zero attribute proves
-    /// nothing, so every access takes the oracle path.
+    /// cache is on, zero when [`Bus::set_attr_cache_enabled`] turned it off
+    /// — a zero attribute proves nothing, so every access takes the oracle
+    /// path.
     attr_mask: u8,
 }
 
@@ -287,13 +278,11 @@ impl Bus {
             region_mpu,
             pmp,
             backend,
-            ext_mpu: ExtendedMpu::default(),
             timer: Timer::new(),
             stats: BusStats::default(),
             attr_active,
             attr_spare: Vec::new(),
             attr_epoch: 0,
-            attr_enabled: true,
             attr_mask: u8::MAX,
         }
     }
@@ -355,11 +344,9 @@ impl Bus {
     }
 
     /// The slow paths' gate for peripheral/boot-ROM/vector policing: the
-    /// backend's full-platform jurisdiction, unless the extended-MPU
-    /// ablation is active (which keeps the historical unpoliced
-    /// behaviour outside FRAM/InfoMem/SRAM).
+    /// active backend's full-platform jurisdiction.
     fn full_platform_policed(&self) -> bool {
-        !self.ext_mpu.enabled && Self::backend_polices_full_platform(self.backend, &self.region_mpu)
+        Self::backend_polices_full_platform(self.backend, &self.region_mpu)
     }
 
     /// Creates a bus for the MSP430FR5969.
@@ -383,7 +370,6 @@ impl Bus {
         self.mpu = mpu;
         self.region_mpu = region_mpu;
         self.pmp = pmp;
-        self.ext_mpu = ExtendedMpu::default();
         self.timer = Timer::new();
         self.stats = BusStats::default();
         self.resolve_attr_table();
@@ -395,8 +381,7 @@ impl Bus {
     /// equivalence is property-tested), so this exists only for those
     /// tests.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
-        self.attr_enabled = enabled;
-        self.resolve_attr_table();
+        self.attr_mask = if enabled { u8::MAX } else { 0 };
     }
 
     /// The platform this bus models.
@@ -424,11 +409,6 @@ impl Bus {
         }
     }
 
-    /// The range of main FRAM.
-    pub fn fram_range(&self) -> AddrRange {
-        self.platform.fram
-    }
-
     /// Fingerprint of everything the attribute table depends on.
     fn mpu_fingerprint(mpu: &Mpu, region_mpu: &RegionMpu, pmp: &PmpMpu) -> MpuFingerprint {
         MpuFingerprint {
@@ -449,24 +429,13 @@ impl Bus {
         self.mpu.config_writes + self.region_mpu.config_writes + self.pmp.config_writes
     }
 
-    /// The attribute mask the current cache switch and extended-MPU state
-    /// call for.
-    fn wanted_attr_mask(&self) -> u8 {
-        if self.attr_enabled && !self.ext_mpu.enabled {
-            u8::MAX
-        } else {
-            0
-        }
-    }
-
-    /// Re-resolves the attribute table and mask if anything the bus does
-    /// not observe directly changed since the last resolve: a backend
-    /// reprogrammed through its own `write_register`/`apply_config`, or
-    /// `ext_mpu.enabled` flipped.  Every public access method runs it, and
-    /// so does every [`crate::cpu::Cpu::run_block`] entry.
+    /// Re-resolves the attribute table if a backend was reprogrammed
+    /// through its own `write_register`/`apply_config` since the last
+    /// resolve.  Every public access method runs it, and so does every
+    /// [`crate::cpu::Cpu::run_block`] entry.
     #[inline(always)]
     pub(crate) fn sync_attr_table(&mut self) {
-        if self.attr_epoch != self.mpu_epoch() || self.attr_mask != self.wanted_attr_mask() {
+        if self.attr_epoch != self.mpu_epoch() {
             self.resolve_attr_table();
         }
     }
@@ -482,25 +451,17 @@ impl Bus {
         // table, and so would an access that skipped the sync step.  No
         // in-tree code does either; debug builds verify both on every
         // access.
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                Self::fingerprint_matches(
-                    &self.attr_active.key,
-                    &self.mpu,
-                    &self.region_mpu,
-                    &self.pmp
-                ),
-                "MPU state was mutated without a register write; the \
-                 attribute cache is stale (configure the MPU through \
-                 write_register/install_mpu_config)"
-            );
-            debug_assert_eq!(
-                self.attr_mask,
-                self.wanted_attr_mask(),
-                "attribute mask is stale: the access skipped the sync step"
-            );
-        }
+        debug_assert!(
+            Self::fingerprint_matches(
+                &self.attr_active.key,
+                &self.mpu,
+                &self.region_mpu,
+                &self.pmp
+            ),
+            "MPU state was mutated without a register write; the \
+             attribute cache is stale (configure the MPU through \
+             write_register/install_mpu_config)"
+        );
         self.attr_active.attrs[(addr & 0xFFFF) as usize] & self.attr_mask
     }
 
@@ -524,11 +485,10 @@ impl Bus {
 
     /// Points `attr_active` at the table matching the installed MPU
     /// configuration, building (and memoising) it on first sight, and
-    /// recomputes the epoch and the cache mask.
+    /// recomputes the epoch.
     #[cold]
     fn resolve_attr_table(&mut self) {
         self.attr_epoch = self.mpu_epoch();
-        self.attr_mask = self.wanted_attr_mask();
         let (mpu, region_mpu, pmp) = (&self.mpu, &self.region_mpu, &self.pmp);
         if Self::fingerprint_matches(&self.attr_active.key, mpu, region_mpu, pmp) {
             return;
@@ -753,17 +713,6 @@ impl Bus {
     }
 
     fn check_protection(&mut self, addr: Addr, access: AccessKind) -> Result<(), BusFault> {
-        if self.ext_mpu.enabled {
-            if !self.ext_mpu.check(addr, access) {
-                self.stats.denied += 1;
-                return Err(BusFault {
-                    addr,
-                    access,
-                    cause: BusFaultCause::ExtendedMpuViolation,
-                });
-            }
-            return Ok(());
-        }
         let decision = match self.backend {
             MpuBackendKind::Segmented => self.mpu.check(addr, access),
             MpuBackendKind::Region => self.region_mpu.check(addr, access),
@@ -1296,17 +1245,5 @@ mod tests {
         b.write(0x4402, 2, 1).unwrap();
         assert_eq!(b.stats.writes, 3);
         assert_eq!(b.stats.fram_writes, 2);
-    }
-
-    #[test]
-    fn extended_mpu_takes_precedence_when_enabled() {
-        let mut b = bus();
-        b.ext_mpu.enabled = true;
-        b.ext_mpu.segments = vec![(AddrRange::new(0x5000, 0x6000), amulet_core::perm::Perm::RW)];
-        assert!(b.write(0x5800, 2, 1).is_ok());
-        assert_eq!(
-            b.write(0x7000, 2, 1).unwrap_err().cause,
-            BusFaultCause::ExtendedMpuViolation
-        );
     }
 }

@@ -231,9 +231,7 @@ impl Cpu {
     fn bus_fault_to_event(&mut self, pc: Addr, fault: BusFault) -> StepEvent {
         self.stats.faults += 1;
         let class = match fault.cause {
-            BusFaultCause::MpuViolation | BusFaultCause::ExtendedMpuViolation => {
-                FaultClass::MpuViolation
-            }
+            BusFaultCause::MpuViolation => FaultClass::MpuViolation,
             // Unmapped addresses, read-only memory, misaligned words and MPU
             // register-protocol violations are all programming errors rather
             // than isolation checks; report them as illegal instructions so
@@ -294,9 +292,8 @@ impl Cpu {
     /// Each step pays only for the instruction it runs.  Everything that
     /// can be resolved once per block is resolved at entry: the bus syncs
     /// its access-attribute table with the installed MPU configuration
-    /// (catching direct backend writes and extended-MPU flips made since
-    /// the last block; MPU register stores inside the block re-resolve it
-    /// themselves), and the store's span is unwrapped into its first word
+    /// (catching direct backend writes made since the last block; MPU
+    /// register stores inside the block re-resolve it themselves), and the store's span is unwrapped into its first word
     /// and slot slice.  Each fetch is then one attribute-byte load for the
     /// permission check plus one indexed slot load: a PC outside the span
     /// and an empty slot inside it take the same illegal-instruction

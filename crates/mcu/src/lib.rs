@@ -53,6 +53,6 @@ pub use cpu::{Cpu, CpuStats, FaultInfo, StepEvent, HANDLER_RETURN};
 pub use device::{Device, RunExit, StopReason};
 pub use firmware::{AppBinary, DataSegment, Firmware, FirmwareBuilder, FirmwareError, OsBinary};
 pub use isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
-pub use mpu::{ExtendedMpu, Mpu, MpuDecision, MpuSegment, RegionMpu, RegionSlot};
+pub use mpu::{Mpu, MpuDecision, MpuSegment, RegionMpu, RegionSlot};
 pub use serial::{decode_firmware, encode_firmware, verify_envelope, FORMAT_VERSION, MAGIC};
 pub use timer::{Timer, TIMER_PRECISION_CYCLES};

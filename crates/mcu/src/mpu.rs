@@ -16,7 +16,7 @@
 //! (segment boundaries, address ÷ 16) and `MPUSAM` (per-segment R/W/X bits).
 
 use amulet_core::addr::{Addr, AddrRange};
-use amulet_core::mpu_plan::{MpuPlan, MpuRegisterValues};
+use amulet_core::mpu_plan::MpuRegisterValues;
 use amulet_core::perm::{AccessKind, Perm};
 
 /// Base address of the MPU register block.
@@ -239,35 +239,15 @@ impl Mpu {
     }
 
     /// Applies a full register-value set (as produced by
-    /// [`MpuPlan::register_values`]) in the order a context-switch routine
-    /// writes them: boundaries, access bits, control word.
+    /// [`amulet_core::mpu_plan::MpuPlan::register_values`]) in the order a
+    /// context-switch routine writes them: boundaries, access bits, control
+    /// word.
     pub fn apply_registers(&mut self, regs: MpuRegisterValues) -> Result<(), MpuRegisterError> {
         self.write_register(MPUSEGB1, regs.mpusegb1)?;
         self.write_register(MPUSEGB2, regs.mpusegb2)?;
         self.write_register(MPUSAM, regs.mpusam)?;
         self.write_register(MPUCTL0, regs.mpuctl0)?;
         Ok(())
-    }
-
-    /// Applies an abstract plan directly (used by the "advanced MPU"
-    /// ablation, which needs more segments than the register file encodes).
-    pub fn apply_plan_unchecked(&mut self, plan: &MpuPlan) {
-        // Collapse the plan into the 3-segment hardware when possible; the
-        // advanced 4-segment plan is handled by the extended simulator mode
-        // in `ExtendedMpu`, so here we only honour the standard shape.
-        self.boundary1 = plan.boundary1;
-        self.boundary2 = plan.boundary2;
-        for seg in &plan.segments {
-            match seg.index {
-                0 => self.seg_info = seg.perm,
-                1 => self.seg1 = seg.perm,
-                2 => self.seg2 = seg.perm,
-                3 => self.seg3 = seg.perm,
-                _ => {}
-            }
-        }
-        self.enabled = true;
-        self.config_writes += MpuRegisterValues::WRITE_COUNT as u64;
     }
 
     /// True when `addr` addresses one of the MPU's memory-mapped registers.
@@ -819,50 +799,11 @@ impl PmpMpu {
     }
 }
 
-/// An "advanced MPU" for the §5 ablation: an arbitrary list of segments with
-/// full coverage of the address space, standing in for the more capable MPUs
-/// the paper says would remove the need for compiler-inserted checks.
-#[derive(Clone, Debug, Default)]
-pub struct ExtendedMpu {
-    /// Whether the extended MPU is active (when active it takes precedence
-    /// over the standard 3-segment MPU).
-    pub enabled: bool,
-    /// Segments: address range plus permissions.  Addresses not covered by
-    /// any segment are *denied* (full coverage, unlike the FR5969 part).
-    pub segments: Vec<(AddrRange, Perm)>,
-    /// Violations detected.
-    pub violations: u64,
-}
-
-impl ExtendedMpu {
-    /// Installs a plan's segments.
-    pub fn apply_plan(&mut self, plan: &MpuPlan) {
-        self.segments = plan.segments.iter().map(|s| (s.range, s.perm)).collect();
-        self.enabled = true;
-    }
-
-    /// Checks an access, returning `true` when permitted.
-    pub fn check(&mut self, addr: Addr, kind: AccessKind) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        let allowed = self
-            .segments
-            .iter()
-            .find(|(r, _)| r.contains(addr))
-            .map(|(_, p)| p.allows(kind.required_perm()))
-            .unwrap_or(false);
-        if !allowed {
-            self.violations += 1;
-        }
-        allowed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec};
+    use amulet_core::mpu_plan::MpuPlan;
 
     fn fr5969() -> Mpu {
         Mpu::msp430fr5969()
@@ -968,7 +909,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        let plan = MpuPlan::for_app(&map, 0).unwrap();
+        let plan = MpuPlan::for_app_on(&map, 0).unwrap();
         let mut mpu = fr5969();
         mpu.apply_registers(plan.register_values()).unwrap();
         assert!(mpu.enabled);
@@ -989,23 +930,6 @@ mod tests {
             mpu.check(map.os_stack.start, AccessKind::Write),
             MpuDecision::NotCovered
         );
-    }
-
-    #[test]
-    fn extended_mpu_denies_uncovered_addresses() {
-        let mut ext = ExtendedMpu::default();
-        assert!(
-            ext.check(0x5000, AccessKind::Write),
-            "disabled extended MPU is permissive"
-        );
-        ext.enabled = true;
-        ext.segments = vec![(AddrRange::new(0x5000, 0x6000), Perm::RW)];
-        assert!(ext.check(0x5800, AccessKind::Write));
-        assert!(
-            !ext.check(0x4800, AccessKind::Read),
-            "full coverage denies unlisted addresses"
-        );
-        assert_eq!(ext.violations, 1);
     }
 
     fn fr5994_region() -> RegionMpu {
@@ -1275,24 +1199,5 @@ mod tests {
             cfg.write_count(),
             amulet_core::platform::MpuModel::riscv_pmp_napot(8, 0x40).config_writes_for_app()
         );
-    }
-
-    #[test]
-    fn apply_plan_unchecked_counts_register_writes() {
-        let map = MemoryMapPlanner::msp430fr5969()
-            .plan(
-                &OsImageSpec::default(),
-                &[AppImageSpec::new("A", 0x800, 0x200, 0x100)],
-            )
-            .unwrap();
-        let plan = MpuPlan::for_app(&map, 0).unwrap();
-        let mut mpu = fr5969();
-        let before = mpu.config_writes;
-        mpu.apply_plan_unchecked(&plan);
-        assert_eq!(
-            mpu.config_writes - before,
-            MpuRegisterValues::WRITE_COUNT as u64
-        );
-        assert!(mpu.enabled);
     }
 }

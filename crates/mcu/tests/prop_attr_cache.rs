@@ -2,9 +2,9 @@
 //!
 //! The flat per-address attribute table is a pure optimisation: for
 //! arbitrary platforms, arbitrary MPU configurations (segmented, region
-//! and extended), and arbitrary interleavings of configuration changes
-//! with reads/writes/instruction fetches, a bus with the cache enabled
-//! and a bus taking the direct `Mpu`/`RegionMpu`/`ExtendedMpu` path must
+//! and PMP), and arbitrary interleavings of configuration changes with
+//! reads/writes/instruction fetches, a bus with the cache enabled and a
+//! bus taking the direct `Mpu`/`RegionMpu`/`PmpMpu` path must
 //! produce **identical results for every access** (same values, same
 //! faults), **identical [`BusStats`] deltas**, and identical memory.
 
@@ -41,11 +41,6 @@ enum Op {
     Pmp {
         entries: Vec<(Addr, u32, u16)>,
         user_mode: bool,
-    },
-    /// Reconfigure the extended ("advanced") MPU ablation directly.
-    Ext {
-        segments: Vec<(Addr, Addr, u16)>,
-        enabled: bool,
     },
     /// Power-on reset.
     Reset,
@@ -90,7 +85,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             any::<bool>()
         )
             .prop_map(|(entries, user_mode)| Op::Pmp { entries, user_mode }),
-        (span(3), any::<bool>()).prop_map(|(segments, enabled)| Op::Ext { segments, enabled }),
         Just(Op::Reset),
     ]
 }
@@ -155,19 +149,6 @@ fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
             }))
             .map(|()| 0)
             .map_err(|e| e.to_string())
-        }
-        Op::Ext { segments, enabled } => {
-            bus.ext_mpu.enabled = *enabled;
-            bus.ext_mpu.segments = segments
-                .iter()
-                .map(|(a, b, perm)| {
-                    (
-                        AddrRange::new((*a).min(*b), (*a).max(*b)),
-                        Perm::from_bits(*perm),
-                    )
-                })
-                .collect();
-            Ok(0)
         }
         Op::Reset => {
             bus.reset();

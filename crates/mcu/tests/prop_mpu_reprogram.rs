@@ -4,12 +4,12 @@
 //! The bus resolves its access-attribute table when the MPU configuration
 //! changes: after an MPU register store inside an execute block, after
 //! `install_mpu_config`, and at every `Cpu::run_block` entry (which
-//! catches direct backend writes and extended-MPU flips made between
-//! blocks).  A table that missed one of those changes would let the cached
-//! path permit an access the MPU denies, or the reverse.  So a run with the
-//! cache on and a run with it off must retire the identical trace — same
-//! events, steps, registers, flags, cycles, [`BusStats`], timer, latched
-//! violation flags and memory — on every platform profile, for programs
+//! catches direct backend writes made between blocks).  A table that
+//! missed one of those changes would let the cached path permit an access
+//! the MPU denies, or the reverse.  So a run with the cache on and a run
+//! with it off must retire the identical trace — same events, steps,
+//! registers, flags, cycles, [`BusStats`], timer, latched violation flags
+//! and memory — on every platform profile, for programs
 //! that store to `MPUCTL0`/`MPUSEGB1`/`MPUSEGB2`/`MPUSAM` mid-block (with
 //! the right and a wrong password) and then fetch, load and store across
 //! the moved boundaries, with reconfiguration between blocks as well.
@@ -289,8 +289,6 @@ enum Between {
     /// A register write straight into the segmented backend
     /// (`bus.mpu.write_register`), bypassing the bus.
     Direct { reg: Addr, value: u16 },
-    /// Flip the extended-MPU ablation on or off.
-    Ext(bool),
     /// `set_attr_cache_enabled` on the cache-on run (the cache-off run
     /// keeps its cache off throughout).
     Cache(bool),
@@ -316,7 +314,6 @@ fn between_strategy() -> impl Strategy<Value = Between> {
                 user_mode
             }),
         mpu_store_strategy().prop_map(|(reg, value)| Between::Direct { reg, value }),
-        any::<bool>().prop_map(Between::Ext),
         any::<bool>().prop_map(Between::Cache),
     ]
 }
@@ -378,7 +375,6 @@ fn apply(bus: &mut Bus, op: &Between, cached_run: bool) {
         Between::Direct { reg, value } => {
             let _ = bus.mpu.write_register(*reg, *value);
         }
-        Between::Ext(enabled) => bus.ext_mpu.enabled = *enabled,
         Between::Cache(enabled) => {
             if cached_run {
                 bus.set_attr_cache_enabled(*enabled);
@@ -419,11 +415,6 @@ fn run(
     bus.set_attr_cache_enabled(cache);
     bus.install_mpu_config(&segmented(0x600, 0x800, 0x3137))
         .unwrap();
-    bus.ext_mpu.segments = vec![
-        (AddrRange::new(0x4400, 0x6000), Perm::RWX),
-        (AddrRange::new(0x6000, 0x8000), Perm::RW),
-        (AddrRange::new(0x1C00, 0x2400), Perm::RW),
-    ];
     cpu.set_pc(ORIGIN);
     cpu.set_sp(0x2400);
     let mut events = Vec::new();

@@ -186,7 +186,7 @@ proptest! {
     /// `decode(encode(x)) == x` structurally, and re-encoding the decoded
     /// image is byte-identical — the format is canonical, not just stable.
     #[test]
-    fn built_firmwares_round_trip(
+    fn built_firmwares_survive_encode_and_decode(
         platform_idx in 0usize..5,
         method_idx in 0usize..4,
         instrs in vec(instr_strategy(), 0..48),

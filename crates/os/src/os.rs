@@ -259,11 +259,6 @@ impl AmuletOs {
         self.install_fresh_state();
     }
 
-    /// The active delivery policy.
-    pub fn delivery_policy(&self) -> DeliveryPolicy {
-        self.options.delivery
-    }
-
     /// Changes the delivery policy (takes effect at the next delivery).
     pub fn set_delivery_policy(&mut self, policy: DeliveryPolicy) {
         self.options.delivery = policy;

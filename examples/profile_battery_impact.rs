@@ -6,6 +6,7 @@
 
 use amulet_iso::arp::arp::Arp;
 use amulet_iso::arp::profile::{AppProfile, HandlerProfile};
+use amulet_iso::core::layout::PlatformSpec;
 use amulet_iso::core::method::IsolationMethod;
 
 fn main() {
@@ -20,13 +21,14 @@ fn main() {
         ],
     );
 
-    let arp = Arp::default();
+    let fr5969 = PlatformSpec::msp430fr5969();
+    let arp = Arp::for_platform(&fr5969);
     println!(
         "{:<16} {:>16} {:>12} {:>12}",
         "memory model", "Gcycles/week", "J/week", "battery %"
     );
     for method in IsolationMethod::ISOLATING {
-        let est = arp.estimate(&profile, method);
+        let est = arp.estimate_on(&fr5969, &profile, method);
         println!(
             "{:<16} {:>16.3} {:>12.3} {:>12.4}",
             method.label(),
@@ -44,9 +46,11 @@ fn main() {
         "memory-accesses per context switch: {:.1}",
         profile.access_to_switch_ratio()
     );
-    let mpu = arp.estimate(&profile, IsolationMethod::Mpu).cycles_per_week;
+    let mpu = arp
+        .estimate_on(&fr5969, &profile, IsolationMethod::Mpu)
+        .cycles_per_week;
     let sw = arp
-        .estimate(&profile, IsolationMethod::SoftwareOnly)
+        .estimate_on(&fr5969, &profile, IsolationMethod::SoftwareOnly)
         .cycles_per_week;
     if mpu < sw {
         println!("=> the hybrid MPU method is the cheaper choice for this app");
