@@ -474,6 +474,14 @@ pub trait Platform {
     }
 }
 
+/// A shared platform is the platform it points at (the fleet shares one
+/// [`crate::layout::PlatformSpec`] across every device config).
+impl<P: Platform + ?Sized> Platform for std::sync::Arc<P> {
+    fn spec(&self) -> crate::layout::PlatformSpec {
+        (**self).spec()
+    }
+}
+
 /// The TI MSP430FR5969 as used by the Amulet wearable: 2 KiB SRAM, 48 KiB
 /// FRAM, and the paper's two-boundary segmented MPU.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -31,7 +31,8 @@
 //! Every run, in either time mode, goes through one runner, the **config
 //! partition** (`partition` module; DESIGN.md §4): fixed 1024-device fold
 //! blocks, worker-claimed slices, devices grouped by firmware key on one
-//! reused runtime per group, and a provably-sound silent-device cache —
+//! runtime per worker (reloaded with each group's image), and a
+//! provably-sound silent-device cache —
 //! which is how 10⁵–10⁶-device campaigns stay tractable.  An
 //! arrival-order report is the stepped replay rendered without its clock
 //! fields.  [`replay_device`] replays one device on a fresh runtime with
@@ -72,7 +73,7 @@ pub use run::{
     replay_device, simulate_in, simulate_summary_in, verify_fleet, verify_fleet_reports,
     DeviceResult, FleetReport, FleetSummary, FleetVerifySummary, PolicyOutcome,
 };
-pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
+pub use scenario::{AppMix, ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{
     BlockSummary, ContainmentRow, EnergyStats, FleetAggregate, LatencyStats, OtaWaveStats,
     PolicyAggregate, ProfileHistogram, BATTERY_IMPACT_BUCKET_EDGES,

@@ -12,27 +12,38 @@
 //!   the blocks ([`claim_slices`]) from one shared counter
 //!   ([`claim_loop`]), so a fleet smaller than one block still spreads
 //!   over every worker; whoever lands a block's last slice folds it.
-//! - **Config partition.**  A slice groups its devices by firmware key
-//!   and runs the groups in key order, each group's members in index
-//!   order, on one runtime reused through [`AmuletOs::reset`].
+//! - **Config partition.**  A slice groups its devices by firmware
+//!   config ([`ConfigKey`], platform first) and runs the groups in key
+//!   order, each group's members in index order.
+//! - **One runtime per worker.**  Each worker keeps one [`AmuletOs`] and
+//!   loads each group's image into it with [`AmuletOs::reload`], which
+//!   keeps the device memory, the bus and its attribute-table memo, and
+//!   rebuilds the runtime only when the platform changes — about once
+//!   per platform per slice, since keys sort by platform.  Devices of a
+//!   group run on it back to back through [`AmuletOs::reset`].
 //! - **Silent-device outcome cache.**  A device with an empty trace
 //!   ([`FleetScenario::silent_permille`]) still boots and flushes, but if
 //!   its two-leg run performs **zero sensor-model reads** (every
 //!   sensor-backed syscall advances the tick counter) its outcome cannot
 //!   depend on its `sensor_seed`.  The first silent device of a config is
 //!   the probe; when the proof holds, later silent devices of that config
-//!   reuse its outcome with the index patched, and when it fails they are
-//!   simulated individually — slower, never wrong.
+//!   are folded from its shared outcome with their own index, and when it
+//!   fails they are simulated individually — slower, never wrong.
 //! - **Shared firmware.**  Each configuration's image comes once from the
 //!   [`FirmwareStore`] and runtimes share it by reference.
+//!
+//! Past a slice's two result vectors, a silent hit allocates nothing: its
+//! config shares the worker context's platform and apps, the grouping
+//! sorts compact keys in a buffer kept across slices, and the block fold
+//! reads the template by reference (`tests/alloc_budget.rs` pins this).
 
-use crate::run::{boot_runtime, device_trace, simulate_device, DeviceResult};
-use crate::scenario::{ConfigContext, DeviceConfig, FleetScenario};
+use crate::run::{boot_runtime, device_trace, runtime_options, simulate_device, DeviceResult};
+use crate::scenario::{ConfigContext, ConfigKey, DeviceConfig, FleetScenario};
 use crate::store::FirmwareStore;
 use amulet_os::os::AmuletOs;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Devices per fold block.  Fixed — never derived from the worker count —
 /// so the fold grid, and with it the association of every per-block f64
@@ -81,20 +92,41 @@ fn claim_slices(devices: usize, workers: usize) -> Vec<Slice> {
     slices
 }
 
+/// One device's outcome as its slice hands it to the block fold.  The
+/// result is shared with the silent cache when the device was a config's
+/// probe or a silent hit — and then carries the probe's index, so the
+/// device's own index travels beside it.
+pub(crate) struct Outcome {
+    pub(crate) index: usize,
+    pub(crate) result: Arc<DeviceResult>,
+}
+
+impl Outcome {
+    /// The device's own result (cloned out of the cache when shared).
+    pub(crate) fn into_result(self) -> DeviceResult {
+        let mut result = Arc::unwrap_or_clone(self.result);
+        result.index = self.index;
+        result
+    }
+}
+
 /// Per-worker state that persists across the slices a worker claims.
 struct Worker<'a> {
     scenario: &'a FleetScenario,
     store: &'a FirmwareStore,
     ctx: ConfigContext,
-    /// The one live runtime, tagged with its firmware key; re-created
-    /// only when the key changes (the expensive parts — 64 KiB memory,
-    /// attribute tables, API tables — are rebuilt then, never per
-    /// device).
-    runtime: Option<(String, AmuletOs)>,
+    /// The worker's one runtime, tagged with the config whose image it
+    /// holds; each other config's image is loaded into it with
+    /// [`AmuletOs::reload`].
+    runtime: Option<(ConfigKey, AmuletOs)>,
     /// Silent-device outcome cache: `Some(template)` when the draw-free
     /// proof held for this config's probe, `None` when it did not and
     /// silent devices must be simulated individually.
-    silent_cache: HashMap<String, Option<DeviceResult>>,
+    silent_cache: HashMap<ConfigKey, Option<Arc<DeviceResult>>>,
+    /// A slice's configs and their run order (key, then offset), kept
+    /// across slices so that grouping allocates nothing per device.
+    configs: Vec<DeviceConfig>,
+    order: Vec<(ConfigKey, usize)>,
 }
 
 impl<'a> Worker<'a> {
@@ -105,64 +137,84 @@ impl<'a> Worker<'a> {
             ctx: ConfigContext::new(),
             runtime: None,
             silent_cache: HashMap::new(),
+            configs: Vec::new(),
+            order: Vec::new(),
         }
     }
 
-    fn runtime_for(&mut self, key: &str, cfg: &DeviceConfig) -> &mut AmuletOs {
-        let hit = matches!(&self.runtime, Some((k, _)) if k == key);
-        if !hit {
-            self.runtime = Some((key.to_string(), boot_runtime(self.store, key, cfg)));
+    /// The worker's runtime with `cfg`'s image loaded; the image comes
+    /// from the store (its string key formatted) only when the loaded
+    /// config changes.
+    fn runtime_for(&mut self, cfg: &DeviceConfig) -> &mut AmuletOs {
+        match &mut self.runtime {
+            Some((key, _)) if *key == cfg.key => {}
+            Some((key, os)) => {
+                os.reload(
+                    self.store.get_or_build(&cfg.firmware_key(), cfg),
+                    runtime_options(cfg),
+                );
+                *key = cfg.key;
+            }
+            None => {
+                let os = boot_runtime(self.store, &cfg.firmware_key(), cfg);
+                self.runtime = Some((cfg.key, os));
+            }
         }
-        &mut self.runtime.as_mut().expect("runtime just installed").1
+        &mut self.runtime.as_mut().expect("runtime just loaded").1
     }
 
-    /// Simulates device `cfg`, whose firmware key is `key`: from the
-    /// silent cache when its config's probe proved the outcome seed-free,
-    /// otherwise on the config's runtime — recording the first silent
-    /// device of a config as its probe.
-    fn run_device(&mut self, key: &str, cfg: &DeviceConfig) -> DeviceResult {
+    /// Simulates device `cfg`: from the silent cache when its config's
+    /// probe proved the outcome seed-free, otherwise on the worker's
+    /// runtime — recording the first silent device of a config as its
+    /// probe.
+    fn run_device(&mut self, cfg: &DeviceConfig) -> Outcome {
         // Only trivially-silent devices are cache-eligible: the cache is
         // keyed by firmware config, and armed or OTA-swept devices can
         // differ (fault kind, OTA seed) while sharing an image.
         let cacheable = cfg.silent_cacheable();
+        let index = cfg.index;
         if cacheable {
-            if let Some(Some(template)) = self.silent_cache.get(key) {
-                return DeviceResult {
-                    index: cfg.index,
-                    ..template.clone()
-                };
+            if let Some(Some(template)) = self.silent_cache.get(&cfg.key) {
+                let result = Arc::clone(template);
+                return Outcome { index, result };
             }
         }
         let scenario = self.scenario;
         let trace = device_trace(scenario, cfg);
-        let sim = simulate_device(scenario, cfg, self.runtime_for(key, cfg), &trace);
-        if cacheable && !self.silent_cache.contains_key(key) {
-            let template = (sim.sensor_draws == 0).then(|| sim.result.clone());
-            self.silent_cache.insert(key.to_string(), template);
+        let sim = simulate_device(scenario, cfg, self.runtime_for(cfg), &trace);
+        let result = Arc::new(sim.result);
+        if cacheable && !self.silent_cache.contains_key(&cfg.key) {
+            let template = (sim.sensor_draws == 0).then(|| Arc::clone(&result));
+            self.silent_cache.insert(cfg.key, template);
         }
-        sim.result
+        Outcome { index, result }
     }
 
-    /// Runs device indices `lo..hi` — grouped by firmware key, the groups
-    /// in key order, each group's members in index order — and returns
-    /// their results in index order.
-    fn run_block(&mut self, lo: usize, hi: usize) -> Vec<DeviceResult> {
-        let configs: Vec<DeviceConfig> = (lo..hi)
-            .map(|index| self.scenario.device_config_in(&self.ctx, index))
-            .collect();
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (offset, cfg) in configs.iter().enumerate() {
-            groups.entry(cfg.firmware_key()).or_default().push(offset);
+    /// Runs device indices `lo..hi` — grouped by firmware config, the
+    /// groups in key order, each group's members in index order — and
+    /// returns their outcomes in index order.
+    fn run_block(&mut self, lo: usize, hi: usize) -> Vec<Outcome> {
+        let mut configs = std::mem::take(&mut self.configs);
+        let mut order = std::mem::take(&mut self.order);
+        configs.clear();
+        configs.extend((lo..hi).map(|index| self.scenario.device_config_in(&self.ctx, index)));
+        order.clear();
+        order.extend(
+            configs
+                .iter()
+                .enumerate()
+                .map(|(offset, cfg)| (cfg.key, offset)),
+        );
+        order.sort_unstable();
+        let mut outcomes: Vec<Option<Outcome>> = (lo..hi).map(|_| None).collect();
+        for &(_, offset) in &order {
+            outcomes[offset] = Some(self.run_device(&configs[offset]));
         }
-        let mut results: Vec<Option<DeviceResult>> = vec![None; configs.len()];
-        for (key, members) in &groups {
-            for &offset in members {
-                results[offset] = Some(self.run_device(key, &configs[offset]));
-            }
-        }
-        results
+        self.configs = configs;
+        self.order = order;
+        outcomes
             .into_iter()
-            .map(|r| r.expect("every device of the slice ran"))
+            .map(|o| o.expect("every device of the slice ran"))
             .collect()
     }
 }
@@ -218,7 +270,7 @@ where
 /// claim grid, and folds each block through `fold` on the worker that
 /// finished the block's last slice; the folded values are returned **in
 /// block order** regardless of which worker ran which slice.  `fold`
-/// receives the whole block's results sorted by device index.  Also
+/// receives the whole block's outcomes sorted by device index.  Also
 /// returns the number of threads spawned.
 pub(crate) fn collect_blocks_in<R, F>(
     scenario: &FleetScenario,
@@ -228,13 +280,13 @@ pub(crate) fn collect_blocks_in<R, F>(
 ) -> (Vec<R>, usize)
 where
     R: Send,
-    F: Fn(Vec<DeviceResult>) -> R + Sync,
+    F: Fn(Vec<Outcome>) -> R + Sync,
 {
     let slices = claim_slices(scenario.devices, workers);
     let blocks = scenario.devices.div_ceil(BLOCK_SIZE);
     // Each block's slot holds its finished slices until the last one
     // lands; claims run block-major, so only blocks in flight hold any.
-    let mut slots: Vec<Mutex<Vec<Option<Vec<DeviceResult>>>>> =
+    let mut slots: Vec<Mutex<Vec<Option<Vec<Outcome>>>>> =
         (0..blocks).map(|_| Mutex::new(Vec::new())).collect();
     for s in &slices {
         slots[s.block]
@@ -250,10 +302,10 @@ where
         || Worker::new(scenario, store),
         |worker, claim| {
             let s = &slices[claim];
-            let results = worker.run_block(s.lo, s.hi);
+            let outcomes = worker.run_block(s.lo, s.hi);
             let parts = {
                 let mut parts = slots[s.block].lock().expect("a fleet worker panicked");
-                parts[s.part] = Some(results);
+                parts[s.part] = Some(outcomes);
                 parts
                     .iter()
                     .all(Option::is_some)
@@ -288,16 +340,20 @@ mod tests {
         let scenario = sensorful();
         let store = FirmwareStore::for_scenario(&scenario);
         let mut worker = Worker::new(&scenario, &store);
-        let results = worker.run_block(0, scenario.devices);
+        let results: Vec<DeviceResult> = worker
+            .run_block(0, scenario.devices)
+            .into_iter()
+            .map(Outcome::into_result)
+            .collect();
         assert_eq!(results.len(), scenario.devices);
 
         // The refusal path must actually be recorded: at least one config's
         // probe performed sensor reads, so its cache entry is `None`.
-        let refused: Vec<String> = worker
+        let refused: Vec<ConfigKey> = worker
             .silent_cache
             .iter()
             .filter(|(_, v)| v.is_none())
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| *k)
             .collect();
         assert!(
             !refused.is_empty(),
@@ -313,7 +369,7 @@ mod tests {
         for (index, block_result) in results.iter().enumerate() {
             let cfg = scenario.device_config_in(&ctx, index);
             let key = cfg.firmware_key();
-            if !cfg.silent || !refused.contains(&key) {
+            if !cfg.silent || !refused.contains(&cfg.key) {
                 continue;
             }
             let mut os = boot_runtime(&store, &key, &cfg);

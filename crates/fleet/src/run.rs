@@ -302,16 +302,17 @@ pub(crate) struct SimulatedDevice {
 /// image and the same trace are run under per-event delivery, then under
 /// the scenario's batched policy.
 ///
-/// `os` is a runtime booted from this device's firmware image.  Every run
+/// `os` is a runtime with this device's firmware image loaded.  Every run
 /// starts with an [`AmuletOs::reset`], which restores the power-on state
 /// **in place** — so one runtime serves every device that shares a
-/// firmware configuration, and the expensive per-device setup (64 KiB
-/// memory, the decoded instruction store, the bus's memoised
-/// access-attribute tables, the API tables) is allocated and built once
-/// per configuration instead of once per device.  `reset` guarantees a
-/// replayed run is bit-identical to a fresh runtime's, so results do not
-/// depend on which devices shared a runtime (the oracle tests pin this
-/// against [`replay_device`], which boots a fresh runtime per device).
+/// firmware configuration, and (through [`AmuletOs::reload`]) every
+/// configuration of a platform: the expensive setup (64 KiB memory, the
+/// bus's memoised access-attribute tables, the API tables) is allocated
+/// and built once per worker and platform instead of once per device.
+/// `reset` and `reload` guarantee a replayed run is bit-identical to a
+/// fresh runtime's, so results do not depend on which devices shared a
+/// runtime (the oracle tests pin this against [`replay_device`], which
+/// boots a fresh runtime per device).
 pub(crate) fn simulate_device(
     scenario: &FleetScenario,
     cfg: &DeviceConfig,
@@ -440,17 +441,19 @@ pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> 
     Arc::new(out.firmware)
 }
 
+/// The options a runtime boots device `cfg`'s image with.
+pub(crate) fn runtime_options(cfg: &DeviceConfig) -> OsOptions {
+    OsOptions {
+        sensor_seed: cfg.sensor_seed,
+        delivery: DeliveryPolicy::PerEvent,
+        ..OsOptions::default()
+    }
+}
+
 /// A runtime booted from device `cfg`'s firmware image, drawn through
 /// `store` under `key` (the config's [`DeviceConfig::firmware_key`]).
 pub(crate) fn boot_runtime(store: &FirmwareStore, key: &str, cfg: &DeviceConfig) -> AmuletOs {
-    AmuletOs::with_options_shared(
-        store.get_or_build(key, cfg),
-        OsOptions {
-            sensor_seed: cfg.sensor_seed,
-            delivery: DeliveryPolicy::PerEvent,
-            ..OsOptions::default()
-        },
-    )
+    AmuletOs::with_options_shared(store.get_or_build(key, cfg), runtime_options(cfg))
 }
 
 /// Replays device `index` of `scenario` on its own: a fresh runtime
@@ -481,7 +484,12 @@ pub fn replay_device(
 /// index (the oracle property tests pin this).
 pub fn simulate_in(scenario: &FleetScenario, workers: usize, store: &FirmwareStore) -> FleetReport {
     let (blocks, threads) =
-        crate::partition::collect_blocks_in(scenario, workers, store, |results| results);
+        crate::partition::collect_blocks_in(scenario, workers, store, |block| {
+            block
+                .into_iter()
+                .map(crate::partition::Outcome::into_result)
+                .collect::<Vec<_>>()
+        });
     let devices: Vec<DeviceResult> = blocks.into_iter().flatten().collect();
     let aggregate = aggregate(&devices);
     FleetReport {
@@ -523,8 +531,8 @@ pub fn simulate_summary_in(
     store: &FirmwareStore,
 ) -> FleetSummary {
     let (blocks, threads) =
-        crate::partition::collect_blocks_in(scenario, workers, store, |devices| {
-            crate::stats::BlockSummary::from_devices(&devices)
+        crate::partition::collect_blocks_in(scenario, workers, store, |block| {
+            crate::stats::BlockSummary::fold(block.iter().map(|o| (o.index, &*o.result)))
         });
     FleetSummary {
         scenario: scenario.clone(),
@@ -762,6 +770,88 @@ mod tests {
         let b = run(&small_stepped(), 8);
         assert_eq!(a.devices, b.devices);
         assert_eq!(a.aggregate, b.aggregate);
+    }
+
+    /// Everything of a runtime's device a run can observe or leave
+    /// behind: bus counters, memory, the MPU backends, the timer and the
+    /// CPU.
+    fn device_state(os: &AmuletOs) -> (String, Vec<u8>, String) {
+        let bus = &os.device.bus;
+        (
+            format!("{:?}", bus.stats),
+            bus.dump_bytes(amulet_core::addr::AddrRange::new(0, 0x1_0000)),
+            format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                bus.mpu, bus.region_mpu, bus.pmp, bus.timer, os.device.cpu
+            ),
+        )
+    }
+
+    #[test]
+    fn a_reloaded_runtime_matches_a_fresh_boot_for_every_image() {
+        // One stepped device per (platform, method) on two MPU platforms
+        // with different backends, so the reloads cross all four methods,
+        // the attribute-table memo and its handles, and one rebuild.
+        let scenario = FleetScenario {
+            devices: 400,
+            events_per_device: 12,
+            ..small_stepped()
+        };
+        let store = FirmwareStore::for_scenario(&scenario);
+        let ctx = crate::scenario::ConfigContext::new();
+        let pick = |platform: &str, method: IsolationMethod| {
+            (0..scenario.devices)
+                .map(|i| scenario.device_config_in(&ctx, i))
+                .find(|c| c.platform.name == platform && c.method == method)
+                .unwrap_or_else(|| panic!("no {platform} device runs {method}"))
+        };
+        // Per platform: A→B→A for each adjacent method pair; the last
+        // step of the first platform switches platforms.
+        let mut sequence = Vec::new();
+        for platform in ["msp430fr5969", "riscv-pmp"] {
+            let configs: Vec<DeviceConfig> = IsolationMethod::ALL
+                .iter()
+                .map(|&m| pick(platform, m))
+                .collect();
+            for pair in configs.windows(2) {
+                sequence.extend([pair[0].clone(), pair[1].clone(), pair[0].clone()]);
+            }
+        }
+        assert!(sequence.iter().any(|c| c.method.uses_mpu()));
+
+        let mut shared: Option<AmuletOs> = None;
+        for cfg in &sequence {
+            let key = cfg.firmware_key();
+            let os = match shared.as_mut() {
+                Some(os) => {
+                    os.reload(store.get_or_build(&key, cfg), runtime_options(cfg));
+                    os
+                }
+                None => shared.insert(boot_runtime(&store, &key, cfg)),
+            };
+            let mut fresh = boot_runtime(&store, &key, cfg);
+            assert_eq!(
+                device_state(os),
+                device_state(&fresh),
+                "{key}: after reload"
+            );
+            let trace = device_trace(&scenario, cfg);
+            let reused = simulate_device(&scenario, cfg, os, &trace);
+            let oracle = simulate_device(&scenario, cfg, &mut fresh, &trace);
+            assert_eq!(reused.result, oracle.result, "{key}: device result");
+            assert_eq!(reused.sensor_draws, oracle.sensor_draws, "{key}");
+            assert_eq!(
+                device_state(os),
+                device_state(&fresh),
+                "{key}: after the run"
+            );
+        }
+        let memo = shared
+            .expect("the sequence ran")
+            .device
+            .bus
+            .attr_memo_stats();
+        assert!(memo.tables > 1, "the MPU images installed their own tables");
     }
 
     #[test]

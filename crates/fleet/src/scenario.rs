@@ -12,6 +12,8 @@ use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::builtin_platforms;
 use amulet_os::events::DeliveryPolicy;
+use std::ops::{Deref, Range};
+use std::sync::{Arc, OnceLock};
 
 /// How the fleet runner treats the trace's arrival timestamps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,17 +176,80 @@ impl Default for FleetScenario {
     }
 }
 
+/// The catalogue apps installed on one device, in install order.  A
+/// clean device's mix is a run of its [`ConfigContext`]'s shared copy of
+/// the catalogue, so deriving a config clones no app.  Dereferences to a
+/// slice of [`CatalogApp`]s.
+#[derive(Clone)]
+pub struct AppMix {
+    apps: Arc<[CatalogApp]>,
+    range: Range<usize>,
+}
+
+impl std::fmt::Debug for AppMix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl AppMix {
+    /// A mix owning its apps.
+    fn owned(apps: Vec<CatalogApp>) -> Self {
+        let range = 0..apps.len();
+        AppMix {
+            apps: apps.into(),
+            range,
+        }
+    }
+}
+
+impl Deref for AppMix {
+    type Target = [CatalogApp];
+
+    fn deref(&self) -> &[CatalogApp] {
+        &self.apps[self.range.clone()]
+    }
+}
+
+impl<'a> IntoIterator for &'a AppMix {
+    type Item = &'a CatalogApp;
+    type IntoIter = std::slice::Iter<'a, CatalogApp>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Most apps a [`ConfigKey`] can name: the whole catalogue plus one
+/// adversarial app.
+const MAX_KEY_APPS: usize = 12;
+
+/// Filler of a [`ConfigKey`]'s unused app positions.
+const NO_APP: u8 = u8::MAX;
+
+/// A compact, copyable identity of a device's firmware image: equal
+/// exactly when [`DeviceConfig::firmware_key`] is, and ordered by
+/// platform first, so a runner that walks configs in key order meets each
+/// platform in one run.  The platform and the apps are indices into the
+/// [`ConfigContext`] tables (adversarial apps after the catalogue).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct ConfigKey {
+    platform: u8,
+    method: u8,
+    apps: [u8; MAX_KEY_APPS],
+}
+
 /// The fully-resolved configuration of one simulated device.
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
     /// Device index within the fleet.
     pub index: usize,
-    /// Hardware platform profile.
-    pub platform: PlatformSpec,
+    /// Hardware platform profile, shared with the [`ConfigContext`].
+    pub platform: Arc<PlatformSpec>,
     /// Isolation method the firmware is built for.
     pub method: IsolationMethod,
     /// The catalogue apps installed on this device.
-    pub apps: Vec<CatalogApp>,
+    pub apps: AppMix,
     /// Seed of the device's event-arrival trace.
     pub trace_seed: u64,
     /// Seed of the device's synthetic sensors.
@@ -203,6 +268,8 @@ pub struct DeviceConfig {
     /// Whether the firmware build must pass the static verify gate
     /// (copied from [`FleetScenario::verify`]).
     pub verify: bool,
+    /// The compact form of [`DeviceConfig::firmware_key`].
+    pub(crate) key: ConfigKey,
 }
 
 impl DeviceConfig {
@@ -226,19 +293,72 @@ impl DeviceConfig {
 /// Pre-resolved immutable inputs to [`FleetScenario::device_config`]: the
 /// platform list and the app catalogue both allocate on every call, which
 /// is invisible at 10³ devices and dominant at 10⁶.  Build one context per
-/// worker and derive through [`FleetScenario::device_config_in`].
+/// worker and derive through [`FleetScenario::device_config_in`]: the
+/// configs it derives share the context's platforms and apps instead of
+/// cloning them.
 #[derive(Clone, Debug)]
 pub struct ConfigContext {
-    platforms: Vec<PlatformSpec>,
+    platforms: Vec<Arc<PlatformSpec>>,
     catalog: Vec<CatalogApp>,
+    /// Each catalogue window's apps laid out twice in a row, built on first
+    /// use and indexed by [`ConfigContext::window_slot`]: a mix — a run of
+    /// consecutive window apps that may wrap around — is one contiguous
+    /// range of its window's ring.
+    rings: Vec<OnceLock<Arc<[CatalogApp]>>>,
+    /// The adversarial apps, and the one each [`amulet_apps::FaultKind`]
+    /// installs (by position in [`amulet_apps::FaultKind::ALL`]).
+    adversarial: Vec<CatalogApp>,
+    fault_app: Vec<usize>,
 }
 
 impl ConfigContext {
     /// Resolves the built-in platforms and the app catalogue once.
     pub fn new() -> Self {
+        let catalog = amulet_apps::catalog();
+        let adversarial = amulet_apps::adversarial_catalog();
+        assert!(
+            catalog.len() < MAX_KEY_APPS && catalog.len() + adversarial.len() < usize::from(NO_APP),
+            "the catalogue outgrew the config key"
+        );
+        let fault_app = amulet_apps::FaultKind::ALL
+            .iter()
+            .map(|kind| {
+                let name = kind.app().name;
+                adversarial
+                    .iter()
+                    .position(|a| a.name == name)
+                    .expect("every fault kind installs an adversarial catalogue app")
+            })
+            .collect();
         ConfigContext {
-            platforms: builtin_platforms(),
-            catalog: amulet_apps::catalog(),
+            platforms: builtin_platforms().into_iter().map(Arc::new).collect(),
+            rings: (0..Self::window_slot(catalog.len(), catalog.len(), 0) + 1)
+                .map(|_| OnceLock::new())
+                .collect(),
+            catalog,
+            adversarial,
+            fault_app,
+        }
+    }
+
+    /// The slot of window `(start, len)` in `rings`, for a catalogue of
+    /// `apps` apps.
+    fn window_slot(apps: usize, start: usize, len: usize) -> usize {
+        start * (apps + 1) + len
+    }
+
+    /// The `count` apps of window `(start, len)` from its `first`-th app
+    /// on, wrapping around the window.
+    fn window_mix(&self, start: usize, len: usize, first: usize, count: usize) -> AppMix {
+        let ring =
+            self.rings[Self::window_slot(self.catalog.len(), start, len)].get_or_init(|| {
+                (0..2 * len)
+                    .map(|k| self.catalog[start + k % len].clone())
+                    .collect()
+            });
+        AppMix {
+            apps: Arc::clone(ring),
+            range: first..first + count,
         }
     }
 }
@@ -289,10 +409,9 @@ impl FleetScenario {
     /// catalogue/platform allocation.
     pub fn device_config_in(&self, ctx: &ConfigContext, index: usize) -> DeviceConfig {
         let mut state = self.seed ^ (index as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-        let platform =
-            ctx.platforms[(splitmix64(&mut state) % ctx.platforms.len() as u64) as usize].clone();
-        let method = IsolationMethod::ALL
-            [(splitmix64(&mut state) % IsolationMethod::ALL.len() as u64) as usize];
+        let platform_index = (splitmix64(&mut state) % ctx.platforms.len() as u64) as usize;
+        let method_index = (splitmix64(&mut state) % IsolationMethod::ALL.len() as u64) as usize;
+        let method = IsolationMethod::ALL[method_index];
         let catalog = &ctx.catalog;
         let mix = 1 + (splitmix64(&mut state) % self.max_apps_per_device.max(1) as u64) as usize;
         // The window draw: with no window, `(wstart, wlen)` spans the whole
@@ -306,9 +425,15 @@ impl FleetScenario {
             None => (0, catalog.len()),
         };
         let start = (splitmix64(&mut state) % wlen as u64) as usize;
-        let apps: Vec<CatalogApp> = (0..mix.min(wlen))
-            .map(|k| catalog[wstart + (start + k) % wlen].clone())
-            .collect();
+        let count = mix.min(wlen);
+        let mut key = ConfigKey {
+            platform: platform_index as u8,
+            method: method_index as u8,
+            apps: [NO_APP; MAX_KEY_APPS],
+        };
+        for (k, slot) in key.apps.iter_mut().take(count).enumerate() {
+            *slot = (wstart + (start + k) % wlen) as u8;
+        }
         let trace_seed = splitmix64(&mut state);
         let sensor_seed = splitmix64(&mut state) as u32;
         // Appended draw: scenarios with `silent_permille == 0` consume the
@@ -334,15 +459,25 @@ impl FleetScenario {
         } else {
             None
         };
-        let mut apps = apps;
-        if let Some(kind) = fault {
-            // The adversarial app rides last, so `apps[0]` is always a
-            // normal neighbour for the wild-write-neighbor target.
-            apps.push(kind.app());
-        }
+        let apps = match fault {
+            None => ctx.window_mix(wstart, wlen, start, count),
+            Some(kind) => {
+                // The adversarial app rides last, so `apps[0]` is always a
+                // normal neighbour for the wild-write-neighbor target.
+                let kind_index = amulet_apps::FaultKind::ALL
+                    .iter()
+                    .position(|k| *k == kind)
+                    .expect("every fault kind is listed");
+                let adversarial = ctx.fault_app[kind_index];
+                key.apps[count] = (catalog.len() + adversarial) as u8;
+                let mut apps = ctx.window_mix(wstart, wlen, start, count).to_vec();
+                apps.push(ctx.adversarial[adversarial].clone());
+                AppMix::owned(apps)
+            }
+        };
         DeviceConfig {
             index,
-            platform,
+            platform: Arc::clone(&ctx.platforms[platform_index]),
             method,
             apps,
             trace_seed,
@@ -354,6 +489,7 @@ impl FleetScenario {
             // draws, so every other field above derives bit for bit
             // identically with or without it.
             verify: self.verify,
+            key,
         }
     }
 

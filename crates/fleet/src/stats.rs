@@ -171,6 +171,15 @@ struct PolicyFold {
 }
 
 impl PolicyFold {
+    /// An empty fold with room for `devices` per-device values.
+    fn with_capacity(devices: usize) -> Self {
+        PolicyFold {
+            energies: Vec::with_capacity(devices),
+            battery_weeks: Vec::with_capacity(devices),
+            ..PolicyFold::default()
+        }
+    }
+
     fn add(&mut self, o: &PolicyOutcome) {
         self.total_cycles += o.total_cycles;
         self.switch_cycles += o.switch_cycles;
@@ -377,23 +386,35 @@ pub struct BlockSummary {
 impl BlockSummary {
     /// Folds a finished block's results (in device order) into a summary.
     pub fn from_devices(devices: &[DeviceResult]) -> Self {
+        Self::fold(devices.iter().map(|d| (d.index, d)))
+    }
+
+    /// [`BlockSummary::from_devices`] over `(index, result)` pairs in
+    /// device order, each result standing for device `index` whatever its
+    /// own `index` field says — so a silent device folds straight from its
+    /// config's shared template.  Once a block has seen a device's
+    /// platform, method and profiles, folding a fault-free device
+    /// allocates nothing.
+    pub(crate) fn fold<'a>(
+        devices: impl ExactSizeIterator<Item = (usize, &'a DeviceResult)>,
+    ) -> Self {
         let mut s = BlockSummary {
             devices: devices.len(),
+            per_event: PolicyFold::with_capacity(devices.len()),
+            batched: PolicyFold::with_capacity(devices.len()),
             ..BlockSummary::default()
         };
-        for d in devices {
+        for (index, d) in devices {
             s.per_event.add(&d.per_event);
             s.batched.add(&d.batched);
             for (seq, v) in d.per_event_latencies_ms.iter().enumerate() {
-                s.per_event_latency.push(d.index as u64, seq as u32, *v);
+                s.per_event_latency.push(index as u64, seq as u32, *v);
             }
             for (seq, v) in d.batched_latencies_ms.iter().enumerate() {
-                s.batched_latency.push(d.index as u64, seq as u32, *v);
+                s.batched_latency.push(index as u64, seq as u32, *v);
             }
-            *s.per_platform.entry(d.platform.clone()).or_insert(0) += 1;
-            *s.per_method
-                .entry(d.method.label().to_string())
-                .or_insert(0) += 1;
+            count_in(&mut s.per_platform, &d.platform);
+            count_in(&mut s.per_method, d.method.label());
             for (profile, impact) in &d.battery_impacts {
                 bucket_impact(&mut s.histograms, profile, *impact);
             }
@@ -406,18 +427,34 @@ impl BlockSummary {
     }
 }
 
+/// Counts one occurrence of `key`, allocating only for a new key.
+fn count_in(map: &mut BTreeMap<String, u64>, key: &str) {
+    match map.get_mut(key) {
+        Some(count) => *count += 1,
+        None => {
+            map.insert(key.to_string(), 1);
+        }
+    }
+}
+
 /// Records one (device, app) battery impact in the per-profile histogram
 /// map — the one bucketing implementation [`aggregate`] and
 /// [`BlockSummary::from_devices`] share.
 fn bucket_impact(histograms: &mut BTreeMap<String, ProfileHistogram>, profile: &str, impact: f64) {
+    if !histograms.contains_key(profile) {
+        histograms.insert(
+            profile.to_string(),
+            ProfileHistogram {
+                profile: profile.to_string(),
+                instances: 0,
+                max_impact_percent: 0.0,
+                buckets: vec![0; BATTERY_IMPACT_BUCKET_EDGES.len() + 1],
+            },
+        );
+    }
     let h = histograms
-        .entry(profile.to_string())
-        .or_insert_with(|| ProfileHistogram {
-            profile: profile.to_string(),
-            instances: 0,
-            max_impact_percent: 0.0,
-            buckets: vec![0; BATTERY_IMPACT_BUCKET_EDGES.len() + 1],
-        });
+        .get_mut(profile)
+        .expect("the profile's histogram was just ensured");
     h.instances += 1;
     h.max_impact_percent = h.max_impact_percent.max(impact);
     let bucket = BATTERY_IMPACT_BUCKET_EDGES
@@ -709,8 +746,8 @@ pub fn aggregate(devices: &[DeviceResult]) -> FleetAggregate {
     let mut containment = ContainmentMap::new();
     let mut ota = OtaWaveStats::default();
     for d in devices {
-        *per_platform.entry(d.platform.clone()).or_insert(0) += 1;
-        *per_method.entry(d.method.label().to_string()).or_insert(0) += 1;
+        count_in(&mut per_platform, &d.platform);
+        count_in(&mut per_method, d.method.label());
         for (profile, impact) in &d.battery_impacts {
             bucket_impact(&mut histograms, profile, *impact);
         }

@@ -25,9 +25,15 @@
 //!
 //! Because the OS alternates between the OS and per-app MPU configurations
 //! on every context switch, tables are **memoised per configuration**:
-//! each table is keyed by a fingerprint of the MPU backend state, so a
-//! switch back to an already-seen configuration re-points the bus at the
-//! existing table instead of rebuilding.
+//! each table is keyed by a fingerprint of the active backend's state, so
+//! a switch back to an already-seen configuration re-points the bus at the
+//! existing table instead of rebuilding.  The memo is bounded: once full,
+//! each new configuration repaints the least recently used inactive table
+//! in place.  An OS resolves a [`AttrHandle`] per MPU configuration of the
+//! image it loads ([`Bus::attr_handle`]) and switches through
+//! [`Bus::install_mpu_config_via`], which issues the same register writes
+//! as [`Bus::install_mpu_config`] but re-points the table by handle
+//! instead of searching the memo.
 //!
 //! The table is resolved when the configuration **changes**, not when it
 //! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`]
@@ -39,11 +45,11 @@
 //! counters with the epoch of the last resolve — that every public access
 //! method and every [`crate::cpu::Cpu::run_block`] entry runs.  Inside a
 //! block the CPU calls crate-private entry points that trust the synced
-//! table, so each fetch and data access is one indexed byte load.  The memo survives
-//! [`Bus::reset`], which is what lets the fleet simulator reuse attribute
-//! tables across `Device::reset` runs.
+//! table, so each fetch and data access is one indexed byte load.  The
+//! memo survives [`Bus::reset`], which is what lets the fleet simulator
+//! reuse attribute tables across devices and firmware images.
 
-use crate::mpu::{Mpu, MpuRegisterError, PmpEntry, PmpMpu, RegionMpu, RegionSlot};
+use crate::mpu::{Mpu, MpuRegisterError, PmpMpu, RegionMpu};
 use crate::timer::Timer;
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -135,24 +141,34 @@ const ATTR_X: u8 = 1 << 2;
 /// Attribute bit: a write here counts as an FRAM write in [`BusStats`].
 const ATTR_FRAM_WRITE: u8 = 1 << 3;
 
-/// Upper bound on memoised attribute tables per bus.  A device needs one
-/// per installed MPU configuration (the OS plus one per app); pathological
-/// reconfiguration churn (e.g. property tests driving arbitrary register
-/// writes) clears the memo instead of growing without bound.
-const MAX_ATTR_TABLES: usize = 16;
+/// Upper bound on memoised attribute tables (64 KiB each) per bus.  A
+/// device needs one per MPU configuration it installs (the OS plus one per
+/// app).  A runtime reloaded across images keeps earlier images' tables
+/// until the memo is full; from then on each new configuration repaints
+/// the least recently used table in place — never the active one — so the
+/// memo's memory stays bounded however long the bus lives.
+pub const MAX_ATTR_TABLES: usize = 16;
 
-/// Everything the attribute table's contents depend on besides the (fixed)
-/// platform memory map: the state of all three hardware MPU backends.
-#[derive(Clone, PartialEq)]
-struct MpuFingerprint {
-    seg_enabled: bool,
-    boundary1: Addr,
-    boundary2: Addr,
-    seg_perms: [Perm; 4],
-    region_enabled: bool,
-    region_slots: Vec<RegionSlot>,
-    pmp_user_mode: bool,
-    pmp_entries: Vec<PmpEntry>,
+/// Everything an attribute table depends on besides the (fixed) platform:
+/// the state of the platform's active MPU backend, reduced to what the
+/// painter reads.  Inactive backends, disabled slots and the slots of a
+/// non-enforcing backend cannot change a table, so they are left out, and
+/// every backend state that paints one table has one key.
+#[derive(Clone, Debug, PartialEq)]
+enum MpuFingerprint {
+    /// The active backend enforces nothing (segmented MPU disabled,
+    /// region MPU disabled, PMP in machine mode).
+    Open,
+    /// An enabled segmented MPU.
+    Segmented {
+        boundary1: Addr,
+        boundary2: Addr,
+        /// Segment 1, 2 and 3 permissions, then InfoMem's.
+        perms: [Perm; 4],
+    },
+    /// An enforcing region MPU or user-mode PMP: its enabled slots
+    /// (entries) in match order.
+    Slots(Vec<(AddrRange, Perm)>),
 }
 
 /// Which hardware MPU backend the platform's [`amulet_core::platform::MpuModel`]
@@ -167,13 +183,40 @@ enum MpuBackendKind {
     Pmp,
 }
 
-/// One memoised attribute table: the MPU state it was built for, and one
-/// attribute byte per address.  The fixed array size lets the hot path's
-/// masked index compile without a bounds check.
+/// One slot of the attribute-table memo.
 #[derive(Clone)]
-struct AttrTable {
+struct AttrSlot {
+    /// The MPU state the table was painted for.
     key: MpuFingerprint,
-    attrs: Box<[u8; 0x1_0000]>,
+    /// One attribute byte per address; `None` while this slot's table is
+    /// the active one (it then lives in `Bus::attr_active`).  The fixed
+    /// array size lets the hot path's masked index compile without a
+    /// bounds check.
+    attrs: Option<Box<[u8; 0x1_0000]>>,
+    /// The memo clock at the slot's last use; eviction takes the least
+    /// recently used inactive slot.
+    last_used: u64,
+}
+
+/// A handle to one memoised attribute table (its memo slot), from
+/// [`Bus::attr_handle`].  An OS resolves one per MPU configuration of the
+/// image it loads and installs through [`Bus::install_mpu_config_via`],
+/// which re-points the bus by handle instead of searching the memo.  The
+/// slot is used only if its key matches the installed state, so a handle
+/// whose table was evicted since falls back to the search — a stale
+/// handle costs time, never correctness.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AttrHandle(usize);
+
+/// Counters of a bus's attribute-table memo ([`Bus::attr_memo_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AttrMemoStats {
+    /// Tables the memo holds, the active one included.
+    pub tables: usize,
+    /// Tables painted since the bus was built.
+    pub paints: u64,
+    /// Tables repainted over an evicted one since the bus was built.
+    pub evictions: u64,
 }
 
 /// A zeroed 64 KiB page (memory image or attribute table).
@@ -237,11 +280,19 @@ pub struct Bus {
     pub stats: BusStats,
     /// The attribute table for the installed MPU configuration, always
     /// resolved.  Held directly — not behind an index or an `Option` — so
-    /// the hot path is one pointer chase.
-    attr_active: AttrTable,
-    /// Memoised tables for other configurations this bus has seen;
-    /// fingerprints are unique across `attr_spare` ∪ `attr_active`.
-    attr_spare: Vec<AttrTable>,
+    /// the hot path is one pointer chase.  It belongs to memo slot
+    /// `attr_slot`, which lends it out while it is active.
+    attr_active: Box<[u8; 0x1_0000]>,
+    /// The memo slot of the active table.
+    attr_slot: usize,
+    /// The attribute-table memo: at most [`MAX_ATTR_TABLES`] slots with
+    /// pairwise distinct keys.
+    attr_slots: Vec<AttrSlot>,
+    /// The memo's use clock (see [`AttrSlot::last_used`]).
+    attr_clock: u64,
+    /// Tables painted and evicted over the bus's life.
+    attr_paints: u64,
+    attr_evictions: u64,
     /// The backends' summed `config_writes` at the last resolve.  The
     /// counters only grow between resets, so a direct backend register
     /// write moves the sum; the sync step compares it.
@@ -270,7 +321,16 @@ impl Bus {
     pub fn new(platform: PlatformSpec) -> Self {
         let (mpu, region_mpu, pmp) = Self::mpu_backends(&platform);
         let backend = Self::backend_kind(&platform);
-        let attr_active = Self::paint_attr_table(&platform, backend, &mpu, &region_mpu, &pmp);
+        let key = Self::fingerprint(backend, &mpu, &region_mpu, &pmp);
+        let mut attr_active = zeroed_page();
+        Self::paint_attr_table(
+            &mut attr_active,
+            &platform,
+            backend,
+            &region_mpu,
+            &pmp,
+            &key,
+        );
         Bus {
             platform,
             mem: zeroed_page(),
@@ -281,7 +341,15 @@ impl Bus {
             timer: Timer::new(),
             stats: BusStats::default(),
             attr_active,
-            attr_spare: Vec::new(),
+            attr_slot: 0,
+            attr_slots: vec![AttrSlot {
+                key,
+                attrs: None,
+                last_used: 0,
+            }],
+            attr_clock: 0,
+            attr_paints: 1,
+            attr_evictions: 0,
             attr_epoch: 0,
             attr_mask: u8::MAX,
         }
@@ -289,8 +357,9 @@ impl Bus {
 
     /// Builds all three MPU backends in their power-on (disabled) state
     /// for a platform — the single backend-selection rule shared by
-    /// [`Bus::new`] and [`Bus::reset`].  Only the backend the platform's
-    /// MPU model selects gets slots; the inactive ones stay empty.
+    /// [`Bus::new`] and [`Bus::attr_handle`] ([`Bus::reset`] restores the
+    /// same state in place).  Only the backend the platform's MPU model
+    /// selects gets slots; the inactive ones stay empty.
     fn mpu_backends(platform: &PlatformSpec) -> (Mpu, RegionMpu, PmpMpu) {
         let mpu = Mpu::new(platform.fram, platform.info_mem);
         let kind = Self::backend_kind(platform);
@@ -363,13 +432,13 @@ impl Bus {
     /// contents are a pure function of MPU state and the (unchanged)
     /// platform, so the reset re-points the bus at the memoised table for
     /// the power-on configuration instead of rebuilding one per context
-    /// switch of the next run.
+    /// switch of the next run.  The backends return to their power-on
+    /// state in place, so a reset allocates nothing.
     pub fn reset(&mut self) {
         self.mem.fill(0);
-        let (mpu, region_mpu, pmp) = Self::mpu_backends(&self.platform);
-        self.mpu = mpu;
-        self.region_mpu = region_mpu;
-        self.pmp = pmp;
+        self.mpu = Mpu::new(self.platform.fram, self.platform.info_mem);
+        self.region_mpu.power_on();
+        self.pmp.power_on();
         self.timer = Timer::new();
         self.stats = BusStats::default();
         self.resolve_attr_table();
@@ -409,17 +478,77 @@ impl Bus {
         }
     }
 
-    /// Fingerprint of everything the attribute table depends on.
-    fn mpu_fingerprint(mpu: &Mpu, region_mpu: &RegionMpu, pmp: &PmpMpu) -> MpuFingerprint {
-        MpuFingerprint {
-            seg_enabled: mpu.enabled,
-            boundary1: mpu.boundary1,
-            boundary2: mpu.boundary2,
-            seg_perms: [mpu.seg_info, mpu.seg1, mpu.seg2, mpu.seg3],
-            region_enabled: region_mpu.enabled,
-            region_slots: region_mpu.slots.clone(),
-            pmp_user_mode: pmp.user_mode,
-            pmp_entries: pmp.entries.clone(),
+    /// The attribute-table key of a backend state (see [`MpuFingerprint`]).
+    fn fingerprint(
+        backend: MpuBackendKind,
+        mpu: &Mpu,
+        region_mpu: &RegionMpu,
+        pmp: &PmpMpu,
+    ) -> MpuFingerprint {
+        match backend {
+            MpuBackendKind::Segmented if mpu.enabled => MpuFingerprint::Segmented {
+                boundary1: mpu.boundary1,
+                boundary2: mpu.boundary2,
+                perms: [mpu.seg1, mpu.seg2, mpu.seg3, mpu.seg_info],
+            },
+            MpuBackendKind::Region if region_mpu.enabled => MpuFingerprint::Slots(
+                region_mpu
+                    .slots
+                    .iter()
+                    .filter(|s| s.enabled)
+                    .map(|s| (s.range, s.perm))
+                    .collect(),
+            ),
+            MpuBackendKind::Pmp if pmp.user_mode => MpuFingerprint::Slots(
+                pmp.entries
+                    .iter()
+                    .filter(|e| e.enabled)
+                    .map(|e| (e.range(), e.perm))
+                    .collect(),
+            ),
+            _ => MpuFingerprint::Open,
+        }
+    }
+
+    /// Whether `key` is the fingerprint of the *installed* backend state —
+    /// [`Bus::fingerprint`] without building one, since this runs after
+    /// every context switch.
+    fn installed_matches(&self, key: &MpuFingerprint) -> bool {
+        let (mpu, region_mpu, pmp) = (&self.mpu, &self.region_mpu, &self.pmp);
+        match (self.backend, key) {
+            (MpuBackendKind::Segmented, MpuFingerprint::Open) => !mpu.enabled,
+            (MpuBackendKind::Region, MpuFingerprint::Open) => !region_mpu.enabled,
+            (MpuBackendKind::Pmp, MpuFingerprint::Open) => !pmp.user_mode,
+            (
+                MpuBackendKind::Segmented,
+                MpuFingerprint::Segmented {
+                    boundary1,
+                    boundary2,
+                    perms,
+                },
+            ) => {
+                mpu.enabled
+                    && mpu.boundary1 == *boundary1
+                    && mpu.boundary2 == *boundary2
+                    && [mpu.seg1, mpu.seg2, mpu.seg3, mpu.seg_info] == *perms
+            }
+            (MpuBackendKind::Region, MpuFingerprint::Slots(slots)) => {
+                region_mpu.enabled
+                    && slots.iter().copied().eq(region_mpu
+                        .slots
+                        .iter()
+                        .filter(|s| s.enabled)
+                        .map(|s| (s.range, s.perm)))
+            }
+            (MpuBackendKind::Pmp, MpuFingerprint::Slots(entries)) => {
+                pmp.user_mode
+                    && entries.iter().copied().eq(pmp
+                        .entries
+                        .iter()
+                        .filter(|e| e.enabled)
+                        .map(|e| (e.range(), e.perm)))
+            }
+            _ => false,
         }
     }
 
@@ -452,72 +581,127 @@ impl Bus {
         // in-tree code does either; debug builds verify both on every
         // access.
         debug_assert!(
-            Self::fingerprint_matches(
-                &self.attr_active.key,
-                &self.mpu,
-                &self.region_mpu,
-                &self.pmp
-            ),
+            self.installed_matches(&self.attr_slots[self.attr_slot].key),
             "MPU state was mutated without a register write; the \
              attribute cache is stale (configure the MPU through \
              write_register/install_mpu_config)"
         );
-        self.attr_active.attrs[(addr & 0xFFFF) as usize] & self.attr_mask
+        self.attr_active[(addr & 0xFFFF) as usize] & self.attr_mask
     }
 
-    /// Whether a memoised table's key matches the *installed* MPU state
-    /// (allocation-free — this runs after every context switch).
-    fn fingerprint_matches(
-        key: &MpuFingerprint,
-        mpu: &Mpu,
-        region_mpu: &RegionMpu,
-        pmp: &PmpMpu,
-    ) -> bool {
-        key.seg_enabled == mpu.enabled
-            && key.boundary1 == mpu.boundary1
-            && key.boundary2 == mpu.boundary2
-            && key.seg_perms == [mpu.seg_info, mpu.seg1, mpu.seg2, mpu.seg3]
-            && key.region_enabled == region_mpu.enabled
-            && key.region_slots == region_mpu.slots
-            && key.pmp_user_mode == pmp.user_mode
-            && key.pmp_entries == pmp.entries
-    }
-
-    /// Points `attr_active` at the table matching the installed MPU
-    /// configuration, building (and memoising) it on first sight, and
-    /// recomputes the epoch.
+    /// Points the bus at the table matching the installed MPU
+    /// configuration, searching the memo and painting the table on first
+    /// sight, and recomputes the epoch.
     #[cold]
     fn resolve_attr_table(&mut self) {
         self.attr_epoch = self.mpu_epoch();
-        let (mpu, region_mpu, pmp) = (&self.mpu, &self.region_mpu, &self.pmp);
-        if Self::fingerprint_matches(&self.attr_active.key, mpu, region_mpu, pmp) {
+        if self.installed_matches(&self.attr_slots[self.attr_slot].key) {
             return;
         }
-        // Pull (or build) the matching table, then retire the active one
-        // into the memo.  The active table was either taken from the memo
-        // or freshly built, so fingerprints stay unique.
-        let table = match self
-            .attr_spare
-            .iter()
-            .position(|t| Self::fingerprint_matches(&t.key, mpu, region_mpu, pmp))
+        let slot = match (0..self.attr_slots.len())
+            .find(|&i| self.installed_matches(&self.attr_slots[i].key))
         {
-            Some(i) => self.attr_spare.swap_remove(i),
+            Some(i) => i,
             None => {
-                if self.attr_spare.len() >= MAX_ATTR_TABLES {
-                    self.attr_spare.clear();
-                }
-                Self::paint_attr_table(&self.platform, self.backend, mpu, region_mpu, pmp)
+                let key = Self::fingerprint(self.backend, &self.mpu, &self.region_mpu, &self.pmp);
+                self.slot_for(key)
             }
         };
-        let retired = std::mem::replace(&mut self.attr_active, table);
-        self.attr_spare.push(retired);
+        self.activate(slot);
     }
 
-    /// Builds the 64 KiB attribute table for an MPU configuration by
-    /// interval painting (no per-address backend calls).  A pure function
-    /// of the platform (which also fixes each backend's jurisdiction) and
-    /// the backend state the fingerprint keys it by, which is what makes
-    /// the memo sound.
+    /// Makes memo slot `slot` the active table and marks it used.
+    fn activate(&mut self, slot: usize) {
+        self.attr_clock += 1;
+        self.attr_slots[slot].last_used = self.attr_clock;
+        if slot != self.attr_slot {
+            let table = self.attr_slots[slot]
+                .attrs
+                .take()
+                .expect("an inactive slot holds its table");
+            let retired = std::mem::replace(&mut self.attr_active, table);
+            self.attr_slots[self.attr_slot].attrs = Some(retired);
+            self.attr_slot = slot;
+        }
+    }
+
+    /// The memo slot of `key`'s table, painting it on first sight: into a
+    /// new slot while the memo has room, otherwise over the least recently
+    /// used inactive slot — one eviction, never the active table.
+    fn slot_for(&mut self, key: MpuFingerprint) -> usize {
+        if let Some(i) = self.attr_slots.iter().position(|s| s.key == key) {
+            return i;
+        }
+        self.attr_paints += 1;
+        let (slot, mut attrs) = if self.attr_slots.len() < MAX_ATTR_TABLES {
+            self.attr_slots.push(AttrSlot {
+                key: MpuFingerprint::Open,
+                attrs: None,
+                last_used: 0,
+            });
+            (self.attr_slots.len() - 1, zeroed_page())
+        } else {
+            let victim = (0..self.attr_slots.len())
+                .filter(|&i| i != self.attr_slot)
+                .min_by_key(|&i| self.attr_slots[i].last_used)
+                .expect("a full memo holds inactive tables");
+            self.attr_evictions += 1;
+            let attrs = self.attr_slots[victim]
+                .attrs
+                .take()
+                .expect("an inactive slot holds its table");
+            (victim, attrs)
+        };
+        Self::paint_attr_table(
+            &mut attrs,
+            &self.platform,
+            self.backend,
+            &self.region_mpu,
+            &self.pmp,
+            &key,
+        );
+        let entry = &mut self.attr_slots[slot];
+        entry.key = key;
+        entry.attrs = Some(attrs);
+        slot
+    }
+
+    /// Resolves the table that installing `config` on a powered-on MPU
+    /// selects, painting it on first sight, and returns its handle.  The
+    /// installed configuration and every counter are left untouched.  An
+    /// OS resolves each of an image's MPU configurations once when it
+    /// loads the image; every later switch then re-points the bus through
+    /// [`Bus::install_mpu_config_via`].
+    pub fn attr_handle(&mut self, config: &MpuConfig) -> AttrHandle {
+        let (mut mpu, mut region_mpu, mut pmp) = Self::mpu_backends(&self.platform);
+        let _ = Self::program_backends(&mut mpu, &mut region_mpu, &mut pmp, config);
+        let key = Self::fingerprint(self.backend, &mpu, &region_mpu, &pmp);
+        let slot = self.slot_for(key);
+        self.attr_clock += 1;
+        self.attr_slots[slot].last_used = self.attr_clock;
+        AttrHandle(slot)
+    }
+
+    /// Counters of the attribute-table memo.
+    pub fn attr_memo_stats(&self) -> AttrMemoStats {
+        AttrMemoStats {
+            tables: self.attr_slots.len(),
+            paints: self.attr_paints,
+            evictions: self.attr_evictions,
+        }
+    }
+
+    /// The active attribute table: one byte per address, independent of
+    /// [`Bus::set_attr_cache_enabled`].  For tests that compare tables.
+    pub fn attr_table(&self) -> &[u8; 0x1_0000] {
+        &self.attr_active
+    }
+
+    /// Paints the 64 KiB attribute table for the MPU state `key` over
+    /// `attrs` by interval painting (no per-address backend calls).  A
+    /// pure function of the platform (which also fixes each backend's
+    /// jurisdiction — the only thing read from `region_mpu` and `pmp`) and
+    /// the key, which is what makes the memo sound.
     ///
     /// Ranges are painted in reverse priority order of [`Bus::region`]'s
     /// decode cascade, so where ranges overlap the highest-priority
@@ -527,14 +711,15 @@ impl Bus {
     /// backends also police peripheral space) instead of hardcoding any
     /// particular range set.
     fn paint_attr_table(
+        attrs: &mut [u8; 0x1_0000],
         p: &PlatformSpec,
         backend: MpuBackendKind,
-        mpu: &Mpu,
         region_mpu: &RegionMpu,
         pmp: &PmpMpu,
-    ) -> AttrTable {
+        key: &MpuFingerprint,
+    ) {
         // Base: unmapped — nothing is a plain permitted access.
-        let mut attrs = zeroed_page();
+        attrs.fill(0);
         paint(
             &mut attrs[..],
             p.interrupt_vectors,
@@ -546,37 +731,15 @@ impl Bus {
                 // jurisdiction when enforcing, permissive when not.  The
                 // slots/entries match first-hit in slot order, so paint in
                 // reverse and let earlier slots overwrite later ones.
-                let (enforcing, jurisdiction, slots): (
-                    bool,
-                    Vec<AddrRange>,
-                    Vec<(AddrRange, Perm)>,
-                ) = match backend {
-                    MpuBackendKind::Region => (
-                        region_mpu.enabled,
-                        region_mpu.jurisdiction().collect(),
-                        region_mpu
-                            .slots
-                            .iter()
-                            .filter(|s| s.enabled)
-                            .map(|s| (s.range, s.perm))
-                            .collect(),
-                    ),
-                    MpuBackendKind::Pmp => (
-                        pmp.user_mode,
-                        pmp.jurisdiction().collect(),
-                        pmp.entries
-                            .iter()
-                            .filter(|e| e.enabled)
-                            .map(|e| (e.range(), e.perm))
-                            .collect(),
-                    ),
-                    // Every new backend kind must pick its painter state
-                    // explicitly; the outer arm already excludes the
-                    // segmented backend.
-                    MpuBackendKind::Segmented => {
-                        unreachable!("segmented backend painted in its own arm")
-                    }
+                let jurisdiction: Vec<AddrRange> = match backend {
+                    MpuBackendKind::Region => region_mpu.jurisdiction().collect(),
+                    _ => pmp.jurisdiction().collect(),
                 };
+                let slots: &[(AddrRange, Perm)] = match key {
+                    MpuFingerprint::Slots(slots) => slots,
+                    _ => &[],
+                };
+                let enforcing = *key != MpuFingerprint::Open;
                 let base = if enforcing {
                     0
                 } else {
@@ -585,16 +748,14 @@ impl Bus {
                 for range in &jurisdiction {
                     paint(&mut attrs[..], *range, base);
                 }
-                if enforcing {
-                    for (slot_range, perm) in slots.iter().rev() {
-                        let v = perm_attr(*perm);
-                        for range in &jurisdiction {
-                            let clipped = AddrRange::new(
-                                slot_range.start.max(range.start).min(range.end),
-                                slot_range.end.clamp(range.start, range.end),
-                            );
-                            paint(&mut attrs[..], clipped, v);
-                        }
+                for (slot_range, perm) in slots.iter().rev() {
+                    let v = perm_attr(*perm);
+                    for range in &jurisdiction {
+                        let clipped = AddrRange::new(
+                            slot_range.start.max(range.start).min(range.end),
+                            slot_range.end.clamp(range.start, range.end),
+                        );
+                        paint(&mut attrs[..], clipped, v);
                     }
                 }
             }
@@ -603,22 +764,19 @@ impl Bus {
                 // (always permitted); FRAM splits into three segments at
                 // the two boundaries; InfoMem is the pinned segment.
                 paint(&mut attrs[..], p.sram, ATTR_R | ATTR_W | ATTR_X);
-                if mpu.enabled {
+                if let MpuFingerprint::Segmented {
+                    boundary1,
+                    boundary2,
+                    perms: [seg1, seg2, seg3, seg_info],
+                } = *key
+                {
                     let f = p.fram;
-                    let c1 = mpu.boundary1.clamp(f.start, f.end);
-                    let c2 = mpu.boundary2.clamp(f.start, f.end).max(c1);
-                    paint(
-                        &mut attrs[..],
-                        AddrRange::new(f.start, c1),
-                        perm_attr(mpu.seg1),
-                    );
-                    paint(&mut attrs[..], AddrRange::new(c1, c2), perm_attr(mpu.seg2));
-                    paint(
-                        &mut attrs[..],
-                        AddrRange::new(c2, f.end),
-                        perm_attr(mpu.seg3),
-                    );
-                    paint(&mut attrs[..], p.info_mem, perm_attr(mpu.seg_info));
+                    let c1 = boundary1.clamp(f.start, f.end);
+                    let c2 = boundary2.clamp(f.start, f.end).max(c1);
+                    paint(&mut attrs[..], AddrRange::new(f.start, c1), perm_attr(seg1));
+                    paint(&mut attrs[..], AddrRange::new(c1, c2), perm_attr(seg2));
+                    paint(&mut attrs[..], AddrRange::new(c2, f.end), perm_attr(seg3));
+                    paint(&mut attrs[..], p.info_mem, perm_attr(seg_info));
                 } else {
                     paint(&mut attrs[..], p.fram, ATTR_R | ATTR_W | ATTR_X);
                     paint(&mut attrs[..], p.info_mem, ATTR_R | ATTR_W | ATTR_X);
@@ -646,16 +804,71 @@ impl Bus {
             }
         };
         if Self::backend_polices_full_platform(backend, region_mpu) {
-            mask(&mut attrs, p.bootstrap_loader, ATTR_R | ATTR_X);
-            mask(&mut attrs, p.peripherals, ATTR_X);
+            mask(attrs, p.bootstrap_loader, ATTR_R | ATTR_X);
+            mask(attrs, p.peripherals, ATTR_X);
         } else {
             paint(&mut attrs[..], p.bootstrap_loader, ATTR_R | ATTR_X);
             paint(&mut attrs[..], p.peripherals, ATTR_X);
         }
-        AttrTable {
-            key: Self::mpu_fingerprint(mpu, region_mpu, pmp),
-            attrs,
+    }
+
+    /// Programs `config` into the backends with the register writes the
+    /// OS's context-switch code issues on hardware, returning how many
+    /// register writes were issued and the first protocol error: the
+    /// segmented part stops at a rejected write, as the switch code would.
+    fn program_backends(
+        mpu: &mut Mpu,
+        region_mpu: &mut RegionMpu,
+        pmp: &mut PmpMpu,
+        config: &MpuConfig,
+    ) -> (u64, Result<(), BusFault>) {
+        match config {
+            MpuConfig::Segmented(regs) => {
+                let writes = [
+                    (crate::mpu::MPUSEGB1, regs.mpusegb1),
+                    (crate::mpu::MPUSEGB2, regs.mpusegb2),
+                    (crate::mpu::MPUSAM, regs.mpusam),
+                    (crate::mpu::MPUCTL0, regs.mpuctl0),
+                ];
+                let mut issued = 0;
+                let result = writes.into_iter().try_for_each(|(addr, value)| {
+                    issued += 1;
+                    mpu.write_register(addr, value).map_err(|e| BusFault {
+                        addr,
+                        access: AccessKind::Write,
+                        cause: BusFaultCause::MpuRegisterProtocol(e),
+                    })
+                });
+                (issued, result)
+            }
+            MpuConfig::Region(regs) => {
+                // Privileged path: the register block rejects CPU-side
+                // stores, so the OS programs it directly (the write
+                // sequence and slot-count cap live in `apply_config`).
+                region_mpu.apply_config(regs);
+                (regs.write_count() as u64, Ok(()))
+            }
+            MpuConfig::Pmp(regs) => {
+                // Privileged (CSR-style) path, same rule as the region
+                // block: only the OS's trusted switch code programs it.
+                // The machine-mode configuration is the mode toggle alone.
+                pmp.apply_config(regs);
+                (regs.write_count() as u64, Ok(()))
+            }
         }
+    }
+
+    /// Issues `config`'s register writes and counts them in the stats
+    /// exactly as a `Bus::write` per register would.  The segmented path
+    /// programs the register file directly: this runs twice per delivered
+    /// event, and the full region-decode cascade per register write was
+    /// measurable at fleet scale.
+    fn write_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
+        let (writes, result) =
+            Self::program_backends(&mut self.mpu, &mut self.region_mpu, &mut self.pmp, config);
+        self.stats.writes += writes;
+        self.stats.peripheral_writes += writes;
+        result
     }
 
     /// Installs an MPU configuration by performing the same memory-mapped
@@ -663,52 +876,36 @@ impl Bus {
     /// boundaries/access-bits/control for the segmented part, or
     /// select/base/limit per region plus control for the region part.
     pub fn install_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
-        let installed = match config {
-            MpuConfig::Segmented(regs) => {
-                // Trusted switch path: program the register file directly
-                // (this runs twice per delivered event — the full
-                // region-decode cascade per register write was measurable
-                // at fleet scale).  Stats and the password/lock protocol
-                // are identical to issuing each write through `Bus::write`.
-                let writes = [
-                    (crate::mpu::MPUSEGB1, regs.mpusegb1),
-                    (crate::mpu::MPUSEGB2, regs.mpusegb2),
-                    (crate::mpu::MPUSAM, regs.mpusam),
-                    (crate::mpu::MPUCTL0, regs.mpuctl0),
-                ];
-                writes.into_iter().try_for_each(|(addr, value)| {
-                    self.stats.writes += 1;
-                    self.stats.peripheral_writes += 1;
-                    self.mpu.write_register(addr, value).map_err(|e| BusFault {
-                        addr,
-                        access: AccessKind::Write,
-                        cause: BusFaultCause::MpuRegisterProtocol(e),
-                    })
-                })
-            }
-            MpuConfig::Region(regs) => {
-                // Privileged path: the register block rejects CPU-side
-                // stores, so the OS programs it directly (the write
-                // sequence and slot-count cap live in `apply_config`).
-                // Count the same stats a `Bus::write` per register would.
-                self.region_mpu.apply_config(regs);
-                self.stats.writes += regs.write_count() as u64;
-                self.stats.peripheral_writes += regs.write_count() as u64;
-                Ok(())
-            }
-            MpuConfig::Pmp(regs) => {
-                // Privileged (CSR-style) path, same rule as the region
-                // block: only the OS's trusted switch code programs it.
-                // The machine-mode configuration is the mode toggle alone.
-                self.pmp.apply_config(regs);
-                self.stats.writes += regs.write_count() as u64;
-                self.stats.peripheral_writes += regs.write_count() as u64;
-                Ok(())
-            }
-        };
+        let installed = self.write_mpu_config(config);
         // Re-point the attribute table now, even when a register write
         // failed part-way: the writes before it have landed.
         self.resolve_attr_table();
+        installed
+    }
+
+    /// [`Bus::install_mpu_config`] for a configuration whose table the
+    /// caller resolved with [`Bus::attr_handle`]: the same register writes
+    /// and [`BusStats`], but the bus re-points its table by handle.  When
+    /// the handle's table was evicted, or the installed state is not the
+    /// one it was painted for (a failed write, an app-side register store
+    /// before it), the bus searches the memo as `install_mpu_config` does.
+    pub fn install_mpu_config_via(
+        &mut self,
+        config: &MpuConfig,
+        handle: AttrHandle,
+    ) -> Result<(), BusFault> {
+        let installed = self.write_mpu_config(config);
+        let AttrHandle(slot) = handle;
+        let valid = self
+            .attr_slots
+            .get(slot)
+            .is_some_and(|s| self.installed_matches(&s.key));
+        if valid {
+            self.attr_epoch = self.mpu_epoch();
+            self.activate(slot);
+        } else {
+            self.resolve_attr_table();
+        }
         installed
     }
 

@@ -90,6 +90,20 @@ impl Device {
         self.firmware = Some(fw);
     }
 
+    /// Swaps the loaded image for `fw` and returns the device to the state
+    /// [`Device::new`] followed by [`Device::load_firmware_shared`] would
+    /// leave it in, reusing the memory, the bus and its attribute-table
+    /// memo.  `fw` must target this device's platform.
+    pub fn reload_firmware(&mut self, fw: Arc<Firmware>) {
+        debug_assert!(
+            fw.memory_map.platform == *self.bus.platform(),
+            "an image reloads only onto its own platform"
+        );
+        self.code = Arc::clone(&fw.code);
+        self.firmware = Some(fw);
+        self.reset();
+    }
+
     /// Returns the device to its power-on, freshly-loaded state so it can
     /// be reused for another simulation run **without** rebuilding the
     /// firmware or re-decoding the instruction store: the bus is reset in

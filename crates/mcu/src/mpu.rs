@@ -424,6 +424,18 @@ impl RegionMpu {
         }
     }
 
+    /// Returns the MPU to the state [`RegionMpu::new`] built it in —
+    /// disabled, every slot empty, counters cleared — keeping the slot
+    /// count and jurisdiction, and allocating nothing.
+    pub(crate) fn power_on(&mut self) {
+        self.enabled = false;
+        self.slots.fill(RegionSlot::default());
+        self.selected = 0;
+        self.config_writes = 0;
+        self.checks = 0;
+        self.violations = 0;
+    }
+
     /// Extends the MPU's deny-by-default jurisdiction over the given
     /// additional ranges — peripheral space, boot ROM, vector table — for
     /// profiles that police the **full platform space** (the
@@ -661,6 +673,17 @@ impl PmpMpu {
             checks: 0,
             violations: 0,
         }
+    }
+
+    /// Returns the PMP to the state [`PmpMpu::new`] built it in — machine
+    /// mode, every entry empty, counters cleared — keeping the entry count
+    /// and jurisdiction, and allocating nothing.
+    pub(crate) fn power_on(&mut self) {
+        self.user_mode = false;
+        self.entries.fill(PmpEntry::default());
+        self.config_writes = 0;
+        self.checks = 0;
+        self.violations = 0;
     }
 
     /// The address ranges this backend polices in user mode.

@@ -6,7 +6,8 @@
 //! reads/writes/instruction fetches, a bus with the cache enabled and a
 //! bus taking the direct `Mpu`/`RegionMpu`/`PmpMpu` path must
 //! produce **identical results for every access** (same values, same
-//! faults), **identical [`BusStats`] deltas**, and identical memory.
+//! faults), **identical [`BusStats`] deltas**, and identical memory —
+//! including after the bounded table memo has evicted tables.
 
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -89,34 +90,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Applies one op to a bus, returning a comparable outcome.
-fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
+/// The MPU configuration an install op installs (`None` for the other
+/// ops).
+fn mpu_config(op: &Op) -> Option<MpuConfig> {
     match op {
-        Op::Read { addr, size } => bus.read(*addr, *size).map_err(|e| e.to_string()),
-        Op::Write { addr, size, value } => bus
-            .write(*addr, *size, *value)
-            .map(|()| 0)
-            .map_err(|e| e.to_string()),
-        Op::Exec { addr } => bus
-            .check_execute(*addr)
-            .map(|()| 0)
-            .map_err(|e| e.to_string()),
         Op::Segmented {
             b1,
             b2,
             sam,
             enable,
-        } => {
-            let regs = MpuRegisterValues {
-                mpuctl0: 0xA500 | u16::from(*enable),
-                mpusegb1: *b1,
-                mpusegb2: *b2,
-                mpusam: *sam,
-            };
-            bus.install_mpu_config(&MpuConfig::Segmented(regs))
-                .map(|()| 0)
-                .map_err(|e| e.to_string())
-        }
+        } => Some(MpuConfig::Segmented(MpuRegisterValues {
+            mpuctl0: 0xA500 | u16::from(*enable),
+            mpusegb1: *b1,
+            mpusegb2: *b2,
+            mpusam: *sam,
+        })),
         Op::Region { regions } => {
             let regions = regions
                 .iter()
@@ -125,9 +113,7 @@ fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
                     perm: Perm::from_bits(*perm),
                 })
                 .collect();
-            bus.install_mpu_config(&MpuConfig::Region(RegionRegisterValues { regions }))
-                .map(|()| 0)
-                .map_err(|e| e.to_string())
+            Some(MpuConfig::Region(RegionRegisterValues { regions }))
         }
         Op::Pmp { entries, user_mode } => {
             let entries = entries
@@ -143,16 +129,39 @@ fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
                     }
                 })
                 .collect();
-            bus.install_mpu_config(&MpuConfig::Pmp(PmpRegisterValues {
+            Some(MpuConfig::Pmp(PmpRegisterValues {
                 entries,
                 user_mode: *user_mode,
             }))
-            .map(|()| 0)
-            .map_err(|e| e.to_string())
         }
+        _ => None,
+    }
+}
+
+/// Applies one op to a bus, returning a comparable outcome.
+fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
+    if let Some(config) = mpu_config(op) {
+        return bus
+            .install_mpu_config(&config)
+            .map(|()| 0)
+            .map_err(|e| e.to_string());
+    }
+    match op {
+        Op::Read { addr, size } => bus.read(*addr, *size).map_err(|e| e.to_string()),
+        Op::Write { addr, size, value } => bus
+            .write(*addr, *size, *value)
+            .map(|()| 0)
+            .map_err(|e| e.to_string()),
+        Op::Exec { addr } => bus
+            .check_execute(*addr)
+            .map(|()| 0)
+            .map_err(|e| e.to_string()),
         Op::Reset => {
             bus.reset();
             Ok(0)
+        }
+        Op::Segmented { .. } | Op::Region { .. } | Op::Pmp { .. } => {
+            unreachable!("install ops returned above")
         }
     }
 }
@@ -299,5 +308,129 @@ fn cache_matches_oracle_exhaustively() {
             assert_eq!(r, d, "divergence at {addr:#06x}");
         }
         assert_eq!(stats_tuple(&cached.stats), stats_tuple(&direct.stats));
+    }
+}
+
+/// The `i`-th of a family of pairwise distinct MPU configurations for
+/// `platform`'s backend, as an install op.
+fn distinct_config(platform: &PlatformSpec, i: u32) -> Op {
+    if platform.mpu.is_napot() {
+        Op::Pmp {
+            entries: vec![(0x5000 + 0x100 * i, 5, 0x3)],
+            user_mode: true,
+        }
+    } else if platform.mpu.is_region_based() {
+        Op::Region {
+            regions: vec![(0x5000 + 0x100 * i, 0x5400 + 0x100 * i, 0x3)],
+        }
+    } else {
+        Op::Segmented {
+            b1: 0x450 + 0x10 * i as u16,
+            b2: 0x800,
+            sam: 0x0124,
+            enable: true,
+        }
+    }
+}
+
+/// The attribute table a freshly built bus paints for `op`.
+fn fresh_table(platform: &PlatformSpec, op: &Op) -> Vec<u8> {
+    let mut bus = Bus::new(platform.clone());
+    apply(&mut bus, op).unwrap();
+    bus.attr_table().to_vec()
+}
+
+/// Cache-on and cache-off buses agree on a sweep of the address space and
+/// on their counters.
+fn assert_cache_matches_oracle(cached: &mut Bus, direct: &mut Bus, context: &str) {
+    for addr in (0..0x1_0000u32).step_by(7) {
+        let r = (
+            cached.read(addr, 1).map_err(|e| e.cause),
+            cached.write(addr, 1, 0x5A).map_err(|e| e.cause),
+            cached.check_execute(addr & !1).map_err(|e| e.cause),
+        );
+        let d = (
+            direct.read(addr, 1).map_err(|e| e.cause),
+            direct.write(addr, 1, 0x5A).map_err(|e| e.cause),
+            direct.check_execute(addr & !1).map_err(|e| e.cause),
+        );
+        assert_eq!(r, d, "{context}: divergence at {addr:#06x}");
+    }
+    assert_eq!(
+        stats_tuple(&cached.stats),
+        stats_tuple(&direct.stats),
+        "{context}"
+    );
+}
+
+/// The memo is bounded: past `MAX_ATTR_TABLES` distinct configurations
+/// each new one evicts exactly one table, never the active one, and a
+/// configuration installed again after its eviction repaints a table
+/// identical to the first — with the cache on or off.
+#[test]
+fn the_memo_evicts_one_table_at_a_time_and_repaints_identically() {
+    let cap = amulet_mcu::bus::MAX_ATTR_TABLES;
+    for platform in [
+        PlatformSpec::msp430fr5969(),
+        PlatformSpec::msp430fr5994(),
+        PlatformSpec::cortex_m33(),
+        PlatformSpec::riscv_pmp(),
+    ] {
+        let name = platform.name.clone();
+        let mut cached = Bus::new(platform.clone());
+        let mut direct = Bus::new(platform.clone());
+        direct.set_attr_cache_enabled(false);
+        let configs: Vec<Op> = (0..cap as u32 + 8)
+            .map(|i| distinct_config(&platform, i))
+            .collect();
+        let first_table = fresh_table(&platform, &configs[0]);
+        for (i, op) in configs.iter().enumerate() {
+            let before = cached.attr_memo_stats();
+            apply(&mut cached, op).unwrap();
+            apply(&mut direct, op).unwrap();
+            let after = cached.attr_memo_stats();
+            assert_eq!(
+                after.paints,
+                before.paints + 1,
+                "{name} config {i}: one paint"
+            );
+            // The power-on table plus one per configuration fill the memo;
+            // every configuration beyond evicts exactly one table.
+            let expected_evictions = (i + 2).saturating_sub(cap) as u64;
+            assert_eq!(after.evictions, expected_evictions, "{name} config {i}");
+            assert_eq!(after.tables, (i + 2).min(cap), "{name} config {i}");
+            assert_eq!(
+                cached.attr_table().to_vec(),
+                fresh_table(&platform, op),
+                "{name} config {i}: the active table"
+            );
+        }
+        assert_cache_matches_oracle(&mut cached, &mut direct, &name);
+
+        // The first configuration was evicted: installing it again
+        // repaints (one more eviction) an identical table.
+        let before = cached.attr_memo_stats();
+        apply(&mut cached, &configs[0]).unwrap();
+        apply(&mut direct, &configs[0]).unwrap();
+        let after = cached.attr_memo_stats();
+        assert_eq!(after.paints, before.paints + 1, "{name}: repainted");
+        assert_eq!(after.evictions, before.evictions + 1, "{name}");
+        assert_eq!(
+            cached.attr_table().to_vec(),
+            first_table,
+            "{name}: same table"
+        );
+        assert_cache_matches_oracle(&mut cached, &mut direct, &name);
+
+        // The active table is the least recently used one after a full
+        // memo's worth of handle resolutions, yet it is never evicted.
+        let active = cached.attr_table().to_vec();
+        for i in 0..cap as u32 {
+            let config = mpu_config(&distinct_config(&platform, 100 + i)).unwrap();
+            cached.attr_handle(&config);
+        }
+        assert_eq!(cached.attr_memo_stats().tables, cap);
+        assert_eq!(cached.attr_table().to_vec(), active, "{name}: active kept");
+        assert_cache_matches_oracle(&mut cached, &mut direct, &name);
     }
 }

@@ -142,6 +142,15 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Returns the queue to the state [`EventQueue::new`] builds — empty,
+    /// counters cleared — keeping its buffer.
+    pub fn clear(&mut self) {
+        self.queue.clear();
+        self.head_seen = 0;
+        self.enqueued = 0;
+        self.delivered = 0;
+    }
+
     /// Adds an event to the back of the queue.
     pub fn push(&mut self, event: Event) {
         self.enqueued += 1;

@@ -23,6 +23,7 @@ use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
 use amulet_core::method::IsolationMethod;
 use amulet_core::switch::{ContextSwitchPlan, SwitchDirection};
+use amulet_mcu::bus::AttrHandle;
 use amulet_mcu::cpu::FaultInfo;
 use amulet_mcu::device::{Device, StopReason};
 use amulet_mcu::firmware::Firmware;
@@ -127,14 +128,15 @@ pub enum DeliveryOutcome {
 /// pointer-argument count, but building a [`ContextSwitchPlan`] allocates
 /// its step list — measurable when the fleet simulator charges two switches
 /// per delivered event across hundreds of thousands of events.  The
-/// runtime therefore computes the costs once at boot and charges from this
-/// table; the plan type remains the single source of truth for the values.
+/// runtime therefore computes the costs once per platform and method and
+/// charges from this table; the plan type remains the single source of
+/// truth for the values.
 #[derive(Clone, Debug)]
 struct SwitchCostCache {
     /// Cost of the OS → app transition (never validates pointers).
     os_to_app: u64,
     /// Cost of the app → OS transition, indexed by pointer-argument count.
-    app_to_os: Vec<u64>,
+    app_to_os: [u64; MAX_CACHED_POINTER_ARGS as usize + 1],
 }
 
 /// Pointer-argument counts precomputed in [`SwitchCostCache::app_to_os`]
@@ -147,12 +149,10 @@ impl SwitchCostCache {
         SwitchCostCache {
             os_to_app: ContextSwitchPlan::new_for(platform, method, SwitchDirection::OsToApp, 0)
                 .cycles(),
-            app_to_os: (0..=MAX_CACHED_POINTER_ARGS)
-                .map(|n| {
-                    ContextSwitchPlan::new_for(platform, method, SwitchDirection::AppToOs, n)
-                        .cycles()
-                })
-                .collect(),
+            app_to_os: std::array::from_fn(|n| {
+                ContextSwitchPlan::new_for(platform, method, SwitchDirection::AppToOs, n as u32)
+                    .cycles()
+            }),
         }
     }
 }
@@ -182,6 +182,10 @@ pub struct AmuletOs {
     options: OsOptions,
     method: IsolationMethod,
     switch_costs: SwitchCostCache,
+    /// Attribute-table handles of the loaded image's MPU configurations,
+    /// resolved once per image: the OS configuration, then each app's in
+    /// app order (empty when the method does not use the MPU).
+    mpu_tables: Vec<AttrHandle>,
     last_app_on_shared_stack: Option<usize>,
     /// Set when the running handler called `amulet_yield`; consumed by the
     /// batch-delivery machinery to end the current batch early.
@@ -223,25 +227,69 @@ impl AmuletOs {
             options,
             method,
             switch_costs,
+            mpu_tables: Vec::new(),
             firmware,
             last_app_on_shared_stack: None,
             pending_yield: false,
         };
+        os.resolve_mpu_tables();
         os.install_fresh_state();
         os
     }
 
+    /// Loads another firmware image into this runtime, leaving it in the
+    /// state [`AmuletOs::with_options_shared`]`(firmware, options)` builds.
+    /// An image for the same platform reuses the device — its 64 KiB
+    /// memory, the bus and its attribute-table memo — the API tables, and
+    /// for the same method the switch-cost table; the image's MPU
+    /// configurations are resolved to attribute-table handles once here.
+    /// Only an image for another platform rebuilds the runtime.
+    pub fn reload(&mut self, firmware: Arc<Firmware>, options: OsOptions) {
+        if firmware.memory_map.platform != self.firmware.memory_map.platform {
+            *self = Self::with_options_shared(firmware, options);
+            return;
+        }
+        if firmware.method != self.method {
+            self.method = firmware.method;
+            self.switch_costs = SwitchCostCache::new(&firmware.memory_map.platform, self.method);
+        }
+        self.options = options;
+        self.device.reload_firmware(Arc::clone(&firmware));
+        self.device.bus.timer.start();
+        self.firmware = firmware;
+        self.resolve_mpu_tables();
+        self.install_fresh_state();
+    }
+
+    /// Resolves the attribute-table handle of every MPU configuration the
+    /// loaded image installs (see `mpu_tables`).
+    fn resolve_mpu_tables(&mut self) {
+        self.mpu_tables.clear();
+        if self.method.uses_mpu() {
+            let fw = &self.firmware;
+            let bus = &mut self.device.bus;
+            self.mpu_tables.extend(
+                std::iter::once(&fw.os.mpu_config)
+                    .chain(fw.apps.iter().map(|a| &a.mpu_config))
+                    .map(|config| bus.attr_handle(config)),
+            );
+        }
+    }
+
     /// (Re-)initialises every piece of runtime state that must be cleared
     /// for a fresh run — the single source of truth shared by
-    /// [`AmuletOs::with_options`] and [`AmuletOs::reset`] so the two can
-    /// never drift.
+    /// [`AmuletOs::with_options`], [`AmuletOs::reload`] and
+    /// [`AmuletOs::reset`] so they can never drift.  Buffers are cleared
+    /// in place, so a reset allocates nothing.
     fn install_fresh_state(&mut self) {
         let app_count = self.firmware.apps.len();
-        self.services = Services::new(self.options.sensor_seed);
-        self.queue = EventQueue::new();
-        self.faults = FaultHandler::new(self.options.restart_policy, app_count);
-        self.app_states = vec![AppState::Active; app_count];
-        self.stats = vec![AppRuntimeStats::default(); app_count];
+        self.services.reset(self.options.sensor_seed);
+        self.queue.clear();
+        self.faults.reset(self.options.restart_policy, app_count);
+        self.app_states.clear();
+        self.app_states.resize(app_count, AppState::Active);
+        self.stats.clear();
+        self.stats.resize(app_count, AppRuntimeStats::default());
         self.subscriptions.clear();
         self.delivery_log.clear();
         self.last_app_on_shared_stack = None;
@@ -597,10 +645,10 @@ impl AmuletOs {
         self.charge_switch(idx, self.switch_costs.os_to_app);
         self.stats[idx].full_switches += 1;
         if self.method.uses_mpu() {
-            let _ = self
-                .device
-                .bus
-                .install_mpu_config(&self.firmware.apps[idx].mpu_config);
+            let _ = self.device.bus.install_mpu_config_via(
+                &self.firmware.apps[idx].mpu_config,
+                self.mpu_tables[idx + 1],
+            );
         }
     }
 
@@ -624,7 +672,7 @@ impl AmuletOs {
             let _ = self
                 .device
                 .bus
-                .install_mpu_config(&self.firmware.os.mpu_config);
+                .install_mpu_config_via(&self.firmware.os.mpu_config, self.mpu_tables[0]);
         }
     }
 
@@ -742,7 +790,7 @@ impl AmuletOs {
             let _ = self
                 .device
                 .bus
-                .install_mpu_config(&self.firmware.os.mpu_config);
+                .install_mpu_config_via(&self.firmware.os.mpu_config, self.mpu_tables[0]);
         }
         let name = self.firmware.apps[idx].name.clone();
         let action = self.faults.handle(idx, &name, info, self.device.cycles());

@@ -127,6 +127,17 @@ impl FaultHandler {
         }
     }
 
+    /// Returns the handler to the state [`FaultHandler::new`] builds for
+    /// `policy` and `app_count`, keeping its buffers.
+    pub fn reset(&mut self, policy: RestartPolicy, app_count: usize) {
+        self.policy = policy;
+        self.records.clear();
+        for counts in [&mut self.per_app_faults, &mut self.backoff_remaining] {
+            counts.clear();
+            counts.resize(app_count, 0);
+        }
+    }
+
     /// Consumes one unit of an app's restart backoff: returns `true` (and
     /// decrements the counter) when the delivery must be skipped because
     /// the app is still being held back after a restart.

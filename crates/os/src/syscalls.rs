@@ -105,6 +105,15 @@ impl Services {
         }
     }
 
+    /// Returns the services to the state [`Services::new`] builds for
+    /// `seed`, keeping the log and display buffers.
+    pub fn reset(&mut self, seed: u32) {
+        self.sensors = SensorModel::new(seed);
+        self.log.clear();
+        self.display.clear();
+        self.dispatch_counts = SyscallCounts::default();
+    }
+
     /// Dispatches one system call.
     ///
     /// `read_word` lets buffer-taking services read application memory that
