@@ -791,7 +791,7 @@ mod tests {
     fn a_reloaded_runtime_matches_a_fresh_boot_for_every_image() {
         // One stepped device per (platform, method) on two MPU platforms
         // with different backends, so the reloads cross all four methods,
-        // the attribute-table memo and its handles, and one rebuild.
+        // the attribute-table memo, and one rebuild.
         let scenario = FleetScenario {
             devices: 400,
             events_per_device: 12,

@@ -79,7 +79,7 @@ fn silent_census(scenario: &FleetScenario) -> (u64, u64) {
 }
 
 /// Allocations per device of the 4096-device scaling campaign: about
-/// 1.25× the 18.9 measured once each worker kept one runtime (49.8
+/// 1.25× the 18.7 measured once each worker kept one runtime (49.8
 /// before, when every firmware key built its own).
 const MAX_ALLOCATIONS_PER_DEVICE: f64 = 24.0;
 

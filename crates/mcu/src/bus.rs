@@ -29,11 +29,7 @@
 //! a switch back to an already-seen configuration re-points the bus at the
 //! existing table instead of rebuilding.  The memo is bounded: once full,
 //! each new configuration repaints the least recently used inactive table
-//! in place.  An OS resolves a [`AttrHandle`] per MPU configuration of the
-//! image it loads ([`Bus::attr_handle`]) and switches through
-//! [`Bus::install_mpu_config_via`], which issues the same register writes
-//! as [`Bus::install_mpu_config`] but re-points the table by handle
-//! instead of searching the memo.
+//! in place.
 //!
 //! The table is resolved when the configuration **changes**, not when it
 //! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`]
@@ -198,16 +194,6 @@ struct AttrSlot {
     last_used: u64,
 }
 
-/// A handle to one memoised attribute table (its memo slot), from
-/// [`Bus::attr_handle`].  An OS resolves one per MPU configuration of the
-/// image it loads and installs through [`Bus::install_mpu_config_via`],
-/// which re-points the bus by handle instead of searching the memo.  The
-/// slot is used only if its key matches the installed state, so a handle
-/// whose table was evicted since falls back to the search — a stale
-/// handle costs time, never correctness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AttrHandle(usize);
-
 /// Counters of a bus's attribute-table memo ([`Bus::attr_memo_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AttrMemoStats {
@@ -356,10 +342,10 @@ impl Bus {
     }
 
     /// Builds all three MPU backends in their power-on (disabled) state
-    /// for a platform — the single backend-selection rule shared by
-    /// [`Bus::new`] and [`Bus::attr_handle`] ([`Bus::reset`] restores the
-    /// same state in place).  Only the backend the platform's MPU model
-    /// selects gets slots; the inactive ones stay empty.
+    /// for a platform — the single backend-selection rule of
+    /// [`Bus::new`] ([`Bus::reset`] restores the same state in place).
+    /// Only the backend the platform's MPU model selects gets slots; the
+    /// inactive ones stay empty.
     fn mpu_backends(platform: &PlatformSpec) -> (Mpu, RegionMpu, PmpMpu) {
         let mpu = Mpu::new(platform.fram, platform.info_mem);
         let kind = Self::backend_kind(platform);
@@ -604,7 +590,7 @@ impl Bus {
             Some(i) => i,
             None => {
                 let key = Self::fingerprint(self.backend, &self.mpu, &self.region_mpu, &self.pmp);
-                self.slot_for(key)
+                self.paint_slot(key)
             }
         };
         self.activate(slot);
@@ -625,13 +611,10 @@ impl Bus {
         }
     }
 
-    /// The memo slot of `key`'s table, painting it on first sight: into a
-    /// new slot while the memo has room, otherwise over the least recently
-    /// used inactive slot — one eviction, never the active table.
-    fn slot_for(&mut self, key: MpuFingerprint) -> usize {
-        if let Some(i) = self.attr_slots.iter().position(|s| s.key == key) {
-            return i;
-        }
+    /// Paints `key`'s table, which the memo does not hold, and returns its
+    /// slot: a new slot while the memo has room, otherwise the least
+    /// recently used inactive slot — one eviction, never the active table.
+    fn paint_slot(&mut self, key: MpuFingerprint) -> usize {
         self.attr_paints += 1;
         let (slot, mut attrs) = if self.attr_slots.len() < MAX_ATTR_TABLES {
             self.attr_slots.push(AttrSlot {
@@ -664,22 +647,6 @@ impl Bus {
         entry.key = key;
         entry.attrs = Some(attrs);
         slot
-    }
-
-    /// Resolves the table that installing `config` on a powered-on MPU
-    /// selects, painting it on first sight, and returns its handle.  The
-    /// installed configuration and every counter are left untouched.  An
-    /// OS resolves each of an image's MPU configurations once when it
-    /// loads the image; every later switch then re-points the bus through
-    /// [`Bus::install_mpu_config_via`].
-    pub fn attr_handle(&mut self, config: &MpuConfig) -> AttrHandle {
-        let (mut mpu, mut region_mpu, mut pmp) = Self::mpu_backends(&self.platform);
-        let _ = Self::program_backends(&mut mpu, &mut region_mpu, &mut pmp, config);
-        let key = Self::fingerprint(self.backend, &mpu, &region_mpu, &pmp);
-        let slot = self.slot_for(key);
-        self.attr_clock += 1;
-        self.attr_slots[slot].last_used = self.attr_clock;
-        AttrHandle(slot)
     }
 
     /// Counters of the attribute-table memo.
@@ -812,100 +779,57 @@ impl Bus {
         }
     }
 
-    /// Programs `config` into the backends with the register writes the
-    /// OS's context-switch code issues on hardware, returning how many
-    /// register writes were issued and the first protocol error: the
-    /// segmented part stops at a rejected write, as the switch code would.
-    fn program_backends(
-        mpu: &mut Mpu,
-        region_mpu: &mut RegionMpu,
-        pmp: &mut PmpMpu,
-        config: &MpuConfig,
-    ) -> (u64, Result<(), BusFault>) {
-        match config {
+    /// Installs an MPU configuration by performing the same memory-mapped
+    /// register writes the OS's context-switch code issues on hardware:
+    /// boundaries/access-bits/control for the segmented part, or
+    /// select/base/limit per region plus control for the region part.
+    pub fn install_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
+        let installed = match config {
             MpuConfig::Segmented(regs) => {
+                // Trusted switch path: program the register file directly
+                // (this runs twice per delivered event — the full
+                // region-decode cascade per register write was measurable
+                // at fleet scale).  Stats and the password/lock protocol
+                // are identical to issuing each write through `Bus::write`.
                 let writes = [
                     (crate::mpu::MPUSEGB1, regs.mpusegb1),
                     (crate::mpu::MPUSEGB2, regs.mpusegb2),
                     (crate::mpu::MPUSAM, regs.mpusam),
                     (crate::mpu::MPUCTL0, regs.mpuctl0),
                 ];
-                let mut issued = 0;
-                let result = writes.into_iter().try_for_each(|(addr, value)| {
-                    issued += 1;
-                    mpu.write_register(addr, value).map_err(|e| BusFault {
+                writes.into_iter().try_for_each(|(addr, value)| {
+                    self.stats.writes += 1;
+                    self.stats.peripheral_writes += 1;
+                    self.mpu.write_register(addr, value).map_err(|e| BusFault {
                         addr,
                         access: AccessKind::Write,
                         cause: BusFaultCause::MpuRegisterProtocol(e),
                     })
-                });
-                (issued, result)
+                })
             }
             MpuConfig::Region(regs) => {
                 // Privileged path: the register block rejects CPU-side
                 // stores, so the OS programs it directly (the write
                 // sequence and slot-count cap live in `apply_config`).
-                region_mpu.apply_config(regs);
-                (regs.write_count() as u64, Ok(()))
+                // Count the same stats a `Bus::write` per register would.
+                self.region_mpu.apply_config(regs);
+                self.stats.writes += regs.write_count() as u64;
+                self.stats.peripheral_writes += regs.write_count() as u64;
+                Ok(())
             }
             MpuConfig::Pmp(regs) => {
                 // Privileged (CSR-style) path, same rule as the region
                 // block: only the OS's trusted switch code programs it.
                 // The machine-mode configuration is the mode toggle alone.
-                pmp.apply_config(regs);
-                (regs.write_count() as u64, Ok(()))
+                self.pmp.apply_config(regs);
+                self.stats.writes += regs.write_count() as u64;
+                self.stats.peripheral_writes += regs.write_count() as u64;
+                Ok(())
             }
-        }
-    }
-
-    /// Issues `config`'s register writes and counts them in the stats
-    /// exactly as a `Bus::write` per register would.  The segmented path
-    /// programs the register file directly: this runs twice per delivered
-    /// event, and the full region-decode cascade per register write was
-    /// measurable at fleet scale.
-    fn write_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
-        let (writes, result) =
-            Self::program_backends(&mut self.mpu, &mut self.region_mpu, &mut self.pmp, config);
-        self.stats.writes += writes;
-        self.stats.peripheral_writes += writes;
-        result
-    }
-
-    /// Installs an MPU configuration by performing the same memory-mapped
-    /// register writes the OS's context-switch code issues on hardware:
-    /// boundaries/access-bits/control for the segmented part, or
-    /// select/base/limit per region plus control for the region part.
-    pub fn install_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
-        let installed = self.write_mpu_config(config);
+        };
         // Re-point the attribute table now, even when a register write
         // failed part-way: the writes before it have landed.
         self.resolve_attr_table();
-        installed
-    }
-
-    /// [`Bus::install_mpu_config`] for a configuration whose table the
-    /// caller resolved with [`Bus::attr_handle`]: the same register writes
-    /// and [`BusStats`], but the bus re-points its table by handle.  When
-    /// the handle's table was evicted, or the installed state is not the
-    /// one it was painted for (a failed write, an app-side register store
-    /// before it), the bus searches the memo as `install_mpu_config` does.
-    pub fn install_mpu_config_via(
-        &mut self,
-        config: &MpuConfig,
-        handle: AttrHandle,
-    ) -> Result<(), BusFault> {
-        let installed = self.write_mpu_config(config);
-        let AttrHandle(slot) = handle;
-        let valid = self
-            .attr_slots
-            .get(slot)
-            .is_some_and(|s| self.installed_matches(&s.key));
-        if valid {
-            self.attr_epoch = self.mpu_epoch();
-            self.activate(slot);
-        } else {
-            self.resolve_attr_table();
-        }
         installed
     }
 

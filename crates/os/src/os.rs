@@ -23,7 +23,6 @@ use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
 use amulet_core::method::IsolationMethod;
 use amulet_core::switch::{ContextSwitchPlan, SwitchDirection};
-use amulet_mcu::bus::AttrHandle;
 use amulet_mcu::cpu::FaultInfo;
 use amulet_mcu::device::{Device, StopReason};
 use amulet_mcu::firmware::Firmware;
@@ -182,10 +181,6 @@ pub struct AmuletOs {
     options: OsOptions,
     method: IsolationMethod,
     switch_costs: SwitchCostCache,
-    /// Attribute-table handles of the loaded image's MPU configurations,
-    /// resolved once per image: the OS configuration, then each app's in
-    /// app order (empty when the method does not use the MPU).
-    mpu_tables: Vec<AttrHandle>,
     last_app_on_shared_stack: Option<usize>,
     /// Set when the running handler called `amulet_yield`; consumed by the
     /// batch-delivery machinery to end the current batch early.
@@ -227,12 +222,10 @@ impl AmuletOs {
             options,
             method,
             switch_costs,
-            mpu_tables: Vec::new(),
             firmware,
             last_app_on_shared_stack: None,
             pending_yield: false,
         };
-        os.resolve_mpu_tables();
         os.install_fresh_state();
         os
     }
@@ -241,9 +234,8 @@ impl AmuletOs {
     /// state [`AmuletOs::with_options_shared`]`(firmware, options)` builds.
     /// An image for the same platform reuses the device — its 64 KiB
     /// memory, the bus and its attribute-table memo — the API tables, and
-    /// for the same method the switch-cost table; the image's MPU
-    /// configurations are resolved to attribute-table handles once here.
-    /// Only an image for another platform rebuilds the runtime.
+    /// for the same method the switch-cost table.  Only an image for
+    /// another platform rebuilds the runtime.
     pub fn reload(&mut self, firmware: Arc<Firmware>, options: OsOptions) {
         if firmware.memory_map.platform != self.firmware.memory_map.platform {
             *self = Self::with_options_shared(firmware, options);
@@ -257,23 +249,7 @@ impl AmuletOs {
         self.device.reload_firmware(Arc::clone(&firmware));
         self.device.bus.timer.start();
         self.firmware = firmware;
-        self.resolve_mpu_tables();
         self.install_fresh_state();
-    }
-
-    /// Resolves the attribute-table handle of every MPU configuration the
-    /// loaded image installs (see `mpu_tables`).
-    fn resolve_mpu_tables(&mut self) {
-        self.mpu_tables.clear();
-        if self.method.uses_mpu() {
-            let fw = &self.firmware;
-            let bus = &mut self.device.bus;
-            self.mpu_tables.extend(
-                std::iter::once(&fw.os.mpu_config)
-                    .chain(fw.apps.iter().map(|a| &a.mpu_config))
-                    .map(|config| bus.attr_handle(config)),
-            );
-        }
     }
 
     /// (Re-)initialises every piece of runtime state that must be cleared
@@ -645,10 +621,10 @@ impl AmuletOs {
         self.charge_switch(idx, self.switch_costs.os_to_app);
         self.stats[idx].full_switches += 1;
         if self.method.uses_mpu() {
-            let _ = self.device.bus.install_mpu_config_via(
-                &self.firmware.apps[idx].mpu_config,
-                self.mpu_tables[idx + 1],
-            );
+            let _ = self
+                .device
+                .bus
+                .install_mpu_config(&self.firmware.apps[idx].mpu_config);
         }
     }
 
@@ -672,7 +648,7 @@ impl AmuletOs {
             let _ = self
                 .device
                 .bus
-                .install_mpu_config_via(&self.firmware.os.mpu_config, self.mpu_tables[0]);
+                .install_mpu_config(&self.firmware.os.mpu_config);
         }
     }
 
@@ -790,7 +766,7 @@ impl AmuletOs {
             let _ = self
                 .device
                 .bus
-                .install_mpu_config_via(&self.firmware.os.mpu_config, self.mpu_tables[0]);
+                .install_mpu_config(&self.firmware.os.mpu_config);
         }
         let name = self.firmware.apps[idx].name.clone();
         let action = self.faults.handle(idx, &name, info, self.device.cycles());
