@@ -47,13 +47,14 @@ pub fn render_summary_json(summary: &FleetSummary, wall_seconds: Option<f64>) ->
 }
 
 /// The shared render core behind [`render_json`] and
-/// [`render_summary_json`]; `scaling` (when present) appends the
-/// scaling-campaign section the `--scaling` driver composes, and `store`
-/// (when present) the `firmware_store` section — prewarm timing plus
-/// [`amulet_fleet::FirmwareStoreStats`] counters.  Both are measurement
-/// sections: like `timing`, they never enter the deterministic document
-/// (`--report-out` renders with all three absent, which is what makes
-/// cold-run and warm-run reports byte-comparable).
+/// [`render_summary_json`]; `store` (when present) appends the
+/// `firmware_store` section — prewarm timing plus
+/// [`amulet_fleet::FirmwareStoreStats`] counters.  Like `timing`, it is a
+/// measurement section and never enters the deterministic document
+/// (`--report-out` renders with both absent, which is what makes cold-run
+/// and warm-run reports byte-comparable).  `scaling` (when present) is
+/// rendered as one more trailing section after it; every caller passes
+/// `None`.
 pub fn render_document(
     s: &FleetScenario,
     workers: usize,
@@ -62,20 +63,18 @@ pub fn render_document(
     scaling: Option<Json>,
     store: Option<Json>,
 ) -> String {
-    render_document_with(s, workers, agg, wall_seconds, scaling, store, Vec::new())
+    let extras = scaling.map(|json| ("scaling", json)).into_iter().collect();
+    render_document_with(s, workers, agg, wall_seconds, store, extras)
 }
 
 /// [`render_document`] plus arbitrary trailing document-level sections —
-/// how the `--scaling` driver attaches the fault-storm `containment` and
-/// `ota_wave` sections (measured on the storm scenario) to the committed
-/// scaling document without disturbing any earlier field.
-#[allow(clippy::too_many_arguments)]
+/// how `fleet_sim --verify` attaches its `verifier` section without
+/// disturbing any earlier field.
 pub fn render_document_with(
     s: &FleetScenario,
     workers: usize,
     agg: &FleetAggregate,
     wall_seconds: Option<f64>,
-    scaling: Option<Json>,
     store: Option<Json>,
     extras: Vec<(&'static str, Json)>,
 ) -> String {
@@ -266,9 +265,6 @@ pub fn render_document_with(
                 .field("events_per_second", rate(events as f64)),
         );
     }
-    if let Some(scaling) = scaling {
-        doc = doc.field("scaling", scaling);
-    }
     if let Some(store) = store {
         doc = doc.field("firmware_store", store);
     }
@@ -327,7 +323,7 @@ pub fn verify_summary_json(v: &amulet_fleet::FleetVerifySummary) -> Json {
 }
 
 /// Renders [`amulet_fleet::FirmwareStoreStats`] counters as one JSON object
-/// — the `FirmwareStoreStats` line the report carries for each store phase.
+/// — the `stats` line of the report's `firmware_store` section.
 pub fn store_stats_json(stats: &amulet_fleet::FirmwareStoreStats) -> Json {
     Json::obj()
         .field("hits", stats.hits)
@@ -444,7 +440,6 @@ mod tests {
             &report.scenario,
             report.workers,
             &report.aggregate,
-            None,
             None,
             None,
             vec![("verifier", verify_summary_json(&summary))],

@@ -32,11 +32,16 @@ fn fleet_sim_rejects_out_of_range_values() {
         &["1000", "40000"],
         // A store directory the process cannot create or write to would
         // otherwise cache nothing and still exit 0.
-        &["8", "--summary", "--no-write", "--store", "/dev/null"],
-        &["8", "--summary", "--no-write", "--store", "/proc/nope"],
-        &["--scaling", "--store", "/dev/null", "--no-write"],
-        // Check elision is gone: its flag is now an unknown flag.
+        &["8", "--summary", "--store", "/dev/null"],
+        &["8", "--summary", "--store", "/proc/nope"],
+        &["--preset", "scaling", "--store", "/dev/null"],
+        &["--preset", "scaling", "--preset", "storm"],
+        // Check elision and the scaling-campaign driver are gone: their
+        // flags are now unknown flags.
         &["--elide-checks"],
+        &["--scaling"],
+        &["--scaling-point"],
+        &["--no-write"],
     ] {
         assert_eq!(
             exit_code(env!("CARGO_BIN_EXE_fleet_sim"), args),
@@ -44,6 +49,36 @@ fn fleet_sim_rejects_out_of_range_values() {
             "fleet_sim {args:?}"
         );
     }
+}
+
+/// The report goes to stdout only: a plain run leaves its working
+/// directory as it found it.
+#[test]
+fn fleet_sim_writes_no_file_unless_asked() {
+    let dir = std::env::temp_dir().join(format!("fleet_sim-cwd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_sim"))
+        .args(["--devices", "8", "--events", "4", "--summary"])
+        .current_dir(&dir)
+        .output()
+        .expect("could not start fleet_sim");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "fleet_sim exited non-zero");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.starts_with('{')
+            && stdout.trim_end().ends_with('}')
+            && stdout.matches('{').count() == stdout.matches('}').count()
+            && stdout.contains("\"bench\": \"fleet_sim\"")
+            && stdout.contains("\"aggregate\""),
+        "no JSON document on stdout: {stdout:?}"
+    );
+    assert!(left.is_empty(), "fleet_sim wrote {left:?} into its cwd");
 }
 
 /// An empty fleet would pass the verify gate on nothing, and CI reads

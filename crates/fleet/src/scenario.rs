@@ -518,8 +518,9 @@ impl FleetScenario {
         }
     }
 
-    /// The large-N scaling-campaign preset used by the tracked scaling
-    /// bench and the CI 10⁴-device smoke: a mostly-silent stepped
+    /// The large-N scaling-campaign preset behind the committed
+    /// `BENCH_fleet.json`, the benchmark's `scaling` workload and the CI
+    /// 10⁴-device smoke: a mostly-silent stepped
     /// fleet (80 % of devices never see an event) drawn from the
     /// subscription-only window of the catalogue — FallDetection, HR,
     /// HRLog, Pedometer — whose `main` handlers only subscribe, so a

@@ -359,14 +359,16 @@ impl FirmwareStore {
     /// times.  Returns the number of distinct configurations.
     pub fn prewarm(&self, scenario: &FleetScenario) -> usize {
         let distinct = Self::distinct_configs(scenario);
-        self.prewarm_configs(&distinct);
+        for (key, cfg) in &distinct {
+            self.get_or_build(key, cfg);
+        }
         distinct.len()
     }
 
     /// The distinct firmware configurations `scenario` draws, in firmware-key
-    /// order.  Separated from [`FirmwareStore::prewarm`] so `fleet_sim` can
-    /// derive the config set once and time only the materialisation
-    /// (build-vs-load) phase when comparing cold and warm stores.
+    /// order.  Separated from [`FirmwareStore::prewarm`] so the benchmark
+    /// harness can time config derivation on its own and `memo_identity`
+    /// can build each configuration fresh for comparison.
     pub fn distinct_configs(scenario: &FleetScenario) -> Vec<(String, DeviceConfig)> {
         let ctx = ConfigContext::new();
         let mut distinct: BTreeMap<String, DeviceConfig> = BTreeMap::new();
@@ -375,49 +377,6 @@ impl FirmwareStore {
             distinct.entry(cfg.firmware_key()).or_insert(cfg);
         }
         distinct.into_iter().collect()
-    }
-
-    /// Materialises every configuration in `configs` through the store.
-    pub fn prewarm_configs(&self, configs: &[(String, DeviceConfig)]) {
-        for (key, cfg) in configs {
-            self.get_or_build(key, cfg);
-        }
-    }
-
-    /// Warm-start validation: confirms every configuration in `configs` has
-    /// an intact on-disk image (magic, version, content hash and embedded
-    /// key all verify via [`amulet_mcu::verify_envelope`]) and repairs —
-    /// builds and persists — any that are missing or corrupt.  Unlike
-    /// [`FirmwareStore::prewarm_configs`] the images are *not* decoded or
-    /// cached: that happens lazily at first [`FirmwareStore::get_or_build`],
-    /// which is all a warm start needs before it can skip rebuilding.
-    /// Verified images count as `disk_hits`; repairs count as `builds`.
-    /// Returns the number verified from disk.
-    pub fn validate_configs(&self, configs: &[(String, DeviceConfig)]) -> usize {
-        let mut verified = 0usize;
-        for (key, cfg) in configs {
-            let store_key = self.store_key(key);
-            let intact = self
-                .image_path(&store_key)
-                .and_then(|path| std::fs::read(path).ok())
-                .is_some_and(|bytes| match amulet_mcu::verify_envelope(&bytes) {
-                    Ok(embedded_key) if embedded_key == store_key => {
-                        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                        self.counters
-                            .bytes_read
-                            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                        true
-                    }
-                    _ => false,
-                });
-            if intact {
-                verified += 1;
-            } else if let Some(path) = self.image_path(&store_key) {
-                let fresh = self.build_fresh(key, cfg);
-                self.persist(&path, &store_key, &fresh);
-            }
-        }
-        verified
     }
 }
 
@@ -612,57 +571,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn validate_configs_verifies_intact_images_and_repairs_corrupt_ones() {
-        let dir = tmpdir("validate");
-        let s = FleetScenario {
-            devices: 64,
-            store_dir: Some(dir.clone()),
-            ..FleetScenario::scaling(64)
-        };
-        let configs = FirmwareStore::distinct_configs(&s);
-        let cold = FirmwareStore::for_scenario(&s);
-        cold.prewarm_configs(&configs);
-
-        // A fresh instance verifies every envelope without building or
-        // decoding anything.
-        let warm = FirmwareStore::for_scenario(&s);
-        assert_eq!(warm.validate_configs(&configs), configs.len());
-        let stats = warm.stats();
-        assert_eq!(stats.builds, 0);
-        assert_eq!(stats.disk_hits as usize, configs.len());
-        assert_eq!(stats.bytes_read, cold.stats().bytes_written);
-
-        // Corrupt one image: validation refuses it, rebuilds it, and the
-        // repaired file verifies again on the next pass.
-        let victim = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|x| x == "bin"))
-            .unwrap();
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&victim, &bytes).unwrap();
-
-        let repair = FirmwareStore::for_scenario(&s);
-        assert_eq!(repair.validate_configs(&configs), configs.len() - 1);
-        assert_eq!(
-            repair.stats().builds,
-            1,
-            "exactly the corrupt image rebuilds"
-        );
-
-        let clean = FirmwareStore::for_scenario(&s);
-        assert_eq!(clean.validate_configs(&configs), configs.len());
-        assert_eq!(clean.stats().builds, 0);
-
-        // An in-memory store has nothing to validate.
-        assert_eq!(FirmwareStore::in_memory().validate_configs(&configs), 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Pins a file's modification time to a deterministic epoch offset so
     /// the eviction order under test never depends on write timing.
     fn set_mtime(path: &Path, secs: u64) {
@@ -688,7 +596,9 @@ mod tests {
         // the fourth again and pin the first three mtimes: configs[0]
         // oldest, configs[2] newest.
         let cold = FirmwareStore::for_scenario(&s);
-        cold.prewarm_configs(&configs[..4]);
+        for (key, cfg) in &configs[..4] {
+            cold.get_or_build(key, cfg);
+        }
         let path_of =
             |store: &FirmwareStore, key: &str| store.image_path(&store.store_key(key)).unwrap();
         let len_of = |key: &str| std::fs::metadata(path_of(&cold, key)).unwrap().len();

@@ -1,8 +1,9 @@
-//! End-to-end guard for the warm-start claim `BENCH_fleet.json` commits:
-//! a second process (here: a second store instance) over the same store
-//! directory must materialise the scaling preset's full distinct-config
-//! set without building a single firmware, and the campaign it then runs
-//! must render byte-identically to the cold campaign.
+//! End-to-end guard for the warm-start claim two `fleet_sim --store DIR`
+//! runs over one directory show: a second process (here: a second store
+//! instance) over the same store directory must materialise the scaling
+//! preset's full distinct-config set without building a single firmware,
+//! and the campaign it then runs must render byte-identically to the cold
+//! campaign.
 
 use amulet_fleet::{simulate_summary_in, FirmwareStore, FleetScenario};
 
