@@ -630,16 +630,7 @@ pub fn verify_fleet_reports(
     scenario: &FleetScenario,
     workers: usize,
 ) -> Vec<(String, amulet_verify::VerifyReport)> {
-    let ctx = crate::scenario::ConfigContext::new();
-    let mut distinct: Vec<(String, DeviceConfig)> = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for index in 0..scenario.devices {
-        let cfg = scenario.device_config_in(&ctx, index);
-        let key = cfg.firmware_key();
-        if seen.insert(key.clone()) {
-            distinct.push((key, cfg));
-        }
-    }
+    let distinct = scenario.distinct_configs_by_first_use();
     let memo = UnitMemo::default();
     let (reports, _) = crate::partition::claim_loop(
         distinct.len(),

@@ -12,6 +12,7 @@ use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::builtin_platforms;
 use amulet_os::events::DeliveryPolicy;
+use std::collections::HashSet;
 use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
@@ -493,6 +494,24 @@ impl FleetScenario {
         }
     }
 
+    /// Each distinct firmware configuration of the fleet, keyed by its
+    /// firmware key, in the order the device walk first meets it: the
+    /// kept config is its key's lowest-index device.  Deduplicates on the
+    /// compact [`ConfigKey`], so the `String` key is formatted once per
+    /// distinct config rather than once per device.
+    pub(crate) fn distinct_configs_by_first_use(&self) -> Vec<(String, DeviceConfig)> {
+        let ctx = ConfigContext::new();
+        let mut seen = HashSet::new();
+        let mut distinct = Vec::new();
+        for index in 0..self.devices {
+            let cfg = self.device_config_in(&ctx, index);
+            if seen.insert(cfg.key) {
+                distinct.push((cfg.firmware_key(), cfg));
+            }
+        }
+        distinct
+    }
+
     /// The watchdog restart policy this scenario configures, when its
     /// [`FleetScenario::watchdog_max_strikes`] knob is armed.  The jitter
     /// seed derives from the scenario seed, so backoff schedules are a
@@ -723,5 +742,53 @@ mod tests {
         // ceiling; 500 devices drawn from it must repeat keys often
         // (expected ≈330 distinct), which is what makes caching pay.
         assert!(keys.len() < 400, "got {} distinct keys", keys.len());
+    }
+
+    #[test]
+    fn distinct_configs_dedup_on_the_compact_key_is_sound() {
+        use crate::store::FirmwareStore;
+        use std::collections::{BTreeMap, HashMap};
+
+        let windowed = FleetScenario {
+            catalog_window: Some((1, 5)),
+            fault_permille: 300,
+            ..FleetScenario::default()
+        };
+        for s in [
+            FleetScenario::default(),
+            FleetScenario::scaling(300),
+            FleetScenario::storm(300),
+            windowed,
+        ] {
+            let s = FleetScenario { devices: 300, ..s };
+            let ctx = ConfigContext::new();
+            let mut by_key: HashMap<ConfigKey, String> = HashMap::new();
+            let mut by_name: HashMap<String, ConfigKey> = HashMap::new();
+            // The oracle: the firmware-key-deduplicated walk, first device kept.
+            let mut oracle: BTreeMap<String, DeviceConfig> = BTreeMap::new();
+            for index in 0..s.devices {
+                let cfg = s.device_config_in(&ctx, index);
+                let name = cfg.firmware_key();
+                let known_name = by_key.entry(cfg.key).or_insert_with(|| name.clone());
+                assert_eq!(
+                    *known_name, name,
+                    "{}: one ConfigKey, two firmware keys",
+                    s.name
+                );
+                let known_key = by_name.entry(name.clone()).or_insert(cfg.key);
+                assert_eq!(
+                    *known_key, cfg.key,
+                    "{}: one firmware key, two ConfigKeys",
+                    s.name
+                );
+                oracle.entry(name).or_insert(cfg);
+            }
+            let pairs = |v: Vec<(String, DeviceConfig)>| -> Vec<(String, usize)> {
+                v.into_iter().map(|(k, cfg)| (k, cfg.index)).collect()
+            };
+            let got = pairs(FirmwareStore::distinct_configs(&s));
+            assert_eq!(got, pairs(oracle.into_iter().collect()), "{}", s.name);
+            assert!(got.len() > 1, "{}: more than one image", s.name);
+        }
     }
 }

@@ -48,12 +48,12 @@
 //! results.
 
 use crate::run::build_firmware;
-use crate::scenario::{ConfigContext, DeviceConfig, FleetScenario};
+use crate::scenario::{DeviceConfig, FleetScenario};
 use amulet_aft::UnitMemo;
 use amulet_core::serial::fnv1a64;
 use amulet_mcu::firmware::Firmware;
 use amulet_mcu::serial::{decode_firmware, encode_firmware};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -366,17 +366,17 @@ impl FirmwareStore {
     }
 
     /// The distinct firmware configurations `scenario` draws, in firmware-key
-    /// order.  Separated from [`FirmwareStore::prewarm`] so the benchmark
-    /// harness can time config derivation on its own and `memo_identity`
-    /// can build each configuration fresh for comparison.
+    /// order, each kept as its key's lowest-index device.  [`prewarm`]
+    /// builds these, the benchmark harness times their derivation on its
+    /// own, and `memo_identity` builds each one fresh for comparison.  The
+    /// device walk is the one `verify_fleet_reports` uses; this only sorts
+    /// its output by key.
+    ///
+    /// [`prewarm`]: FirmwareStore::prewarm
     pub fn distinct_configs(scenario: &FleetScenario) -> Vec<(String, DeviceConfig)> {
-        let ctx = ConfigContext::new();
-        let mut distinct: BTreeMap<String, DeviceConfig> = BTreeMap::new();
-        for index in 0..scenario.devices {
-            let cfg = scenario.device_config_in(&ctx, index);
-            distinct.entry(cfg.firmware_key()).or_insert(cfg);
-        }
-        distinct.into_iter().collect()
+        let mut distinct = scenario.distinct_configs_by_first_use();
+        distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        distinct
     }
 }
 
@@ -654,19 +654,9 @@ mod tests {
         let s = tiny();
         let mut store = FirmwareStore::for_scenario(&s);
         store.capacity = 2;
-        let mut distinct = Vec::new();
-        let ctx = ConfigContext::new();
-        for i in 0..s.devices {
-            let cfg = s.device_config_in(&ctx, i);
-            let key = cfg.firmware_key();
-            if !distinct.iter().any(|(k, _)| *k == key) {
-                distinct.push((key, cfg));
-            }
-            if distinct.len() == 3 {
-                break;
-            }
-        }
-        assert_eq!(distinct.len(), 3, "need three distinct configs");
+        let mut distinct = s.distinct_configs_by_first_use();
+        assert!(distinct.len() >= 3, "need three distinct configs");
+        distinct.truncate(3);
         for (key, cfg) in &distinct {
             store.get_or_build(key, cfg);
         }

@@ -4,7 +4,9 @@
 //! below run through `simulate_summary_in` on one worker against a
 //! prewarmed store, so every counted allocation belongs to the runner
 //! itself (config derivation, grouping, runtime reuse, simulation, silent
-//! reuse and the block fold) rather than to firmware builds.
+//! reuse and the block fold) rather than to firmware builds.  The
+//! prewarm's distinct-config walk is budgeted on its own: it must grow
+//! with the number of images, not the number of devices.
 //!
 //! The binary holds exactly one test: the allocator counts every thread
 //! of the process, and a second test running beside it would pollute the
@@ -87,6 +89,20 @@ const MAX_ALLOCATIONS_PER_DEVICE: f64 = 24.0;
 /// costs spread over the hits; 24.7 before).
 const MAX_ALLOCATIONS_PER_SILENT_HIT: f64 = 1.0;
 
+/// Allocations [`FirmwareStore::distinct_configs`] makes per device that
+/// adds no firmware key (0 measured; at least 3 when every device
+/// formatted its `String` key).
+const MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE: f64 = 0.01;
+
+/// `(distinct configs, heap allocations)` of one
+/// [`FirmwareStore::distinct_configs`] call.
+fn distinct_walk_allocations(scenario: &FleetScenario) -> (usize, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let distinct = FirmwareStore::distinct_configs(scenario);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (distinct.len(), allocations)
+}
+
 #[test]
 fn the_scaling_campaign_stays_inside_its_allocation_budget() {
     let scaling = FleetScenario::scaling(4096);
@@ -108,7 +124,22 @@ fn the_scaling_campaign_stays_inside_its_allocation_budget() {
     let extra = campaign_allocations(&large) - campaign_allocations(&small);
     let per_hit = extra as f64 / hits as f64;
 
-    eprintln!("allocations per device {per_device:.2}, per silent hit {per_hit:.3} ({hits} hits)");
+    // The prewarm walk: the larger fleet draws no new image, so its
+    // extra devices may cost next to no allocation.
+    let (small, large) = (FleetScenario::scaling(4096), FleetScenario::scaling(8192));
+    let (small_configs, small_walk) = distinct_walk_allocations(&small);
+    let (large_configs, large_walk) = distinct_walk_allocations(&large);
+    assert_eq!(
+        small_configs, large_configs,
+        "the larger fleet adds no image"
+    );
+    let per_walk_device =
+        large_walk.saturating_sub(small_walk) as f64 / (large.devices - small.devices) as f64;
+
+    eprintln!(
+        "allocations per device {per_device:.2}, per silent hit {per_hit:.3} ({hits} hits), \
+         per extra distinct-walk device {per_walk_device:.4} ({small_walk} -> {large_walk})"
+    );
     assert!(
         per_device <= MAX_ALLOCATIONS_PER_DEVICE,
         "{per_device:.2} allocations per device (budget {MAX_ALLOCATIONS_PER_DEVICE})"
@@ -116,5 +147,10 @@ fn the_scaling_campaign_stays_inside_its_allocation_budget() {
     assert!(
         per_hit <= MAX_ALLOCATIONS_PER_SILENT_HIT,
         "{per_hit:.3} allocations per silent hit (budget {MAX_ALLOCATIONS_PER_SILENT_HIT})"
+    );
+    assert!(
+        per_walk_device <= MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE,
+        "{per_walk_device:.4} distinct-walk allocations per extra device \
+         (budget {MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE})"
     );
 }

@@ -768,8 +768,12 @@ impl AmuletOs {
                 .bus
                 .install_mpu_config(&self.firmware.os.mpu_config);
         }
-        let name = self.firmware.apps[idx].name.clone();
-        let action = self.faults.handle(idx, &name, info, self.device.cycles());
+        let action = self.faults.handle(
+            idx,
+            &self.firmware.apps[idx].name,
+            info,
+            self.device.cycles(),
+        );
         match action {
             FaultAction::Killed => {
                 self.app_states[idx] = AppState::Killed;
@@ -787,17 +791,15 @@ impl AmuletOs {
     /// Reinitialises an app's data region from the firmware image (the
     /// restart policy from the paper's discussion section).
     fn restart_app(&mut self, idx: usize) {
-        let placement = self.firmware.apps[idx].placement.clone();
+        let data_stack = self.firmware.apps[idx].placement.data_stack();
         // Clear the whole data/stack segment, then re-copy initialisers.
-        self.device.bus.fill(placement.data_stack(), 0);
-        let segments: Vec<_> = self
+        self.device.bus.fill(data_stack, 0);
+        for seg in self
             .firmware
             .data
             .iter()
-            .filter(|s| placement.data_stack().contains(s.addr))
-            .cloned()
-            .collect();
-        for seg in segments {
+            .filter(|s| data_stack.contains(s.addr))
+        {
             self.device.bus.load_bytes(seg.addr, &seg.bytes);
         }
         self.app_states[idx] = AppState::Active;
