@@ -371,10 +371,10 @@ mod tests {
                 .range(app.placement.code.start..app.placement.code.end)
             {
                 if let Instr::CmpImm { imm, .. } = instr {
-                    if *imm == lower {
+                    if imm == lower {
                         saw_lower = true;
                     }
-                    if *imm == upper {
+                    if imm == upper {
                         saw_upper = true;
                     }
                 }
@@ -431,7 +431,7 @@ mod tests {
                         }
                         _ => unreachable!(),
                     };
-                    assert_eq!(u32::from(*imm), expected, "{}: {}", info.name, site);
+                    assert_eq!(u32::from(imm), expected, "{}: {}", info.name, site);
                 }
             }
         }

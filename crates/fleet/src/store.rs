@@ -56,7 +56,7 @@ use amulet_mcu::serial::{decode_firmware, encode_firmware};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// In-memory image bound: beyond this many distinct configurations the
 /// least-recently-*inserted* image is dropped (re-loadable from disk when
@@ -123,6 +123,9 @@ fn touch(path: &Path) {
 #[derive(Debug)]
 pub struct FirmwareStore {
     dir: Option<PathBuf>,
+    /// Whether `dir` exists: the first persist creates it, so a store
+    /// calls `create_dir_all` at most once however many images it writes.
+    dir_ready: OnceLock<bool>,
     paranoid: bool,
     /// Policy component of the store key, from
     /// [`FleetScenario::policy_label`].
@@ -142,6 +145,7 @@ impl FirmwareStore {
     pub fn in_memory() -> Self {
         FirmwareStore {
             dir: None,
+            dir_ready: OnceLock::new(),
             paranoid: false,
             policy_label: String::new(),
             capacity: DEFAULT_CAPACITY,
@@ -299,7 +303,10 @@ impl FirmwareStore {
         let Some(dir) = self.dir.as_deref() else {
             return;
         };
-        if std::fs::create_dir_all(dir).is_err() {
+        if !*self
+            .dir_ready
+            .get_or_init(|| std::fs::create_dir_all(dir).is_ok())
+        {
             return;
         }
         let bytes = encode_firmware(store_key, firmware);
@@ -569,6 +576,23 @@ mod tests {
         assert_eq!(warm.stats().disk_hits as usize, distinct);
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_first_persist_creates_a_missing_store_directory() {
+        let root = tmpdir("lazy-dir");
+        let dir = root.join("nested").join("store");
+        let s = FleetScenario {
+            devices: 16,
+            store_dir: Some(dir.clone()),
+            ..FleetScenario::scaling(16)
+        };
+        let store = FirmwareStore::for_scenario(&s);
+        assert!(!dir.exists());
+        let distinct = store.prewarm(&s);
+        assert!(distinct > 1);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), distinct);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Pins a file's modification time to a deterministic epoch offset so

@@ -213,12 +213,27 @@ fn zeroed_page() -> Box<[u8; 0x1_0000]> {
         .unwrap_or_else(|_| unreachable!("the page has the fixed size"))
 }
 
-/// Fills `range ∩ [0, 64 KiB)` of the attribute table with `value`.
+/// Fills `range ∩ [0, 64 KiB)` of the attribute table with `value`,
+/// except that an odd address never gets [`ATTR_X`]: instructions are
+/// word-aligned, so a table hit on a fetch also proves it aligned.  The
+/// other painters never grant X, so no table has it at an odd address.
 fn paint(attrs: &mut [u8], range: AddrRange, value: u8) {
     let start = (range.start as usize).min(attrs.len());
     let end = (range.end as usize).min(attrs.len());
-    if start < end {
-        attrs[start..end].fill(value);
+    if start >= end {
+        return;
+    }
+    // Whole even/odd pairs, plus a lone odd first and even last byte.
+    let pair = [value, value & !ATTR_X];
+    let (even_start, even_end) = (start.next_multiple_of(2), end & !1);
+    if start % 2 == 1 {
+        attrs[start] = pair[1];
+    }
+    for word in attrs[even_start..even_end].chunks_exact_mut(2) {
+        word.copy_from_slice(&pair);
+    }
+    if end % 2 == 1 && end > even_start {
+        attrs[end - 1] = pair[0];
     }
 }
 
@@ -855,21 +870,32 @@ impl Bus {
     /// enforcing region and MPU rules.
     pub fn read(&mut self, addr: Addr, size: u32) -> Result<u16, BusFault> {
         self.sync_attr_table();
-        self.read_checked(addr, size, addr <= 0xFFFF)
+        self.read_checked(addr, size, addr <= 0xFFFF, 0)
     }
 
     /// The execute loop's data read: [`Bus::read`] without the sync step
     /// (the block entry synced, and only this bus's own paths change the
-    /// MPU state mid-block).
+    /// MPU state mid-block).  `now` is the block's cycle count through the
+    /// previous instruction: an access the attribute table cannot serve (a
+    /// timer register among them) first catches the timer up to it (see
+    /// [`Timer::catch_up`]).
     #[inline(always)]
-    pub(crate) fn load(&mut self, addr: u16, size: u32) -> Result<u16, BusFault> {
-        self.read_checked(Addr::from(addr), size, true)
+    pub(crate) fn load(&mut self, addr: u16, size: u32, now: u64) -> Result<u16, BusFault> {
+        self.read_checked(Addr::from(addr), size, true, now)
     }
 
     /// The read path behind [`Bus::read`] and [`Bus::load`]; `in_table`
-    /// says whether `addr` lies inside the 64 KiB attribute table.
+    /// says whether `addr` lies inside the 64 KiB attribute table.  The
+    /// public paths run outside any execute block, where a `now` of 0
+    /// makes the timer catch-up a no-op.
     #[inline(always)]
-    fn read_checked(&mut self, addr: Addr, size: u32, in_table: bool) -> Result<u16, BusFault> {
+    fn read_checked(
+        &mut self,
+        addr: Addr,
+        size: u32,
+        in_table: bool,
+        now: u64,
+    ) -> Result<u16, BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -882,6 +908,7 @@ impl Bus {
         if in_table && self.attr(addr) & ATTR_R != 0 {
             return Ok(self.read_raw(addr, size));
         }
+        self.timer.catch_up(now);
         self.read_slow(addr, size)
     }
 
@@ -920,17 +947,26 @@ impl Bus {
     /// rules.
     pub fn write(&mut self, addr: Addr, size: u32, value: u16) -> Result<(), BusFault> {
         self.sync_attr_table();
-        self.write_checked(addr, size, value, addr <= 0xFFFF)
+        self.write_checked(addr, size, value, addr <= 0xFFFF, 0)
     }
 
     /// The execute loop's data write: [`Bus::write`] without the sync
     /// step.  A store that reprograms the MPU re-resolves the table itself.
+    /// `now` catches the timer up before the slow path, as for
+    /// [`Bus::load`].
     #[inline(always)]
-    pub(crate) fn store(&mut self, addr: u16, size: u32, value: u16) -> Result<(), BusFault> {
-        self.write_checked(Addr::from(addr), size, value, true)
+    pub(crate) fn store(
+        &mut self,
+        addr: u16,
+        size: u32,
+        value: u16,
+        now: u64,
+    ) -> Result<(), BusFault> {
+        self.write_checked(Addr::from(addr), size, value, true, now)
     }
 
-    /// The write path behind [`Bus::write`] and [`Bus::store`].
+    /// The write path behind [`Bus::write`] and [`Bus::store`] (`now` as
+    /// for [`Bus::read_checked`]).
     #[inline(always)]
     fn write_checked(
         &mut self,
@@ -938,6 +974,7 @@ impl Bus {
         size: u32,
         value: u16,
         in_table: bool,
+        now: u64,
     ) -> Result<(), BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
@@ -958,6 +995,7 @@ impl Bus {
                 return Ok(());
             }
         }
+        self.timer.catch_up(now);
         self.write_slow(addr, size, value)
     }
 
@@ -1037,15 +1075,16 @@ impl Bus {
     /// [`Bus::check_fetch`].
     #[inline(always)]
     fn execute_checked(&mut self, addr: Addr, in_table: bool) -> Result<(), BusFault> {
+        // The table grants X at even addresses only, so a hit is aligned.
+        if in_table && self.attr(addr) & ATTR_X != 0 {
+            return Ok(());
+        }
         if !addr.is_multiple_of(2) {
             return Err(BusFault {
                 addr,
                 access: AccessKind::Execute,
                 cause: BusFaultCause::Misaligned,
             });
-        }
-        if in_table && self.attr(addr) & ATTR_X != 0 {
-            return Ok(());
         }
         self.check_execute_slow(addr)
     }

@@ -11,11 +11,21 @@
 //! is one subtraction and one bounds-checked index into a slot vector —
 //! O(1), cache-friendly, no allocation.
 //!
-//! Each slot also carries an [`InstrMeta`]: the instruction's encoded
-//! size, base cycle cost and whether it touches data memory, precomputed
-//! at insert time so the execute loop reads them with the same load that
-//! fetched the instruction instead of re-deriving them from three `match`
-//! expressions per step.
+//! A slot does not hold the [`Instr`] itself but its *execute form*,
+//! resolved once at insert so the execute loop pays nothing per step for
+//! it: an `Op` with the operation's shape folded in (each ALU
+//! operation, branch condition, unary operation and access width is an
+//! op of its own, so dispatch is one `match` with no nested one), the
+//! register operands as register-file indices, one 16-bit
+//! immediate/offset/target field, and an [`InstrMeta`] (encoded size,
+//! base cycle cost, whether the instruction touches data memory).  An
+//! instruction naming `PC` or `SR` (or a register byte above 15) as an
+//! operand dispatches as `Op::Arch`: only that cold path materialises
+//! the program counter and packs the flags into a status word, so no
+//! other op tests its operands for them.  The slot is 8 bytes; the store
+//! decodes it back into the [`Instr`] for [`InstrStore::get`],
+//! [`InstrStore::iter`], [`InstrStore::fetch`] and the wire encoding,
+//! losslessly.
 //!
 //! The table covers only the store's occupied span: one contiguous slot
 //! vector from the lowest to the highest instruction, plus the span's
@@ -35,7 +45,7 @@
 //!
 //! [`FirmwareBuilder::build`]: crate::firmware::FirmwareBuilder::build
 
-use crate::isa::Instr;
+use crate::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 use amulet_core::addr::Addr;
 use std::fmt;
 
@@ -44,77 +54,408 @@ const ADDR_SPACE_BYTES: usize = 0x1_0000;
 /// Number of instruction slots: one per 2-byte word of address space.
 pub(crate) const SLOT_COUNT: usize = ADDR_SPACE_BYTES / 2;
 
-/// Packed per-instruction metadata, precomputed when the instruction is
-/// inserted.  `0` marks an empty slot (impossible for a real instruction:
-/// every instruction is at least one word, so the size field is non-zero).
+/// Per-instruction metadata, precomputed when the instruction is
+/// inserted: the base cycle cost and, packed into one byte, the encoded
+/// size and whether the instruction touches data memory.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct InstrMeta(u16);
+pub struct InstrMeta {
+    cycles: u8,
+    /// Size in bytes (bits 0–3) and the data-memory flag (bit 4).
+    info: u8,
+}
 
 impl InstrMeta {
-    /// The empty-slot sentinel.
-    const EMPTY: InstrMeta = InstrMeta(0);
+    /// The metadata of an empty slot.
+    const EMPTY: InstrMeta = InstrMeta { cycles: 0, info: 0 };
 
     /// Computes the metadata for an instruction.
     fn of(instr: &Instr) -> InstrMeta {
-        let size = instr.size_bytes() as u16; // 2 or 4
-        let cycles = instr.base_cycles() as u16; // ≤ 17 today
-        let touches = instr.touches_data_memory() as u16;
+        let size = instr.size_bytes() as u8; // 2 or 4
+        let cycles = instr.base_cycles() as u8; // ≤ 17 today
         debug_assert!(
-            size <= 0xF && cycles <= 0x3F,
+            size <= 0xF && instr.base_cycles() <= u64::from(u8::MAX),
             "instruction metadata does not fit its packed fields \
-             (size {size} in 4 bits, cycles {cycles} in 6 bits)"
+             (size {size} in 4 bits, cycles {cycles} in 8 bits)"
         );
-        InstrMeta(size | (cycles << 4) | (touches << 10))
+        InstrMeta {
+            cycles,
+            info: size | (u8::from(instr.touches_data_memory()) << 4),
+        }
     }
 
     /// Encoded size of the instruction in bytes.
-    #[inline]
+    #[inline(always)]
     pub fn size_bytes(self) -> u32 {
-        (self.0 & 0xF) as u32
+        u32::from(self.info & 0xF)
     }
 
     /// Base cycle cost of the instruction.
-    #[inline]
+    #[inline(always)]
     pub fn base_cycles(self) -> u64 {
-        ((self.0 >> 4) & 0x3F) as u64
+        u64::from(self.cycles)
     }
 
     /// Whether the instruction reads or writes data memory.
-    #[inline]
+    #[inline(always)]
     pub fn touches_data_memory(self) -> bool {
-        self.0 & (1 << 10) != 0
+        self.info >> 4 != 0
     }
 }
 
-/// One slot of the table: an instruction plus its precomputed metadata.
+/// An instruction's operation with its shape resolved: what the execute
+/// loop dispatches on.  Operands live in the [`Slot`] beside it: `a` is
+/// the destination (or only, or left) register, `b` the source/base (or
+/// right) register, `imm` the immediate, offset, absolute address, branch
+/// target, shift amount, syscall number or fault code.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
+pub(crate) enum Op {
+    /// No instruction: the slot is a hole.
+    Empty,
+    /// An instruction with a `PC`, `SR` or out-of-range register operand;
+    /// [`Slot::kind`] is its operation.
+    Arch,
+    MovImm,
+    Mov,
+    LoadB,
+    LoadW,
+    StoreB,
+    StoreW,
+    LoadAbsB,
+    LoadAbsW,
+    StoreAbsB,
+    StoreAbsW,
+    Push,
+    Pop,
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Mul,
+    Div,
+    Rem,
+    AddImm,
+    SubImm,
+    AndImm,
+    OrImm,
+    XorImm,
+    MulImm,
+    DivImm,
+    RemImm,
+    Neg,
+    Not,
+    Shl,
+    Shr,
+    Sar,
+    Cmp,
+    CmpImm,
+    Jmp,
+    Jeq,
+    Jne,
+    Jlo,
+    Jhs,
+    Jlt,
+    Jge,
+    Jmi,
+    Jpl,
+    Br,
+    Call,
+    CallReg,
+    Ret,
+    Syscall,
+    Fault,
+    Halt,
+    Nop,
+}
+
+impl Op {
+    /// Whether the operation writes register `a`.
+    pub(crate) fn writes_a(self) -> bool {
+        matches!(
+            self,
+            Op::MovImm
+                | Op::Mov
+                | Op::LoadB
+                | Op::LoadW
+                | Op::LoadAbsB
+                | Op::LoadAbsW
+                | Op::Pop
+                | Op::Add
+                | Op::Sub
+                | Op::And
+                | Op::Or
+                | Op::Xor
+                | Op::Mul
+                | Op::Div
+                | Op::Rem
+                | Op::AddImm
+                | Op::SubImm
+                | Op::AndImm
+                | Op::OrImm
+                | Op::XorImm
+                | Op::MulImm
+                | Op::DivImm
+                | Op::RemImm
+                | Op::Neg
+                | Op::Not
+                | Op::Shl
+                | Op::Shr
+                | Op::Sar
+        )
+    }
+}
+
+/// The ALU operations in [`AluOp`] declaration order, with their
+/// register and immediate ops.
+const ALU_OPS: [(AluOp, Op, Op); 8] = [
+    (AluOp::Add, Op::Add, Op::AddImm),
+    (AluOp::Sub, Op::Sub, Op::SubImm),
+    (AluOp::And, Op::And, Op::AndImm),
+    (AluOp::Or, Op::Or, Op::OrImm),
+    (AluOp::Xor, Op::Xor, Op::XorImm),
+    (AluOp::Mul, Op::Mul, Op::MulImm),
+    (AluOp::Div, Op::Div, Op::DivImm),
+    (AluOp::Rem, Op::Rem, Op::RemImm),
+];
+
+/// The branch conditions in [`Cond`] declaration order, with their ops.
+const JCC_OPS: [(Cond, Op); 8] = [
+    (Cond::Eq, Op::Jeq),
+    (Cond::Ne, Op::Jne),
+    (Cond::Lo, Op::Jlo),
+    (Cond::Hs, Op::Jhs),
+    (Cond::Lt, Op::Jlt),
+    (Cond::Ge, Op::Jge),
+    (Cond::Mi, Op::Jmi),
+    (Cond::Pl, Op::Jpl),
+];
+
+/// Whether a register operand can be read and written as a plain
+/// register-file entry: everything but `PC` (whose value the execute loop
+/// keeps out of the file), `SR` (the packed flags) and bytes above 15
+/// (which alias the low sixteen, `PC` and all).
+fn plain(r: Reg) -> bool {
+    (1..Reg::COUNT as u8).contains(&r.0) && r != Reg::SR
+}
+
+/// One slot of the table: an instruction in its execute form (see the
+/// module documentation).  Unused operand fields are zero, so equal
+/// instructions give equal slots.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Slot {
-    meta: InstrMeta,
-    instr: Instr,
+    /// What the execute loop dispatches on: [`Slot::kind`], or
+    /// [`Op::Arch`] when an operand is not [`plain`].
+    pub(crate) op: Op,
+    /// The instruction's operation.
+    pub(crate) kind: Op,
+    /// Destination, only or left register operand.
+    pub(crate) a: u8,
+    /// Source, base or right register operand.
+    pub(crate) b: u8,
+    /// Immediate, offset, address, target, shift, number or code.
+    pub(crate) imm: u16,
+    /// Size, cycles and data-memory flag.
+    pub(crate) meta: InstrMeta,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 
 impl Slot {
     const EMPTY: Slot = Slot {
+        op: Op::Empty,
+        kind: Op::Empty,
+        a: 0,
+        b: 0,
+        imm: 0,
         meta: InstrMeta::EMPTY,
-        instr: Instr::Nop,
     };
+
+    /// Resolves an instruction into its execute form.
+    fn of(instr: Instr) -> Slot {
+        use Instr as I;
+        let width = |w: Width, byte: Op, word: Op| if w == Width::Byte { byte } else { word };
+        let (kind, a, b, imm): (Op, Option<Reg>, Option<Reg>, u16) = match instr {
+            I::MovImm { dst, imm } => (Op::MovImm, Some(dst), None, imm),
+            I::Mov { dst, src } => (Op::Mov, Some(dst), Some(src), 0),
+            I::Load {
+                dst,
+                base,
+                offset,
+                width: w,
+            } => (
+                width(w, Op::LoadB, Op::LoadW),
+                Some(dst),
+                Some(base),
+                offset as u16,
+            ),
+            I::Store {
+                src,
+                base,
+                offset,
+                width: w,
+            } => (
+                width(w, Op::StoreB, Op::StoreW),
+                Some(src),
+                Some(base),
+                offset as u16,
+            ),
+            I::LoadAbs {
+                dst,
+                addr,
+                width: w,
+            } => (width(w, Op::LoadAbsB, Op::LoadAbsW), Some(dst), None, addr),
+            I::StoreAbs {
+                src,
+                addr,
+                width: w,
+            } => (
+                width(w, Op::StoreAbsB, Op::StoreAbsW),
+                Some(src),
+                None,
+                addr,
+            ),
+            I::Push { src } => (Op::Push, Some(src), None, 0),
+            I::Pop { dst } => (Op::Pop, Some(dst), None, 0),
+            I::Alu { op, dst, src } => (ALU_OPS[op as usize].1, Some(dst), Some(src), 0),
+            I::AluImm { op, dst, imm } => (ALU_OPS[op as usize].2, Some(dst), None, imm),
+            I::Unary { op, reg } => {
+                let (kind, n) = match op {
+                    UnaryOp::Neg => (Op::Neg, 0),
+                    UnaryOp::Not => (Op::Not, 0),
+                    UnaryOp::Shl(n) => (Op::Shl, n),
+                    UnaryOp::Shr(n) => (Op::Shr, n),
+                    UnaryOp::Sar(n) => (Op::Sar, n),
+                };
+                (kind, Some(reg), None, u16::from(n))
+            }
+            I::Cmp { a, b } => (Op::Cmp, Some(a), Some(b), 0),
+            I::CmpImm { a, imm } => (Op::CmpImm, Some(a), None, imm),
+            I::Jmp { target } => (Op::Jmp, None, None, target),
+            I::Jcc { cond, target } => (JCC_OPS[cond as usize].1, None, None, target),
+            I::Br { reg } => (Op::Br, Some(reg), None, 0),
+            I::Call { target } => (Op::Call, None, None, target),
+            I::CallReg { reg } => (Op::CallReg, Some(reg), None, 0),
+            I::Ret => (Op::Ret, None, None, 0),
+            I::Syscall { num } => (Op::Syscall, None, None, num),
+            I::Fault { code } => (Op::Fault, None, None, code),
+            I::Halt => (Op::Halt, None, None, 0),
+            I::Nop => (Op::Nop, None, None, 0),
+        };
+        let arch = [a, b].into_iter().flatten().any(|r| !plain(r));
+        Slot {
+            op: if arch { Op::Arch } else { kind },
+            kind,
+            a: a.map_or(0, |r| r.0),
+            b: b.map_or(0, |r| r.0),
+            imm,
+            meta: InstrMeta::of(&instr),
+        }
+    }
 
     /// Whether the slot holds no instruction.
     #[inline(always)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.meta == InstrMeta::EMPTY
+        self.kind == Op::Empty
     }
 
-    /// The decoded instruction (meaningless when [`Slot::is_empty`]).
-    #[inline(always)]
+    /// The instruction the slot holds, decoded back from its execute
+    /// form ([`Instr::Nop`] when [`Slot::is_empty`]).
     pub(crate) fn instr(&self) -> Instr {
-        self.instr
-    }
-
-    /// The precomputed metadata (meaningless when [`Slot::is_empty`]).
-    #[inline(always)]
-    pub(crate) fn meta(&self) -> InstrMeta {
-        self.meta
+        use Instr as I;
+        let (a, b, imm) = (Reg(self.a), Reg(self.b), self.imm);
+        let alu = |k: Op| ALU_OPS.iter().position(|e| e.1 == k || e.2 == k);
+        let width = |byte: Op| {
+            if self.kind == byte {
+                Width::Byte
+            } else {
+                Width::Word
+            }
+        };
+        match self.kind {
+            Op::Empty | Op::Arch | Op::Nop => I::Nop,
+            Op::MovImm => I::MovImm { dst: a, imm },
+            Op::Mov => I::Mov { dst: a, src: b },
+            Op::LoadB | Op::LoadW => I::Load {
+                dst: a,
+                base: b,
+                offset: imm as i16,
+                width: width(Op::LoadB),
+            },
+            Op::StoreB | Op::StoreW => I::Store {
+                src: a,
+                base: b,
+                offset: imm as i16,
+                width: width(Op::StoreB),
+            },
+            Op::LoadAbsB | Op::LoadAbsW => I::LoadAbs {
+                dst: a,
+                addr: imm,
+                width: width(Op::LoadAbsB),
+            },
+            Op::StoreAbsB | Op::StoreAbsW => I::StoreAbs {
+                src: a,
+                addr: imm,
+                width: width(Op::StoreAbsB),
+            },
+            Op::Push => I::Push { src: a },
+            Op::Pop => I::Pop { dst: a },
+            k @ (Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::Mul | Op::Div | Op::Rem) => {
+                I::Alu {
+                    op: ALU_OPS[alu(k).unwrap_or_default()].0,
+                    dst: a,
+                    src: b,
+                }
+            }
+            k @ (Op::AddImm
+            | Op::SubImm
+            | Op::AndImm
+            | Op::OrImm
+            | Op::XorImm
+            | Op::MulImm
+            | Op::DivImm
+            | Op::RemImm) => I::AluImm {
+                op: ALU_OPS[alu(k).unwrap_or_default()].0,
+                dst: a,
+                imm,
+            },
+            Op::Neg => I::Unary {
+                op: UnaryOp::Neg,
+                reg: a,
+            },
+            Op::Not => I::Unary {
+                op: UnaryOp::Not,
+                reg: a,
+            },
+            Op::Shl => I::Unary {
+                op: UnaryOp::Shl(imm as u8),
+                reg: a,
+            },
+            Op::Shr => I::Unary {
+                op: UnaryOp::Shr(imm as u8),
+                reg: a,
+            },
+            Op::Sar => I::Unary {
+                op: UnaryOp::Sar(imm as u8),
+                reg: a,
+            },
+            Op::Cmp => I::Cmp { a, b },
+            Op::CmpImm => I::CmpImm { a, imm },
+            Op::Jmp => I::Jmp { target: imm },
+            k @ (Op::Jeq | Op::Jne | Op::Jlo | Op::Jhs | Op::Jlt | Op::Jge | Op::Jmi | Op::Jpl) => {
+                I::Jcc {
+                    cond: JCC_OPS.iter().find(|e| e.1 == k).map_or(Cond::Eq, |e| e.0),
+                    target: imm,
+                }
+            }
+            Op::Br => I::Br { reg: a },
+            Op::Call => I::Call { target: imm },
+            Op::CallReg => I::CallReg { reg: a },
+            Op::Ret => I::Ret,
+            Op::Syscall => I::Syscall { num: imm },
+            Op::Fault => I::Fault { code: imm },
+            Op::Halt => I::Halt,
+        }
     }
 }
 
@@ -195,11 +536,8 @@ impl InstrStore {
             self.slots.resize(index - self.lo + 1, Slot::EMPTY);
         }
         let slot = &mut self.slots[index - self.lo];
-        let prev = (!slot.is_empty()).then_some(slot.instr);
-        *slot = Slot {
-            meta: InstrMeta::of(&instr),
-            instr,
-        };
+        let prev = (!slot.is_empty()).then(|| slot.instr());
+        *slot = Slot::of(instr);
         self.count += usize::from(prev.is_none());
         prev
     }
@@ -240,35 +578,33 @@ impl InstrStore {
     }
 
     /// The instruction at `addr` together with its precomputed metadata.
-    #[inline(always)]
     pub fn fetch(&self, addr: Addr) -> Option<(Instr, InstrMeta)> {
-        self.slot(addr).map(|s| (s.instr, s.meta))
+        self.slot(addr).map(|s| (s.instr(), s.meta))
     }
 
     /// The instruction decoded at `addr`, if any.
-    #[inline]
-    pub fn get(&self, addr: Addr) -> Option<&Instr> {
-        self.slot(addr).map(|s| &s.instr)
+    pub fn get(&self, addr: Addr) -> Option<Instr> {
+        self.slot(addr).map(Slot::instr)
     }
 
     /// Whether an instruction is decoded at `addr`.
     pub fn contains(&self, addr: Addr) -> bool {
-        self.get(addr).is_some()
+        self.slot(addr).is_some()
     }
 
     /// Iterates `(address, instruction)` pairs in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Addr, &Instr)> {
+    pub fn iter(&self) -> impl Iterator<Item = (Addr, Instr)> + '_ {
         self.scan(self.lo, self.hi())
     }
 
     /// The occupied slots among word indices `start..end` (a window of
     /// the span), as `(address, instruction)` pairs in address order.
-    fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, &Instr)> {
+    fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, Instr)> + '_ {
         self.slots[start - self.lo..end - self.lo]
             .iter()
             .enumerate()
             .filter(|(_, slot)| !slot.is_empty())
-            .map(move |(i, slot)| (((start + i) as Addr) << 1, &slot.instr))
+            .map(move |(i, slot)| (((start + i) as Addr) << 1, slot.instr()))
     }
 
     /// Iterates `(address, instruction)` pairs with addresses inside
@@ -276,19 +612,19 @@ impl InstrStore {
     /// the firmware validator and tests use.
     ///
     /// [`BTreeMap::range`]: std::collections::BTreeMap::range
-    pub fn range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, &Instr)> {
+    pub fn range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, Instr)> + '_ {
         let end = (range.end.div_ceil(2) as usize).clamp(self.lo, self.hi());
         let start = (range.start.div_ceil(2) as usize).clamp(self.lo, end);
         self.scan(start, end)
     }
 
     /// The lowest-addressed instruction, if any.
-    pub fn first(&self) -> Option<(Addr, &Instr)> {
+    pub fn first(&self) -> Option<(Addr, Instr)> {
         self.iter().next()
     }
 
     /// The highest-addressed instruction, if any.
-    pub fn last(&self) -> Option<(Addr, &Instr)> {
+    pub fn last(&self) -> Option<(Addr, Instr)> {
         self.scan(self.hi().saturating_sub(1), self.hi()).next()
     }
 }
@@ -315,7 +651,6 @@ impl FromIterator<(Addr, Instr)> for InstrStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Reg, Width};
 
     #[test]
     fn empty_store_allocates_nothing_and_finds_nothing() {
@@ -336,8 +671,8 @@ mod tests {
         assert!(s.insert(0x4400, Instr::Nop).is_none());
         assert!(s.insert(0x4402, Instr::Ret).is_none());
         assert_eq!(s.len(), 2);
-        assert_eq!(s.get(0x4400), Some(&Instr::Nop));
-        assert_eq!(s.get(0x4402), Some(&Instr::Ret));
+        assert_eq!(s.get(0x4400), Some(Instr::Nop));
+        assert_eq!(s.get(0x4402), Some(Instr::Ret));
         assert!(s.get(0x4404).is_none());
         // Replacing a slot returns the old instruction and keeps the count.
         assert_eq!(s.insert(0x4400, Instr::Halt), Some(Instr::Nop));
@@ -458,9 +793,9 @@ mod tests {
         s.insert(0x4400, Instr::Nop);
         s.insert(0x0000, Instr::Halt);
         assert_eq!(s.slots.len(), 0x4410 / 2 + 1);
-        assert_eq!(s.get(0x4410), Some(&Instr::Ret));
-        assert_eq!(s.get(0x4400), Some(&Instr::Nop));
-        assert_eq!(s.get(0x0000), Some(&Instr::Halt));
+        assert_eq!(s.get(0x4410), Some(Instr::Ret));
+        assert_eq!(s.get(0x4400), Some(Instr::Nop));
+        assert_eq!(s.get(0x0000), Some(Instr::Halt));
         assert_eq!(s.len(), 3);
     }
 
@@ -493,5 +828,171 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(s.len(), 2);
+    }
+
+    /// Every instruction shape the ISA allows: each variant with every
+    /// ALU operation, condition, unary operation and width, over register
+    /// operands that include `PC`, `SP`, `SR` and bytes above 15, and
+    /// immediates, offsets and shift amounts at their edges.
+    fn every_instr_shape() -> Vec<Instr> {
+        let regs = [
+            Reg::PC,
+            Reg::SP,
+            Reg::SR,
+            Reg::R3,
+            Reg::R4,
+            Reg::R15,
+            Reg(16),
+            Reg(18),
+            Reg(u8::MAX),
+        ];
+        let imms = [0u16, 1, 0x7FFF, 0x8000, u16::MAX];
+        let offsets = [i16::MIN, -1, 0, 1, i16::MAX];
+        let shifts = [0u8, 1, 15, 16, u8::MAX];
+        let widths = [Width::Byte, Width::Word];
+        let mut out = vec![Instr::Ret, Instr::Halt, Instr::Nop];
+        for &x in &regs {
+            out.extend([
+                Instr::Push { src: x },
+                Instr::Pop { dst: x },
+                Instr::Br { reg: x },
+                Instr::CallReg { reg: x },
+                Instr::Unary {
+                    op: UnaryOp::Neg,
+                    reg: x,
+                },
+                Instr::Unary {
+                    op: UnaryOp::Not,
+                    reg: x,
+                },
+            ]);
+            for &n in &shifts {
+                out.extend(
+                    [UnaryOp::Shl(n), UnaryOp::Shr(n), UnaryOp::Sar(n)]
+                        .map(|op| Instr::Unary { op, reg: x }),
+                );
+            }
+            for &imm in &imms {
+                out.extend([Instr::MovImm { dst: x, imm }, Instr::CmpImm { a: x, imm }]);
+                for &width in &widths {
+                    out.extend([
+                        Instr::LoadAbs {
+                            dst: x,
+                            addr: imm,
+                            width,
+                        },
+                        Instr::StoreAbs {
+                            src: x,
+                            addr: imm,
+                            width,
+                        },
+                    ]);
+                }
+                for (op, ..) in ALU_OPS {
+                    out.push(Instr::AluImm { op, dst: x, imm });
+                }
+            }
+            for &y in &regs {
+                out.extend([Instr::Mov { dst: x, src: y }, Instr::Cmp { a: x, b: y }]);
+                for (op, ..) in ALU_OPS {
+                    out.push(Instr::Alu { op, dst: x, src: y });
+                }
+                for &offset in &offsets {
+                    for &width in &widths {
+                        out.extend([
+                            Instr::Load {
+                                dst: x,
+                                base: y,
+                                offset,
+                                width,
+                            },
+                            Instr::Store {
+                                src: x,
+                                base: y,
+                                offset,
+                                width,
+                            },
+                        ]);
+                    }
+                }
+            }
+        }
+        for &imm in &imms {
+            out.extend([
+                Instr::Jmp { target: imm },
+                Instr::Call { target: imm },
+                Instr::Syscall { num: imm },
+                Instr::Fault { code: imm },
+            ]);
+            for (cond, _) in JCC_OPS {
+                out.push(Instr::Jcc { cond, target: imm });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_instruction_shape_round_trips_through_its_slot() {
+        // The storm fleet keeps about 1.87 M slots live: a byte more per
+        // slot is about 1.9 MB of its peak RSS.
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
+        let shapes = every_instr_shape();
+        let mut store = InstrStore::new();
+        let mut at = 0u32;
+        for &instr in &shapes {
+            let slot = Slot::of(instr);
+            assert_eq!(slot.instr(), instr);
+            assert!(!slot.is_empty(), "{instr}");
+            // The dispatch op differs from the operation exactly when an
+            // operand is `PC`, `SR` or above 15.
+            let odd_operand = [Reg::PC, Reg::SR, Reg(16), Reg(18), Reg(u8::MAX)]
+                .iter()
+                .any(|r| operands(&instr).contains(r));
+            assert_eq!(slot.op == Op::Arch, odd_operand, "{instr}");
+            assert_ne!(slot.kind, Op::Arch, "{instr}");
+            let meta = slot.meta;
+            assert_eq!(meta.size_bytes(), instr.size_bytes(), "{instr}");
+            assert_eq!(meta.base_cycles(), instr.base_cycles(), "{instr}");
+            assert_eq!(
+                meta.touches_data_memory(),
+                instr.touches_data_memory(),
+                "{instr}"
+            );
+            assert_eq!(store.insert(at, instr), None);
+            assert_eq!(store.get(at), Some(instr), "{instr}");
+            assert_eq!(store.fetch(at).map(|(i, _)| i), Some(instr), "{instr}");
+            at += instr.size_bytes();
+        }
+        assert_eq!(store.len(), shapes.len());
+        let mut expected = 0u32;
+        for ((addr, got), want) in store.iter().zip(&shapes) {
+            assert_eq!((addr, got), (expected, *want));
+            expected += want.size_bytes();
+        }
+    }
+
+    /// The register operands an instruction names.
+    fn operands(instr: &Instr) -> Vec<Reg> {
+        match *instr {
+            Instr::MovImm { dst, .. }
+            | Instr::LoadAbs { dst, .. }
+            | Instr::Pop { dst }
+            | Instr::AluImm { dst, .. } => vec![dst],
+            Instr::StoreAbs { src, .. } | Instr::Push { src } => vec![src],
+            Instr::Mov { dst, src } | Instr::Alu { dst, src, .. } => vec![dst, src],
+            Instr::Load { dst, base, .. } => vec![dst, base],
+            Instr::Store { src, base, .. } => vec![src, base],
+            Instr::Unary { reg, .. } | Instr::Br { reg } | Instr::CallReg { reg } => vec![reg],
+            Instr::Cmp { a, b } => vec![a, b],
+            Instr::CmpImm { a, .. } => vec![a],
+            Instr::Jmp { .. }
+            | Instr::Jcc { .. }
+            | Instr::Call { .. }
+            | Instr::Ret
+            | Instr::Syscall { .. }
+            | Instr::Fault { .. }
+            | Instr::Halt
+            | Instr::Nop => vec![],
+        }
     }
 }

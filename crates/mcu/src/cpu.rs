@@ -1,14 +1,14 @@
 //! The CPU core: registers, flags, and the execute loop.
 //!
-//! The CPU executes decoded [`Instr`]s fetched from the device's instruction
+//! The CPU executes decoded [`Instr`](crate::isa::Instr)s fetched from the device's instruction
 //! store, performing every data access and instruction-fetch permission check
 //! through the [`Bus`] (and therefore through the MPU).  Execution stops at
 //! system calls, software faults, MPU violations, handler returns, or an
 //! explicit halt, handing control back to the embedding code (`amulet-os`).
 
 use crate::bus::{Bus, BusFault, BusFaultCause};
-use crate::code::InstrStore;
-use crate::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
+use crate::code::{InstrStore, Op, Slot};
+use crate::isa::{AluOp, Cond, Reg, Width};
 use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
 use std::fmt;
@@ -17,10 +17,19 @@ use std::fmt;
 /// handler; a `ret` that pops it ends the handler instead of jumping.
 pub const HANDLER_RETURN: Addr = 0xFFFE;
 
-/// Register-file index mask: [`Reg::COUNT`] is 16, so masking a register
-/// index replaces the bounds check on every operand access.
+/// Register index mask: [`Reg::COUNT`] is 16, so masking a register
+/// index replaces the bounds check on every [`Cpu::reg`] access (and
+/// makes register bytes above 15 alias the low sixteen).
 const REG_MASK: usize = Reg::COUNT - 1;
 const _: () = assert!(Reg::COUNT.is_power_of_two());
+
+/// The register file: the sixteen registers plus [`SR_VIEW`], padded to
+/// a power of two so the execute loop's masked operand index needs no
+/// bounds check either.
+const FILE: usize = 2 * Reg::COUNT;
+/// Register-file entry holding the packed status word while an
+/// [`Op::Arch`] instruction executes: the `SR` operand's register.
+const SR_VIEW: usize = Reg::COUNT;
 
 /// Details of a fault raised during execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,13 +55,15 @@ impl fmt::Display for FaultInfo {
     }
 }
 
-/// Dispatch outcome: either the next program counter (execution
-/// continues) or a stopping [`StepEvent`] (the PC is already positioned).
+/// Dispatch outcome of one instruction.
 enum Flow {
     /// Continue at this program counter.
-    Next(Addr),
-    /// Stop and report this event.
-    Stop(StepEvent),
+    Next(u16),
+    /// Stop and report this event, leaving the program counter here.
+    Stop(StepEvent, u16),
+    /// The slot holds no instruction: an illegal fetch that retires
+    /// nothing.
+    Hole,
 }
 
 /// What happened during one executed instruction.
@@ -92,7 +103,9 @@ pub struct CpuStats {
 /// The CPU register file, flags and cycle counter.
 #[derive(Clone, Debug)]
 pub struct Cpu {
-    regs: [u16; Reg::COUNT],
+    /// Entries `0..16` are the registers (`SR`'s entry unused: the flags
+    /// below are the status register); [`SR_VIEW`] and above are scratch.
+    regs: [u16; FILE],
     /// Zero flag.
     pub flag_z: bool,
     /// Negative flag.
@@ -118,7 +131,7 @@ impl Cpu {
     /// Creates a CPU with all registers zeroed.
     pub fn new() -> Self {
         Cpu {
-            regs: [0; Reg::COUNT],
+            regs: [0; FILE],
             flag_z: false,
             flag_n: false,
             flag_c: false,
@@ -215,6 +228,7 @@ impl Cpu {
         self.flag_v = ((a ^ b) & (a ^ result) & 0x8000) != 0;
     }
 
+    #[inline(always)]
     fn cond_holds(&self, cond: Cond) -> bool {
         match cond {
             Cond::Eq => self.flag_z,
@@ -245,20 +259,20 @@ impl Cpu {
         })
     }
 
-    // Data-access counting happens once per retired instruction (via
-    // `touches_data_memory`), not in the push/pop helpers, so call/return
-    // stack traffic does not inflate the ARP's "memory access" count.
-    // Both helpers use the bus's execute-loop entry points, which trust the
-    // attribute table `run_block` synced at entry.
-    fn push(&mut self, bus: &mut Bus, value: u16) -> Result<(), BusFault> {
+    // Data accesses are counted by the dispatch arms that touch data
+    // memory, not in the push/pop helpers, so call/return stack traffic
+    // does not inflate the ARP's "memory access" count.  Both helpers use
+    // the bus's execute-loop entry points, which trust the attribute table
+    // `run_block` synced at entry.
+    fn push(&mut self, bus: &mut Bus, value: u16, now: u64) -> Result<(), BusFault> {
         let sp = self.regs[Reg::SP.index()].wrapping_sub(2);
         self.regs[Reg::SP.index()] = sp;
-        bus.store(sp, Width::Word.bytes(), value)
+        bus.store(sp, Width::Word.bytes(), value, now)
     }
 
-    fn pop(&mut self, bus: &mut Bus) -> Result<u16, BusFault> {
+    fn pop(&mut self, bus: &mut Bus, now: u64) -> Result<u16, BusFault> {
         let sp = self.regs[Reg::SP.index()];
-        let v = bus.load(sp, Width::Word.bytes())?;
+        let v = bus.load(sp, Width::Word.bytes(), now)?;
         self.regs[Reg::SP.index()] = sp.wrapping_add(2);
         Ok(v)
     }
@@ -293,20 +307,27 @@ impl Cpu {
     /// can be resolved once per block is resolved at entry: the bus syncs
     /// its access-attribute table with the installed MPU configuration
     /// (catching direct backend writes made since the last block; MPU
-    /// register stores inside the block re-resolve it themselves), and the store's span is unwrapped into its first word
-    /// and slot slice.  Each fetch is then one attribute-byte load for the
-    /// permission check plus one indexed slot load: a PC outside the span
-    /// and an empty slot inside it take the same illegal-instruction
-    /// branch (so an empty store faults on its first fetch), and every
-    /// data access is one attribute-byte load.  The cycle and data-access
-    /// counters accumulate in locals; retired instructions and execute
-    /// checks are derived from the steps taken, since only the step that
-    /// stops a block on its fetch retires nothing (and only an odd PC
-    /// counts no check).  All are flushed once at block exit.  The
-    /// benchmark timer still advances with every executed instruction (its
-    /// memory-mapped counter stays exact even for firmware that reads it
-    /// mid-block).  Returns `None` when the step budget ran out, otherwise
-    /// the stopping event, along with the number of steps consumed.
+    /// register stores inside the block re-resolve it themselves), and the
+    /// store's span is unwrapped into its first word and slot slice.  The
+    /// program counter, the remaining step budget and the cycle and
+    /// data-access counters live in locals; the PC reaches the register
+    /// file only at block exit (and for the rare instruction naming it as
+    /// an operand: `Op::Arch` in [`crate::code`]).  Each fetch is one attribute-byte
+    /// load for the permission check plus one indexed slot load: a PC
+    /// outside the span and an empty slot inside it take the same
+    /// illegal-instruction path (so an empty store faults on its first
+    /// fetch), and every data access is one attribute-byte load.  Operand
+    /// shapes were resolved when the instruction was inserted (see
+    /// [`crate::code`]), so dispatch is one `match` on the slot's op.
+    /// Retired instructions and execute checks are derived from the steps
+    /// taken, since only the step that stops a block on its fetch retires
+    /// nothing (and only an odd PC counts no check).  All counters are
+    /// flushed once at block exit, and so are the benchmark timer's ticks:
+    /// it is caught up before any access that could reach its registers,
+    /// so its memory-mapped counter stays exact even for firmware that
+    /// reads it mid-block.  Returns `None`
+    /// when the step budget ran out, otherwise the stopping event, along
+    /// with the number of steps consumed.
     pub fn run_block(
         &mut self,
         bus: &mut Bus,
@@ -315,7 +336,8 @@ impl Cpu {
     ) -> (Option<StepEvent>, u64) {
         bus.sync_attr_table();
         let (lo, slots) = code.span();
-        let mut steps: u64 = 0;
+        let mut pc = self.regs[Reg::PC.index()];
+        let mut left = max_steps;
         let mut cycles: u64 = 0;
         let mut data_accesses: u64 = 0;
         // Set by the step whose fetch stopped the block: it retired no
@@ -323,45 +345,45 @@ impl Cpu {
         let mut unretired: u64 = 0;
         let mut unchecked: u64 = 0;
         let stop = loop {
-            if steps >= max_steps {
+            if left == 0 {
                 break None;
             }
-            steps += 1;
-            let pc = self.regs[Reg::PC.index()];
+            left -= 1;
             if let Err(fault) = bus.check_fetch(pc) {
                 unretired = 1;
                 unchecked = u64::from(pc & 1);
                 break Some(self.bus_fault_to_event(Addr::from(pc), fault));
             }
             // The fetch check rejected odd PCs, so `pc >> 1` is the word
-            // index; below the span it wraps past any slice length.
-            let slot = match slots.get(usize::from(pc >> 1).wrapping_sub(lo)) {
-                Some(slot) if !slot.is_empty() => slot,
-                _ => {
+            // index; below the span it wraps past any slice length.  An
+            // empty slot dispatches as `Flow::Hole`.
+            let Some(slot) = slots.get(usize::from(pc >> 1).wrapping_sub(lo)) else {
+                unretired = 1;
+                break Some(self.illegal_fetch(pc));
+            };
+            // Every cycle an instruction consumes is its `base_cycles`
+            // (dispatch arms never charge more).  The timer is ticked once,
+            // at block exit, and caught up to `now` before any access the
+            // attribute table cannot serve, so an instruction reading the
+            // memory-mapped counter sees every tick through the *previous*
+            // instruction, exactly as per-instruction ticking would.
+            let now = cycles;
+            cycles += slot.meta.base_cycles();
+            match self.exec(bus, slot, pc, now, &mut data_accesses) {
+                Flow::Next(next) => pc = next,
+                Flow::Stop(ev, at) => {
+                    pc = at;
+                    break Some(ev);
+                }
+                Flow::Hole => {
                     unretired = 1;
                     break Some(self.illegal_fetch(pc));
                 }
-            };
-            let (instr, meta) = (slot.instr(), slot.meta());
-            cycles += meta.base_cycles();
-            data_accesses += meta.touches_data_memory() as u64;
-            // Every cycle an instruction consumes is its `base_cycles`
-            // (dispatch arms never charge more), so ticking the timer after
-            // dispatch reproduces per-step ticking exactly: an instruction
-            // reading the memory-mapped counter sees all ticks through the
-            // *previous* instruction.
-            let pc = Addr::from(pc);
-            match self.dispatch(bus, instr, pc, pc + meta.size_bytes()) {
-                Flow::Next(new_pc) => {
-                    self.set_pc(new_pc);
-                    bus.timer.tick(meta.base_cycles());
-                }
-                Flow::Stop(ev) => {
-                    bus.timer.tick(meta.base_cycles());
-                    break Some(ev);
-                }
             }
         };
+        self.regs[Reg::PC.index()] = pc;
+        bus.timer.end_block(cycles);
+        let steps = max_steps - left;
         self.stats.instructions += steps - unretired;
         self.cycles += cycles;
         self.stats.data_accesses += data_accesses;
@@ -369,153 +391,237 @@ impl Cpu {
         (stop, steps)
     }
 
-    /// Executes one already-fetched instruction: every arm either produces
-    /// the next program counter or stops with an event (having already
-    /// positioned the PC the way [`Cpu::step`] always has).
+    /// Executes one fetched instruction at `pc`: every arm either produces
+    /// the next program counter or stops with an event and the PC to leave
+    /// behind.  Register operands are plain register-file entries here;
+    /// the [`Op::Arch`] arm makes that true for `PC` and `SR` operands too.
+    ///
+    /// Each arm knows its op's encoded size, so the next PC never waits on
+    /// a load from the slot (a `debug_assert` holds every arm to the
+    /// slot's [`InstrMeta`]).  Each arm that touches data memory counts
+    /// itself in `data` before its access, so a faulting access counts too
+    /// and the return-address traffic of calls and returns does not (the
+    /// ARP's "memory access" count).  `now` is the block's cycle count
+    /// through the previous instruction, for the timer (see `Bus::load`).
+    ///
+    /// [`InstrMeta`]: crate::code::InstrMeta
     #[inline(always)]
-    fn dispatch(&mut self, bus: &mut Bus, instr: Instr, pc: Addr, next_pc: Addr) -> Flow {
-        let mut new_pc = next_pc;
+    fn exec(&mut self, bus: &mut Bus, slot: &Slot, pc: u16, now: u64, data: &mut u64) -> Flow {
+        let a = usize::from(slot.a) & (FILE - 1);
+        let b = usize::from(slot.b) & (FILE - 1);
+        let imm = slot.imm;
+        // The PC after a one-word and after a two-word instruction.
+        let (w1, w2) = (pc.wrapping_add(2), pc.wrapping_add(4));
+        let (byte, word) = (Width::Byte.bytes(), Width::Word.bytes());
+        let shift = u32::from(imm as u8);
 
-        macro_rules! try_mem {
+        macro_rules! mem {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(fault) => return Flow::Stop(self.bus_fault_to_event(pc, fault)),
+                    Err(fault) => {
+                        return Flow::Stop(self.bus_fault_to_event(Addr::from(pc), fault), pc)
+                    }
+                }
+            };
+        }
+        macro_rules! data {
+            ($e:expr) => {{
+                *data += 1;
+                mem!($e)
+            }};
+        }
+        macro_rules! load {
+            ($addr:expr, $width:expr) => {{
+                self.regs[a] = data!(bus.load($addr, $width, now));
+                w2
+            }};
+        }
+        macro_rules! store {
+            ($addr:expr, $width:expr) => {{
+                data!(bus.store($addr, $width, self.regs[a], now));
+                w2
+            }};
+        }
+        macro_rules! alu {
+            ($op:expr, $rhs:expr, $next:expr) => {{
+                self.regs[a] = self.alu($op, self.regs[a], $rhs);
+                $next
+            }};
+        }
+        macro_rules! unary {
+            ($f:expr) => {{
+                let v = $f(self.regs[a]);
+                self.set_flags_logic(v);
+                self.regs[a] = v;
+                w1
+            }};
+        }
+        macro_rules! jcc {
+            ($cond:expr) => {
+                if self.cond_holds($cond) {
+                    return Flow::Next(imm);
+                } else {
+                    w2
                 }
             };
         }
 
-        match instr {
-            Instr::MovImm { dst, imm } => self.set_reg(dst, imm),
-            Instr::Mov { dst, src } => {
-                let v = self.reg(src);
-                self.set_reg(dst, v);
+        let next = match slot.op {
+            Op::Empty => return Flow::Hole,
+            Op::Arch => return self.exec_arch(bus, slot, pc, now),
+            Op::MovImm => {
+                self.regs[a] = imm;
+                w2
             }
-            Instr::Load {
-                dst,
-                base,
-                offset,
-                width,
-            } => {
-                let addr = self.reg(base).wrapping_add_signed(offset);
-                let v = try_mem!(bus.load(addr, width.bytes()));
-                self.set_reg(dst, v);
+            Op::Mov => {
+                self.regs[a] = self.regs[b];
+                w1
             }
-            Instr::Store {
-                src,
-                base,
-                offset,
-                width,
-            } => {
-                let addr = self.reg(base).wrapping_add_signed(offset);
-                let v = self.reg(src);
-                try_mem!(bus.store(addr, width.bytes(), v));
+            Op::LoadB => load!(self.regs[b].wrapping_add(imm), byte),
+            Op::LoadW => load!(self.regs[b].wrapping_add(imm), word),
+            Op::StoreB => store!(self.regs[b].wrapping_add(imm), byte),
+            Op::StoreW => store!(self.regs[b].wrapping_add(imm), word),
+            Op::LoadAbsB => load!(imm, byte),
+            Op::LoadAbsW => load!(imm, word),
+            Op::StoreAbsB => store!(imm, byte),
+            Op::StoreAbsW => store!(imm, word),
+            Op::Push => {
+                data!(self.push(bus, self.regs[a], now));
+                w1
             }
-            Instr::LoadAbs { dst, addr, width } => {
-                let v = try_mem!(bus.load(addr, width.bytes()));
-                self.set_reg(dst, v);
+            Op::Pop => {
+                self.regs[a] = data!(self.pop(bus, now));
+                w1
             }
-            Instr::StoreAbs { src, addr, width } => {
-                let v = self.reg(src);
-                try_mem!(bus.store(addr, width.bytes(), v));
+            Op::Add => alu!(AluOp::Add, self.regs[b], w1),
+            Op::Sub => alu!(AluOp::Sub, self.regs[b], w1),
+            Op::And => alu!(AluOp::And, self.regs[b], w1),
+            Op::Or => alu!(AluOp::Or, self.regs[b], w1),
+            Op::Xor => alu!(AluOp::Xor, self.regs[b], w1),
+            Op::Mul => alu!(AluOp::Mul, self.regs[b], w1),
+            Op::Div => alu!(AluOp::Div, self.regs[b], w1),
+            Op::Rem => alu!(AluOp::Rem, self.regs[b], w1),
+            Op::AddImm => alu!(AluOp::Add, imm, w2),
+            Op::SubImm => alu!(AluOp::Sub, imm, w2),
+            Op::AndImm => alu!(AluOp::And, imm, w2),
+            Op::OrImm => alu!(AluOp::Or, imm, w2),
+            Op::XorImm => alu!(AluOp::Xor, imm, w2),
+            Op::MulImm => alu!(AluOp::Mul, imm, w2),
+            Op::DivImm => alu!(AluOp::Div, imm, w2),
+            Op::RemImm => alu!(AluOp::Rem, imm, w2),
+            Op::Neg => unary!(|x: u16| (x as i16).wrapping_neg() as u16),
+            Op::Not => unary!(|x: u16| !x),
+            Op::Shl => unary!(|x: u16| x.wrapping_shl(shift)),
+            Op::Shr => unary!(|x: u16| x.wrapping_shr(shift)),
+            Op::Sar => unary!(|x: u16| ((x as i16) >> shift.min(15)) as u16),
+            Op::Cmp => {
+                let (x, y) = (self.regs[a], self.regs[b]);
+                self.set_flags_sub(x, y, x.wrapping_sub(y));
+                w1
             }
-            Instr::Push { src } => {
-                let v = self.reg(src);
-                try_mem!(self.push(bus, v));
+            Op::CmpImm => {
+                let x = self.regs[a];
+                self.set_flags_sub(x, imm, x.wrapping_sub(imm));
+                w2
             }
-            Instr::Pop { dst } => {
-                let v = try_mem!(self.pop(bus));
-                self.set_reg(dst, v);
-            }
-            Instr::Alu { op, dst, src } => {
-                let v = self.alu(op, self.reg(dst), self.reg(src));
-                self.set_reg(dst, v);
-            }
-            Instr::AluImm { op, dst, imm } => {
-                let v = self.alu(op, self.reg(dst), imm);
-                self.set_reg(dst, v);
-            }
-            Instr::Unary { op, reg } => {
-                let a = self.reg(reg);
-                let v = match op {
-                    UnaryOp::Neg => (a as i16).wrapping_neg() as u16,
-                    UnaryOp::Not => !a,
-                    UnaryOp::Shl(n) => a.wrapping_shl(n as u32),
-                    UnaryOp::Shr(n) => a.wrapping_shr(n as u32),
-                    UnaryOp::Sar(n) => ((a as i16) >> n.min(15)) as u16,
-                };
-                self.set_flags_logic(v);
-                self.set_reg(reg, v);
-            }
-            Instr::Cmp { a, b } => {
-                let (x, y) = (self.reg(a), self.reg(b));
-                let r = x.wrapping_sub(y);
-                self.set_flags_sub(x, y, r);
-            }
-            Instr::CmpImm { a, imm } => {
-                let x = self.reg(a);
-                let r = x.wrapping_sub(imm);
-                self.set_flags_sub(x, imm, r);
-            }
-            Instr::Jmp { target } => new_pc = target as Addr,
-            Instr::Jcc { cond, target } => {
-                if self.cond_holds(cond) {
-                    new_pc = target as Addr;
+            Op::Jmp => return Flow::Next(imm),
+            Op::Jeq => jcc!(Cond::Eq),
+            Op::Jne => jcc!(Cond::Ne),
+            Op::Jlo => jcc!(Cond::Lo),
+            Op::Jhs => jcc!(Cond::Hs),
+            Op::Jlt => jcc!(Cond::Lt),
+            Op::Jge => jcc!(Cond::Ge),
+            Op::Jmi => jcc!(Cond::Mi),
+            Op::Jpl => jcc!(Cond::Pl),
+            Op::Br => {
+                let target = self.regs[a];
+                if Addr::from(target) == HANDLER_RETURN {
+                    return Flow::Stop(StepEvent::HandlerDone, w1);
                 }
+                return Flow::Next(target);
             }
-            Instr::Br { reg } => {
-                let target = self.reg(reg) as Addr;
-                if target == HANDLER_RETURN {
-                    self.set_pc(next_pc);
-                    return Flow::Stop(StepEvent::HandlerDone);
+            Op::Call => {
+                mem!(self.push(bus, w2, now));
+                return Flow::Next(imm);
+            }
+            Op::CallReg => {
+                let target = self.regs[a];
+                mem!(self.push(bus, w1, now));
+                return Flow::Next(target);
+            }
+            Op::Ret => {
+                let ra = mem!(self.pop(bus, now));
+                if Addr::from(ra) == HANDLER_RETURN {
+                    return Flow::Stop(StepEvent::HandlerDone, w1);
                 }
-                new_pc = target;
+                return Flow::Next(ra);
             }
-            Instr::Call { target } => {
-                try_mem!(self.push(bus, next_pc as u16));
-                new_pc = target as Addr;
-            }
-            Instr::CallReg { reg } => {
-                let target = self.reg(reg) as Addr;
-                try_mem!(self.push(bus, next_pc as u16));
-                new_pc = target;
-            }
-            Instr::Ret => {
-                let ra = try_mem!(self.pop(bus)) as Addr;
-                if ra == HANDLER_RETURN {
-                    self.set_pc(next_pc);
-                    return Flow::Stop(StepEvent::HandlerDone);
-                }
-                new_pc = ra;
-            }
-            Instr::Syscall { num } => {
+            Op::Syscall => {
                 self.stats.syscalls += 1;
-                self.set_pc(next_pc);
-                return Flow::Stop(StepEvent::Syscall { num });
+                return Flow::Stop(StepEvent::Syscall { num: imm }, w1);
             }
-            Instr::Fault { code } => {
+            Op::Fault => {
                 self.stats.faults += 1;
                 let class = FaultClass::ALL
-                    .get(code as usize)
+                    .get(usize::from(imm))
                     .copied()
                     .unwrap_or(FaultClass::IllegalInstruction);
-                self.set_pc(next_pc);
-                return Flow::Stop(StepEvent::Fault(FaultInfo {
+                let info = FaultInfo {
                     class,
-                    pc,
+                    pc: Addr::from(pc),
                     addr: None,
-                }));
+                };
+                return Flow::Stop(StepEvent::Fault(info), w1);
             }
-            Instr::Halt => {
-                self.set_pc(pc);
-                return Flow::Stop(StepEvent::Halted);
-            }
-            Instr::Nop => {}
-        }
-
-        Flow::Next(new_pc)
+            Op::Halt => return Flow::Stop(StepEvent::Halted, pc),
+            Op::Nop => w1,
+        };
+        debug_assert_eq!(
+            u32::from(next.wrapping_sub(pc)),
+            slot.meta.size_bytes(),
+            "{:?} at {pc:#06x}",
+            slot.op
+        );
+        Flow::Next(next)
     }
 
+    /// Executes an instruction with a `PC`, `SR` or out-of-range register
+    /// operand ([`Op::Arch`]) as its plain op over the register file: the
+    /// `PC` entry is set to `pc`, `SR` operands are pointed at
+    /// [`SR_VIEW`] holding the packed status word, and a write to it is
+    /// unpacked into the flags afterwards (after any flags the op itself
+    /// set, as [`Cpu::set_reg`] would).  A byte above 15 keeps aliasing
+    /// its low four bits, `PC` included.  `PC` writes are discarded, since
+    /// the loop continues from the PC the op returns.
+    #[cold]
+    #[inline(never)]
+    fn exec_arch(&mut self, bus: &mut Bus, slot: &Slot, pc: u16, now: u64) -> Flow {
+        let view = |r: u8| {
+            if Reg(r) == Reg::SR {
+                SR_VIEW as u8
+            } else {
+                r & REG_MASK as u8
+            }
+        };
+        let plain = Slot {
+            op: slot.kind,
+            a: view(slot.a),
+            b: view(slot.b),
+            ..*slot
+        };
+        self.regs[Reg::PC.index()] = pc;
+        self.regs[SR_VIEW] = self.status_word();
+        let mut data = 0;
+        let flow = self.exec(bus, &plain, pc, now, &mut data);
+        self.stats.data_accesses += data;
+        if usize::from(plain.a) == SR_VIEW && slot.kind.writes_a() {
+            self.set_status_word(self.regs[SR_VIEW]);
+        }
+        flow
+    }
+
+    #[inline(always)]
     fn alu(&mut self, op: AluOp, a: u16, b: u16) -> u16 {
         match op {
             AluOp::Add => {
@@ -574,6 +680,7 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::bus::Bus;
+    use crate::isa::Instr;
 
     /// Assembles a program at `base` into a dense instruction store.
     fn asm(base: Addr, instrs: &[Instr]) -> InstrStore {
@@ -711,7 +818,7 @@ mod tests {
         )
         .iter()
         {
-            code.insert(a, *i);
+            code.insert(a, i);
         }
         let mut cpu = Cpu::new();
         let mut bus = Bus::msp430fr5969();
@@ -736,7 +843,7 @@ mod tests {
         let mut bus = Bus::msp430fr5969();
         cpu.set_sp(0x2400);
         // Simulate the OS pushing the magic return address before the call.
-        cpu.push(&mut bus, HANDLER_RETURN as u16).unwrap();
+        cpu.push(&mut bus, HANDLER_RETURN as u16, 0).unwrap();
         cpu.set_pc(base);
         assert_eq!(cpu.step(&mut bus, &code), StepEvent::HandlerDone);
     }

@@ -35,8 +35,8 @@ fn build(pairs: &[(u32, Instr)]) -> InstrStore {
     pairs.iter().map(|&(slot, i)| (slot << 1, i)).collect()
 }
 
-fn collect<'a>(it: impl Iterator<Item = (Addr, &'a Instr)>) -> Vec<(Addr, Instr)> {
-    it.map(|(a, i)| (a, *i)).collect()
+fn collect(it: impl Iterator<Item = (Addr, Instr)>) -> Vec<(Addr, Instr)> {
+    it.collect()
 }
 
 proptest! {
@@ -51,14 +51,14 @@ proptest! {
         let model: BTreeMap<Addr, Instr> =
             pairs.iter().map(|&(slot, i)| (slot << 1, i)).collect();
         for addr in 0..0x1_0000u32 {
-            let expected = model.get(&addr);
+            let expected = model.get(&addr).copied();
             prop_assert_eq!(store.get(addr), expected, "get {:#06x}", addr);
             prop_assert_eq!(store.contains(addr), expected.is_some());
             prop_assert_eq!(
                 store
                     .fetch(addr)
                     .map(|(i, m)| (i, m.size_bytes(), m.base_cycles(), m.touches_data_memory())),
-                expected.map(|i| (*i, i.size_bytes(), i.base_cycles(), i.touches_data_memory())),
+                expected.map(|i| (i, i.size_bytes(), i.base_cycles(), i.touches_data_memory())),
                 "fetch {:#06x}",
                 addr
             );
@@ -68,8 +68,8 @@ proptest! {
         prop_assert_eq!(collect(store.iter()), oracle.clone());
         prop_assert_eq!(store.len(), oracle.len());
         prop_assert_eq!(store.is_empty(), oracle.is_empty());
-        prop_assert_eq!(store.first().map(|(a, i)| (a, *i)), oracle.first().copied());
-        prop_assert_eq!(store.last().map(|(a, i)| (a, *i)), oracle.last().copied());
+        prop_assert_eq!(store.first(), oracle.first().copied());
+        prop_assert_eq!(store.last(), oracle.last().copied());
 
         // Odd, empty, reversed and past-the-end bounds alike.
         let mut all_bounds = bounds.clone();

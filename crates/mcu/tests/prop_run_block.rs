@@ -10,8 +10,8 @@
 //!
 //! Programs are the shapes the AFT compiler emits (double bounds checks,
 //! add-then-check strides, frame prologues/epilogues) interleaved with
-//! arbitrary straight-line code, wild branches, memory traffic and
-//! syscalls.
+//! arbitrary straight-line code, wild branches, memory traffic, syscalls
+//! and benchmark-timer control writes and counter reads.
 //!
 //! [`CpuStats`]: amulet_mcu::CpuStats
 //! [`BusStats`]: amulet_mcu::BusStats
@@ -22,6 +22,7 @@ use amulet_mcu::bus::Bus;
 use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::{Cpu, StepEvent};
 use amulet_mcu::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
+use amulet_mcu::timer::{TIMER_CONTROL, TIMER_COUNTER};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -145,6 +146,37 @@ fn chunk_strategy() -> impl Strategy<Value = Vec<P>> {
             P::I(Instr::Mov { dst, src }),
             P::I(Instr::Pop { dst: pop }),
         ]),
+        // Benchmark-timer traffic: read `TIMER_COUNTER` mid-block (after
+        // whatever ran since the last access the attribute table could not
+        // serve), then start, restart-and-clear or stop the timer through
+        // `TIMER_CONTROL`, so the counter value every later instruction
+        // sees is pinned whatever the block boundaries.
+        (
+            reg_strategy(),
+            (4u8..16).prop_map(Reg),
+            prop_oneof![
+                Just(0x0020u16),
+                Just(0x0024u16),
+                Just(0x0010u16),
+                Just(0x0000u16)
+            ]
+        )
+            .prop_map(|(dst, ctl, value)| vec![
+                P::I(Instr::LoadAbs {
+                    dst,
+                    addr: TIMER_COUNTER as u16,
+                    width: Width::Word,
+                }),
+                P::I(Instr::MovImm {
+                    dst: ctl,
+                    imm: value
+                }),
+                P::I(Instr::StoreAbs {
+                    src: ctl,
+                    addr: TIMER_CONTROL as u16,
+                    width: Width::Word,
+                }),
+            ]),
         // A single arbitrary instruction.
         single_strategy().prop_map(|p| vec![p]),
     ]
@@ -434,6 +466,61 @@ fn aft_shapes_run_to_halt_and_are_partition_invariant() {
             stats.instructions,
             program.len() as u64 + 1,
             "{}",
+            platform.name
+        );
+    }
+    partition_invariant(&program, &[1, 2, 3, 7]).unwrap();
+}
+
+/// A deterministic timer program: start the timer, work, read the counter
+/// mid-block, work, read again, restart-and-clear, work, read a third
+/// time.  Every read must see a non-trivial count, and slicing the run
+/// into blocks must not move any of them, on every platform.
+#[test]
+fn mid_block_timer_reads_are_partition_invariant() {
+    let work = |n: usize| {
+        (0..n).map(|_| {
+            P::I(Instr::AluImm {
+                op: AluOp::Add,
+                dst: Reg::R5,
+                imm: 1,
+            })
+        })
+    };
+    let control = |value: u16| {
+        [
+            P::I(Instr::MovImm {
+                dst: Reg::R4,
+                imm: value,
+            }),
+            P::I(Instr::StoreAbs {
+                src: Reg::R4,
+                addr: TIMER_CONTROL as u16,
+                width: Width::Word,
+            }),
+        ]
+    };
+    let read = |dst: Reg| {
+        P::I(Instr::LoadAbs {
+            dst,
+            addr: TIMER_COUNTER as u16,
+            width: Width::Word,
+        })
+    };
+    let mut program: Vec<P> = control(0x0020).into();
+    program.extend(work(21));
+    program.push(read(Reg::R6));
+    program.extend(work(13));
+    program.push(read(Reg::R7));
+    program.extend(control(0x0024));
+    program.extend(work(9));
+    program.push(read(Reg::R8));
+    for platform in platforms() {
+        let (_, _, _, regs, ..) = run(platform.clone(), &assemble(&program), STEP_CAP, &[u64::MAX]);
+        let (r6, r7, r8) = (regs[6], regs[7], regs[8]);
+        assert!(
+            r6 >= 32 && r7 > r6 && r8 >= 16 && r8 < r7,
+            "{}: counter reads {r6}, {r7}, {r8}",
             platform.name
         );
     }

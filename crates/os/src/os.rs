@@ -510,12 +510,22 @@ impl AmuletOs {
         // Whether the app's context is live because the previous event of
         // this batch elided its exit switch.
         let mut in_app = false;
+        debug_assert!(
+            events.windows(2).all(|w| w[0].app_index == w[1].app_index),
+            "a delivery batch must not span applications"
+        );
+        // The exit switch may be elided only when a later event of this
+        // batch will actually run a handler.  Handler presence cannot
+        // change inside a batch, so one reverse scan finds the last event
+        // that has one.
+        let last_with_handler = events.first().and_then(|first| {
+            let handlers = &self.firmware.apps.get(first.app_index)?.handlers;
+            events
+                .iter()
+                .rposition(|e| handlers.contains_key(&e.handler))
+        });
         for (i, event) in events.iter().enumerate() {
             let idx = event.app_index;
-            debug_assert!(
-                events.iter().all(|e| e.app_index == idx),
-                "a delivery batch must not span applications"
-            );
             if let Some(stamp_ms) = event.stamp_ms {
                 // The event's wait ends here: the scheduler has taken it up
                 // (even if it is about to be skipped).  Recording reads the
@@ -574,11 +584,7 @@ impl AmuletOs {
             self.device.bus.write_raw(arg_sp, 2, event.payload);
             self.device.prepare_call(entry, arg_sp);
 
-            // The exit switch may be elided only when a later event of this
-            // batch will actually run a handler.
-            let later_runnable = events[i + 1..]
-                .iter()
-                .any(|e| self.firmware.apps[idx].handlers.contains_key(&e.handler));
+            let later_runnable = last_with_handler.is_some_and(|last| last > i);
             self.pending_yield = false;
             let (outcome, still_in_app) = self.run_app_until_return(idx, later_runnable);
             in_app = still_in_app;

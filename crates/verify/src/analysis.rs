@@ -424,7 +424,7 @@ fn verify_app(firmware: &Firmware, app: &AppBinary, sites: &[CheckSite]) -> AppV
     let policy = AccessPolicy::for_app(firmware, app);
     let mut accesses = Vec::new();
     for (&addr, state) in &fixpoint.states {
-        let Some(&instr) = firmware.code.get(addr) else {
+        let Some(instr) = firmware.code.get(addr) else {
             continue;
         };
         if !instr.touches_data_memory() {
@@ -522,10 +522,10 @@ fn site_is_redundant(firmware: &Firmware, site: &CheckSite, states: &BTreeMap<u3
     let Some(state) = states.get(&site.addr) else {
         return false; // unreachable sites are dead code, not redundant checks
     };
-    let Some(&Instr::CmpImm { a, imm }) = firmware.code.get(site.addr) else {
+    let Some(Instr::CmpImm { a, imm }) = firmware.code.get(site.addr) else {
         return false;
     };
-    let Some(&Instr::Jcc { cond, .. }) = firmware.code.get(site.addr + 4) else {
+    let Some(Instr::Jcc { cond, .. }) = firmware.code.get(site.addr + 4) else {
         return false;
     };
     let v = state.get(a);
@@ -549,7 +549,7 @@ fn site_is_redundant(firmware: &Firmware, site: &CheckSite, states: &BTreeMap<u3
 /// the re-test, where the infeasible-edge logic routes it correctly.
 fn guard_reg(code: &amulet_mcu::code::InstrStore, addr: u32) -> Option<u8> {
     match code.get(addr) {
-        Some(&Instr::CmpImm { a, imm: 0 })
+        Some(Instr::CmpImm { a, imm: 0 })
             if matches!(
                 code.get(addr + 4),
                 Some(Instr::Jcc {
@@ -560,11 +560,11 @@ fn guard_reg(code: &amulet_mcu::code::InstrStore, addr: u32) -> Option<u8> {
         {
             Some(a.0)
         }
-        Some(&Instr::Jcc {
+        Some(Instr::Jcc {
             cond: Cond::Eq | Cond::Ne,
             ..
         }) => match addr.checked_sub(4).and_then(|p| code.get(p)) {
-            Some(&Instr::CmpImm { a, imm: 0 }) => Some(a.0),
+            Some(Instr::CmpImm { a, imm: 0 }) => Some(a.0),
             _ => None,
         },
         _ => None,
@@ -700,7 +700,7 @@ fn walk(firmware: &Firmware, app: &AppBinary) -> Fixpoint {
         let Some(state) = states.get(&addr).and_then(|s| s[slot].clone()) else {
             continue;
         };
-        let Some(&instr) = code.get(addr) else {
+        let Some(instr) = code.get(addr) else {
             continue;
         };
         let next = addr + instr.size_bytes();
