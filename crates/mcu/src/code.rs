@@ -13,19 +13,18 @@
 //!
 //! A slot does not hold the [`Instr`] itself but its *execute form*,
 //! resolved once at insert so the execute loop pays nothing per step for
-//! it: an `Op` with the operation's shape folded in (each ALU
-//! operation, branch condition, unary operation and access width is an
-//! op of its own, so dispatch is one `match` with no nested one), the
-//! register operands as register-file indices, one 16-bit
-//! immediate/offset/target field, and an [`InstrMeta`] (encoded size,
-//! base cycle cost, whether the instruction touches data memory).  An
-//! instruction naming `PC` or `SR` (or a register byte above 15) as an
-//! operand dispatches as `Op::Arch`: only that cold path materialises
-//! the program counter and packs the flags into a status word, so no
-//! other op tests its operands for them.  The slot is 8 bytes; the store
-//! decodes it back into the [`Instr`] for [`InstrStore::get`],
-//! [`InstrStore::iter`], [`InstrStore::fetch`] and the wire encoding,
-//! losslessly.
+//! it: an `Op` with the operation's shape folded in (each ALU operation,
+//! branch condition, unary operation and access width is an op of its
+//! own, so dispatch is one `match` with no nested one), the register
+//! operands' numbers, one 16-bit immediate/offset/target field, and an
+//! [`InstrMeta`] (encoded size, base cycle cost, whether the instruction
+//! touches data memory).  An instruction naming `PC` or `SR` (or a
+//! register byte above 15) as an operand dispatches as `Op::Arch`: only
+//! that cold path materialises the program counter and packs the flags
+//! into a status word, so no other op tests its operands for them.  The
+//! slot is 8 bytes; the store decodes it back into the [`Instr`] for
+//! [`InstrStore::get`], [`InstrStore::iter`], [`InstrStore::fetch`] and
+//! the wire encoding, losslessly.
 //!
 //! The table covers only the store's occupied span: one contiguous slot
 //! vector from the lowest to the highest instruction, plus the span's
@@ -231,6 +230,20 @@ const JCC_OPS: [(Cond, Op); 8] = [
     (Cond::Pl, Op::Jpl),
 ];
 
+// Each table lists its ops in declaration order, and in its `AluOp` or
+// `Cond` column's: `Slot::of` indexes a table by `AluOp`/`Cond`, and
+// `Slot::instr` by an op's offset from the table's first op.
+const _: () = {
+    let mut i = 0;
+    while i < ALU_OPS.len() {
+        assert!(ALU_OPS[i].0 as usize == i && JCC_OPS[i].0 as usize == i);
+        assert!(ALU_OPS[i].1 as usize == Op::Add as usize + i);
+        assert!(ALU_OPS[i].2 as usize == Op::AddImm as usize + i);
+        assert!(JCC_OPS[i].1 as usize == Op::Jeq as usize + i);
+        i += 1;
+    }
+};
+
 /// Whether a register operand can be read and written as a plain
 /// register-file entry: everything but `PC` (whose value the execute loop
 /// keeps out of the file), `SR` (the packed flags) and bytes above 15
@@ -342,7 +355,7 @@ impl Slot {
             I::Halt => (Op::Halt, None, None, 0),
             I::Nop => (Op::Nop, None, None, 0),
         };
-        let arch = [a, b].into_iter().flatten().any(|r| !plain(r));
+        let arch = a.is_some_and(|r| !plain(r)) || b.is_some_and(|r| !plain(r));
         Slot {
             op: if arch { Op::Arch } else { kind },
             kind,
@@ -364,7 +377,9 @@ impl Slot {
     pub(crate) fn instr(&self) -> Instr {
         use Instr as I;
         let (a, b, imm) = (Reg(self.a), Reg(self.b), self.imm);
-        let alu = |k: Op| ALU_OPS.iter().position(|e| e.1 == k || e.2 == k);
+        // The ALU ops and branches are declared in table order (asserted
+        // below the tables), so an op's offset from the first is its row.
+        let row = |k: Op, first: Op| usize::from(k as u8 - first as u8);
         let width = |byte: Op| {
             if self.kind == byte {
                 Width::Byte
@@ -402,7 +417,7 @@ impl Slot {
             Op::Pop => I::Pop { dst: a },
             k @ (Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::Mul | Op::Div | Op::Rem) => {
                 I::Alu {
-                    op: ALU_OPS[alu(k).unwrap_or_default()].0,
+                    op: ALU_OPS[row(k, Op::Add)].0,
                     dst: a,
                     src: b,
                 }
@@ -415,7 +430,7 @@ impl Slot {
             | Op::MulImm
             | Op::DivImm
             | Op::RemImm) => I::AluImm {
-                op: ALU_OPS[alu(k).unwrap_or_default()].0,
+                op: ALU_OPS[row(k, Op::AddImm)].0,
                 dst: a,
                 imm,
             },
@@ -444,7 +459,7 @@ impl Slot {
             Op::Jmp => I::Jmp { target: imm },
             k @ (Op::Jeq | Op::Jne | Op::Jlo | Op::Jhs | Op::Jlt | Op::Jge | Op::Jmi | Op::Jpl) => {
                 I::Jcc {
-                    cond: JCC_OPS.iter().find(|e| e.1 == k).map_or(Cond::Eq, |e| e.0),
+                    cond: JCC_OPS[row(k, Op::Jeq)].0,
                     target: imm,
                 }
             }
@@ -594,17 +609,24 @@ impl InstrStore {
 
     /// Iterates `(address, instruction)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, Instr)> + '_ {
-        self.scan(self.lo, self.hi())
+        self.scan(self.lo, self.hi()).map(decode)
     }
 
     /// The occupied slots among word indices `start..end` (a window of
-    /// the span), as `(address, instruction)` pairs in address order.
-    fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, Instr)> + '_ {
+    /// the span), with their addresses, in address order.
+    fn scan(&self, start: usize, end: usize) -> impl Iterator<Item = (Addr, &Slot)> {
         self.slots[start - self.lo..end - self.lo]
             .iter()
             .enumerate()
             .filter(|(_, slot)| !slot.is_empty())
-            .map(move |(i, slot)| (((start + i) as Addr) << 1, slot.instr()))
+            .map(move |(i, slot)| (((start + i) as Addr) << 1, slot))
+    }
+
+    /// The occupied slots with addresses inside `range`, in address order.
+    fn scan_range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, &Slot)> {
+        let end = (range.end.div_ceil(2) as usize).clamp(self.lo, self.hi());
+        let start = (range.start.div_ceil(2) as usize).clamp(self.lo, end);
+        self.scan(start, end)
     }
 
     /// Iterates `(address, instruction)` pairs with addresses inside
@@ -613,9 +635,18 @@ impl InstrStore {
     ///
     /// [`BTreeMap::range`]: std::collections::BTreeMap::range
     pub fn range(&self, range: std::ops::Range<Addr>) -> impl Iterator<Item = (Addr, Instr)> + '_ {
-        let end = (range.end.div_ceil(2) as usize).clamp(self.lo, self.hi());
-        let start = (range.start.div_ceil(2) as usize).clamp(self.lo, end);
-        self.scan(start, end)
+        self.scan_range(range).map(decode)
+    }
+
+    /// [`InstrStore::range`] as `(address, encoded size)` pairs, read
+    /// from the slots' metadata without decoding the instructions: all the
+    /// firmware validator needs.
+    pub(crate) fn sizes(
+        &self,
+        range: std::ops::Range<Addr>,
+    ) -> impl Iterator<Item = (Addr, u32)> + '_ {
+        self.scan_range(range)
+            .map(|(addr, slot)| (addr, slot.meta.size_bytes()))
     }
 
     /// The lowest-addressed instruction, if any.
@@ -625,8 +656,15 @@ impl InstrStore {
 
     /// The highest-addressed instruction, if any.
     pub fn last(&self) -> Option<(Addr, Instr)> {
-        self.scan(self.hi().saturating_sub(1), self.hi()).next()
+        self.scan(self.hi().saturating_sub(1), self.hi())
+            .map(decode)
+            .next()
     }
+}
+
+/// An occupied slot's instruction, decoded, with its address.
+fn decode((addr, slot): (Addr, &Slot)) -> (Addr, Instr) {
+    (addr, slot.instr())
 }
 
 impl fmt::Debug for InstrStore {

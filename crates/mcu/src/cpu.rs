@@ -1,10 +1,12 @@
 //! The CPU core: registers, flags, and the execute loop.
 //!
-//! The CPU executes decoded [`Instr`](crate::isa::Instr)s fetched from the device's instruction
-//! store, performing every data access and instruction-fetch permission check
-//! through the [`Bus`] (and therefore through the MPU).  Execution stops at
-//! system calls, software faults, MPU violations, handler returns, or an
-//! explicit halt, handing control back to the embedding code (`amulet-os`).
+//! The CPU executes decoded instructions fetched from the device's
+//! instruction store (in the execute form [`crate::code`] resolves at
+//! insert), performing every data access and instruction-fetch permission
+//! check through the [`Bus`] (and therefore through the MPU).  Execution
+//! stops at system calls, software faults, MPU violations, handler
+//! returns, or an explicit halt, handing control back to the embedding
+//! code (`amulet-os`).
 
 use crate::bus::{Bus, BusFault, BusFaultCause};
 use crate::code::{InstrStore, Op, Slot};
@@ -311,23 +313,24 @@ impl Cpu {
     /// store's span is unwrapped into its first word and slot slice.  The
     /// program counter, the remaining step budget and the cycle and
     /// data-access counters live in locals; the PC reaches the register
-    /// file only at block exit (and for the rare instruction naming it as
-    /// an operand: `Op::Arch` in [`crate::code`]).  Each fetch is one attribute-byte
-    /// load for the permission check plus one indexed slot load: a PC
-    /// outside the span and an empty slot inside it take the same
-    /// illegal-instruction path (so an empty store faults on its first
-    /// fetch), and every data access is one attribute-byte load.  Operand
-    /// shapes were resolved when the instruction was inserted (see
-    /// [`crate::code`]), so dispatch is one `match` on the slot's op.
-    /// Retired instructions and execute checks are derived from the steps
-    /// taken, since only the step that stops a block on its fetch retires
-    /// nothing (and only an odd PC counts no check).  All counters are
-    /// flushed once at block exit, and so are the benchmark timer's ticks:
-    /// it is caught up before any access that could reach its registers,
-    /// so its memory-mapped counter stays exact even for firmware that
-    /// reads it mid-block.  Returns `None`
-    /// when the step budget ran out, otherwise the stopping event, along
-    /// with the number of steps consumed.
+    /// file only at block exit, and for the rare instruction naming it as
+    /// an operand (`Op::Arch` in [`crate::code`]).
+    ///
+    /// Each fetch is one attribute-byte load, whose execute bit also
+    /// proves the PC even, plus one indexed slot load: a PC outside the
+    /// span and an empty slot inside it take the same illegal-instruction
+    /// path (so an empty store faults on its first fetch), and every data
+    /// access is one attribute-byte load.  Operand shapes were resolved
+    /// when the instruction was inserted, so dispatch is one `match` on the
+    /// slot's op, whose arms know their own sizes.  Retired instructions
+    /// and execute checks are derived from the steps taken, since only the
+    /// step that stops a block on its fetch retires nothing (and only an
+    /// odd PC counts no check).  All counters are flushed once at block
+    /// exit, and so are the benchmark timer's ticks: the timer is caught up
+    /// before any access that could reach its registers, so its
+    /// memory-mapped counter stays exact for firmware that reads it
+    /// mid-block.  Returns `None` when the step budget ran out, otherwise
+    /// the stopping event, along with the number of steps consumed.
     pub fn run_block(
         &mut self,
         bus: &mut Bus,

@@ -158,7 +158,7 @@ impl std::error::Error for FirmwareError {}
 impl Firmware {
     /// Total encoded size of all instructions, in bytes.
     pub fn code_size_bytes(&self) -> u32 {
-        self.code.iter().map(|(_, i)| i.size_bytes()).sum()
+        self.code.sizes(0..0x1_0000).map(|(_, size)| size).sum()
     }
 
     /// Number of instructions in the image.
@@ -187,7 +187,7 @@ impl Firmware {
     pub fn validate(&self) -> Result<(), FirmwareError> {
         // Instructions must not overlap.
         let mut prev: Option<(Addr, u32)> = None;
-        for (addr, instr) in self.code.iter() {
+        for (addr, size) in self.code.sizes(0..0x1_0000) {
             if let Some((paddr, psize)) = prev {
                 if paddr + psize > addr {
                     return Err(FirmwareError::OverlappingInstructions {
@@ -196,16 +196,16 @@ impl Firmware {
                     });
                 }
             }
-            prev = Some((addr, instr.size_bytes()));
+            prev = Some((addr, size));
         }
         // App code must stay inside each app's code region, and handlers must
         // point at real instructions.
         for app in &self.apps {
-            for (addr, instr) in self
+            for (addr, size) in self
                 .code
-                .range(app.placement.code.start..app.placement.code.end)
+                .sizes(app.placement.code.start..app.placement.code.end)
             {
-                if addr + instr.size_bytes() > app.placement.code.end {
+                if addr + size > app.placement.code.end {
                     return Err(FirmwareError::CodeOutOfBounds {
                         app: app.name.clone(),
                         addr,
@@ -235,8 +235,8 @@ impl Firmware {
             }
             // Instructions are at most 4 bytes, so only those starting just
             // below the segment can reach into it — scan that window alone.
-            for (addr, instr) in self.code.range(r.start.saturating_sub(3)..r.end) {
-                let ir = AddrRange::from_len(addr, instr.size_bytes());
+            for (addr, size) in self.code.sizes(r.start.saturating_sub(3)..r.end) {
+                let ir = AddrRange::from_len(addr, size);
                 if r.overlaps(&ir) {
                     return Err(FirmwareError::DataOverlap {
                         addr: ir.start.max(r.start),

@@ -35,10 +35,6 @@ fn build(pairs: &[(u32, Instr)]) -> InstrStore {
     pairs.iter().map(|&(slot, i)| (slot << 1, i)).collect()
 }
 
-fn collect(it: impl Iterator<Item = (Addr, Instr)>) -> Vec<(Addr, Instr)> {
-    it.collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -65,7 +61,7 @@ proptest! {
         }
         let oracle: Vec<(Addr, Instr)> = model.into_iter().collect();
 
-        prop_assert_eq!(collect(store.iter()), oracle.clone());
+        prop_assert_eq!(store.iter().collect::<Vec<_>>(), oracle.clone());
         prop_assert_eq!(store.len(), oracle.len());
         prop_assert_eq!(store.is_empty(), oracle.is_empty());
         prop_assert_eq!(store.first(), oracle.first().copied());
@@ -81,7 +77,7 @@ proptest! {
                 .copied()
                 .collect();
             prop_assert_eq!(
-                collect(store.range(start..end)),
+                store.range(start..end).collect::<Vec<_>>(),
                 expected,
                 "range {:#x}..{:#x}",
                 start,
