@@ -870,32 +870,21 @@ impl Bus {
     /// enforcing region and MPU rules.
     pub fn read(&mut self, addr: Addr, size: u32) -> Result<u16, BusFault> {
         self.sync_attr_table();
-        self.read_checked(addr, size, addr <= 0xFFFF, 0)
+        self.read_checked(addr, size, addr <= 0xFFFF)
     }
 
     /// The execute loop's data read: [`Bus::read`] without the sync step
     /// (the block entry synced, and only this bus's own paths change the
-    /// MPU state mid-block).  `now` is the block's cycle count through the
-    /// previous instruction: an access the attribute table cannot serve (a
-    /// timer register among them) first catches the timer up to it (see
-    /// [`Timer::catch_up`]).
+    /// MPU state mid-block).
     #[inline(always)]
-    pub(crate) fn load(&mut self, addr: u16, size: u32, now: u64) -> Result<u16, BusFault> {
-        self.read_checked(Addr::from(addr), size, true, now)
+    pub(crate) fn load(&mut self, addr: u16, size: u32) -> Result<u16, BusFault> {
+        self.read_checked(Addr::from(addr), size, true)
     }
 
     /// The read path behind [`Bus::read`] and [`Bus::load`]; `in_table`
-    /// says whether `addr` lies inside the 64 KiB attribute table.  The
-    /// public paths run outside any execute block, where a `now` of 0
-    /// makes the timer catch-up a no-op.
+    /// says whether `addr` lies inside the 64 KiB attribute table.
     #[inline(always)]
-    fn read_checked(
-        &mut self,
-        addr: Addr,
-        size: u32,
-        in_table: bool,
-        now: u64,
-    ) -> Result<u16, BusFault> {
+    fn read_checked(&mut self, addr: Addr, size: u32, in_table: bool) -> Result<u16, BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -908,7 +897,6 @@ impl Bus {
         if in_table && self.attr(addr) & ATTR_R != 0 {
             return Ok(self.read_raw(addr, size));
         }
-        self.timer.catch_up(now);
         self.read_slow(addr, size)
     }
 
@@ -947,26 +935,17 @@ impl Bus {
     /// rules.
     pub fn write(&mut self, addr: Addr, size: u32, value: u16) -> Result<(), BusFault> {
         self.sync_attr_table();
-        self.write_checked(addr, size, value, addr <= 0xFFFF, 0)
+        self.write_checked(addr, size, value, addr <= 0xFFFF)
     }
 
     /// The execute loop's data write: [`Bus::write`] without the sync
     /// step.  A store that reprograms the MPU re-resolves the table itself.
-    /// `now` catches the timer up before the slow path, as for
-    /// [`Bus::load`].
     #[inline(always)]
-    pub(crate) fn store(
-        &mut self,
-        addr: u16,
-        size: u32,
-        value: u16,
-        now: u64,
-    ) -> Result<(), BusFault> {
-        self.write_checked(Addr::from(addr), size, value, true, now)
+    pub(crate) fn store(&mut self, addr: u16, size: u32, value: u16) -> Result<(), BusFault> {
+        self.write_checked(Addr::from(addr), size, value, true)
     }
 
-    /// The write path behind [`Bus::write`] and [`Bus::store`] (`now` as
-    /// for [`Bus::read_checked`]).
+    /// The write path behind [`Bus::write`] and [`Bus::store`].
     #[inline(always)]
     fn write_checked(
         &mut self,
@@ -974,7 +953,6 @@ impl Bus {
         size: u32,
         value: u16,
         in_table: bool,
-        now: u64,
     ) -> Result<(), BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
@@ -995,7 +973,6 @@ impl Bus {
                 return Ok(());
             }
         }
-        self.timer.catch_up(now);
         self.write_slow(addr, size, value)
     }
 

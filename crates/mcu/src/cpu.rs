@@ -266,15 +266,15 @@ impl Cpu {
     // does not inflate the ARP's "memory access" count.  Both helpers use
     // the bus's execute-loop entry points, which trust the attribute table
     // `run_block` synced at entry.
-    fn push(&mut self, bus: &mut Bus, value: u16, now: u64) -> Result<(), BusFault> {
+    fn push(&mut self, bus: &mut Bus, value: u16) -> Result<(), BusFault> {
         let sp = self.regs[Reg::SP.index()].wrapping_sub(2);
         self.regs[Reg::SP.index()] = sp;
-        bus.store(sp, Width::Word.bytes(), value, now)
+        bus.store(sp, Width::Word.bytes(), value)
     }
 
-    fn pop(&mut self, bus: &mut Bus, now: u64) -> Result<u16, BusFault> {
+    fn pop(&mut self, bus: &mut Bus) -> Result<u16, BusFault> {
         let sp = self.regs[Reg::SP.index()];
-        let v = bus.load(sp, Width::Word.bytes(), now)?;
+        let v = bus.load(sp, Width::Word.bytes())?;
         self.regs[Reg::SP.index()] = sp.wrapping_add(2);
         Ok(v)
     }
@@ -326,11 +326,11 @@ impl Cpu {
     /// and execute checks are derived from the steps taken, since only the
     /// step that stops a block on its fetch retires nothing (and only an
     /// odd PC counts no check).  All counters are flushed once at block
-    /// exit, and so are the benchmark timer's ticks: the timer is caught up
-    /// before any access that could reach its registers, so its
-    /// memory-mapped counter stays exact for firmware that reads it
-    /// mid-block.  Returns `None` when the step budget ran out, otherwise
-    /// the stopping event, along with the number of steps consumed.
+    /// exit.  The benchmark timer still advances with every executed
+    /// instruction, so its memory-mapped counter stays exact for firmware
+    /// that reads it mid-block.  Returns `None` when the step budget ran
+    /// out, otherwise the stopping event, along with the number of steps
+    /// consumed.
     pub fn run_block(
         &mut self,
         bus: &mut Bus,
@@ -365,17 +365,20 @@ impl Cpu {
                 break Some(self.illegal_fetch(pc));
             };
             // Every cycle an instruction consumes is its `base_cycles`
-            // (dispatch arms never charge more).  The timer is ticked once,
-            // at block exit, and caught up to `now` before any access the
-            // attribute table cannot serve, so an instruction reading the
-            // memory-mapped counter sees every tick through the *previous*
-            // instruction, exactly as per-instruction ticking would.
-            let now = cycles;
-            cycles += slot.meta.base_cycles();
-            match self.exec(bus, slot, pc, now, &mut data_accesses) {
-                Flow::Next(next) => pc = next,
+            // (dispatch arms never charge more), so ticking the timer after
+            // dispatch reproduces per-step ticking exactly: an instruction
+            // reading the memory-mapped counter sees all ticks through the
+            // *previous* instruction.
+            let base = slot.meta.base_cycles();
+            cycles += base;
+            match self.exec(bus, slot, pc, &mut data_accesses) {
+                Flow::Next(next) => {
+                    pc = next;
+                    bus.timer.tick(base);
+                }
                 Flow::Stop(ev, at) => {
                     pc = at;
+                    bus.timer.tick(base);
                     break Some(ev);
                 }
                 Flow::Hole => {
@@ -385,7 +388,6 @@ impl Cpu {
             }
         };
         self.regs[Reg::PC.index()] = pc;
-        bus.timer.end_block(cycles);
         let steps = max_steps - left;
         self.stats.instructions += steps - unretired;
         self.cycles += cycles;
@@ -404,12 +406,11 @@ impl Cpu {
     /// slot's [`InstrMeta`]).  Each arm that touches data memory counts
     /// itself in `data` before its access, so a faulting access counts too
     /// and the return-address traffic of calls and returns does not (the
-    /// ARP's "memory access" count).  `now` is the block's cycle count
-    /// through the previous instruction, for the timer (see `Bus::load`).
+    /// ARP's "memory access" count).
     ///
     /// [`InstrMeta`]: crate::code::InstrMeta
     #[inline(always)]
-    fn exec(&mut self, bus: &mut Bus, slot: &Slot, pc: u16, now: u64, data: &mut u64) -> Flow {
+    fn exec(&mut self, bus: &mut Bus, slot: &Slot, pc: u16, data: &mut u64) -> Flow {
         let a = usize::from(slot.a) & (FILE - 1);
         let b = usize::from(slot.b) & (FILE - 1);
         let imm = slot.imm;
@@ -436,13 +437,13 @@ impl Cpu {
         }
         macro_rules! load {
             ($addr:expr, $width:expr) => {{
-                self.regs[a] = data!(bus.load($addr, $width, now));
+                self.regs[a] = data!(bus.load($addr, $width));
                 w2
             }};
         }
         macro_rules! store {
             ($addr:expr, $width:expr) => {{
-                data!(bus.store($addr, $width, self.regs[a], now));
+                data!(bus.store($addr, $width, self.regs[a]));
                 w2
             }};
         }
@@ -472,7 +473,7 @@ impl Cpu {
 
         let next = match slot.op {
             Op::Empty => return Flow::Hole,
-            Op::Arch => return self.exec_arch(bus, slot, pc, now),
+            Op::Arch => return self.exec_arch(bus, slot, pc),
             Op::MovImm => {
                 self.regs[a] = imm;
                 w2
@@ -490,11 +491,11 @@ impl Cpu {
             Op::StoreAbsB => store!(imm, byte),
             Op::StoreAbsW => store!(imm, word),
             Op::Push => {
-                data!(self.push(bus, self.regs[a], now));
+                data!(self.push(bus, self.regs[a]));
                 w1
             }
             Op::Pop => {
-                self.regs[a] = data!(self.pop(bus, now));
+                self.regs[a] = data!(self.pop(bus));
                 w1
             }
             Op::Add => alu!(AluOp::Add, self.regs[b], w1),
@@ -545,16 +546,16 @@ impl Cpu {
                 return Flow::Next(target);
             }
             Op::Call => {
-                mem!(self.push(bus, w2, now));
+                mem!(self.push(bus, w2));
                 return Flow::Next(imm);
             }
             Op::CallReg => {
                 let target = self.regs[a];
-                mem!(self.push(bus, w1, now));
+                mem!(self.push(bus, w1));
                 return Flow::Next(target);
             }
             Op::Ret => {
-                let ra = mem!(self.pop(bus, now));
+                let ra = mem!(self.pop(bus));
                 if Addr::from(ra) == HANDLER_RETURN {
                     return Flow::Stop(StepEvent::HandlerDone, w1);
                 }
@@ -599,7 +600,7 @@ impl Cpu {
     /// the loop continues from the PC the op returns.
     #[cold]
     #[inline(never)]
-    fn exec_arch(&mut self, bus: &mut Bus, slot: &Slot, pc: u16, now: u64) -> Flow {
+    fn exec_arch(&mut self, bus: &mut Bus, slot: &Slot, pc: u16) -> Flow {
         let view = |r: u8| {
             if Reg(r) == Reg::SR {
                 SR_VIEW as u8
@@ -616,7 +617,7 @@ impl Cpu {
         self.regs[Reg::PC.index()] = pc;
         self.regs[SR_VIEW] = self.status_word();
         let mut data = 0;
-        let flow = self.exec(bus, &plain, pc, now, &mut data);
+        let flow = self.exec(bus, &plain, pc, &mut data);
         self.stats.data_accesses += data;
         if usize::from(plain.a) == SR_VIEW && slot.kind.writes_a() {
             self.set_status_word(self.regs[SR_VIEW]);
@@ -846,7 +847,7 @@ mod tests {
         let mut bus = Bus::msp430fr5969();
         cpu.set_sp(0x2400);
         // Simulate the OS pushing the magic return address before the call.
-        cpu.push(&mut bus, HANDLER_RETURN as u16, 0).unwrap();
+        cpu.push(&mut bus, HANDLER_RETURN as u16).unwrap();
         cpu.set_pc(base);
         assert_eq!(cpu.step(&mut bus, &code), StepEvent::HandlerDone);
     }

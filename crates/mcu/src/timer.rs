@@ -23,11 +23,6 @@ pub struct Timer {
     cycles: u64,
     /// Whether the timer is running.
     pub running: bool,
-    /// How many of the running execute block's cycles the counter has
-    /// seen (`0` outside a block): the CPU ticks the timer once per block
-    /// and catches it up before any access that could reach a timer
-    /// register.
-    block_seen: u64,
 }
 
 impl Timer {
@@ -36,7 +31,6 @@ impl Timer {
         Timer {
             cycles: 0,
             running: false,
-            block_seen: 0,
         }
     }
 
@@ -45,27 +39,6 @@ impl Timer {
         if self.running {
             self.cycles = self.cycles.wrapping_add(cycles);
         }
-    }
-
-    /// Brings the counter up to `now`, the running execute block's cycle
-    /// count so far: the block's cycles since the last catch-up tick it
-    /// (when running).  Idempotent for one `now`, so catching up before
-    /// every slow-path access keeps a mid-block read exact: it sees every
-    /// cycle through the previous instruction, as per-instruction ticking
-    /// would, and a control write starts, stops or clears the count from
-    /// there.
-    #[inline]
-    pub(crate) fn catch_up(&mut self, now: u64) {
-        self.tick(now - self.block_seen);
-        self.block_seen = now;
-    }
-
-    /// Ends an execute block of `total` cycles: catches up with them and
-    /// clears the block mark.
-    #[inline]
-    pub(crate) fn end_block(&mut self, total: u64) {
-        self.catch_up(total);
-        self.block_seen = 0;
     }
 
     /// Starts (or resumes) the timer.
