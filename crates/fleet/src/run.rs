@@ -773,7 +773,11 @@ mod tests {
             bus.dump_bytes(amulet_core::addr::AddrRange::new(0, 0x1_0000)),
             format!(
                 "{:?} {:?} {:?} {:?} {:?}",
-                bus.mpu, bus.region_mpu, bus.pmp, bus.timer, os.device.cpu
+                bus.mpu(),
+                bus.region_mpu(),
+                bus.pmp(),
+                bus.timer,
+                os.device.cpu
             ),
         )
     }

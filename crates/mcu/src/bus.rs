@@ -31,19 +31,17 @@
 //! each new configuration repaints the least recently used inactive table
 //! in place.
 //!
-//! The table is resolved when the configuration **changes**, not when it
-//! is used.  [`Bus::new`], [`Bus::reset`], [`Bus::install_mpu_config`]
-//! and every MPU register store that reaches the peripheral dispatch
-//! re-point the bus before they return.  The one change the bus cannot
-//! see happens between execute blocks: a direct backend call
-//! (`bus.mpu.write_register`, `bus.region_mpu.apply_config`).  It is
-//! caught by one sync step — compare the backends' `config_writes`
-//! counters with the epoch of the last resolve — that every public access
-//! method and every [`crate::cpu::Cpu::run_block`] entry runs.  Inside a
-//! block the CPU calls crate-private entry points that trust the synced
-//! table, so each fetch and data access is one indexed byte load.  The
-//! memo survives [`Bus::reset`], which is what lets the fleet simulator
-//! reuse attribute tables across devices and firmware images.
+//! The bus owns the MPU backends: the only ways to change their state are
+//! a register store through [`Bus::write`] (which reaches the peripheral
+//! dispatch, on hardware and here alike) and the OS's
+//! [`Bus::install_mpu_config`]; [`Bus::mpu`], [`Bus::region_mpu`] and
+//! [`Bus::pmp`] are read-only.  So the table is resolved when the
+//! configuration **changes**, not when it is used: [`Bus::new`],
+//! [`Bus::reset`], [`Bus::install_mpu_config`] and every MPU register
+//! store re-point the bus before they return, and each fetch and data
+//! access is one indexed byte load.  The memo survives [`Bus::reset`],
+//! which is what lets the fleet simulator reuse attribute tables across
+//! devices and firmware images.
 
 use crate::mpu::{Mpu, MpuRegisterError, PmpMpu, RegionMpu};
 use crate::timer::Timer;
@@ -259,20 +257,14 @@ pub struct Bus {
     /// bounds checks on the hot path.
     mem: Box<[u8; 0x1_0000]>,
     /// The FR5969-style segmented MPU (the active backend on segmented
-    /// platforms).  Configure it through [`Mpu::write_register`] or
-    /// [`Bus::install_mpu_config`] — direct field assignment bypasses the
-    /// `config_writes` epoch and leaves the access-attribute cache stale
-    /// (debug builds assert against this on every access).  A direct
-    /// `write_register` call is seen at the next public access or
-    /// execute-block entry.
-    pub mpu: Mpu,
+    /// platforms).
+    mpu: Mpu,
     /// The Tock/Cortex-M-style region MPU (the active backend on
-    /// aligned-region platforms).  Same configuration rule as [`Bus::mpu`]:
-    /// go through the register interface, not direct field writes.
-    pub region_mpu: RegionMpu,
+    /// aligned-region platforms).
+    region_mpu: RegionMpu,
     /// The RISC-V-PMP-style NAPOT backend (the active backend on NAPOT
-    /// platforms).  Same configuration rule as [`Bus::mpu`].
-    pub pmp: PmpMpu,
+    /// platforms).
+    pmp: PmpMpu,
     /// Which backend the platform's MPU model selects.
     backend: MpuBackendKind,
     /// The benchmark timer.
@@ -294,15 +286,11 @@ pub struct Bus {
     /// Tables painted and evicted over the bus's life.
     attr_paints: u64,
     attr_evictions: u64,
-    /// The backends' summed `config_writes` at the last resolve.  The
-    /// counters only grow between resets, so a direct backend register
-    /// write moves the sum; the sync step compares it.
-    attr_epoch: u64,
-    /// Every attribute byte is ANDed with this mask: all ones when the
-    /// cache is on, zero when [`Bus::set_attr_cache_enabled`] turned it off
-    /// — a zero attribute proves nothing, so every access takes the oracle
+    /// Whether the cache is on.  While it is off
+    /// ([`Bus::set_attr_cache_enabled`]) every table is painted all zero —
+    /// a zero attribute proves nothing, so every access takes the oracle
     /// path.
-    attr_mask: u8,
+    attr_cache: bool,
 }
 
 impl fmt::Debug for Bus {
@@ -331,6 +319,7 @@ impl Bus {
             &region_mpu,
             &pmp,
             &key,
+            true,
         );
         Bus {
             platform,
@@ -351,8 +340,7 @@ impl Bus {
             attr_clock: 0,
             attr_paints: 1,
             attr_evictions: 0,
-            attr_epoch: 0,
-            attr_mask: u8::MAX,
+            attr_cache: true,
         }
     }
 
@@ -446,17 +434,55 @@ impl Bus {
     }
 
     /// Turns the access-attribute cache on or off.  With the cache off,
-    /// every access runs the original region-cascade + MPU-backend path;
-    /// behaviour and [`BusStats`] must be identical either way (the
-    /// equivalence is property-tested), so this exists only for those
-    /// tests.
+    /// every table is painted all zero, so every access runs the original
+    /// region-cascade + MPU-backend path; behaviour and [`BusStats`] must
+    /// be identical either way (the equivalence is property-tested), so
+    /// this exists only for those tests.  A switch drops the memo to the
+    /// active table, repainted under the new setting.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
-        self.attr_mask = if enabled { u8::MAX } else { 0 };
+        if enabled == self.attr_cache {
+            return;
+        }
+        self.attr_cache = enabled;
+        let mut active = self.attr_slots.swap_remove(self.attr_slot);
+        active.last_used = self.attr_clock;
+        self.attr_slots = vec![active];
+        self.attr_slot = 0;
+        self.attr_paints += 1;
+        Self::paint_attr_table(
+            &mut self.attr_active,
+            &self.platform,
+            self.backend,
+            &self.region_mpu,
+            &self.pmp,
+            &self.attr_slots[0].key,
+            enabled,
+        );
     }
 
     /// The platform this bus models.
     pub fn platform(&self) -> &PlatformSpec {
         &self.platform
+    }
+
+    /// The FR5969-style segmented MPU (the active backend on segmented
+    /// platforms).  Program it through [`Bus::write`] to its registers or
+    /// [`Bus::install_mpu_config`].
+    pub fn mpu(&self) -> &Mpu {
+        &self.mpu
+    }
+
+    /// The Tock/Cortex-M-style region MPU (the active backend on
+    /// aligned-region platforms).  Its register block is privileged: only
+    /// [`Bus::install_mpu_config`] programs it.
+    pub fn region_mpu(&self) -> &RegionMpu {
+        &self.region_mpu
+    }
+
+    /// The RISC-V-PMP-style NAPOT backend (the active backend on NAPOT
+    /// platforms).  Privileged like [`Bus::region_mpu`].
+    pub fn pmp(&self) -> &PmpMpu {
+        &self.pmp
     }
 
     /// Decodes an address into its architectural region.
@@ -553,49 +579,26 @@ impl Bus {
         }
     }
 
-    /// The backends' summed register-write counters: moves whenever any
-    /// backend is reprogrammed.
-    fn mpu_epoch(&self) -> u64 {
-        self.mpu.config_writes + self.region_mpu.config_writes + self.pmp.config_writes
-    }
-
-    /// Re-resolves the attribute table if a backend was reprogrammed
-    /// through its own `write_register`/`apply_config` since the last
-    /// resolve.  Every public access method runs it, and so does every
-    /// [`crate::cpu::Cpu::run_block`] entry.
-    #[inline(always)]
-    pub(crate) fn sync_attr_table(&mut self) {
-        if self.attr_epoch != self.mpu_epoch() {
-            self.resolve_attr_table();
-        }
-    }
-
     /// The attribute byte for `addr` (masked to 16 bits) under the
-    /// installed MPU configuration, ANDed with the cache mask.  Hot path:
-    /// one indexed byte load.  Callers run [`Bus::sync_attr_table`] first
-    /// (or are inside an execute block, which did).
+    /// installed MPU configuration.  Hot path: one indexed byte load.
     #[inline(always)]
     fn attr(&self, addr: Addr) -> u8 {
-        // Mutating the pub MPU backend fields directly (bypassing
-        // `write_register` / `install_mpu_config`) would leave a stale
-        // table, and so would an access that skipped the sync step.  No
-        // in-tree code does either; debug builds verify both on every
-        // access.
+        // Every path that changes MPU state re-resolves the table before
+        // it returns; debug builds verify that on every access.
         debug_assert!(
             self.installed_matches(&self.attr_slots[self.attr_slot].key),
-            "MPU state was mutated without a register write; the \
-             attribute cache is stale (configure the MPU through \
-             write_register/install_mpu_config)"
+            "MPU state changed without re-resolving the attribute table \
+             (configure the MPU through Bus::write to its registers or \
+             Bus::install_mpu_config)"
         );
-        self.attr_active[(addr & 0xFFFF) as usize] & self.attr_mask
+        self.attr_active[(addr & 0xFFFF) as usize]
     }
 
     /// Points the bus at the table matching the installed MPU
     /// configuration, searching the memo and painting the table on first
-    /// sight, and recomputes the epoch.
+    /// sight.
     #[cold]
     fn resolve_attr_table(&mut self) {
-        self.attr_epoch = self.mpu_epoch();
         if self.installed_matches(&self.attr_slots[self.attr_slot].key) {
             return;
         }
@@ -657,6 +660,7 @@ impl Bus {
             &self.region_mpu,
             &self.pmp,
             &key,
+            self.attr_cache,
         );
         let entry = &mut self.attr_slots[slot];
         entry.key = key;
@@ -673,17 +677,19 @@ impl Bus {
         }
     }
 
-    /// The active attribute table: one byte per address, independent of
-    /// [`Bus::set_attr_cache_enabled`].  For tests that compare tables.
+    /// The active attribute table: one byte per address, all zero while
+    /// [`Bus::set_attr_cache_enabled`] has the cache off.  For tests that
+    /// compare tables.
     pub fn attr_table(&self) -> &[u8; 0x1_0000] {
         &self.attr_active
     }
 
     /// Paints the 64 KiB attribute table for the MPU state `key` over
-    /// `attrs` by interval painting (no per-address backend calls).  A
-    /// pure function of the platform (which also fixes each backend's
-    /// jurisdiction — the only thing read from `region_mpu` and `pmp`) and
-    /// the key, which is what makes the memo sound.
+    /// `attrs` by interval painting (no per-address backend calls), or all
+    /// zero when `cache` is off.  A pure function of the platform (which
+    /// also fixes each backend's jurisdiction — the only thing read from
+    /// `region_mpu` and `pmp`), the key and `cache`, which is what makes
+    /// the memo sound.
     ///
     /// Ranges are painted in reverse priority order of [`Bus::region`]'s
     /// decode cascade, so where ranges overlap the highest-priority
@@ -699,9 +705,13 @@ impl Bus {
         region_mpu: &RegionMpu,
         pmp: &PmpMpu,
         key: &MpuFingerprint,
+        cache: bool,
     ) {
         // Base: unmapped — nothing is a plain permitted access.
         attrs.fill(0);
+        if !cache {
+            return;
+        }
         paint(
             &mut attrs[..],
             p.interrupt_vectors,
@@ -867,24 +877,10 @@ impl Bus {
     }
 
     /// Reads `size` bytes (1 or 2) at `addr` as a little-endian value,
-    /// enforcing region and MPU rules.
+    /// enforcing region and MPU rules.  Inlined so that the execute loop,
+    /// whose addresses are 16-bit, drops the table-range test.
+    #[inline(always)]
     pub fn read(&mut self, addr: Addr, size: u32) -> Result<u16, BusFault> {
-        self.sync_attr_table();
-        self.read_checked(addr, size, addr <= 0xFFFF)
-    }
-
-    /// The execute loop's data read: [`Bus::read`] without the sync step
-    /// (the block entry synced, and only this bus's own paths change the
-    /// MPU state mid-block).
-    #[inline(always)]
-    pub(crate) fn load(&mut self, addr: u16, size: u32) -> Result<u16, BusFault> {
-        self.read_checked(Addr::from(addr), size, true)
-    }
-
-    /// The read path behind [`Bus::read`] and [`Bus::load`]; `in_table`
-    /// says whether `addr` lies inside the 64 KiB attribute table.
-    #[inline(always)]
-    fn read_checked(&mut self, addr: Addr, size: u32, in_table: bool) -> Result<u16, BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -894,7 +890,7 @@ impl Bus {
             });
         }
         self.stats.reads += 1;
-        if in_table && self.attr(addr) & ATTR_R != 0 {
+        if addr <= 0xFFFF && self.attr(addr) & ATTR_R != 0 {
             return Ok(self.read_raw(addr, size));
         }
         self.read_slow(addr, size)
@@ -932,28 +928,10 @@ impl Bus {
     }
 
     /// Writes `size` bytes (1 or 2) at `addr`, enforcing region and MPU
-    /// rules.
+    /// rules.  A store to an MPU register re-resolves the attribute table
+    /// before it returns.  Inlined like [`Bus::read`].
+    #[inline(always)]
     pub fn write(&mut self, addr: Addr, size: u32, value: u16) -> Result<(), BusFault> {
-        self.sync_attr_table();
-        self.write_checked(addr, size, value, addr <= 0xFFFF)
-    }
-
-    /// The execute loop's data write: [`Bus::write`] without the sync
-    /// step.  A store that reprograms the MPU re-resolves the table itself.
-    #[inline(always)]
-    pub(crate) fn store(&mut self, addr: u16, size: u32, value: u16) -> Result<(), BusFault> {
-        self.write_checked(Addr::from(addr), size, value, true)
-    }
-
-    /// The write path behind [`Bus::write`] and [`Bus::store`].
-    #[inline(always)]
-    fn write_checked(
-        &mut self,
-        addr: Addr,
-        size: u32,
-        value: u16,
-        in_table: bool,
-    ) -> Result<(), BusFault> {
         debug_assert!(size == 1 || size == 2);
         if size == 2 && !addr.is_multiple_of(2) {
             return Err(BusFault {
@@ -963,7 +941,7 @@ impl Bus {
             });
         }
         self.stats.writes += 1;
-        if in_table {
+        if addr <= 0xFFFF {
             let a = self.attr(addr);
             if a & ATTR_W != 0 {
                 if a & ATTR_FRAM_WRITE != 0 {
@@ -1034,26 +1012,17 @@ impl Bus {
     /// rule [`Bus::read`] and [`Bus::write`] enforce — and is not counted
     /// in [`BusStats::exec_checks`].
     pub fn check_execute(&mut self, addr: Addr) -> Result<(), BusFault> {
-        self.sync_attr_table();
         self.stats.exec_checks += u64::from(addr.is_multiple_of(2));
-        self.execute_checked(addr, addr <= 0xFFFF)
+        self.check_fetch(addr)
     }
 
-    /// The execute loop's fetch check: [`Bus::check_execute`] without the
-    /// sync step and without counting — the loop counts execute checks in
-    /// a block-local and flushes them into [`BusStats::exec_checks`] at
-    /// block exit.
+    /// The execute loop's fetch check: [`Bus::check_execute`] without
+    /// counting — the loop counts execute checks in a block-local and
+    /// flushes them into [`BusStats::exec_checks`] at block exit.
     #[inline(always)]
-    pub(crate) fn check_fetch(&mut self, pc: u16) -> Result<(), BusFault> {
-        self.execute_checked(Addr::from(pc), true)
-    }
-
-    /// The fetch-permission path behind [`Bus::check_execute`] and
-    /// [`Bus::check_fetch`].
-    #[inline(always)]
-    fn execute_checked(&mut self, addr: Addr, in_table: bool) -> Result<(), BusFault> {
+    pub(crate) fn check_fetch(&mut self, addr: Addr) -> Result<(), BusFault> {
         // The table grants X at even addresses only, so a hit is aligned.
-        if in_table && self.attr(addr) & ATTR_X != 0 {
+        if addr <= 0xFFFF && self.attr(addr) & ATTR_X != 0 {
             return Ok(());
         }
         if !addr.is_multiple_of(2) {
@@ -1261,9 +1230,9 @@ mod tests {
         b.write(MPUSEGB2, 2, 0x800).unwrap();
         b.write(MPUSAM, 2, 0x0124).unwrap();
         b.write(MPUCTL0, 2, 0xA501).unwrap();
-        assert!(b.mpu.enabled);
-        assert_eq!(b.mpu.boundary1, 0x6000);
-        assert_eq!(b.mpu.boundary2, 0x8000);
+        assert!(b.mpu().enabled);
+        assert_eq!(b.mpu().boundary1, 0x6000);
+        assert_eq!(b.mpu().boundary2, 0x8000);
         // Bad password surfaces as a protocol fault.
         let err = b.write(MPUCTL0, 2, 0x0001).unwrap_err();
         assert!(matches!(err.cause, BusFaultCause::MpuRegisterProtocol(_)));
@@ -1338,6 +1307,40 @@ mod tests {
             (outcomes, b.stats)
         };
         assert_eq!(drive(true), drive(false));
+    }
+
+    #[test]
+    fn switching_the_cache_repaints_the_active_table() {
+        let configure = |b: &mut Bus| {
+            b.write(MPUSEGB1, 2, 0x600).unwrap();
+            b.write(MPUSEGB2, 2, 0x800).unwrap();
+            b.write(MPUSAM, 2, 0x0034).unwrap();
+            b.write(MPUCTL0, 2, 0xA501).unwrap();
+        };
+        let traffic = |b: &mut Bus| {
+            (
+                b.write(0x7000, 2, 7),
+                b.read(0x7000, 2),
+                b.write(0x5000, 2, 1),
+                b.check_execute(0x5000),
+                b.check_execute(0x9000),
+            )
+        };
+        let mut never = bus();
+        configure(&mut never);
+        let mut switched = bus();
+        configure(&mut switched);
+        switched.set_attr_cache_enabled(false);
+        assert!(switched.attr_table().iter().all(|&a| a == 0));
+        assert_eq!(switched.attr_memo_stats().tables, 1);
+        let off = traffic(&mut switched);
+        switched.set_attr_cache_enabled(true);
+        assert_eq!(switched.attr_table(), never.attr_table());
+        assert_eq!(switched.attr_memo_stats().tables, 1);
+        let on = traffic(&mut switched);
+        let reference = (traffic(&mut never), traffic(&mut never));
+        assert_eq!((off, on), reference);
+        assert_eq!(switched.stats, never.stats);
     }
 
     #[test]

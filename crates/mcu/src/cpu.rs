@@ -263,18 +263,16 @@ impl Cpu {
 
     // Data accesses are counted by the dispatch arms that touch data
     // memory, not in the push/pop helpers, so call/return stack traffic
-    // does not inflate the ARP's "memory access" count.  Both helpers use
-    // the bus's execute-loop entry points, which trust the attribute table
-    // `run_block` synced at entry.
+    // does not inflate the ARP's "memory access" count.
     fn push(&mut self, bus: &mut Bus, value: u16) -> Result<(), BusFault> {
         let sp = self.regs[Reg::SP.index()].wrapping_sub(2);
         self.regs[Reg::SP.index()] = sp;
-        bus.store(sp, Width::Word.bytes(), value)
+        bus.write(Addr::from(sp), Width::Word.bytes(), value)
     }
 
     fn pop(&mut self, bus: &mut Bus) -> Result<u16, BusFault> {
         let sp = self.regs[Reg::SP.index()];
-        let v = bus.load(sp, Width::Word.bytes())?;
+        let v = bus.read(Addr::from(sp), Width::Word.bytes())?;
         self.regs[Reg::SP.index()] = sp.wrapping_add(2);
         Ok(v)
     }
@@ -305,12 +303,10 @@ impl Cpu {
     /// Executes up to `max_steps` instructions as one block — the hot loop
     /// behind [`crate::device::Device::run`].
     ///
-    /// Each step pays only for the instruction it runs.  Everything that
-    /// can be resolved once per block is resolved at entry: the bus syncs
-    /// its access-attribute table with the installed MPU configuration
-    /// (catching direct backend writes made since the last block; MPU
-    /// register stores inside the block re-resolve it themselves), and the
-    /// store's span is unwrapped into its first word and slot slice.  The
+    /// Each step pays only for the instruction it runs.  The bus's
+    /// access-attribute table is always resolved (every MPU register store
+    /// re-resolves it before it returns), and the store's span is
+    /// unwrapped at entry into its first word and slot slice.  The
     /// program counter, the remaining step budget and the cycle and
     /// data-access counters live in locals; the PC reaches the register
     /// file only at block exit, and for the rare instruction naming it as
@@ -337,7 +333,6 @@ impl Cpu {
         code: &InstrStore,
         max_steps: u64,
     ) -> (Option<StepEvent>, u64) {
-        bus.sync_attr_table();
         let (lo, slots) = code.span();
         let mut pc = self.regs[Reg::PC.index()];
         let mut left = max_steps;
@@ -352,7 +347,7 @@ impl Cpu {
                 break None;
             }
             left -= 1;
-            if let Err(fault) = bus.check_fetch(pc) {
+            if let Err(fault) = bus.check_fetch(Addr::from(pc)) {
                 unretired = 1;
                 unchecked = u64::from(pc & 1);
                 break Some(self.bus_fault_to_event(Addr::from(pc), fault));
@@ -437,13 +432,13 @@ impl Cpu {
         }
         macro_rules! load {
             ($addr:expr, $width:expr) => {{
-                self.regs[a] = data!(bus.load($addr, $width));
+                self.regs[a] = data!(bus.read(Addr::from($addr), $width));
                 w2
             }};
         }
         macro_rules! store {
             ($addr:expr, $width:expr) => {{
-                data!(bus.store($addr, $width, self.regs[a]));
+                data!(bus.write(Addr::from($addr), $width, self.regs[a]));
                 w2
             }};
         }
@@ -919,10 +914,10 @@ mod tests {
         let mut bus = Bus::msp430fr5969();
         // Configure MPU: everything below 0x8000 RWX-ish, above 0x8000 no
         // access.
-        bus.mpu.write_register(crate::mpu::MPUSEGB1, 0x600).unwrap();
-        bus.mpu.write_register(crate::mpu::MPUSEGB2, 0x800).unwrap();
-        bus.mpu.write_register(crate::mpu::MPUSAM, 0x0037).unwrap();
-        bus.mpu.write_register(crate::mpu::MPUCTL0, 0xA501).unwrap();
+        bus.write(crate::mpu::MPUSEGB1, 2, 0x600).unwrap();
+        bus.write(crate::mpu::MPUSEGB2, 2, 0x800).unwrap();
+        bus.write(crate::mpu::MPUSAM, 2, 0x0037).unwrap();
+        bus.write(crate::mpu::MPUCTL0, 2, 0xA501).unwrap();
         cpu.set_pc(base);
         cpu.set_sp(0x2400);
         assert_eq!(cpu.step(&mut bus, &code), StepEvent::Continue);

@@ -121,14 +121,6 @@ pub struct Mpu {
     /// Count of configuration writes, for the evaluation's context-switch
     /// accounting.
     pub config_writes: u64,
-    /// Count of access checks performed **by this backend**.  When the
-    /// bus's access-attribute cache is enabled (the default), permitted
-    /// accesses are satisfied from the cache without consulting the
-    /// backend, so this counts oracle consultations (denied or
-    /// cache-ineligible accesses), not every bus access; disable the
-    /// cache via [`crate::bus::Bus::set_attr_cache_enabled`] to count
-    /// every policed access.
-    pub checks: u64,
     /// Count of violations detected (exact regardless of the attribute
     /// cache: denied accesses always reach the backend).
     pub violations: u64,
@@ -151,7 +143,6 @@ impl Mpu {
             main_range,
             info_range,
             config_writes: 0,
-            checks: 0,
             violations: 0,
         }
     }
@@ -160,18 +151,6 @@ impl Mpu {
     pub fn msp430fr5969() -> Self {
         let spec = amulet_core::layout::PlatformSpec::msp430fr5969();
         Mpu::new(spec.fram, spec.info_mem)
-    }
-
-    /// Resets the MPU to its power-on state (disabled, unlocked, no
-    /// violations).
-    pub fn reset(&mut self) {
-        let main = self.main_range;
-        let info = self.info_range;
-        let (writes, checks, violations) = (self.config_writes, self.checks, self.violations);
-        *self = Mpu::new(main, info);
-        self.config_writes = writes;
-        self.checks = checks;
-        self.violations = violations;
     }
 
     /// Which segment `addr` belongs to, or `None` when the MPU does not cover
@@ -205,7 +184,6 @@ impl Mpu {
     /// Checks an access of `kind` at `addr`, latching a violation flag when
     /// it is denied.
     pub fn check(&mut self, addr: Addr, kind: AccessKind) -> MpuDecision {
-        self.checks += 1;
         if !self.enabled {
             return MpuDecision::NotCovered;
         }
@@ -392,10 +370,6 @@ pub struct RegionMpu {
     extended_ranges: Vec<AddrRange>,
     /// Count of configuration writes (context-switch accounting).
     pub config_writes: u64,
-    /// Count of access checks performed **by this backend** — with the
-    /// bus's attribute cache enabled this counts oracle consultations
-    /// only; see [`Mpu::checks`] for the full caveat.
-    pub checks: u64,
     /// Count of violations detected (exact regardless of the attribute
     /// cache: denied accesses always reach the backend).
     pub violations: u64,
@@ -419,7 +393,6 @@ impl RegionMpu {
             sram_range,
             extended_ranges: Vec::new(),
             config_writes: 0,
-            checks: 0,
             violations: 0,
         }
     }
@@ -432,7 +405,6 @@ impl RegionMpu {
         self.slots.fill(RegionSlot::default());
         self.selected = 0;
         self.config_writes = 0;
-        self.checks = 0;
         self.violations = 0;
     }
 
@@ -476,7 +448,6 @@ impl RegionMpu {
 
     /// Checks an access of `kind` at `addr`.
     pub fn check(&mut self, addr: Addr, kind: AccessKind) -> MpuDecision {
-        self.checks += 1;
         if !self.enabled || !self.covers(addr) {
             return MpuDecision::NotCovered;
         }
@@ -641,13 +612,8 @@ pub struct PmpMpu {
     pub entries: Vec<PmpEntry>,
     /// The mapped platform ranges user-mode execution is policed over.
     jurisdiction: Vec<AddrRange>,
-    /// Count of configuration writes (context-switch accounting; also the
-    /// bus's attribute-cache epoch contribution).
+    /// Count of configuration writes (context-switch accounting).
     pub config_writes: u64,
-    /// Count of access checks performed **by this backend** — with the
-    /// bus's attribute cache enabled this counts oracle consultations
-    /// only; see [`Mpu::checks`] for the full caveat.
-    pub checks: u64,
     /// Count of violations detected (exact regardless of the attribute
     /// cache: denied accesses always reach the backend).
     pub violations: u64,
@@ -670,7 +636,6 @@ impl PmpMpu {
             entries: vec![PmpEntry::default(); entries],
             jurisdiction,
             config_writes: 0,
-            checks: 0,
             violations: 0,
         }
     }
@@ -682,7 +647,6 @@ impl PmpMpu {
         self.user_mode = false;
         self.entries.fill(PmpEntry::default());
         self.config_writes = 0;
-        self.checks = 0;
         self.violations = 0;
     }
 
@@ -706,7 +670,6 @@ impl PmpMpu {
 
     /// Checks an access of `kind` at `addr`.
     pub fn check(&mut self, addr: Addr, kind: AccessKind) -> MpuDecision {
-        self.checks += 1;
         if !self.user_mode || !self.covers(addr) {
             return MpuDecision::NotCovered;
         }
@@ -899,9 +862,13 @@ mod tests {
             mpu.write_register(MPUSEGB1, 0x600),
             Err(MpuRegisterError::Locked)
         );
-        // Reset unlocks.
-        mpu.reset();
-        assert!(!mpu.locked && !mpu.enabled);
+        // Reset unlocks: the bus's power-on reset rebuilds the MPU.
+        let mut bus = crate::bus::Bus::msp430fr5969();
+        bus.write(MPUCTL0, 2, 0xA503).unwrap();
+        assert!(bus.mpu().locked);
+        bus.reset();
+        assert!(!bus.mpu().locked && !bus.mpu().enabled);
+        bus.write(MPUSEGB1, 2, 0x600).unwrap();
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! reprogrammed.
 //!
 //! The bus resolves its access-attribute table when the MPU configuration
-//! changes: after an MPU register store inside an execute block, after
-//! `install_mpu_config`, and at every `Cpu::run_block` entry (which
-//! catches direct backend writes made between blocks).  A table that
+//! changes: after every MPU register store, inside an execute block or
+//! between blocks, and after `install_mpu_config`.  A table that
 //! missed one of those changes would let the cached path permit an access
 //! the MPU denies, or the reverse.  So a run with the cache on and a run
 //! with it off must retire the identical trace — same events, steps,
@@ -286,9 +285,9 @@ enum Between {
         entries: Vec<(Addr, u32, u16)>,
         user_mode: bool,
     },
-    /// A register write straight into the segmented backend
-    /// (`bus.mpu.write_register`), bypassing the bus.
-    Direct { reg: Addr, value: u16 },
+    /// A store to a segmented-MPU register through `Bus::write` (the
+    /// outcome is not compared: both runs see the same one).
+    Store { reg: Addr, value: u16 },
     /// `set_attr_cache_enabled` on the cache-on run (the cache-off run
     /// keeps its cache off throughout).
     Cache(bool),
@@ -313,7 +312,7 @@ fn between_strategy() -> impl Strategy<Value = Between> {
                 entries,
                 user_mode
             }),
-        mpu_store_strategy().prop_map(|(reg, value)| Between::Direct { reg, value }),
+        mpu_store_strategy().prop_map(|(reg, value)| Between::Store { reg, value }),
         any::<bool>().prop_map(Between::Cache),
     ]
 }
@@ -372,8 +371,8 @@ fn apply(bus: &mut Bus, op: &Between, cached_run: bool) {
             }))
             .unwrap();
         }
-        Between::Direct { reg, value } => {
-            let _ = bus.mpu.write_register(*reg, *value);
+        Between::Store { reg, value } => {
+            let _ = bus.write(*reg, 2, *value);
         }
         Between::Cache(enabled) => {
             if cached_run {
@@ -443,7 +442,7 @@ fn run(
         cpu.status_word(),
         bus.stats,
         bus.timer.raw_cycles(),
-        bus.mpu.violation_flags,
+        bus.mpu().violation_flags,
         bus.dump_bytes(AddrRange::new(0, 0x1_0000)),
     )
 }
@@ -639,15 +638,15 @@ fn wrong_password_store_faults_and_leaves_the_configuration() {
             ),
             "cache {cache}: {ev:?}"
         );
-        assert!(bus.mpu.enabled);
+        assert!(bus.mpu().enabled);
         assert!(bus.write(0x7000, 2, 1).is_ok(), "cache {cache}");
     }
 }
 
-/// A direct backend write between blocks (not through the bus) makes
-/// segment 2 read-only; the next block sees it at entry.
+/// An MPU register store between blocks makes segment 2 read-only; the
+/// next block's first store faults.
 #[test]
-fn direct_backend_write_between_blocks_is_seen_by_the_next_block() {
+fn mpu_register_store_between_blocks_is_seen_by_the_next_block() {
     let code = straight(&[
         Instr::StoreAbs {
             src: Reg::R4,
@@ -665,7 +664,7 @@ fn direct_backend_write_between_blocks_is_seen_by_the_next_block() {
         cpu.set_pc(ORIGIN);
         cpu.set_sp(0x2400);
         assert_eq!(cpu.run_block(&mut bus, &code, 10), (None, 10));
-        bus.mpu.write_register(MPUSAM, 0x3117).unwrap();
+        bus.write(MPUSAM, 2, 0x3117).unwrap();
         let (ev, steps) = cpu.run_block(&mut bus, &code, 10);
         assert_eq!(ev, Some(mpu_fault(ORIGIN, 0x7000)), "cache {cache}");
         assert_eq!(steps, 1, "cache {cache}");

@@ -226,7 +226,7 @@ fn region_mpu_registers_are_privileged_only() {
         "OS data must be untouched after the attempted sabotage"
     );
     // The MPU is still enabled and still blocking.
-    assert!(os.device.bus.region_mpu.enabled);
+    assert!(os.device.bus.region_mpu().enabled);
 }
 
 /// DESIGN §6 regression ("unpoliced region-MPU peripheral space"): on
@@ -331,7 +331,7 @@ fn pmp_registers_are_privileged_only() {
     );
     assert_eq!(os.device.bus.read_raw(os_data, 2), before);
     // The fault handler restored the machine-mode (OS) configuration.
-    assert!(!os.device.bus.pmp.user_mode);
+    assert!(!os.device.bus.pmp().user_mode);
 }
 
 /// Peripheral-jurisdiction backends drop the function-pointer software
