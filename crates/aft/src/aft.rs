@@ -311,28 +311,40 @@ struct UnitKey {
 /// [`CheckPolicy`] — so two [`AppSource`]s with equal text share one
 /// entry however they were made.  The memo is valid for
 /// [`ApiSpec::amulet`] only, the one API an [`Aft`] compiles against.
-/// Compilation runs outside the lock: two threads that race on one key
-/// both compile, and the loser's identical code is dropped.  Errors are
-/// never recorded, so a failing app fails again on every build.
+/// Each key has one slot with its own lock, and compilation runs under
+/// the slot's lock only: a thread that asks for a unit another thread is
+/// compiling waits for that compile instead of starting a second one, and
+/// units with different keys compile in parallel.  Errors are never
+/// recorded, so a failing app fails again on every build (a waiter on a
+/// failed compile compiles again itself).
 ///
 /// A memo lives as long as its owner (one per fleet firmware store); it is
 /// never global and never persisted.
 #[derive(Default)]
 pub struct UnitMemo {
-    units: Mutex<HashMap<UnitKey, Arc<AppCode>>>,
+    units: Mutex<HashMap<UnitKey, Arc<UnitSlot>>>,
     compiles: AtomicU64,
 }
 
+/// One key's compiled unit: `None` until a compile succeeds, and locked
+/// for the length of a compile.
+type UnitSlot = Mutex<Option<Arc<AppCode>>>;
+
 impl UnitMemo {
-    /// Number of compilations run through this memo (misses, including
-    /// the duplicate of a lost race).
+    /// Number of compilations run through this memo: one per distinct
+    /// unit that compiled, plus one per failed attempt.
     pub fn compiles(&self) -> u64 {
         self.compiles.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct units recorded.
+    /// Number of distinct units recorded (compiled successfully).
     pub fn len(&self) -> usize {
-        self.units.lock().expect("unit memo poisoned").len()
+        self.units
+            .lock()
+            .expect("unit memo poisoned")
+            .values()
+            .filter(|slot| slot.lock().expect("unit memo poisoned").is_some())
+            .count()
     }
 
     /// Whether no unit is recorded.
@@ -353,13 +365,24 @@ impl UnitMemo {
             method,
             policy,
         };
-        if let Some(code) = self.units.lock().expect("unit memo poisoned").get(&key) {
+        // The map lock is held only to find or insert the slot; the slot
+        // lock is taken after it is released, so a compile never blocks
+        // lookups of other keys.
+        let slot = Arc::clone(
+            self.units
+                .lock()
+                .expect("unit memo poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut unit = slot.lock().expect("unit memo poisoned");
+        if let Some(code) = &*unit {
             return Ok(Arc::clone(code));
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let code = Arc::new(compile(app, api, method, policy)?);
-        let mut units = self.units.lock().expect("unit memo poisoned");
-        Ok(Arc::clone(units.entry(key).or_insert(code)))
+        *unit = Some(Arc::clone(&code));
+        Ok(code)
     }
 }
 
@@ -538,6 +561,54 @@ mod tests {
         ));
         assert!(memo.is_empty(), "no failure is recorded");
         assert_eq!(memo.compiles(), 6, "every attempt compiles again");
+    }
+
+    /// Builds `aft` on `THREADS` threads at once through one shared memo,
+    /// the threads released together by a barrier.
+    fn build_racing(aft: &Aft, memo: &UnitMemo) -> Vec<AftResult<BuildOutput>> {
+        const THREADS: usize = 4;
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        aft.build_with(memo)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn racing_builds_compile_each_unit_once() {
+        let memo = UnitMemo::default();
+        let aft = Aft::new(IsolationMethod::Mpu).add_app(AppSource::new(
+            "Pedometer",
+            PEDOMETER_LIKE,
+            &["main", "on_accel"],
+        ));
+        let fresh = aft.build().unwrap();
+        for out in build_racing(&aft, &memo) {
+            assert_eq!(out.unwrap().firmware, fresh.firmware);
+        }
+        assert_eq!((memo.compiles(), memo.len()), (1, 1), "one compile per key");
+
+        // A failing unit is never recorded, so every racer compiles it
+        // again and gets the error.
+        let memo = UnitMemo::default();
+        let broken = Aft::new(IsolationMethod::Mpu).add_app(AppSource::new(
+            "Broken",
+            "int main( {",
+            &["main"],
+        ));
+        let expected = broken.build().unwrap_err();
+        for out in build_racing(&broken, &memo) {
+            assert_eq!(out.unwrap_err(), expected);
+        }
+        assert!(memo.is_empty(), "no failure is recorded");
+        assert_eq!(memo.compiles(), 4, "every attempt compiles");
     }
 
     #[test]

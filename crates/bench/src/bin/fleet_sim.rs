@@ -45,7 +45,8 @@
 //!   the document is the same for every worker count.
 //! * `--store DIR` persists built firmwares in a content-addressable
 //!   store under `DIR`: the run prewarms every distinct configuration
-//!   through the store (timed separately from the campaign) and the
+//!   through the store (timed separately from the campaign, and built
+//!   on every core whatever `--workers` says) and the
 //!   report gains a `firmware_store` section with the store counters.
 //!   Two runs over one `DIR` give the cold and the warm prewarm time.
 //!   `DIR` is created if missing; one the process cannot create or

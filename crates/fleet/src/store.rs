@@ -30,8 +30,17 @@
 //!
 //! Every build goes through the store's [`UnitMemo`]: each distinct app
 //! unit (name, source, method, check policy) is compiled once per store
-//! and only linked per image.  The memo lives and dies with the store, so
-//! a fresh store compiles everything again.
+//! and only linked per image — exactly once, even when builds race: a
+//! build that needs a unit another build is compiling waits for it.  The
+//! memo lives and dies with the store, so a fresh store compiles
+//! everything again.
+//!
+//! [`FirmwareStore::prewarm`] builds a scenario's distinct images on
+//! every core: it deals them out in fixed strides to
+//! [`std::thread::available_parallelism`] threads on the fleet runner's
+//! claim loop, whatever worker count the campaign itself uses.  Every key
+//! is asked for once, so the store's images and counters do not depend on
+//! that thread count.
 //!
 //! **Paranoid mode** ([`FleetScenario::paranoid`], `fleet_sim
 //! --paranoid`, run by CI) rebuilds every disk hit from source (through
@@ -45,8 +54,11 @@
 //! (by modification time; disk hits refresh it) until the cap holds
 //! again.  Evicting is always safe — an evicted image is just a future
 //! rebuild — so the cap bounds disk footprint without ever affecting
-//! results.
+//! results.  Concurrent persists take turns to rename their file into
+//! place and enforce the cap, so each removal is counted once and the
+//! last persist leaves the directory within the cap.
 
+use crate::partition::claim_loop;
 use crate::run::build_firmware;
 use crate::scenario::{DeviceConfig, FleetScenario};
 use amulet_aft::UnitMemo;
@@ -133,6 +145,10 @@ pub struct FirmwareStore {
     capacity: usize,
     /// Byte cap for the on-disk directory; `None` never evicts.
     cap_bytes: Option<u64>,
+    /// Held while a persist renames its file into place and enforces the
+    /// disk cap: a file is published and counted against the cap in one
+    /// step, so no scan sees a file whose own scan has not run yet.
+    publish: Mutex<()>,
     /// Builds and disk I/O happen outside the `images` lock.
     images: Mutex<ImageMap>,
     /// Every build of this store compiles each distinct app unit once.
@@ -150,6 +166,7 @@ impl FirmwareStore {
             policy_label: String::new(),
             capacity: DEFAULT_CAPACITY,
             cap_bytes: None,
+            publish: Mutex::new(()),
             images: Mutex::new((HashMap::new(), VecDeque::new())),
             memo: UnitMemo::default(),
             counters: Counters::default(),
@@ -311,14 +328,17 @@ impl FirmwareStore {
         }
         let bytes = encode_firmware(store_key, firmware);
         let tmp = path.with_extension(format!("tmp.{:016x}", fnv1a64(store_key.as_bytes())));
-        if std::fs::write(&tmp, &bytes).is_ok() && std::fs::rename(&tmp, path).is_ok() {
-            self.counters
-                .bytes_written
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            self.enforce_disk_cap(path);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
+        if std::fs::write(&tmp, &bytes).is_ok() {
+            let _publish = self.publish.lock().expect("firmware store poisoned");
+            if std::fs::rename(&tmp, path).is_ok() {
+                self.counters
+                    .bytes_written
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                self.enforce_disk_cap(path);
+                return;
+            }
         }
+        let _ = std::fs::remove_file(&tmp);
     }
 
     /// Shrinks the store directory back under the byte cap after a
@@ -326,7 +346,8 @@ impl FirmwareStore {
     /// modification time — refreshed on every disk hit — with the file
     /// name as the deterministic tie-break) until the total fits.  The
     /// just-written file is never removed, so a cap smaller than one
-    /// image still makes progress.
+    /// image still makes progress.  Runs under the `publish` lock, so
+    /// concurrent persists never both count, and remove, the same file.
     fn enforce_disk_cap(&self, keep: &Path) {
         let (Some(dir), Some(cap)) = (self.dir.as_deref(), self.cap_bytes) else {
             return;
@@ -364,11 +385,34 @@ impl FirmwareStore {
     /// Materialises every distinct firmware configuration of `scenario`
     /// through the store — the explicit cold/warm phase `fleet_sim`
     /// times.  Returns the number of distinct configurations.
+    ///
+    /// The distinct-config walk is serial; the builds fan out over
+    /// [`std::thread::available_parallelism`] threads on the runner's
+    /// claim loop.  Claim `t` of `T` builds images `t`, `t + T`, …, so
+    /// each thread allocates the same images in the same order on every
+    /// prewarm: with one claim per image, timing picked the allocator
+    /// arena each image landed in, and successive stores fragmented the
+    /// arenas (DESIGN.md §4).  Each key is asked for exactly once and the
+    /// memo compiles each unit once, so the store's images and counters
+    /// do not depend on the thread count (as long as the images fit the
+    /// in-memory bound; beyond it, which ones stay resident follows the
+    /// order the builds finished in).
     pub fn prewarm(&self, scenario: &FleetScenario) -> usize {
         let distinct = Self::distinct_configs(scenario);
-        for (key, cfg) in &distinct {
-            self.get_or_build(key, cfg);
-        }
+        let strides = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .clamp(1, distinct.len().max(1));
+        claim_loop(
+            strides,
+            strides,
+            || (),
+            |(), stride| {
+                for (key, cfg) in distinct.iter().skip(stride).step_by(strides) {
+                    self.get_or_build(key, cfg);
+                }
+                None::<()>
+            },
+        );
         distinct.len()
     }
 
@@ -671,6 +715,71 @@ mod tests {
         assert_eq!(survivors, 1, "only the just-written image remains");
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sizes of the image files under `dir`.
+    fn image_sizes(dir: &Path) -> Vec<u64> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .collect()
+    }
+
+    #[test]
+    fn a_parallel_prewarm_holds_the_disk_cap_and_counts_every_removal() {
+        let dir = tmpdir("diskcap-parallel");
+        let s = FleetScenario {
+            devices: 64,
+            store_dir: Some(dir.clone()),
+            ..FleetScenario::scaling(64)
+        };
+        let distinct = FirmwareStore::for_scenario(&s).prewarm(&s);
+        let sizes = image_sizes(&dir);
+        assert_eq!(sizes.len(), distinct);
+        let (total, largest) = (
+            sizes.iter().sum::<u64>(),
+            sizes.iter().max().copied().unwrap(),
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Concurrent persists all overflow a cap of half the image set,
+        // and a cap below one image, which keeps only the file the last
+        // persist wrote.  Unserialised, two persists could both remove the
+        // same oldest file, and the one whose removal failed went on to
+        // remove more, down to the other's just-written file: the
+        // directory ended more than one image under the cap, or empty.
+        // Such a race shows only when the two overlap, hence the rounds.
+        for _round in 0..8 {
+            for cap in [total / 2, 1] {
+                let mut capped = FirmwareStore::for_scenario(&s);
+                capped.cap_bytes = Some(cap);
+                assert_eq!(capped.prewarm(&s), distinct);
+                let sizes = image_sizes(&dir);
+                let bytes: u64 = sizes.iter().sum();
+                if cap == 1 {
+                    assert_eq!(sizes.len(), 1, "only the last-written image remains");
+                } else {
+                    assert!(
+                        bytes <= cap,
+                        "{bytes} bytes on disk over the {cap}-byte cap"
+                    );
+                    assert!(
+                        bytes + largest > cap,
+                        "{bytes} bytes on disk: evicted past the {cap}-byte cap"
+                    );
+                }
+                let stats = capped.stats();
+                assert_eq!(stats.builds as usize, distinct);
+                assert_eq!(
+                    stats.disk_evictions as usize,
+                    distinct - sizes.len(),
+                    "every removed file counted once"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     #[test]

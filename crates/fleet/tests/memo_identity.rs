@@ -98,3 +98,43 @@ fn each_store_compiles_every_distinct_unit_once() {
         assert_eq!(stats.unit_compiles, 81);
     }
 }
+
+#[test]
+fn a_parallel_prewarm_matches_a_serial_store_byte_for_byte() {
+    for seed in [0x57_0421, 0x57_0B5E] {
+        let scenario = FleetScenario {
+            seed,
+            ..FleetScenario::storm(5000)
+        };
+        let configs = FirmwareStore::distinct_configs(&scenario);
+        let serial = FirmwareStore::for_scenario(&scenario);
+        for (key, cfg) in &configs {
+            serial.get_or_build(key, cfg);
+        }
+
+        let parallel = FirmwareStore::for_scenario(&scenario);
+        assert_eq!(parallel.prewarm(&scenario), configs.len());
+        let stats = parallel.stats();
+        let images = configs.len() as u64;
+        assert_eq!(
+            (stats.builds, stats.misses, stats.hits),
+            (images, images, 0),
+            "seed {seed:#x}: one build per distinct key"
+        );
+        assert_eq!(
+            stats.unit_compiles,
+            serial.stats().unit_compiles,
+            "seed {seed:#x}: the memo compiles each unit once"
+        );
+        if seed == 0x57_0421 {
+            assert_eq!((images, stats.unit_compiles), (1618, 81));
+        }
+        for (key, cfg) in &configs {
+            assert_eq!(
+                encode_firmware(key, &parallel.get_or_build(key, cfg)),
+                encode_firmware(key, &serial.get_or_build(key, cfg)),
+                "seed {seed:#x}, {key}: the prewarmed image differs"
+            );
+        }
+    }
+}
