@@ -40,7 +40,7 @@
 use crate::run::{boot_runtime, device_trace, runtime_options, simulate_device, DeviceResult};
 use crate::scenario::{ConfigContext, ConfigKey, DeviceConfig, FleetScenario};
 use crate::store::FirmwareStore;
-use amulet_os::os::AmuletOs;
+use amulet_os::os::{AmuletOs, OsCheckpoint};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -119,6 +119,9 @@ struct Worker<'a> {
     /// holds; each other config's image is loaded into it with
     /// [`AmuletOs::reload`].
     runtime: Option<(ConfigKey, AmuletOs)>,
+    /// The runtime's checkpoint after boot and probe, its buffers kept
+    /// across devices.
+    checkpoint: OsCheckpoint,
     /// Silent-device outcome cache: `Some(template)` when the draw-free
     /// proof held for this config's probe, `None` when it did not and
     /// silent devices must be simulated individually.
@@ -136,31 +139,36 @@ impl<'a> Worker<'a> {
             store,
             ctx: ConfigContext::new(),
             runtime: None,
+            checkpoint: OsCheckpoint::default(),
             silent_cache: HashMap::new(),
             configs: Vec::new(),
             order: Vec::new(),
         }
     }
 
-    /// The worker's runtime with `cfg`'s image loaded; the image comes
-    /// from the store (its string key formatted) only when the loaded
+    /// The worker's `runtime` with `cfg`'s image loaded; the image comes
+    /// from `store` (its string key formatted) only when the loaded
     /// config changes.
-    fn runtime_for(&mut self, cfg: &DeviceConfig) -> &mut AmuletOs {
-        match &mut self.runtime {
+    fn runtime_for<'r>(
+        runtime: &'r mut Option<(ConfigKey, AmuletOs)>,
+        store: &FirmwareStore,
+        cfg: &DeviceConfig,
+    ) -> &'r mut AmuletOs {
+        match runtime {
             Some((key, _)) if *key == cfg.key => {}
             Some((key, os)) => {
                 os.reload(
-                    self.store.get_or_build(&cfg.firmware_key(), cfg),
+                    store.get_or_build(&cfg.firmware_key(), cfg),
                     runtime_options(cfg),
                 );
                 *key = cfg.key;
             }
             None => {
-                let os = boot_runtime(self.store, &cfg.firmware_key(), cfg);
-                self.runtime = Some((cfg.key, os));
+                let os = boot_runtime(store, &cfg.firmware_key(), cfg);
+                *runtime = Some((cfg.key, os));
             }
         }
-        &mut self.runtime.as_mut().expect("runtime just loaded").1
+        &mut runtime.as_mut().expect("runtime just loaded").1
     }
 
     /// Simulates device `cfg`: from the silent cache when its config's
@@ -181,7 +189,8 @@ impl<'a> Worker<'a> {
         }
         let scenario = self.scenario;
         let trace = device_trace(scenario, cfg);
-        let sim = simulate_device(scenario, cfg, self.runtime_for(cfg), &trace);
+        let os = Self::runtime_for(&mut self.runtime, self.store, cfg);
+        let sim = simulate_device(scenario, cfg, os, &mut self.checkpoint, &trace);
         let result = Arc::new(sim.result);
         if cacheable && !self.silent_cache.contains_key(&cfg.key) {
             let template = (sim.sensor_draws == 0).then(|| Arc::clone(&result));
@@ -373,7 +382,8 @@ mod tests {
                 continue;
             }
             let mut os = boot_runtime(&store, &key, &cfg);
-            let oracle = simulate_device(&scenario, &cfg, &mut os, &[]);
+            let oracle =
+                simulate_device(&scenario, &cfg, &mut os, &mut OsCheckpoint::default(), &[]);
             assert!(
                 oracle.sensor_draws > 0,
                 "config {key} was refused, so its silent run must draw sensors"

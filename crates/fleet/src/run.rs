@@ -17,7 +17,7 @@ use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
 use amulet_mcu::firmware::Firmware;
 use amulet_os::events::{DeliveryPolicy, Event, EventKind};
-use amulet_os::os::{AmuletOs, OsOptions};
+use amulet_os::os::{AmuletOs, OsCheckpoint, OsOptions};
 use std::sync::Arc;
 
 /// What one device did under one delivery policy.
@@ -302,7 +302,7 @@ pub(crate) struct SimulatedDevice {
 /// image and the same trace are run under per-event delivery, then under
 /// the scenario's batched policy.
 ///
-/// `os` is a runtime with this device's firmware image loaded.  Every run
+/// `os` is a runtime with this device's firmware image loaded.  The run
 /// starts with an [`AmuletOs::reset`], which restores the power-on state
 /// **in place** — so one runtime serves every device that shares a
 /// firmware configuration, and (through [`AmuletOs::reload`]) every
@@ -313,44 +313,23 @@ pub(crate) struct SimulatedDevice {
 /// fresh runtime's, so results do not depend on which devices shared a
 /// runtime (the oracle tests pin this against [`replay_device`], which
 /// boots a fresh runtime per device).
+///
+/// Boot and the fault probe run once.  Neither depends on the delivery
+/// policy (boot delivers one event per app, and the probe is one
+/// delivery), so the runtime is saved into `checkpoint` after them, the
+/// per-event leg runs, and the batched leg runs from the restored
+/// checkpoint.  `checkpoint`'s buffers are reused across devices.
 pub(crate) fn simulate_device(
     scenario: &FleetScenario,
     cfg: &DeviceConfig,
     os: &mut AmuletOs,
+    checkpoint: &mut OsCheckpoint,
     trace: &[amulet_apps::TraceEvent],
 ) -> SimulatedDevice {
     let mut energy = EnergyModel::for_platform(&cfg.platform);
     if let Some(na) = scenario.lpm_current_override_na {
         energy.lpm_current_a = na as f64 / 1e9;
     }
-    // One leg under one delivery policy, always replayed under the
-    // virtual clock; an arrival-order scenario keeps only the untimed
-    // fields.  Alongside the outcome, each leg reports how many
-    // sensor-model reads it performed — `AmuletOs::reset` zeroes the
-    // counter, and every sensor-backed syscall (including
-    // `amulet_get_time`) advances it.
-    let timed = scenario.time_mode == TimeMode::Stepped;
-    let mut sensor_draws = 0u64;
-    let mut probe_verdicts: Vec<crate::faults::Verdict> = Vec::new();
-    let mut leg = |os: &mut AmuletOs, policy: DeliveryPolicy| -> (PolicyOutcome, Vec<f64>) {
-        os.reset();
-        os.set_delivery_policy(policy);
-        os.boot();
-        if let Some(kind) = cfg.fault {
-            // The controlled probe: one delivery to the adversarial app
-            // (always installed last) carrying the concrete target address
-            // computed from this image's real memory map.  It runs before
-            // the trace — like boot, busy from t = 0 — so the verdict is
-            // independent of the delivery policy, which both legs assert.
-            let payload = crate::faults::attack_payload(kind, os.firmware());
-            let (outcome, _) = os.call_handler(cfg.apps.len() - 1, "attack", payload);
-            probe_verdicts.push(crate::faults::classify(outcome));
-        }
-        let run = run_trace_stepped(os, trace, &energy);
-        sensor_draws += os.services.sensors.ticks;
-        collect(os, &energy, run, timed)
-    };
-
     os.set_sensor_seed(cfg.sensor_seed);
     if let Some(budget) = scenario.step_budget {
         os.set_step_budget(budget);
@@ -358,19 +337,41 @@ pub(crate) fn simulate_device(
     if let Some(policy) = scenario.watchdog_policy() {
         os.set_restart_policy(policy);
     }
-    let (per_event, per_event_latencies_ms) = leg(os, DeliveryPolicy::PerEvent);
-    let (batched, batched_latencies_ms) = leg(os, scenario.batched_policy());
-
+    os.reset();
+    os.set_delivery_policy(DeliveryPolicy::PerEvent);
+    os.boot();
     let fault = cfg.fault.map(|kind| {
-        debug_assert!(
-            probe_verdicts.windows(2).all(|w| w[0] == w[1]),
-            "probe verdict must not depend on the delivery policy"
-        );
+        // The controlled probe: one delivery to the adversarial app
+        // (always installed last) carrying the concrete target address
+        // computed from this image's real memory map.  It runs before the
+        // trace — like boot, busy from t = 0.
+        let payload = crate::faults::attack_payload(kind, os.firmware());
+        let (outcome, _) = os.call_handler(cfg.apps.len() - 1, "attack", payload);
         crate::faults::FaultProbe {
             kind,
-            verdict: probe_verdicts[0],
+            verdict: crate::faults::classify(outcome),
         }
     });
+    os.save(checkpoint);
+
+    // One leg under one delivery policy, always replayed under the
+    // virtual clock; an arrival-order scenario keeps only the untimed
+    // fields.  Alongside the outcome, each leg reports how many
+    // sensor-model reads it performed — `AmuletOs::reset` zeroes the
+    // counter, and every sensor-backed syscall (including
+    // `amulet_get_time`) advances it.
+    let timed = scenario.time_mode == TimeMode::Stepped;
+    let leg = |os: &mut AmuletOs| {
+        let run = run_trace_stepped(os, trace, &energy);
+        let (outcome, latencies) = collect(os, &energy, run, timed);
+        (outcome, latencies, os.services.sensors.ticks)
+    };
+    let (per_event, per_event_latencies_ms, per_event_draws) = leg(os);
+    os.restore(checkpoint);
+    os.set_delivery_policy(scenario.batched_policy());
+    let (batched, batched_latencies_ms, batched_draws) = leg(os);
+    let sensor_draws = per_event_draws + batched_draws;
+
     let ota = cfg.ota_seed.map(|seed| {
         crate::faults::run_ota(
             os.firmware(),
@@ -471,7 +472,14 @@ pub fn replay_device(
     let cfg = scenario.device_config(index);
     let mut os = boot_runtime(store, &cfg.firmware_key(), &cfg);
     let trace = device_trace(scenario, &cfg);
-    simulate_device(scenario, &cfg, &mut os, &trace).result
+    simulate_device(
+        scenario,
+        &cfg,
+        &mut os,
+        &mut OsCheckpoint::default(),
+        &trace,
+    )
+    .result
 }
 
 /// Runs the whole scenario on `workers` threads, drawing firmware
@@ -815,6 +823,7 @@ mod tests {
         assert!(sequence.iter().any(|c| c.method.uses_mpu()));
 
         let mut shared: Option<AmuletOs> = None;
+        let mut checkpoint = OsCheckpoint::default();
         for cfg in &sequence {
             let key = cfg.firmware_key();
             let os = match shared.as_mut() {
@@ -831,8 +840,14 @@ mod tests {
                 "{key}: after reload"
             );
             let trace = device_trace(&scenario, cfg);
-            let reused = simulate_device(&scenario, cfg, os, &trace);
-            let oracle = simulate_device(&scenario, cfg, &mut fresh, &trace);
+            let reused = simulate_device(&scenario, cfg, os, &mut checkpoint, &trace);
+            let oracle = simulate_device(
+                &scenario,
+                cfg,
+                &mut fresh,
+                &mut OsCheckpoint::default(),
+                &trace,
+            );
             assert_eq!(reused.result, oracle.result, "{key}: device result");
             assert_eq!(reused.sensor_draws, oracle.sensor_draws, "{key}");
             assert_eq!(
@@ -847,6 +862,96 @@ mod tests {
             .bus
             .attr_memo_stats();
         assert!(memo.tables > 1, "the MPU images installed their own tables");
+    }
+
+    /// One leg the way it runs without a checkpoint: reset, `policy`,
+    /// boot, the probe, then the trace.  Returns the outcome, the latency
+    /// samples, the sensor ticks and the probe verdict.
+    fn leg_from_boot(
+        scenario: &FleetScenario,
+        cfg: &DeviceConfig,
+        os: &mut AmuletOs,
+        trace: &[amulet_apps::TraceEvent],
+        policy: DeliveryPolicy,
+    ) -> (PolicyOutcome, Vec<f64>, u64, Option<crate::faults::Verdict>) {
+        let mut energy = EnergyModel::for_platform(&cfg.platform);
+        if let Some(na) = scenario.lpm_current_override_na {
+            energy.lpm_current_a = na as f64 / 1e9;
+        }
+        os.set_sensor_seed(cfg.sensor_seed);
+        if let Some(budget) = scenario.step_budget {
+            os.set_step_budget(budget);
+        }
+        if let Some(watchdog) = scenario.watchdog_policy() {
+            os.set_restart_policy(watchdog);
+        }
+        os.reset();
+        os.set_delivery_policy(policy);
+        os.boot();
+        let verdict = cfg.fault.map(|kind| {
+            let payload = crate::faults::attack_payload(kind, os.firmware());
+            let (outcome, _) = os.call_handler(cfg.apps.len() - 1, "attack", payload);
+            crate::faults::classify(outcome)
+        });
+        let run = run_trace_stepped(os, trace, &energy);
+        let timed = scenario.time_mode == TimeMode::Stepped;
+        let (outcome, latencies) = collect(os, &energy, run, timed);
+        (outcome, latencies, os.services.sensors.ticks, verdict)
+    }
+
+    #[test]
+    fn the_batched_leg_from_the_checkpoint_matches_a_second_boot() {
+        // `replay_device` shares the checkpoint with the runner, so only
+        // an independent second boot can catch a checkpoint that misses
+        // part of the state.  One runtime and one checkpoint serve every
+        // device, as in a worker.
+        let scenarios = [
+            FleetScenario::storm(96),
+            FleetScenario::scaling(96),
+            FleetScenario {
+                devices: 96,
+                ..small_stepped()
+            },
+            FleetScenario {
+                devices: 96,
+                ..small()
+            },
+        ];
+        for scenario in &scenarios {
+            let store = FirmwareStore::for_scenario(scenario);
+            let mut shared: Option<AmuletOs> = None;
+            let mut checkpoint = OsCheckpoint::default();
+            for index in 0..scenario.devices {
+                let cfg = scenario.device_config(index);
+                let key = cfg.firmware_key();
+                let trace = device_trace(scenario, &cfg);
+                let os = shared.get_or_insert_with(|| boot_runtime(&store, &key, &cfg));
+                os.reload(store.get_or_build(&key, &cfg), runtime_options(&cfg));
+                let sim = simulate_device(scenario, &cfg, os, &mut checkpoint, &trace);
+
+                let mut fresh = boot_runtime(&store, &key, &cfg);
+                let per_event =
+                    leg_from_boot(scenario, &cfg, &mut fresh, &trace, DeliveryPolicy::PerEvent);
+                let batched = leg_from_boot(
+                    scenario,
+                    &cfg,
+                    &mut fresh,
+                    &trace,
+                    scenario.batched_policy(),
+                );
+                let at = format!("{} device {index} ({key})", scenario.name);
+                assert_eq!(sim.result.batched, batched.0, "{at}: batched outcome");
+                assert_eq!(
+                    sim.result.batched_latencies_ms, batched.1,
+                    "{at}: batched latencies"
+                );
+                assert_eq!(sim.sensor_draws, per_event.2 + batched.2, "{at}: ticks");
+                assert_eq!(sim.result.per_event, per_event.0, "{at}: per-event outcome");
+                let verdict = sim.result.fault.map(|probe| probe.verdict);
+                assert_eq!(verdict, batched.3, "{at}: probe verdict");
+                assert_eq!(verdict, per_event.3, "{at}: probe verdict");
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,17 @@
 //! access is one indexed byte load.  The memo survives [`Bus::reset`],
 //! which is what lets the fleet simulator reuse attribute tables across
 //! devices and firmware images.
+//!
+//! # Dirty pages
+//!
+//! A simulated device writes a few KiB of its 64 KiB: the isolation
+//! confines each app to its own data and stack.  The bus therefore keeps
+//! one dirty bit per 1 KiB page, set by every store path
+//! ([`Bus::write_raw`], which [`Bus::write`] ends in, [`Bus::load_bytes`]
+//! and [`Bus::fill`]), with the invariant that a clean page is all zero.
+//! [`Bus::reset`] zeroes the dirty pages only, and [`Bus::save`] /
+//! [`Bus::restore`] copy only them, so the cost of reusing a bus follows
+//! what the run wrote.
 
 use crate::mpu::{Mpu, MpuRegisterError, PmpMpu, RegionMpu};
 use crate::timer::Timer;
@@ -107,6 +118,23 @@ impl fmt::Display for BusFault {
 }
 
 impl std::error::Error for BusFault {}
+
+/// log2 of the memory page size the bus tracks writes at.
+const PAGE_SHIFT: u32 = 10;
+/// Bytes per tracked page (1 KiB, so 64 pages cover the address space
+/// and one `u64` holds the dirty set).
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// The pages of a page set, in address order: the base address of each.
+fn page_bases(mut pages: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (pages != 0).then(|| {
+            let page = pages.trailing_zeros() as usize;
+            pages &= pages - 1;
+            page << PAGE_SHIFT
+        })
+    })
+}
 
 /// Counters the bus maintains for the evaluation and the profiler.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -203,6 +231,33 @@ pub struct AttrMemoStats {
     pub evictions: u64,
 }
 
+/// A saved bus state ([`Bus::save`], [`Bus::restore`]).  Its buffers are
+/// reused by every later save, so a checkpoint kept across runs makes
+/// saving allocation-free after the first.  Its `Debug` form lists the
+/// saved pages, not their bytes.
+#[derive(Clone, Default)]
+pub struct BusCheckpoint {
+    /// The dirty-page set at save time.
+    dirty: u64,
+    /// The bytes of those pages, in address order.
+    pages: Vec<u8>,
+    /// The MPU backends (`None` until the first save).
+    backends: Option<(Mpu, RegionMpu, PmpMpu)>,
+    timer: Timer,
+    stats: BusStats,
+}
+
+impl fmt::Debug for BusCheckpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BusCheckpoint")
+            .field("dirty", &format_args!("{:#018x}", self.dirty))
+            .field("backends", &self.backends)
+            .field("timer", &self.timer)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A zeroed 64 KiB page (memory image or attribute table).
 fn zeroed_page() -> Box<[u8; 0x1_0000]> {
     vec![0u8; 0x1_0000]
@@ -256,6 +311,10 @@ pub struct Bus {
     /// Physical memory.  Fixed size so masked indexing compiles without
     /// bounds checks on the hot path.
     mem: Box<[u8; 0x1_0000]>,
+    /// One bit per [`PAGE_SIZE`] page of `mem` that a store may have
+    /// touched since the last [`Bus::reset`].  Every store path sets it,
+    /// so a clean page is all zero.
+    dirty: u64,
     /// The FR5969-style segmented MPU (the active backend on segmented
     /// platforms).
     mpu: Mpu,
@@ -324,6 +383,7 @@ impl Bus {
         Bus {
             platform,
             mem: zeroed_page(),
+            dirty: 0,
             mpu,
             region_mpu,
             pmp,
@@ -413,9 +473,11 @@ impl Bus {
     }
 
     /// Returns the bus to its power-on state **in place**: memory is zeroed
-    /// (the 64 KiB allocation is reused), the MPU backends return to their
-    /// disabled reset values, the timer stops and the access counters
-    /// clear.  Lets one bus be reused across many simulation runs.
+    /// (only the pages a store touched since the last reset, so the cost
+    /// follows what the run wrote, not the 64 KiB), the MPU backends
+    /// return to their disabled reset values, the timer stops and the
+    /// access counters clear.  Lets one bus be reused across many
+    /// simulation runs.
     ///
     /// The memoised attribute tables are deliberately **kept**: their
     /// contents are a pure function of MPU state and the (unchanged)
@@ -424,12 +486,72 @@ impl Bus {
     /// switch of the next run.  The backends return to their power-on
     /// state in place, so a reset allocates nothing.
     pub fn reset(&mut self) {
-        self.mem.fill(0);
+        for base in page_bases(std::mem::take(&mut self.dirty)) {
+            self.mem[base..base + PAGE_SIZE].fill(0);
+        }
         self.mpu = Mpu::new(self.platform.fram, self.platform.info_mem);
         self.region_mpu.power_on();
         self.pmp.power_on();
         self.timer = Timer::new();
         self.stats = BusStats::default();
+        self.resolve_attr_table();
+    }
+
+    /// Saves the bus state into `checkpoint`, reusing its buffers: the
+    /// dirty pages' bytes, the MPU backends, the timer and the access
+    /// counters.  The attribute-table memo is not part of the state: it
+    /// is a cache, re-resolved by [`Bus::restore`].
+    pub fn save(&self, checkpoint: &mut BusCheckpoint) {
+        checkpoint.dirty = self.dirty;
+        checkpoint.pages.clear();
+        for base in page_bases(self.dirty) {
+            checkpoint
+                .pages
+                .extend_from_slice(&self.mem[base..base + PAGE_SIZE]);
+        }
+        match &mut checkpoint.backends {
+            Some((mpu, region_mpu, pmp)) => {
+                mpu.clone_from(&self.mpu);
+                region_mpu.copy_state_from(&self.region_mpu);
+                pmp.copy_state_from(&self.pmp);
+            }
+            None => {
+                checkpoint.backends =
+                    Some((self.mpu.clone(), self.region_mpu.clone(), self.pmp.clone()));
+            }
+        }
+        checkpoint.timer = self.timer.clone();
+        checkpoint.stats = self.stats;
+    }
+
+    /// Returns the bus to the state [`Bus::save`] recorded in
+    /// `checkpoint` (taken on this bus): pages a store touched since the
+    /// save are zeroed, the saved pages are copied back, and the MPU
+    /// backends, timer and counters are restored before the attribute
+    /// table is re-resolved.  Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// If nothing was ever saved into `checkpoint`.
+    pub fn restore(&mut self, checkpoint: &BusCheckpoint) {
+        for base in page_bases(self.dirty & !checkpoint.dirty) {
+            self.mem[base..base + PAGE_SIZE].fill(0);
+        }
+        for (base, bytes) in
+            page_bases(checkpoint.dirty).zip(checkpoint.pages.chunks_exact(PAGE_SIZE))
+        {
+            self.mem[base..base + PAGE_SIZE].copy_from_slice(bytes);
+        }
+        self.dirty = checkpoint.dirty;
+        let (mpu, region_mpu, pmp) = checkpoint
+            .backends
+            .as_ref()
+            .expect("a bus restores only a checkpoint it saved");
+        self.mpu.clone_from(mpu);
+        self.region_mpu.copy_state_from(region_mpu);
+        self.pmp.copy_state_from(pmp);
+        self.timer = checkpoint.timer.clone();
+        self.stats = checkpoint.stats;
         self.resolve_attr_table();
     }
 
@@ -1127,9 +1249,20 @@ impl Bus {
     #[inline]
     pub fn write_raw(&mut self, addr: Addr, size: u32, value: u16) {
         debug_assert!(addr < 0x1_0000, "raw write outside the address space");
-        self.mem[addr as usize & 0xFFFF] = (value & 0xFF) as u8;
+        let lo = addr as usize & 0xFFFF;
+        let hi = (addr as usize + usize::from(size == 2)) & 0xFFFF;
+        self.dirty |= (1 << (lo >> PAGE_SHIFT)) | (1 << (hi >> PAGE_SHIFT));
+        self.mem[lo] = (value & 0xFF) as u8;
         if size == 2 {
-            self.mem[(addr as usize + 1) & 0xFFFF] = (value >> 8) as u8;
+            self.mem[hi] = (value >> 8) as u8;
+        }
+    }
+
+    /// Marks the pages of the `len` bytes from `addr` on dirty, wrapping
+    /// at 64 KiB as the stores do.
+    fn mark_dirty(&mut self, addr: Addr, len: usize) {
+        for offset in (0..len).step_by(PAGE_SIZE).chain(len.checked_sub(1)) {
+            self.dirty |= 1 << (((addr as usize + offset) & 0xFFFF) >> PAGE_SHIFT);
         }
     }
 
@@ -1140,6 +1273,7 @@ impl Bus {
             (addr as usize) + bytes.len() <= 0x1_0000,
             "loaded bytes extend outside the address space"
         );
+        self.mark_dirty(addr, bytes.len());
         for (i, b) in bytes.iter().enumerate() {
             self.mem[(addr as usize + i) & 0xFFFF] = *b;
         }
@@ -1157,6 +1291,7 @@ impl Bus {
     /// `bzero`-on-switch ablation).
     pub fn fill(&mut self, range: AddrRange, value: u8) {
         debug_assert!(range.end <= 0x1_0000, "fill outside the address space");
+        self.mark_dirty(range.start, range.end.saturating_sub(range.start) as usize);
         for a in range.start..range.end {
             self.mem[a as usize & 0xFFFF] = value;
         }

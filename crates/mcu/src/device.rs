@@ -107,9 +107,10 @@ impl Device {
     /// Returns the device to its power-on, freshly-loaded state so it can
     /// be reused for another simulation run **without** rebuilding the
     /// firmware or re-decoding the instruction store: the bus is reset in
-    /// place (memory zeroed, MPUs disabled, timer stopped), the CPU is
-    /// reset, and the loaded firmware's data segments and initial stack
-    /// pointer are re-installed.  The decoded [`Device::code`] map — the
+    /// place (the pages written since the last reset zeroed, MPUs
+    /// disabled, timer stopped), the CPU is reset, and the loaded
+    /// firmware's data segments and initial stack pointer are
+    /// re-installed, so the cost follows what the previous run wrote.  The decoded [`Device::code`] map — the
     /// expensive part of [`Device::load_firmware`] — is untouched, since
     /// instructions live in write-protected FRAM and cannot have changed.
     ///

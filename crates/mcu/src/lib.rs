@@ -47,7 +47,7 @@ pub mod mpu;
 pub mod serial;
 pub mod timer;
 
-pub use bus::{Bus, BusFault, BusFaultCause, BusStats, Region};
+pub use bus::{Bus, BusCheckpoint, BusFault, BusFaultCause, BusStats, Region};
 pub use code::{InstrMeta, InstrStore};
 pub use cpu::{Cpu, CpuStats, FaultInfo, StepEvent, HANDLER_RETURN};
 pub use device::{Device, RunExit, StopReason};

@@ -408,6 +408,31 @@ impl RegionMpu {
         self.violations = 0;
     }
 
+    /// Makes this MPU a copy of `saved`, reusing its buffers (a bus
+    /// checkpoint restore allocates nothing).
+    pub(crate) fn copy_state_from(&mut self, saved: &RegionMpu) {
+        let RegionMpu {
+            enabled,
+            slots,
+            selected,
+            main_range,
+            info_range,
+            sram_range,
+            extended_ranges,
+            config_writes,
+            violations,
+        } = saved;
+        self.enabled = *enabled;
+        self.slots.clone_from(slots);
+        self.selected = *selected;
+        self.main_range = *main_range;
+        self.info_range = *info_range;
+        self.sram_range = *sram_range;
+        self.extended_ranges.clone_from(extended_ranges);
+        self.config_writes = *config_writes;
+        self.violations = *violations;
+    }
+
     /// Extends the MPU's deny-by-default jurisdiction over the given
     /// additional ranges — peripheral space, boot ROM, vector table — for
     /// profiles that police the **full platform space** (the
@@ -648,6 +673,23 @@ impl PmpMpu {
         self.entries.fill(PmpEntry::default());
         self.config_writes = 0;
         self.violations = 0;
+    }
+
+    /// Makes this PMP a copy of `saved`, reusing its buffers (a bus
+    /// checkpoint restore allocates nothing).
+    pub(crate) fn copy_state_from(&mut self, saved: &PmpMpu) {
+        let PmpMpu {
+            user_mode,
+            entries,
+            jurisdiction,
+            config_writes,
+            violations,
+        } = saved;
+        self.user_mode = *user_mode;
+        self.entries.clone_from(entries);
+        self.jurisdiction.clone_from(jurisdiction);
+        self.config_writes = *config_writes;
+        self.violations = *violations;
     }
 
     /// The address ranges this backend polices in user mode.

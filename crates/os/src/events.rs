@@ -122,7 +122,7 @@ impl Event {
 }
 
 /// A FIFO event queue.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
     queue: VecDeque<Event>,
     /// Events enqueued since the current head event became the head — the
@@ -134,6 +134,25 @@ pub struct EventQueue {
     pub enqueued: u64,
     /// Total events ever delivered.
     pub delivered: u64,
+}
+
+impl Clone for EventQueue {
+    fn clone(&self) -> Self {
+        EventQueue {
+            queue: self.queue.clone(),
+            head_seen: self.head_seen,
+            enqueued: self.enqueued,
+            delivered: self.delivered,
+        }
+    }
+
+    /// Reuses `self`'s buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.queue.clone_from(&source.queue);
+        self.head_seen = source.head_seen;
+        self.enqueued = source.enqueued;
+        self.delivered = source.delivered;
+    }
 }
 
 impl EventQueue {
@@ -208,16 +227,18 @@ impl EventQueue {
         }
     }
 
-    /// Removes the head event plus up to `max_batch - 1` immediately
-    /// following events addressed to the *same* application.
+    /// Moves the head event plus up to `max_batch - 1` immediately
+    /// following events addressed to the *same* application into `batch`,
+    /// replacing its contents (the scheduler reuses one buffer for every
+    /// batch; `batch` is left empty when the queue is).
     ///
     /// Only the consecutive head run is taken, so global FIFO order — and
     /// therefore each application's event order — is exactly what
     /// event-at-a-time delivery would produce.
-    pub fn pop_batch(&mut self, max_batch: usize) -> Vec<Event> {
-        let mut batch = Vec::new();
+    pub fn pop_batch_into(&mut self, max_batch: usize, batch: &mut Vec<Event>) {
+        batch.clear();
         let Some(first) = self.pop() else {
-            return batch;
+            return;
         };
         let app = first.app_index;
         batch.push(first);
@@ -229,7 +250,6 @@ impl EventQueue {
                 _ => break,
             }
         }
-        batch
     }
 
     /// Length of the run of consecutive head events addressed to the same
@@ -282,13 +302,18 @@ mod tests {
         q.push(Event::new(1, "b", 3, EventKind::Timer));
         q.push(Event::new(0, "a", 4, EventKind::Sensor));
         assert_eq!(q.head_run_len(), 2);
-        let batch = q.pop_batch(8);
+        let mut batch = Vec::new();
+        q.pop_batch_into(8, &mut batch);
         assert_eq!(batch.len(), 2);
         assert!(batch.iter().all(|e| e.app_index == 0));
         // The run after app 1's event was not pulled forward.
-        assert_eq!(q.pop_batch(8).len(), 1);
-        assert_eq!(q.pop_batch(8)[0].payload, 4);
+        q.pop_batch_into(8, &mut batch);
+        assert_eq!(batch.len(), 1);
+        q.pop_batch_into(8, &mut batch);
+        assert_eq!(batch[0].payload, 4);
         assert_eq!(q.delivered, 4);
+        q.pop_batch_into(8, &mut batch);
+        assert!(batch.is_empty(), "an empty queue leaves the buffer empty");
     }
 
     #[test]
@@ -309,8 +334,11 @@ mod tests {
         for i in 0..5 {
             q.push(Event::new(0, "a", i, EventKind::Sensor));
         }
-        assert_eq!(q.pop_batch(3).len(), 3);
-        assert_eq!(q.pop_batch(3).len(), 2);
+        let mut batch = Vec::new();
+        q.pop_batch_into(3, &mut batch);
+        assert_eq!(batch.len(), 3);
+        q.pop_batch_into(3, &mut batch);
+        assert_eq!(batch.len(), 2);
         assert_eq!(q.head_run_len(), 0);
     }
 

@@ -47,7 +47,7 @@ pub mod sensors;
 pub mod syscalls;
 
 pub use events::{DeliveryPolicy, Event, EventKind, EventQueue};
-pub use os::{AmuletOs, AppRuntimeStats, DeliveryOutcome, DeliveryRecord, OsOptions};
+pub use os::{AmuletOs, AppRuntimeStats, DeliveryOutcome, DeliveryRecord, OsCheckpoint, OsOptions};
 pub use policy::{AppState, FaultAction, FaultHandler, FaultRecord, RestartPolicy};
 pub use sensors::SensorModel;
 pub use syscalls::{LogEntry, Services, SyscallArgs, SyscallOutcome};

@@ -23,7 +23,8 @@ use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
 use amulet_core::method::IsolationMethod;
 use amulet_core::switch::{ContextSwitchPlan, SwitchDirection};
-use amulet_mcu::cpu::FaultInfo;
+use amulet_mcu::bus::BusCheckpoint;
+use amulet_mcu::cpu::{Cpu, FaultInfo};
 use amulet_mcu::device::{Device, StopReason};
 use amulet_mcu::firmware::Firmware;
 use amulet_mcu::isa::Reg;
@@ -156,6 +157,26 @@ impl SwitchCostCache {
     }
 }
 
+/// A saved runtime state ([`AmuletOs::save`], [`AmuletOs::restore`]):
+/// the device (its bus checkpoint and CPU) and every piece of OS run
+/// state.  The firmware image and the options are not part of it.  Its
+/// buffers are reused by every later save, so a checkpoint kept across
+/// devices saves and restores without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct OsCheckpoint {
+    bus: BusCheckpoint,
+    cpu: Cpu,
+    services: Services,
+    queue: EventQueue,
+    faults: FaultHandler,
+    app_states: Vec<AppState>,
+    stats: Vec<AppRuntimeStats>,
+    subscriptions: Vec<(usize, u16)>,
+    delivery_log: Vec<DeliveryRecord>,
+    last_app_on_shared_stack: Option<usize>,
+    pending_yield: bool,
+}
+
 /// The AmuletOS runtime.
 #[derive(Debug)]
 pub struct AmuletOs {
@@ -185,6 +206,8 @@ pub struct AmuletOs {
     /// Set when the running handler called `amulet_yield`; consumed by the
     /// batch-delivery machinery to end the current batch early.
     pending_yield: bool,
+    /// The scheduler's batch buffer, reused by every batch it pops.
+    batch: Vec<Event>,
 }
 
 impl AmuletOs {
@@ -225,6 +248,7 @@ impl AmuletOs {
             firmware,
             last_app_on_shared_stack: None,
             pending_yield: false,
+            batch: Vec::new(),
         };
         os.install_fresh_state();
         os
@@ -274,13 +298,54 @@ impl AmuletOs {
 
     /// Restores the runtime (and its device) to the freshly-loaded,
     /// pre-[`boot`](AmuletOs::boot) state without rebuilding or re-decoding
-    /// the firmware image.  The fleet simulator uses this to run one device
-    /// under several delivery policies; the expensive AFT build and
-    /// instruction decode happen once.
+    /// the firmware image.  The fleet simulator runs each device from this
+    /// state; the expensive AFT build and instruction decode happen once
+    /// per image, and the memory reset zeroes only the pages the previous
+    /// run wrote.  Options set since the runtime was built are kept.
     pub fn reset(&mut self) {
         self.device.reset();
         self.device.bus.timer.start();
         self.install_fresh_state();
+    }
+
+    /// Saves the run state into `checkpoint` for a later
+    /// [`restore`](AmuletOs::restore): the device's bus (written pages,
+    /// MPU backends, timer, counters) and CPU, the services, the queue,
+    /// the fault handler, the app states and statistics, the
+    /// subscriptions, the delivery log and the scheduler's shared-stack
+    /// and yield state.  The fleet simulator saves after boot and the
+    /// fault probe, whose outcome does not depend on the delivery policy,
+    /// and runs the second delivery policy from there.
+    pub fn save(&self, checkpoint: &mut OsCheckpoint) {
+        self.device.bus.save(&mut checkpoint.bus);
+        checkpoint.cpu.clone_from(&self.device.cpu);
+        checkpoint.services.clone_from(&self.services);
+        checkpoint.queue.clone_from(&self.queue);
+        checkpoint.faults.clone_from(&self.faults);
+        checkpoint.app_states.clone_from(&self.app_states);
+        checkpoint.stats.clone_from(&self.stats);
+        checkpoint.subscriptions.clone_from(&self.subscriptions);
+        checkpoint.delivery_log.clone_from(&self.delivery_log);
+        checkpoint.last_app_on_shared_stack = self.last_app_on_shared_stack;
+        checkpoint.pending_yield = self.pending_yield;
+    }
+
+    /// Returns the runtime to the state [`save`](AmuletOs::save) recorded
+    /// in `checkpoint`, which must have been taken on this runtime with
+    /// its current image loaded.  The image and the options (delivery
+    /// policy included) are left as they are.
+    pub fn restore(&mut self, checkpoint: &OsCheckpoint) {
+        self.device.bus.restore(&checkpoint.bus);
+        self.device.cpu.clone_from(&checkpoint.cpu);
+        self.services.clone_from(&checkpoint.services);
+        self.queue.clone_from(&checkpoint.queue);
+        self.faults.clone_from(&checkpoint.faults);
+        self.app_states.clone_from(&checkpoint.app_states);
+        self.stats.clone_from(&checkpoint.stats);
+        self.subscriptions.clone_from(&checkpoint.subscriptions);
+        self.delivery_log.clone_from(&checkpoint.delivery_log);
+        self.last_app_on_shared_stack = checkpoint.last_app_on_shared_stack;
+        self.pending_yield = checkpoint.pending_yield;
     }
 
     /// Changes the delivery policy (takes effect at the next delivery).
@@ -390,18 +455,19 @@ impl AmuletOs {
     /// grouped (never beyond `max_events`) and delivered through one switch
     /// pair each.
     pub fn run_queue(&mut self, max_events: usize) -> usize {
+        let mut batch = std::mem::take(&mut self.batch);
         let mut delivered = 0;
         while delivered < max_events {
             let room = max_events - delivered;
-            let batch = self
-                .queue
-                .pop_batch(self.options.delivery.max_batch().min(room));
+            self.queue
+                .pop_batch_into(self.options.delivery.max_batch().min(room), &mut batch);
             if batch.is_empty() {
                 break;
             }
             delivered += batch.len();
             self.deliver_batch(&batch);
         }
+        self.batch = batch;
         delivered
     }
 
@@ -431,6 +497,7 @@ impl AmuletOs {
                 max_latency_events,
             } => {
                 let budget = self.queue.len();
+                let mut batch = std::mem::take(&mut self.batch);
                 let mut delivered = 0;
                 while delivered < budget {
                     let full_batch_ready = self.queue.head_run_len() >= max_batch.max(1);
@@ -440,13 +507,15 @@ impl AmuletOs {
                         break;
                     }
                     let room = budget - delivered;
-                    let batch = self.queue.pop_batch(max_batch.max(1).min(room));
+                    self.queue
+                        .pop_batch_into(max_batch.max(1).min(room), &mut batch);
                     if batch.is_empty() {
                         break;
                     }
                     delivered += batch.len();
                     self.deliver_batch(&batch);
                 }
+                self.batch = batch;
                 delivered
             }
         }
@@ -492,7 +561,8 @@ impl AmuletOs {
 
     /// Delivers a single event (one full switch round trip).
     pub fn deliver(&mut self, event: &Event) -> DeliveryOutcome {
-        self.deliver_batch(std::slice::from_ref(event))[0]
+        self.deliver_batch(std::slice::from_ref(event))
+            .expect("a one-event batch has an outcome")
     }
 
     /// Delivers a batch of events addressed to a single application.
@@ -505,8 +575,11 @@ impl AmuletOs {
     /// the full app→OS switch.  Faults, missing handlers and `amulet_yield`
     /// fall back to full switches, so app-visible behaviour is identical to
     /// event-at-a-time delivery — only the switch cost differs.
-    pub fn deliver_batch(&mut self, events: &[Event]) -> Vec<DeliveryOutcome> {
-        let mut outcomes = Vec::with_capacity(events.len());
+    ///
+    /// Returns the outcome of the batch's last event (`None` for an empty
+    /// batch); the scheduler needs none, so no per-event list is built.
+    pub fn deliver_batch(&mut self, events: &[Event]) -> Option<DeliveryOutcome> {
+        let mut last_outcome = None;
         // Whether the app's context is live because the previous event of
         // this batch elided its exit switch.
         let mut in_app = false;
@@ -538,17 +611,17 @@ impl AmuletOs {
                 });
             }
             if idx >= self.app_count() || self.app_states[idx] != AppState::Active {
-                outcomes.push(DeliveryOutcome::Skipped);
+                last_outcome = Some(DeliveryOutcome::Skipped);
                 continue;
             }
             // Restart backoff: an app held back after a watchdog restart
             // forfeits deliveries until its backoff is spent.
             if self.faults.consume_backoff(idx) {
-                outcomes.push(DeliveryOutcome::Skipped);
+                last_outcome = Some(DeliveryOutcome::Skipped);
                 continue;
             }
             let Some(&entry) = self.firmware.apps[idx].handlers.get(&event.handler) else {
-                outcomes.push(DeliveryOutcome::Skipped);
+                last_outcome = Some(DeliveryOutcome::Skipped);
                 continue;
             };
 
@@ -588,13 +661,13 @@ impl AmuletOs {
             self.pending_yield = false;
             let (outcome, still_in_app) = self.run_app_until_return(idx, later_runnable);
             in_app = still_in_app;
-            outcomes.push(outcome);
+            last_outcome = Some(outcome);
         }
         debug_assert!(
             !in_app,
             "a batch must end with the OS configuration installed"
         );
-        outcomes
+        last_outcome
     }
 
     fn app_stack_pointer(&self, idx: usize) -> Addr {

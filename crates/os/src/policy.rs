@@ -104,7 +104,7 @@ pub enum FaultAction {
 }
 
 /// Tracks fault counts and applies the restart policy.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct FaultHandler {
     /// The configured policy.
     pub policy: RestartPolicy,
@@ -114,6 +114,25 @@ pub struct FaultHandler {
     pub per_app_faults: Vec<u32>,
     /// Per-app deliveries still to be skipped (backoff after a restart).
     pub backoff_remaining: Vec<u32>,
+}
+
+impl Clone for FaultHandler {
+    fn clone(&self) -> Self {
+        FaultHandler {
+            policy: self.policy,
+            records: self.records.clone(),
+            per_app_faults: self.per_app_faults.clone(),
+            backoff_remaining: self.backoff_remaining.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.policy = source.policy;
+        self.records.clone_from(&source.records);
+        self.per_app_faults.clone_from(&source.per_app_faults);
+        self.backoff_remaining.clone_from(&source.backoff_remaining);
+    }
 }
 
 impl FaultHandler {

@@ -84,7 +84,7 @@ impl SyscallCounts {
 }
 
 /// Persistent OS service state (sensors, log, display).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Services {
     /// The synthetic sensors.
     pub sensors: SensorModel,
@@ -94,6 +94,25 @@ pub struct Services {
     pub display: Vec<(usize, i16)>,
     /// Count of services dispatched, per syscall number.
     pub dispatch_counts: SyscallCounts,
+}
+
+impl Clone for Services {
+    fn clone(&self) -> Self {
+        Services {
+            sensors: self.sensors.clone(),
+            log: self.log.clone(),
+            display: self.display.clone(),
+            dispatch_counts: self.dispatch_counts.clone(),
+        }
+    }
+
+    /// Reuses `self`'s log and display buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.sensors.clone_from(&source.sensors);
+        self.log.clone_from(&source.log);
+        self.display.clone_from(&source.display);
+        self.dispatch_counts.clone_from(&source.dispatch_counts);
+    }
 }
 
 impl Services {
