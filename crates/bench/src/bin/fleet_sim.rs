@@ -1,9 +1,8 @@
 //! Fleet-scale simulation bench: simulates one seeded device fleet and
 //! prints the aggregate report (energy distribution, switch-overhead share,
 //! fault counts, battery-impact histograms, and the per-event vs batched
-//! delivery comparison) as one JSON document on stdout.  It writes a file
-//! only when asked to (`--report-out FILE`); the committed
-//! `BENCH_fleet.json` is
+//! delivery comparison) as one JSON document on stdout.  It writes no
+//! file; the committed `BENCH_fleet.json` is
 //! `fleet_sim --preset scaling --devices 100000 --summary > BENCH_fleet.json`.
 //!
 //! Usage (positional form, kept for compatibility):
@@ -29,11 +28,8 @@
 //!   per-mille value above 1000, an empty fleet (`--devices 0`) and a
 //!   worker count above 1024 (flag or positional): each worker is an OS
 //!   thread, and tens of thousands of them exhaust the host.
-//! * `--store-cap-bytes N` bounds the on-disk store (least-recently-used
-//!   images evicted first); requires `--store`.  Contradictory flag
-//!   combinations (`--store --no-store`, `--paranoid --no-store`,
-//!   `--preset scaling --preset storm`, ...) are rejected up front with
-//!   exit code 2, and so is any unknown flag.
+//! * Contradictory flag combinations (`--preset scaling --preset storm`)
+//!   are rejected up front with exit code 2, and so is any unknown flag.
 //! * `--summary` streams block aggregation (`simulate_summary_in`) instead
 //!   of materialising per-device results: bounded memory at 10⁵–10⁶
 //!   devices.  The document matches the materialised run's byte for byte
@@ -43,39 +39,20 @@
 //!   are deterministic sample estimates — the default stepped fleet
 //!   (1000 devices × 120 events) is already past the sketch.  Either way
 //!   the document is the same for every worker count.
-//! * `--store DIR` persists built firmwares in a content-addressable
-//!   store under `DIR`: the run prewarms every distinct configuration
-//!   through the store (timed separately from the campaign, and built
-//!   on every core whatever `--workers` says) and the
-//!   report gains a `firmware_store` section with the store counters.
-//!   Two runs over one `DIR` give the cold and the warm prewarm time.
-//!   `DIR` is created if missing; one the process cannot create or
-//!   write to is rejected with exit code 2 before anything runs.
-//!   `--no-store` forces the in-memory store; `--paranoid` re-builds and
-//!   byte-compares every image loaded from disk (CI runs this).
-//! * `--report-out FILE` additionally writes the *deterministic* document
-//!   (no `timing`, `firmware_store` or `verifier` sections) to `FILE` —
-//!   cold and warm store runs of the same scenario must produce
-//!   byte-identical files, which CI asserts.
 //! * `--verify` gates every firmware image through the `amulet-verify`
 //!   static analyser before it enters the fleet (a proven-escape image
 //!   aborts the run) and attaches a `verifier` section with the fleet's
 //!   verdict counters.
 
-use amulet_bench::fleet_sim::{
-    render_document, render_document_with, store_stats_json, verify_summary_json,
-};
-use amulet_bench::json::Json;
+use amulet_bench::fleet_sim::{render_document_with, verify_summary_json};
 use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode};
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const USAGE: &str = "usage: fleet_sim [devices] [workers] [events_per_device] [seed] [mode] \
      [--devices N] [--workers N] [--events N] [--seed N] [--mode arrival-order|stepped] \
      [--silent-permille N] [--preset scaling|storm] [--fault-permille N] [--ota-permille N] \
      [--ota-corrupt-permille N] [--ota-max-retries N] [--step-budget N] [--summary] \
-     [--store DIR] [--no-store] [--paranoid] [--store-cap-bytes N] \
-     [--report-out FILE] [--verify]";
+     [--verify]";
 
 /// The largest worker count accepted, by flag or by position.
 const MAX_WORKERS: usize = 1024;
@@ -98,30 +75,12 @@ struct Cli {
     preset_scaling: bool,
     preset_storm: bool,
     summary: bool,
-    store: Option<PathBuf>,
-    no_store: bool,
-    paranoid: bool,
-    store_cap_bytes: Option<u64>,
-    report_out: Option<PathBuf>,
     verify: bool,
 }
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
     std::process::exit(2);
-}
-
-/// Creates the store directory `dir` if missing and proves this process
-/// can write there, so an unusable store fails up front (exit 2 with the
-/// OS error) instead of silently persisting nothing.
-fn require_store_dir(dir: &Path) {
-    let probe = dir.join(format!(".fleet_sim-probe-{}", std::process::id()));
-    let usable = std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&probe, b""))
-        .and_then(|()| std::fs::remove_file(&probe));
-    if let Err(e) = usable {
-        fail(&format!("store directory {}: {e}", dir.display()));
-    }
 }
 
 fn parse_mode(s: &str) -> TimeMode {
@@ -173,17 +132,12 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
             "--ota-corrupt-permille" => cli.ota_corrupt_permille = Some(permille(flag, &mut it)),
             "--ota-max-retries" => cli.ota_max_retries = Some(num(flag, &mut it)),
             "--step-budget" => cli.step_budget = Some(num(flag, &mut it)),
-            "--store-cap-bytes" => cli.store_cap_bytes = Some(num(flag, &mut it)),
             "--preset" => match value(flag, &mut it).as_str() {
                 "scaling" => cli.preset_scaling = true,
                 "storm" => cli.preset_storm = true,
                 other => fail(&format!("unknown preset {other:?}")),
             },
             "--summary" => cli.summary = true,
-            "--store" => cli.store = Some(PathBuf::from(value(flag, &mut it))),
-            "--no-store" => cli.no_store = true,
-            "--paranoid" => cli.paranoid = true,
-            "--report-out" => cli.report_out = Some(PathBuf::from(value(flag, &mut it))),
             "--verify" => cli.verify = true,
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag:?}")),
             word => {
@@ -208,9 +162,9 @@ fn parse(args: impl Iterator<Item = String>) -> Cli {
 }
 
 /// Rejects an empty fleet, which has no population to report on, more
-/// workers than [`MAX_WORKERS`], contradictory flag combinations and an
-/// unusable `--store` directory up front (exit 2 with usage) instead of
-/// letting one flag silently win over another.
+/// workers than [`MAX_WORKERS`] and contradictory flag combinations up
+/// front (exit 2 with usage) instead of letting one flag silently win
+/// over another.
 fn validate(cli: &Cli) {
     if cli.devices == Some(0) {
         fail("a fleet needs at least one device");
@@ -218,23 +172,8 @@ fn validate(cli: &Cli) {
     if let Some(w) = cli.workers.filter(|&w| w > MAX_WORKERS) {
         fail(&format!("at most {MAX_WORKERS} workers, got {w}"));
     }
-    if cli.store.is_some() && cli.no_store {
-        fail("--store and --no-store conflict");
-    }
-    if cli.paranoid && cli.no_store {
-        fail("--paranoid and --no-store conflict");
-    }
-    if cli.paranoid && cli.store.is_none() {
-        fail("--paranoid verifies disk loads and needs --store DIR");
-    }
-    if cli.store_cap_bytes.is_some() && cli.store.is_none() {
-        fail("--store-cap-bytes bounds an on-disk store and needs --store DIR");
-    }
     if cli.preset_scaling && cli.preset_storm {
         fail("--preset given twice with different presets");
-    }
-    if let Some(dir) = &cli.store {
-        require_store_dir(dir);
     }
 }
 
@@ -276,11 +215,6 @@ fn scenario_from(cli: &Cli) -> (FleetScenario, usize) {
     if let Some(b) = cli.step_budget {
         scenario.step_budget = Some(b);
     }
-    if !cli.no_store {
-        scenario.store_dir = cli.store.clone();
-    }
-    scenario.paranoid = cli.paranoid;
-    scenario.store_cap_bytes = cli.store_cap_bytes;
     scenario.verify = cli.verify;
     let workers = cli.workers.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -290,37 +224,12 @@ fn scenario_from(cli: &Cli) -> (FleetScenario, usize) {
     (scenario, workers)
 }
 
-/// Writes the deterministic document (no `timing`, `firmware_store` or
-/// `verifier` sections) to `--report-out`, so cold and warm store runs of
-/// one scenario can be byte-compared.
-fn write_report_out(
-    cli: &Cli,
-    s: &FleetScenario,
-    workers: usize,
-    agg: &amulet_fleet::FleetAggregate,
-) {
-    let Some(path) = &cli.report_out else { return };
-    let doc = render_document(s, workers, agg, None, None, None);
-    if let Err(e) = std::fs::write(path, &doc) {
-        fail(&format!("could not write {}: {e}", path.display()));
-    }
-    eprintln!("wrote deterministic report to {}", path.display());
-}
-
 fn main() {
     let cli = parse(std::env::args().skip(1));
     validate(&cli);
 
     let (scenario, workers) = scenario_from(&cli);
     let store = FirmwareStore::for_scenario(&scenario);
-    // With a persistent store the build/load phase is timed on its own —
-    // that is the phase the store exists to accelerate, and at fleet scale
-    // it is a sliver of campaign wall-clock.
-    let prewarm = store.is_persistent().then(|| {
-        let started = Instant::now();
-        let configs = store.prewarm(&scenario);
-        (configs, started.elapsed().as_secs_f64())
-    });
     let started = Instant::now();
     // `threads` is what the runner actually spawned, which may be fewer
     // than the `workers` asked for.
@@ -332,17 +241,6 @@ fn main() {
         (r.aggregate, r.workers)
     };
     let wall = started.elapsed().as_secs_f64();
-    let store_json = prewarm.map(|(configs, secs)| {
-        Json::obj()
-            .field("paranoid", scenario.paranoid)
-            .field(
-                "prewarm",
-                Json::obj()
-                    .field("configs", configs)
-                    .field("wall_seconds", secs),
-            )
-            .field("stats", store_stats_json(&store.stats()))
-    });
     // The per-image gate already ran inside the builds; the `verifier`
     // section reports the fleet-wide verdict counters alongside.
     let extras = if cli.verify {
@@ -351,14 +249,6 @@ fn main() {
     } else {
         Vec::new()
     };
-    let json = render_document_with(
-        &scenario,
-        threads,
-        &aggregate,
-        Some(wall),
-        store_json,
-        extras,
-    );
-    write_report_out(&cli, &scenario, threads, &aggregate);
+    let json = render_document_with(&scenario, threads, &aggregate, Some(wall), extras);
     print!("{json}");
 }

@@ -47,14 +47,9 @@ pub fn render_summary_json(summary: &FleetSummary, wall_seconds: Option<f64>) ->
 }
 
 /// The shared render core behind [`render_json`] and
-/// [`render_summary_json`]; `store` (when present) appends the
-/// `firmware_store` section — prewarm timing plus
-/// [`amulet_fleet::FirmwareStoreStats`] counters.  Like `timing`, it is a
-/// measurement section and never enters the deterministic document
-/// (`--report-out` renders with both absent, which is what makes cold-run
-/// and warm-run reports byte-comparable).  `scaling` (when present) is
-/// rendered as one more trailing section after it; every caller passes
-/// `None`.
+/// [`render_summary_json`].  `store` and `scaling` (when present) are
+/// rendered as trailing `firmware_store` and `scaling` sections, in that
+/// order, after `timing`; every caller passes `None` for both.
 pub fn render_document(
     s: &FleetScenario,
     workers: usize,
@@ -63,8 +58,12 @@ pub fn render_document(
     scaling: Option<Json>,
     store: Option<Json>,
 ) -> String {
-    let extras = scaling.map(|json| ("scaling", json)).into_iter().collect();
-    render_document_with(s, workers, agg, wall_seconds, store, extras)
+    let extras = store
+        .map(|json| ("firmware_store", json))
+        .into_iter()
+        .chain(scaling.map(|json| ("scaling", json)))
+        .collect();
+    render_document_with(s, workers, agg, wall_seconds, extras)
 }
 
 /// [`render_document`] plus arbitrary trailing document-level sections —
@@ -75,7 +74,6 @@ pub fn render_document_with(
     workers: usize,
     agg: &FleetAggregate,
     wall_seconds: Option<f64>,
-    store: Option<Json>,
     extras: Vec<(&'static str, Json)>,
 ) -> String {
     let stepped = s.time_mode == TimeMode::Stepped;
@@ -265,9 +263,6 @@ pub fn render_document_with(
                 .field("events_per_second", rate(events as f64)),
         );
     }
-    if let Some(store) = store {
-        doc = doc.field("firmware_store", store);
-    }
     for (name, value) in extras {
         doc = doc.field(name, value);
     }
@@ -320,22 +315,6 @@ pub fn verify_summary_json(v: &amulet_fleet::FleetVerifySummary) -> Json {
         .field("elidable_sites", v.elidable_sites)
         .field("elidable_candidates", v.elidable_candidates)
         .field("passes_gate", Json::Bool(v.passes_gate()))
-}
-
-/// Renders [`amulet_fleet::FirmwareStoreStats`] counters as one JSON object
-/// — the `stats` line of the report's `firmware_store` section.
-pub fn store_stats_json(stats: &amulet_fleet::FirmwareStoreStats) -> Json {
-    Json::obj()
-        .field("hits", stats.hits)
-        .field("misses", stats.misses)
-        .field("disk_hits", stats.disk_hits)
-        .field("builds", stats.builds)
-        .field("bytes_read", stats.bytes_read)
-        .field("bytes_written", stats.bytes_written)
-        .field("evictions", stats.evictions)
-        .field("disk_evictions", stats.disk_evictions)
-        .field("verify_failures", stats.verify_failures)
-        .field("unit_compiles", stats.unit_compiles)
 }
 
 #[cfg(test)]
@@ -441,7 +420,6 @@ mod tests {
             report.workers,
             &report.aggregate,
             None,
-            None,
             vec![("verifier", verify_summary_json(&summary))],
         );
         for needle in [
@@ -503,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn scaling_section_renders_when_provided() {
+    fn store_and_scaling_sections_render_after_timing_when_provided() {
         let report = run(&tiny(), 1);
         let text = render_document(
             &report.scenario,
@@ -511,63 +489,12 @@ mod tests {
             &report.aggregate,
             Some(1.0),
             Some(Json::obj().field("top_devices", 100_000usize)),
-            None,
+            Some(Json::obj().field("builds", 3usize)),
         );
-        assert!(text.contains("\"scaling\""));
         assert!(text.contains("\"events_per_second\""));
         assert!(text.contains("\"top_devices\": 100000"));
-    }
-
-    #[test]
-    fn firmware_store_section_renders_only_when_measured() {
-        let report = run(&tiny(), 1);
-        let stats = amulet_fleet::FirmwareStoreStats {
-            hits: 30,
-            misses: 2,
-            disk_hits: 1,
-            builds: 1,
-            bytes_read: 512,
-            bytes_written: 512,
-            unit_compiles: 3,
-            ..Default::default()
-        };
-        let text = render_document(
-            &report.scenario,
-            report.workers,
-            &report.aggregate,
-            Some(1.0),
-            None,
-            Some(
-                Json::obj()
-                    .field("prewarm_seconds", 0.25)
-                    .field("stats", store_stats_json(&stats)),
-            ),
-        );
-        for needle in [
-            "\"firmware_store\"",
-            "\"prewarm_seconds\"",
-            "\"hits\": 30",
-            "\"disk_hits\": 1",
-            "\"builds\": 1",
-            "\"bytes_written\": 512",
-            "\"evictions\": 0",
-            "\"verify_failures\": 0",
-            "\"unit_compiles\": 3",
-        ] {
-            assert!(text.contains(needle), "missing {needle}");
-        }
-        // The deterministic document (the one `--report-out` writes and the
-        // CI cold/warm byte-diff compares) must not carry store state.
-        let bare = render_document(
-            &report.scenario,
-            report.workers,
-            &report.aggregate,
-            None,
-            None,
-            None,
-        );
-        assert!(!bare.contains("firmware_store"));
-        assert!(!bare.contains("timing"));
+        let at = |section: &str| text.find(&format!("\"{section}\"")).unwrap();
+        assert!(at("timing") < at("firmware_store") && at("firmware_store") < at("scaling"));
     }
 
     #[test]

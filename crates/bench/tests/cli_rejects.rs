@@ -30,15 +30,19 @@ fn fleet_sim_rejects_out_of_range_values() {
         // Tens of thousands of worker threads exhaust the host.
         &["--workers", "40000"],
         &["1000", "40000"],
-        // A store directory the process cannot create or write to would
-        // otherwise cache nothing and still exit 0.
+        &["--preset", "scaling", "--preset", "storm"],
+        // Check elision, the scaling-campaign driver and the on-disk
+        // firmware store are gone: their flags are now unknown flags,
+        // whatever value follows them.
+        &["--elide-checks"],
         &["8", "--summary", "--store", "/dev/null"],
         &["8", "--summary", "--store", "/proc/nope"],
         &["--preset", "scaling", "--store", "/dev/null"],
-        &["--preset", "scaling", "--preset", "storm"],
-        // Check elision and the scaling-campaign driver are gone: their
-        // flags are now unknown flags.
-        &["--elide-checks"],
+        &["--store", "DIR"],
+        &["--no-store"],
+        &["--paranoid"],
+        &["--store-cap-bytes", "1"],
+        &["--report-out", "FILE"],
         &["--scaling"],
         &["--scaling-point"],
         &["--no-write"],
@@ -51,10 +55,10 @@ fn fleet_sim_rejects_out_of_range_values() {
     }
 }
 
-/// The report goes to stdout only: a plain run leaves its working
-/// directory as it found it.
+/// The report goes to stdout only: a run leaves its working directory as
+/// it found it.
 #[test]
-fn fleet_sim_writes_no_file_unless_asked() {
+fn fleet_sim_writes_no_file() {
     let dir = std::env::temp_dir().join(format!("fleet_sim-cwd-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

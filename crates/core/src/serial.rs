@@ -1,10 +1,10 @@
 //! Hand-rolled, versioned binary serialization for the plan types.
 //!
-//! The offline build environment has no `serde`, so the on-disk firmware
-//! store (see `amulet-fleet`) uses a small hand-written little-endian
-//! format instead: this module provides the byte-level [`Writer`] /
-//! [`Reader`] primitives, the shared [`DecodeError`], and [`Codec`]
-//! implementations for every *policy* type a persisted firmware image
+//! The offline build environment has no `serde`, so the firmware wire
+//! format (the OTA envelope of `amulet_mcu::serial`) is a small
+//! hand-written little-endian format instead: this module provides the
+//! byte-level [`Writer`] / [`Reader`] primitives, the shared [`DecodeError`], and [`Codec`]
+//! implementations for every *policy* type an encoded firmware image
 //! embeds — address ranges, permissions, isolation methods, platform
 //! specs, memory maps, MPU plans and MPU register configurations.  The
 //! *mechanism* types (instructions, instruction stores, firmware images)

@@ -16,14 +16,14 @@
 //! The same scenarios can drive an **OTA wave**
 //! ([`FleetScenario::ota_permille`]): affected devices re-install their
 //! firmware mid-campaign through the versioned envelope of
-//! [`amulet_mcu::serial`] — the exact encoding the on-disk
-//! [`crate::store::FirmwareStore`] trusts.  Each delivery attempt may be
-//! corrupted by a seeded bit flip; [`verify_envelope`] catches every such
-//! flip, the device retries under a seeded exponential backoff, and when
-//! the retries run out it **rolls back** to the image it is already
-//! running.  A device can therefore end an OTA in exactly two states —
-//! updated or rolled back — never bricked, and the fold counts all three
-//! so CI can assert the third stays zero.
+//! [`amulet_mcu::serial`], the v1 wire format the golden fixture pins.
+//! Each delivery attempt may be corrupted by a seeded bit flip;
+//! [`verify_envelope`] catches every such flip, the device retries under
+//! a seeded exponential backoff, and when the retries run out it **rolls
+//! back** to the image it is already running.  A device can therefore
+//! end an OTA in exactly two states — updated or rolled back — never
+//! bricked, and the fold counts all three so CI can assert the third
+//! stays zero.
 //!
 //! [`FleetScenario::fault_permille`]: crate::scenario::FleetScenario::fault_permille
 //! [`FleetScenario::ota_permille`]: crate::scenario::FleetScenario::ota_permille

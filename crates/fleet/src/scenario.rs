@@ -85,15 +85,12 @@ pub struct FleetScenario {
     /// derivation; the scaling preset uses a subscription-only window so
     /// silent devices are provably sensor-free.
     pub catalog_window: Option<(usize, usize)>,
-    /// Directory of the cross-run content-addressable firmware store
-    /// (see `crate::store::FirmwareStore`).  `None` (the default) keeps
-    /// the cache purely in-memory, exactly as before the store existed.
-    /// The store is a pure cache: it never changes a single byte of any
-    /// result, so it is **not** part of the rendered scenario.
+    /// Has no effect: the on-disk firmware store is gone and nothing in
+    /// the workspace reads it.  It survives only because the `perfbench`
+    /// replay still reads it, and will be removed with the next change to
+    /// that benchmark, together with [`FleetScenario::elide_checks`] and
+    /// [`FleetScenario::fuse`].  Always `None`.
     pub store_dir: Option<std::path::PathBuf>,
-    /// Paranoid store mode: every image loaded from disk is verified
-    /// byte-identical to a fresh build before reuse (CI runs this).
-    pub paranoid: bool,
     /// Per-mille of devices the fault injector arms with an adversarial
     /// app: each armed device carries one extra application drawn from
     /// [`amulet_apps::adversarial::FaultKind::ALL`] (adapted to the
@@ -123,10 +120,6 @@ pub struct FleetScenario {
     /// Retries after a corrupt OTA attempt before the device rolls back
     /// to the image it is already running.
     pub ota_max_retries: u32,
-    /// Byte cap for the on-disk firmware store; least-recently-used
-    /// images are evicted once the directory exceeds it.  `None` (the
-    /// default) never evicts from disk.
-    pub store_cap_bytes: Option<u64>,
     /// Statically verify every firmware image entering the fleet: the
     /// `amulet-verify` abstract interpreter must prove the build free of
     /// proven-escape accesses (the gate), or the build is refused.
@@ -161,7 +154,6 @@ impl Default for FleetScenario {
             silent_permille: 0,
             catalog_window: None,
             store_dir: None,
-            paranoid: false,
             fault_permille: 0,
             step_budget: None,
             watchdog_base_backoff: 0,
@@ -169,7 +161,6 @@ impl Default for FleetScenario {
             ota_permille: 0,
             ota_corrupt_permille: 0,
             ota_max_retries: 3,
-            store_cap_bytes: None,
             verify: false,
             elide_checks: false,
             fuse: false,
@@ -387,16 +378,6 @@ impl FleetScenario {
             max_batch: self.max_batch.max(1),
             max_latency_events: self.max_latency_events.max(1),
         }
-    }
-
-    /// Stable label of the scenario's batched delivery policy, the
-    /// policy component of the on-disk store key.
-    pub fn policy_label(&self) -> String {
-        format!(
-            "batched:{}:{}",
-            self.max_batch.max(1),
-            self.max_latency_events.max(1)
-        )
     }
 
     /// Derives the configuration of device `index` — a pure function of

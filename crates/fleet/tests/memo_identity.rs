@@ -4,10 +4,11 @@
 //! image twice — through one shared [`UnitMemo`] and through a fresh memo
 //! per image — and demand byte-identical envelopes and equal build
 //! reports (check sites included), plus an identical store image.  They
-//! also pin the memo's scope: one per store, never shared across stores.
+//! also pin the memo's scope: one per store, never shared across stores,
+//! and that a prewarmed store leaves the campaign nothing to build.
 
 use amulet_aft::{Aft, BuildOutput, UnitMemo};
-use amulet_fleet::{DeviceConfig, FirmwareStore, FleetScenario};
+use amulet_fleet::{simulate_summary_in, DeviceConfig, FirmwareStore, FleetScenario};
 use amulet_mcu::serial::encode_firmware;
 
 fn build(cfg: &DeviceConfig, memo: &UnitMemo) -> BuildOutput {
@@ -136,5 +137,26 @@ fn a_parallel_prewarm_matches_a_serial_store_byte_for_byte() {
                 "seed {seed:#x}, {key}: the prewarmed image differs"
             );
         }
+    }
+}
+
+#[test]
+fn a_prewarmed_campaign_builds_nothing_and_matches_a_lazy_one() {
+    for scenario in [FleetScenario::scaling(600), FleetScenario::storm(600)] {
+        let warm = FirmwareStore::for_scenario(&scenario);
+        let configs = warm.prewarm(&scenario) as u64;
+        assert!(configs > 0);
+        let prewarmed = simulate_summary_in(&scenario, 4, &warm);
+        let stats = warm.stats();
+        assert_eq!(
+            (stats.builds, stats.misses),
+            (configs, configs),
+            "{}: the campaign built an image the prewarm did not",
+            scenario.name
+        );
+
+        // A fresh store that builds inside the campaign runs the same one.
+        let lazy = simulate_summary_in(&scenario, 4, &FirmwareStore::for_scenario(&scenario));
+        assert_eq!(prewarmed.aggregate, lazy.aggregate, "{}", scenario.name);
     }
 }

@@ -1,7 +1,7 @@
 //! Binary serialization for firmware images — the mechanism half of the
 //! format whose policy half (plan types) lives in `amulet_core::serial`.
 //!
-//! The on-disk unit is an **envelope**:
+//! The wire unit is an **envelope**:
 //!
 //! ```text
 //! magic  b"AMFW"                       4 bytes
@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// Envelope magic bytes: "AMFW" (amulet firmware).
 pub const MAGIC: [u8; 4] = *b"AMFW";
 
-/// On-disk format version this build reads and writes.  Bump on any
+/// Wire format version this build reads and writes.  Bump on any
 /// change to the encoding of [`Firmware`] or the plan types — the
 /// golden-bytes snapshot test fails when the format drifts without one.
 pub const FORMAT_VERSION: u16 = 1;
@@ -586,10 +586,9 @@ pub fn decode_firmware(bytes: &[u8]) -> Result<(String, Firmware), DecodeError> 
 /// Verifies a v1 envelope without materialising the image: magic, format
 /// version, content hash (over the whole body, so any corruption of the
 /// payload is caught), embedded key and payload length are all checked and
-/// the key is returned.  This is what a warm start needs before it can
-/// *skip* rebuilding a firmware — actually decoding the image can then
-/// happen lazily at first use.  Same totality guarantees as
-/// [`decode_firmware`].
+/// the key is returned.  This is the check an OTA receiver runs on every
+/// delivery attempt before it installs the image.  Same totality
+/// guarantees as [`decode_firmware`].
 pub fn verify_envelope(bytes: &[u8]) -> Result<String, DecodeError> {
     let (key, _payload) = open_envelope(bytes)?;
     Ok(key)
