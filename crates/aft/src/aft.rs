@@ -16,7 +16,7 @@
 //!    firmware image plus the MPU register values the OS will install at
 //!    every context switch ([`crate::link`]).
 //!
-//! Phases 1–2 ([`compile`]) depend only on one app, the API, the method
+//! Phases 1–2 (`compile`) depend only on one app, the API, the method
 //! and the check policy; phases 3–4 are the only per-image work.
 //! [`Aft::build_with`] takes a [`UnitMemo`] so a caller that builds many
 //! images from few distinct apps compiles each app once.
@@ -181,16 +181,6 @@ impl Aft {
         self
     }
 
-    /// The isolation method this toolchain instance targets.
-    pub fn method(&self) -> IsolationMethod {
-        self.method
-    }
-
-    /// The platform this toolchain instance targets.
-    pub fn platform(&self) -> &PlatformSpec {
-        &self.platform
-    }
-
     /// Runs all four phases and produces the firmware image.  Equivalent
     /// to [`Aft::build_with`] over a fresh [`UnitMemo`].
     pub fn build(&self) -> AftResult<BuildOutput> {
@@ -264,7 +254,7 @@ impl Aft {
 /// bounds.  The result depends only on the app's name and source, `api`,
 /// `method` and `policy` — never on the platform layout or the other
 /// apps, which only [`link`](crate::link::link) sees.
-pub fn compile(
+pub(crate) fn compile(
     app: &AppSource,
     api: &ApiSpec,
     method: IsolationMethod,
@@ -347,7 +337,8 @@ impl UnitMemo {
             .count()
     }
 
-    /// Whether no unit is recorded.
+    /// Whether no unit is recorded (public beside [`UnitMemo::len`], as
+    /// clippy's `len_without_is_empty` asks).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -26,11 +26,6 @@ pub struct ApiFunction {
 }
 
 impl ApiFunction {
-    /// Whether any parameter is a pointer the OS must validate.
-    pub fn has_pointer_args(&self) -> bool {
-        self.params.iter().any(|t| matches!(t, Type::Ptr(_)))
-    }
-
     /// Number of pointer parameters.
     pub fn pointer_arg_count(&self) -> u32 {
         self.params
@@ -162,18 +157,13 @@ impl ApiSpec {
     }
 
     /// Looks up an API function by its C-visible name.
-    pub fn by_name(&self, name: &str) -> Option<&ApiFunction> {
+    pub(crate) fn by_name(&self, name: &str) -> Option<&ApiFunction> {
         self.functions.iter().find(|f| f.name == name)
     }
 
     /// Looks up an API function by system-call number.
     pub fn by_num(&self, num: u16) -> Option<&ApiFunction> {
         self.functions.iter().find(|f| f.num == num)
-    }
-
-    /// All approved functions.
-    pub fn functions(&self) -> &[ApiFunction] {
-        &self.functions
     }
 }
 
@@ -184,16 +174,16 @@ mod tests {
     #[test]
     fn api_numbers_are_unique() {
         let api = ApiSpec::amulet();
-        let mut nums: Vec<u16> = api.functions().iter().map(|f| f.num).collect();
+        let mut nums: Vec<u16> = api.functions.iter().map(|f| f.num).collect();
         nums.sort_unstable();
         nums.dedup();
-        assert_eq!(nums.len(), api.functions().len());
+        assert_eq!(nums.len(), api.functions.len());
     }
 
     #[test]
     fn lookup_by_name_and_number_agree() {
         let api = ApiSpec::amulet();
-        for f in api.functions() {
+        for f in &api.functions {
             assert_eq!(api.by_name(f.name).unwrap().num, f.num);
             assert_eq!(api.by_num(f.num).unwrap().name, f.name);
         }
@@ -203,19 +193,21 @@ mod tests {
     #[test]
     fn pointer_argument_classification() {
         let api = ApiSpec::amulet();
-        assert!(api.by_name("amulet_log_buffer").unwrap().has_pointer_args());
         assert_eq!(
             api.by_name("amulet_log_buffer")
                 .unwrap()
                 .pointer_arg_count(),
             1
         );
-        assert!(!api.by_name("amulet_get_time").unwrap().has_pointer_args());
+        assert_eq!(
+            api.by_name("amulet_get_time").unwrap().pointer_arg_count(),
+            0
+        );
     }
 
     #[test]
     fn arities_fit_the_two_register_convention() {
-        for f in ApiSpec::amulet().functions() {
+        for f in ApiSpec::amulet().functions {
             assert!(f.params.len() <= 2, "{} has too many parameters", f.name);
         }
     }

@@ -12,13 +12,6 @@ pub struct Program {
     pub functions: Vec<Function>,
 }
 
-impl Program {
-    /// Looks up a function by name.
-    pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name == name)
-    }
-}
-
 /// A global variable declaration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GlobalDecl {
@@ -192,7 +185,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether the operator produces a boolean (0/1) result.
-    pub fn is_comparison(&self) -> bool {
+    pub(crate) fn is_comparison(&self) -> bool {
         matches!(
             self,
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne
@@ -284,7 +277,7 @@ pub enum Expr {
 
 impl Expr {
     /// The source location of the expression.
-    pub fn loc(&self) -> Loc {
+    pub(crate) fn loc(&self) -> Loc {
         match self {
             Expr::IntLit { loc, .. }
             | Expr::Ident { loc, .. }
@@ -297,61 +290,11 @@ impl Expr {
             | Expr::AddrOf { loc, .. } => *loc,
         }
     }
-
-    /// Whether the expression syntactically uses pointers (dereference,
-    /// address-of, or a call through something other than a plain name).
-    pub fn uses_pointer_syntax(&self) -> bool {
-        match self {
-            Expr::Deref { .. } | Expr::AddrOf { .. } => true,
-            Expr::IntLit { .. } | Expr::Ident { .. } => false,
-            Expr::Unary { expr, .. } => expr.uses_pointer_syntax(),
-            Expr::Binary { lhs, rhs, .. } => lhs.uses_pointer_syntax() || rhs.uses_pointer_syntax(),
-            Expr::Assign { target, value, .. } => {
-                target.uses_pointer_syntax() || value.uses_pointer_syntax()
-            }
-            Expr::Index { base, index, .. } => {
-                base.uses_pointer_syntax() || index.uses_pointer_syntax()
-            }
-            Expr::Call { callee, args, .. } => {
-                (!matches!(**callee, Expr::Ident { .. }))
-                    || args.iter().any(|a| a.uses_pointer_syntax())
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ident(name: &str) -> Expr {
-        Expr::Ident {
-            name: name.into(),
-            loc: Loc::default(),
-        }
-    }
-
-    #[test]
-    fn pointer_syntax_detection() {
-        let deref = Expr::Deref {
-            expr: Box::new(ident("p")),
-            loc: Loc::default(),
-        };
-        assert!(deref.uses_pointer_syntax());
-        assert!(!ident("x").uses_pointer_syntax());
-        let call = Expr::Call {
-            callee: Box::new(ident("f")),
-            args: vec![deref.clone()],
-            loc: Loc::default(),
-        };
-        assert!(call.uses_pointer_syntax(), "pointer argument counts");
-        let direct = Expr::Call {
-            callee: Box::new(ident("f")),
-            args: vec![],
-            loc: Loc::default(),
-        };
-        assert!(!direct.uses_pointer_syntax());
-    }
 
     #[test]
     fn comparison_classification() {
@@ -359,21 +302,5 @@ mod tests {
         assert!(BinOp::Ne.is_comparison());
         assert!(!BinOp::Add.is_comparison());
         assert!(!BinOp::LogicalAnd.is_comparison());
-    }
-
-    #[test]
-    fn program_function_lookup() {
-        let p = Program {
-            globals: vec![],
-            functions: vec![Function {
-                name: "main".into(),
-                ret: Type::Void,
-                params: vec![],
-                body: Block::default(),
-                loc: Loc::default(),
-            }],
-        };
-        assert!(p.function("main").is_some());
-        assert!(p.function("other").is_none());
     }
 }

@@ -89,7 +89,7 @@ pub struct FunctionCode {
 
 impl FunctionCode {
     /// Total encoded size in bytes.
-    pub fn size_bytes(&self) -> u32 {
+    pub(crate) fn size_bytes(&self) -> u32 {
         self.instrs.iter().map(|i| i.size_bytes()).sum()
     }
 }
@@ -112,13 +112,8 @@ pub struct AppCode {
 
 impl AppCode {
     /// Total code size in bytes.
-    pub fn code_bytes(&self) -> u32 {
+    pub(crate) fn code_bytes(&self) -> u32 {
         self.functions.iter().map(|f| f.size_bytes()).sum()
-    }
-
-    /// Looks up a compiled function.
-    pub fn function(&self, name: &str) -> Option<&FunctionCode> {
-        self.functions.iter().find(|f| f.name == name)
     }
 }
 
@@ -1459,6 +1454,10 @@ mod tests {
     use crate::sema::analyze;
     use amulet_core::layout::PlatformSpec;
 
+    fn function<'a>(app: &'a AppCode, name: &str) -> &'a FunctionCode {
+        app.functions.iter().find(|f| f.name == name).unwrap()
+    }
+
     fn compile(src: &str, method: IsolationMethod) -> AppCode {
         let program = parse(src).unwrap();
         let api = ApiSpec::amulet();
@@ -1520,14 +1519,14 @@ mod tests {
             }
         "#;
         let fl = compile(src, IsolationMethod::FeatureLimited);
-        let main = fl.function("main").unwrap();
+        let main = function(&fl, "main");
         assert!(*main.inserted_checks.get("array bounds").unwrap_or(&0) >= 1);
         assert!(!main
             .inserted_checks
             .contains_key("data pointer lower bound"));
         // No-isolation build of the same program has no checks at all.
         let none = compile(src, IsolationMethod::NoIsolation);
-        assert!(none.function("main").unwrap().inserted_checks.is_empty());
+        assert!(function(&none, "main").inserted_checks.is_empty());
     }
 
     #[test]
@@ -1581,7 +1580,7 @@ mod tests {
     fn api_calls_become_syscalls_with_the_right_number() {
         let src = "void main(void) { amulet_log_value(3); amulet_get_time(); }";
         let app = compile(src, IsolationMethod::Mpu);
-        let main = app.function("main").unwrap();
+        let main = function(&app, "main");
         let syscalls: Vec<u16> = main
             .instrs
             .iter()

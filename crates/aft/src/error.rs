@@ -5,7 +5,7 @@ use crate::token::Loc;
 use std::fmt;
 
 /// Result alias for toolchain operations.
-pub type AftResult<T> = Result<T, CompileError>;
+pub(crate) type AftResult<T> = Result<T, CompileError>;
 
 /// An error raised by any phase of the Amulet Firmware Toolchain.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,7 +75,7 @@ pub enum CompileError {
 
 impl CompileError {
     /// Convenience constructor for type errors.
-    pub fn type_error(app: &str, message: impl Into<String>, loc: Loc) -> Self {
+    pub(crate) fn type_error(app: &str, message: impl Into<String>, loc: Loc) -> Self {
         CompileError::Type {
             app: app.to_string(),
             message: message.into(),
@@ -84,7 +84,7 @@ impl CompileError {
     }
 
     /// Convenience constructor for unknown-name errors.
-    pub fn unknown(app: &str, name: impl Into<String>, loc: Loc) -> Self {
+    pub(crate) fn unknown(app: &str, name: impl Into<String>, loc: Loc) -> Self {
         CompileError::Unknown {
             app: app.to_string(),
             name: name.into(),

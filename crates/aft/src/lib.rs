@@ -39,15 +39,14 @@
 
 pub mod aft;
 pub mod api;
-pub mod ast;
+pub(crate) mod ast;
 pub mod codegen;
-pub mod error;
+pub(crate) mod error;
 pub mod link;
 pub mod parser;
 pub mod sema;
-pub mod token;
-pub mod types;
+pub(crate) mod token;
+pub(crate) mod types;
 
-pub use aft::{Aft, AppSource, BuildOutput, BuildReport, UnitMemo};
+pub use aft::{Aft, BuildOutput, UnitMemo};
 pub use api::{sysno, ApiSpec};
-pub use error::{AftResult, CompileError};

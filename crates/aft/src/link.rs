@@ -24,12 +24,12 @@ use std::collections::BTreeMap;
 
 /// Default stack reservation for applications whose maximum stack depth the
 /// AFT cannot bound (recursive apps), in bytes.
-pub const DEFAULT_RECURSIVE_STACK_BYTES: u32 = 768;
+pub(crate) const DEFAULT_RECURSIVE_STACK_BYTES: u32 = 768;
 
 /// Safety margin added to every computed stack bound, covering the OS call
 /// veneer (handler arguments plus the sentinel return address) and interrupt
 /// headroom.
-pub const STACK_MARGIN_BYTES: u32 = 32;
+pub(crate) const STACK_MARGIN_BYTES: u32 = 32;
 
 /// One application entering the link phase.
 #[derive(Clone, Debug)]

@@ -41,13 +41,6 @@ pub struct FunctionAnalysis {
     pub uses_pointers: bool,
 }
 
-impl FunctionAnalysis {
-    /// Total memory accesses the isolation machinery must police.
-    pub fn memory_accesses(&self) -> u32 {
-        self.pointer_derefs + self.array_accesses
-    }
-}
-
 /// A signature in the function symbol table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FunctionSig {

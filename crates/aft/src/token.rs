@@ -26,7 +26,7 @@ impl fmt::Display for Loc {
 
 /// Token kinds produced by the lexer.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Integer literal.
     Int(i64),
     /// Character literal (already converted to its numeric value).
@@ -109,7 +109,7 @@ pub enum Tok {
 
 /// Keywords.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Kw {
+pub(crate) enum Kw {
     /// `int`
     Int,
     /// `uint` (AmuletC shorthand for `unsigned int`)
@@ -161,7 +161,7 @@ impl fmt::Display for Tok {
 
 /// A token together with its source location.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind.
     pub tok: Tok,
     /// Where it started.
@@ -170,7 +170,7 @@ pub struct Token {
 
 /// A lexical error.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Explanation.
     pub message: String,
     /// Where the error occurred.
@@ -186,7 +186,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenises AmuletC source text.
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
     let bytes: Vec<char> = source.chars().collect();
     let mut i = 0usize;

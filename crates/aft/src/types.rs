@@ -25,7 +25,7 @@ pub enum Type {
 
 impl Type {
     /// Size of a value of this type in bytes.
-    pub fn size_bytes(&self) -> u32 {
+    pub(crate) fn size_bytes(&self) -> u32 {
         match self {
             Type::Void => 0,
             Type::Char => 1,
@@ -36,7 +36,7 @@ impl Type {
 
     /// Size of this type when it is pushed on the stack or stored in a
     /// register (sub-word types are widened to a word).
-    pub fn stack_size_bytes(&self) -> u32 {
+    pub(crate) fn stack_size_bytes(&self) -> u32 {
         match self {
             Type::Array(..) => self.size_bytes().max(2).div_ceil(2) * 2,
             _ => 2,
@@ -44,23 +44,23 @@ impl Type {
     }
 
     /// Whether the type is an arithmetic scalar.
-    pub fn is_arithmetic(&self) -> bool {
+    pub(crate) fn is_arithmetic(&self) -> bool {
         matches!(self, Type::Int | Type::Uint | Type::Char)
     }
 
     /// Whether the type may appear in a condition or arithmetic context
     /// (scalars and pointers both may, as in C).
-    pub fn is_scalar(&self) -> bool {
+    pub(crate) fn is_scalar(&self) -> bool {
         self.is_arithmetic() || matches!(self, Type::Ptr(_) | Type::FnPtr)
     }
 
     /// Whether values of this type are compared / shifted as unsigned.
-    pub fn is_unsigned(&self) -> bool {
+    pub(crate) fn is_unsigned(&self) -> bool {
         matches!(self, Type::Uint | Type::Char | Type::Ptr(_) | Type::FnPtr)
     }
 
     /// Element type when indexing or dereferencing, if any.
-    pub fn pointee(&self) -> Option<&Type> {
+    pub(crate) fn pointee(&self) -> Option<&Type> {
         match self {
             Type::Ptr(inner) => Some(inner),
             Type::Array(elem, _) => Some(elem),
@@ -69,7 +69,7 @@ impl Type {
     }
 
     /// The type of a load of one element (byte vs word).
-    pub fn access_width_bytes(&self) -> u32 {
+    pub(crate) fn access_width_bytes(&self) -> u32 {
         match self {
             Type::Char => 1,
             _ => 2,

@@ -131,14 +131,6 @@ pub fn adversarial_catalog() -> Vec<CatalogApp> {
     ]
 }
 
-/// Looks up an adversarial app by name.
-pub fn adversarial_by_name(name: &str) -> Option<CatalogApp> {
-    adversarial_catalog().into_iter().find(|a| a.name == name)
-}
-
-/// The magic value wild writes deposit, so escape checks can find it.
-pub const ATTACK_MAGIC: u16 = 0x1234;
-
 fn wild_writer() -> CatalogApp {
     CatalogApp {
         name: "WildWrite",

@@ -27,7 +27,7 @@ pub struct BenchmarkApp {
 
 impl BenchmarkApp {
     /// The source used for a given memory model.
-    pub fn source_for(&self, method: IsolationMethod) -> &'static str {
+    pub(crate) fn source_for(&self, method: IsolationMethod) -> &'static str {
         if method == IsolationMethod::FeatureLimited {
             self.feature_limited_source
         } else {
@@ -315,11 +315,6 @@ pub fn quicksort() -> BenchmarkApp {
         "#,
         stack_override: Some(1024),
     }
-}
-
-/// All three benchmark applications.
-pub fn all() -> Vec<BenchmarkApp> {
-    vec![synthetic(), activity_detection(), quicksort()]
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ impl CatalogApp {
     }
 
     /// The handler driven by this app's dominant event source, with its
-    /// per-hour rate (used by the end-to-end Figure 2 path that measures
-    /// counts on the simulator instead of trusting the static profile).
+    /// per-hour rate: [`crate::traces::generate`] fires it at that rate,
+    /// and `tests/end_to_end.rs` drives each app's hot handler through it.
     pub fn dominant_handler(&self) -> (&str, f64) {
         let h = self
             .profile
@@ -61,11 +61,6 @@ pub fn catalog() -> Vec<CatalogApp> {
         sun_exposure(),
         temperature(),
     ]
-}
-
-/// Looks up a catalogued app by name.
-pub fn by_name(name: &str) -> Option<CatalogApp> {
-    catalog().into_iter().find(|a| a.name == name)
 }
 
 fn battery_meter() -> CatalogApp {
@@ -344,12 +339,6 @@ mod tests {
             let out = aft.build().unwrap_or_else(|e| panic!("{method}: {e}"));
             assert_eq!(out.firmware.apps.len(), 9, "{method}");
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert!(by_name("Pedometer").is_some());
-        assert!(by_name("NotAnApp").is_none());
     }
 
     #[test]

@@ -13,11 +13,11 @@
 #![warn(missing_docs)]
 
 pub mod adversarial;
-pub mod benchmarks;
+pub(crate) mod benchmarks;
 pub mod catalog;
 pub mod traces;
 
-pub use adversarial::{adversarial_by_name, adversarial_catalog, FaultKind};
+pub use adversarial::{adversarial_catalog, FaultKind};
 pub use benchmarks::{activity_detection, quicksort, synthetic, BenchmarkApp};
-pub use catalog::{by_name, catalog, CatalogApp};
+pub use catalog::{catalog, CatalogApp};
 pub use traces::TraceEvent;

@@ -104,22 +104,6 @@ pub struct ArpView {
     pub rows: Vec<OverheadEstimate>,
 }
 
-impl ArpView {
-    /// The largest battery impact in the report (the paper's headline claim
-    /// is that this stays below 0.5 %).
-    pub fn max_battery_impact_percent(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.battery_impact_percent)
-            .fold(0.0, f64::max)
-    }
-
-    /// Rows for a single app.
-    pub fn for_app(&self, app: &str) -> Vec<&OverheadEstimate> {
-        self.rows.iter().filter(|r| r.app == app).collect()
-    }
-}
-
 impl fmt::Display for ArpView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -190,12 +174,13 @@ mod tests {
         // The paper's headline claim, for profiles at realistic rates.
         let arp = arp();
         let view = arp.render_figure2(&fr5969(), &[pedometer_like(), chatty_logger()]);
-        assert!(
-            view.max_battery_impact_percent() < 0.5,
-            "{}",
-            view.max_battery_impact_percent()
-        );
-        assert!(view.max_battery_impact_percent() > 0.0);
+        let max = view
+            .rows
+            .iter()
+            .map(|r| r.battery_impact_percent)
+            .fold(0.0, f64::max);
+        assert!(max < 0.5, "{max}");
+        assert!(max > 0.0);
     }
 
     #[test]
@@ -241,6 +226,7 @@ mod tests {
         assert!(text.contains("HRLog"));
         assert!(text.contains("MPU"));
         assert!(text.contains("Software Only"));
-        assert_eq!(view.for_app("Pedometer").len(), 3);
+        let pedometer = view.rows.iter().filter(|r| r.app == "Pedometer");
+        assert_eq!(pedometer.count(), 3);
     }
 }

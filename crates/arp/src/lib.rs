@@ -12,6 +12,3 @@
 
 pub mod arp;
 pub mod profile;
-
-pub use arp::{Arp, ArpView, OverheadEstimate};
-pub use profile::{AppProfile, HandlerProfile, SECONDS_PER_WEEK};

@@ -8,9 +8,6 @@
 
 use amulet_core::overhead::OpCounts;
 
-/// Seconds in a week (the extrapolation window used by Figure 2).
-pub const SECONDS_PER_WEEK: f64 = 7.0 * 24.0 * 3600.0;
-
 /// Resource counts for one event handler (one state-machine transition).
 #[derive(Clone, Debug, PartialEq)]
 pub struct HandlerProfile {
@@ -43,17 +40,17 @@ impl HandlerProfile {
 
     /// Context switches per invocation: the event delivery itself plus one
     /// round trip per API call.
-    pub fn context_switches(&self) -> u64 {
+    pub(crate) fn context_switches(&self) -> u64 {
         1 + self.api_calls
     }
 
     /// Invocations in one week.
-    pub fn invocations_per_week(&self) -> u64 {
+    pub(crate) fn invocations_per_week(&self) -> u64 {
         (self.invocations_per_hour * 24.0 * 7.0).round() as u64
     }
 
     /// Operation counts accumulated over one week.
-    pub fn weekly_counts(&self) -> OpCounts {
+    pub(crate) fn weekly_counts(&self) -> OpCounts {
         let inv = self.invocations_per_week();
         OpCounts::new(self.memory_accesses * inv, self.context_switches() * inv)
     }
@@ -78,15 +75,10 @@ impl AppProfile {
     }
 
     /// Total operation counts over one week.
-    pub fn weekly_counts(&self) -> OpCounts {
+    pub(crate) fn weekly_counts(&self) -> OpCounts {
         self.handlers.iter().fold(OpCounts::default(), |acc, h| {
             acc.saturating_add(h.weekly_counts())
         })
-    }
-
-    /// Total handler invocations per week.
-    pub fn weekly_invocations(&self) -> u64 {
-        self.handlers.iter().map(|h| h.invocations_per_week()).sum()
     }
 
     /// Ratio of memory accesses to context switches — the quantity that
@@ -99,27 +91,6 @@ impl AppProfile {
         } else {
             counts.memory_accesses as f64 / counts.context_switches as f64
         }
-    }
-
-    /// Derives a profile from counts measured on the simulator: `handler`
-    /// ran once with the given measured memory accesses and API calls, and
-    /// is expected to fire `invocations_per_hour` times per hour.
-    pub fn from_measurement(
-        app: impl Into<String>,
-        handler: impl Into<String>,
-        measured_memory_accesses: u64,
-        measured_api_calls: u64,
-        invocations_per_hour: f64,
-    ) -> Self {
-        AppProfile::new(
-            app,
-            vec![HandlerProfile::new(
-                handler,
-                measured_memory_accesses,
-                measured_api_calls,
-                invocations_per_hour,
-            )],
-        )
     }
 }
 
@@ -162,15 +133,5 @@ mod tests {
         let osy = AppProfile::new("Chatty", vec![HandlerProfile::new("run", 5, 20, 10.0)]);
         assert!(compute.access_to_switch_ratio() > 1000.0);
         assert!(osy.access_to_switch_ratio() < 1.0);
-    }
-
-    #[test]
-    fn from_measurement_builds_a_single_handler_profile() {
-        let p = AppProfile::from_measurement("Pedometer", "on_accel", 123, 4, 7200.0);
-        assert_eq!(p.handlers.len(), 1);
-        assert_eq!(
-            p.weekly_counts().memory_accesses,
-            123 * p.weekly_invocations()
-        );
     }
 }

@@ -17,7 +17,7 @@
 //! [`TimeMode::Stepped`]: amulet_fleet::TimeMode::Stepped
 
 use crate::json::Json;
-use amulet_fleet::{FleetAggregate, FleetReport, FleetScenario, FleetSummary, TimeMode};
+use amulet_fleet::{FleetAggregate, FleetReport, FleetScenario, TimeMode};
 
 /// Renders the deterministic part of a fleet report as a JSON document;
 /// `wall_seconds` (when known) adds the non-deterministic timing object.
@@ -32,22 +32,8 @@ pub fn render_json(report: &FleetReport, wall_seconds: Option<f64>) -> String {
     )
 }
 
-/// Renders a streaming [`FleetSummary`] — the same document as
-/// [`render_json`], byte for byte, since the renderer only ever reads the
-/// scenario, the worker count and the aggregate.
-pub fn render_summary_json(summary: &FleetSummary, wall_seconds: Option<f64>) -> String {
-    render_document(
-        &summary.scenario,
-        summary.workers,
-        &summary.aggregate,
-        wall_seconds,
-        None,
-        None,
-    )
-}
-
-/// The shared render core behind [`render_json`] and
-/// [`render_summary_json`].  `store` and `scaling` (when present) are
+/// The shared render core behind [`render_json`] and `fleet_sim`'s
+/// streaming summary.  `store` and `scaling` (when present) are
 /// rendered as trailing `firmware_store` and `scaling` sections, in that
 /// order, after `timing`; every caller passes `None` for both.
 pub fn render_document(
@@ -272,7 +258,7 @@ pub fn render_document_with(
 /// Renders the per-(platform, method, fault) containment matrix as an
 /// array of verdict-count rows, in the aggregate's deterministic
 /// name-sorted order.
-pub fn containment_json(rows: &[amulet_fleet::ContainmentRow]) -> Vec<Json> {
+pub(crate) fn containment_json(rows: &[amulet_fleet::ContainmentRow]) -> Vec<Json> {
     rows.iter()
         .map(|r| {
             Json::obj()
@@ -290,7 +276,7 @@ pub fn containment_json(rows: &[amulet_fleet::ContainmentRow]) -> Vec<Json> {
 }
 
 /// Renders the fleet-wide OTA-wave tallies as one JSON object.
-pub fn ota_wave_json(w: &amulet_fleet::OtaWaveStats) -> Json {
+pub(crate) fn ota_wave_json(w: &amulet_fleet::OtaWaveStats) -> Json {
     Json::obj()
         .field("devices", w.devices)
         .field("installed", w.installed)
@@ -326,8 +312,12 @@ mod tests {
         simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
     }
 
-    fn run_summary(scenario: &FleetScenario, workers: usize) -> FleetSummary {
-        simulate_summary_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+    /// The streaming summary's document: the renderer reads only the
+    /// scenario, the worker count and the aggregate, which a summary and a
+    /// materialised report share.
+    fn summary_json(scenario: &FleetScenario, workers: usize) -> String {
+        let s = simulate_summary_in(scenario, workers, &FirmwareStore::for_scenario(scenario));
+        render_document(&s.scenario, s.workers, &s.aggregate, None, None, None)
     }
 
     fn tiny() -> FleetScenario {
@@ -437,7 +427,7 @@ mod tests {
     #[test]
     fn storm_reports_render_the_containment_matrix_and_ota_wave() {
         let scenario = FleetScenario::storm(600);
-        let text = render_summary_json(&run_summary(&scenario, 1), None);
+        let text = summary_json(&scenario, 1);
         for needle in [
             "\"fault_permille\": 400",
             "\"step_budget\": 20000",
@@ -456,7 +446,7 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         assert_eq!(text.matches('{').count(), text.matches('}').count());
-        let parallel = render_summary_json(&run_summary(&scenario, 8), None);
+        let parallel = summary_json(&scenario, 8);
         assert_eq!(text, parallel, "storm reports are worker-count-free");
     }
 
@@ -469,7 +459,7 @@ mod tests {
             ..tiny()
         };
         let report = render_json(&run(&scenario, 2), None);
-        let summary = render_summary_json(&run_summary(&scenario, 2), None);
+        let summary = summary_json(&scenario, 2);
         assert_eq!(report, summary);
         for needle in [
             "\"silent_permille\": 400",

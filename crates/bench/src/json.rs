@@ -12,8 +12,6 @@ use std::fmt::Write as _;
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// An unsigned integer.
@@ -33,7 +31,7 @@ pub enum Json {
 
 impl Json {
     /// Creates an empty object.
-    pub fn obj() -> Json {
+    pub(crate) fn obj() -> Json {
         Json::Obj(Vec::new())
     }
 
@@ -41,7 +39,7 @@ impl Json {
     ///
     /// # Panics
     /// Panics when `self` is not an object.
-    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
+    pub(crate) fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
             Json::Obj(fields) => fields.push((key.to_string(), value.into())),
             other => panic!("field() on non-object {other:?}"),
@@ -51,7 +49,7 @@ impl Json {
 
     /// Renders the document with two-space indentation and a trailing
     /// newline.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
         out.push('\n');
@@ -61,7 +59,6 @@ impl Json {
     fn write(&self, out: &mut String, indent: usize) {
         let pad = "  ".repeat(indent);
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
@@ -118,7 +115,7 @@ impl Json {
 }
 
 /// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

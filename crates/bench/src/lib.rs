@@ -24,7 +24,7 @@
 //! `ablation_advanced_mpu`, `platform_compare` and `fleet_sim` binaries
 //! print them, and the Criterion benches wrap the same entry points.  The
 //! paper-figure binaries share one command-line parser, [`cli`].  JSON
-//! output goes through the shared [`json`] writer.  The simulator's own
+//! output goes through the shared `json` writer.  The simulator's own
 //! throughput is measured by the separate `perfbench` harness, not here.
 
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ pub mod cli;
 pub mod fig2;
 pub mod fig3;
 pub mod fleet_sim;
-pub mod json;
+pub(crate) mod json;
 pub mod lint;
 pub mod platform_compare;
 pub mod table1;
@@ -46,7 +46,7 @@ use amulet_os::os::AmuletOs;
 
 /// Builds a single benchmark app for `method` on any platform and boots an
 /// OS around it.
-pub fn boot_benchmark_on(
+pub(crate) fn boot_benchmark_on(
     platform: &impl amulet_core::platform::Platform,
     app: &amulet_apps::BenchmarkApp,
     method: IsolationMethod,

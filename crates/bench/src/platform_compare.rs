@@ -172,7 +172,7 @@ pub fn compare() -> Vec<PlatformComparison> {
         .collect()
 }
 
-/// Renders the comparison as JSON via the shared [`crate::json`] writer
+/// Renders the comparison as JSON via the crate's shared `json` writer
 /// (the build environment has no serialization dependency).
 pub fn render_json(rows: &[PlatformComparison]) -> String {
     let platforms: Vec<Json> = rows

@@ -42,7 +42,7 @@ pub struct Table1Row {
 }
 
 /// The paper's Table 1 values, in column order.
-pub fn paper_values(method: IsolationMethod) -> (u64, u64) {
+pub(crate) fn paper_values(method: IsolationMethod) -> (u64, u64) {
     match method {
         IsolationMethod::NoIsolation => (23, 90),
         IsolationMethod::FeatureLimited => (41, 90),

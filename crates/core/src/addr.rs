@@ -80,36 +80,6 @@ impl AddrRange {
     pub fn overlaps(&self, other: &AddrRange) -> bool {
         !self.is_empty() && !other.is_empty() && self.start < other.end && other.start < self.end
     }
-
-    /// Whether an access of `size` bytes starting at `addr` lies entirely in
-    /// the range.
-    pub fn contains_access(&self, addr: Addr, size: u32) -> bool {
-        addr >= self.start && addr.saturating_add(size) <= self.end
-    }
-
-    /// Returns the range rounded outward to `align`-byte boundaries.
-    ///
-    /// `align` must be a power of two.
-    pub fn align_outward(&self, align: u32) -> Self {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let mask = align - 1;
-        let start = self.start & !mask;
-        let end = (self.end + mask) & !mask;
-        Self::new(start, end.min(ADDRESS_SPACE_END))
-    }
-
-    /// Splits the range at `mid`, returning `([start, mid), [mid, end))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mid` is outside `[start, end]`.
-    pub fn split_at(&self, mid: Addr) -> (Self, Self) {
-        assert!(
-            mid >= self.start && mid <= self.end,
-            "split point {mid:#x} outside range {self:?}"
-        );
-        (Self::new(self.start, mid), Self::new(mid, self.end))
-    }
 }
 
 impl fmt::Debug for AddrRange {
@@ -137,7 +107,7 @@ pub fn align_up(value: u32, align: u32) -> u32 {
 }
 
 /// Rounds `value` down to the previous multiple of `align` (power of two).
-pub fn align_down(value: u32, align: u32) -> u32 {
+pub(crate) fn align_down(value: u32, align: u32) -> u32 {
     assert!(align.is_power_of_two(), "alignment must be a power of two");
     value & !(align - 1)
 }
@@ -185,29 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_range_and_access() {
+    fn contains_range_rules() {
         let outer = AddrRange::new(0x4400, 0x6000);
         assert!(outer.contains_range(&AddrRange::new(0x4400, 0x6000)));
         assert!(outer.contains_range(&AddrRange::new(0x5000, 0x5002)));
         assert!(outer.contains_range(&AddrRange::empty()));
         assert!(!outer.contains_range(&AddrRange::new(0x43FE, 0x4402)));
-        assert!(outer.contains_access(0x5FFE, 2));
-        assert!(!outer.contains_access(0x5FFF, 2));
-    }
-
-    #[test]
-    fn align_outward_rounds_both_ends() {
-        let r = AddrRange::new(0x4410, 0x47F0).align_outward(0x400);
-        assert_eq!(r, AddrRange::new(0x4400, 0x4800));
-    }
-
-    #[test]
-    fn split_at_partitions() {
-        let r = AddrRange::new(0x1000, 0x2000);
-        let (lo, hi) = r.split_at(0x1800);
-        assert_eq!(lo, AddrRange::new(0x1000, 0x1800));
-        assert_eq!(hi, AddrRange::new(0x1800, 0x2000));
-        assert_eq!(lo.len() + hi.len(), r.len());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! both the compiler (`amulet-aft::codegen`) and the analytic overhead
 //! model ([`crate::overhead`]) agree on the policy.
 
-use crate::fault::FaultClass;
 use crate::method::IsolationMethod;
 use std::fmt;
 
@@ -34,38 +33,6 @@ pub enum CheckKind {
 }
 
 impl CheckKind {
-    /// Every check kind.
-    pub const ALL: [CheckKind; 6] = [
-        CheckKind::DataPointerLower,
-        CheckKind::DataPointerUpper,
-        CheckKind::FunctionPointerLower,
-        CheckKind::FunctionPointerUpper,
-        CheckKind::ArrayBounds,
-        CheckKind::ReturnAddress,
-    ];
-
-    /// The fault class reported when this check fails.
-    pub fn fault_class(&self) -> FaultClass {
-        match self {
-            CheckKind::DataPointerLower => FaultClass::DataPointerLowerBound,
-            CheckKind::DataPointerUpper => FaultClass::DataPointerUpperBound,
-            CheckKind::FunctionPointerLower => FaultClass::FunctionPointerLowerBound,
-            CheckKind::FunctionPointerUpper => FaultClass::FunctionPointerUpperBound,
-            CheckKind::ArrayBounds => FaultClass::ArrayBounds,
-            CheckKind::ReturnAddress => FaultClass::ReturnAddress,
-        }
-    }
-
-    /// Number of machine instructions in the inserted sequence
-    /// (compare-immediate + conditional branch, twice for the two-sided
-    /// return-address check).
-    pub fn instruction_count(&self) -> u32 {
-        match self {
-            CheckKind::ReturnAddress => 4,
-            _ => 2,
-        }
-    }
-
     /// Cycle cost of the inserted sequence when the check passes (the hot
     /// path), using MSP430-flavoured costs.
     ///
@@ -75,7 +42,7 @@ impl CheckKind {
     /// register, so it only adds the compare and jump (3 cycles).  These
     /// constants make the analytic model reproduce Table 1 exactly
     /// (23 → 29 for MPU, 23 → 32 for Software Only).
-    pub fn cycle_cost(&self) -> u64 {
+    pub(crate) fn cycle_cost(&self) -> u64 {
         match self {
             // Array bounds checks in the Feature Limited tool additionally
             // reload the (possibly just computed) index and the array length
@@ -205,10 +172,13 @@ impl CheckPolicy {
     /// smashing — a return diverted to the wrong address inside the app's
     /// own executable region — which no app-granularity MPU can see.
     ///
-    /// A *segmented* MPU with four segments can also bound an app from
-    /// below (see [`crate::mpu_plan::MpuPlan::for_app_advanced`]), but it
-    /// still leaves SRAM open, so its check policy is unchanged — that
-    /// configuration remains an analytic ablation.
+    /// A *segmented* MPU with four segments could also bound an app from
+    /// below, but it still leaves SRAM open, so its check policy is
+    /// unchanged.  The `msp430fr5969-advanced-mpu` profile is simulated
+    /// with the FR5969's Figure-1 plan
+    /// ([`crate::mpu_plan::MpuPlan::for_app_on`]); what a fourth segment
+    /// would save is projected analytically by the bench crate's
+    /// `ablation::advanced_mpu_ablation`.
     pub fn for_method_on(method: IsolationMethod, mpu: &crate::platform::MpuModel) -> Self {
         let mut policy = Self::for_method(method);
         if method == IsolationMethod::Mpu && mpu.is_region_based() {
@@ -270,7 +240,7 @@ impl CheckPolicy {
     }
 
     /// The checks inserted before a *data pointer* dereference.
-    pub fn data_pointer_checks(&self) -> Vec<CheckKind> {
+    pub(crate) fn data_pointer_checks(&self) -> Vec<CheckKind> {
         let mut v = Vec::new();
         if self.data_pointer_lower {
             v.push(CheckKind::DataPointerLower);
@@ -281,21 +251,8 @@ impl CheckPolicy {
         v
     }
 
-    /// The checks inserted before an indirect call through a function
-    /// pointer.
-    pub fn function_pointer_checks(&self) -> Vec<CheckKind> {
-        let mut v = Vec::new();
-        if self.function_pointer_lower {
-            v.push(CheckKind::FunctionPointerLower);
-        }
-        if self.function_pointer_upper {
-            v.push(CheckKind::FunctionPointerUpper);
-        }
-        v
-    }
-
     /// The checks inserted around an array access.
-    pub fn array_checks(&self) -> Vec<CheckKind> {
+    pub(crate) fn array_checks(&self) -> Vec<CheckKind> {
         if self.array_bounds {
             vec![CheckKind::ArrayBounds]
         } else {
@@ -303,24 +260,10 @@ impl CheckPolicy {
         }
     }
 
-    /// The checks inserted before a function return.
-    pub fn return_checks(&self) -> Vec<CheckKind> {
-        if self.return_address {
-            vec![CheckKind::ReturnAddress]
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Total number of checks inserted per data-pointer dereference.
-    pub fn checks_per_pointer_deref(&self) -> u32 {
-        self.data_pointer_lower as u32 + self.data_pointer_upper as u32
-    }
-
     /// Extra cycles added to a single data-memory access (pointer dereference
     /// under the pointer-enabled methods, array access under Feature
     /// Limited).  This is the per-access component of the analytic model.
-    pub fn memory_access_overhead_cycles(&self) -> u64 {
+    pub(crate) fn memory_access_overhead_cycles(&self) -> u64 {
         match self.method {
             IsolationMethod::FeatureLimited => {
                 self
@@ -340,29 +283,6 @@ impl CheckPolicy {
                 .sum(),
         }
     }
-
-    /// Human-readable one-line summary (used by ARP-view reports).
-    pub fn summary(&self) -> String {
-        let mut parts = Vec::new();
-        for k in CheckKind::ALL {
-            let enabled = match k {
-                CheckKind::DataPointerLower => self.data_pointer_lower,
-                CheckKind::DataPointerUpper => self.data_pointer_upper,
-                CheckKind::FunctionPointerLower => self.function_pointer_lower,
-                CheckKind::FunctionPointerUpper => self.function_pointer_upper,
-                CheckKind::ArrayBounds => self.array_bounds,
-                CheckKind::ReturnAddress => self.return_address,
-            };
-            if enabled {
-                parts.push(k.to_string());
-            }
-        }
-        if parts.is_empty() {
-            format!("{}: no compiler-inserted checks", self.method)
-        } else {
-            format!("{}: {}", self.method, parts.join(", "))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,9 +298,9 @@ mod tests {
     fn no_isolation_inserts_nothing() {
         let p = on_fr5969(IsolationMethod::NoIsolation);
         assert!(p.data_pointer_checks().is_empty());
-        assert!(p.function_pointer_checks().is_empty());
+        assert!(!p.function_pointer_lower && !p.function_pointer_upper);
         assert!(p.array_checks().is_empty());
-        assert!(p.return_checks().is_empty());
+        assert!(!p.return_address);
         assert_eq!(p.memory_access_overhead_cycles(), 0);
     }
 
@@ -388,12 +308,8 @@ mod tests {
     fn mpu_method_needs_half_the_pointer_checks_of_software_only() {
         let mpu = on_fr5969(IsolationMethod::Mpu);
         let sw = on_fr5969(IsolationMethod::SoftwareOnly);
-        assert_eq!(mpu.checks_per_pointer_deref(), 1);
-        assert_eq!(sw.checks_per_pointer_deref(), 2);
-        assert_eq!(
-            sw.checks_per_pointer_deref(),
-            2 * mpu.checks_per_pointer_deref()
-        );
+        assert_eq!(mpu.data_pointer_checks().len(), 1);
+        assert_eq!(sw.data_pointer_checks().len(), 2);
     }
 
     #[test]
@@ -416,26 +332,18 @@ mod tests {
         assert!(sw < fl, "{sw} < {fl}");
     }
 
-    #[test]
-    fn check_kinds_map_to_matching_fault_classes() {
-        assert_eq!(
-            CheckKind::DataPointerLower.fault_class(),
-            FaultClass::DataPointerLowerBound
-        );
-        assert_eq!(
-            CheckKind::ArrayBounds.fault_class(),
-            FaultClass::ArrayBounds
-        );
-        assert_eq!(
-            CheckKind::ReturnAddress.fault_class(),
-            FaultClass::ReturnAddress
-        );
-    }
+    const ALL_KINDS: [CheckKind; 6] = [
+        CheckKind::DataPointerLower,
+        CheckKind::DataPointerUpper,
+        CheckKind::FunctionPointerLower,
+        CheckKind::FunctionPointerUpper,
+        CheckKind::ArrayBounds,
+        CheckKind::ReturnAddress,
+    ];
 
     #[test]
     fn every_check_is_a_compare_and_branch() {
-        for k in CheckKind::ALL {
-            assert!(k.instruction_count() >= 2);
+        for k in ALL_KINDS {
             assert!(k.cycle_cost() >= 3, "{k} suspiciously cheap");
             assert!(k.cycle_cost() <= 12, "{k} suspiciously expensive");
         }
@@ -443,24 +351,12 @@ mod tests {
 
     #[test]
     fn only_bound_checks_are_elidable() {
-        for k in CheckKind::ALL {
-            let elidable = k.is_elidable();
+        for k in ALL_KINDS {
             assert_eq!(
-                elidable,
+                k.is_elidable(),
                 !matches!(k, CheckKind::ArrayBounds | CheckKind::ReturnAddress),
                 "{k}"
             );
-            if elidable {
-                // A `CmpImm` + `Jcc` pair the verifier can read the bound off.
-                assert_eq!(k.instruction_count(), 2);
-            }
-        }
-    }
-
-    #[test]
-    fn summary_mentions_method_name() {
-        for m in IsolationMethod::ALL {
-            assert!(on_fr5969(m).summary().contains(m.label()));
         }
     }
 }

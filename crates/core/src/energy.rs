@@ -56,12 +56,12 @@ impl EnergyModel {
     }
 
     /// Active power draw in watts.
-    pub fn active_power_w(&self) -> f64 {
+    pub(crate) fn active_power_w(&self) -> f64 {
         self.active_current_a * self.supply_voltage_v
     }
 
     /// Low-power-mode (sleep) power draw in watts.
-    pub fn lpm_power_w(&self) -> f64 {
+    pub(crate) fn lpm_power_w(&self) -> f64 {
         self.lpm_current_a * self.supply_voltage_v
     }
 
@@ -71,7 +71,7 @@ impl EnergyModel {
     }
 
     /// Energy consumed per active CPU cycle, in joules.
-    pub fn joules_per_cycle(&self) -> f64 {
+    pub(crate) fn joules_per_cycle(&self) -> f64 {
         self.active_power_w() / self.frequency_hz
     }
 
@@ -111,12 +111,12 @@ impl BatteryModel {
     }
 
     /// Total energy stored in the battery, in joules.
-    pub fn capacity_joules(&self) -> f64 {
+    pub(crate) fn capacity_joules(&self) -> f64 {
         self.capacity_mah / 1000.0 * 3600.0 * self.voltage_v
     }
 
     /// Energy budget consumed per week at the baseline lifetime, in joules.
-    pub fn weekly_budget_joules(&self) -> f64 {
+    pub(crate) fn weekly_budget_joules(&self) -> f64 {
         self.capacity_joules() / self.baseline_lifetime_weeks
     }
 
@@ -124,16 +124,6 @@ impl BatteryModel {
     /// extra per week.
     pub fn impact_percent(&self, overhead_joules_per_week: f64) -> f64 {
         overhead_joules_per_week / self.weekly_budget_joules() * 100.0
-    }
-
-    /// Battery-lifetime impact (in percent) of `overhead_cycles_per_week`
-    /// extra active cycles per week under the given energy model.
-    pub fn impact_percent_from_cycles(
-        &self,
-        energy: &EnergyModel,
-        overhead_cycles_per_week: u64,
-    ) -> f64 {
-        self.impact_percent(energy.cycles_to_joules(overhead_cycles_per_week))
     }
 
     /// Battery lifetime, in weeks, of a device whose long-run average power
@@ -147,13 +137,6 @@ impl BatteryModel {
             return f64::INFINITY;
         }
         self.capacity_joules() / average_power_w / (7.0 * 86_400.0)
-    }
-
-    /// New battery lifetime, in weeks, after adding the weekly overhead.
-    pub fn lifetime_with_overhead_weeks(&self, overhead_joules_per_week: f64) -> f64 {
-        let baseline_weekly = self.weekly_budget_joules();
-        self.capacity_joules() / (baseline_weekly + overhead_joules_per_week)
-            * (self.baseline_lifetime_weeks / (self.capacity_joules() / baseline_weekly))
     }
 }
 
@@ -213,7 +196,7 @@ mod tests {
         let e = fr5969();
         let b = BatteryModel::amulet();
         for cycles in [0_u64, 100_000_000, 1_000_000_000, 3_000_000_000] {
-            let impact = b.impact_percent_from_cycles(&e, cycles);
+            let impact = b.impact_percent(e.cycles_to_joules(cycles));
             assert!(impact < 0.5, "{cycles} cycles => {impact}%");
         }
     }
@@ -224,7 +207,7 @@ mod tests {
         let b = BatteryModel::amulet();
         let mut prev = -1.0;
         for cycles in [0_u64, 1_000, 1_000_000, 1_000_000_000, 10_000_000_000] {
-            let impact = b.impact_percent_from_cycles(&e, cycles);
+            let impact = b.impact_percent(e.cycles_to_joules(cycles));
             assert!(impact >= prev);
             prev = impact;
         }
@@ -258,14 +241,5 @@ mod tests {
         let e = fr5969();
         let weeks = b.lifetime_weeks_at_power(e.lpm_power_w());
         assert!(weeks > 500.0 && weeks < 1500.0, "{weeks}");
-    }
-
-    #[test]
-    fn lifetime_shrinks_with_overhead() {
-        let b = BatteryModel::amulet();
-        let without = b.lifetime_with_overhead_weeks(0.0);
-        let with = b.lifetime_with_overhead_weeks(100.0);
-        assert!(close(without, b.baseline_lifetime_weeks, 1e-12));
-        assert!(with < without);
     }
 }

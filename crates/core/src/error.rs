@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Result alias for fallible operations in `amulet-core`.
-pub type CoreResult<T> = Result<T, CoreError>;
+pub(crate) type CoreResult<T> = Result<T, CoreError>;
 
 /// Errors produced by the memory-map planner and MPU-plan derivation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,13 +46,6 @@ pub enum CoreError {
         /// The MPU's boundary granularity in bytes.
         granularity: u32,
     },
-    /// The plan needs more distinct MPU segments than the hardware provides.
-    TooManySegments {
-        /// Segments required.
-        required: usize,
-        /// Segments available on the device.
-        available: usize,
-    },
     /// A named application appears more than once in the build.
     DuplicateApp(String),
     /// The platform description itself is inconsistent (e.g. overlapping
@@ -81,10 +74,6 @@ impl fmt::Display for CoreError {
             CoreError::UnalignedMpuBoundary { addr, granularity } => write!(
                 f,
                 "MPU boundary {addr:#06x} is not aligned to the {granularity}-byte segment granularity"
-            ),
-            CoreError::TooManySegments { required, available } => write!(
-                f,
-                "plan requires {required} MPU segments but the device only has {available}"
             ),
             CoreError::DuplicateApp(name) => write!(f, "application `{name}` listed twice"),
             CoreError::InvalidPlatform(reason) => write!(f, "invalid platform description: {reason}"),

@@ -63,15 +63,6 @@ impl FaultClass {
         FaultClass::IllegalInstruction,
         FaultClass::WatchdogBudget,
     ];
-
-    /// Whether this fault was raised by hardware (the MPU) rather than a
-    /// compiler-inserted software check.
-    pub fn is_hardware(&self) -> bool {
-        matches!(
-            self,
-            FaultClass::MpuViolation | FaultClass::IllegalInstruction
-        )
-    }
 }
 
 impl fmt::Display for FaultClass {
@@ -96,13 +87,6 @@ impl fmt::Display for FaultClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hardware_vs_software_classification() {
-        assert!(FaultClass::MpuViolation.is_hardware());
-        assert!(!FaultClass::DataPointerLowerBound.is_hardware());
-        assert!(!FaultClass::ArrayBounds.is_hardware());
-    }
 
     #[test]
     fn all_is_exhaustive_and_unique() {

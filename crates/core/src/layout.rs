@@ -211,7 +211,7 @@ impl PlatformSpec {
 
     /// Validates that the fixed regions are non-overlapping and ordered and
     /// that the MPU model is coherent.
-    pub fn validate(&self) -> CoreResult<()> {
+    pub(crate) fn validate(&self) -> CoreResult<()> {
         let regions = [
             ("peripherals", self.peripherals),
             ("bootstrap_loader", self.bootstrap_loader),
@@ -308,7 +308,7 @@ impl AppImageSpec {
     }
 
     /// Total bytes the app will occupy before alignment padding.
-    pub fn total_size(&self) -> u32 {
+    pub(crate) fn total_size(&self) -> u32 {
         self.code_size + self.data_size + self.stack_size
     }
 }
@@ -393,16 +393,6 @@ pub struct MemoryMap {
 }
 
 impl MemoryMap {
-    /// Returns the placement of the named application, if present.
-    pub fn app(&self, name: &str) -> Option<&AppPlacement> {
-        self.apps.iter().find(|a| a.name == name)
-    }
-
-    /// Returns the placement of the application that owns `addr`, if any.
-    pub fn app_owning(&self, addr: Addr) -> Option<&AppPlacement> {
-        self.apps.iter().find(|a| a.footprint().contains(addr))
-    }
-
     /// The start of the application area in high FRAM (everything below this
     /// belongs to the OS).
     pub fn apps_base(&self) -> Addr {
@@ -539,19 +529,9 @@ impl MemoryMapPlanner {
         Ok(MemoryMapPlanner { platform })
     }
 
-    /// Creates a planner for any [`Platform`] (profile type or spec).
-    pub fn for_platform(platform: &impl Platform) -> CoreResult<Self> {
-        Self::new(platform.spec())
-    }
-
     /// Creates a planner for the default MSP430FR5969 platform.
     pub fn msp430fr5969() -> Self {
         Self::new(PlatformSpec::msp430fr5969()).expect("builtin platform spec is valid")
-    }
-
-    /// The platform this planner targets.
-    pub fn platform(&self) -> &PlatformSpec {
-        &self.platform
     }
 
     /// Produces a memory map placing the OS and the given applications.
@@ -780,19 +760,6 @@ mod tests {
             // segment boundary D_i == stack.start.
             assert_eq!(app.stack.start, app.data_lower_bound());
         }
-    }
-
-    #[test]
-    fn app_lookup_by_name_and_address() {
-        let planner = MemoryMapPlanner::msp430fr5969();
-        let map = planner
-            .plan(&OsImageSpec::default(), &three_apps())
-            .unwrap();
-        let ped = map.app("Pedometer").unwrap();
-        assert_eq!(map.app_owning(ped.code.start).unwrap().name, "Pedometer");
-        assert_eq!(map.app_owning(ped.data.end - 1).unwrap().name, "Pedometer");
-        assert!(map.app("NoSuchApp").is_none());
-        assert!(map.app_owning(map.os_code.start).is_none());
     }
 
     #[test]

@@ -48,22 +48,9 @@ pub mod platform;
 pub mod serial;
 pub mod switch;
 
-pub use addr::{Addr, AddrRange};
-pub use checks::{CheckKind, CheckPolicy};
-pub use energy::{BatteryModel, EnergyModel};
-pub use error::{CoreError, CoreResult};
-pub use fault::FaultClass;
-pub use layout::{AppImageSpec, AppPlacement, MemoryMap, MemoryMapPlanner, PlatformSpec};
+pub use addr::Addr;
+pub use layout::{AppImageSpec, MemoryMap, MemoryMapPlanner};
 pub use method::IsolationMethod;
-pub use mpu_plan::{
-    MpuConfig, MpuPlan, MpuSegmentPlan, PmpRegisterValues, RegionDesc, RegionRegisterValues,
-    SegmentRole,
-};
-pub use overhead::{OpCounts, OverheadBreakdown, OverheadModel};
-pub use perm::Perm;
-pub use platform::{
-    builtin_platforms, CortexM33, CycleCostTable, MpuModel, Msp430Fr5969, Msp430Fr5969AdvancedMpu,
-    Msp430Fr5994, Platform, RegionConstraints, RiscvPmp, SizeRule,
-};
+pub use mpu_plan::MpuPlan;
+pub use platform::builtin_platforms;
 pub use serial::{fnv1a64, Codec, DecodeError};
-pub use switch::{ContextSwitchPlan, SwitchDirection, SwitchStep};

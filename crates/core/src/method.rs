@@ -50,15 +50,6 @@ impl IsolationMethod {
         !matches!(self, IsolationMethod::FeatureLimited)
     }
 
-    /// Whether this method permits recursive application code.
-    ///
-    /// Recursion is rejected by the Feature Limited front end; the other
-    /// methods allow it but then cannot statically bound the stack, as noted
-    /// in the paper's AFT description.
-    pub fn allows_recursion(&self) -> bool {
-        !matches!(self, IsolationMethod::FeatureLimited)
-    }
-
     /// Whether the MPU hardware is used while apps run under this method.
     pub fn uses_mpu(&self) -> bool {
         matches!(self, IsolationMethod::Mpu)
@@ -74,12 +65,6 @@ impl IsolationMethod {
     /// transition).  The original Amulet design shares a single stack.
     pub fn uses_per_app_stacks(&self) -> bool {
         matches!(self, IsolationMethod::Mpu | IsolationMethod::SoftwareOnly)
-    }
-
-    /// Whether this method guarantees that an app cannot read or write
-    /// memory outside its own region (the paper's memory-isolation property).
-    pub fn provides_isolation(&self) -> bool {
-        !matches!(self, IsolationMethod::NoIsolation)
     }
 
     /// Short human-readable name as used in the paper's tables and figures.
@@ -120,7 +105,6 @@ mod tests {
     fn feature_limited_is_the_only_restricted_language() {
         for m in IsolationMethod::ALL {
             assert_eq!(m.allows_pointers(), m != IsolationMethod::FeatureLimited);
-            assert_eq!(m.allows_recursion(), m != IsolationMethod::FeatureLimited);
         }
     }
 
@@ -134,9 +118,9 @@ mod tests {
 
     #[test]
     fn isolation_guarantee() {
-        assert!(!IsolationMethod::NoIsolation.provides_isolation());
+        assert!(!IsolationMethod::NoIsolation.inserts_checks());
         for m in IsolationMethod::ISOLATING {
-            assert!(m.provides_isolation());
+            assert!(m.inserts_checks());
         }
     }
 

@@ -50,12 +50,8 @@ pub enum SegmentRole {
     /// The whole application area while the OS runs (read-write so the OS can
     /// deliver events and copy buffers).
     AppsRegion,
-    /// The running app's code segment in the "advanced MPU" ablation, where a
-    /// fourth segment lets hardware bound the app from below as well.
+    /// The running app's code region (execute-only) on region MPUs.
     AppCode,
-    /// Memory below the running app in the "advanced MPU" ablation
-    /// (no access).
-    BelowAppBlocked,
     /// SRAM (the OS stack) while the OS runs — only region MPUs police
     /// SRAM, which is what makes their no-software-lower-check policy
     /// sound.
@@ -130,7 +126,7 @@ impl MpuRegisterValues {
     /// configuration during a context switch (boundaries, access bits, then
     /// control/enable).  This count is what makes the MPU method's context
     /// switch more expensive in Table 1.
-    pub const WRITE_COUNT: u32 = 4;
+    pub(crate) const WRITE_COUNT: u32 = 4;
 }
 
 /// One region of a region-based (Tock/Cortex-M-style) MPU configuration.
@@ -156,7 +152,7 @@ impl RegionRegisterValues {
     /// Register writes per region of the RNR/RBAR/RLAR interface both
     /// aligned-region backends share: select the slot, write its base,
     /// write its limit/attribute word.
-    pub const WRITES_PER_REGION: u32 = 3;
+    pub(crate) const WRITES_PER_REGION: u32 = 3;
 
     /// Number of peripheral-register writes needed to install this
     /// configuration (select/base/limit per region, then the control word).
@@ -186,7 +182,7 @@ pub struct PmpRegisterValues {
 impl PmpRegisterValues {
     /// `pmpcfg` words the modelled PMP register file packs its eight
     /// entry configs into; a user-mode install rewrites all of them.
-    pub const CFG_WORDS: u32 = 2;
+    pub(crate) const CFG_WORDS: u32 = 2;
 
     /// Number of register writes needed to install this configuration:
     /// one `pmpaddr` per entry, both packed `pmpcfg` words, and the
@@ -211,18 +207,6 @@ pub enum MpuConfig {
     Region(RegionRegisterValues),
     /// RISC-V-PMP-style NAPOT register values.
     Pmp(PmpRegisterValues),
-}
-
-impl MpuConfig {
-    /// Number of peripheral-register writes installing this configuration
-    /// costs.
-    pub fn write_count(&self) -> u32 {
-        match self {
-            MpuConfig::Segmented(_) => MpuRegisterValues::WRITE_COUNT,
-            MpuConfig::Region(r) => r.write_count(),
-            MpuConfig::Pmp(p) => p.write_count(),
-        }
-    }
 }
 
 impl MpuPlan {
@@ -337,67 +321,6 @@ impl MpuPlan {
         })
     }
 
-    /// Builds the "advanced MPU" ablation configuration for an app: four
-    /// segments that also block the region below the app's code, removing the
-    /// need for any compiler-inserted lower-bound checks (§5 of the paper).
-    pub fn for_app_advanced(map: &MemoryMap, app_index: usize) -> CoreResult<Self> {
-        if map.platform.mpu_main_segments() < 4 {
-            return Err(CoreError::TooManySegments {
-                required: 4,
-                available: map.platform.mpu_main_segments(),
-            });
-        }
-        let app = map
-            .apps
-            .get(app_index)
-            .ok_or_else(|| CoreError::AppImageInvalid {
-                app: format!("#{app_index}"),
-                reason: "no such application in the memory map".into(),
-            })?;
-        let fram = map.platform.fram;
-        let segments = vec![
-            MpuSegmentPlan {
-                index: 0,
-                range: map.platform.info_mem,
-                perm: Perm::NONE,
-                role: SegmentRole::InfoMem,
-            },
-            MpuSegmentPlan {
-                index: 1,
-                range: AddrRange::new(fram.start, app.code_lower_bound()),
-                perm: Perm::NONE,
-                role: SegmentRole::BelowAppBlocked,
-            },
-            MpuSegmentPlan {
-                index: 2,
-                range: app.code,
-                perm: Perm::X,
-                role: SegmentRole::AppCode,
-            },
-            MpuSegmentPlan {
-                index: 3,
-                range: app.data_stack(),
-                perm: Perm::RW,
-                role: SegmentRole::AppDataStack,
-            },
-            MpuSegmentPlan {
-                index: 4,
-                range: AddrRange::new(app.upper_bound(), fram.end),
-                perm: Perm::NONE,
-                role: SegmentRole::AboveApp,
-            },
-        ];
-        Ok(MpuPlan {
-            context: MpuContext::AppRunning {
-                name: app.name.clone(),
-                index: app_index,
-            },
-            segments,
-            boundary1: app.data_lower_bound(),
-            boundary2: app.upper_bound(),
-        })
-    }
-
     /// Builds the MPU configuration for application `app_index` in whatever
     /// shape the map's platform supports: the Figure-1 segmented plan on
     /// segmented hardware, or a two-region plan (code execute-only,
@@ -430,7 +353,7 @@ impl MpuPlan {
     /// machine mode is not constrained by the PMP, so the plan carries no
     /// segments — installing it is a single privilege-mode toggle, and
     /// every OS access is outside the (inactive) user-mode jurisdiction.
-    pub fn for_os_machine_mode() -> Self {
+    pub(crate) fn for_os_machine_mode() -> Self {
         MpuPlan {
             context: MpuContext::OsRunning,
             segments: Vec::new(),
@@ -444,7 +367,7 @@ impl MpuPlan {
     /// region hardware denies everything else inside its jurisdiction, so —
     /// unlike the segmented Figure-1 plan — the app is bounded from *below*
     /// as well, and no compiler-inserted data-pointer check is needed.
-    pub fn for_app_region(map: &MemoryMap, app_index: usize) -> CoreResult<Self> {
+    pub(crate) fn for_app_region(map: &MemoryMap, app_index: usize) -> CoreResult<Self> {
         let app = map
             .apps
             .get(app_index)
@@ -510,7 +433,7 @@ impl MpuPlan {
     /// region grants the OS read-write access to it (the OS drives the
     /// timer and MPU register files through the bus); applications get no
     /// such region, so a wild peripheral access faults in hardware.
-    pub fn for_os_region(map: &MemoryMap) -> CoreResult<Self> {
+    pub(crate) fn for_os_region(map: &MemoryMap) -> CoreResult<Self> {
         let fram = map.platform.fram;
         let g = map.platform.mpu_boundary_granularity();
         let b1 = align_down(map.os_code.end, g).max(fram.start);
@@ -762,28 +685,40 @@ mod tests {
     }
 
     #[test]
-    fn advanced_plan_requires_advanced_platform() {
-        let map = map();
-        assert!(matches!(
-            MpuPlan::for_app_advanced(&map, 0),
-            Err(CoreError::TooManySegments { .. })
-        ));
-
-        let adv_map =
-            MemoryMapPlanner::new(crate::layout::PlatformSpec::msp430fr5969_advanced_mpu())
+    fn advanced_mpu_profile_runs_the_figure1_plan() {
+        // The four-segment profile is simulated with the same Figure-1
+        // plan as the FR5969: its extra segment is left unused.
+        let roles = |spec: crate::layout::PlatformSpec| -> Vec<SegmentRole> {
+            let map = MemoryMapPlanner::new(spec)
                 .unwrap()
                 .plan(
                     &OsImageSpec::default(),
                     &[AppImageSpec::new("App1", 0x800, 0x200, 0x100)],
                 )
                 .unwrap();
-        let plan = MpuPlan::for_app_advanced(&adv_map, 0).unwrap();
-        // The region below the app is now fully blocked in hardware.
-        assert!(plan.blocks(adv_map.os_data.start));
+            let plan = MpuPlan::for_app_on(&map, 0).unwrap();
+            plan.segments.iter().map(|s| s.role).collect()
+        };
+        let advanced = roles(crate::layout::PlatformSpec::msp430fr5969_advanced_mpu());
         assert_eq!(
-            plan.permission_at(adv_map.apps[0].code.start),
-            Some(Perm::X)
+            advanced,
+            [
+                SegmentRole::InfoMem,
+                SegmentRole::BelowAppData,
+                SegmentRole::AppDataStack,
+                SegmentRole::AboveApp,
+            ]
         );
+        assert_eq!(advanced, roles(crate::layout::PlatformSpec::msp430fr5969()));
+    }
+
+    /// Peripheral-register writes installing `config` costs.
+    fn write_count(config: &MpuConfig) -> u32 {
+        match config {
+            MpuConfig::Segmented(_) => MpuRegisterValues::WRITE_COUNT,
+            MpuConfig::Region(r) => r.write_count(),
+            MpuConfig::Pmp(p) => p.write_count(),
+        }
     }
 
     #[test]
@@ -822,13 +757,13 @@ mod tests {
             // And the encoded per-config write counts agree with the cost
             // model's constraint-derived figures.
             assert_eq!(
-                app.config(&platform.mpu).write_count(),
+                write_count(&app.config(&platform.mpu)),
                 platform.mpu.config_writes_for_app(),
                 "{}",
                 platform.name
             );
             assert_eq!(
-                os.config(&platform.mpu).write_count(),
+                write_count(&os.config(&platform.mpu)),
                 platform.mpu.config_writes_for_os(),
                 "{}",
                 platform.name

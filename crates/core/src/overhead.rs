@@ -17,11 +17,11 @@ use std::fmt;
 /// Baseline (No Isolation) cost of one application data-memory access,
 /// including the address computation and loop overhead of the synthetic
 /// benchmark — the 23-cycle figure from Table 1.
-pub const BASELINE_MEMORY_ACCESS_CYCLES: u64 = 23;
+pub(crate) const BASELINE_MEMORY_ACCESS_CYCLES: u64 = 23;
 
 /// Baseline (No Isolation) cost of one OS API-call round trip — the 90-cycle
 /// figure from Table 1.
-pub const BASELINE_CONTEXT_SWITCH_CYCLES: u64 = 90;
+pub(crate) const BASELINE_CONTEXT_SWITCH_CYCLES: u64 = 90;
 
 /// Counts of the two operations that incur memory-protection overhead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,14 +47,6 @@ impl OpCounts {
         OpCounts {
             memory_accesses: self.memory_accesses.saturating_add(other.memory_accesses),
             context_switches: self.context_switches.saturating_add(other.context_switches),
-        }
-    }
-
-    /// Scales both counts by `factor` (e.g. events per week).
-    pub fn scaled(self, factor: u64) -> OpCounts {
-        OpCounts {
-            memory_accesses: self.memory_accesses.saturating_mul(factor),
-            context_switches: self.context_switches.saturating_mul(factor),
         }
     }
 }
@@ -143,7 +135,7 @@ impl OverheadModel {
 
     /// Total cycles (baseline work plus overhead) for the given counts; used
     /// to compute percentage slowdowns in Figure-3 style comparisons.
-    pub fn total_cycles(&self, counts: OpCounts) -> u64 {
+    pub(crate) fn total_cycles(&self, counts: OpCounts) -> u64 {
         counts
             .memory_accesses
             .saturating_mul(self.absolute_memory_access_cycles())
@@ -256,11 +248,6 @@ mod tests {
         let a = OpCounts::new(10, 2);
         let b = OpCounts::new(5, 1);
         assert_eq!(a.saturating_add(b), OpCounts::new(15, 3));
-        assert_eq!(a.scaled(3), OpCounts::new(30, 6));
-        assert_eq!(
-            OpCounts::new(u64::MAX, 1).scaled(2).memory_accesses,
-            u64::MAX
-        );
     }
 
     #[test]

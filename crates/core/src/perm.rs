@@ -49,12 +49,6 @@ impl Perm {
         write: true,
         execute: false,
     };
-    /// Read-execute (`R-X`).
-    pub const RX: Perm = Perm {
-        read: true,
-        write: false,
-        execute: true,
-    };
     /// Full access (`RWX`).
     pub const RWX: Perm = Perm {
         read: true,
@@ -71,7 +65,7 @@ impl Perm {
     }
 
     /// Returns true when no access of any kind is permitted.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         !self.read && !self.write && !self.execute
     }
 

@@ -20,12 +20,12 @@ use std::fmt;
 /// application: its code region (execute-only) and its data/stack region
 /// (read-write).  This is a property of the Figure-1 app shape, not of any
 /// particular backend.
-pub const APP_PLAN_REGIONS: u32 = 2;
+pub(crate) const APP_PLAN_REGIONS: u32 = 2;
 
 /// Region slots the OS-running configuration spends on a region-based MPU
 /// *before* any peripheral region: OS code, OS data, SRAM (the OS stack)
 /// and the whole application area.
-pub const OS_PLAN_BASE_REGIONS: u32 = 4;
+pub(crate) const OS_PLAN_BASE_REGIONS: u32 = 4;
 
 /// The rule a planned region's size — and through it, its base address —
 /// must satisfy on a region-based MPU.
@@ -51,7 +51,7 @@ impl SizeRule {
     /// satisfy under this rule (NAPOT boundaries are aligned at least to
     /// the minimum region size; individual regions are aligned to their
     /// own, larger, size).
-    pub fn min_align(&self) -> u32 {
+    pub(crate) fn min_align(&self) -> u32 {
         match self {
             SizeRule::AnyAligned { align } => *align,
             SizeRule::NapotPow2 { min } => *min,
@@ -124,7 +124,7 @@ impl RegionConstraints {
     /// Region slots an OS-running configuration programs (0 when
     /// privileged execution bypasses the MPU; the four base regions plus a
     /// peripheral region when the jurisdiction covers peripheral space).
-    pub fn os_plan_regions(&self) -> u32 {
+    pub(crate) fn os_plan_regions(&self) -> u32 {
         if self.privileged_bypass {
             0
         } else {
@@ -133,18 +133,18 @@ impl RegionConstraints {
     }
 
     /// Register writes to install a configuration of `regions` regions.
-    pub fn config_writes(&self, regions: u32) -> u32 {
+    pub(crate) fn config_writes(&self, regions: u32) -> u32 {
         regions * self.writes_per_region + self.control_writes
     }
 
     /// Register writes to install the running-app configuration.
-    pub fn config_writes_for_app(&self) -> u32 {
+    pub(crate) fn config_writes_for_app(&self) -> u32 {
         self.config_writes(APP_PLAN_REGIONS)
     }
 
     /// Register writes to install the OS-running configuration (a single
     /// privilege-mode write on privileged-bypass hardware).
-    pub fn config_writes_for_os(&self) -> u32 {
+    pub(crate) fn config_writes_for_os(&self) -> u32 {
         if self.privileged_bypass {
             1
         } else {
@@ -157,10 +157,11 @@ impl RegionConstraints {
 /// hardware can express, and at what configuration cost.
 ///
 /// ```
+/// use amulet_core::layout::PlatformSpec;
 /// use amulet_core::platform::MpuModel;
 ///
 /// let fr5969 = MpuModel::Segmented { main_segments: 3, boundary_granularity: 0x400 };
-/// let region = MpuModel::tock_region(8, 0x100);
+/// let region = PlatformSpec::msp430fr5994().mpu;
 /// let pmp = MpuModel::riscv_pmp_napot(8, 0x40);
 /// // Three segments cannot bound the running app from below — which is
 /// // exactly why the paper's MPU method keeps a software lower-bound
@@ -195,7 +196,7 @@ impl MpuModel {
     /// `alignment`-byte granularity, policing FRAM, InfoMem and SRAM (but
     /// not peripheral space), programmed through a select/base/limit
     /// register file.
-    pub fn tock_region(regions: usize, alignment: u32) -> Self {
+    pub(crate) fn tock_region(regions: usize, alignment: u32) -> Self {
         MpuModel::Region(RegionConstraints {
             regions,
             size_rule: SizeRule::AnyAligned { align: alignment },
@@ -210,7 +211,7 @@ impl MpuModel {
     /// alignment whose jurisdiction **includes peripheral space**, so the
     /// planner adds a peripheral region to the OS configuration and drops
     /// the software function-pointer checks.
-    pub fn cortex_m33_region(regions: usize) -> Self {
+    pub(crate) fn cortex_m33_region(regions: usize) -> Self {
         MpuModel::Region(RegionConstraints {
             regions,
             size_rule: SizeRule::AnyAligned { align: 0x20 },
@@ -254,7 +255,7 @@ impl MpuModel {
     /// impose stricter per-region rules on top — the planner solves those
     /// through [`MpuModel::constraints`], and this floor is what generic
     /// validity checks may rely on.
-    pub fn boundary_granularity(&self) -> u32 {
+    pub(crate) fn boundary_granularity(&self) -> u32 {
         match self {
             MpuModel::Segmented {
                 boundary_granularity,
@@ -321,7 +322,7 @@ impl MpuModel {
 
     /// Peripheral-register writes the OS performs to install its *own*
     /// configuration when an app traps into it.
-    pub fn config_writes_for_os(&self) -> u32 {
+    pub(crate) fn config_writes_for_os(&self) -> u32 {
         match self {
             MpuModel::Segmented { .. } => 4,
             MpuModel::Region(c) => c.config_writes_for_os(),
@@ -330,7 +331,7 @@ impl MpuModel {
 
     /// Extra cycles of protocol overhead per reconfiguration (the segmented
     /// part's password dance; region MPUs have none).
-    pub fn unlock_overhead_cycles(&self) -> u64 {
+    pub(crate) fn unlock_overhead_cycles(&self) -> u64 {
         match self {
             MpuModel::Segmented { .. } => 2,
             MpuModel::Region(_) => 0,
@@ -419,12 +420,12 @@ impl Default for CycleCostTable {
 
 impl CycleCostTable {
     /// Cycles to install `mpu`'s configuration for a running app.
-    pub fn mpu_config_cycles_for_app(&self, mpu: &MpuModel) -> u64 {
+    pub(crate) fn mpu_config_cycles_for_app(&self, mpu: &MpuModel) -> u64 {
         mpu.config_writes_for_app() as u64 * self.reg_write_cycles + mpu.unlock_overhead_cycles()
     }
 
     /// Cycles to install `mpu`'s configuration for the OS itself.
-    pub fn mpu_config_cycles_for_os(&self, mpu: &MpuModel) -> u64 {
+    pub(crate) fn mpu_config_cycles_for_os(&self, mpu: &MpuModel) -> u64 {
         mpu.config_writes_for_os() as u64 * self.reg_write_cycles + mpu.unlock_overhead_cycles()
     }
 }
@@ -447,7 +448,7 @@ impl CycleCostTable {
 /// use amulet_core::platform::{Msp430Fr5969, Msp430Fr5994, Platform, RiscvPmp};
 ///
 /// for spec in [Msp430Fr5969.spec(), Msp430Fr5994.spec(), RiscvPmp.spec()] {
-///     let map = MemoryMapPlanner::for_platform(&spec)
+///     let map = MemoryMapPlanner::new(spec.clone())
 ///         .unwrap()
 ///         .plan(
 ///             &OsImageSpec::default(),
@@ -461,7 +462,6 @@ impl CycleCostTable {
 ///         (m, MpuConfig::Region(_)) if m.is_region_based() && !m.is_napot() => {}
 ///         other => panic!("plan shape must follow the MPU model: {other:?}"),
 ///     }
-///     assert!(config.write_count() >= 4);
 /// }
 /// ```
 pub trait Platform {
@@ -490,17 +490,6 @@ pub struct Msp430Fr5969;
 impl Platform for Msp430Fr5969 {
     fn spec(&self) -> crate::layout::PlatformSpec {
         crate::layout::PlatformSpec::msp430fr5969()
-    }
-}
-
-/// The "advanced MPU" ablation variant of the FR5969: same memory map, but
-/// a fourth segment lets hardware bound apps from below (§5 of the paper).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Msp430Fr5969AdvancedMpu;
-
-impl Platform for Msp430Fr5969AdvancedMpu {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        crate::layout::PlatformSpec::msp430fr5969_advanced_mpu()
     }
 }
 
@@ -663,7 +652,12 @@ mod tests {
         assert_eq!(Msp430Fr5969.spec().name, Msp430Fr5969.name());
         assert!(Msp430Fr5994.spec().mpu.is_region_based());
         assert!(!Msp430Fr5969.spec().mpu.is_region_based());
-        assert_eq!(Msp430Fr5969AdvancedMpu.spec().mpu.main_segments(), 4);
+        assert_eq!(
+            crate::layout::PlatformSpec::msp430fr5969_advanced_mpu()
+                .mpu
+                .main_segments(),
+            4
+        );
         assert!(RiscvPmp.spec().mpu.is_napot());
         assert!(CortexM33.spec().mpu.covers_peripherals());
         assert_eq!(CortexM33.spec().mpu.main_segments(), 16);

@@ -104,13 +104,6 @@ pub enum DecodeError {
         /// How many bytes were left.
         count: usize,
     },
-    /// The key embedded in the envelope was not the key asked for.
-    KeyMismatch {
-        /// Key the caller expected.
-        expected: String,
-        /// Key the envelope carried.
-        actual: String,
-    },
 }
 
 impl fmt::Display for DecodeError {
@@ -138,9 +131,6 @@ impl fmt::Display for DecodeError {
             DecodeError::TrailingBytes { count } => {
                 write!(f, "{count} trailing bytes after the value")
             }
-            DecodeError::KeyMismatch { expected, actual } => {
-                write!(f, "stored image is for key {actual:?}, not {expected:?}")
-            }
         }
     }
 }
@@ -162,16 +152,6 @@ impl Writer {
     /// Consumes the writer and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Appends one byte.
@@ -207,7 +187,7 @@ impl Writer {
     }
 
     /// Appends a `bool` as one byte (0 or 1).
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
@@ -300,7 +280,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `bool`, rejecting anything but 0 and 1.
-    pub fn bool(&mut self, what: &'static str) -> Result<bool, DecodeError> {
+    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, DecodeError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -743,7 +723,7 @@ impl Codec for SegmentRole {
             SegmentRole::OsData => 5,
             SegmentRole::AppsRegion => 6,
             SegmentRole::AppCode => 7,
-            SegmentRole::BelowAppBlocked => 8,
+            // Tag 8 is unassigned: the v1 format keeps every other tag.
             SegmentRole::OsSram => 9,
             SegmentRole::OsPeripherals => 10,
         });
@@ -758,7 +738,6 @@ impl Codec for SegmentRole {
             5 => Ok(SegmentRole::OsData),
             6 => Ok(SegmentRole::AppsRegion),
             7 => Ok(SegmentRole::AppCode),
-            8 => Ok(SegmentRole::BelowAppBlocked),
             9 => Ok(SegmentRole::OsSram),
             10 => Ok(SegmentRole::OsPeripherals),
             tag => Err(DecodeError::BadTag {

@@ -64,7 +64,7 @@ impl SwitchStep {
     /// Cycle cost of the step, using MSP430-flavoured costs (each MPU
     /// configuration is [`MpuRegisterValues::WRITE_COUNT`] peripheral-register
     /// writes at 5 cycles each plus the unlock sequence).
-    pub fn cycle_cost(&self) -> u64 {
+    pub(crate) fn cycle_cost(&self) -> u64 {
         match self {
             SwitchStep::TrapEntry => 10,
             SwitchStep::SaveCallerState => 22,
@@ -187,7 +187,7 @@ impl ContextSwitchPlan {
 
     /// Builds both halves of a full API-call round trip (app → OS → app)
     /// on a platform.
-    pub fn round_trip_for(
+    pub(crate) fn round_trip_for(
         platform: &PlatformSpec,
         method: IsolationMethod,
         pointer_args: u32,

@@ -61,7 +61,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Every verdict, in fold/report order.
-    pub const ALL: [Verdict; 5] = [
+    pub(crate) const ALL: [Verdict; 5] = [
         Verdict::CaughtByMpu,
         Verdict::CaughtBySoftware,
         Verdict::Escaped,
@@ -69,19 +69,8 @@ impl Verdict {
         Verdict::Crashed,
     ];
 
-    /// Stable report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Verdict::CaughtByMpu => "caught_by_mpu",
-            Verdict::CaughtBySoftware => "caught_by_software",
-            Verdict::Escaped => "escaped",
-            Verdict::Hung => "hung",
-            Verdict::Crashed => "crashed",
-        }
-    }
-
     /// Position in [`Verdict::ALL`] (the containment-cell index).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         Verdict::ALL
             .iter()
             .position(|v| *v == self)
@@ -141,7 +130,7 @@ pub fn attack_payload(kind: FaultKind, firmware: &Firmware) -> u16 {
 /// How one device's OTA re-install ended.
 ///
 /// Structurally a device finishes an OTA `installed` **xor**
-/// `rolled_back`; [`OtaOutcome::bricked`] exists so the fold (and CI) can
+/// `rolled_back`; `OtaOutcome::bricked` exists so the fold (and CI) can
 /// assert the impossible state stays impossible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OtaOutcome {
@@ -163,7 +152,7 @@ pub struct OtaOutcome {
 impl OtaOutcome {
     /// A device that neither installed nor rolled back — unreachable by
     /// construction, counted so reports can prove it.
-    pub fn bricked(&self) -> bool {
+    pub(crate) fn bricked(&self) -> bool {
         !self.installed && !self.rolled_back
     }
 }
@@ -242,10 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_have_distinct_labels_and_stable_indices() {
-        let labels: std::collections::BTreeSet<_> =
-            Verdict::ALL.iter().map(|v| v.label()).collect();
-        assert_eq!(labels.len(), Verdict::ALL.len());
+    fn verdicts_have_stable_indices() {
         for (i, v) in Verdict::ALL.iter().enumerate() {
             assert_eq!(v.index(), i);
         }

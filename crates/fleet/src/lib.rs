@@ -63,19 +63,19 @@
 
 pub mod faults;
 mod partition;
-pub mod run;
-pub mod scenario;
+pub(crate) mod run;
+pub(crate) mod scenario;
 pub mod stats;
-pub mod store;
+pub(crate) mod store;
 
-pub use faults::{FaultProbe, OtaOutcome, Verdict};
+pub use faults::Verdict;
 pub use run::{
     replay_device, simulate_in, simulate_summary_in, verify_fleet, verify_fleet_reports,
     DeviceResult, FleetReport, FleetSummary, FleetVerifySummary, PolicyOutcome,
 };
-pub use scenario::{AppMix, ConfigContext, DeviceConfig, FleetScenario, TimeMode};
+pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{
-    BlockSummary, ContainmentRow, EnergyStats, FleetAggregate, LatencyStats, OtaWaveStats,
-    PolicyAggregate, ProfileHistogram, BATTERY_IMPACT_BUCKET_EDGES,
+    BlockSummary, ContainmentRow, FleetAggregate, OtaWaveStats, PolicyAggregate,
+    BATTERY_IMPACT_BUCKET_EDGES,
 };
 pub use store::{FirmwareStore, FirmwareStoreStats};

@@ -69,18 +69,6 @@ pub struct PolicyOutcome {
     pub truncated_events: u64,
 }
 
-impl PolicyOutcome {
-    /// Fraction of virtual time the device was awake (0 when the run had
-    /// no clock).
-    pub fn duty_cycle(&self) -> f64 {
-        if self.virtual_seconds > 0.0 {
-            self.active_seconds / self.virtual_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The result of simulating one device under both delivery policies.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceResult {
@@ -723,12 +711,12 @@ mod tests {
                 assert!(o.virtual_seconds > 0.0, "device {}", d.index);
                 assert!(o.active_seconds > 0.0 && o.active_seconds < o.virtual_seconds);
                 assert!(o.idle_joules > 0.0, "gaps cost LPM energy");
-                assert!(o.duty_cycle() > 0.0 && o.duty_cycle() < 1.0);
                 assert!(o.battery_weeks > 0.0 && o.battery_weeks.is_finite());
             }
             // A wearable trace is overwhelmingly idle: the duty cycle
             // must be tiny, which is the whole point of LPM accounting.
-            assert!(d.per_event.duty_cycle() < 0.05, "device {}", d.index);
+            let duty = d.per_event.active_seconds / d.per_event.virtual_seconds;
+            assert!(duty < 0.05, "device {}", d.index);
             // A device may legitimately have *no* latency samples: a
             // pure-timer app's re-arms cancel the still-pending trace
             // timer events (coalescing), so nothing stamped gets

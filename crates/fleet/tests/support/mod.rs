@@ -10,7 +10,7 @@ use amulet_fleet::stats::aggregate;
 use amulet_fleet::{replay_device, FirmwareStore, FleetReport, FleetScenario};
 
 /// The oracle report of `scenario`.
-pub fn oracle(scenario: &FleetScenario) -> FleetReport {
+pub(crate) fn oracle(scenario: &FleetScenario) -> FleetReport {
     let store = FirmwareStore::for_scenario(scenario);
     let devices: Vec<_> = (0..scenario.devices)
         .map(|index| replay_device(scenario, index, &store))

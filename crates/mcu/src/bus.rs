@@ -558,9 +558,10 @@ impl Bus {
     /// Turns the access-attribute cache on or off.  With the cache off,
     /// every table is painted all zero, so every access runs the original
     /// region-cascade + MPU-backend path; behaviour and [`BusStats`] must
-    /// be identical either way (the equivalence is property-tested), so
-    /// this exists only for those tests.  A switch drops the memo to the
-    /// active table, repainted under the new setting.
+    /// be identical either way, so this is a test oracle: only
+    /// `tests/prop_attr_cache.rs` and `tests/prop_mpu_reprogram.rs` call
+    /// it.  A switch drops the memo to the active table, repainted under
+    /// the new setting.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
         if enabled == self.attr_cache {
             return;
@@ -583,7 +584,7 @@ impl Bus {
     }
 
     /// The platform this bus models.
-    pub fn platform(&self) -> &PlatformSpec {
+    pub(crate) fn platform(&self) -> &PlatformSpec {
         &self.platform
     }
 
@@ -800,8 +801,9 @@ impl Bus {
     }
 
     /// The active attribute table: one byte per address, all zero while
-    /// [`Bus::set_attr_cache_enabled`] has the cache off.  For tests that
-    /// compare tables.
+    /// [`Bus::set_attr_cache_enabled`] has the cache off.  A test oracle:
+    /// `tests/prop_attr_cache.rs` and `tests/prop_dirty_pages.rs` compare
+    /// tables through it.
     pub fn attr_table(&self) -> &[u8; 0x1_0000] {
         &self.attr_active
     }
@@ -1132,7 +1134,9 @@ impl Bus {
     /// Instructions are word-aligned, so a fetch at an odd program counter
     /// is rejected as [`BusFaultCause::Misaligned`] — the same word-access
     /// rule [`Bus::read`] and [`Bus::write`] enforce — and is not counted
-    /// in [`BusStats::exec_checks`].
+    /// in [`BusStats::exec_checks`].  A test oracle: the interpreter
+    /// fetches through the uncounted `check_fetch`, and only
+    /// `tests/prop_attr_cache.rs` calls this, with the cache on and off.
     pub fn check_execute(&mut self, addr: Addr) -> Result<(), BusFault> {
         self.stats.exec_checks += u64::from(addr.is_multiple_of(2));
         self.check_fetch(addr)

@@ -68,11 +68,9 @@ enum Flow {
     Hole,
 }
 
-/// What happened during one executed instruction.
+/// Why an instruction stopped a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepEvent {
-    /// Execution may continue with the next instruction.
-    Continue,
     /// The instruction was a system call; the OS must service it and then
     /// resume execution (the program counter already points past the
     /// `syscall`).
@@ -175,11 +173,6 @@ impl Cpu {
         self.regs[Reg::PC.index()] = pc as u16;
     }
 
-    /// Current stack pointer.
-    pub fn sp(&self) -> Addr {
-        self.regs[Reg::SP.index()] as Addr
-    }
-
     /// Sets the stack pointer.
     pub fn set_sp(&mut self, sp: Addr) {
         self.regs[Reg::SP.index()] = sp as u16;
@@ -194,7 +187,7 @@ impl Cpu {
     }
 
     /// Unpacks an MSP430-style status word into the flags.
-    pub fn set_status_word(&mut self, sr: u16) {
+    pub(crate) fn set_status_word(&mut self, sr: u16) {
         self.flag_c = sr & 0x0001 != 0;
         self.flag_z = sr & 0x0002 != 0;
         self.flag_n = sr & 0x0004 != 0;
@@ -203,7 +196,7 @@ impl Cpu {
 
     /// Adds `n` cycles to the cycle counter (used by the OS cost model) and
     /// returns the new total.
-    pub fn charge(&mut self, n: u64) -> u64 {
+    pub(crate) fn charge(&mut self, n: u64) -> u64 {
         self.cycles += n;
         self.cycles
     }
@@ -287,17 +280,6 @@ impl Cpu {
             pc: Addr::from(pc),
             addr: None,
         })
-    }
-
-    /// Executes one instruction fetched from `code`, performing all memory
-    /// traffic through `bus`.  Single-step form of [`Cpu::run_block`].
-    pub fn step(&mut self, bus: &mut Bus, code: &InstrStore) -> StepEvent {
-        match self.run_block(bus, code, 1) {
-            (Some(ev), _) => ev,
-            // The budget of one ran out without a stopping event: the one
-            // instruction executed and execution may continue.
-            (None, _) => StepEvent::Continue,
-        }
     }
 
     /// Executes up to `max_steps` instructions as one block — the hot loop
@@ -681,6 +663,12 @@ mod tests {
     use crate::bus::Bus;
     use crate::isa::Instr;
 
+    /// Executes one instruction: a one-step block, `None` when execution
+    /// may continue.
+    fn step(cpu: &mut Cpu, bus: &mut Bus, code: &InstrStore) -> Option<StepEvent> {
+        cpu.run_block(bus, code, 1).0
+    }
+
     /// Assembles a program at `base` into a dense instruction store.
     fn asm(base: Addr, instrs: &[Instr]) -> InstrStore {
         let mut code = InstrStore::new();
@@ -700,9 +688,9 @@ mod tests {
         cpu.set_pc(base);
         cpu.set_sp(0x2400);
         for _ in 0..10_000 {
-            match cpu.step(&mut bus, &code) {
-                StepEvent::Continue => {}
-                StepEvent::Halted => return (cpu, bus),
+            match step(&mut cpu, &mut bus, &code) {
+                None => {}
+                Some(StepEvent::Halted) => return (cpu, bus),
                 other => panic!("unexpected event {other:?}"),
             }
         }
@@ -824,14 +812,14 @@ mod tests {
         cpu.set_pc(base);
         cpu.set_sp(0x2400);
         loop {
-            match cpu.step(&mut bus, &code) {
-                StepEvent::Continue => {}
-                StepEvent::Halted => break,
+            match step(&mut cpu, &mut bus, &code) {
+                None => {}
+                Some(StepEvent::Halted) => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
         assert_eq!(cpu.reg(Reg::R4), 7);
-        assert_eq!(cpu.sp(), 0x2400, "stack balanced after return");
+        assert_eq!(cpu.reg(Reg::SP), 0x2400, "stack balanced after return");
     }
 
     #[test]
@@ -844,7 +832,10 @@ mod tests {
         // Simulate the OS pushing the magic return address before the call.
         cpu.push(&mut bus, HANDLER_RETURN as u16).unwrap();
         cpu.set_pc(base);
-        assert_eq!(cpu.step(&mut bus, &code), StepEvent::HandlerDone);
+        assert_eq!(
+            step(&mut cpu, &mut bus, &code),
+            Some(StepEvent::HandlerDone)
+        );
     }
 
     #[test]
@@ -855,7 +846,10 @@ mod tests {
         let mut bus = Bus::msp430fr5969();
         cpu.set_pc(base);
         cpu.set_sp(0x2400);
-        assert_eq!(cpu.step(&mut bus, &code), StepEvent::Syscall { num: 7 });
+        assert_eq!(
+            step(&mut cpu, &mut bus, &code),
+            Some(StepEvent::Syscall { num: 7 })
+        );
         assert_eq!(cpu.pc(), base + 2);
         assert_eq!(cpu.stats.syscalls, 1);
     }
@@ -871,8 +865,8 @@ mod tests {
         let mut cpu = Cpu::new();
         let mut bus = Bus::msp430fr5969();
         cpu.set_pc(base);
-        match cpu.step(&mut bus, &code) {
-            StepEvent::Fault(info) => {
+        match step(&mut cpu, &mut bus, &code) {
+            Some(StepEvent::Fault(info)) => {
                 assert_eq!(info.class, FaultClass::DataPointerLowerBound);
                 assert_eq!(info.pc, base);
             }
@@ -886,8 +880,8 @@ mod tests {
         let mut cpu = Cpu::new();
         let mut bus = Bus::msp430fr5969();
         cpu.set_pc(0x5000);
-        match cpu.step(&mut bus, &code) {
-            StepEvent::Fault(info) => assert_eq!(info.class, FaultClass::IllegalInstruction),
+        match step(&mut cpu, &mut bus, &code) {
+            Some(StepEvent::Fault(info)) => assert_eq!(info.class, FaultClass::IllegalInstruction),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -920,9 +914,9 @@ mod tests {
         bus.write(crate::mpu::MPUCTL0, 2, 0xA501).unwrap();
         cpu.set_pc(base);
         cpu.set_sp(0x2400);
-        assert_eq!(cpu.step(&mut bus, &code), StepEvent::Continue);
-        match cpu.step(&mut bus, &code) {
-            StepEvent::Fault(info) => {
+        assert_eq!(step(&mut cpu, &mut bus, &code), None);
+        match step(&mut cpu, &mut bus, &code) {
+            Some(StepEvent::Fault(info)) => {
                 assert_eq!(info.class, FaultClass::MpuViolation);
                 assert_eq!(info.addr, Some(0x9000));
             }

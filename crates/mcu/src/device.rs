@@ -141,12 +141,6 @@ impl Device {
         self.cpu.cycles
     }
 
-    /// Executes a single instruction (the CPU advances the benchmark timer
-    /// by the instruction's cycles itself).
-    pub fn step(&mut self) -> StepEvent {
-        self.cpu.step(&mut self.bus, &self.code)
-    }
-
     /// Runs until a halt, syscall, handler return, fault, or the step limit
     /// (one [`Cpu::run_block`] call; the benchmark timer advances with
     /// every executed instruction, so firmware that reads the memory-mapped
@@ -160,8 +154,6 @@ impl Device {
             Some(StepEvent::Syscall { num }) => StopReason::Syscall { num },
             Some(StepEvent::HandlerDone) => StopReason::HandlerDone,
             Some(StepEvent::Fault(info)) => StopReason::Fault(info),
-            // `run_block` never stops with Continue.
-            Some(StepEvent::Continue) => unreachable!("run_block stopped with Continue"),
         };
         RunExit {
             reason,
@@ -184,12 +176,6 @@ impl Device {
         self.bus.write_raw(new_sp, 2, HANDLER_RETURN as u16);
         self.cpu.set_sp(new_sp);
         self.cpu.set_pc(entry);
-    }
-
-    /// Reads the benchmark timer (quantised to 16 cycles, as on the real
-    /// part).
-    pub fn read_timer(&self) -> u16 {
-        self.bus.timer.read_counter()
     }
 }
 
@@ -243,7 +229,7 @@ mod tests {
         // Data segment copied.
         assert_eq!(dev.bus.read_raw(fw.memory_map.apps[0].data.start, 1), 1);
 
-        let entry = fw.symbol("A::main").unwrap();
+        let entry = fw.symbols["A::main"];
         dev.prepare_call(entry, fw.memory_map.apps[0].initial_stack_pointer());
         let exit = dev.run(100);
         assert_eq!(exit.reason, StopReason::HandlerDone);
@@ -256,7 +242,7 @@ mod tests {
         let fw = simple_firmware();
         let mut dev = Device::msp430fr5969();
         dev.load_firmware(&fw);
-        let entry = fw.symbol("A::main").unwrap();
+        let entry = fw.symbols["A::main"];
         dev.prepare_call(entry, fw.memory_map.apps[0].initial_stack_pointer());
         let exit = dev.run(1);
         assert_eq!(exit.reason, StopReason::StepLimit);
@@ -268,7 +254,7 @@ mod tests {
         let fw = simple_firmware();
         let mut dev = Device::msp430fr5969();
         dev.load_firmware(&fw);
-        let entry = fw.symbol("A::main").unwrap();
+        let entry = fw.symbols["A::main"];
         dev.prepare_call(entry, fw.memory_map.apps[0].initial_stack_pointer());
         let first = dev.run(100);
         assert_eq!(first.reason, StopReason::HandlerDone);
@@ -294,7 +280,11 @@ mod tests {
         dev.bus.timer.start();
         dev.charge_cycles(100);
         assert_eq!(dev.cycles(), 100);
-        assert_eq!(dev.read_timer(), 96, "timer quantised to 16 cycles");
+        assert_eq!(
+            dev.bus.timer.read_counter(),
+            96,
+            "timer quantised to 16 cycles"
+        );
     }
 
     #[test]
@@ -303,7 +293,7 @@ mod tests {
         let mut dev = Device::msp430fr5969();
         dev.load_firmware(&fw);
         dev.charge_cycles(1_000);
-        let entry = fw.symbol("A::main").unwrap();
+        let entry = fw.symbols["A::main"];
         dev.prepare_call(entry, fw.memory_map.apps[0].initial_stack_pointer());
         let exit = dev.run(100);
         assert!(exit.cycles < 1_000, "only the run's own cycles are counted");

@@ -28,7 +28,7 @@ pub struct DataSegment {
 
 impl DataSegment {
     /// The address range the segment occupies.
-    pub fn range(&self) -> AddrRange {
+    pub(crate) fn range(&self) -> AddrRange {
         AddrRange::from_len(self.addr, self.bytes.len() as u32)
     }
 }
@@ -54,13 +54,6 @@ pub struct AppBinary {
     /// The AFT's maximum-stack-depth estimate in bytes, or `None` when the
     /// app is recursive and no bound could be computed.
     pub max_stack_estimate: Option<u32>,
-}
-
-impl AppBinary {
-    /// Looks up a handler entry point.
-    pub fn handler(&self, name: &str) -> Option<Addr> {
-        self.handlers.get(name).copied()
-    }
 }
 
 /// OS-side metadata embedded in the firmware image.
@@ -156,31 +149,14 @@ impl fmt::Display for FirmwareError {
 impl std::error::Error for FirmwareError {}
 
 impl Firmware {
-    /// Total encoded size of all instructions, in bytes.
-    pub fn code_size_bytes(&self) -> u32 {
-        self.code.sizes(0..0x1_0000).map(|(_, size)| size).sum()
-    }
-
     /// Number of instructions in the image.
     pub fn instruction_count(&self) -> usize {
         self.code.len()
     }
 
-    /// Looks up a symbol.
-    pub fn symbol(&self, name: &str) -> Option<Addr> {
-        self.symbols.get(name).copied()
-    }
-
     /// Looks up an application by name.
     pub fn app(&self, name: &str) -> Option<&AppBinary> {
         self.apps.iter().find(|a| a.name == name)
-    }
-
-    /// The address range spanned by the instruction store (for diagnostics).
-    pub fn code_span(&self) -> Option<AddrRange> {
-        let (first, _) = self.code.first()?;
-        let (last_addr, last_instr) = self.code.last()?;
-        Some(AddrRange::new(first, last_addr + last_instr.size_bytes()))
     }
 
     /// Structural validation of the image.
@@ -380,8 +356,6 @@ mod tests {
         assert_eq!(end, start + 8);
         let fw = b.build().unwrap();
         assert_eq!(fw.instruction_count(), 3);
-        assert_eq!(fw.code_size_bytes(), 8);
-        assert_eq!(fw.code_span().unwrap(), AddrRange::new(start, start + 8));
     }
 
     #[test]
@@ -394,15 +368,14 @@ mod tests {
         b.emit(start + 0x40, &[Instr::Nop; 100]);
         b.emit(start, &[Instr::Ret; 3]);
         let fw = b.build().unwrap();
-        let words = |fw: &Firmware| (fw.code_span().unwrap().len() / 2) as usize;
-        assert_eq!(words(&fw), (0x40 + 200) / 2);
-        assert_eq!(fw.code.capacity(), words(&fw));
+        let words = (0x40 + 200) / 2;
+        assert_eq!(fw.code.capacity(), words);
 
         let decoded = Firmware::from_bytes(&fw.to_bytes()).unwrap();
         assert_eq!(decoded.code, fw.code);
-        assert_eq!(decoded.code.capacity(), words(&decoded));
+        assert_eq!(decoded.code.capacity(), words);
         let store = InstrStore::from_bytes(&fw.code.to_bytes()).unwrap();
-        assert_eq!(store.capacity(), words(&fw));
+        assert_eq!(store.capacity(), words);
     }
 
     #[test]
@@ -471,8 +444,8 @@ mod tests {
         handlers.insert("main".to_string(), start);
         b.add_app(app_binary(&map, handlers));
         let fw = b.build().unwrap();
-        assert_eq!(fw.symbol("A::main"), Some(start));
-        assert_eq!(fw.app("A").unwrap().handler("main"), Some(start));
+        assert_eq!(fw.symbols["A::main"], start);
+        assert_eq!(fw.app("A").unwrap().handlers["main"], start);
         assert!(fw.app("B").is_none());
     }
 }

@@ -22,17 +22,18 @@ use std::fmt;
 /// `R0`–`R2` are the architectural program counter, stack pointer and status
 /// register, mirroring the MSP430 convention; `R4`–`R15` are general purpose.
 /// (`R3`, the MSP430's constant generator, is treated as an ordinary scratch
-/// register here.)
+/// register here.)  Only the registers the compiler names have constants;
+/// `Reg(n)` names any of the sixteen.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Reg(pub u8);
 
 impl Reg {
     /// Program counter.
-    pub const PC: Reg = Reg(0);
+    pub(crate) const PC: Reg = Reg(0);
     /// Stack pointer.
     pub const SP: Reg = Reg(1);
     /// Status register (flags).
-    pub const SR: Reg = Reg(2);
+    pub(crate) const SR: Reg = Reg(2);
     /// Scratch register used by compiler-inserted check sequences.
     pub const R3: Reg = Reg(3);
     /// First general-purpose register.
@@ -45,12 +46,6 @@ impl Reg {
     pub const R7: Reg = Reg(7);
     /// General-purpose registers.
     pub const R8: Reg = Reg(8);
-    /// General-purpose registers.
-    pub const R9: Reg = Reg(9);
-    /// General-purpose registers.
-    pub const R10: Reg = Reg(10);
-    /// General-purpose registers.
-    pub const R11: Reg = Reg(11);
     /// Frame pointer by convention in AFT-generated code.
     pub const FP: Reg = Reg(12);
     /// General-purpose registers.
@@ -66,11 +61,6 @@ impl Reg {
     /// Register index as usize.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Whether the register is general purpose (not PC/SP/SR).
-    pub fn is_general_purpose(self) -> bool {
-        self.0 >= 3
     }
 }
 
@@ -166,7 +156,7 @@ pub enum AluOp {
 
 impl AluOp {
     /// Extra cycles beyond a plain register-to-register operation.
-    pub fn extra_cycles(self) -> u64 {
+    pub(crate) fn extra_cycles(self) -> u64 {
         match self {
             AluOp::Mul => 7,
             AluOp::Div | AluOp::Rem => 15,
@@ -193,7 +183,7 @@ pub enum UnaryOp {
 /// A decoded instruction.
 ///
 /// Every variant's encoded size (in 16-bit words) is reported by
-/// [`Instr::size_words`]; the linker uses it to lay code out at real
+/// `Instr::size_words`; the linker uses it to lay code out at real
 /// addresses, which is what makes the compiler-patched bounds meaningful.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Instr {
@@ -351,7 +341,7 @@ impl Instr {
     /// register-only forms, 2 when an immediate, offset or absolute address
     /// extension word is needed) — mirroring the MSP430's format-I/format-II
     /// encodings closely enough for realistic code sizes.
-    pub fn size_words(&self) -> u32 {
+    pub(crate) fn size_words(&self) -> u32 {
         match self {
             Instr::Mov { .. }
             | Instr::Push { .. }
@@ -493,8 +483,6 @@ mod tests {
         assert_eq!(Reg::PC.to_string(), "pc");
         assert_eq!(Reg::SP.to_string(), "sp");
         assert_eq!(Reg::R4.to_string(), "r4");
-        assert!(Reg::R4.is_general_purpose());
-        assert!(!Reg::SP.is_general_purpose());
     }
 
     #[test]

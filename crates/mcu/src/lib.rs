@@ -47,12 +47,9 @@ pub mod mpu;
 pub mod serial;
 pub mod timer;
 
-pub use bus::{Bus, BusCheckpoint, BusFault, BusFaultCause, BusStats, Region};
-pub use code::{InstrMeta, InstrStore};
-pub use cpu::{Cpu, CpuStats, FaultInfo, StepEvent, HANDLER_RETURN};
-pub use device::{Device, RunExit, StopReason};
-pub use firmware::{AppBinary, DataSegment, Firmware, FirmwareBuilder, FirmwareError, OsBinary};
+pub use bus::BusStats;
+pub use code::InstrStore;
+pub use cpu::CpuStats;
+pub use firmware::{AppBinary, Firmware, FirmwareBuilder, OsBinary};
 pub use isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
-pub use mpu::{Mpu, MpuDecision, MpuSegment, RegionMpu, RegionSlot};
-pub use serial::{decode_firmware, encode_firmware, verify_envelope, FORMAT_VERSION, MAGIC};
-pub use timer::{Timer, TIMER_PRECISION_CYCLES};
+pub use serial::{decode_firmware, encode_firmware};

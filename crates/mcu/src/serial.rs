@@ -37,12 +37,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Envelope magic bytes: "AMFW" (amulet firmware).
-pub const MAGIC: [u8; 4] = *b"AMFW";
+pub(crate) const MAGIC: [u8; 4] = *b"AMFW";
 
 /// Wire format version this build reads and writes.  Bump on any
 /// change to the encoding of [`Firmware`] or the plan types — the
 /// golden-bytes snapshot test fails when the format drifts without one.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;
 
 impl Codec for Reg {
     fn encode(&self, w: &mut Writer) {

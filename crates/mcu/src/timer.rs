@@ -14,7 +14,7 @@ pub const TIMER_COUNTER: Addr = 0x0350;
 pub const TIMER_CONTROL: Addr = 0x0340;
 
 /// Precision of a timer read, in CPU cycles.
-pub const TIMER_PRECISION_CYCLES: u64 = 16;
+pub(crate) const TIMER_PRECISION_CYCLES: u64 = 16;
 
 /// A free-running, cycle-driven timer.
 #[derive(Clone, Debug, Default)]
@@ -27,7 +27,7 @@ pub struct Timer {
 
 impl Timer {
     /// Creates a stopped timer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Timer {
             cycles: 0,
             running: false,
@@ -46,13 +46,8 @@ impl Timer {
         self.running = true;
     }
 
-    /// Stops the timer without clearing it.
-    pub fn stop(&mut self) {
-        self.running = false;
-    }
-
     /// Clears the counter.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.cycles = 0;
     }
 
@@ -64,18 +59,18 @@ impl Timer {
     /// The value firmware reads from `TA0R`: the cycle count quantised to
     /// [`TIMER_PRECISION_CYCLES`] and truncated to 16 bits, exactly the
     /// precision the paper reports.
-    pub fn read_counter(&self) -> u16 {
+    pub(crate) fn read_counter(&self) -> u16 {
         (self.cycles & !(TIMER_PRECISION_CYCLES - 1)) as u16
     }
 
     /// True when `addr` is one of the timer's memory-mapped registers.
-    pub fn owns_register(addr: Addr) -> bool {
+    pub(crate) fn owns_register(addr: Addr) -> bool {
         let a = addr & !1;
         a == TIMER_COUNTER || a == TIMER_CONTROL
     }
 
     /// Handles a firmware read of a timer register.
-    pub fn read_register(&self, addr: Addr) -> u16 {
+    pub(crate) fn read_register(&self, addr: Addr) -> u16 {
         match addr & !1 {
             TIMER_COUNTER => self.read_counter(),
             TIMER_CONTROL if self.running => {
@@ -86,7 +81,7 @@ impl Timer {
     }
 
     /// Handles a firmware write of a timer register.
-    pub fn write_register(&mut self, addr: Addr, value: u16) {
+    pub(crate) fn write_register(&mut self, addr: Addr, value: u16) {
         match addr & !1 {
             TIMER_COUNTER => self.cycles = value as u64,
             TIMER_CONTROL => {
@@ -114,7 +109,8 @@ mod tests {
         t.start();
         t.tick(100);
         assert_eq!(t.raw_cycles(), 100);
-        t.stop();
+        // Firmware stops it by clearing the mode bits.
+        t.write_register(TIMER_CONTROL, 0);
         t.tick(100);
         assert_eq!(t.raw_cycles(), 100);
     }

@@ -30,7 +30,7 @@ pub enum DeliveryPolicy {
         /// Latency bound for [`crate::os::AmuletOs::pump`]: once the
         /// **head event** has watched this many later arrivals go by while
         /// waiting at the front of the queue
-        /// ([`EventQueue::head_wait_events`]), its batch is delivered even
+        /// (`EventQueue::head_wait_events`), its batch is delivered even
         /// if no full batch has formed.  The bound is per waiting head
         /// event — a backlog elsewhere in the queue neither forces a
         /// premature partial flush nor lets an event wait unboundedly —
@@ -40,23 +40,9 @@ pub enum DeliveryPolicy {
 }
 
 impl DeliveryPolicy {
-    /// A conservative default batching configuration: batches of up to 8
-    /// events, flushed once 16 events are pending.
-    pub fn batched_default() -> Self {
-        DeliveryPolicy::Batched {
-            max_batch: 8,
-            max_latency_events: 16,
-        }
-    }
-
-    /// Whether this policy amortises switches over batches.
-    pub fn is_batched(&self) -> bool {
-        matches!(self, DeliveryPolicy::Batched { .. })
-    }
-
     /// The largest batch this policy delivers through one switch pair
     /// (1 under [`DeliveryPolicy::PerEvent`]).
-    pub fn max_batch(&self) -> usize {
+    pub(crate) fn max_batch(&self) -> usize {
         match self {
             DeliveryPolicy::PerEvent => 1,
             DeliveryPolicy::Batched { max_batch, .. } => (*max_batch).max(1),
@@ -157,13 +143,13 @@ impl Clone for EventQueue {
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Returns the queue to the state [`EventQueue::new`] builds — empty,
     /// counters cleared — keeping its buffer.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.queue.clear();
         self.head_seen = 0;
         self.enqueued = 0;
@@ -171,7 +157,7 @@ impl EventQueue {
     }
 
     /// Adds an event to the back of the queue.
-    pub fn push(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         self.enqueued += 1;
         if self.queue.is_empty() {
             // The pushed event *is* the head; it has watched nothing go by.
@@ -183,7 +169,7 @@ impl EventQueue {
     }
 
     /// Removes the next event to deliver.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let e = self.queue.pop_front();
         if e.is_some() {
             self.delivered += 1;
@@ -200,7 +186,7 @@ impl EventQueue {
     /// it, it does not stack a second one.  The scheduler calls this before
     /// queueing a freshly-armed timer event so at most one timer event per
     /// app is ever pending — exactly the hardware's behaviour.
-    pub fn cancel_timers_for(&mut self, app_index: usize) -> usize {
+    pub(crate) fn cancel_timers_for(&mut self, app_index: usize) -> usize {
         let before = self.queue.len();
         let head_removed = self
             .queue
@@ -219,7 +205,7 @@ impl EventQueue {
     /// How many events have been enqueued since the current head event
     /// became the head of the queue (0 when the queue is empty) — the
     /// head's wait, as the batched scheduler's latency bound measures it.
-    pub fn head_wait_events(&self) -> usize {
+    pub(crate) fn head_wait_events(&self) -> usize {
         if self.queue.is_empty() {
             0
         } else {
@@ -235,7 +221,7 @@ impl EventQueue {
     /// Only the consecutive head run is taken, so global FIFO order — and
     /// therefore each application's event order — is exactly what
     /// event-at-a-time delivery would produce.
-    pub fn pop_batch_into(&mut self, max_batch: usize, batch: &mut Vec<Event>) {
+    pub(crate) fn pop_batch_into(&mut self, max_batch: usize, batch: &mut Vec<Event>) {
         batch.clear();
         let Some(first) = self.pop() else {
             return;
@@ -255,7 +241,7 @@ impl EventQueue {
     /// Length of the run of consecutive head events addressed to the same
     /// application (0 when the queue is empty).  The batching scheduler
     /// uses this to decide whether a full batch is ready.
-    pub fn head_run_len(&self) -> usize {
+    pub(crate) fn head_run_len(&self) -> usize {
         let Some(first) = self.queue.front() else {
             return 0;
         };
@@ -266,13 +252,8 @@ impl EventQueue {
     }
 
     /// Number of events currently waiting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -291,7 +272,7 @@ mod tests {
         assert!(q.pop().is_none());
         assert_eq!(q.enqueued, 2);
         assert_eq!(q.delivered, 2);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -390,11 +371,12 @@ mod tests {
 
     #[test]
     fn delivery_policy_accessors() {
-        assert!(!DeliveryPolicy::PerEvent.is_batched());
         assert_eq!(DeliveryPolicy::PerEvent.max_batch(), 1);
-        let b = DeliveryPolicy::batched_default();
-        assert!(b.is_batched());
-        assert!(b.max_batch() > 1);
+        let b = DeliveryPolicy::Batched {
+            max_batch: 8,
+            max_latency_events: 16,
+        };
+        assert_eq!(b.max_batch(), 8);
         assert_eq!(DeliveryPolicy::default(), DeliveryPolicy::PerEvent);
     }
 }

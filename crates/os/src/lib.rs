@@ -34,7 +34,7 @@
 //! per-event model pays a full context-switch round trip per event, while
 //! batched delivery amortises one round trip over a run of consecutive
 //! same-app events (see [`os::AmuletOs::pump`] and
-//! [`os::AmuletOs::deliver_batch`]) without changing app-visible behaviour
+//! `os::AmuletOs::deliver_batch`) without changing app-visible behaviour
 //! — the fleet simulator (`amulet-fleet`) measures the difference at scale.
 
 #![forbid(unsafe_code)]
@@ -43,11 +43,5 @@
 pub mod events;
 pub mod os;
 pub mod policy;
-pub mod sensors;
-pub mod syscalls;
-
-pub use events::{DeliveryPolicy, Event, EventKind, EventQueue};
-pub use os::{AmuletOs, AppRuntimeStats, DeliveryOutcome, DeliveryRecord, OsCheckpoint, OsOptions};
-pub use policy::{AppState, FaultAction, FaultHandler, FaultRecord, RestartPolicy};
-pub use sensors::SensorModel;
-pub use syscalls::{LogEntry, Services, SyscallArgs, SyscallOutcome};
+pub(crate) mod sensors;
+pub(crate) mod syscalls;

@@ -369,11 +369,6 @@ impl AmuletOs {
         self.services.sensors = crate::sensors::SensorModel::new(seed);
     }
 
-    /// The isolation method the loaded firmware was built for.
-    pub fn method(&self) -> IsolationMethod {
-        self.method
-    }
-
     /// The firmware image the runtime is executing.  Fleet campaigns use
     /// this to compute attack targets from real placements and to
     /// serialise the running image for OTA re-install transactions.
@@ -404,11 +399,6 @@ impl AmuletOs {
     /// The lifecycle state of an app.
     pub fn app_state(&self, index: usize) -> AppState {
         self.app_states[index]
-    }
-
-    /// The name of an app.
-    pub fn app_name(&self, index: usize) -> &str {
-        &self.firmware.apps[index].name
     }
 
     /// Finds an app's index by name.
@@ -454,7 +444,7 @@ impl AmuletOs {
     /// delivered.  Under a batched policy, consecutive same-app events are
     /// grouped (never beyond `max_events`) and delivered through one switch
     /// pair each.
-    pub fn run_queue(&mut self, max_events: usize) -> usize {
+    pub(crate) fn run_queue(&mut self, max_events: usize) -> usize {
         let mut batch = std::mem::take(&mut self.batch);
         let mut delivered = 0;
         while delivered < max_events {
@@ -479,7 +469,7 @@ impl AmuletOs {
     /// * [`DeliveryPolicy::Batched`] delivers only while a full batch is
     ///   ready at the queue head **or** the head event has waited through
     ///   `max_latency_events` later arrivals
-    ///   ([`EventQueue::head_wait_events`]) — otherwise events keep
+    ///   (`EventQueue::head_wait_events`) — otherwise events keep
     ///   accumulating so a later pump can amortise the switch over a
     ///   bigger batch.  The latency bound is a property of the *waiting
     ///   head event*, not of the total queue length: a backlog of
@@ -560,7 +550,7 @@ impl AmuletOs {
     }
 
     /// Delivers a single event (one full switch round trip).
-    pub fn deliver(&mut self, event: &Event) -> DeliveryOutcome {
+    pub(crate) fn deliver(&mut self, event: &Event) -> DeliveryOutcome {
         self.deliver_batch(std::slice::from_ref(event))
             .expect("a one-event batch has an outcome")
     }
@@ -578,7 +568,7 @@ impl AmuletOs {
     ///
     /// Returns the outcome of the batch's last event (`None` for an empty
     /// batch); the scheduler needs none, so no per-event list is built.
-    pub fn deliver_batch(&mut self, events: &[Event]) -> Option<DeliveryOutcome> {
+    pub(crate) fn deliver_batch(&mut self, events: &[Event]) -> Option<DeliveryOutcome> {
         let mut last_outcome = None;
         // Whether the app's context is live because the previous event of
         // this batch elided its exit switch.

@@ -136,19 +136,9 @@ impl Clone for FaultHandler {
 }
 
 impl FaultHandler {
-    /// Creates a handler for `app_count` applications under `policy`.
-    pub fn new(policy: RestartPolicy, app_count: usize) -> Self {
-        FaultHandler {
-            policy,
-            records: Vec::new(),
-            per_app_faults: vec![0; app_count],
-            backoff_remaining: vec![0; app_count],
-        }
-    }
-
-    /// Returns the handler to the state [`FaultHandler::new`] builds for
-    /// `policy` and `app_count`, keeping its buffers.
-    pub fn reset(&mut self, policy: RestartPolicy, app_count: usize) {
+    /// Sets the handler up for `policy` and `app_count` applications with
+    /// no faults recorded, keeping its buffers.
+    pub(crate) fn reset(&mut self, policy: RestartPolicy, app_count: usize) {
         self.policy = policy;
         self.records.clear();
         for counts in [&mut self.per_app_faults, &mut self.backoff_remaining] {
@@ -160,7 +150,7 @@ impl FaultHandler {
     /// Consumes one unit of an app's restart backoff: returns `true` (and
     /// decrements the counter) when the delivery must be skipped because
     /// the app is still being held back after a restart.
-    pub fn consume_backoff(&mut self, app_index: usize) -> bool {
+    pub(crate) fn consume_backoff(&mut self, app_index: usize) -> bool {
         match self.backoff_remaining.get_mut(app_index) {
             Some(left) if *left > 0 => {
                 *left -= 1;
@@ -171,7 +161,7 @@ impl FaultHandler {
     }
 
     /// Records a fault and decides what to do with the app.
-    pub fn handle(
+    pub(crate) fn handle(
         &mut self,
         app_index: usize,
         app_name: &str,
@@ -238,9 +228,15 @@ mod tests {
         }
     }
 
+    fn handler(policy: RestartPolicy, app_count: usize) -> FaultHandler {
+        let mut h = FaultHandler::default();
+        h.reset(policy, app_count);
+        h
+    }
+
     #[test]
     fn kill_policy_always_kills() {
-        let mut h = FaultHandler::new(RestartPolicy::Kill, 2);
+        let mut h = handler(RestartPolicy::Kill, 2);
         assert_eq!(h.handle(0, "A", fault(), 1), FaultAction::Killed);
         assert_eq!(h.handle(0, "A", fault(), 2), FaultAction::Killed);
         assert_eq!(h.faults_for(0), 2);
@@ -249,7 +245,7 @@ mod tests {
 
     #[test]
     fn restart_policy_always_restarts() {
-        let mut h = FaultHandler::new(RestartPolicy::Restart, 1);
+        let mut h = handler(RestartPolicy::Restart, 1);
         for i in 0..5 {
             assert_eq!(h.handle(0, "A", fault(), i), FaultAction::Restarted);
         }
@@ -257,7 +253,7 @@ mod tests {
 
     #[test]
     fn limited_restarts_eventually_kill() {
-        let mut h = FaultHandler::new(RestartPolicy::RestartWithLimit { max_restarts: 2 }, 1);
+        let mut h = handler(RestartPolicy::RestartWithLimit { max_restarts: 2 }, 1);
         assert_eq!(h.handle(0, "A", fault(), 1), FaultAction::Restarted);
         assert_eq!(h.handle(0, "A", fault(), 2), FaultAction::Restarted);
         assert_eq!(h.handle(0, "A", fault(), 3), FaultAction::Killed);
@@ -270,7 +266,7 @@ mod tests {
             max_strikes: 3,
             jitter_seed: 7,
         };
-        let mut h = FaultHandler::new(policy, 1);
+        let mut h = handler(policy, 1);
         assert_eq!(h.handle(0, "A", fault(), 1), FaultAction::Restarted);
         let first_backoff = h.backoff_remaining[0];
         assert_eq!(first_backoff, backoff_delay(4, 7, 0, 1));
@@ -290,7 +286,7 @@ mod tests {
             max_strikes: 10,
             jitter_seed: 0xD00D,
         };
-        let mut h = FaultHandler::new(policy, 1);
+        let mut h = handler(policy, 1);
         h.handle(0, "A", fault(), 1);
         let wait = h.backoff_remaining[0];
         for _ in 0..wait {
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn records_carry_fault_details() {
-        let mut h = FaultHandler::new(RestartPolicy::Kill, 1);
+        let mut h = handler(RestartPolicy::Kill, 1);
         h.handle(0, "HeartRate", fault(), 99);
         let r = &h.records[0];
         assert_eq!(r.app_name, "HeartRate");

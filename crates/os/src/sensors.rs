@@ -27,7 +27,7 @@ impl Default for SensorModel {
 
 impl SensorModel {
     /// Creates a sensor model with the given noise seed.
-    pub fn new(seed: u32) -> Self {
+    pub(crate) fn new(seed: u32) -> Self {
         SensorModel {
             ticks: 0,
             lcg: seed.max(1),
@@ -45,14 +45,14 @@ impl SensorModel {
     }
 
     /// Current time in ticks (advances by one per read).
-    pub fn time(&mut self) -> u16 {
+    pub(crate) fn time(&mut self) -> u16 {
         self.ticks += 1;
         (self.ticks & 0xFFFF) as u16
     }
 
     /// Heart rate in beats per minute: a slow sinusoid-ish wander around 72
     /// plus noise.
-    pub fn heart_rate(&mut self) -> u16 {
+    pub(crate) fn heart_rate(&mut self) -> u16 {
         self.ticks += 1;
         let phase = (self.ticks / 16 % 20) as i16 - 10;
         (72 + phase + self.noise(3)).clamp(40, 180) as u16
@@ -60,7 +60,7 @@ impl SensorModel {
 
     /// One accelerometer axis in milli-g: a periodic step-like waveform plus
     /// noise, so pedometer/activity algorithms see plausible peaks.
-    pub fn accel(&mut self, axis: u16) -> i16 {
+    pub(crate) fn accel(&mut self, axis: u16) -> i16 {
         self.ticks += 1;
         let stride = (self.ticks % 20) as i16;
         let swing = if stride < 4 { 900 } else { 100 };
@@ -69,13 +69,13 @@ impl SensorModel {
     }
 
     /// Skin temperature in tenths of a degree Celsius.
-    pub fn temperature(&mut self) -> i16 {
+    pub(crate) fn temperature(&mut self) -> i16 {
         self.ticks += 1;
         330 + self.noise(5)
     }
 
     /// Ambient light in lux-ish units (day/night square wave).
-    pub fn light(&mut self) -> u16 {
+    pub(crate) fn light(&mut self) -> u16 {
         self.ticks += 1;
         if (self.ticks / 512).is_multiple_of(2) {
             (800 + self.noise(100)) as u16
@@ -85,7 +85,7 @@ impl SensorModel {
     }
 
     /// Battery level in percent (drains one percent every 4096 reads).
-    pub fn battery(&mut self) -> u16 {
+    pub(crate) fn battery(&mut self) -> u16 {
         self.ticks += 1;
         if self.ticks.is_multiple_of(4096) && self.battery_percent > 0 {
             self.battery_percent -= 1;
@@ -94,7 +94,7 @@ impl SensorModel {
     }
 
     /// Raw sensor channel multiplexer used by `amulet_read_sensor`.
-    pub fn raw_channel(&mut self, channel: u16) -> i16 {
+    pub(crate) fn raw_channel(&mut self, channel: u16) -> i16 {
         match channel % 5 {
             0 => self.heart_rate() as i16,
             1 => self.accel(0),

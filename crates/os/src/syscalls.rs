@@ -24,7 +24,7 @@ pub struct LogEntry {
 /// Arguments passed from the application to a system call (marshalled from
 /// registers `R14`/`R15` by the trap path).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyscallArgs {
+pub(crate) struct SyscallArgs {
     /// First argument register.
     pub arg0: u16,
     /// Second argument register.
@@ -33,7 +33,7 @@ pub struct SyscallArgs {
 
 /// The outcome of servicing a system call.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SyscallOutcome {
+pub(crate) struct SyscallOutcome {
     /// Value returned to the application in `R14`.
     pub ret: u16,
     /// Cycles consumed by the service body.
@@ -66,16 +66,6 @@ impl SyscallCounts {
     /// syscall) shares the last, overflow bucket.  Widen this when the
     /// API table approaches 15 entries.
     const BUCKETS: usize = 16;
-
-    /// Dispatches recorded for syscall `num`.
-    pub fn get(&self, num: u16) -> u64 {
-        self.0[(num as usize).min(Self::BUCKETS - 1)]
-    }
-
-    /// Total dispatches across all syscalls.
-    pub fn total(&self) -> u64 {
-        self.0.iter().sum()
-    }
 
     #[inline]
     fn bump(&mut self, num: u16) {
@@ -116,17 +106,9 @@ impl Clone for Services {
 }
 
 impl Services {
-    /// Creates the service state with a fixed sensor seed.
-    pub fn new(seed: u32) -> Self {
-        Services {
-            sensors: SensorModel::new(seed),
-            ..Default::default()
-        }
-    }
-
-    /// Returns the services to the state [`Services::new`] builds for
+    /// Returns the services to their initial state with sensor seed
     /// `seed`, keeping the log and display buffers.
-    pub fn reset(&mut self, seed: u32) {
+    pub(crate) fn reset(&mut self, seed: u32) {
         self.sensors = SensorModel::new(seed);
         self.log.clear();
         self.display.clear();
@@ -137,7 +119,7 @@ impl Services {
     ///
     /// `read_word` lets buffer-taking services read application memory that
     /// the trap path has already bounds-checked.
-    pub fn dispatch(
+    pub(crate) fn dispatch(
         &mut self,
         api: &ApiSpec,
         app_index: usize,
@@ -209,6 +191,12 @@ impl Services {
 mod tests {
     use super::*;
 
+    fn services(seed: u32) -> Services {
+        let mut s = Services::default();
+        s.reset(seed);
+        s
+    }
+
     fn no_mem() -> impl FnMut(Addr) -> u16 {
         |_| 0
     }
@@ -216,7 +204,7 @@ mod tests {
     #[test]
     fn logging_and_display_record_per_app() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(1);
+        let mut s = services(1);
         s.dispatch(
             &api,
             0,
@@ -242,7 +230,7 @@ mod tests {
     #[test]
     fn timers_and_subscriptions_are_reported_to_the_scheduler() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(1);
+        let mut s = services(1);
         let out = s.dispatch(
             &api,
             0,
@@ -266,7 +254,7 @@ mod tests {
     #[test]
     fn buffer_log_reads_app_memory_through_the_callback() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(1);
+        let mut s = services(1);
         let mem = [5u16, 6, 7, 8];
         let mut read = |addr: Addr| mem[((addr - 0x8000) / 2) as usize];
         let out = s.dispatch(
@@ -289,7 +277,7 @@ mod tests {
     #[test]
     fn sensor_calls_return_plausible_values_and_count_dispatches() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(9);
+        let mut s = services(9);
         let hr = s
             .dispatch(
                 &api,
@@ -312,14 +300,14 @@ mod tests {
             )
             .ret;
         assert!(batt <= 100);
-        assert_eq!(s.dispatch_counts.get(sysno::GET_HEART_RATE), 1);
-        assert_eq!(s.dispatch_counts.get(sysno::GET_BATTERY), 1);
+        assert_eq!(s.dispatch_counts.0[usize::from(sysno::GET_HEART_RATE)], 1);
+        assert_eq!(s.dispatch_counts.0[usize::from(sysno::GET_BATTERY)], 1);
     }
 
     #[test]
     fn yield_sets_the_batching_hint() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(1);
+        let mut s = services(1);
         let out = s.dispatch(
             &api,
             0,
@@ -343,7 +331,7 @@ mod tests {
     #[test]
     fn unknown_syscall_is_a_cheap_no_op() {
         let api = ApiSpec::amulet();
-        let mut s = Services::new(1);
+        let mut s = services(1);
         let out = s.dispatch(&api, 0, 999, SyscallArgs::default(), 0, &mut no_mem());
         assert_eq!(out.ret, 0);
         assert!(out.service_cycles <= 8);

@@ -350,7 +350,7 @@ struct Fixpoint {
 /// Verifies every app of a linked firmware image.  Check-site metadata
 /// (from the build report) may be supplied per app name to also decide
 /// which compiler-inserted checks are provably redundant.
-pub fn verify_firmware_with_sites(
+pub(crate) fn verify_firmware_with_sites(
     firmware: &Firmware,
     sites: &BTreeMap<String, Vec<CheckSite>>,
 ) -> VerifyReport {
@@ -365,12 +365,6 @@ pub fn verify_firmware_with_sites(
         method: firmware.method,
         apps,
     }
-}
-
-/// Verifies a bare firmware image (no check-site metadata, so the
-/// report's `elidable_sites` stay empty).
-pub fn verify_firmware(firmware: &Firmware) -> VerifyReport {
-    verify_firmware_with_sites(firmware, &BTreeMap::new())
 }
 
 /// Verifies a build output, using the report's check-site metadata so

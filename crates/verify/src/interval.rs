@@ -13,7 +13,7 @@ use std::fmt;
 /// meaning "any value".  Empty intervals are never materialised — the
 /// refinement helpers return `None` for infeasible branch edges instead.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Interval {
+pub(crate) struct Interval {
     /// Smallest possible value.
     pub lo: u16,
     /// Largest possible value.
@@ -22,34 +22,34 @@ pub struct Interval {
 
 impl Interval {
     /// The whole `u16` range: no information.
-    pub const TOP: Interval = Interval {
+    pub(crate) const TOP: Interval = Interval {
         lo: 0,
         hi: u16::MAX,
     };
 
     /// The interval containing exactly `v`.
-    pub fn singleton(v: u16) -> Self {
+    pub(crate) fn singleton(v: u16) -> Self {
         Interval { lo: v, hi: v }
     }
 
     /// An interval from explicit bounds (callers must keep `lo <= hi`).
-    pub fn new(lo: u16, hi: u16) -> Self {
+    pub(crate) fn new(lo: u16, hi: u16) -> Self {
         debug_assert!(lo <= hi);
         Interval { lo, hi }
     }
 
     /// Whether this interval carries no information.
-    pub fn is_top(&self) -> bool {
+    pub(crate) fn is_top(&self) -> bool {
         *self == Self::TOP
     }
 
     /// Whether this interval pins a single value.
-    pub fn is_singleton(&self) -> bool {
+    pub(crate) fn is_singleton(&self) -> bool {
         self.lo == self.hi
     }
 
     /// Least upper bound: the smallest interval containing both.
-    pub fn join(&self, other: &Interval) -> Interval {
+    pub(crate) fn join(&self, other: &Interval) -> Interval {
         Interval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
@@ -59,7 +59,7 @@ impl Interval {
     /// Abstract addition of two intervals.  Any possible wrap-around
     /// makes the result `TOP` — modular intervals would be more precise
     /// but are not needed to discharge bound checks.
-    pub fn add(&self, other: &Interval) -> Interval {
+    pub(crate) fn add(&self, other: &Interval) -> Interval {
         let lo = u32::from(self.lo) + u32::from(other.lo);
         let hi = u32::from(self.hi) + u32::from(other.hi);
         if hi > u32::from(u16::MAX) {
@@ -70,7 +70,7 @@ impl Interval {
     }
 
     /// Abstract subtraction (`self - other`); `TOP` on possible wrap.
-    pub fn sub(&self, other: &Interval) -> Interval {
+    pub(crate) fn sub(&self, other: &Interval) -> Interval {
         if self.lo < other.hi {
             Interval::TOP
         } else {
@@ -80,7 +80,7 @@ impl Interval {
 
     /// Abstract addition of a signed byte offset (`Load`/`Store`
     /// addressing); `TOP` on possible wrap in either direction.
-    pub fn add_signed(&self, offset: i32) -> Interval {
+    pub(crate) fn add_signed(&self, offset: i32) -> Interval {
         let lo = i64::from(self.lo) + i64::from(offset);
         let hi = i64::from(self.hi) + i64::from(offset);
         if lo < 0 || hi > i64::from(u16::MAX) {
@@ -92,7 +92,7 @@ impl Interval {
 
     /// Refines to the sub-interval `< bound` (the taken edge of an
     /// unsigned `Lo` branch).  `None` means the edge is infeasible.
-    pub fn below(&self, bound: u16) -> Option<Interval> {
+    pub(crate) fn below(&self, bound: u16) -> Option<Interval> {
         if bound == 0 || self.lo >= bound {
             return None;
         }
@@ -101,7 +101,7 @@ impl Interval {
 
     /// Refines to the sub-interval `>= bound` (the taken edge of an
     /// unsigned `Hs` branch).  `None` means the edge is infeasible.
-    pub fn at_least(&self, bound: u16) -> Option<Interval> {
+    pub(crate) fn at_least(&self, bound: u16) -> Option<Interval> {
         if self.hi < bound {
             return None;
         }
@@ -110,7 +110,7 @@ impl Interval {
 
     /// Refines to exactly `v` (the taken edge of `Eq`, the fall-through
     /// of `Ne`).  `None` means the edge is infeasible.
-    pub fn exactly(&self, v: u16) -> Option<Interval> {
+    pub(crate) fn exactly(&self, v: u16) -> Option<Interval> {
         (self.lo <= v && v <= self.hi).then(|| Interval::singleton(v))
     }
 
@@ -120,7 +120,7 @@ impl Interval {
     /// exactly the one boolean-guard diamonds produce (`flag == {0}`
     /// falling through a `jeq`), and excluding it kills the infeasible
     /// edge.  `None` means the edge is infeasible.
-    pub fn excluding(&self, v: u16) -> Option<Interval> {
+    pub(crate) fn excluding(&self, v: u16) -> Option<Interval> {
         if !self.contains(v) {
             Some(*self)
         } else if self.is_singleton() {
@@ -135,13 +135,8 @@ impl Interval {
     }
 
     /// Whether `v` is a possible value.
-    pub fn contains(&self, v: u16) -> bool {
+    pub(crate) fn contains(&self, v: u16) -> bool {
         self.lo <= v && v <= self.hi
-    }
-
-    /// Number of values in the interval.
-    pub fn width(&self) -> u32 {
-        u32::from(self.hi) - u32::from(self.lo) + 1
     }
 }
 

@@ -7,12 +7,12 @@
 //!
 //! Three passes share one fixed point per application:
 //!
-//! * **CFG recovery** ([`analysis`]) walks the image from the app's
+//! * **CFG recovery** (`analysis`) walks the image from the app's
 //!   OS-registered handlers, surfacing odd or out-of-image branch
 //!   targets, indirect flows and dead code as typed
 //!   [`Finding`]s.
 //! * **Containment certification** abstract-interprets register value
-//!   ranges (an interval domain, [`Interval`]) and classifies every
+//!   ranges (an interval domain, `Interval`) and classifies every
 //!   reachable memory-touching instruction against the app's
 //!   [`MpuPlan`](amulet_core::mpu_plan::MpuPlan) as
 //!   [`ProvenSafe`](AccessVerdict::ProvenSafe),
@@ -20,7 +20,7 @@
 //!   [`Unknown`](AccessVerdict::Unknown).  The analysis is sound, never
 //!   complete: handler arguments are unknown at entry, so any
 //!   payload-controlled access stays (at best) unknown.
-//! * **Redundancy lint** ([`AppVerification::elidable_sites`]) reports
+//! * **Redundancy lint** (`AppVerification::elidable_sites`) reports
 //!   the compiler-inserted bound checks whose branch provably never
 //!   fires.  The image is never rewritten: every check the AFT inserts
 //!   ships and is counted, as the paper specifies.
@@ -29,10 +29,9 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod interval;
-pub mod report;
+pub(crate) mod analysis;
+pub(crate) mod interval;
+pub(crate) mod report;
 
-pub use analysis::{verify_build, verify_firmware, verify_firmware_with_sites};
-pub use interval::Interval;
-pub use report::{AccessClass, AccessVerdict, AppVerification, Finding, VerifyReport};
+pub use analysis::verify_build;
+pub use report::{AccessVerdict, Finding, VerifyReport};

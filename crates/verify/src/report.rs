@@ -83,7 +83,7 @@ pub enum AccessVerdict {
 
 impl AccessVerdict {
     /// Stable lower-case label for reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             AccessVerdict::ProvenSafe => "proven-safe",
             AccessVerdict::Unknown => "unknown",
