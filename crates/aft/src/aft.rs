@@ -30,7 +30,6 @@ use crate::sema::analyze;
 use amulet_core::checks::CheckPolicy;
 use amulet_core::layout::{MemoryMap, OsImageSpec, PlatformSpec};
 use amulet_core::method::IsolationMethod;
-use amulet_core::platform::Platform;
 use amulet_mcu::firmware::Firmware;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -157,19 +156,18 @@ impl Aft {
     /// Creates a toolchain targeting the MSP430FR5969: a call into
     /// [`Aft::for_platform`].
     pub fn new(method: IsolationMethod) -> Self {
-        Self::for_platform(method, &amulet_core::platform::Msp430Fr5969)
+        Self::for_platform(method, &PlatformSpec::msp430fr5969())
     }
 
-    /// Creates a toolchain targeting any [`Platform`] (a profile type such
-    /// as [`amulet_core::platform::Msp430Fr5994`], or a `PlatformSpec`)
-    /// with the default OS image size.
+    /// Creates a toolchain targeting any platform with the default OS
+    /// image size.
     /// The inserted-check policy follows the platform's MPU model: hardware
     /// that can bound apps from below needs no data-pointer lower-bound
     /// checks.
-    pub fn for_platform(method: IsolationMethod, platform: &impl Platform) -> Self {
+    pub fn for_platform(method: IsolationMethod, platform: &PlatformSpec) -> Self {
         Aft {
             method,
-            platform: platform.spec(),
+            platform: platform.clone(),
             api: ApiSpec::amulet(),
             apps: Vec::new(),
         }

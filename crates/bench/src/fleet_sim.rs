@@ -17,23 +17,11 @@
 //! [`TimeMode::Stepped`]: amulet_fleet::TimeMode::Stepped
 
 use crate::json::Json;
-use amulet_fleet::{FleetAggregate, FleetReport, FleetScenario, TimeMode};
+use amulet_fleet::{FleetAggregate, FleetScenario, TimeMode};
 
 /// Renders the deterministic part of a fleet report as a JSON document;
 /// `wall_seconds` (when known) adds the non-deterministic timing object.
-pub fn render_json(report: &FleetReport, wall_seconds: Option<f64>) -> String {
-    render_document(
-        &report.scenario,
-        report.workers,
-        &report.aggregate,
-        wall_seconds,
-        None,
-        None,
-    )
-}
-
-/// The shared render core behind [`render_json`] and `fleet_sim`'s
-/// streaming summary.  `store` and `scaling` (when present) are
+/// `store` and `scaling` (when present) are
 /// rendered as trailing `firmware_store` and `scaling` sections, in that
 /// order, after `timing`; every caller passes `None` for both.
 pub fn render_document(
@@ -306,7 +294,18 @@ pub fn verify_summary_json(v: &amulet_fleet::FleetVerifySummary) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore};
+    use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetReport};
+
+    fn render(r: &FleetReport, wall_seconds: Option<f64>) -> String {
+        render_document(
+            &r.scenario,
+            r.workers,
+            &r.aggregate,
+            wall_seconds,
+            None,
+            None,
+        )
+    }
 
     fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
         simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
@@ -331,7 +330,7 @@ mod tests {
     #[test]
     fn json_contains_the_headline_fields_and_balances() {
         let report = run(&tiny(), 2);
-        let text = render_json(&report, Some(0.5));
+        let text = render(&report, Some(0.5));
         for needle in [
             "\"bench\": \"fleet_sim\"",
             "\"scenario\"",
@@ -353,8 +352,8 @@ mod tests {
         // The fleet-determinism acceptance criterion, end to end: the
         // rendered aggregate document (timing omitted) must match byte for
         // byte between a serial and a parallel run of the same seed.
-        let serial = render_json(&run(&tiny(), 1), None);
-        let parallel = render_json(&run(&tiny(), 8), None);
+        let serial = render(&run(&tiny(), 1), None);
+        let parallel = render(&run(&tiny(), 8), None);
         assert_eq!(serial, parallel);
     }
 
@@ -362,13 +361,13 @@ mod tests {
     fn batching_saves_switch_cycles_in_the_rendered_report() {
         let report = run(&tiny(), 4);
         assert!(report.aggregate.batched.switch_cycles < report.aggregate.per_event.switch_cycles);
-        let text = render_json(&report, None);
+        let text = render(&report, None);
         assert!(!text.contains("\"timing\""), "timing only when measured");
     }
 
     #[test]
     fn arrival_order_reports_contain_no_stepped_fields() {
-        let text = render_json(&run(&tiny(), 2), None);
+        let text = render(&run(&tiny(), 2), None);
         for absent in [
             "time_mode",
             "idle_joules",
@@ -458,7 +457,7 @@ mod tests {
             catalog_window: Some((2, 4)),
             ..tiny()
         };
-        let report = render_json(&run(&scenario, 2), None);
+        let report = render(&run(&scenario, 2), None);
         let summary = summary_json(&scenario, 2);
         assert_eq!(report, summary);
         for needle in [
@@ -493,7 +492,7 @@ mod tests {
             time_mode: amulet_fleet::TimeMode::Stepped,
             ..tiny()
         };
-        let text = render_json(&run(&scenario, 2), None);
+        let text = render(&run(&scenario, 2), None);
         for needle in [
             "\"time_mode\": \"stepped\"",
             "\"idle_joules\"",
@@ -507,7 +506,7 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         assert_eq!(text.matches('{').count(), text.matches('}').count());
-        let parallel = render_json(&run(&scenario, 8), None);
+        let parallel = render(&run(&scenario, 8), None);
         assert_eq!(text, parallel, "stepped reports are worker-count-free");
     }
 }

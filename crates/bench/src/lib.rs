@@ -47,7 +47,7 @@ use amulet_os::os::AmuletOs;
 /// Builds a single benchmark app for `method` on any platform and boots an
 /// OS around it.
 pub(crate) fn boot_benchmark_on(
-    platform: &impl amulet_core::platform::Platform,
+    platform: &amulet_core::layout::PlatformSpec,
     app: &amulet_apps::BenchmarkApp,
     method: IsolationMethod,
 ) -> AmuletOs {

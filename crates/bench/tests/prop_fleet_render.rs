@@ -4,12 +4,14 @@
 //! renderer had no `time_mode`, no LPM override and no latency fields, so
 //! any byte they could leak into an arrival-order report is a regression.
 
-use amulet_bench::fleet_sim::render_json;
-use amulet_fleet::{simulate_in, FirmwareStore, FleetReport, FleetScenario, TimeMode};
+use amulet_bench::fleet_sim::render_document;
+use amulet_fleet::{simulate_in, FirmwareStore, FleetScenario, TimeMode};
 use proptest::prelude::*;
 
-fn run(scenario: &FleetScenario, workers: usize) -> FleetReport {
-    simulate_in(scenario, workers, &FirmwareStore::for_scenario(scenario))
+/// Runs `scenario` on two workers and renders its document, untimed.
+fn render(scenario: &FleetScenario) -> String {
+    let r = simulate_in(scenario, 2, &FirmwareStore::for_scenario(scenario));
+    render_document(&r.scenario, r.workers, &r.aggregate, None, None, None)
 }
 
 proptest! {
@@ -28,19 +30,13 @@ proptest! {
             events_per_device: 10,
             ..FleetScenario::default()
         };
-        let plain = render_json(&run(&base, 2), None);
+        let plain = render(&base);
         // The LPM override is a stepped-only knob: arrival-order rendering
         // must not change by a single byte when it is set.
-        let with_knob = render_json(
-            &run(
-                &FleetScenario {
-                    lpm_current_override_na: Some(lpm_na),
-                    ..base.clone()
-                },
-                2,
-            ),
-            None,
-        );
+        let with_knob = render(&FleetScenario {
+            lpm_current_override_na: Some(lpm_na),
+            ..base.clone()
+        });
         prop_assert_eq!(&plain, &with_knob);
         // No stepped-only field may appear in an arrival-order document.
         for absent in [
@@ -55,16 +51,10 @@ proptest! {
         }
         // The identical scenario in stepped mode renders a superset: the
         // shared prefix of fields carries the same scenario numbers.
-        let stepped = render_json(
-            &run(
-                &FleetScenario {
-                    time_mode: TimeMode::Stepped,
-                    ..base
-                },
-                2,
-            ),
-            None,
-        );
+        let stepped = render(&FleetScenario {
+            time_mode: TimeMode::Stepped,
+            ..base
+        });
         prop_assert!(stepped.contains("\"time_mode\": \"stepped\""));
         prop_assert!(stepped.contains("\"delivery_latency_ms\""));
     }

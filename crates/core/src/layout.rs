@@ -20,17 +20,14 @@
 
 use crate::addr::{align_up, Addr, AddrRange};
 use crate::error::{CoreError, CoreResult};
-use crate::platform::{CycleCostTable, EnergyParams, MpuModel, Platform, SizeRule};
+use crate::platform::{CycleCostTable, EnergyParams, MpuModel, SizeRule};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Description of a target device: its fixed memory regions, its MPU
-/// capability model, and its cycle-cost table.
-///
-/// `PlatformSpec` is the materialised form of the [`Platform`] trait —
-/// profile types like [`crate::platform::Msp430Fr5969`] produce one, and a
-/// spec is itself a `Platform`, so either can be passed wherever a platform
-/// is expected.
+/// capability model, and its cycle-cost table.  The one way to name a
+/// platform: the built-in profiles are its constructors
+/// ([`PlatformSpec::msp430fr5969`] and its siblings).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlatformSpec {
     /// Stable platform name (used in reports and the comparison bench).
@@ -53,12 +50,6 @@ pub struct PlatformSpec {
     pub costs: CycleCostTable,
     /// Electrical parameters for the energy/battery models.
     pub energy: EnergyParams,
-}
-
-impl Platform for PlatformSpec {
-    fn spec(&self) -> PlatformSpec {
-        self.clone()
-    }
 }
 
 impl PlatformSpec {

@@ -1,7 +1,9 @@
 //! The platform abstraction layer: MPU capability models, per-backend
-//! region-planning constraints, per-platform cycle-cost tables, and the
-//! [`Platform`] trait that the planner, the MPU plans, the context-switch
-//! plans and the overhead model are generic over.
+//! region-planning constraints and per-platform cycle-cost tables.  A
+//! platform is named by one value, a [`crate::layout::PlatformSpec`]
+//! (built by its constructors or listed by [`builtin_platforms`]), which
+//! the planner, the MPU plans, the context-switch plans and the overhead
+//! model all take.
 //!
 //! The paper evaluates one device — the MSP430FR5969, whose MPU divides
 //! main memory into three **segments** separated by two movable boundaries —
@@ -13,6 +15,36 @@
 //! every region-based shape through a [`RegionConstraints`] descriptor, so
 //! the policy layers above can ask *what the hardware can express* — and at
 //! what configuration cost — instead of assuming any one device.
+//!
+//! The same app builds an [`crate::mpu_plan::MpuPlan`] in whichever
+//! register shape the platform's MPU speaks:
+//!
+//! ```
+//! use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec, PlatformSpec};
+//! use amulet_core::mpu_plan::{MpuConfig, MpuPlan};
+//!
+//! for spec in [
+//!     PlatformSpec::msp430fr5969(),
+//!     PlatformSpec::msp430fr5994(),
+//!     PlatformSpec::riscv_pmp(),
+//!     PlatformSpec::cortex_m33(),
+//! ] {
+//!     let map = MemoryMapPlanner::new(spec.clone())
+//!         .unwrap()
+//!         .plan(
+//!             &OsImageSpec::default(),
+//!             &[AppImageSpec::new("App", 0x400, 0x100, 0x80)],
+//!         )
+//!         .unwrap();
+//!     let config = MpuPlan::for_app_on(&map, 0).unwrap().config(&spec.mpu);
+//!     match (&spec.mpu, &config) {
+//!         (m, MpuConfig::Segmented(_)) if !m.is_region_based() => {}
+//!         (m, MpuConfig::Pmp(_)) if m.is_napot() => {}
+//!         (m, MpuConfig::Region(_)) if m.is_region_based() && !m.is_napot() => {}
+//!         other => panic!("plan shape must follow the MPU model: {other:?}"),
+//!     }
+//! }
+//! ```
 
 use std::fmt;
 
@@ -430,106 +462,6 @@ impl CycleCostTable {
     }
 }
 
-/// A hardware platform the isolation policies can target: memory geometry,
-/// MPU capability model, and cycle costs.
-///
-/// Concrete profiles ([`Msp430Fr5969`], [`Msp430Fr5994`], [`RiscvPmp`],
-/// [`CortexM33`], …) implement this trait, and so does
-/// [`crate::layout::PlatformSpec`] itself, so APIs can accept either a
-/// profile type or an already-materialised spec.
-///
-/// The whole policy stack is parameterised over it — the same app builds an
-/// [`crate::mpu_plan::MpuPlan`] in whichever register shape the platform's
-/// MPU speaks:
-///
-/// ```
-/// use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec};
-/// use amulet_core::mpu_plan::{MpuConfig, MpuPlan};
-/// use amulet_core::platform::{Msp430Fr5969, Msp430Fr5994, Platform, RiscvPmp};
-///
-/// for spec in [Msp430Fr5969.spec(), Msp430Fr5994.spec(), RiscvPmp.spec()] {
-///     let map = MemoryMapPlanner::new(spec.clone())
-///         .unwrap()
-///         .plan(
-///             &OsImageSpec::default(),
-///             &[AppImageSpec::new("App", 0x400, 0x100, 0x80)],
-///         )
-///         .unwrap();
-///     let config = MpuPlan::for_app_on(&map, 0).unwrap().config(&spec.mpu);
-///     match (&spec.mpu, &config) {
-///         (m, MpuConfig::Segmented(_)) if !m.is_region_based() => {}
-///         (m, MpuConfig::Pmp(_)) if m.is_napot() => {}
-///         (m, MpuConfig::Region(_)) if m.is_region_based() && !m.is_napot() => {}
-///         other => panic!("plan shape must follow the MPU model: {other:?}"),
-///     }
-/// }
-/// ```
-pub trait Platform {
-    /// The full data description of the platform.
-    fn spec(&self) -> crate::layout::PlatformSpec;
-
-    /// The platform's name (stable identifier used in reports).
-    fn name(&self) -> String {
-        self.spec().name
-    }
-}
-
-/// A shared platform is the platform it points at (the fleet shares one
-/// [`crate::layout::PlatformSpec`] across every device config).
-impl<P: Platform + ?Sized> Platform for std::sync::Arc<P> {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        (**self).spec()
-    }
-}
-
-/// The TI MSP430FR5969 as used by the Amulet wearable: 2 KiB SRAM, 48 KiB
-/// FRAM, and the paper's two-boundary segmented MPU.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Msp430Fr5969;
-
-impl Platform for Msp430Fr5969 {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        crate::layout::PlatformSpec::msp430fr5969()
-    }
-}
-
-/// An MSP430FR5994-class device: the larger-memory sibling (4 KiB SRAM in
-/// place of 2 KiB — the simulator models the lower 64 KiB window of its
-/// address space, since the modelled CPU core is 16-bit) fitted with a
-/// Tock/Cortex-M-style region MPU of eight 256-byte-aligned regions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Msp430Fr5994;
-
-impl Platform for Msp430Fr5994 {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        crate::layout::PlatformSpec::msp430fr5994()
-    }
-}
-
-/// An MMU-less RISC-V microcontroller profile: 8 PMP entries with NAPOT
-/// sizing (power-of-two, size-aligned regions), full user-mode
-/// jurisdiction including peripheral space, and machine-mode bypass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RiscvPmp;
-
-impl Platform for RiscvPmp {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        crate::layout::PlatformSpec::riscv_pmp()
-    }
-}
-
-/// A Cortex-M33-class (ARMv8-M) profile: 16 MPU regions at 32-byte
-/// alignment whose jurisdiction covers peripheral space, so the planner
-/// drops the software function-pointer checks as well.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CortexM33;
-
-impl Platform for CortexM33 {
-    fn spec(&self) -> crate::layout::PlatformSpec {
-        crate::layout::PlatformSpec::cortex_m33()
-    }
-}
-
 /// Every built-in platform profile, for cross-platform test sweeps and the
 /// platform-comparison bench.
 pub fn builtin_platforms() -> Vec<crate::layout::PlatformSpec> {
@@ -648,19 +580,20 @@ mod tests {
     }
 
     #[test]
-    fn profile_types_match_their_specs() {
-        assert_eq!(Msp430Fr5969.spec().name, Msp430Fr5969.name());
-        assert!(Msp430Fr5994.spec().mpu.is_region_based());
-        assert!(!Msp430Fr5969.spec().mpu.is_region_based());
+    fn builtin_profiles_carry_their_mpu_models() {
+        use crate::layout::PlatformSpec;
+        assert!(PlatformSpec::msp430fr5994().mpu.is_region_based());
+        assert!(!PlatformSpec::msp430fr5969().mpu.is_region_based());
         assert_eq!(
-            crate::layout::PlatformSpec::msp430fr5969_advanced_mpu()
+            PlatformSpec::msp430fr5969_advanced_mpu()
                 .mpu
                 .main_segments(),
             4
         );
-        assert!(RiscvPmp.spec().mpu.is_napot());
-        assert!(CortexM33.spec().mpu.covers_peripherals());
-        assert_eq!(CortexM33.spec().mpu.main_segments(), 16);
+        assert!(PlatformSpec::riscv_pmp().mpu.is_napot());
+        let m33 = PlatformSpec::cortex_m33().mpu;
+        assert!(m33.covers_peripherals());
+        assert_eq!(m33.main_segments(), 16);
     }
 
     #[test]

@@ -760,21 +760,13 @@ mod tests {
     }
 
     /// Everything of a runtime's device a run can observe or leave
-    /// behind: bus counters, memory, the MPU backends, the timer and the
-    /// CPU.
+    /// behind: bus counters, memory, the MPU, the timer and the CPU.
     fn device_state(os: &AmuletOs) -> (String, Vec<u8>, String) {
         let bus = &os.device.bus;
         (
             format!("{:?}", bus.stats),
             bus.dump_bytes(amulet_core::addr::AddrRange::new(0, 0x1_0000)),
-            format!(
-                "{:?} {:?} {:?} {:?} {:?}",
-                bus.mpu(),
-                bus.region_mpu(),
-                bus.pmp(),
-                bus.timer,
-                os.device.cpu
-            ),
+            format!("{:?} {:?} {:?}", bus.mpu(), bus.timer, os.device.cpu),
         )
     }
 

@@ -10,7 +10,7 @@
 //!
 //! # The access-attribute cache
 //!
-//! Decoding a region (a 6-way range cascade) and consulting an MPU backend
+//! Decoding a region (a 6-way range cascade) and consulting the MPU
 //! on **every** access is the second-hottest operation in the simulator
 //! after instruction fetch.  The bus therefore keeps a flat 64 KiB
 //! *attribute table* — one byte per address encoding whether a read, write
@@ -25,17 +25,17 @@
 //!
 //! Because the OS alternates between the OS and per-app MPU configurations
 //! on every context switch, tables are **memoised per configuration**:
-//! each table is keyed by a fingerprint of the active backend's state, so
+//! each table is keyed by a fingerprint of the MPU's state, so
 //! a switch back to an already-seen configuration re-points the bus at the
 //! existing table instead of rebuilding.  The memo is bounded: once full,
 //! each new configuration repaints the least recently used inactive table
 //! in place.
 //!
-//! The bus owns the MPU backends: the only ways to change their state are
-//! a register store through [`Bus::write`] (which reaches the peripheral
-//! dispatch, on hardware and here alike) and the OS's
-//! [`Bus::install_mpu_config`]; [`Bus::mpu`], [`Bus::region_mpu`] and
-//! [`Bus::pmp`] are read-only.  So the table is resolved when the
+//! The bus owns the platform's one MPU: the only ways to change its state
+//! are a register store through [`Bus::write`] (which reaches the
+//! peripheral dispatch, on hardware and here alike) and the OS's
+//! [`Bus::install_mpu_config`]; [`Bus::mpu`] is read-only.  So the table
+//! is resolved when the
 //! configuration **changes**, not when it is used: [`Bus::new`],
 //! [`Bus::reset`], [`Bus::install_mpu_config`] and every MPU register
 //! store re-point the bus before they return, and each fetch and data
@@ -54,7 +54,7 @@
 //! [`Bus::restore`] copy only them, so the cost of reusing a bus follows
 //! what the run wrote.
 
-use crate::mpu::{Mpu, MpuRegisterError, PmpMpu, RegionMpu};
+use crate::mpu::{self, MpuBackend, MpuRegisterError};
 use crate::timer::Timer;
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -90,8 +90,13 @@ pub enum BusFaultCause {
     Unmapped,
     /// A write targeted read-only memory (bootstrap loader).
     ReadOnly,
-    /// An MPU register write violated the password/lock protocol.
+    /// An MPU register write violated the password/lock protocol, or
+    /// targeted a privileged or absent register block.
     MpuRegisterProtocol(MpuRegisterError),
+    /// [`Bus::install_mpu_config`] was handed a configuration for another
+    /// MPU shape than the platform's; the address is the base of that
+    /// shape's register block.
+    ForeignMpuConfig,
     /// A word access at an odd address (the MSP430 requires aligned words).
     Misaligned,
 }
@@ -172,14 +177,14 @@ const ATTR_FRAM_WRITE: u8 = 1 << 3;
 pub const MAX_ATTR_TABLES: usize = 16;
 
 /// Everything an attribute table depends on besides the (fixed) platform:
-/// the state of the platform's active MPU backend, reduced to what the
-/// painter reads.  Inactive backends, disabled slots and the slots of a
-/// non-enforcing backend cannot change a table, so they are left out, and
-/// every backend state that paints one table has one key.
+/// the state of the platform's MPU, reduced to what the painter reads.
+/// Disabled slots and the slots of a non-enforcing MPU cannot change a
+/// table, so they are left out, and every MPU state that paints one table
+/// has one key.
 #[derive(Clone, Debug, PartialEq)]
 enum MpuFingerprint {
-    /// The active backend enforces nothing (segmented MPU disabled,
-    /// region MPU disabled, PMP in machine mode).
+    /// The MPU enforces nothing (segmented MPU disabled, region MPU
+    /// disabled, PMP in machine mode).
     Open,
     /// An enabled segmented MPU.
     Segmented {
@@ -191,18 +196,6 @@ enum MpuFingerprint {
     /// An enforcing region MPU or user-mode PMP: its enabled slots
     /// (entries) in match order.
     Slots(Vec<(AddrRange, Perm)>),
-}
-
-/// Which hardware MPU backend the platform's [`amulet_core::platform::MpuModel`]
-/// selects as the one that polices bus traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum MpuBackendKind {
-    /// FR5969-style segmented MPU ([`Mpu`]).
-    Segmented,
-    /// Aligned-region MPU ([`RegionMpu`]).
-    Region,
-    /// NAPOT PMP ([`PmpMpu`]).
-    Pmp,
 }
 
 /// One slot of the attribute-table memo.
@@ -241,8 +234,8 @@ pub struct BusCheckpoint {
     dirty: u64,
     /// The bytes of those pages, in address order.
     pages: Vec<u8>,
-    /// The MPU backends (`None` until the first save).
-    backends: Option<(Mpu, RegionMpu, PmpMpu)>,
+    /// The MPU (`None` until the first save).
+    mpu: Option<MpuBackend>,
     timer: Timer,
     stats: BusStats,
 }
@@ -251,7 +244,7 @@ impl fmt::Debug for BusCheckpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BusCheckpoint")
             .field("dirty", &format_args!("{:#018x}", self.dirty))
-            .field("backends", &self.backends)
+            .field("mpu", &self.mpu)
             .field("timer", &self.timer)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -315,17 +308,8 @@ pub struct Bus {
     /// touched since the last [`Bus::reset`].  Every store path sets it,
     /// so a clean page is all zero.
     dirty: u64,
-    /// The FR5969-style segmented MPU (the active backend on segmented
-    /// platforms).
-    mpu: Mpu,
-    /// The Tock/Cortex-M-style region MPU (the active backend on
-    /// aligned-region platforms).
-    region_mpu: RegionMpu,
-    /// The RISC-V-PMP-style NAPOT backend (the active backend on NAPOT
-    /// platforms).
-    pmp: PmpMpu,
-    /// Which backend the platform's MPU model selects.
-    backend: MpuBackendKind,
+    /// The platform's MPU, the one backend its MPU model selects.
+    mpu: MpuBackend,
     /// The benchmark timer.
     pub timer: Timer,
     /// Access counters.
@@ -363,31 +347,19 @@ impl fmt::Debug for Bus {
 }
 
 impl Bus {
-    /// Creates a bus for the given platform with zeroed memory.  The MPU
-    /// backend that polices FRAM/InfoMem accesses is chosen by the
-    /// platform's [`amulet_core::platform::MpuModel`].
+    /// Creates a bus for the given platform with zeroed memory and its
+    /// MPU, the backend the platform's [`amulet_core::platform::MpuModel`]
+    /// selects, in its power-on state.
     pub fn new(platform: PlatformSpec) -> Self {
-        let (mpu, region_mpu, pmp) = Self::mpu_backends(&platform);
-        let backend = Self::backend_kind(&platform);
-        let key = Self::fingerprint(backend, &mpu, &region_mpu, &pmp);
+        let mpu = MpuBackend::for_platform(&platform);
+        let key = Self::fingerprint(&mpu);
         let mut attr_active = zeroed_page();
-        Self::paint_attr_table(
-            &mut attr_active,
-            &platform,
-            backend,
-            &region_mpu,
-            &pmp,
-            &key,
-            true,
-        );
+        Self::paint_attr_table(&mut attr_active, &platform, &mpu, &key, true);
         Bus {
             platform,
             mem: zeroed_page(),
             dirty: 0,
             mpu,
-            region_mpu,
-            pmp,
-            backend,
             timer: Timer::new(),
             stats: BusStats::default(),
             attr_active,
@@ -404,69 +376,6 @@ impl Bus {
         }
     }
 
-    /// Builds all three MPU backends in their power-on (disabled) state
-    /// for a platform — the single backend-selection rule of
-    /// [`Bus::new`] ([`Bus::reset`] restores the same state in place).
-    /// Only the backend the platform's MPU model selects gets slots; the
-    /// inactive ones stay empty.
-    fn mpu_backends(platform: &PlatformSpec) -> (Mpu, RegionMpu, PmpMpu) {
-        let mpu = Mpu::new(platform.fram, platform.info_mem);
-        let kind = Self::backend_kind(platform);
-        let (region_slots, pmp_entries) = match kind {
-            MpuBackendKind::Segmented => (0, 0),
-            MpuBackendKind::Region => (platform.mpu.main_segments(), 0),
-            MpuBackendKind::Pmp => (0, platform.mpu.main_segments()),
-        };
-        let mut region_mpu = RegionMpu::new(
-            region_slots,
-            platform.fram,
-            platform.info_mem,
-            platform.sram,
-        );
-        if kind == MpuBackendKind::Region && platform.mpu.covers_peripherals() {
-            // A peripheral-jurisdiction profile polices the full platform
-            // space — which is what makes its checkless policy sound (a
-            // corrupted code pointer has nowhere unpoliced to escape to).
-            // The base constructor already covers FRAM/InfoMem/SRAM; the
-            // extension is the rest of the shared platform range list.
-            region_mpu =
-                region_mpu.with_extended_jurisdiction(&platform.full_jurisdiction_ranges()[3..]);
-        }
-        let pmp = PmpMpu::new(pmp_entries, platform.full_jurisdiction_ranges().to_vec());
-        (mpu, region_mpu, pmp)
-    }
-
-    /// Which backend polices this platform's bus traffic.
-    fn backend_kind(platform: &PlatformSpec) -> MpuBackendKind {
-        if platform.mpu.is_napot() {
-            MpuBackendKind::Pmp
-        } else if platform.mpu.is_region_based() {
-            MpuBackendKind::Region
-        } else {
-            MpuBackendKind::Segmented
-        }
-    }
-
-    /// Pure backend property: whether the active backend's deny-by-default
-    /// jurisdiction extends over the **full platform space** — peripheral
-    /// registers, the boot ROM and the vector table.  The single source of
-    /// truth shared by the slow-path oracle ([`Bus::full_platform_policed`])
-    /// and the attribute-table painter, so the fast path and the oracle
-    /// cannot drift.
-    fn backend_polices_full_platform(backend: MpuBackendKind, region_mpu: &RegionMpu) -> bool {
-        match backend {
-            MpuBackendKind::Segmented => false,
-            MpuBackendKind::Region => region_mpu.covers_full_platform(),
-            MpuBackendKind::Pmp => true,
-        }
-    }
-
-    /// The slow paths' gate for peripheral/boot-ROM/vector policing: the
-    /// active backend's full-platform jurisdiction.
-    fn full_platform_policed(&self) -> bool {
-        Self::backend_polices_full_platform(self.backend, &self.region_mpu)
-    }
-
     /// Creates a bus for the MSP430FR5969.
     pub fn msp430fr5969() -> Self {
         Bus::new(PlatformSpec::msp430fr5969())
@@ -474,8 +383,8 @@ impl Bus {
 
     /// Returns the bus to its power-on state **in place**: memory is zeroed
     /// (only the pages a store touched since the last reset, so the cost
-    /// follows what the run wrote, not the 64 KiB), the MPU backends
-    /// return to their disabled reset values, the timer stops and the
+    /// follows what the run wrote, not the 64 KiB), the MPU returns to
+    /// its disabled reset values, the timer stops and the
     /// access counters clear.  Lets one bus be reused across many
     /// simulation runs.
     ///
@@ -483,22 +392,20 @@ impl Bus {
     /// contents are a pure function of MPU state and the (unchanged)
     /// platform, so the reset re-points the bus at the memoised table for
     /// the power-on configuration instead of rebuilding one per context
-    /// switch of the next run.  The backends return to their power-on
-    /// state in place, so a reset allocates nothing.
+    /// switch of the next run.  The MPU returns to its power-on state in
+    /// place, so a reset allocates nothing.
     pub fn reset(&mut self) {
         for base in page_bases(std::mem::take(&mut self.dirty)) {
             self.mem[base..base + PAGE_SIZE].fill(0);
         }
-        self.mpu = Mpu::new(self.platform.fram, self.platform.info_mem);
-        self.region_mpu.power_on();
-        self.pmp.power_on();
+        self.mpu.power_on();
         self.timer = Timer::new();
         self.stats = BusStats::default();
         self.resolve_attr_table();
     }
 
     /// Saves the bus state into `checkpoint`, reusing its buffers: the
-    /// dirty pages' bytes, the MPU backends, the timer and the access
+    /// dirty pages' bytes, the MPU, the timer and the access
     /// counters.  The attribute-table memo is not part of the state: it
     /// is a cache, re-resolved by [`Bus::restore`].
     pub fn save(&self, checkpoint: &mut BusCheckpoint) {
@@ -509,16 +416,9 @@ impl Bus {
                 .pages
                 .extend_from_slice(&self.mem[base..base + PAGE_SIZE]);
         }
-        match &mut checkpoint.backends {
-            Some((mpu, region_mpu, pmp)) => {
-                mpu.clone_from(&self.mpu);
-                region_mpu.copy_state_from(&self.region_mpu);
-                pmp.copy_state_from(&self.pmp);
-            }
-            None => {
-                checkpoint.backends =
-                    Some((self.mpu.clone(), self.region_mpu.clone(), self.pmp.clone()));
-            }
+        match &mut checkpoint.mpu {
+            Some(mpu) => mpu.copy_state_from(&self.mpu),
+            None => checkpoint.mpu = Some(self.mpu.clone()),
         }
         checkpoint.timer = self.timer.clone();
         checkpoint.stats = self.stats;
@@ -526,8 +426,8 @@ impl Bus {
 
     /// Returns the bus to the state [`Bus::save`] recorded in
     /// `checkpoint` (taken on this bus): pages a store touched since the
-    /// save are zeroed, the saved pages are copied back, and the MPU
-    /// backends, timer and counters are restored before the attribute
+    /// save are zeroed, the saved pages are copied back, and the MPU,
+    /// timer and counters are restored before the attribute
     /// table is re-resolved.  Allocates nothing.
     ///
     /// # Panics
@@ -543,13 +443,11 @@ impl Bus {
             self.mem[base..base + PAGE_SIZE].copy_from_slice(bytes);
         }
         self.dirty = checkpoint.dirty;
-        let (mpu, region_mpu, pmp) = checkpoint
-            .backends
+        let mpu = checkpoint
+            .mpu
             .as_ref()
             .expect("a bus restores only a checkpoint it saved");
-        self.mpu.clone_from(mpu);
-        self.region_mpu.copy_state_from(region_mpu);
-        self.pmp.copy_state_from(pmp);
+        self.mpu.copy_state_from(mpu);
         self.timer = checkpoint.timer.clone();
         self.stats = checkpoint.stats;
         self.resolve_attr_table();
@@ -557,7 +455,7 @@ impl Bus {
 
     /// Turns the access-attribute cache on or off.  With the cache off,
     /// every table is painted all zero, so every access runs the original
-    /// region-cascade + MPU-backend path; behaviour and [`BusStats`] must
+    /// region-cascade + MPU path; behaviour and [`BusStats`] must
     /// be identical either way, so this is a test oracle: only
     /// `tests/prop_attr_cache.rs` and `tests/prop_mpu_reprogram.rs` call
     /// it.  A switch drops the memo to the active table, repainted under
@@ -575,9 +473,7 @@ impl Bus {
         Self::paint_attr_table(
             &mut self.attr_active,
             &self.platform,
-            self.backend,
-            &self.region_mpu,
-            &self.pmp,
+            &self.mpu,
             &self.attr_slots[0].key,
             enabled,
         );
@@ -588,24 +484,11 @@ impl Bus {
         &self.platform
     }
 
-    /// The FR5969-style segmented MPU (the active backend on segmented
-    /// platforms).  Program it through [`Bus::write`] to its registers or
-    /// [`Bus::install_mpu_config`].
-    pub fn mpu(&self) -> &Mpu {
+    /// The platform's MPU.  Program it through [`Bus::install_mpu_config`]
+    /// or, on the segmented part, [`Bus::write`] to its registers; the
+    /// region MPU's and the PMP's register blocks are privileged.
+    pub fn mpu(&self) -> &MpuBackend {
         &self.mpu
-    }
-
-    /// The Tock/Cortex-M-style region MPU (the active backend on
-    /// aligned-region platforms).  Its register block is privileged: only
-    /// [`Bus::install_mpu_config`] programs it.
-    pub fn region_mpu(&self) -> &RegionMpu {
-        &self.region_mpu
-    }
-
-    /// The RISC-V-PMP-style NAPOT backend (the active backend on NAPOT
-    /// platforms).  Privileged like [`Bus::region_mpu`].
-    pub fn pmp(&self) -> &PmpMpu {
-        &self.pmp
     }
 
     /// Decodes an address into its architectural region.
@@ -628,76 +511,44 @@ impl Bus {
         }
     }
 
-    /// The attribute-table key of a backend state (see [`MpuFingerprint`]).
-    fn fingerprint(
-        backend: MpuBackendKind,
-        mpu: &Mpu,
-        region_mpu: &RegionMpu,
-        pmp: &PmpMpu,
-    ) -> MpuFingerprint {
-        match backend {
-            MpuBackendKind::Segmented if mpu.enabled => MpuFingerprint::Segmented {
-                boundary1: mpu.boundary1,
-                boundary2: mpu.boundary2,
-                perms: [mpu.seg1, mpu.seg2, mpu.seg3, mpu.seg_info],
+    /// The attribute-table key of an MPU state (see [`MpuFingerprint`]).
+    fn fingerprint(mpu: &MpuBackend) -> MpuFingerprint {
+        match (mpu, mpu.slot_table()) {
+            (MpuBackend::Segmented(m), _) if m.enabled => MpuFingerprint::Segmented {
+                boundary1: m.boundary1,
+                boundary2: m.boundary2,
+                perms: [m.seg1, m.seg2, m.seg3, m.seg_info],
             },
-            MpuBackendKind::Region if region_mpu.enabled => MpuFingerprint::Slots(
-                region_mpu
-                    .slots
-                    .iter()
-                    .filter(|s| s.enabled)
-                    .map(|s| (s.range, s.perm))
-                    .collect(),
-            ),
-            MpuBackendKind::Pmp if pmp.user_mode => MpuFingerprint::Slots(
-                pmp.entries
-                    .iter()
-                    .filter(|e| e.enabled)
-                    .map(|e| (e.range(), e.perm))
-                    .collect(),
-            ),
+            (_, Some(table)) if table.enforcing => {
+                MpuFingerprint::Slots(table.enabled_slots().collect())
+            }
             _ => MpuFingerprint::Open,
         }
     }
 
-    /// Whether `key` is the fingerprint of the *installed* backend state —
+    /// Whether `key` is the fingerprint of the *installed* MPU state —
     /// [`Bus::fingerprint`] without building one, since this runs after
     /// every context switch.
     fn installed_matches(&self, key: &MpuFingerprint) -> bool {
-        let (mpu, region_mpu, pmp) = (&self.mpu, &self.region_mpu, &self.pmp);
-        match (self.backend, key) {
-            (MpuBackendKind::Segmented, MpuFingerprint::Open) => !mpu.enabled,
-            (MpuBackendKind::Region, MpuFingerprint::Open) => !region_mpu.enabled,
-            (MpuBackendKind::Pmp, MpuFingerprint::Open) => !pmp.user_mode,
+        let mpu = &self.mpu;
+        match (mpu, key) {
+            (_, MpuFingerprint::Open) => !mpu.enforcing(),
             (
-                MpuBackendKind::Segmented,
+                MpuBackend::Segmented(m),
                 MpuFingerprint::Segmented {
                     boundary1,
                     boundary2,
                     perms,
                 },
             ) => {
-                mpu.enabled
-                    && mpu.boundary1 == *boundary1
-                    && mpu.boundary2 == *boundary2
-                    && [mpu.seg1, mpu.seg2, mpu.seg3, mpu.seg_info] == *perms
+                m.enabled
+                    && m.boundary1 == *boundary1
+                    && m.boundary2 == *boundary2
+                    && [m.seg1, m.seg2, m.seg3, m.seg_info] == *perms
             }
-            (MpuBackendKind::Region, MpuFingerprint::Slots(slots)) => {
-                region_mpu.enabled
-                    && slots.iter().copied().eq(region_mpu
-                        .slots
-                        .iter()
-                        .filter(|s| s.enabled)
-                        .map(|s| (s.range, s.perm)))
-            }
-            (MpuBackendKind::Pmp, MpuFingerprint::Slots(entries)) => {
-                pmp.user_mode
-                    && entries.iter().copied().eq(pmp
-                        .entries
-                        .iter()
-                        .filter(|e| e.enabled)
-                        .map(|e| (e.range(), e.perm)))
-            }
+            (_, MpuFingerprint::Slots(slots)) => mpu.slot_table().is_some_and(|table| {
+                table.enforcing && slots.iter().copied().eq(table.enabled_slots())
+            }),
             _ => false,
         }
     }
@@ -729,10 +580,7 @@ impl Bus {
             .find(|&i| self.installed_matches(&self.attr_slots[i].key))
         {
             Some(i) => i,
-            None => {
-                let key = Self::fingerprint(self.backend, &self.mpu, &self.region_mpu, &self.pmp);
-                self.paint_slot(key)
-            }
+            None => self.paint_slot(Self::fingerprint(&self.mpu)),
         };
         self.activate(slot);
     }
@@ -776,15 +624,7 @@ impl Bus {
                 .expect("an inactive slot holds its table");
             (victim, attrs)
         };
-        Self::paint_attr_table(
-            &mut attrs,
-            &self.platform,
-            self.backend,
-            &self.region_mpu,
-            &self.pmp,
-            &key,
-            self.attr_cache,
-        );
+        Self::paint_attr_table(&mut attrs, &self.platform, &self.mpu, &key, self.attr_cache);
         let entry = &mut self.attr_slots[slot];
         entry.key = key;
         entry.attrs = Some(attrs);
@@ -808,26 +648,22 @@ impl Bus {
         &self.attr_active
     }
 
-    /// Paints the 64 KiB attribute table for the MPU state `key` over
-    /// `attrs` by interval painting (no per-address backend calls), or all
-    /// zero when `cache` is off.  A pure function of the platform (which
-    /// also fixes each backend's jurisdiction — the only thing read from
-    /// `region_mpu` and `pmp`), the key and `cache`, which is what makes
-    /// the memo sound.
+    /// Paints the 64 KiB attribute table for the MPU state `key` over `attrs`
+    /// by interval painting (no per-address MPU calls), or all zero when
+    /// `cache` is off.  A pure function of the platform (which also fixes
+    /// the MPU's jurisdiction — the only thing read from `mpu`), the key and
+    /// `cache`, which is what makes the memo sound.
     ///
     /// Ranges are painted in reverse priority order of [`Bus::region`]'s
-    /// decode cascade, so where ranges overlap the highest-priority
-    /// region's attributes win — exactly the oracle's decision order.  The
-    /// painter consults the active backend's own **jurisdiction** (the
-    /// FR5994 profile's stops at SRAM; the Cortex-M33-class and PMP
-    /// backends also police peripheral space) instead of hardcoding any
-    /// particular range set.
+    /// decode cascade, so where ranges overlap the highest-priority region's
+    /// attributes win — exactly the oracle's decision order.  The painter
+    /// consults the MPU's own **jurisdiction** (the FR5994 profile's stops at
+    /// SRAM; the Cortex-M33-class and PMP backends also police peripheral
+    /// space) instead of hardcoding any particular range set.
     fn paint_attr_table(
         attrs: &mut [u8; 0x1_0000],
         p: &PlatformSpec,
-        backend: MpuBackendKind,
-        region_mpu: &RegionMpu,
-        pmp: &PmpMpu,
+        mpu: &MpuBackend,
         key: &MpuFingerprint,
         cache: bool,
     ) {
@@ -841,32 +677,22 @@ impl Bus {
             p.interrupt_vectors,
             ATTR_R | ATTR_W | ATTR_X,
         );
-        match backend {
-            MpuBackendKind::Region | MpuBackendKind::Pmp => {
-                // Region-like backend: deny-by-default over its own
-                // jurisdiction when enforcing, permissive when not.  The
-                // slots/entries match first-hit in slot order, so paint in
-                // reverse and let earlier slots overwrite later ones.
-                let jurisdiction: Vec<AddrRange> = match backend {
-                    MpuBackendKind::Region => region_mpu.jurisdiction().collect(),
-                    _ => pmp.jurisdiction().collect(),
+        match mpu.slot_table() {
+            Some(table) => {
+                // Region MPU or PMP: deny-by-default over its jurisdiction
+                // when enforcing, permissive when not.  The slots match
+                // first-hit in slot order, so paint in reverse and let earlier
+                // slots overwrite later ones.
+                let (base, slots): (u8, &[(AddrRange, Perm)]) = match key {
+                    MpuFingerprint::Slots(slots) => (0, slots),
+                    _ => (ATTR_R | ATTR_W | ATTR_X, &[]),
                 };
-                let slots: &[(AddrRange, Perm)] = match key {
-                    MpuFingerprint::Slots(slots) => slots,
-                    _ => &[],
-                };
-                let enforcing = *key != MpuFingerprint::Open;
-                let base = if enforcing {
-                    0
-                } else {
-                    ATTR_R | ATTR_W | ATTR_X
-                };
-                for range in &jurisdiction {
+                for range in table.jurisdiction() {
                     paint(&mut attrs[..], *range, base);
                 }
                 for (slot_range, perm) in slots.iter().rev() {
                     let v = perm_attr(*perm);
-                    for range in &jurisdiction {
+                    for range in table.jurisdiction() {
                         let clipped = AddrRange::new(
                             slot_range.start.max(range.start).min(range.end),
                             slot_range.end.clamp(range.start, range.end),
@@ -875,10 +701,10 @@ impl Bus {
                     }
                 }
             }
-            MpuBackendKind::Segmented => {
-                // Segmented backend: SRAM is outside its jurisdiction
-                // (always permitted); FRAM splits into three segments at
-                // the two boundaries; InfoMem is the pinned segment.
+            None => {
+                // Segmented part: SRAM is outside its jurisdiction (always
+                // permitted); FRAM splits into three segments at the two
+                // boundaries; InfoMem is the pinned segment.
                 paint(&mut attrs[..], p.sram, ATTR_R | ATTR_W | ATTR_X);
                 if let MpuFingerprint::Segmented {
                     boundary1,
@@ -902,16 +728,15 @@ impl Bus {
         // FRAM and InfoMem writes are counted separately by the stats.
         paint_or(&mut attrs[..], p.fram, ATTR_FRAM_WRITE);
         paint_or(&mut attrs[..], p.info_mem, ATTR_FRAM_WRITE);
-        // Boot ROM and peripheral space.  Peripheral reads and writes
-        // always take the dispatch path, so their R/W attribute bits stay
-        // clear, and a boot-ROM write is never a plain permitted store
-        // (the ROM is write-protected even where a region grants W).  On
-        // full-platform-jurisdiction backends the remaining bits painted
-        // by the slots above are the MPU's own decision and are masked,
-        // not overwritten — the same `backend_polices_full_platform` rule
-        // the slow-path oracle consults; every other backend keeps the
-        // historical always-readable ROM / always-fetchable peripheral
-        // attributes.
+        // Boot ROM and peripheral space.  Peripheral reads and writes always
+        // take the dispatch path, so their R/W attribute bits stay clear, and
+        // a boot-ROM write is never a plain permitted store (the ROM is
+        // write-protected even where a region grants W).  On
+        // full-platform-jurisdiction MPUs the remaining bits painted by the
+        // slots above are the MPU's own decision and are masked, not
+        // overwritten — the same `polices_full_platform` rule the slow-path
+        // oracle consults; every other MPU keeps the historical
+        // always-readable ROM / always-fetchable peripheral attributes.
         let mask = |attrs: &mut [u8; 0x1_0000], range: AddrRange, keep: u8| {
             let start = (range.start as usize).min(attrs.len());
             let end = (range.end as usize).min(attrs.len());
@@ -919,7 +744,7 @@ impl Bus {
                 *a &= keep;
             }
         };
-        if Self::backend_polices_full_platform(backend, region_mpu) {
+        if mpu::polices_full_platform(p) {
             mask(attrs, p.bootstrap_loader, ATTR_R | ATTR_X);
             mask(attrs, p.peripherals, ATTR_X);
         } else {
@@ -932,48 +757,62 @@ impl Bus {
     /// register writes the OS's context-switch code issues on hardware:
     /// boundaries/access-bits/control for the segmented part, or
     /// select/base/limit per region plus control for the region part.
+    ///
+    /// A configuration for another MPU shape than the platform's is
+    /// refused with [`BusFaultCause::ForeignMpuConfig`]: it writes
+    /// nothing and counts nothing.
     pub fn install_mpu_config(&mut self, config: &MpuConfig) -> Result<(), BusFault> {
-        let installed = match config {
-            MpuConfig::Segmented(regs) => {
+        let stats = &mut self.stats;
+        let mut count = |writes: u32| {
+            stats.writes += u64::from(writes);
+            stats.peripheral_writes += u64::from(writes);
+        };
+        let installed = match (&mut self.mpu, config) {
+            (MpuBackend::Segmented(mpu), MpuConfig::Segmented(regs)) => {
                 // Trusted switch path: program the register file directly
                 // (this runs twice per delivered event — the full
                 // region-decode cascade per register write was measurable
                 // at fleet scale).  Stats and the password/lock protocol
                 // are identical to issuing each write through `Bus::write`.
                 let writes = [
-                    (crate::mpu::MPUSEGB1, regs.mpusegb1),
-                    (crate::mpu::MPUSEGB2, regs.mpusegb2),
-                    (crate::mpu::MPUSAM, regs.mpusam),
-                    (crate::mpu::MPUCTL0, regs.mpuctl0),
+                    (mpu::MPUSEGB1, regs.mpusegb1),
+                    (mpu::MPUSEGB2, regs.mpusegb2),
+                    (mpu::MPUSAM, regs.mpusam),
+                    (mpu::MPUCTL0, regs.mpuctl0),
                 ];
                 writes.into_iter().try_for_each(|(addr, value)| {
-                    self.stats.writes += 1;
-                    self.stats.peripheral_writes += 1;
-                    self.mpu.write_register(addr, value).map_err(|e| BusFault {
+                    count(1);
+                    mpu.write_register(addr, value).map_err(|e| BusFault {
                         addr,
                         access: AccessKind::Write,
                         cause: BusFaultCause::MpuRegisterProtocol(e),
                     })
                 })
             }
-            MpuConfig::Region(regs) => {
-                // Privileged path: the register block rejects CPU-side
-                // stores, so the OS programs it directly (the write
-                // sequence and slot-count cap live in `apply_config`).
-                // Count the same stats a `Bus::write` per register would.
-                self.region_mpu.apply_config(regs);
-                self.stats.writes += regs.write_count() as u64;
-                self.stats.peripheral_writes += regs.write_count() as u64;
+            // Privileged paths: the region MPU's and the PMP's register
+            // blocks reject CPU-side stores, so the OS programs them
+            // directly (the write sequences live in `apply_config`).
+            // Count the same stats a `Bus::write` per register would.
+            (MpuBackend::Region(region), MpuConfig::Region(regs)) => {
+                region.apply_config(regs);
+                count(regs.write_count());
                 Ok(())
             }
-            MpuConfig::Pmp(regs) => {
-                // Privileged (CSR-style) path, same rule as the region
-                // block: only the OS's trusted switch code programs it.
-                // The machine-mode configuration is the mode toggle alone.
-                self.pmp.apply_config(regs);
-                self.stats.writes += regs.write_count() as u64;
-                self.stats.peripheral_writes += regs.write_count() as u64;
+            (MpuBackend::Pmp(pmp), MpuConfig::Pmp(regs)) => {
+                pmp.apply_config(regs);
+                count(regs.write_count());
                 Ok(())
+            }
+            (_, config) => {
+                return Err(BusFault {
+                    addr: match config {
+                        MpuConfig::Segmented(_) => mpu::MPU_BASE,
+                        MpuConfig::Region(_) => mpu::RMPU_BASE,
+                        MpuConfig::Pmp(_) => mpu::PMP_BASE,
+                    },
+                    access: AccessKind::Write,
+                    cause: BusFaultCause::ForeignMpuConfig,
+                })
             }
         };
         // Re-point the attribute table now, even when a register write
@@ -983,12 +822,7 @@ impl Bus {
     }
 
     fn check_protection(&mut self, addr: Addr, access: AccessKind) -> Result<(), BusFault> {
-        let decision = match self.backend {
-            MpuBackendKind::Segmented => self.mpu.check(addr, access),
-            MpuBackendKind::Region => self.region_mpu.check(addr, access),
-            MpuBackendKind::Pmp => self.pmp.check(addr, access),
-        };
-        if decision.permits() {
+        if self.mpu.check(addr, access) {
             Ok(())
         } else {
             self.stats.denied += 1;
@@ -1033,7 +867,7 @@ impl Bus {
             Region::Peripherals => {
                 // Backends whose jurisdiction covers peripheral space
                 // police the access before it reaches any register file.
-                if self.full_platform_policed() {
+                if mpu::polices_full_platform(&self.platform) {
                     self.check_protection(addr, AccessKind::Read)?;
                 }
                 Ok(self.read_peripheral(addr))
@@ -1043,7 +877,7 @@ impl Bus {
                 Ok(self.read_raw(addr, size))
             }
             Region::BootstrapLoader | Region::InterruptVectors => {
-                if self.full_platform_policed() {
+                if mpu::polices_full_platform(&self.platform) {
                     self.check_protection(addr, AccessKind::Read)?;
                 }
                 Ok(self.read_raw(addr, size))
@@ -1092,7 +926,7 @@ impl Bus {
                 // On full-jurisdiction backends the MPU faults first (as
                 // the hardware would); otherwise the ROM's write-protect
                 // reports the failure.
-                if self.full_platform_policed() {
+                if mpu::polices_full_platform(&self.platform) {
                     self.check_protection(addr, AccessKind::Write)?;
                 }
                 Err(BusFault {
@@ -1102,7 +936,7 @@ impl Bus {
                 })
             }
             Region::Peripherals => {
-                if self.full_platform_policed() {
+                if mpu::polices_full_platform(&self.platform) {
                     self.check_protection(addr, AccessKind::Write)?;
                 }
                 self.stats.peripheral_writes += 1;
@@ -1120,7 +954,7 @@ impl Bus {
                 Ok(())
             }
             Region::InterruptVectors => {
-                if self.full_platform_policed() {
+                if mpu::polices_full_platform(&self.platform) {
                     self.check_protection(addr, AccessKind::Write)?;
                 }
                 self.write_raw(addr, size, value);
@@ -1177,7 +1011,7 @@ impl Bus {
                 self.check_protection(addr, AccessKind::Execute)
             }
             Region::Peripherals | Region::BootstrapLoader | Region::InterruptVectors
-                if self.full_platform_policed() =>
+                if mpu::polices_full_platform(&self.platform) =>
             {
                 self.check_protection(addr, AccessKind::Execute)
             }
@@ -1189,12 +1023,8 @@ impl Bus {
     }
 
     fn read_peripheral(&self, addr: Addr) -> u16 {
-        if Mpu::owns_register(addr) {
+        if mpu::is_register(addr) {
             self.mpu.read_register(addr)
-        } else if RegionMpu::owns_register(addr) {
-            self.region_mpu.read_register(addr)
-        } else if PmpMpu::owns_register(addr) {
-            self.pmp.read_register(addr)
         } else if Timer::owns_register(addr) {
             self.timer.read_register(addr)
         } else {
@@ -1203,7 +1033,13 @@ impl Bus {
     }
 
     fn write_peripheral(&mut self, addr: Addr, value: u16) -> Result<(), BusFault> {
-        if Mpu::owns_register(addr) {
+        if mpu::is_register(addr) {
+            // Only the segmented part's own block takes CPU stores.  The
+            // region MPU's and the PMP's blocks are privileged-only
+            // (Cortex-M PPB / RISC-V CSR style) — without that, an app on
+            // a region platform, compiled with no data-pointer checks,
+            // could simply disable the MPU — and a block the platform
+            // does not have refuses stores too.
             let written = self.mpu.write_register(addr, value);
             // The store may have moved a boundary, the access bits or the
             // enable: re-point the attribute table before the next fetch.
@@ -1212,18 +1048,6 @@ impl Bus {
                 addr,
                 access: AccessKind::Write,
                 cause: BusFaultCause::MpuRegisterProtocol(e),
-            })
-        } else if RegionMpu::owns_register(addr) || PmpMpu::owns_register(addr) {
-            // The region MPU's and the PMP's register blocks are
-            // privileged-only (Cortex-M PPB / RISC-V CSR style): stores
-            // executed by application code fault, and only the OS's
-            // `install_mpu_config` path programs them.  Without this, an
-            // app on a region platform — compiled with no data-pointer
-            // checks — could simply disable the MPU.
-            Err(BusFault {
-                addr,
-                access: AccessKind::Write,
-                cause: BusFaultCause::MpuRegisterProtocol(MpuRegisterError::Privileged),
             })
         } else if Timer::owns_register(addr) {
             self.timer.write_register(addr, value);
@@ -1305,9 +1129,13 @@ impl Bus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
+    use crate::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2, PMP_MODE, RMPU_CTL};
     use crate::timer::TIMER_CONTROL;
     use crate::timer::TIMER_COUNTER;
+    use amulet_core::mpu_plan::{
+        MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
+    };
+    use amulet_core::platform::builtin_platforms;
 
     fn bus() -> Bus {
         Bus::msp430fr5969()
@@ -1369,9 +1197,12 @@ mod tests {
         b.write(MPUSEGB2, 2, 0x800).unwrap();
         b.write(MPUSAM, 2, 0x0124).unwrap();
         b.write(MPUCTL0, 2, 0xA501).unwrap();
-        assert!(b.mpu().enabled);
-        assert_eq!(b.mpu().boundary1, 0x6000);
-        assert_eq!(b.mpu().boundary2, 0x8000);
+        let MpuBackend::Segmented(m) = b.mpu() else {
+            panic!("the FR5969 has the segmented MPU");
+        };
+        assert!(m.enabled);
+        assert_eq!(m.boundary1, 0x6000);
+        assert_eq!(m.boundary2, 0x8000);
         // Bad password surfaces as a protocol fault.
         let err = b.write(MPUCTL0, 2, 0x0001).unwrap_err();
         assert!(matches!(err.cause, BusFaultCause::MpuRegisterProtocol(_)));
@@ -1524,5 +1355,113 @@ mod tests {
         b.write(0x4402, 2, 1).unwrap();
         assert_eq!(b.stats.writes, 3);
         assert_eq!(b.stats.fram_writes, 2);
+    }
+
+    /// One configuration of each MPU shape, in [`MpuBackend`] variant
+    /// order; each enables its MPU and grants peripheral space read/write.
+    fn configs() -> [MpuConfig; 3] {
+        let peripherals = RegionDesc {
+            range: AddrRange::new(0, 0x1000),
+            perm: Perm::RW,
+        };
+        [
+            MpuConfig::Segmented(MpuRegisterValues {
+                mpuctl0: 0xA501,
+                mpusegb1: 0x600,
+                mpusegb2: 0x800,
+                mpusam: 0x7777,
+            }),
+            MpuConfig::Region(RegionRegisterValues {
+                regions: vec![peripherals],
+            }),
+            MpuConfig::Pmp(PmpRegisterValues {
+                entries: vec![peripherals],
+                user_mode: true,
+            }),
+        ]
+    }
+
+    /// The index into [`configs`] of the platform's own MPU shape.
+    fn own_shape(bus: &Bus) -> usize {
+        match bus.mpu() {
+            MpuBackend::Segmented(_) => 0,
+            MpuBackend::Region(_) => 1,
+            MpuBackend::Pmp(_) => 2,
+        }
+    }
+
+    #[test]
+    fn only_the_platforms_own_mpu_register_block_answers() {
+        // Per block: its first register, what that register loads once
+        // the block's own configuration is installed, and every address
+        // of the block.
+        let blocks = [
+            (MPUCTL0, 0x9601, mpu::MPU_BASE..mpu::MPU_END),
+            (RMPU_CTL, 1, mpu::RMPU_BASE..mpu::RMPU_END),
+            (PMP_MODE, 1, mpu::PMP_BASE..mpu::PMP_END),
+        ];
+        let privileged = Err(BusFaultCause::MpuRegisterProtocol(
+            MpuRegisterError::Privileged,
+        ));
+        for platform in builtin_platforms() {
+            let mut b = Bus::new(platform.clone());
+            let own = own_shape(&b);
+            b.install_mpu_config(&configs()[own]).unwrap();
+            for (shape, (reg, loads, block)) in blocks.iter().cloned().enumerate() {
+                let at = format!("{} at {reg:#06x}", platform.name);
+                if shape != own {
+                    // A foreign block loads 0 and refuses every store.
+                    for addr in block.step_by(2) {
+                        assert_eq!(b.read(addr, 2), Ok(0), "{at}");
+                        let stored = b.write(addr, 2, 0xA501).map_err(|e| e.cause);
+                        assert_eq!(stored, privileged, "{at}");
+                    }
+                    continue;
+                }
+                assert_eq!(b.read(reg, 2), Ok(loads), "{at}");
+                if shape == 0 {
+                    // The segmented part takes stores under its protocol.
+                    b.write(MPUSEGB1, 2, 0x700).unwrap();
+                    assert_eq!(b.read(MPUSEGB1, 2), Ok(0x700), "{at}");
+                } else {
+                    // The region MPU's and the PMP's blocks are privileged.
+                    let stored = b.write(reg, 2, 0).map_err(|e| e.cause);
+                    assert_eq!(stored, privileged, "{at}");
+                    assert_eq!(b.read(reg, 2), Ok(loads), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_foreign_mpu_config_is_refused_and_changes_nothing() {
+        let bases = [mpu::MPU_BASE, mpu::RMPU_BASE, mpu::PMP_BASE];
+        for platform in builtin_platforms() {
+            let mut b = Bus::new(platform.clone());
+            let own = own_shape(&b);
+            for installed in [false, true] {
+                if installed {
+                    b.install_mpu_config(&configs()[own]).unwrap();
+                }
+                for (shape, config) in configs().iter().enumerate() {
+                    if shape == own {
+                        continue;
+                    }
+                    let (stats, table) = (b.stats, b.attr_table().to_vec());
+                    assert_eq!(
+                        b.install_mpu_config(config),
+                        Err(BusFault {
+                            addr: bases[shape],
+                            access: AccessKind::Write,
+                            cause: BusFaultCause::ForeignMpuConfig,
+                        }),
+                        "{} shape {shape}",
+                        platform.name
+                    );
+                    assert_eq!(b.stats, stats, "{}", platform.name);
+                    assert!(b.attr_table()[..] == table[..], "{}", platform.name);
+                }
+            }
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! arbitrary platforms, arbitrary MPU configurations (segmented, region
 //! and PMP), and arbitrary interleavings of configuration changes with
 //! reads/writes/instruction fetches, a bus with the cache enabled and a
-//! bus taking the direct `Mpu`/`RegionMpu`/`PmpMpu` path must
-//! produce **identical results for every access** (same values, same
-//! faults), **identical [`BusStats`] deltas**, and identical memory —
-//! including after the bounded table memo has evicted tables.
+//! bus taking the direct MPU path must produce **identical results for
+//! every access** (same values, same faults), **identical [`BusStats`]
+//! deltas**, and identical memory — including after the bounded table
+//! memo has evicted tables.  Every op kind runs on every platform: an
+//! install of another MPU shape than the platform's must be refused.
 
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -15,7 +16,8 @@ use amulet_core::mpu_plan::{
     MpuConfig, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
 };
 use amulet_core::perm::Perm;
-use amulet_mcu::bus::{Bus, BusStats};
+use amulet_mcu::bus::{Bus, BusFaultCause, BusStats};
+use amulet_mcu::mpu::MpuBackend;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -141,10 +143,18 @@ fn mpu_config(op: &Op) -> Option<MpuConfig> {
 /// Applies one op to a bus, returning a comparable outcome.
 fn apply(bus: &mut Bus, op: &Op) -> Result<u16, String> {
     if let Some(config) = mpu_config(op) {
-        return bus
-            .install_mpu_config(&config)
-            .map(|()| 0)
-            .map_err(|e| e.to_string());
+        let installed = bus.install_mpu_config(&config);
+        let own = matches!(
+            (bus.mpu(), &config),
+            (MpuBackend::Segmented(_), MpuConfig::Segmented(_))
+                | (MpuBackend::Region(_), MpuConfig::Region(_))
+                | (MpuBackend::Pmp(_), MpuConfig::Pmp(_))
+        );
+        if !own {
+            let cause = installed.map_err(|e| e.cause);
+            assert_eq!(cause, Err(BusFaultCause::ForeignMpuConfig), "{op:?}");
+        }
+        return installed.map(|()| 0).map_err(|e| e.to_string());
     }
     match op {
         Op::Read { addr, size } => bus.read(*addr, *size).map_err(|e| e.to_string()),

@@ -9,9 +9,10 @@
 //! ticks, run on every platform profile beside a shadow array that
 //! applies the same stores byte by byte.  The bus must match the shadow,
 //! `reset` must leave all 64 KiB zero, and `save` → more stores →
-//! `restore` must give back the saved bytes, MPU backends, timer and
-//! counters, and the attribute table of a bus that was never
-//! checkpointed.
+//! `restore` must give back the saved bytes, MPU, timer and counters,
+//! and the attribute table of a bus that was never checkpointed.  Every
+//! op kind runs on every profile: a segmented-register store or an
+//! install of another MPU shape than the platform's must be refused.
 
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::PlatformSpec;
@@ -19,8 +20,8 @@ use amulet_core::mpu_plan::{
     MpuConfig, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
 };
 use amulet_core::perm::Perm;
-use amulet_mcu::bus::{Bus, BusCheckpoint, Region};
-use amulet_mcu::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
+use amulet_mcu::bus::{Bus, BusCheckpoint, BusFaultCause, Region};
+use amulet_mcu::mpu::{MpuBackend, MpuRegisterError, MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
 use amulet_mcu::timer::TIMER_CONTROL;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -164,10 +165,36 @@ fn apply(bus: &mut Bus, shadow: &mut [u8], op: &Op) {
             shadow[*addr as usize..*addr as usize + bytes.len()].copy_from_slice(bytes);
         }
         Op::MpuStore { reg, value } => {
-            let _ = bus.write(*reg, 2, *value);
+            let stored = bus.write(*reg, 2, *value);
+            if !matches!(bus.mpu(), MpuBackend::Segmented(_)) {
+                // Another shape's block: refused, unless the MPU's own
+                // peripheral jurisdiction denies the store first.
+                let cause = stored
+                    .expect_err("a foreign MPU block refuses stores")
+                    .cause;
+                assert!(
+                    matches!(
+                        cause,
+                        BusFaultCause::MpuRegisterProtocol(MpuRegisterError::Privileged)
+                            | BusFaultCause::MpuViolation
+                    ),
+                    "{cause:?}"
+                );
+            }
         }
         Op::Install { kind, a, b, perm } => {
-            let _ = bus.install_mpu_config(&config(*kind, *a, *b, *perm));
+            let installed = bus.install_mpu_config(&config(*kind, *a, *b, *perm));
+            let own = match bus.mpu() {
+                MpuBackend::Segmented(_) => 0,
+                MpuBackend::Region(_) => 1,
+                MpuBackend::Pmp(_) => 2,
+            };
+            if *kind != own {
+                let cause = installed
+                    .expect_err("a foreign MPU config is refused")
+                    .cause;
+                assert_eq!(cause, BusFaultCause::ForeignMpuConfig);
+            }
         }
         Op::Tick(cycles) => {
             let _ = bus.write(TIMER_CONTROL, 2, 0x0020);
@@ -180,13 +207,7 @@ fn apply(bus: &mut Bus, shadow: &mut [u8], op: &Op) {
 fn state(bus: &Bus) -> (Vec<u8>, String, amulet_mcu::BusStats, Vec<u8>) {
     (
         bus.dump_bytes(AddrRange::new(0, 0x1_0000)),
-        format!(
-            "{:?} {:?} {:?} {:?}",
-            bus.mpu(),
-            bus.region_mpu(),
-            bus.pmp(),
-            bus.timer
-        ),
+        format!("{:?} {:?}", bus.mpu(), bus.timer),
         bus.stats,
         bus.attr_table().to_vec(),
     )
@@ -243,7 +264,7 @@ fn check(platform: PlatformSpec, ops: &[Op], save_at: usize) -> Result<(), Strin
             return Err(format!("{name}: restored memory at {at:#06x} vs {what}"));
         }
         if a.1 != b.1 || a.2 != b.2 {
-            return Err(format!("{name}: restored backends/timer/stats vs {what}"));
+            return Err(format!("{name}: restored MPU/timer/stats vs {what}"));
         }
         if a.3 != b.3 {
             return Err(format!("{name}: restored attribute table vs {what}"));

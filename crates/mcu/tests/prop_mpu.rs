@@ -3,7 +3,7 @@
 //! preview, and the register file round-trips arbitrary configurations.
 
 use amulet_core::perm::{AccessKind, Perm};
-use amulet_mcu::mpu::{Mpu, MpuDecision, MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
+use amulet_mcu::mpu::{Mpu, MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
 use proptest::prelude::*;
 
 fn access_strategy() -> impl Strategy<Value = AccessKind> {
@@ -18,7 +18,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// For any boundary configuration and any address, `check` and
-    /// `would_allow` agree, violations latch a flag, and addresses outside
+    /// `would_allow` agree, a denial latches a flag, and addresses outside
     /// FRAM/InfoMem are never policed.
     #[test]
     fn check_agrees_with_preview(
@@ -35,23 +35,14 @@ proptest! {
         mpu.write_register(MPUCTL0, 0xA501).unwrap();
 
         let preview = mpu.would_allow(addr, kind);
-        let decision = mpu.check(addr, kind);
-        prop_assert_eq!(preview, decision.permits());
-        match decision {
-            MpuDecision::NotCovered => {
-                // SRAM, peripherals, BSL and vectors are never covered.
-                prop_assert!(mpu.segment_of(addr).is_none());
-            }
-            MpuDecision::Violation(_) => {
-                prop_assert!(mpu.violation_flags != 0);
-                prop_assert!(mpu.violations >= 1);
-            }
-            MpuDecision::Allowed(seg) => {
-                prop_assert!(mpu.segment_perm(seg).allows(kind.required_perm()));
-            }
-            // The segmented backend never produces region decisions.
-            MpuDecision::AllowedRegion(_) | MpuDecision::ViolationRegion(_) => {
-                prop_assert!(false, "segmented MPU produced a region decision");
+        let permitted = mpu.check(addr, kind);
+        prop_assert_eq!(preview, permitted);
+        match mpu.segment_of(addr) {
+            // SRAM, peripherals, BSL and vectors are never covered.
+            None => prop_assert!(permitted),
+            Some(seg) => {
+                prop_assert_eq!(permitted, mpu.segment_perm(seg).allows(kind.required_perm()));
+                prop_assert_eq!(mpu.violation_flags != 0, !permitted);
             }
         }
     }
@@ -87,6 +78,6 @@ proptest! {
         let mut mpu = Mpu::msp430fr5969();
         mpu.write_register(MPUSAM, sam).unwrap();
         // Never enabled.
-        prop_assert!(mpu.check(addr, kind).permits());
+        prop_assert!(mpu.check(addr, kind));
     }
 }

@@ -12,6 +12,9 @@
 //! that store to `MPUCTL0`/`MPUSEGB1`/`MPUSEGB2`/`MPUSAM` mid-block (with
 //! the right and a wrong password) and then fetch, load and store across
 //! the moved boundaries, with reconfiguration between blocks as well.
+//! Every op kind runs on every profile: a store to another shape's
+//! register block or an install of another shape's configuration must be
+//! refused.
 //!
 //! [`BusStats`]: amulet_mcu::BusStats
 
@@ -22,11 +25,11 @@ use amulet_core::mpu_plan::{
     MpuConfig, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
 };
 use amulet_core::perm::Perm;
-use amulet_mcu::bus::Bus;
+use amulet_mcu::bus::{Bus, BusFaultCause};
 use amulet_mcu::code::InstrStore;
 use amulet_mcu::cpu::{Cpu, FaultInfo, StepEvent};
 use amulet_mcu::isa::{Cond, Instr, Reg, Width};
-use amulet_mcu::mpu::{MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
+use amulet_mcu::mpu::{MpuBackend, MpuRegisterError, MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
 use amulet_mcu::timer::{TIMER_CONTROL, TIMER_COUNTER};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -47,8 +50,8 @@ enum P {
 const VALUE_REG: Reg = Reg::R13;
 
 /// Where programs start.  The initial configuration puts the code in
-/// segment 1; boundary values drawn near it move the code across
-/// segments mid-run.
+/// segment 1 (or the slots that stand for it); boundary values drawn near
+/// it move the code across segments mid-run.
 const ORIGIN: Addr = 0x4400;
 
 /// A boundary register value (the address shifted right by 4), biased
@@ -286,7 +289,8 @@ enum Between {
         user_mode: bool,
     },
     /// A store to a segmented-MPU register through `Bus::write` (the
-    /// outcome is not compared: both runs see the same one).
+    /// outcome is not compared: both runs see the same one; on the other
+    /// shapes it is refused).
     Store { reg: Addr, value: u16 },
     /// `set_attr_cache_enabled` on the cache-on run (the cache-off run
     /// keeps its cache off throughout).
@@ -327,14 +331,64 @@ fn segmented(b1: u16, b2: u16, sam: u16) -> MpuConfig {
     })
 }
 
+/// The initial configuration, in the platform's own MPU shape: code
+/// from [`ORIGIN`] to 0x6000 read/write/execute, 0x6000..0x8000
+/// read/write, 0x8000..0xC000 read-only.  The region MPU and the PMP
+/// also grant everything below FRAM (SRAM and peripherals) read/write,
+/// which the segmented part leaves unpoliced.
+fn initial_config(platform: &PlatformSpec) -> MpuConfig {
+    if !platform.mpu.is_region_based() {
+        return segmented(0x600, 0x800, 0x3137);
+    }
+    // NAPOT-valid as well as 16-byte aligned, so both shapes take them.
+    let regions = [
+        (0x0000, 0x4000, Perm::RW),
+        (0x4400, 0x4800, Perm::RWX),
+        (0x4800, 0x5000, Perm::RWX),
+        (0x5000, 0x6000, Perm::RWX),
+        (0x6000, 0x8000, Perm::RW),
+        (0x8000, 0xC000, Perm::R),
+    ]
+    .map(|(start, end, perm)| RegionDesc {
+        range: AddrRange::new(start, end),
+        perm,
+    })
+    .to_vec();
+    if platform.mpu.is_napot() {
+        MpuConfig::Pmp(PmpRegisterValues {
+            entries: regions,
+            user_mode: true,
+        })
+    } else {
+        MpuConfig::Region(RegionRegisterValues { regions })
+    }
+}
+
+/// Installs `config`: a configuration of the platform's own shape must
+/// install (a locked segmented part refuses it; both runs see the same
+/// refusal), and one of another shape must be refused.
+fn install(bus: &mut Bus, config: &MpuConfig) {
+    let installed = bus.install_mpu_config(config);
+    let own = matches!(
+        (bus.mpu(), config),
+        (MpuBackend::Segmented(_), MpuConfig::Segmented(_))
+            | (MpuBackend::Region(_), MpuConfig::Region(_))
+            | (MpuBackend::Pmp(_), MpuConfig::Pmp(_))
+    );
+    match installed {
+        Ok(()) => assert!(own, "a foreign MPU config installed"),
+        Err(e) if own => assert!(
+            matches!(e.cause, BusFaultCause::MpuRegisterProtocol(_)),
+            "{e}"
+        ),
+        Err(e) => assert_eq!(e.cause, BusFaultCause::ForeignMpuConfig),
+    }
+}
+
 fn apply(bus: &mut Bus, op: &Between, cached_run: bool) {
     match op {
         Between::Nothing => {}
-        Between::Segmented { b1, b2, sam } => {
-            // A locked MPU refuses the install; both runs see the same
-            // refusal, so the outcome is not compared here.
-            let _ = bus.install_mpu_config(&segmented(*b1, *b2, *sam));
-        }
+        Between::Segmented { b1, b2, sam } => install(bus, &segmented(*b1, *b2, *sam)),
         Between::Region { code_perm, regions } => {
             let code = RegionDesc {
                 range: AddrRange::new(0x4400, 0x4800),
@@ -346,8 +400,7 @@ fn apply(bus: &mut Bus, op: &Between, cached_run: bool) {
                     perm: Perm::from_bits(*perm),
                 }))
                 .collect();
-            bus.install_mpu_config(&MpuConfig::Region(RegionRegisterValues { regions }))
-                .unwrap();
+            install(bus, &MpuConfig::Region(RegionRegisterValues { regions }));
         }
         Between::Pmp {
             code_perm,
@@ -365,14 +418,31 @@ fn apply(bus: &mut Bus, op: &Between, cached_run: bool) {
             let entries = std::iter::once(napot(0x4400, 7, *code_perm))
                 .chain(entries.iter().map(|(b, k, p)| napot(*b, *k, *p)))
                 .collect();
-            bus.install_mpu_config(&MpuConfig::Pmp(PmpRegisterValues {
-                entries,
-                user_mode: *user_mode,
-            }))
-            .unwrap();
+            install(
+                bus,
+                &MpuConfig::Pmp(PmpRegisterValues {
+                    entries,
+                    user_mode: *user_mode,
+                }),
+            );
         }
         Between::Store { reg, value } => {
-            let _ = bus.write(*reg, 2, *value);
+            let stored = bus.write(*reg, 2, *value);
+            if !matches!(bus.mpu(), MpuBackend::Segmented(_)) {
+                // Refused, unless the MPU's own peripheral jurisdiction
+                // denies the store first.
+                let cause = stored
+                    .expect_err("a foreign MPU block refuses stores")
+                    .cause;
+                assert!(
+                    matches!(
+                        cause,
+                        BusFaultCause::MpuRegisterProtocol(MpuRegisterError::Privileged)
+                            | BusFaultCause::MpuViolation
+                    ),
+                    "{cause:?}"
+                );
+            }
         }
         Between::Cache(enabled) => {
             if cached_run {
@@ -398,8 +468,7 @@ type Fingerprint = (
 
 const STEP_CAP: u64 = 2_000;
 
-/// Runs `code` from [`ORIGIN`] under an initial segmented configuration
-/// (code in segment 1, RWX; data segment 2 RW; segment 3 read-only),
+/// Runs `code` from [`ORIGIN`] under the platform's [`initial_config`],
 /// cycling through `schedule`: before each block its reconfiguration is
 /// applied, then the block runs for its step budget.  Syscalls resume;
 /// halts and faults end the run.
@@ -410,10 +479,9 @@ fn run(
     schedule: &[(u64, Between)],
 ) -> Fingerprint {
     let mut cpu = Cpu::new();
-    let mut bus = Bus::new(platform);
+    let mut bus = Bus::new(platform.clone());
     bus.set_attr_cache_enabled(cache);
-    bus.install_mpu_config(&segmented(0x600, 0x800, 0x3137))
-        .unwrap();
+    bus.install_mpu_config(&initial_config(&platform)).unwrap();
     cpu.set_pc(ORIGIN);
     cpu.set_sp(0x2400);
     let mut events = Vec::new();
@@ -442,7 +510,10 @@ fn run(
         cpu.status_word(),
         bus.stats,
         bus.timer.raw_cycles(),
-        bus.mpu().violation_flags,
+        match bus.mpu() {
+            MpuBackend::Segmented(mpu) => mpu.violation_flags,
+            _ => 0,
+        },
         bus.dump_bytes(AddrRange::new(0, 0x1_0000)),
     )
 }
@@ -638,7 +709,7 @@ fn wrong_password_store_faults_and_leaves_the_configuration() {
             ),
             "cache {cache}: {ev:?}"
         );
-        assert!(bus.mpu().enabled);
+        assert!(bus.mpu().enforcing());
         assert!(bus.write(0x7000, 2, 1).is_ok(), "cache {cache}");
     }
 }

@@ -310,7 +310,7 @@ impl AmuletOs {
 
     /// Saves the run state into `checkpoint` for a later
     /// [`restore`](AmuletOs::restore): the device's bus (written pages,
-    /// MPU backends, timer, counters) and CPU, the services, the queue,
+    /// MPU, timer, counters) and CPU, the services, the queue,
     /// the fault handler, the app states and statistics, the
     /// subscriptions, the delivery log and the scheduler's shared-stack
     /// and yield state.  The fleet simulator saves after boot and the

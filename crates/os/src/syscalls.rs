@@ -53,26 +53,6 @@ pub(crate) struct SyscallOutcome {
     pub yielded: bool,
 }
 
-/// Per-syscall dispatch counters.
-///
-/// A flat array rather than a map: this is bumped on every system call,
-/// which at fleet scale made a tree-map entry lookup measurable.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SyscallCounts([u64; SyscallCounts::BUCKETS]);
-
-impl SyscallCounts {
-    /// Counter buckets: numbers `0..=14` each get their own bucket (the
-    /// API currently uses `0..=12`), and any number `>= 15` (an unknown
-    /// syscall) shares the last, overflow bucket.  Widen this when the
-    /// API table approaches 15 entries.
-    const BUCKETS: usize = 16;
-
-    #[inline]
-    fn bump(&mut self, num: u16) {
-        self.0[(num as usize).min(Self::BUCKETS - 1)] += 1;
-    }
-}
-
 /// Persistent OS service state (sensors, log, display).
 #[derive(Debug, Default)]
 pub struct Services {
@@ -82,8 +62,6 @@ pub struct Services {
     pub log: Vec<LogEntry>,
     /// Last value drawn on the display, per app.
     pub display: Vec<(usize, i16)>,
-    /// Count of services dispatched, per syscall number.
-    pub dispatch_counts: SyscallCounts,
 }
 
 impl Clone for Services {
@@ -92,7 +70,6 @@ impl Clone for Services {
             sensors: self.sensors.clone(),
             log: self.log.clone(),
             display: self.display.clone(),
-            dispatch_counts: self.dispatch_counts.clone(),
         }
     }
 
@@ -101,7 +78,6 @@ impl Clone for Services {
         self.sensors.clone_from(&source.sensors);
         self.log.clone_from(&source.log);
         self.display.clone_from(&source.display);
-        self.dispatch_counts.clone_from(&source.dispatch_counts);
     }
 }
 
@@ -112,7 +88,6 @@ impl Services {
         self.sensors = SensorModel::new(seed);
         self.log.clear();
         self.display.clear();
-        self.dispatch_counts = SyscallCounts::default();
     }
 
     /// Dispatches one system call.
@@ -128,7 +103,6 @@ impl Services {
         at_cycle: u64,
         read_word: &mut dyn FnMut(Addr) -> u16,
     ) -> SyscallOutcome {
-        self.dispatch_counts.bump(num);
         // One table scan serves both fields (this runs for every syscall).
         let func = api.by_num(num);
         let service_cycles = func.map(|f| f.service_cycles).unwrap_or(8);
@@ -275,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn sensor_calls_return_plausible_values_and_count_dispatches() {
+    fn sensor_calls_return_plausible_values_and_sample_once_each() {
         let api = ApiSpec::amulet();
         let mut s = services(9);
         let hr = s
@@ -300,8 +274,11 @@ mod tests {
             )
             .ret;
         assert!(batt <= 100);
-        assert_eq!(s.dispatch_counts.0[usize::from(sysno::GET_HEART_RATE)], 1);
-        assert_eq!(s.dispatch_counts.0[usize::from(sysno::GET_BATTERY)], 1);
+        // Each call sampled its sensor exactly once, in order.
+        let mut reference = SensorModel::new(9);
+        assert_eq!(hr, reference.heart_rate());
+        assert_eq!(batt, reference.battery());
+        assert_eq!(s.sensors.ticks, reference.ticks);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! watchdog, the state after reset + boot (+ probe) under
 //! `DeliveryPolicy::PerEvent` must equal the state under `Batched` with
 //! a batch size of 1, 2 and 8: all 64 KiB of memory, and everything a
-//! checkpoint saves (CPU, bus counters, timer, MPU backends and the OS
+//! checkpoint saves (CPU, bus counters, timer, the MPU and the OS
 //! run state).
 
 use amulet_aft::aft::{Aft, UnitMemo};

@@ -38,7 +38,7 @@ const METHODS: [IsolationMethod; 4] = [
 
 fn build_catalogue(
     method: IsolationMethod,
-    platform: &impl amulet_core::platform::Platform,
+    platform: &amulet_core::layout::PlatformSpec,
 ) -> BuildOutput {
     let mut aft = Aft::for_platform(method, platform);
     for app in catalog() {

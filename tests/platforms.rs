@@ -1,15 +1,14 @@
-//! Cross-platform integration tests for the Platform/MpuModel abstraction
+//! Cross-platform integration tests for the PlatformSpec/MpuModel abstraction
 //! layer: the FR5969 profile must reproduce the paper's Table 1 cycle
 //! numbers, and the same applications must build, run and stay isolated on
 //! the region-MPU platform profile.
 
 use amulet_iso::aft::aft::{Aft, AppSource};
+use amulet_iso::core::layout::PlatformSpec;
 use amulet_iso::core::method::IsolationMethod;
 use amulet_iso::core::mpu_plan::MpuConfig;
 use amulet_iso::core::overhead::OverheadModel;
-use amulet_iso::core::platform::{
-    builtin_platforms, MpuModel, Msp430Fr5969, Msp430Fr5994, Platform,
-};
+use amulet_iso::core::platform::{builtin_platforms, MpuModel};
 use amulet_iso::core::switch::ContextSwitchPlan;
 use amulet_iso::os::os::{AmuletOs, DeliveryOutcome};
 
@@ -18,8 +17,8 @@ use amulet_iso::os::os::{AmuletOs, DeliveryOutcome};
 /// cycle numbers exactly.
 #[test]
 fn fr5969_numbers_survive_the_platform_refactor() {
-    let fr5969 = Msp430Fr5969.spec();
-    let fr5994 = Msp430Fr5994.spec();
+    let fr5969 = PlatformSpec::msp430fr5969();
+    let fr5994 = PlatformSpec::msp430fr5994();
     assert!(matches!(
         fr5969.mpu,
         MpuModel::Segmented {
@@ -132,7 +131,7 @@ fn region_mpu_hardware_replaces_the_software_lower_bound_check() {
             return 1;
         }
     "#;
-    let fr5994 = Msp430Fr5994.spec();
+    let fr5994 = PlatformSpec::msp430fr5994();
     let build = || {
         Aft::for_platform(IsolationMethod::Mpu, &fr5994)
             .add_app(AppSource::new("Wild", wild, &["main", "poke"]))
@@ -207,7 +206,7 @@ fn region_mpu_registers_are_privileged_only() {
             return 1;
         }
     "#;
-    let out = Aft::for_platform(IsolationMethod::Mpu, &Msp430Fr5994.spec())
+    let out = Aft::for_platform(IsolationMethod::Mpu, &PlatformSpec::msp430fr5994())
         .add_app(AppSource::new("Saboteur", saboteur, &["main", "sabotage"]))
         .build()
         .unwrap();
@@ -226,7 +225,7 @@ fn region_mpu_registers_are_privileged_only() {
         "OS data must be untouched after the attempted sabotage"
     );
     // The MPU is still enabled and still blocking.
-    assert!(os.device.bus.region_mpu().enabled);
+    assert!(os.device.bus.mpu().enforcing());
 }
 
 /// DESIGN §6 regression ("unpoliced region-MPU peripheral space"): on
@@ -248,8 +247,7 @@ fn peripheral_jurisdiction_faults_wild_peripheral_writes() {
             return 1;
         }
     "#;
-    use amulet_iso::core::platform::{CortexM33, RiscvPmp};
-    for platform in [CortexM33.spec(), RiscvPmp.spec()] {
+    for platform in [PlatformSpec::cortex_m33(), PlatformSpec::riscv_pmp()] {
         let out = Aft::for_platform(IsolationMethod::Mpu, &platform)
             .add_app(AppSource::new("Wild", wild, &["main", "poke"]))
             .build()
@@ -287,7 +285,7 @@ fn peripheral_jurisdiction_faults_wild_peripheral_writes() {
     }
     // Contrast: the FR5994 profile's MPU stops at peripheral space, so the
     // same peripheral store completes (the documented §6 limitation there).
-    let out = Aft::for_platform(IsolationMethod::Mpu, &Msp430Fr5994.spec())
+    let out = Aft::for_platform(IsolationMethod::Mpu, &PlatformSpec::msp430fr5994())
         .add_app(AppSource::new("Wild", wild, &["main", "poke"]))
         .build()
         .unwrap();
@@ -315,8 +313,7 @@ fn pmp_registers_are_privileged_only() {
             return 1;
         }
     "#;
-    use amulet_iso::core::platform::RiscvPmp;
-    let out = Aft::for_platform(IsolationMethod::Mpu, &RiscvPmp.spec())
+    let out = Aft::for_platform(IsolationMethod::Mpu, &PlatformSpec::riscv_pmp())
         .add_app(AppSource::new("Saboteur", saboteur, &["main", "sabotage"]))
         .build()
         .unwrap();
@@ -331,7 +328,7 @@ fn pmp_registers_are_privileged_only() {
     );
     assert_eq!(os.device.bus.read_raw(os_data, 2), before);
     // The fault handler restored the machine-mode (OS) configuration.
-    assert!(!os.device.bus.pmp().user_mode);
+    assert!(!os.device.bus.mpu().enforcing());
 }
 
 /// Peripheral-jurisdiction backends drop the function-pointer software
@@ -348,8 +345,7 @@ fn peripheral_jurisdiction_drops_function_pointer_checks() {
             f(3);
         }
     "#;
-    use amulet_iso::core::platform::{CortexM33, RiscvPmp};
-    let fp_lower_checks = |platform: &amulet_iso::core::layout::PlatformSpec| {
+    let fp_lower_checks = |platform: &PlatformSpec| {
         let out = Aft::for_platform(IsolationMethod::Mpu, platform)
             .add_app(AppSource::new("Indirect", indirect, &["main"]))
             .build()
@@ -359,13 +355,16 @@ fn peripheral_jurisdiction_drops_function_pointer_checks() {
             .get("function pointer lower bound")
             .unwrap_or(&0)
     };
-    assert!(fp_lower_checks(&Msp430Fr5994.spec()) > 0, "FR5994 keeps it");
-    assert_eq!(fp_lower_checks(&CortexM33.spec()), 0);
-    assert_eq!(fp_lower_checks(&RiscvPmp.spec()), 0);
+    assert!(
+        fp_lower_checks(&PlatformSpec::msp430fr5994()) > 0,
+        "FR5994 keeps it"
+    );
+    assert_eq!(fp_lower_checks(&PlatformSpec::cortex_m33()), 0);
+    assert_eq!(fp_lower_checks(&PlatformSpec::riscv_pmp()), 0);
 
     // An indirect call through a *valid* pointer still works on the
     // checkless builds.
-    for platform in [CortexM33.spec(), RiscvPmp.spec()] {
+    for platform in [PlatformSpec::cortex_m33(), PlatformSpec::riscv_pmp()] {
         let out = Aft::for_platform(IsolationMethod::Mpu, &platform)
             .add_app(AppSource::new("Indirect", indirect, &["main"]))
             .build()
@@ -393,8 +392,7 @@ fn corrupted_function_pointer_into_boot_rom_faults_in_hardware() {
             return 0;
         }
     "#;
-    use amulet_iso::core::platform::{CortexM33, RiscvPmp};
-    for platform in [CortexM33.spec(), RiscvPmp.spec()] {
+    for platform in [PlatformSpec::cortex_m33(), PlatformSpec::riscv_pmp()] {
         let out = Aft::for_platform(IsolationMethod::Mpu, &platform)
             .add_app(AppSource::new("Corrupt", corrupt, &["main", "jump"]))
             .build()
@@ -420,8 +418,8 @@ fn corrupted_function_pointer_into_boot_rom_faults_in_hardware() {
 #[test]
 fn energy_models_follow_the_platform_spec() {
     use amulet_iso::core::energy::EnergyModel;
-    let e69 = EnergyModel::for_platform(&Msp430Fr5969.spec());
-    let e94 = EnergyModel::for_platform(&Msp430Fr5994.spec());
+    let e69 = EnergyModel::for_platform(&PlatformSpec::msp430fr5969());
+    let e94 = EnergyModel::for_platform(&PlatformSpec::msp430fr5994());
     // The FR5969 datasheet: 16 MHz, ≈100 µA/MHz active, ≈0.7 µA in LPM3,
     // from a 3 V supply.
     assert_eq!(
@@ -455,7 +453,7 @@ fn region_platform_isolates_apps_in_both_directions() {
         int steal(int addr) { int *p; p = addr; return *p; }
     "#;
     let build = |attacker_first: bool| {
-        let mut aft = Aft::for_platform(IsolationMethod::Mpu, &Msp430Fr5994.spec());
+        let mut aft = Aft::for_platform(IsolationMethod::Mpu, &PlatformSpec::msp430fr5994());
         if attacker_first {
             aft = aft
                 .add_app(AppSource::new("Attacker", attacker, &["main", "steal"]))
