@@ -19,12 +19,15 @@
 //! Phases 1–2 (`compile`) depend only on one app, the API, the method
 //! and the check policy; phases 3–4 are the only per-image work.
 //! [`Aft::build_with`] takes a [`UnitMemo`] so a caller that builds many
-//! images from few distinct apps compiles each app once.
+//! images from few distinct apps compiles each app once, and resolves its
+//! code into execute slots once (see [`crate::link`]).  [`build_image`]
+//! builds the image alone from borrowed [`AppRef`]s, for a caller that
+//! needs no build report.
 
 use crate::api::ApiSpec;
 use crate::codegen::{generate, AppCode};
 use crate::error::{AftResult, CompileError};
-use crate::link::{link_units, LinkOutput, LinkUnit};
+use crate::link::{link_image, LinkApp, LinkableApp};
 use crate::parser::parse;
 use crate::sema::analyze;
 use amulet_core::checks::CheckPolicy;
@@ -34,7 +37,7 @@ use amulet_mcu::firmware::Firmware;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One application's source code, as submitted to the toolchain.
 #[derive(Clone, Debug)]
@@ -66,6 +69,21 @@ impl AppSource {
         self.stack_override = Some(bytes);
         self
     }
+}
+
+/// One application borrowed for a build: what an [`AppSource`] holds, by
+/// reference, so a caller that keeps its apps' text builds images from it
+/// without copying it (see [`build_image`]).
+#[derive(Clone, Copy, Debug)]
+pub struct AppRef<'a> {
+    /// Application name (also the firmware symbol prefix).
+    pub name: &'a str,
+    /// AmuletC source text.
+    pub source: &'a str,
+    /// Names of functions the OS may call as event handlers.
+    pub handlers: &'a [&'a str],
+    /// Optional developer-provided stack size in bytes.
+    pub stack_override: Option<u32>,
 }
 
 /// Per-application build report entry.
@@ -148,7 +166,6 @@ pub struct BuildOutput {
 pub struct Aft {
     method: IsolationMethod,
     platform: PlatformSpec,
-    api: ApiSpec,
     apps: Vec<AppSource>,
 }
 
@@ -168,7 +185,6 @@ impl Aft {
         Aft {
             method,
             platform: platform.clone(),
-            api: ApiSpec::amulet(),
             apps: Vec::new(),
         }
     }
@@ -190,46 +206,40 @@ impl Aft {
     /// image, so a store that builds many images from few distinct apps
     /// compiles each app once.
     pub fn build_with(&self, memo: &UnitMemo) -> AftResult<BuildOutput> {
-        let policy = CheckPolicy::for_method_on(self.method, &self.platform.mpu);
-        let codes = self
+        let handlers: Vec<Vec<&str>> = self
             .apps
             .iter()
-            .map(|app| memo.get_or_compile(app, &self.api, self.method, policy))
-            .collect::<AftResult<Vec<_>>>()?;
-        let units: Vec<LinkUnit<'_>> = self
-            .apps
-            .iter()
-            .zip(&codes)
-            .map(|(app, code)| LinkUnit {
-                code,
-                handlers: &app.handlers,
-                stack_override: app.stack_override,
-            })
+            .map(|app| app.handlers.iter().map(String::as_str).collect())
             .collect();
-
-        // Phases 3 + 4: sections, layout, patching, emission.
-        let LinkOutput {
-            firmware,
-            memory_map,
-            apps: link_infos,
-        } = link_units(self.method, &self.platform, &OsImageSpec::default(), &units)?;
-
-        let reports = codes
+        let apps = self
+            .apps
             .iter()
-            .zip(link_infos)
-            .map(|(code, info)| {
-                let a = &code.analysis;
+            .zip(&handlers)
+            .map(|(app, handlers)| AppRef {
+                name: &app.name,
+                source: &app.source,
+                handlers,
+                stack_override: app.stack_override,
+            });
+        let (firmware, linked) = link_through(self.method, &self.platform, apps, memo)?;
+        let memory_map = firmware.memory_map.clone();
+        let reports = linked
+            .iter()
+            .zip(&memory_map.apps)
+            .map(|(LinkApp { unit, .. }, placement)| {
+                let info = unit.link_info(placement);
+                let facts = &unit.facts;
                 AppReport {
                     name: info.name,
                     code_bytes: info.code_bytes,
                     data_bytes: info.data_bytes,
                     stack_bytes: info.stack_bytes,
-                    pointer_derefs: a.total_pointer_derefs,
-                    array_accesses: a.total_array_accesses,
-                    api_calls: a.total_api_calls,
-                    uses_pointers: a.uses_pointers,
-                    uses_recursion: a.uses_recursion,
-                    max_stack_estimate: a.max_stack_bytes,
+                    pointer_derefs: facts.total_pointer_derefs,
+                    array_accesses: facts.total_array_accesses,
+                    api_calls: facts.total_api_calls,
+                    uses_pointers: facts.uses_pointers,
+                    uses_recursion: facts.uses_recursion,
+                    max_stack_estimate: unit.max_stack_bytes,
                     inserted_checks: info.inserted_checks,
                     check_sites: info.check_sites,
                 }
@@ -247,30 +257,69 @@ impl Aft {
     }
 }
 
+/// Builds the firmware image of `apps` for `method` on `platform`, taking
+/// each app's phases 1–2 from `memo` like [`Aft::build_with`]: the same
+/// image, without the build report or a copy of the memory map.  The apps
+/// are borrowed, so a caller that builds many images from a few apps'
+/// text copies none of it; `memo` is looked up by borrowing too.
+pub fn build_image<'a>(
+    method: IsolationMethod,
+    platform: &PlatformSpec,
+    apps: impl IntoIterator<Item = AppRef<'a>>,
+    memo: &UnitMemo,
+) -> AftResult<Firmware> {
+    link_through(method, platform, apps, memo).map(|(firmware, _)| firmware)
+}
+
+/// Phases 1–4 of one image: each app's compiled unit from `memo`, then
+/// sections, layout, patching and emission.  Returns the image and the
+/// apps as linked, in order.
+fn link_through<'a>(
+    method: IsolationMethod,
+    platform: &PlatformSpec,
+    apps: impl IntoIterator<Item = AppRef<'a>>,
+    memo: &UnitMemo,
+) -> AftResult<(Firmware, Vec<LinkApp<'a>>)> {
+    let policy = CheckPolicy::for_method_on(method, &platform.mpu);
+    let linked = apps
+        .into_iter()
+        .map(|app| {
+            Ok(LinkApp {
+                unit: memo.get_or_compile(app.name, app.source, method, policy)?,
+                handlers: app.handlers,
+                stack_override: app.stack_override,
+            })
+        })
+        .collect::<AftResult<Vec<_>>>()?;
+    let firmware = link_image(method, platform, &OsImageSpec::default(), &linked)?;
+    Ok((firmware, linked))
+}
+
 /// Phases 1 and 2 for one application: parse, analyse, reject what the
 /// method cannot isolate, and generate instrumented code with placeholder
 /// bounds.  The result depends only on the app's name and source, `api`,
 /// `method` and `policy` — never on the platform layout or the other
 /// apps, which only [`link`](crate::link::link) sees.
 pub(crate) fn compile(
-    app: &AppSource,
+    name: &str,
+    source: &str,
     api: &ApiSpec,
     method: IsolationMethod,
     policy: CheckPolicy,
 ) -> AftResult<AppCode> {
     // Phase 1: parse + analyse.
-    let program = parse(&app.source).map_err(|error| CompileError::Parse {
-        app: app.name.clone(),
+    let program = parse(source).map_err(|error| CompileError::Parse {
+        app: name.to_string(),
         error,
     })?;
-    let analysis = analyze(&app.name, &program, api, method)?;
+    let analysis = analyze(name, &program, api, method)?;
 
     // The Feature Limited front end additionally rejects recursion:
     // without pointers the only stack hazard is unbounded call depth,
     // and the AFT cannot size the (shared) stack for it.
     if method == IsolationMethod::FeatureLimited && analysis.uses_recursion {
         return Err(CompileError::UnsupportedFeature {
-            app: app.name.clone(),
+            app: name.to_string(),
             feature: "recursion".into(),
             loc: crate::token::Loc { line: 0, col: 0 },
         });
@@ -278,27 +327,19 @@ pub(crate) fn compile(
 
     // Phase 2: instrumented code generation, with the check policy the
     // method requires on the target's MPU.
-    generate(&app.name, &program, &analysis, api, method, policy)
+    generate(name, &program, &analysis, api, method, policy)
 }
 
-/// What a compiled unit is a function of, compared by content.  The API
-/// is not part of it: [`Aft`] always compiles against
-/// [`ApiSpec::amulet`], so one memo serves one API.
-#[derive(PartialEq, Eq, Hash)]
-struct UnitKey {
-    name: String,
-    source: String,
-    method: IsolationMethod,
-    policy: CheckPolicy,
-}
-
-/// A memo of compiled units (phases 1–2), shared by every build that
-/// passes it to [`Aft::build_with`].
+/// A memo of compiled units (phases 1–2, ready to link), shared by every
+/// build that passes it to [`Aft::build_with`] or [`build_image`].
 ///
 /// Entries are keyed by content — app name, source text, method and
-/// [`CheckPolicy`] — so two [`AppSource`]s with equal text share one
-/// entry however they were made.  The memo is valid for
-/// [`ApiSpec::amulet`] only, the one API an [`Aft`] compiles against.
+/// [`CheckPolicy`] — so two apps with equal text share one entry however
+/// they were made.  A lookup borrows its key: it hashes the name alone
+/// and compares the method, policy and source text of that name's
+/// entries, so it copies nothing and hashes no source text.  The memo is
+/// valid for [`ApiSpec::amulet`] only, the one API an [`Aft`] compiles
+/// against, and compiles with it.
 /// Each key has one slot with its own lock, and compilation runs under
 /// the slot's lock only: a thread that asks for a unit another thread is
 /// compiling waits for that compile instead of starting a second one, and
@@ -310,13 +351,22 @@ struct UnitKey {
 /// never global and never persisted.
 #[derive(Default)]
 pub struct UnitMemo {
-    units: Mutex<HashMap<UnitKey, Arc<UnitSlot>>>,
+    /// Each app name's units, one per distinct (source, method, policy).
+    units: Mutex<HashMap<String, Vec<Arc<UnitSlot>>>>,
     compiles: AtomicU64,
+    /// The API every unit compiles against, made on the first compile.
+    api: OnceLock<ApiSpec>,
 }
 
-/// One key's compiled unit: `None` until a compile succeeds, and locked
-/// for the length of a compile.
-type UnitSlot = Mutex<Option<Arc<AppCode>>>;
+/// One key's compiled unit: the rest of its key beside the name, and the
+/// unit — `None` until a compile succeeds, and locked for the length of a
+/// compile.
+struct UnitSlot {
+    source: String,
+    method: IsolationMethod,
+    policy: CheckPolicy,
+    unit: Mutex<Option<Arc<LinkableApp>>>,
+}
 
 impl UnitMemo {
     /// Number of compilations run through this memo: one per distinct
@@ -331,7 +381,8 @@ impl UnitMemo {
             .lock()
             .expect("unit memo poisoned")
             .values()
-            .filter(|slot| slot.lock().expect("unit memo poisoned").is_some())
+            .flatten()
+            .filter(|slot| slot.unit.lock().expect("unit memo poisoned").is_some())
             .count()
     }
 
@@ -341,37 +392,51 @@ impl UnitMemo {
         self.len() == 0
     }
 
+    /// The unit of app `name` with text `source` for `method` and
+    /// `policy`, compiled and prepared for linking on a miss.
     fn get_or_compile(
         &self,
-        app: &AppSource,
-        api: &ApiSpec,
+        name: &str,
+        source: &str,
         method: IsolationMethod,
         policy: CheckPolicy,
-    ) -> AftResult<Arc<AppCode>> {
-        let key = UnitKey {
-            name: app.name.clone(),
-            source: app.source.clone(),
-            method,
-            policy,
-        };
+    ) -> AftResult<Arc<LinkableApp>> {
         // The map lock is held only to find or insert the slot; the slot
         // lock is taken after it is released, so a compile never blocks
         // lookups of other keys.
-        let slot = Arc::clone(
-            self.units
-                .lock()
-                .expect("unit memo poisoned")
-                .entry(key)
-                .or_default(),
-        );
-        let mut unit = slot.lock().expect("unit memo poisoned");
-        if let Some(code) = &*unit {
-            return Ok(Arc::clone(code));
+        let slot = {
+            let mut units = self.units.lock().expect("unit memo poisoned");
+            if !units.contains_key(name) {
+                units.insert(name.to_string(), Vec::new());
+            }
+            let slots = units.get_mut(name).expect("the name's entry was just made");
+            let same = |slot: &&Arc<UnitSlot>| {
+                slot.method == method && slot.policy == policy && slot.source == source
+            };
+            match slots.iter().find(same) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::new(UnitSlot {
+                        source: source.to_string(),
+                        method,
+                        policy,
+                        unit: Mutex::new(None),
+                    });
+                    slots.push(Arc::clone(&slot));
+                    slot
+                }
+            }
+        };
+        let mut unit = slot.unit.lock().expect("unit memo poisoned");
+        if let Some(linkable) = &*unit {
+            return Ok(Arc::clone(linkable));
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let code = Arc::new(compile(app, api, method, policy)?);
-        *unit = Some(Arc::clone(&code));
-        Ok(code)
+        let api = self.api.get_or_init(ApiSpec::amulet);
+        let code = compile(name, source, api, method, policy)?;
+        let linkable = Arc::new(LinkableApp::prepare(&code)?);
+        *unit = Some(Arc::clone(&linkable));
+        Ok(linkable)
     }
 }
 

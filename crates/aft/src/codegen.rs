@@ -87,13 +87,6 @@ pub struct FunctionCode {
     pub check_sites: Vec<LocalCheckSite>,
 }
 
-impl FunctionCode {
-    /// Total encoded size in bytes.
-    pub(crate) fn size_bytes(&self) -> u32 {
-        self.instrs.iter().map(|i| i.size_bytes()).sum()
-    }
-}
-
 /// The compiled (but not yet linked) form of one application.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppCode {
@@ -108,13 +101,6 @@ pub struct AppCode {
     pub data_image: Vec<u8>,
     /// The analysis that phase 1 produced for this app.
     pub analysis: Analysis,
-}
-
-impl AppCode {
-    /// Total code size in bytes.
-    pub(crate) fn code_bytes(&self) -> u32 {
-        self.functions.iter().map(|f| f.size_bytes()).sum()
-    }
 }
 
 /// Compiles every function of an application, inserting the run-time
@@ -1637,9 +1623,17 @@ mod tests {
 
     #[test]
     fn code_size_grows_with_check_insertion() {
-        let none = compile(DEREF_APP, IsolationMethod::NoIsolation).code_bytes();
-        let mpu = compile(DEREF_APP, IsolationMethod::Mpu).code_bytes();
-        let sw = compile(DEREF_APP, IsolationMethod::SoftwareOnly).code_bytes();
+        let code_bytes = |method| -> u32 {
+            compile(DEREF_APP, method)
+                .functions
+                .iter()
+                .flat_map(|f| &f.instrs)
+                .map(Instr::size_bytes)
+                .sum()
+        };
+        let none = code_bytes(IsolationMethod::NoIsolation);
+        let mpu = code_bytes(IsolationMethod::Mpu);
+        let sw = code_bytes(IsolationMethod::SoftwareOnly);
         assert!(none < mpu, "{none} < {mpu}");
         assert!(mpu < sw, "{mpu} < {sw}");
     }

@@ -48,5 +48,5 @@ pub mod sema;
 pub(crate) mod token;
 pub(crate) mod types;
 
-pub use aft::{Aft, BuildOutput, UnitMemo};
+pub use aft::{build_image, Aft, AppRef, BuildOutput, UnitMemo};
 pub use api::{sysno, ApiSpec};

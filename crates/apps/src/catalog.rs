@@ -9,7 +9,7 @@
 //! (accelerometer batches at 20–25 Hz, heart rate at 1 Hz, periodic timers
 //! for the display apps).
 
-use amulet_aft::aft::AppSource;
+use amulet_aft::aft::{AppRef, AppSource};
 use amulet_arp::profile::{AppProfile, HandlerProfile};
 
 /// One catalogued application: source, handlers, and ARP profile.
@@ -29,6 +29,16 @@ impl CatalogApp {
     /// The app as toolchain input.
     pub fn app_source(&self) -> AppSource {
         AppSource::new(self.name, self.source, self.handlers)
+    }
+
+    /// The app as borrowed toolchain input: its static text, not copied.
+    pub fn app_ref(&self) -> AppRef<'static> {
+        AppRef {
+            name: self.name,
+            source: self.source,
+            handlers: self.handlers,
+            stack_override: None,
+        }
     }
 
     /// The handler driven by this app's dominant event source, with its

@@ -21,8 +21,8 @@
 use crate::addr::{align_up, Addr, AddrRange};
 use crate::error::{CoreError, CoreResult};
 use crate::platform::{CycleCostTable, EnergyParams, MpuModel, SizeRule};
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Description of a target device: its fixed memory regions, its MPU
 /// capability model, and its cycle-cost table.  The one way to name a
@@ -276,7 +276,7 @@ impl Default for OsImageSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppImageSpec {
     /// Application name (must be unique within a build).
-    pub name: String,
+    pub name: Arc<str>,
     /// Bytes of application code.
     pub code_size: u32,
     /// Bytes of application global data.
@@ -289,7 +289,7 @@ pub struct AppImageSpec {
 
 impl AppImageSpec {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>, code_size: u32, data_size: u32, stack_size: u32) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, code_size: u32, data_size: u32, stack_size: u32) -> Self {
         AppImageSpec {
             name: name.into(),
             code_size,
@@ -308,7 +308,7 @@ impl AppImageSpec {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppPlacement {
     /// Application name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Index of the app in the build (0 = lowest addresses).
     pub index: usize,
     /// The app's code region `[C_i, D_i)` (execute-only while the app runs).
@@ -440,7 +440,7 @@ impl MemoryMap {
             let fp = app.footprint();
             if fp.start < prev_end {
                 return Err(CoreError::AppImageInvalid {
-                    app: app.name.clone(),
+                    app: app.name.to_string(),
                     reason: format!("footprint {fp:?} overlaps the region below it"),
                 });
             }
@@ -469,7 +469,7 @@ impl MemoryMap {
                 for (what, range) in [("code", app.code), ("data/stack", app.data_stack())] {
                     if !c.size_rule.is_valid_region(&range) {
                         return Err(CoreError::AppImageInvalid {
-                            app: app.name.clone(),
+                            app: app.name.to_string(),
                             reason: format!(
                                 "{what} region {range:?} violates the region size rule ({})",
                                 c.size_rule
@@ -480,7 +480,7 @@ impl MemoryMap {
             }
             if app.stack.end != app.data.start {
                 return Err(CoreError::AppImageInvalid {
-                    app: app.name.clone(),
+                    app: app.name.to_string(),
                     reason: "stack must sit directly below the app's data".into(),
                 });
             }
@@ -541,21 +541,21 @@ impl MemoryMapPlanner {
         let g = self.platform.mpu_boundary_granularity();
 
         // Reject duplicate app names up front: bounds are keyed by name in
-        // the AFT's final patch phase.
-        let mut seen = HashSet::new();
-        for app in apps {
-            if !seen.insert(app.name.as_str()) {
-                return Err(CoreError::DuplicateApp(app.name.clone()));
+        // the AFT's final patch phase.  A build holds a handful of apps,
+        // so each is compared with the ones before it.
+        for (index, app) in apps.iter().enumerate() {
+            if apps[..index].iter().any(|a| a.name == app.name) {
+                return Err(CoreError::DuplicateApp(app.name.to_string()));
             }
             if app.code_size == 0 {
                 return Err(CoreError::AppImageInvalid {
-                    app: app.name.clone(),
+                    app: app.name.to_string(),
                     reason: "code size must be non-zero".into(),
                 });
             }
             if app.stack_size == 0 {
                 return Err(CoreError::AppImageInvalid {
-                    app: app.name.clone(),
+                    app: app.name.to_string(),
                     reason: "stack size must be non-zero".into(),
                 });
             }

@@ -30,6 +30,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::layout::MemoryMap;
 use crate::perm::Perm;
 use std::fmt;
+use std::sync::Arc;
 
 /// What a planned MPU segment is protecting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,7 +71,7 @@ pub enum MpuContext {
     /// The named application (at the given build index) is running.
     AppRunning {
         /// Application name.
-        name: String,
+        name: Arc<str>,
         /// Application index in the build.
         index: usize,
     },

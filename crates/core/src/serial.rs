@@ -36,6 +36,7 @@ use crate::mpu_plan::{
 use crate::perm::Perm;
 use crate::platform::{CycleCostTable, EnergyParams, MpuModel, RegionConstraints, SizeRule};
 use std::fmt;
+use std::sync::Arc;
 
 /// FNV-1a 64-bit hash — the stable content hash the firmware store keys
 /// files by and the envelope integrity check uses.  Any single-byte
@@ -599,7 +600,7 @@ impl Codec for AppPlacement {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(AppPlacement {
-            name: r.str("app name")?,
+            name: r.str("app name")?.into(),
             index: r.usize("app index")?,
             code: AddrRange::decode(r)?,
             stack: AddrRange::decode(r)?,
@@ -763,7 +764,7 @@ impl Codec for MpuContext {
         match r.u8("MPU context")? {
             0 => Ok(MpuContext::OsRunning),
             1 => Ok(MpuContext::AppRunning {
-                name: r.str("app name")?,
+                name: r.str("app name")?.into(),
                 index: r.usize("app index")?,
             }),
             tag => Err(DecodeError::BadTag {
@@ -831,14 +832,14 @@ impl Codec for Option<u32> {
     }
 }
 
-/// `(String, Addr)` pairs — the encoding of symbol and handler tables.
-impl Codec for (String, Addr) {
+/// `(name, Addr)` pairs — the encoding of symbol and handler tables.
+impl Codec for (Arc<str>, Addr) {
     fn encode(&self, w: &mut Writer) {
         w.str(&self.0);
         w.u32(self.1);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok((r.str("symbol name")?, r.u32("symbol address")?))
+        Ok((r.str("symbol name")?.into(), r.u32("symbol address")?))
     }
 }
 
@@ -899,7 +900,7 @@ mod tests {
         }
         roundtrip(&None::<u32>);
         roundtrip(&Some(0x40u32));
-        roundtrip(&("A::main".to_string(), 0x4400u32));
+        roundtrip(&(Arc::<str>::from("A::main"), 0x4400u32));
     }
 
     #[test]

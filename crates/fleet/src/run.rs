@@ -11,7 +11,8 @@
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
 use crate::store::FirmwareStore;
-use amulet_aft::aft::{Aft, BuildOutput, UnitMemo};
+use amulet_aft::aft::{build_image, Aft, BuildOutput, UnitMemo};
+use amulet_apps::CatalogApp;
 use amulet_arp::arp::Arp;
 use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
@@ -417,16 +418,22 @@ fn aft_build(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> BuildOutput {
 /// Builds one device configuration's firmware image, compiling its apps
 /// through `memo`.  With [`DeviceConfig::verify`] the amulet-verify gate
 /// must certify the build free of proven-escape accesses before the image
-/// may enter the fleet.
+/// may enter the fleet; without it the image is built alone, from the
+/// catalogue's text by reference, with no build report.
 pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> Arc<Firmware> {
-    let out = aft_build(key, cfg, memo);
-    if cfg.verify {
-        let report = amulet_verify::verify_build(&out);
-        assert!(
-            report.passes_gate(),
-            "fleet verify gate refused firmware {key}:\n{report}"
+    if !cfg.verify {
+        let apps = cfg.apps.iter().map(CatalogApp::app_ref);
+        return Arc::new(
+            build_image(cfg.method, &cfg.platform, apps, memo)
+                .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}")),
         );
     }
+    let out = aft_build(key, cfg, memo);
+    let report = amulet_verify::verify_build(&out);
+    assert!(
+        report.passes_gate(),
+        "fleet verify gate refused firmware {key}:\n{report}"
+    );
     Arc::new(out.firmware)
 }
 
@@ -626,7 +633,7 @@ pub fn verify_fleet_reports(
     scenario: &FleetScenario,
     workers: usize,
 ) -> Vec<(String, amulet_verify::VerifyReport)> {
-    let distinct = scenario.distinct_configs_by_first_use();
+    let distinct = scenario.distinct_configs_by_first_use(workers);
     let memo = UnitMemo::default();
     let (reports, _) = crate::partition::claim_loop(
         distinct.len(),

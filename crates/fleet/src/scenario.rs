@@ -7,14 +7,15 @@
 //! worker threads, on any machine — therefore simulate byte-identical
 //! devices.
 
+use crate::partition::claim_loop;
 use amulet_apps::catalog::CatalogApp;
 use amulet_core::layout::PlatformSpec;
 use amulet_core::method::IsolationMethod;
 use amulet_core::platform::builtin_platforms;
 use amulet_os::events::DeliveryPolicy;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// How the fleet runner treats the trace's arrival timestamps.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -170,8 +171,9 @@ impl Default for FleetScenario {
 
 /// The catalogue apps installed on one device, in install order.  A
 /// clean device's mix is a run of its [`ConfigContext`]'s shared copy of
-/// the catalogue, so deriving a config clones no app.  Dereferences to a
-/// slice of [`CatalogApp`]s.
+/// the catalogue, and an armed device's one of the context's armed mixes,
+/// so deriving a config clones no app.  Dereferences to a slice of
+/// [`CatalogApp`]s.
 #[derive(Clone)]
 pub struct AppMix {
     apps: Arc<[CatalogApp]>,
@@ -181,17 +183,6 @@ pub struct AppMix {
 impl std::fmt::Debug for AppMix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-impl AppMix {
-    /// A mix owning its apps.
-    fn owned(apps: Vec<CatalogApp>) -> Self {
-        let range = 0..apps.len();
-        AppMix {
-            apps: apps.into(),
-            range,
-        }
     }
 }
 
@@ -288,7 +279,7 @@ impl DeviceConfig {
 /// worker and derive through [`FleetScenario::device_config_in`]: the
 /// configs it derives share the context's platforms and apps instead of
 /// cloning them.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ConfigContext {
     platforms: Vec<Arc<PlatformSpec>>,
     catalog: Vec<CatalogApp>,
@@ -301,7 +292,34 @@ pub struct ConfigContext {
     /// installs (by position in [`amulet_apps::FaultKind::ALL`]).
     adversarial: Vec<CatalogApp>,
     fault_app: Vec<usize>,
+    /// Each armed mix met so far — a window run with an adversarial app
+    /// after it — so an armed device clones no app either once its mix
+    /// was met.
+    armed: Mutex<HashMap<ArmedMix, Arc<[CatalogApp]>>>,
 }
+
+/// One device's draws: what its [`DeviceConfig`] holds, as plain values,
+/// before its platform and apps are taken from a [`ConfigContext`].
+struct Draw {
+    index: usize,
+    /// Position in the context's platforms.
+    platform: usize,
+    method: IsolationMethod,
+    /// The app mix as `(window start, window length, first, count)`.
+    mix: (usize, usize, usize, usize),
+    /// An armed device's adversarial app, by position in the context's
+    /// adversarial apps.
+    adversarial: Option<usize>,
+    trace_seed: u64,
+    sensor_seed: u32,
+    silent: bool,
+    fault: Option<amulet_apps::FaultKind>,
+    ota_seed: Option<u64>,
+    key: ConfigKey,
+}
+
+/// An armed mix's identity: `(ring slot, first, count, adversarial app)`.
+type ArmedMix = (usize, usize, usize, usize);
 
 impl ConfigContext {
     /// Resolves the built-in platforms and the app catalogue once.
@@ -330,6 +348,7 @@ impl ConfigContext {
             catalog,
             adversarial,
             fault_app,
+            armed: Mutex::default(),
         }
     }
 
@@ -351,6 +370,31 @@ impl ConfigContext {
         AppMix {
             apps: Arc::clone(ring),
             range: first..first + count,
+        }
+    }
+
+    /// [`ConfigContext::window_mix`] followed by adversarial app
+    /// `adversarial`.
+    fn armed_mix(
+        &self,
+        (start, len, first, count): (usize, usize, usize, usize),
+        adversarial: usize,
+    ) -> AppMix {
+        let slot = Self::window_slot(self.catalog.len(), start, len);
+        let mut armed = self.armed.lock().expect("config context poisoned");
+        let apps = armed
+            .entry((slot, first, count, adversarial))
+            .or_insert_with(|| {
+                let window = self.window_mix(start, len, first, count);
+                window
+                    .iter()
+                    .chain([&self.adversarial[adversarial]])
+                    .cloned()
+                    .collect()
+            });
+        AppMix {
+            apps: Arc::clone(apps),
+            range: 0..count + 1,
         }
     }
 }
@@ -390,8 +434,14 @@ impl FleetScenario {
     /// [`ConfigContext`] — identical output, none of the per-call
     /// catalogue/platform allocation.
     pub fn device_config_in(&self, ctx: &ConfigContext, index: usize) -> DeviceConfig {
+        self.config_of(ctx, self.draw(ctx, index))
+    }
+
+    /// Device `index`'s draws.  Reads only `ctx`'s fixed tables (their
+    /// sizes and the fault-kind map), never its shared mixes.
+    fn draw(&self, ctx: &ConfigContext, index: usize) -> Draw {
         let mut state = self.seed ^ (index as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-        let platform_index = (splitmix64(&mut state) % ctx.platforms.len() as u64) as usize;
+        let platform = (splitmix64(&mut state) % ctx.platforms.len() as u64) as usize;
         let method_index = (splitmix64(&mut state) % IsolationMethod::ALL.len() as u64) as usize;
         let method = IsolationMethod::ALL[method_index];
         let catalog = &ctx.catalog;
@@ -409,7 +459,7 @@ impl FleetScenario {
         let start = (splitmix64(&mut state) % wlen as u64) as usize;
         let count = mix.min(wlen);
         let mut key = ConfigKey {
-            platform: platform_index as u8,
+            platform: platform as u8,
             method: method_index as u8,
             apps: [NO_APP; MAX_KEY_APPS],
         };
@@ -441,56 +491,104 @@ impl FleetScenario {
         } else {
             None
         };
-        let apps = match fault {
-            None => ctx.window_mix(wstart, wlen, start, count),
-            Some(kind) => {
-                // The adversarial app rides last, so `apps[0]` is always a
-                // normal neighbour for the wild-write-neighbor target.
-                let kind_index = amulet_apps::FaultKind::ALL
-                    .iter()
-                    .position(|k| *k == kind)
-                    .expect("every fault kind is listed");
-                let adversarial = ctx.fault_app[kind_index];
-                key.apps[count] = (catalog.len() + adversarial) as u8;
-                let mut apps = ctx.window_mix(wstart, wlen, start, count).to_vec();
-                apps.push(ctx.adversarial[adversarial].clone());
-                AppMix::owned(apps)
-            }
-        };
-        DeviceConfig {
+        // The adversarial app rides last, so `apps[0]` is always a normal
+        // neighbour for the wild-write-neighbor target.
+        let adversarial = fault.map(|kind| {
+            let kind_index = amulet_apps::FaultKind::ALL
+                .iter()
+                .position(|k| *k == kind)
+                .expect("every fault kind is listed");
+            let adversarial = ctx.fault_app[kind_index];
+            key.apps[count] = (catalog.len() + adversarial) as u8;
+            adversarial
+        });
+        Draw {
             index,
-            platform: Arc::clone(&ctx.platforms[platform_index]),
+            platform,
             method,
-            apps,
+            mix: (wstart, wlen, start, count),
+            adversarial,
             trace_seed,
             sensor_seed,
             silent,
             fault,
             ota_seed,
+            key,
+        }
+    }
+
+    /// The device configuration `draw` describes, its platform and apps
+    /// shared with `ctx`.
+    fn config_of(&self, ctx: &ConfigContext, draw: Draw) -> DeviceConfig {
+        let (wstart, wlen, start, count) = draw.mix;
+        let apps = match draw.adversarial {
+            None => ctx.window_mix(wstart, wlen, start, count),
+            Some(adversarial) => ctx.armed_mix(draw.mix, adversarial),
+        };
+        DeviceConfig {
+            index: draw.index,
+            platform: Arc::clone(&ctx.platforms[draw.platform]),
+            method: draw.method,
+            apps,
+            trace_seed: draw.trace_seed,
+            sensor_seed: draw.sensor_seed,
+            silent: draw.silent,
+            fault: draw.fault,
+            ota_seed: draw.ota_seed,
             // Draw-free copy: arming the verifier consumes no splitmix
             // draws, so every other field above derives bit for bit
             // identically with or without it.
             verify: self.verify,
-            key,
+            key: draw.key,
         }
     }
 
     /// Each distinct firmware configuration of the fleet, keyed by its
     /// firmware key, in the order the device walk first meets it: the
     /// kept config is its key's lowest-index device.  Deduplicates on the
-    /// compact [`ConfigKey`], so the `String` key is formatted once per
+    /// compact [`ConfigKey`] of each device's draws, so only the kept
+    /// configs are made and the `String` key is formatted once per
     /// distinct config rather than once per device.
-    pub(crate) fn distinct_configs_by_first_use(&self) -> Vec<(String, DeviceConfig)> {
+    ///
+    /// The walk is split over `threads` threads: each draws its own
+    /// contiguous range of device indices and keeps each key's first
+    /// device in the range, and the ranges merge in index order, keeping
+    /// a key only where it first appears.  A key's first device overall
+    /// is its first device in the first range that holds it, so the
+    /// result is the serial walk's for any thread count.  The threads
+    /// only read the one [`ConfigContext`]; the kept configs are made from
+    /// it after the merge.
+    pub(crate) fn distinct_configs_by_first_use(
+        &self,
+        threads: usize,
+    ) -> Vec<(String, DeviceConfig)> {
+        let threads = threads.clamp(1, self.devices.max(1));
+        let per_range = self.devices.div_ceil(threads);
         let ctx = ConfigContext::new();
+        let (ranges, _) = claim_loop(
+            threads,
+            threads,
+            || (),
+            |_, range| {
+                let end = ((range + 1) * per_range).min(self.devices);
+                let mut seen = HashSet::new();
+                let firsts: Vec<Draw> = (range * per_range..end)
+                    .map(|index| self.draw(&ctx, index))
+                    .filter(|draw| seen.insert(draw.key))
+                    .collect();
+                Some(firsts)
+            },
+        );
         let mut seen = HashSet::new();
-        let mut distinct = Vec::new();
-        for index in 0..self.devices {
-            let cfg = self.device_config_in(&ctx, index);
-            if seen.insert(cfg.key) {
-                distinct.push((cfg.firmware_key(), cfg));
-            }
-        }
-        distinct
+        ranges
+            .into_iter()
+            .flatten()
+            .filter(|draw| seen.insert(draw.key))
+            .map(|draw| {
+                let cfg = self.config_of(&ctx, draw);
+                (cfg.firmware_key(), cfg)
+            })
+            .collect()
     }
 
     /// The watchdog restart policy this scenario configures, when its
@@ -770,6 +868,50 @@ mod tests {
             let got = pairs(FirmwareStore::distinct_configs(&s));
             assert_eq!(got, pairs(oracle.into_iter().collect()), "{}", s.name);
             assert!(got.len() > 1, "{}: more than one image", s.name);
+        }
+    }
+
+    #[test]
+    fn the_split_walk_keeps_the_serial_walks_configs_in_its_order() {
+        // The benchmark's workloads at their device counts, each at its
+        // default and its held-out seed.
+        let dense = FleetScenario {
+            devices: 250,
+            ..FleetScenario::default()
+        };
+        let workloads = [
+            (dense, [0xF1EE7, 0xD0_0D1E]),
+            (FleetScenario::scaling(50_000), [0x5CA1E, 0x5CA1_0B5E]),
+            (FleetScenario::storm(5_000), [0x57_0421, 0x57_0B5E]),
+        ];
+        for (workload, seeds) in workloads {
+            for seed in seeds {
+                let s = FleetScenario {
+                    seed,
+                    ..workload.clone()
+                };
+                // The serial walk: every device in index order, each
+                // firmware key kept at its first device.
+                let ctx = ConfigContext::new();
+                let mut seen = HashSet::new();
+                let serial: Vec<(String, usize)> = (0..s.devices)
+                    .map(|index| s.device_config_in(&ctx, index))
+                    .map(|cfg| (cfg.firmware_key(), cfg.index))
+                    .filter(|(key, _)| seen.insert(key.clone()))
+                    .collect();
+                for threads in [1, 2, 3, 7] {
+                    let split: Vec<(String, usize)> = s
+                        .distinct_configs_by_first_use(threads)
+                        .into_iter()
+                        .map(|(key, cfg)| (key, cfg.index))
+                        .collect();
+                    assert_eq!(
+                        split, serial,
+                        "{} seed {seed:#x}, {threads} threads",
+                        s.name
+                    );
+                }
+            }
         }
     }
 }

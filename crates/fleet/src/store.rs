@@ -16,12 +16,13 @@
 //! memo lives and dies with the store, so a fresh store compiles
 //! everything again.
 //!
-//! [`FirmwareStore::prewarm`] builds a scenario's distinct images on
-//! every core: it deals them out in fixed strides to
-//! [`std::thread::available_parallelism`] threads on the fleet runner's
-//! claim loop, whatever worker count the campaign itself uses.  Every key
-//! is asked for once, so the store's images and counters do not depend on
-//! that thread count.
+//! [`FirmwareStore::prewarm`] walks a scenario's devices for its distinct
+//! images and builds them on every core: the walk splits the devices into
+//! contiguous ranges and the builds are dealt out in fixed strides, each
+//! over [`std::thread::available_parallelism`] threads on the fleet
+//! runner's claim loop, whatever worker count the campaign itself uses.
+//! Every key is asked for once, so the store's images and counters do not
+//! depend on that thread count.
 
 use crate::partition::claim_loop;
 use crate::run::build_firmware;
@@ -62,8 +63,9 @@ struct Counters {
     evictions: AtomicU64,
 }
 
-/// The in-memory map plus its FIFO insertion order, kept under one lock.
-type ImageMap = (HashMap<String, Arc<Firmware>>, VecDeque<String>);
+/// The in-memory map plus its FIFO insertion order, kept under one lock;
+/// both share one copy of each key.
+type ImageMap = (HashMap<Arc<str>, Arc<Firmware>>, VecDeque<Arc<str>>);
 
 /// The firmware store (see the module docs).
 #[derive(Debug)]
@@ -122,10 +124,15 @@ impl FirmwareStore {
         let built = build_firmware(key, cfg, &self.memo);
         let mut guard = self.images.lock().expect("firmware store poisoned");
         let (images, order) = &mut *guard;
-        let arc = Arc::clone(images.entry(key.to_string()).or_insert_with(|| {
-            order.push_back(key.to_string());
-            built
-        }));
+        let arc = match images.get(key) {
+            Some(fw) => Arc::clone(fw),
+            None => {
+                let key: Arc<str> = Arc::from(key);
+                order.push_back(Arc::clone(&key));
+                images.insert(key, Arc::clone(&built));
+                built
+            }
+        };
         while images.len() > self.capacity {
             let Some(evict) = order.pop_front() else {
                 break;
@@ -141,9 +148,11 @@ impl FirmwareStore {
     /// benchmark harness times.  Returns the number of distinct
     /// configurations.
     ///
-    /// The distinct-config walk is serial; the builds fan out over
-    /// [`std::thread::available_parallelism`] threads on the runner's
-    /// claim loop.  Claim `t` of `T` builds images `t`, `t + T`, …, so
+    /// Both halves run on [`std::thread::available_parallelism`] threads
+    /// on the runner's claim loop.  The distinct-config walk splits the
+    /// devices into one contiguous range per thread (see
+    /// [`FirmwareStore::distinct_configs`]).  The builds are dealt out in
+    /// fixed strides: claim `t` of `T` builds images `t`, `t + T`, …, so
     /// each thread allocates the same images in the same order on every
     /// prewarm: with one claim per image, timing picked the allocator
     /// arena each image landed in, and successive stores fragmented the
@@ -154,9 +163,7 @@ impl FirmwareStore {
     /// order the builds finished in).
     pub fn prewarm(&self, scenario: &FleetScenario) -> usize {
         let distinct = Self::distinct_configs(scenario);
-        let strides = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .clamp(1, distinct.len().max(1));
+        let strides = available_threads().clamp(1, distinct.len().max(1));
         claim_loop(
             strides,
             strides,
@@ -175,15 +182,21 @@ impl FirmwareStore {
     /// order, each kept as its key's lowest-index device.  [`prewarm`]
     /// builds these, the benchmark harness times their derivation on its
     /// own, and `memo_identity` builds each one fresh for comparison.  The
-    /// device walk is the one `verify_fleet_reports` uses; this only sorts
-    /// its output by key.
+    /// device walk is the one `verify_fleet_reports` uses, split over
+    /// [`std::thread::available_parallelism`] threads; this only sorts its
+    /// output by key.
     ///
     /// [`prewarm`]: FirmwareStore::prewarm
     pub fn distinct_configs(scenario: &FleetScenario) -> Vec<(String, DeviceConfig)> {
-        let mut distinct = scenario.distinct_configs_by_first_use();
+        let mut distinct = scenario.distinct_configs_by_first_use(available_threads());
         distinct.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         distinct
     }
+}
+
+/// The host's available parallelism (1 when it cannot be read).
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -215,7 +228,7 @@ mod tests {
         let s = tiny();
         let mut store = FirmwareStore::for_scenario(&s);
         store.capacity = 2;
-        let mut distinct = s.distinct_configs_by_first_use();
+        let mut distinct = s.distinct_configs_by_first_use(1);
         assert!(distinct.len() >= 3, "need three distinct configs");
         distinct.truncate(3);
         for (key, cfg) in &distinct {

@@ -6,7 +6,9 @@
 //! itself (config derivation, grouping, runtime reuse, simulation, silent
 //! reuse and the block fold) rather than to firmware builds.  The
 //! prewarm's distinct-config walk is budgeted on its own: it must grow
-//! with the number of images, not the number of devices.
+//! with the number of images, not the number of devices.  So is the
+//! set-up itself: a fresh store's prewarm (the walk, every unit's compile
+//! and every image's link) per image it builds.
 //!
 //! The binary holds exactly one test: the allocator counts every thread
 //! of the process, and a second test running beside it would pollute the
@@ -95,6 +97,25 @@ const MAX_ALLOCATIONS_PER_SILENT_HIT: f64 = 1.0;
 /// formatted its `String` key).
 const MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE: f64 = 0.01;
 
+/// Allocations a fresh store's [`FirmwareStore::prewarm`] of the storm
+/// preset at 2000 devices makes per image it builds: 56.0 measured, on one
+/// core and on two, once each unit's code was resolved once and linked by copying (167.8
+/// before, when every image re-resolved every instruction, formatted its
+/// symbols, cloned its names, placements and memory map and copied each
+/// app's source text).
+const MAX_SETUP_ALLOCATIONS_PER_IMAGE: f64 = 60.0;
+
+/// `(images built, heap allocations)` of one fresh-store prewarm of
+/// `scenario`.
+fn prewarm_allocations(scenario: &FleetScenario) -> (usize, u64) {
+    let store = FirmwareStore::for_scenario(scenario);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let images = store.prewarm(scenario);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(store.stats().builds, images as u64);
+    (images, allocations)
+}
+
 /// `(distinct configs, heap allocations)` of one
 /// [`FirmwareStore::distinct_configs`] call.
 fn distinct_walk_allocations(scenario: &FleetScenario) -> (usize, u64) {
@@ -137,9 +158,13 @@ fn the_scaling_campaign_stays_inside_its_allocation_budget() {
     let per_walk_device =
         large_walk.saturating_sub(small_walk) as f64 / (large.devices - small.devices) as f64;
 
+    let (images, setup) = prewarm_allocations(&FleetScenario::storm(2000));
+    let per_image = setup as f64 / images as f64;
+
     eprintln!(
         "allocations per device {per_device:.2}, per silent hit {per_hit:.3} ({hits} hits), \
-         per extra distinct-walk device {per_walk_device:.4} ({small_walk} -> {large_walk})"
+         per extra distinct-walk device {per_walk_device:.4} ({small_walk} -> {large_walk}), \
+         per prewarmed storm image {per_image:.1} ({setup} for {images} images)"
     );
     assert!(
         per_device <= MAX_ALLOCATIONS_PER_DEVICE,
@@ -153,5 +178,10 @@ fn the_scaling_campaign_stays_inside_its_allocation_budget() {
         per_walk_device <= MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE,
         "{per_walk_device:.4} distinct-walk allocations per extra device \
          (budget {MAX_DISTINCT_WALK_ALLOCATIONS_PER_DEVICE})"
+    );
+    assert!(
+        per_image <= MAX_SETUP_ALLOCATIONS_PER_IMAGE,
+        "{per_image:.1} prewarm allocations per storm image \
+         (budget {MAX_SETUP_ALLOCATIONS_PER_IMAGE})"
     );
 }

@@ -12,7 +12,8 @@
 //! O(1), cache-friendly, no allocation.
 //!
 //! A slot does not hold the [`Instr`] itself but its *execute form*,
-//! resolved once at insert so the execute loop pays nothing per step for
+//! resolved once at insert (or earlier, into a placeable
+//! [`ResolvedCode`] run) so the execute loop pays nothing per step for
 //! it: an `Op` with the operation's shape folded in (each ALU operation,
 //! branch condition, unary operation and access width is an op of its
 //! own, so dispatch is one `match` with no nested one), the register
@@ -474,6 +475,71 @@ impl Slot {
     }
 }
 
+/// A run of instructions resolved into execute slots once, to be placed
+/// at any word-aligned address: a slot is a function of its instruction
+/// alone, never of where it sits.  The AFT resolves each compiled
+/// application once and links every image by copying its run (see
+/// [`FirmwareBuilder::place`]); only the instructions a relocation patches
+/// are resolved again.
+///
+/// [`FirmwareBuilder::place`]: crate::firmware::FirmwareBuilder::place
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct ResolvedCode {
+    /// One slot per 2-byte word from the first instruction to the last:
+    /// each instruction's slot at its first word, and empty slots over
+    /// the rest of its encoding (none after the last instruction, so the
+    /// run's ends are occupied like a store's span).
+    slots: Vec<Slot>,
+    /// Number of instructions.
+    count: usize,
+    /// Encoded size in bytes.
+    bytes: u32,
+}
+
+impl ResolvedCode {
+    /// Resolves `instrs`, laid out back to back from offset 0.
+    pub fn resolve(instrs: impl IntoIterator<Item = Instr>) -> Self {
+        let mut code = ResolvedCode::default();
+        for instr in instrs {
+            let words = instr.size_bytes() as usize / 2;
+            code.slots.push(Slot::of(instr));
+            code.slots
+                .extend(std::iter::repeat_n(Slot::EMPTY, words - 1));
+            code.count += 1;
+            code.bytes += instr.size_bytes();
+        }
+        while code.slots.last().is_some_and(Slot::is_empty) {
+            code.slots.pop();
+        }
+        code
+    }
+
+    /// Whether the run holds no instruction.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Encoded size of the run in bytes.
+    pub fn size_bytes(&self) -> u32 {
+        self.bytes
+    }
+
+    /// Number of slots the run spans in a store: from its first
+    /// instruction's word to its last's.
+    pub fn span_words(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl fmt::Debug for ResolvedCode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResolvedCode")
+            .field("count", &self.count)
+            .field("bytes", &self.bytes)
+            .finish_non_exhaustive()
+    }
+}
+
 /// A dense, word-indexed store of decoded instructions.
 ///
 /// Addresses are word-aligned: the ISA guarantees every instruction is a
@@ -525,6 +591,22 @@ impl InstrStore {
         self.lo + self.slots.len()
     }
 
+    /// Grows the span to cover words `first..end` (`first < end`); the
+    /// words it adds stay empty.
+    fn cover(&mut self, first: usize, end: usize) {
+        if self.slots.is_empty() {
+            self.lo = first;
+        } else if first < self.lo {
+            let below = self.lo - first;
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Slot::EMPTY, below));
+            self.lo = first;
+        }
+        if end > self.hi() {
+            self.slots.resize(end - self.lo, Slot::EMPTY);
+        }
+    }
+
     /// Inserts an instruction at `addr`, returning the instruction the
     /// slot previously held (if any).  An address outside the span grows
     /// it at that end; the words between stay empty.
@@ -539,22 +621,47 @@ impl InstrStore {
             "instruction address {addr:#06x} is misaligned or out of range"
         );
         let index = (addr >> 1) as usize;
-        if self.slots.is_empty() {
-            self.lo = index;
-            self.slots.push(Slot::EMPTY);
-        } else if index < self.lo {
-            let below = self.lo - index;
-            self.slots
-                .splice(0..0, std::iter::repeat_n(Slot::EMPTY, below));
-            self.lo = index;
-        } else if index >= self.hi() {
-            self.slots.resize(index - self.lo + 1, Slot::EMPTY);
-        }
+        self.cover(index, index + 1);
         let slot = &mut self.slots[index - self.lo];
         let prev = (!slot.is_empty()).then(|| slot.instr());
         *slot = Slot::of(instr);
         self.count += usize::from(prev.is_none());
         prev
+    }
+
+    /// Places a resolved run with its first instruction at `addr`: the
+    /// same store as inserting each of its instructions at its address,
+    /// made by copying the run's slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `addr` is odd or the run's last instruction would
+    /// start outside the 64 KiB address space.
+    pub(crate) fn place(&mut self, addr: Addr, code: &ResolvedCode) {
+        let words = code.slots.len();
+        assert!(
+            addr.is_multiple_of(2) && (addr as usize) + 2 * words <= ADDR_SPACE_BYTES,
+            "run of {words} words at {addr:#06x} is misaligned or out of range"
+        );
+        if words == 0 {
+            return;
+        }
+        let first = (addr >> 1) as usize;
+        self.cover(first, first + words);
+        let at = first - self.lo;
+        for (slot, new) in self.slots[at..at + words].iter_mut().zip(&code.slots) {
+            if !new.is_empty() {
+                self.count += usize::from(slot.is_empty());
+                *slot = *new;
+            }
+        }
+    }
+
+    /// Reserves room for a span of `words` slots in all, so placing an
+    /// image whose span is known up front never reallocates.
+    pub(crate) fn reserve_span(&mut self, words: usize) {
+        self.slots
+            .reserve_exact(words.saturating_sub(self.slots.len()));
     }
 
     /// Releases the slot vector's growth slack, so the store owns exactly
@@ -1007,6 +1114,42 @@ mod tests {
             assert_eq!((addr, got), (expected, *want));
             expected += want.size_bytes();
         }
+    }
+
+    #[test]
+    fn placing_a_resolved_run_equals_inserting_its_instructions() {
+        let shapes = every_instr_shape();
+        // Runs placed into an empty store, above the span, below it,
+        // over part of it (so words of a 4-byte instruction meet
+        // instructions of another run) and inside a hole, plus an empty
+        // run.
+        let runs = [
+            (0x8000, &shapes[..40]),
+            (0x9000, &shapes[40..41]),
+            (0x7000, &shapes[100..160]),
+            (0x8010, &shapes[200..230]),
+            (0x8800, &shapes[300..310]),
+            (0x8000, &shapes[..0]),
+        ];
+        let mut placed = InstrStore::new();
+        let mut inserted = InstrStore::new();
+        for (addr, run) in runs {
+            let code = ResolvedCode::resolve(run.iter().copied());
+            assert_eq!(code.is_empty(), run.is_empty());
+            let bytes: u32 = run.iter().map(|i| i.size_bytes()).sum();
+            assert_eq!(code.size_bytes(), bytes);
+            placed.place(addr, &code);
+            let mut at = addr;
+            for &instr in run {
+                inserted.insert(at, instr);
+                at += instr.size_bytes();
+            }
+            assert!(placed == inserted, "run of {} at {addr:#06x}", run.len());
+        }
+        assert_eq!(
+            placed.iter().collect::<Vec<_>>(),
+            inserted.iter().collect::<Vec<_>>()
+        );
     }
 
     /// The register operands an instruction names.

@@ -7,7 +7,7 @@
 //! (bounds, entry points, initial stack pointer, MPU register values) that
 //! the OS uses at every context switch.
 
-use crate::code::InstrStore;
+use crate::code::{InstrStore, ResolvedCode};
 use crate::isa::Instr;
 use amulet_core::addr::{Addr, AddrRange};
 use amulet_core::layout::{AppPlacement, MemoryMap};
@@ -16,6 +16,14 @@ use amulet_core::mpu_plan::MpuConfig;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// Names to addresses: the image's symbol table and each app's handler
+/// entry points.  A name is shared, so every image linked from one
+/// compiled unit refers to the unit's own copy.
+pub type SymbolTable = BTreeMap<Arc<str>, Addr>;
+
+/// The longest instruction encoding in bytes ([`Instr::size_bytes`]).
+const MAX_INSTR_BYTES: u32 = 4;
 
 /// A chunk of initialised data to be copied into memory at load time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,13 +45,13 @@ impl DataSegment {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AppBinary {
     /// Application name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Index of the app in the build.
     pub index: usize,
     /// Where the app landed in FRAM (carries `C_i`, `D_i`, `T_i`).
     pub placement: AppPlacement,
     /// Event-handler entry points, by handler name.
-    pub handlers: BTreeMap<String, Addr>,
+    pub handlers: SymbolTable,
     /// MPU configuration to install while this app runs (meaningful only
     /// when the build's isolation method uses the MPU).  Carries whichever
     /// register shape the target platform's MPU expects.
@@ -81,7 +89,7 @@ pub struct Firmware {
     /// Initialised data segments.
     pub data: Vec<DataSegment>,
     /// Global symbol table (function entry points and data objects).
-    pub symbols: BTreeMap<String, Addr>,
+    pub symbols: SymbolTable,
     /// Per-application metadata.
     pub apps: Vec<AppBinary>,
     /// OS metadata.
@@ -156,10 +164,11 @@ impl Firmware {
 
     /// Looks up an application by name.
     pub fn app(&self, name: &str) -> Option<&AppBinary> {
-        self.apps.iter().find(|a| a.name == name)
+        self.apps.iter().find(|a| &*a.name == name)
     }
 
-    /// Structural validation of the image.
+    /// Structural validation of the image: one pass over the code, then a
+    /// window of at most one instruction's reach per region.
     pub fn validate(&self) -> Result<(), FirmwareError> {
         // Instructions must not overlap.
         let mut prev: Option<(Addr, u32)> = None;
@@ -175,15 +184,16 @@ impl Firmware {
             prev = Some((addr, size));
         }
         // App code must stay inside each app's code region, and handlers must
-        // point at real instructions.
+        // point at real instructions.  Instructions are at most
+        // `MAX_INSTR_BYTES` long, so only one starting in the region's
+        // last `MAX_INSTR_BYTES - 1` bytes can reach past its end.
         for app in &self.apps {
-            for (addr, size) in self
-                .code
-                .sizes(app.placement.code.start..app.placement.code.end)
-            {
-                if addr + size > app.placement.code.end {
+            let code = app.placement.code;
+            let tail = code.end.saturating_sub(MAX_INSTR_BYTES - 1).max(code.start);
+            for (addr, size) in self.code.sizes(tail..code.end) {
+                if addr + size > code.end {
                     return Err(FirmwareError::CodeOutOfBounds {
-                        app: app.name.clone(),
+                        app: app.name.to_string(),
                         addr,
                     });
                 }
@@ -191,8 +201,8 @@ impl Firmware {
             for (hname, &haddr) in &app.handlers {
                 if !self.code.contains(haddr) {
                     return Err(FirmwareError::DanglingHandler {
-                        app: app.name.clone(),
-                        handler: hname.clone(),
+                        app: app.name.to_string(),
+                        handler: hname.to_string(),
                         addr: haddr,
                     });
                 }
@@ -209,9 +219,12 @@ impl Firmware {
                     });
                 }
             }
-            // Instructions are at most 4 bytes, so only those starting just
-            // below the segment can reach into it — scan that window alone.
-            for (addr, size) in self.code.sizes(r.start.saturating_sub(3)..r.end) {
+            // Only instructions starting in the segment or just below it
+            // can reach into it.
+            for (addr, size) in self
+                .code
+                .sizes(r.start.saturating_sub(MAX_INSTR_BYTES - 1)..r.end)
+            {
                 let ir = AddrRange::from_len(addr, size);
                 if r.overlaps(&ir) {
                     return Err(FirmwareError::DataOverlap {
@@ -233,7 +246,7 @@ pub struct FirmwareBuilder {
     memory_map: MemoryMap,
     code: InstrStore,
     data: Vec<DataSegment>,
-    symbols: BTreeMap<String, Addr>,
+    symbols: SymbolTable,
     apps: Vec<AppBinary>,
     os: OsBinary,
 }
@@ -252,15 +265,38 @@ impl FirmwareBuilder {
         }
     }
 
+    /// The memory map the image is built against.
+    pub fn memory_map(&self) -> &MemoryMap {
+        &self.memory_map
+    }
+
+    /// Reserves the instruction store for an image whose code spans
+    /// `words` 2-byte words from its lowest instruction to its highest, so
+    /// placing it never reallocates and [`FirmwareBuilder::build`] has no
+    /// slack to give back.
+    pub fn reserve_code(&mut self, words: usize) {
+        self.code.reserve_span(words);
+    }
+
     /// Emits a sequence of instructions starting at `addr`, returning the
-    /// address just past the emitted sequence.
+    /// address just past the emitted sequence: the sequence is resolved,
+    /// then placed.
     pub fn emit(&mut self, addr: Addr, instrs: &[Instr]) -> Addr {
-        let mut cursor = addr;
-        for i in instrs {
-            self.code.insert(cursor, *i);
-            cursor += i.size_bytes();
-        }
-        cursor
+        self.place(addr, &ResolvedCode::resolve(instrs.iter().copied()))
+    }
+
+    /// Places a resolved run with its first instruction at `addr`,
+    /// returning the address just past it.
+    pub fn place(&mut self, addr: Addr, code: &ResolvedCode) -> Addr {
+        self.code.place(addr, code);
+        addr + code.size_bytes()
+    }
+
+    /// Writes `instr` at `addr` over the instruction placed there,
+    /// resolving it afresh: how the linker patches a relocated
+    /// instruction of a placed run.
+    pub fn patch(&mut self, addr: Addr, instr: Instr) {
+        self.code.insert(addr, instr);
     }
 
     /// Adds an initialised data segment.
@@ -269,7 +305,7 @@ impl FirmwareBuilder {
     }
 
     /// Defines a global symbol.
-    pub fn define_symbol(&mut self, name: impl Into<String>, addr: Addr) {
+    pub fn define_symbol(&mut self, name: impl Into<Arc<str>>, addr: Addr) {
         self.symbols.insert(name.into(), addr);
     }
 
@@ -279,7 +315,7 @@ impl FirmwareBuilder {
     }
 
     /// Finishes the image (validating it).  The instruction store gives
-    /// back its growth slack, so the image owns exactly its span.
+    /// back any growth slack, so the image owns exactly its span.
     pub fn build(mut self) -> Result<Firmware, FirmwareError> {
         self.code.shrink_to_span();
         let fw = Firmware {
@@ -319,7 +355,7 @@ mod tests {
         }
     }
 
-    fn app_binary(map: &MemoryMap, handlers: BTreeMap<String, Addr>) -> AppBinary {
+    fn app_binary(map: &MemoryMap, handlers: SymbolTable) -> AppBinary {
         let placement = map.apps[0].clone();
         AppBinary {
             name: "A".into(),
@@ -419,7 +455,7 @@ mod tests {
         let mut b = FirmwareBuilder::new(IsolationMethod::Mpu, map.clone(), os_binary(&map));
         b.emit(start, &[Instr::Ret]);
         let mut handlers = BTreeMap::new();
-        handlers.insert("main".to_string(), start + 0x100);
+        handlers.insert("main".into(), start + 0x100);
         b.add_app(app_binary(&map, handlers));
         assert!(matches!(
             b.build(),
@@ -441,7 +477,7 @@ mod tests {
         b.emit(start, &[Instr::Ret]);
         b.define_symbol("A::main", start);
         let mut handlers = BTreeMap::new();
-        handlers.insert("main".to_string(), start);
+        handlers.insert("main".into(), start);
         b.add_app(app_binary(&map, handlers));
         let fw = b.build().unwrap();
         assert_eq!(fw.symbols["A::main"], start);

@@ -50,6 +50,6 @@ pub mod timer;
 pub use bus::BusStats;
 pub use code::InstrStore;
 pub use cpu::CpuStats;
-pub use firmware::{AppBinary, Firmware, FirmwareBuilder, OsBinary};
+pub use firmware::{AppBinary, Firmware, FirmwareBuilder, OsBinary, SymbolTable};
 pub use isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 pub use serial::{decode_firmware, encode_firmware};

@@ -26,14 +26,13 @@
 //! as [`InstrStore::insert`]).
 
 use crate::code::InstrStore;
-use crate::firmware::{AppBinary, DataSegment, Firmware, OsBinary};
+use crate::firmware::{AppBinary, DataSegment, Firmware, OsBinary, SymbolTable};
 use crate::isa::{AluOp, Cond, Instr, Reg, UnaryOp, Width};
 use amulet_core::addr::Addr;
 use amulet_core::layout::{AppPlacement, MemoryMap};
 use amulet_core::method::IsolationMethod;
 use amulet_core::mpu_plan::MpuConfig;
 use amulet_core::serial::{decode_seq, encode_seq, fnv1a64, Codec, DecodeError, Reader, Writer};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Envelope magic bytes: "AMFW" (amulet firmware).
@@ -447,18 +446,16 @@ impl Codec for DataSegment {
     }
 }
 
-fn encode_symbol_table(table: &BTreeMap<String, Addr>, w: &mut Writer) {
+fn encode_symbol_table(table: &SymbolTable, w: &mut Writer) {
     w.usize(table.len());
     for (name, addr) in table {
-        (name.clone(), *addr).encode(w);
+        w.str(name);
+        w.u32(*addr);
     }
 }
 
-fn decode_symbol_table(
-    r: &mut Reader<'_>,
-    what: &'static str,
-) -> Result<BTreeMap<String, Addr>, DecodeError> {
-    let pairs: Vec<(String, Addr)> = decode_seq(r, what, 8)?;
+fn decode_symbol_table(r: &mut Reader<'_>, what: &'static str) -> Result<SymbolTable, DecodeError> {
+    let pairs: Vec<(Arc<str>, Addr)> = decode_seq(r, what, 8)?;
     Ok(pairs.into_iter().collect())
 }
 
@@ -474,7 +471,7 @@ impl Codec for AppBinary {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(AppBinary {
-            name: r.str("app name")?,
+            name: r.str("app name")?.into(),
             index: r.usize("app index")?,
             placement: AppPlacement::decode(r)?,
             handlers: decode_symbol_table(r, "handler table")?,

@@ -30,7 +30,7 @@ use amulet_core::{
 };
 use amulet_mcu::{
     decode_firmware, encode_firmware, AluOp, AppBinary, Cond, Firmware, FirmwareBuilder, Instr,
-    OsBinary, Reg, UnaryOp, Width,
+    OsBinary, Reg, SymbolTable, UnaryOp, Width,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ fn os_binary(map: &MemoryMap) -> OsBinary {
 fn app_binary(
     map: &MemoryMap,
     index: usize,
-    handlers: BTreeMap<String, Addr>,
+    handlers: SymbolTable,
     max_stack_estimate: Option<u32>,
 ) -> AppBinary {
     let placement = map.apps[index].clone();
@@ -113,10 +113,10 @@ fn build_firmware(
 
     let mut a_handlers = BTreeMap::new();
     if !instrs.is_empty() {
-        a_handlers.insert("on_timer".to_string(), a_entry);
+        a_handlers.insert("on_timer".into(), a_entry);
     }
     let mut b_handlers = BTreeMap::new();
-    b_handlers.insert("on_timer".to_string(), b_entry);
+    b_handlers.insert("on_timer".into(), b_entry);
 
     let est = has_estimate.then_some(0x40);
     b.add_app(app_binary(&map, 0, a_handlers, est));

@@ -17,7 +17,7 @@
 
 use crate::events::{DeliveryPolicy, Event, EventKind, EventQueue};
 use crate::policy::{AppState, FaultAction, FaultHandler, RestartPolicy};
-use crate::syscalls::{Services, SyscallArgs};
+use crate::syscalls::{service_costs, Services, SyscallArgs};
 use amulet_aft::api::ApiSpec;
 use amulet_core::addr::Addr;
 use amulet_core::fault::FaultClass;
@@ -403,7 +403,7 @@ impl AmuletOs {
 
     /// Finds an app's index by name.
     pub fn app_index(&self, name: &str) -> Option<usize> {
-        self.firmware.apps.iter().position(|a| a.name == name)
+        self.firmware.apps.iter().position(|a| &*a.name == name)
     }
 
     /// Total cycles elapsed on the device.
@@ -585,7 +585,7 @@ impl AmuletOs {
             let handlers = &self.firmware.apps.get(first.app_index)?.handlers;
             events
                 .iter()
-                .rposition(|e| handlers.contains_key(&e.handler))
+                .rposition(|e| handlers.contains_key(e.handler.as_str()))
         });
         for (i, event) in events.iter().enumerate() {
             let idx = event.app_index;
@@ -610,7 +610,7 @@ impl AmuletOs {
                 last_outcome = Some(DeliveryOutcome::Skipped);
                 continue;
             }
-            let Some(&entry) = self.firmware.apps[idx].handlers.get(&event.handler) else {
+            let Some(&entry) = self.firmware.apps[idx].handlers.get(event.handler.as_str()) else {
                 last_outcome = Some(DeliveryOutcome::Skipped);
                 continue;
             };
@@ -755,11 +755,7 @@ impl AmuletOs {
                         arg0: self.device.cpu.reg(Reg::R14),
                         arg1: self.device.cpu.reg(Reg::R15),
                     };
-                    let pointer_args = self
-                        .api
-                        .by_num(num)
-                        .map(|f| f.pointer_arg_count())
-                        .unwrap_or(0);
+                    let (pointer_args, service_cycles) = service_costs(&self.api, num);
                     self.stats[idx].syscalls += 1;
 
                     // App → OS.
@@ -784,7 +780,7 @@ impl AmuletOs {
                     };
                     let outcome =
                         self.services
-                            .dispatch(&self.api, idx, num, args, at, &mut reader);
+                            .dispatch(service_cycles, idx, num, args, at, &mut reader);
                     self.device.charge_cycles(outcome.service_cycles);
                     self.stats[idx].service_cycles += outcome.service_cycles;
 

@@ -38,9 +38,6 @@ pub(crate) struct SyscallOutcome {
     pub ret: u16,
     /// Cycles consumed by the service body.
     pub service_cycles: u64,
-    /// Pointer arguments the trap path must have validated (count), used for
-    /// accounting checks in tests.
-    pub pointer_args: u32,
     /// A timer the application armed, in milliseconds (delivered by the
     /// scheduler as a future event).
     pub timer_armed_ms: Option<u16>,
@@ -51,6 +48,14 @@ pub(crate) struct SyscallOutcome {
     /// restores its own configuration, bounding how long the app retains
     /// the CPU without a full switch.
     pub yielded: bool,
+}
+
+/// What the trap path needs of system call `num`, from one lookup in
+/// `api`: its pointer-argument count and its service body's cycles (8 for
+/// a number `api` does not list).
+pub(crate) fn service_costs(api: &ApiSpec, num: u16) -> (u32, u64) {
+    api.by_num(num)
+        .map_or((0, 8), |f| (f.pointer_arg_count(), f.service_cycles))
 }
 
 /// Persistent OS service state (sensors, log, display).
@@ -92,25 +97,22 @@ impl Services {
 
     /// Dispatches one system call.
     ///
-    /// `read_word` lets buffer-taking services read application memory that
-    /// the trap path has already bounds-checked.
+    /// `service_cycles` is the service body's cost from the call's
+    /// [`ApiSpec`] entry, which the trap path looks up once per call (see
+    /// [`service_costs`]).  `read_word` lets buffer-taking services read
+    /// application memory that the trap path has already bounds-checked.
     pub(crate) fn dispatch(
         &mut self,
-        api: &ApiSpec,
+        service_cycles: u64,
         app_index: usize,
         num: u16,
         args: SyscallArgs,
         at_cycle: u64,
         read_word: &mut dyn FnMut(Addr) -> u16,
     ) -> SyscallOutcome {
-        // One table scan serves both fields (this runs for every syscall).
-        let func = api.by_num(num);
-        let service_cycles = func.map(|f| f.service_cycles).unwrap_or(8);
-        let pointer_args = func.map(|f| f.pointer_arg_count()).unwrap_or(0);
         let mut out = SyscallOutcome {
             ret: 0,
             service_cycles,
-            pointer_args,
             timer_armed_ms: None,
             subscribed_stream: None,
             yielded: false,
@@ -180,7 +182,7 @@ mod tests {
         let api = ApiSpec::amulet();
         let mut s = services(1);
         s.dispatch(
-            &api,
+            service_costs(&api, sysno::LOG_VALUE).1,
             0,
             sysno::LOG_VALUE,
             SyscallArgs { arg0: 42, arg1: 0 },
@@ -188,7 +190,7 @@ mod tests {
             &mut no_mem(),
         );
         s.dispatch(
-            &api,
+            service_costs(&api, sysno::DISPLAY_VALUE).1,
             1,
             sysno::DISPLAY_VALUE,
             SyscallArgs { arg0: 7, arg1: 0 },
@@ -206,7 +208,7 @@ mod tests {
         let api = ApiSpec::amulet();
         let mut s = services(1);
         let out = s.dispatch(
-            &api,
+            service_costs(&api, sysno::SET_TIMER).1,
             0,
             sysno::SET_TIMER,
             SyscallArgs { arg0: 500, arg1: 0 },
@@ -215,7 +217,7 @@ mod tests {
         );
         assert_eq!(out.timer_armed_ms, Some(500));
         let out = s.dispatch(
-            &api,
+            service_costs(&api, sysno::SUBSCRIBE).1,
             0,
             sysno::SUBSCRIBE,
             SyscallArgs { arg0: 3, arg1: 0 },
@@ -232,7 +234,7 @@ mod tests {
         let mem = [5u16, 6, 7, 8];
         let mut read = |addr: Addr| mem[((addr - 0x8000) / 2) as usize];
         let out = s.dispatch(
-            &api,
+            service_costs(&api, sysno::LOG_BUFFER).1,
             0,
             sysno::LOG_BUFFER,
             SyscallArgs {
@@ -244,7 +246,7 @@ mod tests {
         );
         assert_eq!(out.ret, 4);
         assert_eq!(s.log[0].value, 26);
-        assert_eq!(out.pointer_args, 1);
+        assert_eq!(service_costs(&api, sysno::LOG_BUFFER).0, 1);
         assert!(out.service_cycles > api.by_num(sysno::LOG_BUFFER).unwrap().service_cycles);
     }
 
@@ -254,7 +256,7 @@ mod tests {
         let mut s = services(9);
         let hr = s
             .dispatch(
-                &api,
+                service_costs(&api, sysno::GET_HEART_RATE).1,
                 0,
                 sysno::GET_HEART_RATE,
                 SyscallArgs::default(),
@@ -265,7 +267,7 @@ mod tests {
         assert!((40..=180).contains(&hr));
         let batt = s
             .dispatch(
-                &api,
+                service_costs(&api, sysno::GET_BATTERY).1,
                 0,
                 sysno::GET_BATTERY,
                 SyscallArgs::default(),
@@ -286,7 +288,7 @@ mod tests {
         let api = ApiSpec::amulet();
         let mut s = services(1);
         let out = s.dispatch(
-            &api,
+            service_costs(&api, sysno::YIELD).1,
             0,
             sysno::YIELD,
             SyscallArgs::default(),
@@ -295,7 +297,7 @@ mod tests {
         );
         assert!(out.yielded);
         let out = s.dispatch(
-            &api,
+            service_costs(&api, sysno::GET_TIME).1,
             0,
             sysno::GET_TIME,
             SyscallArgs::default(),
@@ -309,7 +311,14 @@ mod tests {
     fn unknown_syscall_is_a_cheap_no_op() {
         let api = ApiSpec::amulet();
         let mut s = services(1);
-        let out = s.dispatch(&api, 0, 999, SyscallArgs::default(), 0, &mut no_mem());
+        let out = s.dispatch(
+            service_costs(&api, 999).1,
+            0,
+            999,
+            SyscallArgs::default(),
+            0,
+            &mut no_mem(),
+        );
         assert_eq!(out.ret, 0);
         assert!(out.service_cycles <= 8);
     }

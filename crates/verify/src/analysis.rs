@@ -357,7 +357,7 @@ pub(crate) fn verify_firmware_with_sites(
     let mut apps = Vec::with_capacity(firmware.apps.len());
     for app in &firmware.apps {
         let empty = Vec::new();
-        let app_sites = sites.get(&app.name).unwrap_or(&empty);
+        let app_sites = sites.get(&*app.name).unwrap_or(&empty);
         apps.push(verify_app(firmware, app, app_sites));
     }
     VerifyReport {
@@ -451,7 +451,7 @@ fn verify_app(firmware: &Firmware, app: &AppBinary, sites: &[CheckSite]) -> AppV
     }
 
     AppVerification {
-        app: app.name.clone(),
+        app: app.name.to_string(),
         entry_points: fixpoint.entry_points,
         reachable_instrs: fixpoint.states.len(),
         dead_instrs,

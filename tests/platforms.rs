@@ -471,7 +471,7 @@ fn region_platform_isolates_apps_in_both_directions() {
             .firmware
             .apps
             .iter()
-            .position(|a| a.name == "Victim")
+            .position(|a| &*a.name == "Victim")
             .unwrap();
         let attacker_idx = 1 - victim_idx;
         let secret_addr = out.firmware.apps[victim_idx].placement.data.start as u16;
