@@ -31,7 +31,7 @@ use crate::link::{link_image, LinkApp, LinkableApp};
 use crate::parser::parse;
 use crate::sema::analyze;
 use amulet_core::checks::CheckPolicy;
-use amulet_core::layout::{MemoryMap, OsImageSpec, PlatformSpec};
+use amulet_core::layout::{OsImageSpec, PlatformSpec};
 use amulet_core::method::IsolationMethod;
 use amulet_mcu::firmware::Firmware;
 use std::collections::{BTreeMap, HashMap};
@@ -155,8 +155,6 @@ impl fmt::Display for BuildReport {
 pub struct BuildOutput {
     /// The firmware image to load onto the device.
     pub firmware: Firmware,
-    /// The final memory map.
-    pub memory_map: MemoryMap,
     /// The build report.
     pub report: BuildReport,
 }
@@ -222,10 +220,9 @@ impl Aft {
                 stack_override: app.stack_override,
             });
         let (firmware, linked) = link_through(self.method, &self.platform, apps, memo)?;
-        let memory_map = firmware.memory_map.clone();
         let reports = linked
             .iter()
-            .zip(&memory_map.apps)
+            .zip(&firmware.memory_map.apps)
             .map(|(LinkApp { unit, .. }, placement)| {
                 let info = unit.link_info(placement);
                 let facts = &unit.facts;
@@ -248,7 +245,6 @@ impl Aft {
 
         Ok(BuildOutput {
             firmware,
-            memory_map,
             report: BuildReport {
                 method: self.method,
                 apps: reports,
@@ -259,9 +255,9 @@ impl Aft {
 
 /// Builds the firmware image of `apps` for `method` on `platform`, taking
 /// each app's phases 1–2 from `memo` like [`Aft::build_with`]: the same
-/// image, without the build report or a copy of the memory map.  The apps
-/// are borrowed, so a caller that builds many images from a few apps'
-/// text copies none of it; `memo` is looked up by borrowing too.
+/// image, without the build report.  The apps are borrowed, so a caller
+/// that builds many images from a few apps' text copies none of it;
+/// `memo` is looked up by borrowing too.
 pub fn build_image<'a>(
     method: IsolationMethod,
     platform: &PlatformSpec,

@@ -22,7 +22,7 @@ use crate::error::{AftResult, CompileError};
 use amulet_core::addr::Addr;
 use amulet_core::checks::CheckSite;
 use amulet_core::layout::{
-    AppImageSpec, AppPlacement, MemoryMap, MemoryMapPlanner, OsImageSpec, PlatformSpec,
+    AppImageSpec, AppPlacement, MemoryMapPlanner, OsImageSpec, PlatformSpec,
 };
 use amulet_core::method::IsolationMethod;
 use amulet_core::mpu_plan::MpuPlan;
@@ -78,8 +78,6 @@ pub struct AppLinkInfo {
 pub struct LinkOutput {
     /// The final firmware image.
     pub firmware: Firmware,
-    /// The memory map it was linked against.
-    pub memory_map: MemoryMap,
     /// Per-application link information.
     pub apps: Vec<AppLinkInfo>,
 }
@@ -351,17 +349,12 @@ pub fn link(
         })
         .collect::<AftResult<Vec<_>>>()?;
     let firmware = link_image(method, platform, os_spec, &linked)?;
-    let memory_map = firmware.memory_map.clone();
     let apps = linked
         .iter()
-        .zip(&memory_map.apps)
+        .zip(&firmware.memory_map.apps)
         .map(|(app, placement)| app.unit.link_info(placement))
         .collect();
-    Ok(LinkOutput {
-        firmware,
-        memory_map,
-        apps,
-    })
+    Ok(LinkOutput { firmware, apps })
 }
 
 /// Phases 3 and 4 for one image: plans the memory map, places each app's
@@ -532,7 +525,7 @@ mod tests {
             let out = link_two(method);
             assert!(out.firmware.validate().is_ok());
             assert_eq!(out.firmware.apps.len(), 2);
-            assert_eq!(out.memory_map.apps.len(), 2);
+            assert_eq!(out.firmware.memory_map.apps.len(), 2);
             // Every handler resolves to a symbol inside its app's code
             // region.
             for app in &out.firmware.apps {
@@ -633,7 +626,10 @@ mod tests {
         }
         let fl = link_two(IsolationMethod::FeatureLimited);
         for app in &fl.firmware.apps {
-            assert_eq!(app.initial_sp, fl.memory_map.os_initial_stack_pointer());
+            assert_eq!(
+                app.initial_sp,
+                fl.firmware.memory_map.os_initial_stack_pointer()
+            );
         }
     }
 

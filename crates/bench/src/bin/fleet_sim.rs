@@ -39,12 +39,14 @@
 //!   are deterministic sample estimates — the default stepped fleet
 //!   (1000 devices × 120 events) is already past the sketch.  Either way
 //!   the document is the same for every worker count.
-//! * `--verify` gates every firmware image through the `amulet-verify`
-//!   static analyser before it enters the fleet (a proven-escape image
-//!   aborts the run) and attaches a `verifier` section with the fleet's
-//!   verdict counters.
+//! * `--verify` runs the `amulet-verify` static analyser over every
+//!   distinct firmware image once, before the campaign.  If any image has
+//!   a proven escape, it prints the failing keys to stderr and exits 1
+//!   without simulating; otherwise the document gains a `verifier`
+//!   section with the fleet's verdict counters.
 
-use amulet_bench::fleet_sim::{render_document_with, verify_summary_json};
+use amulet_bench::fleet_sim::{render_document_with, verify_gate, verify_summary_json};
+use amulet_bench::lint::verify_fleet;
 use amulet_fleet::{simulate_in, simulate_summary_in, FirmwareStore, FleetScenario, TimeMode};
 use std::time::Instant;
 
@@ -229,6 +231,15 @@ fn main() {
     validate(&cli);
 
     let (scenario, workers) = scenario_from(&cli);
+    let extras = if cli.verify {
+        let summary = verify_fleet(&scenario, workers);
+        if let Err(code) = verify_gate(&summary, &mut std::io::stderr()) {
+            std::process::exit(code);
+        }
+        vec![("verifier", verify_summary_json(&summary))]
+    } else {
+        Vec::new()
+    };
     let store = FirmwareStore::for_scenario(&scenario);
     let started = Instant::now();
     // `threads` is what the runner actually spawned, which may be fewer
@@ -241,14 +252,6 @@ fn main() {
         (r.aggregate, r.workers)
     };
     let wall = started.elapsed().as_secs_f64();
-    // The per-image gate already ran inside the builds; the `verifier`
-    // section reports the fleet-wide verdict counters alongside.
-    let extras = if cli.verify {
-        let summary = amulet_fleet::verify_fleet(&scenario, workers);
-        vec![("verifier", verify_summary_json(&summary))]
-    } else {
-        Vec::new()
-    };
     let json = render_document_with(&scenario, threads, &aggregate, Some(wall), extras);
     print!("{json}");
 }

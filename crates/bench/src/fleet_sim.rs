@@ -17,6 +17,7 @@
 //! [`TimeMode::Stepped`]: amulet_fleet::TimeMode::Stepped
 
 use crate::json::Json;
+use crate::lint::FleetVerifySummary;
 use amulet_fleet::{FleetAggregate, FleetScenario, TimeMode};
 
 /// Renders the deterministic part of a fleet report as a JSON document;
@@ -276,10 +277,23 @@ pub(crate) fn ota_wave_json(w: &amulet_fleet::OtaWaveStats) -> Json {
         .field("backoff_ms", w.backoff_ms)
 }
 
-/// Renders a [`amulet_fleet::FleetVerifySummary`] as one JSON object —
-/// the `verifier` section a `--verify` run attaches to its document.
-/// Deterministic: every field is a pure function of the scenario.
-pub fn verify_summary_json(v: &amulet_fleet::FleetVerifySummary) -> Json {
+/// The `fleet_sim --verify` gate, run once before the campaign: `Ok`
+/// when every image passes, otherwise the exit code 1, after one line
+/// per failing firmware key on `err`.
+pub fn verify_gate(v: &FleetVerifySummary, err: &mut dyn std::io::Write) -> Result<(), i32> {
+    if v.passes_gate() {
+        return Ok(());
+    }
+    for key in &v.gate_failures {
+        let _ = writeln!(err, "fleet_sim: verify gate refused firmware {key}");
+    }
+    Err(1)
+}
+
+/// Renders a [`FleetVerifySummary`] as one JSON object — the `verifier`
+/// section a `--verify` run attaches to its document.  Deterministic:
+/// every field is a pure function of the scenario.
+pub fn verify_summary_json(v: &FleetVerifySummary) -> Json {
     Json::obj()
         .field("images", v.images)
         .field("apps", v.apps)
@@ -403,7 +417,8 @@ mod tests {
             ..tiny()
         };
         let report = run(&scenario, 2);
-        let summary = amulet_fleet::verify_fleet(&scenario, 2);
+        let summary = crate::lint::verify_fleet(&scenario, 2);
+        assert_eq!(verify_gate(&summary, &mut Vec::new()), Ok(()));
         let text = render_document_with(
             &report.scenario,
             report.workers,
@@ -421,6 +436,28 @@ mod tests {
             assert!(text.contains(needle), "missing {needle}");
         }
         assert_eq!(text.matches('{').count(), text.matches('}').count());
+    }
+
+    #[test]
+    fn a_failing_image_makes_the_verify_gate_exit_1_naming_its_key() {
+        let summary = FleetVerifySummary {
+            images: 3,
+            apps: 4,
+            proven_safe: 10,
+            proven_escape: 2,
+            unknown: 1,
+            elidable_sites: 0,
+            elidable_candidates: 5,
+            gate_failures: vec!["cortex-m33|MPU|A+B".into(), "riscv-pmp|MPU|C".into()],
+        };
+        let mut err = Vec::new();
+        assert_eq!(verify_gate(&summary, &mut err), Err(1));
+        let err = String::from_utf8(err).unwrap();
+        assert_eq!(
+            err,
+            "fleet_sim: verify gate refused firmware cortex-m33|MPU|A+B\n\
+             fleet_sim: verify gate refused firmware riscv-pmp|MPU|C\n"
+        );
     }
 
     #[test]

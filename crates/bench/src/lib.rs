@@ -15,15 +15,16 @@
 //!   built-in platform profile, as JSON;
 //! * [`fleet_sim`] — the fleet-scale study: ≥ 1000 seeded devices in
 //!   parallel, with the per-event vs batched delivery comparison, as JSON;
-//! * [`lint`] — the `firmware_lint` static-verification document: every
-//!   distinct image of a fleet scenario run through `amulet-verify`, as a
-//!   deterministic text report CI pins with a golden fixture.
+//! * [`lint`] — static verification of a fleet: every distinct image of a
+//!   scenario run through `amulet-verify`, folded into the summary
+//!   `fleet_sim --verify` gates on, and rendered as the `firmware_lint`
+//!   document CI pins with a golden fixture.
 //!
 //! Each module exposes a pure function returning structured rows plus a
 //! `render` helper; the `table1`, `fig2`, `fig3`, `ablation_stacks`,
 //! `ablation_advanced_mpu`, `platform_compare` and `fleet_sim` binaries
-//! print them, and the Criterion benches wrap the same entry points.  The
-//! paper-figure binaries share one command-line parser, [`cli`].  JSON
+//! print them.  The paper-figure binaries share one command-line parser,
+//! [`cli`].  JSON
 //! output goes through the shared `json` writer.  The simulator's own
 //! throughput is measured by the separate `perfbench` harness, not here.
 

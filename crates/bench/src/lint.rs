@@ -1,6 +1,13 @@
-//! The `firmware_lint` document: every distinct firmware image a fleet
-//! scenario deploys, statically verified, rendered as one deterministic
-//! text report.
+//! Static verification of a fleet's firmware images, and the
+//! `firmware_lint` document that renders it.
+//!
+//! The fleet runner builds and runs images and never verifies them; the
+//! harness verifies.  [`verify_fleet_reports`] builds every distinct image
+//! a scenario deploys through the AFT and runs `amulet-verify` on each,
+//! and [`verify_fleet`] folds the reports into one
+//! [`FleetVerifySummary`].  `fleet_sim --verify` gates on that summary
+//! once, before its campaign, and `firmware_lint` prints the per-image
+//! reports.
 //!
 //! The document is a pure function of the scenario (worker count changes
 //! nothing — the reports come back in derivation order), which is what
@@ -8,8 +15,130 @@
 //! verdicts on the committed catalogue shows up as a byte diff, reviewed
 //! like any other behaviour change and re-blessed with `BLESS_GOLDEN=1`.
 
-use amulet_fleet::{verify_fleet_reports, FleetScenario, FleetVerifySummary};
+use amulet_aft::{Aft, UnitMemo};
+use amulet_fleet::{DeviceConfig, FleetScenario};
+use amulet_verify::{verify_build, AccessVerdict, VerifyReport};
 use std::fmt::Write as _;
+
+/// Verdict counters from statically verifying every distinct firmware
+/// image a scenario would build.
+///
+/// This is a pure function of the scenario — the images are built fresh
+/// through the AFT, so the counters cannot depend on what a campaign left
+/// in a firmware store.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FleetVerifySummary {
+    /// Distinct firmware images the fleet derivation produces.
+    pub images: usize,
+    /// Application instances verified across those images.
+    pub apps: usize,
+    /// Reachable memory accesses proven inside the app's isolation plan.
+    pub proven_safe: usize,
+    /// Reachable memory accesses proven to escape the plan.  Any
+    /// non-zero count fails the gate.
+    pub proven_escape: usize,
+    /// Reachable memory accesses the abstract domain cannot decide.
+    pub unknown: usize,
+    /// Software bound checks certified redundant (lint findings).
+    pub elidable_sites: usize,
+    /// Software bound checks the redundancy lint considered.
+    pub elidable_candidates: usize,
+    /// Firmware keys whose report failed [`VerifyReport::passes_gate`],
+    /// in derivation order.
+    pub gate_failures: Vec<String>,
+}
+
+impl FleetVerifySummary {
+    /// Whether every image in the fleet passed the verify gate.
+    pub fn passes_gate(&self) -> bool {
+        self.gate_failures.is_empty()
+    }
+
+    /// Folds keyed per-image reports (as [`verify_fleet_reports`]
+    /// returns them) into the fleet-wide counters.
+    pub fn from_reports(reports: &[(String, VerifyReport)]) -> Self {
+        let mut summary = FleetVerifySummary {
+            images: reports.len(),
+            apps: 0,
+            proven_safe: 0,
+            proven_escape: 0,
+            unknown: 0,
+            elidable_sites: 0,
+            elidable_candidates: 0,
+            gate_failures: Vec::new(),
+        };
+        for (key, report) in reports {
+            summary.apps += report.apps.len();
+            summary.proven_safe += report.proven_safe();
+            summary.proven_escape += report.proven_escape();
+            summary.unknown += report.unknown();
+            summary.elidable_sites += report.elidable_sites();
+            summary.elidable_candidates += report
+                .apps
+                .iter()
+                .map(|a| a.elidable_candidates)
+                .sum::<usize>();
+            if !report.passes_gate() {
+                summary.gate_failures.push(key.clone());
+            }
+        }
+        summary
+    }
+}
+
+/// Statically verifies every distinct firmware image `scenario` would
+/// deploy on `workers` threads and folds the per-image [`VerifyReport`]s
+/// into one [`FleetVerifySummary`].  The gate judges exactly the image
+/// the compiler emitted, which is the image the fleet deploys.
+pub fn verify_fleet(scenario: &FleetScenario, workers: usize) -> FleetVerifySummary {
+    FleetVerifySummary::from_reports(&verify_fleet_reports(scenario, workers))
+}
+
+/// The per-image half of [`verify_fleet`]: statically verifies every
+/// distinct firmware image `scenario` would deploy and returns the keyed
+/// [`VerifyReport`]s in derivation order (the order
+/// [`FleetScenario::distinct_configs_by_first_use`] first meets each
+/// image).  Each of `workers` threads verifies one contiguous run of the
+/// images, and every build compiles each distinct app once through one
+/// shared memo.
+pub fn verify_fleet_reports(
+    scenario: &FleetScenario,
+    workers: usize,
+) -> Vec<(String, VerifyReport)> {
+    let distinct = scenario.distinct_configs_by_first_use(workers);
+    let memo = &UnitMemo::default();
+    let run = distinct.len().div_ceil(workers.max(1)).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = distinct
+            .chunks(run)
+            .map(|images| {
+                scope.spawn(move || {
+                    images
+                        .iter()
+                        .map(|(key, cfg)| (key.clone(), verify_image(key, cfg, memo)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("verify worker panicked"))
+            .collect()
+    })
+}
+
+/// Builds device `cfg`'s image with its build report, compiling each
+/// distinct app once per `memo`, and verifies it.
+fn verify_image(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> VerifyReport {
+    let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
+    for app in &cfg.apps {
+        aft = aft.add_app(app.app_source());
+    }
+    let out = aft
+        .build_with(memo)
+        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"));
+    verify_build(&out)
+}
 
 /// Renders the lint document for `scenario` and returns it with the
 /// folded fleet-wide counters (whose `passes_gate()` decides the lint's
@@ -51,14 +180,14 @@ pub fn lint_document(scenario: &FleetScenario, workers: usize) -> (String, Fleet
                 let _ = writeln!(out, "    {finding}");
             }
             for access in &app.accesses {
-                if access.verdict == amulet_verify::AccessVerdict::Unknown {
+                if access.verdict == AccessVerdict::Unknown {
                     let _ = writeln!(
                         out,
                         "    unknown: {:#06x} {} targets [{:#06x}, {:#06x}]",
                         access.at, access.instr, access.lo, access.hi
                     );
                 }
-                if access.verdict == amulet_verify::AccessVerdict::ProvenEscape {
+                if access.verdict == AccessVerdict::ProvenEscape {
                     let _ = writeln!(
                         out,
                         "    ESCAPE: {:#06x} {} targets [{:#06x}, {:#06x}]",

@@ -111,7 +111,7 @@ fn catalog_packing(platform: &PlatformSpec) -> (u32, u32, u32) {
     let out = aft
         .build()
         .unwrap_or_else(|e| panic!("{}: catalogue build failed: {e}", platform.name));
-    let footprint = out.memory_map.apps_end() - out.memory_map.apps_base();
+    let footprint = out.firmware.memory_map.apps_end() - out.firmware.memory_map.apps_base();
     let used: u32 = out
         .report
         .apps
@@ -121,7 +121,7 @@ fn catalog_packing(platform: &PlatformSpec) -> (u32, u32, u32) {
     (
         footprint,
         footprint.saturating_sub(used),
-        out.memory_map.total_padding_bytes(),
+        out.firmware.memory_map.total_padding_bytes(),
     )
 }
 
@@ -326,8 +326,9 @@ mod tests {
             aft = aft.add_app(app.app_source());
         }
         let out = aft.build().unwrap();
-        for i in 0..out.memory_map.apps.len() {
-            let plan = amulet_core::mpu_plan::MpuPlan::for_app_on(&out.memory_map, i).unwrap();
+        for i in 0..out.firmware.memory_map.apps.len() {
+            let plan =
+                amulet_core::mpu_plan::MpuPlan::for_app_on(&out.firmware.memory_map, i).unwrap();
             for seg in &plan.segments {
                 let len = seg.range.len();
                 assert!(len.is_power_of_two(), "{:?} not a power of two", seg.range);

@@ -1,4 +1,5 @@
-//! Golden fixture for the `firmware_lint` document.
+//! Golden fixture for the `firmware_lint` document, and the static
+//! verifier checked against the fleet's dynamic containment matrix.
 //!
 //! The lint document is a pure function of the scenario, so this test can
 //! pin it byte for byte: any change to the verifier's verdicts on the
@@ -9,7 +10,7 @@
 //! To re-bless after an intentional verifier change:
 //! `BLESS_GOLDEN=1 cargo test -p amulet-bench --test golden_lint`
 
-use amulet_bench::lint::lint_document;
+use amulet_bench::lint::{lint_document, verify_fleet};
 use amulet_fleet::FleetScenario;
 use std::path::PathBuf;
 
@@ -68,4 +69,39 @@ fn lint_document_matches_the_golden_fixture() {
              with BLESS_GOLDEN=1"
         );
     }
+}
+
+#[test]
+fn static_verifier_cross_validates_the_dynamic_matrix() {
+    // Soundness criterion from the containment matrix (the fleet crate's
+    // `containment` tests): an app whose probe
+    // dynamically escaped (or was caught) may never verify with its
+    // attacking access proven safe.  The probes are payload-controlled,
+    // so every one of them must stay (at best) unknown — summed over a
+    // whole storm's worth of adversarial images, the undecided count is
+    // strictly positive while benign catalogue code still certifies.
+    let summary = verify_fleet(&FleetScenario::storm(120), 4);
+    assert!(summary.images > 0, "the storm deploys firmware");
+    assert!(summary.apps > summary.images, "multi-app images verified");
+    assert!(
+        summary.unknown > 0,
+        "payload-controlled probes must stay undecided"
+    );
+    assert!(
+        summary.proven_safe > summary.unknown,
+        "benign catalogue accesses still certify ({} safe vs {} unknown)",
+        summary.proven_safe,
+        summary.unknown
+    );
+    assert!(
+        summary.elidable_sites > 0 && summary.elidable_sites < summary.elidable_candidates,
+        "some checks are redundant, attack-guarding ones are not ({}/{})",
+        summary.elidable_sites,
+        summary.elidable_candidates
+    );
+    assert!(
+        summary.passes_gate(),
+        "no storm image contains a *proven* escape: {:?}",
+        summary.gate_failures
+    );
 }

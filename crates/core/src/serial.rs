@@ -6,7 +6,7 @@
 //! byte-level [`Writer`] / [`Reader`] primitives, the shared [`DecodeError`], and [`Codec`]
 //! implementations for every *policy* type an encoded firmware image
 //! embeds — address ranges, permissions, isolation methods, platform
-//! specs, memory maps, MPU plans and MPU register configurations.  The
+//! specs, memory maps and MPU register configurations.  The
 //! *mechanism* types (instructions, instruction stores, firmware images)
 //! implement [`Codec`] in `amulet_mcu::serial` on top of these
 //! primitives.
@@ -30,8 +30,7 @@ use crate::addr::{Addr, AddrRange, ADDRESS_SPACE_END};
 use crate::layout::{AppPlacement, MemoryMap, PlatformSpec};
 use crate::method::IsolationMethod;
 use crate::mpu_plan::{
-    MpuConfig, MpuContext, MpuPlan, MpuRegisterValues, MpuSegmentPlan, PmpRegisterValues,
-    RegionDesc, RegionRegisterValues, SegmentRole,
+    MpuConfig, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
 };
 use crate::perm::Perm;
 use crate::platform::{CycleCostTable, EnergyParams, MpuModel, RegionConstraints, SizeRule};
@@ -713,102 +712,6 @@ impl Codec for MpuConfig {
     }
 }
 
-impl Codec for SegmentRole {
-    fn encode(&self, w: &mut Writer) {
-        w.u8(match self {
-            SegmentRole::InfoMem => 0,
-            SegmentRole::BelowAppData => 1,
-            SegmentRole::AppDataStack => 2,
-            SegmentRole::AboveApp => 3,
-            SegmentRole::OsCode => 4,
-            SegmentRole::OsData => 5,
-            SegmentRole::AppsRegion => 6,
-            SegmentRole::AppCode => 7,
-            // Tag 8 is unassigned: the v1 format keeps every other tag.
-            SegmentRole::OsSram => 9,
-            SegmentRole::OsPeripherals => 10,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8("segment role")? {
-            0 => Ok(SegmentRole::InfoMem),
-            1 => Ok(SegmentRole::BelowAppData),
-            2 => Ok(SegmentRole::AppDataStack),
-            3 => Ok(SegmentRole::AboveApp),
-            4 => Ok(SegmentRole::OsCode),
-            5 => Ok(SegmentRole::OsData),
-            6 => Ok(SegmentRole::AppsRegion),
-            7 => Ok(SegmentRole::AppCode),
-            9 => Ok(SegmentRole::OsSram),
-            10 => Ok(SegmentRole::OsPeripherals),
-            tag => Err(DecodeError::BadTag {
-                what: "segment role",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Codec for MpuContext {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            MpuContext::OsRunning => w.u8(0),
-            MpuContext::AppRunning { name, index } => {
-                w.u8(1);
-                w.str(name);
-                w.usize(*index);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8("MPU context")? {
-            0 => Ok(MpuContext::OsRunning),
-            1 => Ok(MpuContext::AppRunning {
-                name: r.str("app name")?.into(),
-                index: r.usize("app index")?,
-            }),
-            tag => Err(DecodeError::BadTag {
-                what: "MPU context",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Codec for MpuSegmentPlan {
-    fn encode(&self, w: &mut Writer) {
-        w.usize(self.index);
-        self.range.encode(w);
-        self.perm.encode(w);
-        self.role.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MpuSegmentPlan {
-            index: r.usize("segment index")?,
-            range: AddrRange::decode(r)?,
-            perm: Perm::decode(r)?,
-            role: SegmentRole::decode(r)?,
-        })
-    }
-}
-
-impl Codec for MpuPlan {
-    fn encode(&self, w: &mut Writer) {
-        self.context.encode(w);
-        encode_seq(&self.segments, w);
-        w.u32(self.boundary1);
-        w.u32(self.boundary2);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MpuPlan {
-            context: MpuContext::decode(r)?,
-            segments: decode_seq(r, "segment plans", 14)?,
-            boundary1: r.u32("boundary1")?,
-            boundary2: r.u32("boundary2")?,
-        })
-    }
-}
-
 /// `Option<u32>` — used by persisted optional size estimates.
 impl Codec for Option<u32> {
     fn encode(&self, w: &mut Writer) {
@@ -847,6 +750,7 @@ impl Codec for (Arc<str>, Addr) {
 mod tests {
     use super::*;
     use crate::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec};
+    use crate::mpu_plan::MpuPlan;
     use crate::platform::builtin_platforms;
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
@@ -878,11 +782,9 @@ mod tests {
                 .unwrap();
             roundtrip(&map);
             let os_plan = MpuPlan::for_os_on(&map).unwrap();
-            roundtrip(&os_plan);
             roundtrip(&os_plan.config(&map.platform.mpu));
             for i in 0..map.apps.len() {
                 let plan = MpuPlan::for_app_on(&map, i).unwrap();
-                roundtrip(&plan);
                 roundtrip(&plan.config(&map.platform.mpu));
             }
         }

@@ -227,7 +227,7 @@ mod tests {
     fn some_firmware() -> std::sync::Arc<Firmware> {
         let s = FleetScenario::default();
         let cfg = s.device_config(0);
-        crate::run::build_firmware(&cfg.firmware_key(), &cfg, &Default::default())
+        crate::FirmwareStore::for_scenario(&s).get_or_build(&cfg.firmware_key(), &cfg)
     }
 
     #[test]

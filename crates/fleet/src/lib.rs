@@ -70,8 +70,8 @@ pub(crate) mod store;
 
 pub use faults::Verdict;
 pub use run::{
-    replay_device, simulate_in, simulate_summary_in, verify_fleet, verify_fleet_reports,
-    DeviceResult, FleetReport, FleetSummary, FleetVerifySummary, PolicyOutcome,
+    replay_device, simulate_in, simulate_summary_in, DeviceResult, FleetReport, FleetSummary,
+    PolicyOutcome,
 };
 pub use scenario::{ConfigContext, DeviceConfig, FleetScenario, TimeMode};
 pub use stats::{

@@ -11,15 +11,11 @@
 use crate::scenario::{DeviceConfig, FleetScenario, TimeMode};
 use crate::stats::{aggregate, FleetAggregate};
 use crate::store::FirmwareStore;
-use amulet_aft::aft::{build_image, Aft, BuildOutput, UnitMemo};
-use amulet_apps::CatalogApp;
 use amulet_arp::arp::Arp;
 use amulet_core::energy::{BatteryModel, EnergyModel};
 use amulet_core::method::IsolationMethod;
-use amulet_mcu::firmware::Firmware;
 use amulet_os::events::{DeliveryPolicy, Event, EventKind};
 use amulet_os::os::{AmuletOs, OsCheckpoint, OsOptions};
-use std::sync::Arc;
 
 /// What one device did under one delivery policy.
 ///
@@ -403,40 +399,6 @@ pub(crate) fn simulate_device(
     }
 }
 
-/// Compiles device `cfg`'s apps through the AFT for its method and
-/// platform, each distinct app once per `memo` — the one build both
-/// [`build_firmware`] and [`verify_fleet_reports`] start from.
-fn aft_build(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> BuildOutput {
-    let mut aft = Aft::for_platform(cfg.method, &cfg.platform);
-    for app in &cfg.apps {
-        aft = aft.add_app(app.app_source());
-    }
-    aft.build_with(memo)
-        .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}"))
-}
-
-/// Builds one device configuration's firmware image, compiling its apps
-/// through `memo`.  With [`DeviceConfig::verify`] the amulet-verify gate
-/// must certify the build free of proven-escape accesses before the image
-/// may enter the fleet; without it the image is built alone, from the
-/// catalogue's text by reference, with no build report.
-pub(crate) fn build_firmware(key: &str, cfg: &DeviceConfig, memo: &UnitMemo) -> Arc<Firmware> {
-    if !cfg.verify {
-        let apps = cfg.apps.iter().map(CatalogApp::app_ref);
-        return Arc::new(
-            build_image(cfg.method, &cfg.platform, apps, memo)
-                .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}")),
-        );
-    }
-    let out = aft_build(key, cfg, memo);
-    let report = amulet_verify::verify_build(&out);
-    assert!(
-        report.passes_gate(),
-        "fleet verify gate refused firmware {key}:\n{report}"
-    );
-    Arc::new(out.firmware)
-}
-
 /// The options a runtime boots device `cfg`'s image with.
 pub(crate) fn runtime_options(cfg: &DeviceConfig) -> OsOptions {
     OsOptions {
@@ -542,112 +504,6 @@ pub fn simulate_summary_in(
         workers: threads,
         aggregate: crate::stats::reduce_blocks(&blocks),
     }
-}
-
-/// Verdict counters from statically verifying every distinct firmware
-/// image a scenario would build.
-///
-/// This is a pure function of the scenario — the images are rebuilt
-/// fresh through the AFT (never read back from a cache), so the counters
-/// cannot depend on what an earlier run left in a [`FirmwareStore`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetVerifySummary {
-    /// Distinct firmware images the fleet derivation produces.
-    pub images: usize,
-    /// Application instances verified across those images.
-    pub apps: usize,
-    /// Reachable memory accesses proven inside the app's isolation plan.
-    pub proven_safe: usize,
-    /// Reachable memory accesses proven to escape the plan.  Any
-    /// non-zero count fails the gate.
-    pub proven_escape: usize,
-    /// Reachable memory accesses the abstract domain cannot decide.
-    pub unknown: usize,
-    /// Software bound checks certified redundant (lint findings).
-    pub elidable_sites: usize,
-    /// Software bound checks the redundancy lint considered.
-    pub elidable_candidates: usize,
-    /// Firmware keys whose report failed [`VerifyReport::passes_gate`],
-    /// in derivation order.
-    ///
-    /// [`VerifyReport::passes_gate`]: amulet_verify::VerifyReport::passes_gate
-    pub gate_failures: Vec<String>,
-}
-
-impl FleetVerifySummary {
-    /// Whether every image in the fleet passed the verify gate.
-    pub fn passes_gate(&self) -> bool {
-        self.gate_failures.is_empty()
-    }
-
-    /// Folds keyed per-image reports (as [`verify_fleet_reports`]
-    /// returns them) into the fleet-wide counters.
-    pub fn from_reports(reports: &[(String, amulet_verify::VerifyReport)]) -> Self {
-        let mut summary = FleetVerifySummary {
-            images: reports.len(),
-            apps: 0,
-            proven_safe: 0,
-            proven_escape: 0,
-            unknown: 0,
-            elidable_sites: 0,
-            elidable_candidates: 0,
-            gate_failures: Vec::new(),
-        };
-        for (key, report) in reports {
-            summary.apps += report.apps.len();
-            summary.proven_safe += report.proven_safe();
-            summary.proven_escape += report.proven_escape();
-            summary.unknown += report.unknown();
-            summary.elidable_sites += report.elidable_sites();
-            summary.elidable_candidates += report
-                .apps
-                .iter()
-                .map(|a| a.elidable_candidates)
-                .sum::<usize>();
-            if !report.passes_gate() {
-                summary.gate_failures.push(key.clone());
-            }
-        }
-        summary
-    }
-}
-
-/// Statically verifies every distinct firmware image `scenario` would
-/// deploy, claiming the builds across `workers` threads, and reduces
-/// the per-image [`VerifyReport`]s into one [`FleetVerifySummary`] in
-/// derivation order.  The gate judges exactly the image the compiler
-/// emitted, which is the image the fleet deploys.
-///
-/// [`VerifyReport`]: amulet_verify::VerifyReport
-pub fn verify_fleet(scenario: &FleetScenario, workers: usize) -> FleetVerifySummary {
-    FleetVerifySummary::from_reports(&verify_fleet_reports(scenario, workers))
-}
-
-/// The per-image half of [`verify_fleet`]: statically verifies every
-/// distinct firmware image `scenario` would deploy and returns the keyed
-/// [`VerifyReport`]s in derivation order (the order the fleet's
-/// device-config walk first encounters each image).
-///
-/// [`VerifyReport`]: amulet_verify::VerifyReport
-pub fn verify_fleet_reports(
-    scenario: &FleetScenario,
-    workers: usize,
-) -> Vec<(String, amulet_verify::VerifyReport)> {
-    let distinct = scenario.distinct_configs_by_first_use(workers);
-    let memo = UnitMemo::default();
-    let (reports, _) = crate::partition::claim_loop(
-        distinct.len(),
-        workers,
-        || (),
-        |_, claim| {
-            let (key, cfg) = &distinct[claim];
-            Some((
-                key.clone(),
-                amulet_verify::verify_build(&aft_build(key, cfg, &memo)),
-            ))
-        },
-    );
-    reports
 }
 
 #[cfg(test)]

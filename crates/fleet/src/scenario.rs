@@ -121,10 +121,10 @@ pub struct FleetScenario {
     /// Retries after a corrupt OTA attempt before the device rolls back
     /// to the image it is already running.
     pub ota_max_retries: u32,
-    /// Statically verify every firmware image entering the fleet: the
-    /// `amulet-verify` abstract interpreter must prove the build free of
-    /// proven-escape accesses (the gate), or the build is refused.
-    /// Draw-free: arming it changes no device derivation.
+    /// Whether the harness statically verified every firmware image of
+    /// the campaign before running it (`fleet_sim --verify`); rendered as
+    /// `"verify": true`.  The harness reads it and the runner does not:
+    /// it changes no device derivation and no build.
     pub verify: bool,
     /// Has no effect: check elision is gone and nothing in the workspace
     /// reads it.  It survives only because the `perfbench` replay still
@@ -248,9 +248,6 @@ pub struct DeviceConfig {
     /// Seed of this device's OTA re-install transaction, when the OTA
     /// wave sweeps it (see [`FleetScenario::ota_permille`]).
     pub ota_seed: Option<u64>,
-    /// Whether the firmware build must pass the static verify gate
-    /// (copied from [`FleetScenario::verify`]).
-    pub verify: bool,
     /// The compact form of [`DeviceConfig::firmware_key`].
     pub(crate) key: ConfigKey,
 }
@@ -434,7 +431,7 @@ impl FleetScenario {
     /// [`ConfigContext`] — identical output, none of the per-call
     /// catalogue/platform allocation.
     pub fn device_config_in(&self, ctx: &ConfigContext, index: usize) -> DeviceConfig {
-        self.config_of(ctx, self.draw(ctx, index))
+        Self::config_of(ctx, self.draw(ctx, index))
     }
 
     /// Device `index`'s draws.  Reads only `ctx`'s fixed tables (their
@@ -519,7 +516,7 @@ impl FleetScenario {
 
     /// The device configuration `draw` describes, its platform and apps
     /// shared with `ctx`.
-    fn config_of(&self, ctx: &ConfigContext, draw: Draw) -> DeviceConfig {
+    fn config_of(ctx: &ConfigContext, draw: Draw) -> DeviceConfig {
         let (wstart, wlen, start, count) = draw.mix;
         let apps = match draw.adversarial {
             None => ctx.window_mix(wstart, wlen, start, count),
@@ -535,10 +532,6 @@ impl FleetScenario {
             silent: draw.silent,
             fault: draw.fault,
             ota_seed: draw.ota_seed,
-            // Draw-free copy: arming the verifier consumes no splitmix
-            // draws, so every other field above derives bit for bit
-            // identically with or without it.
-            verify: self.verify,
             key: draw.key,
         }
     }
@@ -546,9 +539,11 @@ impl FleetScenario {
     /// Each distinct firmware configuration of the fleet, keyed by its
     /// firmware key, in the order the device walk first meets it: the
     /// kept config is its key's lowest-index device.  Deduplicates on the
-    /// compact [`ConfigKey`] of each device's draws, so only the kept
+    /// compact copyable key of each device's draws, so only the kept
     /// configs are made and the `String` key is formatted once per
-    /// distinct config rather than once per device.
+    /// distinct config rather than once per device.  The harness's static
+    /// verification reports images in this order, and its `firmware_lint`
+    /// golden fixture pins it.
     ///
     /// The walk is split over `threads` threads: each draws its own
     /// contiguous range of device indices and keeps each key's first
@@ -558,10 +553,7 @@ impl FleetScenario {
     /// result is the serial walk's for any thread count.  The threads
     /// only read the one [`ConfigContext`]; the kept configs are made from
     /// it after the merge.
-    pub(crate) fn distinct_configs_by_first_use(
-        &self,
-        threads: usize,
-    ) -> Vec<(String, DeviceConfig)> {
+    pub fn distinct_configs_by_first_use(&self, threads: usize) -> Vec<(String, DeviceConfig)> {
         let threads = threads.clamp(1, self.devices.max(1));
         let per_range = self.devices.div_ceil(threads);
         let ctx = ConfigContext::new();
@@ -585,7 +577,7 @@ impl FleetScenario {
             .flatten()
             .filter(|draw| seen.insert(draw.key))
             .map(|draw| {
-                let cfg = self.config_of(&ctx, draw);
+                let cfg = Self::config_of(&ctx, draw);
                 (cfg.firmware_key(), cfg)
             })
             .collect()

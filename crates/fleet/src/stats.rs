@@ -4,14 +4,14 @@
 //! report is bit-identical regardless of how many worker threads produced
 //! the per-device results.
 //!
-//! Two reduction paths share one fold ([`aggregate`] and
-//! [`reduce_blocks`]): the exact path reduces a materialised
-//! `Vec<DeviceResult>`, while the streaming path folds each finished
-//! device block into a [`BlockSummary`] on the worker that simulated it —
-//! no 10⁶-element result vector, no unbounded latency-sample
-//! concatenation — and merges the summaries in block order.  Per-device
-//! energy and lifetime percentiles stay exact at every fleet size (two
-//! `f64`s per device); delivery-latency statistics come from an
+//! There is one reduction path, [`reduce_blocks`]: the streaming runner
+//! folds each finished device block into a [`BlockSummary`] on the worker
+//! that simulated it — no 10⁶-element result vector, no unbounded
+//! latency-sample concatenation — and merges the summaries in block
+//! order, and [`aggregate`] reduces a materialised `Vec<DeviceResult>` as
+//! one block whose latency sketch keeps every sample.  Per-device energy
+//! and lifetime percentiles stay exact at every fleet size (two `f64`s
+//! per device); delivery-latency statistics come from an
 //! order-independent bottom-k sketch that is exact while the fleet's
 //! sample count fits its capacity and a uniform-sample estimate beyond
 //! it, with a property test pinning the small-N case against the exact
@@ -148,10 +148,8 @@ pub struct PolicyAggregate {
     pub battery_weeks_p50: f64,
 }
 
-/// The order-sensitive running fold of one policy's outcomes — the single
-/// implementation both the exact reduction ([`aggregate`]) and the
-/// streaming reduction ([`reduce_blocks`]) finish through, so the derived
-/// formulas can never drift apart.  Scalars accumulate in device order;
+/// The order-sensitive running fold of one policy's outcomes, finished
+/// by [`reduce_blocks`].  Scalars accumulate in device order;
 /// per-device energies and lifetimes are kept (two `f64`s per device) so
 /// their percentiles are exact at every fleet size.
 #[derive(Clone, Debug, Default)]
@@ -259,23 +257,9 @@ impl PolicyFold {
     }
 }
 
-fn reduce_policy<'a>(
-    devices: &'a [DeviceResult],
-    outcome: impl Fn(&'a DeviceResult) -> &'a PolicyOutcome,
-    latencies: impl Fn(&'a DeviceResult) -> &'a [f64],
-) -> PolicyAggregate {
-    let mut fold = PolicyFold::default();
-    let mut samples: Vec<f64> = Vec::new();
-    for d in devices {
-        fold.add(outcome(d));
-        samples.extend_from_slice(latencies(d));
-    }
-    fold.finish(LatencyStats::from_samples(samples))
-}
-
-/// Capacity of the delivery-latency sketch: statistics are **exact**
-/// while a leg's fleet-wide sample count fits, and a deterministic
-/// uniform-sample estimate beyond it.
+/// Capacity of the streaming runner's delivery-latency sketch:
+/// statistics are **exact** while a leg's fleet-wide sample count fits,
+/// and a deterministic uniform-sample estimate beyond it.
 const LATENCY_SKETCH_K: usize = 2048;
 
 /// SplitMix64 finalizer over a sample's identity, giving every latency
@@ -302,8 +286,11 @@ fn sample_priority(device: u64, seq: u32) -> u64 {
 /// samples and the finished statistics are exact; beyond `k` the retained
 /// set is a uniform random sample and the statistics are estimates
 /// (`events` and `max_ms` stay exact — they are order-free scalars).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct LatencySketch {
+    /// `k`: [`LATENCY_SKETCH_K`], or `usize::MAX` for a sketch that keeps
+    /// every sample.  A merge keeps the larger of the two.
+    capacity: usize,
     /// Retained `(priority, device, seq, value)` entries; pruned to the
     /// `k` smallest `(priority, device, seq)` whenever it overflows.
     entries: Vec<(u64, u64, u32, f64)>,
@@ -313,27 +300,43 @@ struct LatencySketch {
     max_ms: f64,
 }
 
+impl Default for LatencySketch {
+    fn default() -> Self {
+        Self::with_capacity(LATENCY_SKETCH_K)
+    }
+}
+
 impl LatencySketch {
+    fn with_capacity(capacity: usize) -> Self {
+        LatencySketch {
+            capacity,
+            entries: Vec::new(),
+            count: 0,
+            max_ms: 0.0,
+        }
+    }
+
     fn push(&mut self, device: u64, seq: u32, value: f64) {
         self.count += 1;
         self.max_ms = self.max_ms.max(value);
         self.entries
             .push((sample_priority(device, seq), device, seq, value));
-        if self.entries.len() >= 2 * LATENCY_SKETCH_K {
+        if self.entries.len() >= self.capacity.saturating_mul(2) {
             self.prune();
         }
     }
 
     fn prune(&mut self) {
-        if self.entries.len() > LATENCY_SKETCH_K {
+        if self.entries.len() > self.capacity {
             self.entries
                 .sort_unstable_by_key(|&(pri, dev, seq, _)| (pri, dev, seq));
-            self.entries.truncate(LATENCY_SKETCH_K);
+            self.entries.truncate(self.capacity);
         }
     }
 
     /// Folds a later (or earlier — order does not matter) sketch in.
     fn merge(&mut self, other: &LatencySketch) {
+        self.capacity = self.capacity.max(other.capacity);
         self.count += other.count;
         self.max_ms = self.max_ms.max(other.max_ms);
         self.entries.extend_from_slice(&other.entries);
@@ -398,10 +401,21 @@ impl BlockSummary {
     pub(crate) fn fold<'a>(
         devices: impl ExactSizeIterator<Item = (usize, &'a DeviceResult)>,
     ) -> Self {
+        Self::fold_keeping(devices, LATENCY_SKETCH_K)
+    }
+
+    /// [`BlockSummary::fold`] with latency sketches that retain up to
+    /// `samples` samples per leg.
+    fn fold_keeping<'a>(
+        devices: impl ExactSizeIterator<Item = (usize, &'a DeviceResult)>,
+        samples: usize,
+    ) -> Self {
         let mut s = BlockSummary {
             devices: devices.len(),
             per_event: PolicyFold::with_capacity(devices.len()),
             batched: PolicyFold::with_capacity(devices.len()),
+            per_event_latency: LatencySketch::with_capacity(samples),
+            batched_latency: LatencySketch::with_capacity(samples),
             ..BlockSummary::default()
         };
         for (index, d) in devices {
@@ -438,8 +452,7 @@ fn count_in(map: &mut BTreeMap<String, u64>, key: &str) {
 }
 
 /// Records one (device, app) battery impact in the per-profile histogram
-/// map — the one bucketing implementation [`aggregate`] and
-/// [`BlockSummary::from_devices`] share.
+/// map.
 fn bucket_impact(histograms: &mut BTreeMap<String, ProfileHistogram>, profile: &str, impact: f64) {
     if !histograms.contains_key(profile) {
         histograms.insert(
@@ -465,8 +478,7 @@ fn bucket_impact(histograms: &mut BTreeMap<String, ProfileHistogram>, profile: &
 }
 
 /// Reduces block summaries (must be in block order) to the fleet
-/// aggregate — the streaming counterpart of [`aggregate`], sharing its
-/// fold and formulas.  For a single block the result is identical to
+/// aggregate.  For a single block the result is identical to
 /// [`aggregate`] over the block's devices, latency statistics included
 /// while the sample count fits the sketch (the equivalence property test
 /// pins both).
@@ -513,32 +525,6 @@ pub fn reduce_blocks(blocks: &[BlockSummary]) -> FleetAggregate {
     }
     let per_event = per_event.finish(per_event_latency.finish());
     let batched = batched.finish(batched_latency.finish());
-    finish_aggregate(
-        devices,
-        per_platform,
-        per_method,
-        histograms,
-        containment,
-        ota,
-        per_event,
-        batched,
-    )
-}
-
-/// Assembles the [`FleetAggregate`] from finished pieces — shared by
-/// [`aggregate`] and [`reduce_blocks`] so the savings formulas are
-/// written once.
-#[allow(clippy::too_many_arguments)]
-fn finish_aggregate(
-    devices: usize,
-    per_platform: BTreeMap<String, u64>,
-    per_method: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, ProfileHistogram>,
-    containment: ContainmentMap,
-    ota_wave: OtaWaveStats,
-    per_event: PolicyAggregate,
-    batched: PolicyAggregate,
-) -> FleetAggregate {
     let saved = per_event
         .switch_cycles
         .saturating_sub(batched.switch_cycles);
@@ -562,7 +548,7 @@ fn finish_aggregate(
         batched,
         battery_histograms: histograms.into_values().collect(),
         containment: finish_containment(containment),
-        ota_wave,
+        ota_wave: ota,
     }
 }
 
@@ -735,35 +721,14 @@ pub struct FleetAggregate {
     pub ota_wave: OtaWaveStats,
 }
 
-/// Reduces per-device results (must be in device order) to the aggregate.
+/// Reduces per-device results (must be in device order) to the
+/// aggregate: [`reduce_blocks`] over one block whose latency sketches keep
+/// every sample, so every statistic is exact.
 pub fn aggregate(devices: &[DeviceResult]) -> FleetAggregate {
-    let per_event = reduce_policy(devices, |d| &d.per_event, |d| &d.per_event_latencies_ms);
-    let batched = reduce_policy(devices, |d| &d.batched, |d| &d.batched_latencies_ms);
-
-    let mut per_platform: BTreeMap<String, u64> = BTreeMap::new();
-    let mut per_method: BTreeMap<String, u64> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, ProfileHistogram> = BTreeMap::new();
-    let mut containment = ContainmentMap::new();
-    let mut ota = OtaWaveStats::default();
-    for d in devices {
-        count_in(&mut per_platform, &d.platform);
-        count_in(&mut per_method, d.method.label());
-        for (profile, impact) in &d.battery_impacts {
-            bucket_impact(&mut histograms, profile, *impact);
-        }
-        record_fault(&mut containment, d);
-        ota.record(d);
-    }
-    finish_aggregate(
-        devices.len(),
-        per_platform,
-        per_method,
-        histograms,
-        containment,
-        ota,
-        per_event,
-        batched,
-    )
+    reduce_blocks(&[BlockSummary::fold_keeping(
+        devices.iter().map(|d| (d.index, d)),
+        usize::MAX,
+    )])
 }
 
 #[cfg(test)]

@@ -2,12 +2,12 @@
 //! fleet runner draws from.
 //!
 //! The paper's AFT builds each app's firmware once, at compile time; the
-//! store does the same for a campaign.  It is one `Mutex`-guarded map per
-//! store: one `Arc<Firmware>` per distinct firmware key, shared by every
-//! runtime booted for that configuration, with builds performed outside
-//! the lock (a racing duplicate build produces an identical image and is
-//! dropped).  A FIFO eviction bound keeps pathological many-config runs
-//! from holding every image alive at once.
+//! store does the same for a campaign.  It is one `Mutex`-guarded map:
+//! one `Arc<Firmware>` per distinct firmware key, shared by every runtime
+//! booted for that configuration, with builds performed outside the lock
+//! (a racing duplicate build produces an identical image and is dropped).
+//! Nothing is evicted: a scenario's distinct images are bounded by its
+//! config space, at most 2 835 images (DESIGN.md §4).
 //!
 //! Every build goes through the store's [`UnitMemo`]: each distinct app
 //! unit (name, source, method, check policy) is compiled once per store
@@ -25,19 +25,13 @@
 //! depend on that thread count.
 
 use crate::partition::claim_loop;
-use crate::run::build_firmware;
 use crate::scenario::{DeviceConfig, FleetScenario};
-use amulet_aft::UnitMemo;
+use amulet_aft::{build_image, UnitMemo};
+use amulet_apps::CatalogApp;
 use amulet_mcu::firmware::Firmware;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// In-memory image bound: beyond this many distinct configurations the
-/// least-recently-*inserted* image is dropped and rebuilt if asked for
-/// again.  Every realistic scenario holds well under this — the full
-/// config space of the default catalogue is 540 keys.
-const DEFAULT_CAPACITY: usize = 4096;
 
 /// A point-in-time snapshot of a store's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,8 +42,6 @@ pub struct FirmwareStoreStats {
     pub misses: u64,
     /// Misses that ran an AFT build.
     pub builds: u64,
-    /// Images evicted from the in-memory map.
-    pub evictions: u64,
     /// AFT unit compilations (phases 1–2 of one app) the store's builds
     /// ran; every other unit came from the store's memo.
     pub unit_compiles: u64,
@@ -60,19 +52,13 @@ struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     builds: AtomicU64,
-    evictions: AtomicU64,
 }
-
-/// The in-memory map plus its FIFO insertion order, kept under one lock;
-/// both share one copy of each key.
-type ImageMap = (HashMap<Arc<str>, Arc<Firmware>>, VecDeque<Arc<str>>);
 
 /// The firmware store (see the module docs).
 #[derive(Debug)]
 pub struct FirmwareStore {
-    capacity: usize,
-    /// Builds happen outside the `images` lock.
-    images: Mutex<ImageMap>,
+    /// Builds happen outside this lock.
+    images: Mutex<HashMap<Arc<str>, Arc<Firmware>>>,
     /// Every build of this store compiles each distinct app unit once.
     memo: UnitMemo,
     counters: Counters,
@@ -84,8 +70,7 @@ impl FirmwareStore {
     /// scenario changes how it builds.
     pub fn for_scenario(_scenario: &FleetScenario) -> Self {
         FirmwareStore {
-            capacity: DEFAULT_CAPACITY,
-            images: Mutex::new((HashMap::new(), VecDeque::new())),
+            images: Mutex::new(HashMap::new()),
             memo: UnitMemo::default(),
             counters: Counters::default(),
         }
@@ -97,7 +82,6 @@ impl FirmwareStore {
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
             builds: self.counters.builds.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
             unit_compiles: self.memo.compiles(),
         }
     }
@@ -110,7 +94,6 @@ impl FirmwareStore {
             .images
             .lock()
             .expect("firmware store poisoned")
-            .0
             .get(key)
         {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -121,26 +104,13 @@ impl FirmwareStore {
         // but the image is a pure function of the config, so the loser's
         // copy is identical and simply dropped.
         self.counters.builds.fetch_add(1, Ordering::Relaxed);
-        let built = build_firmware(key, cfg, &self.memo);
-        let mut guard = self.images.lock().expect("firmware store poisoned");
-        let (images, order) = &mut *guard;
-        let arc = match images.get(key) {
-            Some(fw) => Arc::clone(fw),
-            None => {
-                let key: Arc<str> = Arc::from(key);
-                order.push_back(Arc::clone(&key));
-                images.insert(key, Arc::clone(&built));
-                built
-            }
-        };
-        while images.len() > self.capacity {
-            let Some(evict) = order.pop_front() else {
-                break;
-            };
-            images.remove(&evict);
-            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        arc
+        let apps = cfg.apps.iter().map(CatalogApp::app_ref);
+        let built = Arc::new(
+            build_image(cfg.method, &cfg.platform, apps, &self.memo)
+                .unwrap_or_else(|e| panic!("fleet firmware build failed for {key}: {e}")),
+        );
+        let mut images = self.images.lock().expect("firmware store poisoned");
+        Arc::clone(images.entry(Arc::from(key)).or_insert(built))
     }
 
     /// Materialises every distinct firmware configuration of `scenario`
@@ -158,9 +128,7 @@ impl FirmwareStore {
     /// arena each image landed in, and successive stores fragmented the
     /// arenas (DESIGN.md §4).  Each key is asked for exactly once and the
     /// memo compiles each unit once, so the store's images and counters
-    /// do not depend on the thread count (as long as the images fit the
-    /// in-memory bound; beyond it, which ones stay resident follows the
-    /// order the builds finished in).
+    /// do not depend on the thread count.
     pub fn prewarm(&self, scenario: &FleetScenario) -> usize {
         let distinct = Self::distinct_configs(scenario);
         let strides = available_threads().clamp(1, distinct.len().max(1));
@@ -182,9 +150,9 @@ impl FirmwareStore {
     /// order, each kept as its key's lowest-index device.  [`prewarm`]
     /// builds these, the benchmark harness times their derivation on its
     /// own, and `memo_identity` builds each one fresh for comparison.  The
-    /// device walk is the one `verify_fleet_reports` uses, split over
-    /// [`std::thread::available_parallelism`] threads; this only sorts its
-    /// output by key.
+    /// device walk is [`FleetScenario::distinct_configs_by_first_use`],
+    /// split over [`std::thread::available_parallelism`] threads; this
+    /// only sorts its output by key.
     ///
     /// [`prewarm`]: FirmwareStore::prewarm
     pub fn distinct_configs(scenario: &FleetScenario) -> Vec<(String, DeviceConfig)> {
@@ -224,20 +192,19 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_fifo_and_counted() {
-        let s = tiny();
-        let mut store = FirmwareStore::for_scenario(&s);
-        store.capacity = 2;
-        let mut distinct = s.distinct_configs_by_first_use(1);
-        assert!(distinct.len() >= 3, "need three distinct configs");
-        distinct.truncate(3);
-        for (key, cfg) in &distinct {
-            store.get_or_build(key, cfg);
-        }
-        assert_eq!(store.stats().evictions, 1);
-        // The evicted key (FIFO: the first inserted) misses again.
-        store.get_or_build(&distinct[0].0, &distinct[0].1);
-        assert_eq!(store.stats().hits, 0);
-        assert_eq!(store.stats().misses, 4);
+    fn the_widest_storm_draws_the_whole_config_space() {
+        // Five platforms.  A mix is one to three consecutive catalogue apps
+        // from any of nine starts (27 mixes).  Under each method but
+        // Feature Limited it is installed clean or followed by one of five
+        // adversarial apps (6 ways); Feature Limited adapts every attack to
+        // one of two apps (3 ways).  No scenario the harness can ask for
+        // draws more, so the store needs no eviction bound.
+        let s = FleetScenario {
+            fault_permille: 500,
+            ..FleetScenario::storm(200_000)
+        };
+        let config_space = 5 * (3 * 27 * 6 + 27 * 3);
+        assert_eq!(config_space, 2_835);
+        assert_eq!(FirmwareStore::distinct_configs(&s).len(), config_space);
     }
 }

@@ -235,40 +235,6 @@ fn storm_report_contains_faults_and_never_bricks_a_device() {
 }
 
 #[test]
-fn static_verifier_cross_validates_the_dynamic_matrix() {
-    // Soundness criterion from the matrix above: an app whose probe
-    // dynamically escaped (or was caught) may never verify with its
-    // attacking access proven safe.  The probes are payload-controlled,
-    // so every one of them must stay (at best) unknown — summed over a
-    // whole storm's worth of adversarial images, the undecided count is
-    // strictly positive while benign catalogue code still certifies.
-    let summary = amulet_fleet::verify_fleet(&FleetScenario::storm(120), 4);
-    assert!(summary.images > 0, "the storm deploys firmware");
-    assert!(summary.apps > summary.images, "multi-app images verified");
-    assert!(
-        summary.unknown > 0,
-        "payload-controlled probes must stay undecided"
-    );
-    assert!(
-        summary.proven_safe > summary.unknown,
-        "benign catalogue accesses still certify ({} safe vs {} unknown)",
-        summary.proven_safe,
-        summary.unknown
-    );
-    assert!(
-        summary.elidable_sites > 0 && summary.elidable_sites < summary.elidable_candidates,
-        "some checks are redundant, attack-guarding ones are not ({}/{})",
-        summary.elidable_sites,
-        summary.elidable_candidates
-    );
-    assert!(
-        summary.passes_gate(),
-        "no storm image contains a *proven* escape: {:?}",
-        summary.gate_failures
-    );
-}
-
-#[test]
 fn storm_devices_match_the_oracle() {
     // The fleet runner and the one-device-at-a-time oracle must
     // agree on every armed device, probes and OTA outcomes included.

@@ -42,13 +42,6 @@ fn assert_memoised_builds_match_fresh(scenario: &FleetScenario) -> (usize, u64) 
             bytes,
             "{key}: store image differs"
         );
-        if cfg.verify {
-            assert_eq!(
-                amulet_verify::verify_build(&memoised),
-                amulet_verify::verify_build(&fresh),
-                "{key}: the verify gate sees a different build"
-            );
-        }
     }
     assert_eq!(shared.compiles(), shared.len() as u64);
     assert_eq!(store.stats().unit_compiles, shared.compiles());
@@ -73,17 +66,6 @@ fn storm_images_are_identical_through_a_shared_memo() {
         assert!(images > 1000, "seed {seed:#x}: {images} images");
         assert!(units < 100, "seed {seed:#x}: {units} units");
     }
-}
-
-#[test]
-fn verified_images_feed_the_gate_the_same_build() {
-    let scenario = FleetScenario {
-        devices: 400,
-        verify: true,
-        ..FleetScenario::default()
-    };
-    let (images, _) = assert_memoised_builds_match_fresh(&scenario);
-    assert!(images > 100);
 }
 
 #[test]

@@ -45,7 +45,7 @@ fn main() {
         .build()
         .expect("firmware build");
     println!("{}", build.report);
-    println!("{}", build.memory_map);
+    println!("{}", build.firmware.memory_map);
 
     // 2. Boot the OS on the simulated device.
     let mut os = AmuletOs::new(build.firmware);

@@ -160,9 +160,9 @@ fn region_mpu_hardware_replaces_the_software_lower_bound_check() {
         0,
         "region platform compiles without data-pointer lower-bound checks"
     );
-    let os_stack = out.memory_map.os_stack.end - 2;
-    let os_data = out.memory_map.os_data.start;
-    let above = out.memory_map.platform.fram.end - 0x80;
+    let os_stack = out.firmware.memory_map.os_stack.end - 2;
+    let os_data = out.firmware.memory_map.os_data.start;
+    let above = out.firmware.memory_map.platform.fram.end - 0x80;
 
     for target in [os_data, os_stack, above] {
         let mut os = AmuletOs::new(build().firmware);
@@ -210,7 +210,7 @@ fn region_mpu_registers_are_privileged_only() {
         .add_app(AppSource::new("Saboteur", saboteur, &["main", "sabotage"]))
         .build()
         .unwrap();
-    let os_data = out.memory_map.os_data.start;
+    let os_data = out.firmware.memory_map.os_data.start;
     let mut os = AmuletOs::new(out.firmware);
     os.boot();
     let before = os.device.bus.read_raw(os_data, 2);
@@ -266,9 +266,9 @@ fn peripheral_jurisdiction_faults_wild_peripheral_writes() {
         // 0x0200: generic peripheral backing memory; 0x0340: timer block
         // territory; plus OS data, the OS stack in SRAM, and memory above
         // the app — every one must fault in hardware.
-        let os_data = out.memory_map.os_data.start;
-        let os_stack = out.memory_map.os_stack.end - 2;
-        let above = out.memory_map.platform.fram.end - 0x80;
+        let os_data = out.firmware.memory_map.os_data.start;
+        let os_stack = out.firmware.memory_map.os_stack.end - 2;
+        let above = out.firmware.memory_map.platform.fram.end - 0x80;
         for target in [0x0200u32, 0x0340, os_data, os_stack, above] {
             let mut os = AmuletOs::new(out.firmware.clone());
             os.boot();
@@ -317,7 +317,7 @@ fn pmp_registers_are_privileged_only() {
         .add_app(AppSource::new("Saboteur", saboteur, &["main", "sabotage"]))
         .build()
         .unwrap();
-    let os_data = out.memory_map.os_data.start;
+    let os_data = out.firmware.memory_map.os_data.start;
     let mut os = AmuletOs::new(out.firmware);
     os.boot();
     let before = os.device.bus.read_raw(os_data, 2);
