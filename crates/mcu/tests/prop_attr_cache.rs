@@ -11,11 +11,12 @@
 //! install of another MPU shape than the platform's must be refused.
 
 use amulet_core::addr::{Addr, AddrRange};
-use amulet_core::layout::PlatformSpec;
+use amulet_core::layout::{AppImageSpec, MemoryMapPlanner, OsImageSpec, PlatformSpec};
 use amulet_core::mpu_plan::{
-    MpuConfig, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
+    MpuConfig, MpuPlan, MpuRegisterValues, PmpRegisterValues, RegionDesc, RegionRegisterValues,
 };
 use amulet_core::perm::Perm;
+use amulet_core::platform::builtin_platforms;
 use amulet_mcu::bus::{Bus, BusFaultCause, BusStats};
 use amulet_mcu::mpu::MpuBackend;
 use proptest::collection::vec;
@@ -250,12 +251,70 @@ proptest! {
     }
 }
 
+/// The install op whose configuration is exactly `config`.
+fn install_op(config: MpuConfig) -> Op {
+    let op = match &config {
+        MpuConfig::Segmented(regs) => Op::Segmented {
+            b1: regs.mpusegb1,
+            b2: regs.mpusegb2,
+            sam: regs.mpusam,
+            enable: regs.mpuctl0 & 1 != 0,
+        },
+        MpuConfig::Region(regs) => Op::Region {
+            regions: regs
+                .regions
+                .iter()
+                .map(|d| (d.range.start, d.range.end, d.perm.to_bits()))
+                .collect(),
+        },
+        MpuConfig::Pmp(regs) => Op::Pmp {
+            entries: regs
+                .entries
+                .iter()
+                .map(|d| {
+                    let k = (d.range.len() >> 3).trailing_zeros();
+                    (d.range.start, k, d.perm.to_bits())
+                })
+                .collect(),
+            user_mode: regs.user_mode,
+        },
+    };
+    assert_eq!(mpu_config(&op).as_ref(), Some(&config), "{op:?}");
+    op
+}
+
+/// The OS configuration and each app configuration the planner emits for
+/// a fixed 3-app layout, on every built-in profile: the configurations a
+/// fleet actually installs.
+fn planned_states() -> Vec<(PlatformSpec, Vec<Op>)> {
+    let apps = [
+        AppImageSpec::new("A", 0x800, 0x200, 0x100),
+        AppImageSpec::new("B", 0x600, 0x100, 0x80),
+        AppImageSpec::new("C", 0x400, 0x180, 0x100),
+    ];
+    let mut states = Vec::new();
+    for platform in builtin_platforms() {
+        let map = MemoryMapPlanner::new(platform.clone())
+            .unwrap()
+            .plan(&OsImageSpec::default(), &apps)
+            .unwrap();
+        let plans = std::iter::once(MpuPlan::for_os_on(&map).unwrap())
+            .chain((0..apps.len()).map(|i| MpuPlan::for_app_on(&map, i).unwrap()));
+        for plan in plans {
+            let op = install_op(plan.config(&platform.mpu));
+            states.push((platform.clone(), vec![op]));
+        }
+    }
+    states
+}
+
 /// Deterministic exhaustive sweep: for a handful of fixed configurations,
 /// compare the cache against the oracle for **every** address in the
-/// 64 KiB space and every access kind — no sampling gaps.
+/// 64 KiB space and every access kind — no sampling gaps.  The planner's
+/// configurations of all five profiles are swept too.
 #[test]
 fn cache_matches_oracle_exhaustively() {
-    let configs: Vec<(PlatformSpec, Vec<Op>)> = vec![
+    let mut configs: Vec<(PlatformSpec, Vec<Op>)> = vec![
         (PlatformSpec::msp430fr5969(), vec![]),
         (
             PlatformSpec::msp430fr5969(),
@@ -296,6 +355,7 @@ fn cache_matches_oracle_exhaustively() {
             }],
         ),
     ];
+    configs.extend(planned_states());
     for (platform, setup) in configs {
         let mut cached = Bus::new(platform.clone());
         let mut direct = Bus::new(platform);
