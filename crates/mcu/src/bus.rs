@@ -2,26 +2,30 @@
 //! and MPU enforcement.
 //!
 //! Every data access and instruction fetch made by the CPU (and by the OS on
-//! the application's behalf) goes through [`Bus`].  The bus decodes the
-//! address into an MSP430FR5969 region, dispatches peripheral-register
-//! accesses to the MPU and timer models, and consults the MPU for FRAM /
-//! InfoMem accesses.  Accesses the MPU denies are reported as
-//! [`BusFault`]s, which the CPU converts into application faults.
+//! the application's behalf) goes through [`Bus`].  One pure access
+//! decision rules them all: it decodes the address into a [`Region`] of
+//! the platform's memory map, asks the platform's MPU whether it permits
+//! the access wherever the MPU polices that region, and then applies the
+//! two region rules — peripheral-register loads and stores dispatch to the
+//! MPU and timer models, and the boot ROM is write-protected.  Accesses it
+//! denies are reported as [`BusFault`]s, which the CPU converts into
+//! application faults.
 //!
 //! # The access-attribute cache
 //!
-//! Decoding a region (a 6-way range cascade) and consulting the MPU
-//! on **every** access is the second-hottest operation in the simulator
-//! after instruction fetch.  The bus therefore keeps a flat 64 KiB
-//! *attribute table* — one byte per address encoding whether a read, write
-//! or instruction fetch at that address is an ordinary permitted memory
-//! access — precomputed from the currently installed MPU configuration.
-//! The hot paths of [`Bus::read`], [`Bus::write`] and
-//! [`Bus::check_execute`] become a single table index; anything the table
-//! cannot prove harmless (peripheral dispatch, denied or unmapped
-//! accesses) falls back to the original cascade, which stays the semantic
-//! oracle — it alone produces faults, latches violation flags and counts
-//! denials.
+//! Running that decision on **every** access would be the second-hottest
+//! operation in the simulator after instruction fetch.  The bus therefore
+//! keeps a flat 64 KiB *attribute table* — one byte per address encoding
+//! whether a read, write or instruction fetch at that address is an
+//! ordinary permitted memory access.  The table is a sampled cache of the
+//! decision: the decision can change only at an edge of the platform's
+//! ranges or of the MPU's segment boundaries or slots, so the table is
+//! painted by evaluating it once per interval between edges.  The hot
+//! paths of [`Bus::read`], [`Bus::write`] and [`Bus::check_execute`]
+//! become a single table index; anything the table cannot prove harmless
+//! (peripheral dispatch, denied or unmapped accesses) takes the slow path,
+//! which runs the same decision and acts on it — it alone produces faults,
+//! latches violation flags and counts denials.
 //!
 //! Because the OS alternates between the OS and per-app MPU configurations
 //! on every context switch, tables are **memoised per configuration**:
@@ -261,8 +265,7 @@ fn zeroed_page() -> Box<[u8; 0x1_0000]> {
 
 /// Fills `range ∩ [0, 64 KiB)` of the attribute table with `value`,
 /// except that an odd address never gets [`ATTR_X`]: instructions are
-/// word-aligned, so a table hit on a fetch also proves it aligned.  The
-/// other painters never grant X, so no table has it at an odd address.
+/// word-aligned, so a table hit on a fetch also proves it aligned.
 fn paint(attrs: &mut [u8], range: AddrRange, value: u8) {
     let start = (range.start as usize).min(attrs.len());
     let end = (range.end as usize).min(attrs.len());
@@ -283,18 +286,65 @@ fn paint(attrs: &mut [u8], range: AddrRange, value: u8) {
     }
 }
 
-/// ORs `value` into `range ∩ [0, 64 KiB)` of the attribute table.
-fn paint_or(attrs: &mut [u8], range: AddrRange, value: u8) {
-    let start = (range.start as usize).min(attrs.len());
-    let end = (range.end as usize).min(attrs.len());
-    for a in &mut attrs[start.min(end)..end] {
-        *a |= value;
+/// Decodes `addr` into its architectural region on platform `p`: the
+/// bus's one decode cascade.
+fn region_of(p: &PlatformSpec, addr: Addr) -> Region {
+    if p.peripherals.contains(addr) {
+        Region::Peripherals
+    } else if p.bootstrap_loader.contains(addr) {
+        Region::BootstrapLoader
+    } else if p.info_mem.contains(addr) {
+        Region::InfoMem
+    } else if p.sram.contains(addr) {
+        Region::Sram
+    } else if p.fram.contains(addr) {
+        Region::Fram
+    } else if p.interrupt_vectors.contains(addr) {
+        Region::InterruptVectors
+    } else {
+        Region::Unmapped
     }
 }
 
-/// The R/W/X attribute bits a permission grants.
-fn perm_attr(p: Perm) -> u8 {
-    ((p.read as u8) * ATTR_R) | ((p.write as u8) * ATTR_W) | ((p.execute as u8) * ATTR_X)
+/// What one access does, as [`decide`] rules.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Access {
+    /// An ordinary memory access: load, store or fetch.
+    Plain,
+    /// A peripheral-register load or store: dispatched to the register
+    /// files.
+    Peripheral,
+    /// The access faults.
+    Fault(BusFaultCause),
+}
+
+/// The bus's one access decision: what an access of `kind` at `addr`
+/// does on `platform` with `mpu` in its current state.  Pure; the slow
+/// paths act on it and the attribute table samples it.
+///
+/// The MPU always polices FRAM, InfoMem and SRAM (the segmented part
+/// allows everything outside its segments, SRAM included), and peripheral
+/// space, the boot ROM and the vectors only where it
+/// [polices the full platform](mpu::polices_full_platform).  A permitted
+/// access then meets the two region rules: peripheral loads and stores
+/// dispatch, and the boot ROM is write-protected.
+fn decide(platform: &PlatformSpec, mpu: &MpuBackend, addr: Addr, kind: AccessKind) -> Access {
+    let region = region_of(platform, addr);
+    let policed = match region {
+        Region::Unmapped => return Access::Fault(BusFaultCause::Unmapped),
+        Region::Fram | Region::InfoMem | Region::Sram => true,
+        Region::Peripherals | Region::BootstrapLoader | Region::InterruptVectors => {
+            mpu::polices_full_platform(platform)
+        }
+    };
+    if policed && !mpu.allows(addr, kind) {
+        return Access::Fault(BusFaultCause::MpuViolation);
+    }
+    match (region, kind) {
+        (Region::Peripherals, AccessKind::Read | AccessKind::Write) => Access::Peripheral,
+        (Region::BootstrapLoader, AccessKind::Write) => Access::Fault(BusFaultCause::ReadOnly),
+        _ => Access::Plain,
+    }
 }
 
 /// The system bus.
@@ -331,7 +381,7 @@ pub struct Bus {
     attr_evictions: u64,
     /// Whether the cache is on.  While it is off
     /// ([`Bus::set_attr_cache_enabled`]) every table is painted all zero —
-    /// a zero attribute proves nothing, so every access takes the oracle
+    /// a zero attribute proves nothing, so every access takes the slow
     /// path.
     attr_cache: bool,
 }
@@ -454,12 +504,12 @@ impl Bus {
     }
 
     /// Turns the access-attribute cache on or off.  With the cache off,
-    /// every table is painted all zero, so every access runs the original
-    /// region-cascade + MPU path; behaviour and [`BusStats`] must
-    /// be identical either way, so this is a test oracle: only
-    /// `tests/prop_attr_cache.rs` and `tests/prop_mpu_reprogram.rs` call
-    /// it.  A switch drops the memo to the active table, repainted under
-    /// the new setting.
+    /// every table is painted all zero, so every access runs the slow
+    /// path's access decision; behaviour and [`BusStats`] must be
+    /// identical either way, so this is a test oracle: only the
+    /// `tests/prop_attr_cache.rs`, `tests/prop_mpu_reprogram.rs` and
+    /// `tests/access_semantics.rs` tests call it.  A switch drops the memo
+    /// to the active table, repainted under the new setting.
     pub fn set_attr_cache_enabled(&mut self, enabled: bool) {
         if enabled == self.attr_cache {
             return;
@@ -493,22 +543,7 @@ impl Bus {
 
     /// Decodes an address into its architectural region.
     pub fn region(&self, addr: Addr) -> Region {
-        let p = &self.platform;
-        if p.peripherals.contains(addr) {
-            Region::Peripherals
-        } else if p.bootstrap_loader.contains(addr) {
-            Region::BootstrapLoader
-        } else if p.info_mem.contains(addr) {
-            Region::InfoMem
-        } else if p.sram.contains(addr) {
-            Region::Sram
-        } else if p.fram.contains(addr) {
-            Region::Fram
-        } else if p.interrupt_vectors.contains(addr) {
-            Region::InterruptVectors
-        } else {
-            Region::Unmapped
-        }
+        region_of(&self.platform, addr)
     }
 
     /// The attribute-table key of an MPU state (see [`MpuFingerprint`]).
@@ -648,18 +683,15 @@ impl Bus {
         &self.attr_active
     }
 
-    /// Paints the 64 KiB attribute table for the MPU state `key` over `attrs`
-    /// by interval painting (no per-address MPU calls), or all zero when
-    /// `cache` is off.  A pure function of the platform (which also fixes
-    /// the MPU's jurisdiction — the only thing read from `mpu`), the key and
-    /// `cache`, which is what makes the memo sound.
-    ///
-    /// Ranges are painted in reverse priority order of [`Bus::region`]'s
-    /// decode cascade, so where ranges overlap the highest-priority region's
-    /// attributes win — exactly the oracle's decision order.  The painter
-    /// consults the MPU's own **jurisdiction** (the FR5994 profile's stops at
-    /// SRAM; the Cortex-M33-class and PMP backends also police peripheral
-    /// space) instead of hardcoding any particular range set.
+    /// Paints the attribute table for `key`, the fingerprint of `mpu`'s
+    /// state, over `attrs`, or all zero when `cache` is off.  The table is
+    /// a sampled cache of [`decide`].  The decision can change only at an
+    /// edge of the platform's six ranges or of the key's segment
+    /// boundaries or slots, so each interval between consecutive edges gets
+    /// the bits of the kinds `decide` finds [`Access::Plain`] at its first
+    /// address, plus [`ATTR_FRAM_WRITE`] over FRAM and InfoMem.  `key`
+    /// holds every part of the MPU state `decide` reads, which is what
+    /// makes the memo sound.
     fn paint_attr_table(
         attrs: &mut [u8; 0x1_0000],
         p: &PlatformSpec,
@@ -667,89 +699,43 @@ impl Bus {
         key: &MpuFingerprint,
         cache: bool,
     ) {
-        // Base: unmapped — nothing is a plain permitted access.
-        attrs.fill(0);
         if !cache {
+            attrs.fill(0);
             return;
         }
-        paint(
-            &mut attrs[..],
-            p.interrupt_vectors,
-            ATTR_R | ATTR_W | ATTR_X,
-        );
-        match mpu.slot_table() {
-            Some(table) => {
-                // Region MPU or PMP: deny-by-default over its jurisdiction
-                // when enforcing, permissive when not.  The slots match
-                // first-hit in slot order, so paint in reverse and let earlier
-                // slots overwrite later ones.
-                let (base, slots): (u8, &[(AddrRange, Perm)]) = match key {
-                    MpuFingerprint::Slots(slots) => (0, slots),
-                    _ => (ATTR_R | ATTR_W | ATTR_X, &[]),
-                };
-                for range in table.jurisdiction() {
-                    paint(&mut attrs[..], *range, base);
-                }
-                for (slot_range, perm) in slots.iter().rev() {
-                    let v = perm_attr(*perm);
-                    for range in table.jurisdiction() {
-                        let clipped = AddrRange::new(
-                            slot_range.start.max(range.start).min(range.end),
-                            slot_range.end.clamp(range.start, range.end),
-                        );
-                        paint(&mut attrs[..], clipped, v);
-                    }
-                }
-            }
-            None => {
-                // Segmented part: SRAM is outside its jurisdiction (always
-                // permitted); FRAM splits into three segments at the two
-                // boundaries; InfoMem is the pinned segment.
-                paint(&mut attrs[..], p.sram, ATTR_R | ATTR_W | ATTR_X);
-                if let MpuFingerprint::Segmented {
-                    boundary1,
-                    boundary2,
-                    perms: [seg1, seg2, seg3, seg_info],
-                } = *key
-                {
-                    let f = p.fram;
-                    let c1 = boundary1.clamp(f.start, f.end);
-                    let c2 = boundary2.clamp(f.start, f.end).max(c1);
-                    paint(&mut attrs[..], AddrRange::new(f.start, c1), perm_attr(seg1));
-                    paint(&mut attrs[..], AddrRange::new(c1, c2), perm_attr(seg2));
-                    paint(&mut attrs[..], AddrRange::new(c2, f.end), perm_attr(seg3));
-                    paint(&mut attrs[..], p.info_mem, perm_attr(seg_info));
-                } else {
-                    paint(&mut attrs[..], p.fram, ATTR_R | ATTR_W | ATTR_X);
-                    paint(&mut attrs[..], p.info_mem, ATTR_R | ATTR_W | ATTR_X);
-                }
-            }
-        }
-        // FRAM and InfoMem writes are counted separately by the stats.
-        paint_or(&mut attrs[..], p.fram, ATTR_FRAM_WRITE);
-        paint_or(&mut attrs[..], p.info_mem, ATTR_FRAM_WRITE);
-        // Boot ROM and peripheral space.  Peripheral reads and writes always
-        // take the dispatch path, so their R/W attribute bits stay clear, and
-        // a boot-ROM write is never a plain permitted store (the ROM is
-        // write-protected even where a region grants W).  On
-        // full-platform-jurisdiction MPUs the remaining bits painted by the
-        // slots above are the MPU's own decision and are masked, not
-        // overwritten — the same `polices_full_platform` rule the slow-path
-        // oracle consults; every other MPU keeps the historical
-        // always-readable ROM / always-fetchable peripheral attributes.
-        let mask = |attrs: &mut [u8; 0x1_0000], range: AddrRange, keep: u8| {
-            let start = (range.start as usize).min(attrs.len());
-            let end = (range.end as usize).min(attrs.len());
-            for a in &mut attrs[start..end] {
-                *a &= keep;
-            }
+        let (boundaries, slots): ([Option<Addr>; 2], &[(AddrRange, Perm)]) = match key {
+            MpuFingerprint::Segmented {
+                boundary1,
+                boundary2,
+                ..
+            } => ([Some(*boundary1), Some(*boundary2)], &[]),
+            MpuFingerprint::Slots(slots) => ([None; 2], slots),
+            MpuFingerprint::Open => ([None; 2], &[]),
         };
-        if mpu::polices_full_platform(p) {
-            mask(attrs, p.bootstrap_loader, ATTR_R | ATTR_X);
-            mask(attrs, p.peripherals, ATTR_X);
-        } else {
-            paint(&mut attrs[..], p.bootstrap_loader, ATTR_R | ATTR_X);
-            paint(&mut attrs[..], p.peripherals, ATTR_X);
+        let edges = p
+            .full_jurisdiction_ranges()
+            .into_iter()
+            .chain(slots.iter().map(|&(range, _)| range))
+            .flat_map(|range| [range.start, range.end])
+            .chain(boundaries.into_iter().flatten());
+        let kinds = [
+            (AccessKind::Read, ATTR_R),
+            (AccessKind::Write, ATTR_W),
+            (AccessKind::Execute, ATTR_X),
+        ];
+        let mut start = 0;
+        while start < 0x1_0000 {
+            let next = edges.clone().filter(|&edge| edge > start).min();
+            let end = next.map_or(0x1_0000, |edge| edge.min(0x1_0000));
+            let mut value = kinds
+                .iter()
+                .filter(|&&(kind, _)| decide(p, mpu, start, kind) == Access::Plain)
+                .fold(0, |value, &(_, bit)| value | bit);
+            if matches!(region_of(p, start), Region::Fram | Region::InfoMem) {
+                value |= ATTR_FRAM_WRITE;
+            }
+            paint(&mut attrs[..], AddrRange::new(start, end), value);
+            start = end;
         }
     }
 
@@ -821,16 +807,23 @@ impl Bus {
         installed
     }
 
-    fn check_protection(&mut self, addr: Addr, access: AccessKind) -> Result<(), BusFault> {
-        if self.mpu.check(addr, access) {
-            Ok(())
-        } else {
-            self.stats.denied += 1;
-            Err(BusFault {
-                addr,
-                access,
-                cause: BusFaultCause::MpuViolation,
-            })
+    /// Decides an access the attribute table could not prove plain.  A
+    /// denial latches the segmented part's violation flag and counts in
+    /// [`BusStats::denied`].
+    fn decide_slow(&mut self, addr: Addr, access: AccessKind) -> Result<Access, BusFault> {
+        match decide(&self.platform, &self.mpu, addr, access) {
+            Access::Fault(cause) => {
+                if cause == BusFaultCause::MpuViolation {
+                    self.mpu.latch_violation(addr);
+                    self.stats.denied += 1;
+                }
+                Err(BusFault {
+                    addr,
+                    access,
+                    cause,
+                })
+            }
+            decided => Ok(decided),
         }
     }
 
@@ -854,35 +847,13 @@ impl Bus {
         self.read_slow(addr, size)
     }
 
-    /// The original region-cascade read path: peripheral dispatch, faults,
-    /// and the MPU oracle.  Also serves every access the attribute cache
-    /// cannot prove to be a plain permitted read.
+    /// The read path for everything the attribute table cannot prove a
+    /// plain permitted read: decide, then dispatch or read.
     fn read_slow(&mut self, addr: Addr, size: u32) -> Result<u16, BusFault> {
-        match self.region(addr) {
-            Region::Unmapped => Err(BusFault {
-                addr,
-                access: AccessKind::Read,
-                cause: BusFaultCause::Unmapped,
-            }),
-            Region::Peripherals => {
-                // Backends whose jurisdiction covers peripheral space
-                // police the access before it reaches any register file.
-                if mpu::polices_full_platform(&self.platform) {
-                    self.check_protection(addr, AccessKind::Read)?;
-                }
-                Ok(self.read_peripheral(addr))
-            }
-            Region::Fram | Region::InfoMem | Region::Sram => {
-                self.check_protection(addr, AccessKind::Read)?;
-                Ok(self.read_raw(addr, size))
-            }
-            Region::BootstrapLoader | Region::InterruptVectors => {
-                if mpu::polices_full_platform(&self.platform) {
-                    self.check_protection(addr, AccessKind::Read)?;
-                }
-                Ok(self.read_raw(addr, size))
-            }
-        }
+        Ok(match self.decide_slow(addr, AccessKind::Read)? {
+            Access::Peripheral => self.read_peripheral(addr),
+            _ => self.read_raw(addr, size),
+        })
     }
 
     /// Writes `size` bytes (1 or 2) at `addr`, enforcing region and MPU
@@ -912,55 +883,18 @@ impl Bus {
         self.write_slow(addr, size, value)
     }
 
-    /// The original region-cascade write path (peripheral dispatch, faults,
-    /// MPU oracle) — the fallback for everything the attribute cache cannot
-    /// prove to be a plain permitted write.
+    /// The write path for everything the attribute table cannot prove a
+    /// plain permitted write: decide, then dispatch or store.
     fn write_slow(&mut self, addr: Addr, size: u32, value: u16) -> Result<(), BusFault> {
-        match self.region(addr) {
-            Region::Unmapped => Err(BusFault {
-                addr,
-                access: AccessKind::Write,
-                cause: BusFaultCause::Unmapped,
-            }),
-            Region::BootstrapLoader => {
-                // On full-jurisdiction backends the MPU faults first (as
-                // the hardware would); otherwise the ROM's write-protect
-                // reports the failure.
-                if mpu::polices_full_platform(&self.platform) {
-                    self.check_protection(addr, AccessKind::Write)?;
-                }
-                Err(BusFault {
-                    addr,
-                    access: AccessKind::Write,
-                    cause: BusFaultCause::ReadOnly,
-                })
-            }
-            Region::Peripherals => {
-                if mpu::polices_full_platform(&self.platform) {
-                    self.check_protection(addr, AccessKind::Write)?;
-                }
-                self.stats.peripheral_writes += 1;
-                self.write_peripheral(addr, value)
-            }
-            Region::Fram | Region::InfoMem => {
-                self.check_protection(addr, AccessKind::Write)?;
-                self.stats.fram_writes += 1;
-                self.write_raw(addr, size, value);
-                Ok(())
-            }
-            Region::Sram => {
-                self.check_protection(addr, AccessKind::Write)?;
-                self.write_raw(addr, size, value);
-                Ok(())
-            }
-            Region::InterruptVectors => {
-                if mpu::polices_full_platform(&self.platform) {
-                    self.check_protection(addr, AccessKind::Write)?;
-                }
-                self.write_raw(addr, size, value);
-                Ok(())
-            }
+        if self.decide_slow(addr, AccessKind::Write)? == Access::Peripheral {
+            self.stats.peripheral_writes += 1;
+            return self.write_peripheral(addr, value);
         }
+        if matches!(self.region(addr), Region::Fram | Region::InfoMem) {
+            self.stats.fram_writes += 1;
+        }
+        self.write_raw(addr, size, value);
+        Ok(())
     }
 
     /// Checks whether an instruction fetch at `addr` is permitted.
@@ -995,31 +929,10 @@ impl Bus {
         self.check_execute_slow(addr)
     }
 
-    /// The original instruction-fetch permission path (the MPU oracle).
+    /// The fetch path for everything the attribute table cannot prove
+    /// executable.
     fn check_execute_slow(&mut self, addr: Addr) -> Result<(), BusFault> {
-        match self.region(addr) {
-            Region::Unmapped => Err(BusFault {
-                addr,
-                access: AccessKind::Execute,
-                cause: BusFaultCause::Unmapped,
-            }),
-            Region::Fram | Region::InfoMem | Region::Sram => {
-                // SRAM is outside the segmented MPU's jurisdiction (one of
-                // the reasons the paper still needs software checks) but
-                // inside a region MPU's; `check_protection` routes to
-                // whichever backend the platform has.
-                self.check_protection(addr, AccessKind::Execute)
-            }
-            Region::Peripherals | Region::BootstrapLoader | Region::InterruptVectors
-                if mpu::polices_full_platform(&self.platform) =>
-            {
-                self.check_protection(addr, AccessKind::Execute)
-            }
-            // On every other backend the boot ROM, vectors and peripheral
-            // space are outside the jurisdiction: fetches from them are
-            // architecturally possible.
-            _ => Ok(()),
-        }
+        self.decide_slow(addr, AccessKind::Execute).map(drop)
     }
 
     fn read_peripheral(&self, addr: Addr) -> u16 {

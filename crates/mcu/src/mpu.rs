@@ -154,34 +154,25 @@ impl Mpu {
         }
     }
 
-    /// Whether an access of `kind` at `addr` is permitted, latching a
-    /// violation flag when it is not.
-    pub fn check(&mut self, addr: Addr, kind: AccessKind) -> bool {
-        let Some(seg) = self.segment_of(addr).filter(|_| self.enabled) else {
-            return true;
-        };
-        if self.segment_perm(seg).allows(kind.required_perm()) {
-            return true;
+    /// Whether an access of `kind` at `addr` is permitted.  Pure: the bus
+    /// latches a denial's flag through [`Mpu::latch_violation`].
+    pub fn allows(&self, addr: Addr, kind: AccessKind) -> bool {
+        match self.segment_of(addr) {
+            Some(seg) if self.enabled => self.segment_perm(seg).allows(kind.required_perm()),
+            _ => true,
         }
-        self.violation_flags |= match seg {
-            MpuSegment::Seg1 => 1 << 0,
-            MpuSegment::Seg2 => 1 << 1,
-            MpuSegment::Seg3 => 1 << 2,
-            MpuSegment::Info => 1 << 3,
-        };
-        false
     }
 
-    /// Non-mutating variant of [`Mpu::check`]: the test oracle
-    /// `tests/prop_mpu.rs` holds `check` to.
-    pub fn would_allow(&self, addr: Addr, kind: AccessKind) -> bool {
-        if !self.enabled {
-            return true;
-        }
-        match self.segment_of(addr) {
-            None => true,
-            Some(seg) => self.segment_perm(seg).allows(kind.required_perm()),
-        }
+    /// Latches the violation flag of `addr`'s segment, as the part does
+    /// when it denies an access there.
+    pub fn latch_violation(&mut self, addr: Addr) {
+        self.violation_flags |= match self.segment_of(addr) {
+            Some(MpuSegment::Seg1) => 1 << 0,
+            Some(MpuSegment::Seg2) => 1 << 1,
+            Some(MpuSegment::Seg3) => 1 << 2,
+            Some(MpuSegment::Info) => 1 << 3,
+            None => 0,
+        };
     }
 
     /// Reads a memory-mapped MPU register.
@@ -301,11 +292,6 @@ impl SlotTable {
         self.jurisdiction.clone_from(jurisdiction);
     }
 
-    /// The address ranges this table polices while enforcing.
-    pub(crate) fn jurisdiction(&self) -> &[AddrRange] {
-        &self.jurisdiction
-    }
-
     /// The enabled slots' ranges and permissions, in match order.
     pub(crate) fn enabled_slots(&self) -> impl Iterator<Item = (AddrRange, Perm)> + '_ {
         self.slots
@@ -315,7 +301,7 @@ impl SlotTable {
     }
 
     /// Whether an access of `kind` at `addr` is permitted.
-    fn check(&self, addr: Addr, kind: AccessKind) -> bool {
+    fn allows(&self, addr: Addr, kind: AccessKind) -> bool {
         if !self.enforcing || !self.jurisdiction.iter().any(|r| r.contains(addr)) {
             return true;
         }
@@ -580,8 +566,8 @@ pub(crate) fn is_register(addr: Addr) -> bool {
 
 /// Whether a platform's MPU polices the **full platform space** —
 /// peripheral registers, the boot ROM and the vector table as well as
-/// memory.  The one rule the backend's jurisdiction, the bus's slow paths
-/// and the attribute-table painter share, so they cannot drift.
+/// memory.  The one rule the backend's jurisdiction and the bus's access
+/// decision share, so they cannot drift.
 pub(crate) fn polices_full_platform(platform: &PlatformSpec) -> bool {
     platform.mpu.is_napot() || platform.mpu.covers_peripherals()
 }
@@ -687,14 +673,22 @@ impl MpuBackend {
         }
     }
 
-    /// Whether an access of `kind` at `addr` is permitted (the segmented
-    /// part latches a violation flag when it is not).
-    pub(crate) fn check(&mut self, addr: Addr, kind: AccessKind) -> bool {
+    /// Whether an access of `kind` at `addr` is permitted: the backend's
+    /// one permission query.  Pure.
+    pub(crate) fn allows(&self, addr: Addr, kind: AccessKind) -> bool {
         match self {
-            MpuBackend::Segmented(mpu) => mpu.check(addr, kind),
+            MpuBackend::Segmented(mpu) => mpu.allows(addr, kind),
             MpuBackend::Region(RegionMpu { table, .. }) | MpuBackend::Pmp(PmpMpu { table, .. }) => {
-                table.check(addr, kind)
+                table.allows(addr, kind)
             }
+        }
+    }
+
+    /// Records a denied access at `addr`: the segmented part latches its
+    /// segment's violation flag; the slot tables keep no flags.
+    pub(crate) fn latch_violation(&mut self, addr: Addr) {
+        if let MpuBackend::Segmented(mpu) = self {
+            mpu.latch_violation(addr);
         }
     }
 
@@ -748,9 +742,9 @@ mod tests {
 
     #[test]
     fn disabled_mpu_allows_everything() {
-        let mut mpu = fr5969();
-        assert!(mpu.check(0x5000, AccessKind::Write));
-        assert!(mpu.would_allow(0xF000, AccessKind::Execute));
+        let mpu = fr5969();
+        assert!(mpu.allows(0x5000, AccessKind::Write));
+        assert!(mpu.allows(0xF000, AccessKind::Execute));
     }
 
     #[test]
@@ -779,15 +773,32 @@ mod tests {
         mpu.seg3 = Perm::NONE;
         mpu.enabled = true;
 
-        assert!(mpu.check(0x7000, AccessKind::Write));
-        assert_eq!(mpu.violation_flags, 0);
-        assert!(!mpu.check(0x9000, AccessKind::Read));
-        assert!(!mpu.check(0x5000, AccessKind::Write));
+        assert!(mpu.allows(0x7000, AccessKind::Write));
+        assert!(!mpu.allows(0x9000, AccessKind::Read));
+        assert!(!mpu.allows(0x5000, AccessKind::Write));
+        assert_eq!(mpu.violation_flags, 0, "the query latches nothing");
+        mpu.latch_violation(0x9000);
+        mpu.latch_violation(0x5000);
         assert_eq!(mpu.violation_flags, 0b101, "seg3 and seg1 flags latched");
 
         // Clearing via MPUCTL1 write.
         mpu.write_register(MPUCTL1, 0).unwrap();
         assert_eq!(mpu.violation_flags, 0);
+
+        // The bus latches the flag of each access it denies, and only then.
+        let mut bus = crate::bus::Bus::msp430fr5969();
+        for (addr, value) in [
+            (MPUSEGB1, 0x600),
+            (MPUSEGB2, 0x800),
+            (MPUSAM, 0x0024),
+            (MPUCTL0, 0xA501),
+        ] {
+            bus.write(addr, 2, value).unwrap();
+        }
+        bus.write(0x7000, 2, 1).unwrap();
+        assert_eq!(bus.read(MPUCTL1, 2), Ok(0));
+        assert!(bus.read(0x9000, 2).is_err());
+        assert_eq!(bus.read(MPUCTL1, 2), Ok(0b100), "seg3 flag latched");
     }
 
     #[test]
@@ -863,17 +874,17 @@ mod tests {
         let app_a = &map.apps[0];
         let app_b = &map.apps[1];
         // App A may write its own data...
-        assert!(mpu.check(app_a.data.start, AccessKind::Write));
+        assert!(mpu.allows(app_a.data.start, AccessKind::Write));
         // ...may execute its own code...
-        assert!(mpu.check(app_a.code.start, AccessKind::Execute));
+        assert!(mpu.allows(app_a.code.start, AccessKind::Execute));
         // ...may not touch app B at all...
-        assert!(!mpu.check(app_b.data.start, AccessKind::Read));
-        assert!(!mpu.check(app_b.code.start, AccessKind::Execute));
+        assert!(!mpu.allows(app_b.data.start, AccessKind::Read));
+        assert!(!mpu.allows(app_b.code.start, AccessKind::Execute));
         // ...and may not write OS data (execute-only segment 1), though the
         // MPU alone cannot stop writes to SRAM or peripherals.
-        assert!(!mpu.check(map.os_data.start, AccessKind::Write));
+        assert!(!mpu.allows(map.os_data.start, AccessKind::Write));
         assert_eq!(mpu.segment_of(map.os_stack.start), None);
-        assert!(mpu.check(map.os_stack.start, AccessKind::Write));
+        assert!(mpu.allows(map.os_stack.start, AccessKind::Write));
     }
 
     fn region_mpu(platform: &PlatformSpec) -> RegionMpu {
@@ -898,7 +909,7 @@ mod tests {
     #[test]
     fn disabled_region_mpu_is_permissive() {
         let r = region_mpu(&PlatformSpec::msp430fr5994());
-        assert!(r.table.check(0x5000, AccessKind::Write));
+        assert!(r.table.allows(0x5000, AccessKind::Write));
     }
 
     #[test]
@@ -911,15 +922,15 @@ mod tests {
         let t = &r.table;
         assert!(t.enforcing);
         // Granted accesses pass…
-        assert!(t.check(0x5000, AccessKind::Execute));
-        assert!(t.check(0x5600, AccessKind::Write));
+        assert!(t.allows(0x5000, AccessKind::Execute));
+        assert!(t.allows(0x5600, AccessKind::Write));
         // …a matching region without the permission is a violation…
-        assert!(!t.check(0x5100, AccessKind::Write));
+        assert!(!t.allows(0x5100, AccessKind::Write));
         // …and uncovered FRAM *and SRAM* are denied (full coverage).
-        assert!(!t.check(0x9000, AccessKind::Read));
-        assert!(!t.check(0x1C00, AccessKind::Write));
+        assert!(!t.allows(0x9000, AccessKind::Read));
+        assert!(!t.allows(0x1C00, AccessKind::Write));
         // Peripheral space stays outside the jurisdiction.
-        assert!(t.check(0x0200, AccessKind::Write));
+        assert!(t.allows(0x0200, AccessKind::Write));
     }
 
     #[test]
@@ -958,28 +969,28 @@ mod tests {
         r.apply_config(&plan.region_register_values());
 
         let (a, b, t) = (&map.apps[0], &map.apps[1], &r.table);
-        assert!(t.check(a.code.start, AccessKind::Execute));
-        assert!(t.check(a.data.start, AccessKind::Write));
+        assert!(t.allows(a.code.start, AccessKind::Execute));
+        assert!(t.allows(a.data.start, AccessKind::Write));
         // App B fully blocked, OS data blocked, OS stack in SRAM blocked —
         // all in hardware, with no compiler-inserted check needed.
-        assert!(!t.check(b.data.start, AccessKind::Read));
-        assert!(!t.check(map.os_data.start, AccessKind::Write));
-        assert!(!t.check(map.os_stack.start, AccessKind::Write));
+        assert!(!t.allows(b.data.start, AccessKind::Read));
+        assert!(!t.allows(map.os_data.start, AccessKind::Write));
+        assert!(!t.allows(map.os_stack.start, AccessKind::Write));
     }
 
     #[test]
     fn region_mpu_with_peripheral_jurisdiction_polices_peripheral_space() {
         let spec = PlatformSpec::cortex_m33();
         let mut r = region_mpu(&spec);
-        assert_eq!(r.table.jurisdiction(), spec.full_jurisdiction_ranges());
+        assert_eq!(r.table.jurisdiction, spec.full_jurisdiction_ranges());
         r.apply_config(&regions(&[(0x5000, 0x5400, Perm::RW)]));
         // Inside jurisdiction, no region grants it: a peripheral write is
         // a violation — the DESIGN §6 gap closed for this profile.
-        assert!(!r.table.check(0x0200, AccessKind::Write));
+        assert!(!r.table.allows(0x0200, AccessKind::Write));
         // A region over peripheral space grants access (the OS plan).
         let p = spec.peripherals;
         r.apply_config(&regions(&[(p.start, p.end, Perm::RW)]));
-        assert!(r.table.check(0x0200, AccessKind::Write));
+        assert!(r.table.allows(0x0200, AccessKind::Write));
     }
 
     fn riscv_pmp() -> PmpMpu {
@@ -1006,7 +1017,7 @@ mod tests {
     fn pmp_machine_mode_bypasses_and_user_mode_denies_by_default() {
         let mut p = riscv_pmp();
         // Machine mode (power-on): nothing is policed.
-        assert!(p.table.check(0x5000, AccessKind::Write));
+        assert!(p.table.allows(0x5000, AccessKind::Write));
         let two = regions(&[(0x5000, 0x5400, Perm::X), (0x5400, 0x5800, Perm::RW)]);
         p.apply_config(&PmpRegisterValues {
             entries: two.regions,
@@ -1015,19 +1026,19 @@ mod tests {
         let t = &p.table;
         assert!(t.enforcing);
         // Granted accesses pass…
-        assert!(t.check(0x5000, AccessKind::Execute));
-        assert!(t.check(0x5600, AccessKind::Write));
+        assert!(t.allows(0x5000, AccessKind::Execute));
+        assert!(t.allows(0x5600, AccessKind::Write));
         // …a matching entry without the permission is a violation…
-        assert!(!t.check(0x5100, AccessKind::Write));
+        assert!(!t.allows(0x5100, AccessKind::Write));
         // …and the full jurisdiction — FRAM, SRAM *and peripherals* — is
         // denied by default in user mode.
-        assert!(!t.check(0x9000, AccessKind::Read));
-        assert!(!t.check(0x1C00, AccessKind::Write));
-        assert!(!t.check(0x0200, AccessKind::Write));
+        assert!(!t.allows(0x9000, AccessKind::Read));
+        assert!(!t.allows(0x1C00, AccessKind::Write));
+        assert!(!t.allows(0x0200, AccessKind::Write));
         // The boot ROM and the vector table are policed too: nowhere in
         // the mapped platform space escapes user-mode jurisdiction.
-        assert!(!t.check(0x1000, AccessKind::Execute));
-        assert!(!t.check(0xFF80, AccessKind::Write));
+        assert!(!t.allows(0x1000, AccessKind::Execute));
+        assert!(!t.allows(0xFF80, AccessKind::Write));
 
         // Back to machine mode: everything permitted.
         p.apply_config(&PmpRegisterValues {
@@ -1035,7 +1046,7 @@ mod tests {
             user_mode: false,
         });
         assert!(!p.table.enforcing);
-        assert!(p.table.check(0x0200, AccessKind::Write));
+        assert!(p.table.allows(0x0200, AccessKind::Write));
         // The entries are still programmed (machine mode just ignores
         // them), exactly like hardware.
         assert!(p.table.slots[0].enabled);

@@ -1,6 +1,7 @@
 //! Property tests for the MPU hardware model: segment decoding is total over
-//! the covered range, permission checks agree with their non-mutating
-//! preview, and the register file round-trips arbitrary configurations.
+//! the covered range, the permission query is pure and a denial latches its
+//! segment's flag, and the register file round-trips arbitrary
+//! configurations.
 
 use amulet_core::perm::{AccessKind, Perm};
 use amulet_mcu::mpu::{Mpu, MPUCTL0, MPUSAM, MPUSEGB1, MPUSEGB2};
@@ -17,11 +18,11 @@ fn access_strategy() -> impl Strategy<Value = AccessKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// For any boundary configuration and any address, `check` and
-    /// `would_allow` agree, a denial latches a flag, and addresses outside
+    /// For any boundary configuration and any address, `allows` changes
+    /// no state, latching a denial sets a flag, and addresses outside
     /// FRAM/InfoMem are never policed.
     #[test]
-    fn check_agrees_with_preview(
+    fn query_is_pure_and_a_denial_latches_a_flag(
         b1_units in 0x440u16..0xFF8,
         b2_units in 0x440u16..0xFF8,
         sam in any::<u16>(),
@@ -34,9 +35,12 @@ proptest! {
         mpu.write_register(MPUSAM, sam).unwrap();
         mpu.write_register(MPUCTL0, 0xA501).unwrap();
 
-        let preview = mpu.would_allow(addr, kind);
-        let permitted = mpu.check(addr, kind);
-        prop_assert_eq!(preview, permitted);
+        let before = format!("{mpu:?}");
+        let permitted = mpu.allows(addr, kind);
+        prop_assert_eq!(format!("{mpu:?}"), before);
+        if !permitted {
+            mpu.latch_violation(addr);
+        }
         match mpu.segment_of(addr) {
             // SRAM, peripherals, BSL and vectors are never covered.
             None => prop_assert!(permitted),
@@ -78,6 +82,6 @@ proptest! {
         let mut mpu = Mpu::msp430fr5969();
         mpu.write_register(MPUSAM, sam).unwrap();
         // Never enabled.
-        prop_assert!(mpu.check(addr, kind));
+        prop_assert!(mpu.allows(addr, kind));
     }
 }
