@@ -136,13 +136,12 @@ struct SwitchCostCache {
     /// Cost of the OS → app transition (never validates pointers).
     os_to_app: u64,
     /// Cost of the app → OS transition, indexed by pointer-argument count.
-    app_to_os: [u64; MAX_CACHED_POINTER_ARGS as usize + 1],
+    app_to_os: [u64; MAX_POINTER_ARGS as usize + 1],
 }
 
-/// Pointer-argument counts precomputed in [`SwitchCostCache::app_to_os`]
-/// (no Amulet API call passes more; higher counts fall back to building
-/// the plan).
-const MAX_CACHED_POINTER_ARGS: u32 = 4;
+/// The most pointer arguments a call of the runtime's API
+/// ([`ApiSpec::amulet`]) passes: `amulet_log_buffer`'s one buffer.
+const MAX_POINTER_ARGS: u32 = 1;
 
 impl SwitchCostCache {
     fn new(platform: &amulet_core::layout::PlatformSpec, method: IsolationMethod) -> Self {
@@ -701,17 +700,7 @@ impl AmuletOs {
     /// validation of any pointer arguments, and install the OS MPU
     /// configuration.
     fn switch_to_os(&mut self, idx: usize, pointer_args: u32) {
-        let cycles = match self.switch_costs.app_to_os.get(pointer_args as usize) {
-            Some(&c) => c,
-            None => ContextSwitchPlan::new_for(
-                &self.firmware.memory_map.platform,
-                self.method,
-                SwitchDirection::AppToOs,
-                pointer_args,
-            )
-            .cycles(),
-        };
-        self.charge_switch(idx, cycles);
+        self.charge_switch(idx, self.switch_costs.app_to_os[pointer_args as usize]);
         self.stats[idx].full_switches += 1;
         if self.method.uses_mpu() {
             let _ = self
@@ -902,6 +891,16 @@ mod tests {
             aft = aft.add_app(AppSource::new(*name, *src, handlers));
         }
         AmuletOs::new(aft.build().unwrap().firmware)
+    }
+
+    #[test]
+    fn the_switch_cost_table_covers_every_api_call() {
+        let api = ApiSpec::amulet();
+        let most = (0..=u16::MAX)
+            .filter_map(|num| api.by_num(num))
+            .map(|f| f.pointer_arg_count())
+            .max();
+        assert_eq!(most, Some(MAX_POINTER_ARGS));
     }
 
     #[test]
