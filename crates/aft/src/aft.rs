@@ -491,7 +491,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{method}: {e}"));
             assert_eq!(out.firmware.method, method);
             assert_eq!(out.firmware.apps.len(), 1);
-            assert!(out.firmware.instruction_count() > 20);
+            assert!(out.firmware.code.len() > 20);
             assert_eq!(out.report.apps[0].api_calls, 2);
         }
     }

@@ -194,12 +194,6 @@ impl PlatformSpec {
         self.mpu.boundary_granularity()
     }
 
-    /// Number of MPU protection slots (segments or regions) the device
-    /// offers.
-    pub fn mpu_main_segments(&self) -> usize {
-        self.mpu.main_segments()
-    }
-
     /// Validates that the fixed regions are non-overlapping and ordered and
     /// that the MPU model is coherent.
     pub(crate) fn validate(&self) -> CoreResult<()> {
@@ -839,7 +833,7 @@ mod tests {
     #[test]
     fn advanced_mpu_platform_has_four_segments() {
         let p = PlatformSpec::msp430fr5969_advanced_mpu();
-        assert_eq!(p.mpu_main_segments(), 4);
+        assert_eq!(p.mpu.main_segments(), 4);
         assert!(p.validate().is_ok());
     }
 }

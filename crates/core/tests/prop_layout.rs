@@ -106,7 +106,7 @@ proptest! {
                 prop_assert_eq!(plan.boundary1, app.data_lower_bound());
                 prop_assert_eq!(plan.boundary2, app.upper_bound());
                 prop_assert!(
-                    plan.segments.len() <= platform.mpu_main_segments() + 1,
+                    plan.segments.len() <= platform.mpu.main_segments() + 1,
                     "{}: plan needs more slots than the hardware has",
                     platform.name
                 );

@@ -157,11 +157,6 @@ impl fmt::Display for FirmwareError {
 impl std::error::Error for FirmwareError {}
 
 impl Firmware {
-    /// Number of instructions in the image.
-    pub fn instruction_count(&self) -> usize {
-        self.code.len()
-    }
-
     /// Looks up an application by name.
     pub fn app(&self, name: &str) -> Option<&AppBinary> {
         self.apps.iter().find(|a| &*a.name == name)
@@ -391,7 +386,7 @@ mod tests {
         );
         assert_eq!(end, start + 8);
         let fw = b.build().unwrap();
-        assert_eq!(fw.instruction_count(), 3);
+        assert_eq!(fw.code.len(), 3);
     }
 
     #[test]
