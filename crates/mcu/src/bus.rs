@@ -181,7 +181,7 @@ const ATTR_FRAM_WRITE: u8 = 1 << 3;
 pub const MAX_ATTR_TABLES: usize = 16;
 
 /// Everything an attribute table depends on besides the (fixed) platform:
-/// the state of the platform's MPU, reduced to what the painter reads.
+/// the state of the platform's MPU, reduced to what [`decide`] reads.
 /// Disabled slots and the slots of a non-enforcing MPU cannot change a
 /// table, so they are left out, and every MPU state that paints one table
 /// has one key.
